@@ -24,6 +24,10 @@ from repro.cluster.container import Application
 #: Priority classes used by the reproduction's traces, lowest first.
 PRIORITY_CLASSES: tuple[int, ...] = (0, 1, 2, 3)
 
+#: shared answer of :meth:`ConstraintSet.conflict_view` for an
+#: application no cross-application rule names
+_NO_CONFLICTS: frozenset[int] = frozenset()
+
 
 @dataclass(frozen=True)
 class AntiAffinityRule:
@@ -68,6 +72,13 @@ class ConstraintSet:
     """
 
     def __init__(self, rules: list[AntiAffinityRule] | None = None) -> None:
+        #: bumped whenever an anti-affinity rule is registered; a
+        #: consumer that derives state from the rules (the violation
+        #: tally of :class:`~repro.cluster.state.ClusterState`) stores
+        #: the revision it was built at and rebuilds when it differs —
+        #: a rule added after placement changes verdicts with no state
+        #: mutation to announce it
+        self.revision = 0
         self._within: set[int] = set()
         self._within_scope: dict[int, str] = {}
         self._conflicts: dict[int, set[int]] = {}
@@ -77,18 +88,47 @@ class ConstraintSet:
 
     @classmethod
     def from_applications(cls, apps: list[Application]) -> "ConstraintSet":
-        """Build the symmetric constraint index from application metadata."""
+        """Build the symmetric constraint index from application metadata.
+
+        Equivalent to one :meth:`add_rule` per within-flag and per
+        ``conflicts`` entry, in application order — down to the
+        iteration order of every internal dict and set, which placement
+        decisions depend on.  Cross-application pairs are the bulk of a
+        trace (millions at full scale) and are inserted directly; the
+        pairs :class:`AntiAffinityRule` would reject or reinterpret (a
+        negative id, an application naming itself) go through
+        :meth:`add_rule` so every check it makes still applies.
+        """
         cs = cls()
+        conflicts = cs._conflicts
         for app in apps:
+            a = app.app_id
             if app.anti_affinity_within:
                 cs.add_rule(
-                    AntiAffinityRule(app.app_id, app.app_id),
+                    AntiAffinityRule(a, a),
                     scope=getattr(app, "anti_affinity_scope", "machine"),
                 )
-            for other in app.conflicts:
-                cs.add_rule(AntiAffinityRule(app.app_id, other))
+            for b in app.conflicts:
+                if b > a >= 0:
+                    lo, hi = a, b
+                elif a > b >= 0:
+                    lo, hi = b, a
+                else:
+                    cs.add_rule(AntiAffinityRule(a, b))
+                    continue
+                # add_rule's insertion order: the smaller id's entry is
+                # created (and filled) first
+                peers = conflicts.get(lo)
+                if peers is None:
+                    peers = conflicts[lo] = set()
+                peers.add(hi)
+                peers = conflicts.get(hi)
+                if peers is None:
+                    peers = conflicts[hi] = set()
+                peers.add(lo)
             for other in getattr(app, "affinities", ()):  # soft, one-way
-                cs.add_affinity(app.app_id, other)
+                cs.add_affinity(a, other)
+        cs.revision += 1
         return cs
 
     def add_affinity(self, app_id: int, other: int) -> None:
@@ -117,6 +157,7 @@ class ConstraintSet:
         else:
             self._conflicts.setdefault(rule.app_a, set()).add(rule.app_b)
             self._conflicts.setdefault(rule.app_b, set()).add(rule.app_a)
+        self.revision += 1
 
     def has_within(self, app_id: int) -> bool:
         """True when containers of ``app_id`` must be on distinct machines
@@ -138,6 +179,16 @@ class ConstraintSet:
     def conflicts_of(self, app_id: int) -> frozenset[int]:
         """Applications that must not share a machine with ``app_id``."""
         return frozenset(self._conflicts.get(app_id, ()))
+
+    def conflict_view(self, app_id: int) -> "set[int] | frozenset[int]":
+        """The conflict set of ``app_id`` without the copy.
+
+        The live internal set (empty when no rule names ``app_id``):
+        callers must treat it as read-only and must not hold it across
+        an :meth:`add_rule`.  For per-machine hot loops;
+        :meth:`conflicts_of` is the safe, copying form.
+        """
+        return self._conflicts.get(app_id, _NO_CONFLICTS)
 
     def conflicting_pairs(self) -> set[tuple[int, int]]:
         """All cross-application conflict pairs, canonically ordered."""

@@ -15,6 +15,7 @@ dictionaries only appear per-deployment, never per-machine-scan.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +31,30 @@ _state_uids = itertools.count()
 #: shared "nothing changed" answer of :meth:`ClusterState.dirty_array_since`
 #: (callers treat it as read-only)
 _NO_DIRTY = np.empty(0, dtype=np.int64)
+
+
+@dataclass
+class _ViolationTally:
+    """Cached answer of :meth:`ClusterState.anti_affinity_violations`.
+
+    ``version`` / ``revision`` say which state mutation and which
+    :attr:`ConstraintSet.revision` the counts are exact for; both maps
+    hold non-zero entries only and ``total`` is their sum.
+    """
+
+    revision: int
+    version: int = -1
+    total: int = 0
+    #: machine id -> offending containers on it (Eq. 7-8 at machine scope)
+    per_machine: dict[int, int] = field(default_factory=dict)
+    #: rack-scoped app id -> its containers sharing a rack with a sibling
+    per_rack_app: dict[int, int] = field(default_factory=dict)
+
+    def store(self, counts: dict[int, int], key: int, count: int) -> None:
+        """Replace ``counts[key]`` (one of the two maps) by ``count``."""
+        self.total += count - counts.pop(key, 0)
+        if count:
+            counts[key] = count
 
 
 class ClusterState:
@@ -103,6 +128,9 @@ class ClusterState:
         self._log_len = 0
         self._log_base = 0
         self._log_limit = max(4096, 16 * n)
+        #: built by the first :meth:`anti_affinity_violations` call and
+        #: repaired from the dirty log by every later one
+        self._violations: _ViolationTally | None = None
 
     # ------------------------------------------------------------------
     # change tracking
@@ -521,12 +549,24 @@ class ClusterState:
                 self._record(EventKind.DEPLOY, container.container_id, machine_id)
 
     def migrate(self, container_id: int, target_machine: int) -> None:
-        """Move a deployed container to ``target_machine`` atomically."""
+        """Move a deployed container to ``target_machine`` atomically.
+
+        When the target refuses it (no room, an anti-affinity
+        violation, no such machine) the error propagates with the
+        container back on its source machine — as that machine's newest
+        resident, and with ``available`` restored up to the rounding of
+        one evict/deploy pair.
+        """
         source = self.assignment.get(container_id)
         if source is None:
             raise KeyError(f"container {container_id} is not deployed")
         container = self.evict(container_id)
-        self.deploy(container, target_machine)
+        try:
+            self.deploy(container, target_machine)
+        except Exception:
+            # forced: the source held it a moment ago, legally or not
+            self.deploy(container, source, force=True)
+            raise
         self._record(EventKind.MIGRATE, container_id, target_machine, source)
 
     # ------------------------------------------------------------------
@@ -552,46 +592,94 @@ class ClusterState:
         Each offending container counts once (a machine hosting two
         containers of a within-anti-affinity app contributes two; for
         rack-scoped rules the co-location domain is the rack).
+
+        The count is kept as a tally per machine and per rack-scoped
+        application, and each call re-examines only what the dirty log
+        reports mutated since the previous call — O(touched machines),
+        not O(resident containers).  Everything is recounted (the same
+        two helpers over every machine) on the first call, after log
+        compaction has passed the tally's watermark, and when
+        :attr:`ConstraintSet.revision` moved; a :meth:`snapshot` or
+        restored state starts without a tally.
+
+        Unlike the other queries this one **writes** to the state (the
+        tally), so it belongs to whichever thread mutates the state: the
+        window executor (``apply_window``), ``core.validate`` and the
+        CLI's exit-time print call it.  A ``serve`` control request
+        answered on the event-loop thread (``stats``, ``result``,
+        ``decisions``) must never do so.
         """
         cs = self.constraints
-        violations = 0
-        for machine_id, cids in self.machine_containers.items():
-            if len(cids) < 2:
-                continue
-            apps: dict[int, int] = {}
-            for cid in cids:
-                app = self._containers[cid].app_id
-                apps[app] = apps.get(app, 0) + 1
-            app_ids = list(apps)
-            bad_apps: set[int] = set()
-            for i, a in enumerate(app_ids):
-                if (
-                    apps[a] > 1
-                    and cs.has_within(a)
-                    and cs.within_scope(a) == "machine"
-                ):
-                    bad_apps.add(a)
-                for b in app_ids[i + 1 :]:
-                    if cs.violates(a, b):
-                        bad_apps.add(a)
-                        bad_apps.add(b)
-            for a in bad_apps:
-                violations += apps[a]
-        # Rack-scoped within-rules: count containers sharing a rack with
-        # a sibling of the same application.
-        for app_id, per_machine in self.app_machines.items():
-            if not per_machine or not cs.has_within(app_id):
-                continue
-            if cs.within_scope(app_id) != "rack":
-                continue
-            rack_counts: dict[int, int] = {}
-            for m, count in per_machine.items():
-                rack = int(self.topology.rack_of[m])
-                rack_counts[rack] = rack_counts.get(rack, 0) + count
-            for count in rack_counts.values():
-                if count > 1:
-                    violations += count
-        return violations
+        tally = self._violations
+        dirty = None
+        if tally is not None and tally.revision == cs.revision:
+            dirty = self.dirty_array_since(tally.version)
+        if dirty is None:
+            tally = self._violations = _ViolationTally(cs.revision)
+            machines = self.machine_containers
+        elif dirty.size == 0:
+            return tally.total
+        else:
+            machines = dirty.tolist()
+        # A rack-scoped application's count can only have risen if it
+        # gained a container — on a machine that is then dirty and hosts
+        # it now — and only have fallen if it was non-zero.
+        suspects = set(tally.per_rack_app)
+        for machine_id in machines:
+            tally.store(
+                tally.per_machine,
+                machine_id,
+                self._machine_offenders(machine_id, suspects),
+            )
+        for app_id in suspects:
+            if cs.has_within(app_id) and cs.within_scope(app_id) == "rack":
+                tally.store(
+                    tally.per_rack_app, app_id, self._rack_offenders(app_id)
+                )
+        tally.version = self.version
+        return tally.total
+
+    def _machine_offenders(self, machine_id: int, resident: set[int]) -> int:
+        """Containers on ``machine_id`` that break a machine-scoped rule:
+        two of one within-anti-affinity application, or any of an
+        application sharing the machine with one it conflicts with.
+        The applications the machine hosts are added to ``resident``."""
+        cids = self.machine_containers.get(machine_id)
+        if not cids:
+            return 0
+        containers = self._containers
+        apps: dict[int, int] = {}
+        for cid in cids:
+            app = containers[cid].app_id
+            apps[app] = apps.get(app, 0) + 1
+        resident.update(apps)
+        if len(cids) < 2:
+            return 0
+        cs = self.constraints
+        hosted = apps.keys()
+        offenders = 0
+        for app, count in apps.items():
+            conflicts = cs.conflict_view(app)
+            if (conflicts and not conflicts.isdisjoint(hosted)) or (
+                count > 1
+                and cs.has_within(app)
+                and cs.within_scope(app) == "machine"
+            ):
+                offenders += count
+        return offenders
+
+    def _rack_offenders(self, app_id: int) -> int:
+        """Containers of rack-scoped ``app_id`` that share a rack with
+        a sibling."""
+        per_machine = self.app_machines.get(app_id)
+        if not per_machine:
+            return 0
+        rack_of = self.topology.rack_of
+        rack_counts: dict[int, int] = {}
+        for m, count in per_machine.items():
+            rack = int(rack_of[m])
+            rack_counts[rack] = rack_counts.get(rack, 0) + count
+        return sum(count for count in rack_counts.values() if count > 1)
 
     def snapshot(self) -> "ClusterState":
         """Deep-copy the mutable state (topology/constraints are shared).

@@ -1,0 +1,423 @@
+"""The violation tally against a brute-force recount.
+
+``ClusterState.anti_affinity_violations`` answers from a tally it
+repairs over the dirty log.  What makes that safe is one invariant —
+after *any* sequence of mutations, queried at *any* subset of points,
+the tally equals a recount from scratch — and this module checks it
+three ways: a hypothesis state machine over every mutator the program
+has, a seeded replay of the same operations (fast, and the same in
+every CI run), and a handful of pointed cases (late rule, failed
+migrate, no work when nothing is dirty).
+
+:func:`recount_violations` is the pre-tally implementation, moved here
+verbatim: the reference the tally is held to, also imported by
+``tests/core/test_validate.py``.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
+from repro.cluster.container import Container
+from repro.cluster.power import PowerConfig, PowerManager
+from repro.cluster.state import ClusterState
+from repro.cluster.topology import build_cluster
+from repro.sim.faults import fail_machines, machine_is_down, repair_machines
+
+
+def recount_violations(state: ClusterState) -> int:
+    """Count deployed containers whose placement breaks a rule.
+
+    Each offending container counts once (a machine hosting two
+    containers of a within-anti-affinity app contributes two; for
+    rack-scoped rules the co-location domain is the rack).
+    """
+    cs = state.constraints
+    violations = 0
+    for machine_id, cids in state.machine_containers.items():
+        if len(cids) < 2:
+            continue
+        apps: dict[int, int] = {}
+        for cid in cids:
+            app = state._containers[cid].app_id
+            apps[app] = apps.get(app, 0) + 1
+        app_ids = list(apps)
+        bad_apps: set[int] = set()
+        for i, a in enumerate(app_ids):
+            if (
+                apps[a] > 1
+                and cs.has_within(a)
+                and cs.within_scope(a) == "machine"
+            ):
+                bad_apps.add(a)
+            for b in app_ids[i + 1 :]:
+                if cs.violates(a, b):
+                    bad_apps.add(a)
+                    bad_apps.add(b)
+        for a in bad_apps:
+            violations += apps[a]
+    # Rack-scoped within-rules: count containers sharing a rack with
+    # a sibling of the same application.
+    for app_id, per_machine in state.app_machines.items():
+        if not per_machine or not cs.has_within(app_id):
+            continue
+        if cs.within_scope(app_id) != "rack":
+            continue
+        rack_counts: dict[int, int] = {}
+        for m, count in per_machine.items():
+            rack = int(state.topology.rack_of[m])
+            rack_counts[rack] = rack_counts.get(rack, 0) + count
+        for count in rack_counts.values():
+            if count > 1:
+                violations += count
+    return violations
+
+
+N_MACHINES = 24
+N_APPS = 40
+#: dirty-log bound forced on every state the world holds, so compaction
+#: (and with it the "log no longer reaches the watermark" recount)
+#: happens within a dozen mutations instead of after 4096
+LOG_LIMIT = 8
+
+
+def build_rules() -> ConstraintSet:
+    """~40 applications: 60 % within-rule (40 % of those rack-scoped),
+    15 % of all pairs in conflict.  Fixed draw — the operations vary,
+    the rule set they start from does not."""
+    r = random.Random(18)
+    cs = ConstraintSet()
+    for a in range(N_APPS):
+        if r.random() < 0.6:
+            scope = "rack" if r.random() < 0.4 else "machine"
+            cs.add_rule(AntiAffinityRule(a, a), scope=scope)
+        for b in range(a + 1, N_APPS):
+            if r.random() < 0.15:
+                cs.add_rule(AntiAffinityRule(a, b))
+    return cs
+
+
+class World:
+    """A small cluster and every way the program mutates one.
+
+    Each operation draws what it needs from the ``random.Random`` it is
+    handed — hypothesis' own (``st.randoms``, so failures shrink) or a
+    seeded one — and :attr:`reached` records the situations that
+    actually occurred, not merely the operations that ran.
+    """
+
+    #: the seeded replay draws from this (deploys weighted up so the
+    #: cluster fills); the state machine has one rule per distinct name
+    OPS = (
+        "deploy", "deploy", "deploy", "deploy", "deploy_block", "deploy_block",
+        "evict", "evict_block", "migrate", "migrate", "fault", "power",
+        "snapshot", "restore", "late_rule", "query", "query", "query",
+    )
+
+    def __init__(self) -> None:
+        self.topology = build_cluster(N_MACHINES, machines_per_rack=4)
+        self.constraints = build_rules()
+        self.power_manager = PowerManager(N_MACHINES, PowerConfig(min_on=16))
+        self.failed: set[int] = set()
+        self.next_cid = 0
+        self.tick = 0
+        self.reached: Counter[str] = Counter()
+        self.adopt(ClusterState(self.topology, self.constraints))
+
+    def adopt(self, state: ClusterState) -> None:
+        state._log_limit = LOG_LIMIT
+        self.state = state
+
+    # -- helpers -------------------------------------------------------
+    def new_container(self, app: int) -> Container:
+        cid = self.next_cid
+        self.next_cid += 1
+        cpu = float(2 << (app % 3))  # 2, 4 or 8 of a 32-CPU machine
+        return Container(
+            container_id=cid, app_id=app, instance=0, cpu=cpu, mem_gb=cpu
+        )
+
+    def resident(self, r: random.Random) -> int | None:
+        cids = list(self.state.assignment)
+        return r.choice(cids) if cids else None
+
+    # -- operations ----------------------------------------------------
+    def deploy(self, r: random.Random) -> None:
+        # forced, and drawn from few machines and few apps, so siblings
+        # and conflicting applications really do meet
+        for _ in range(r.randint(1, 3)):
+            container = self.new_container(r.randrange(N_APPS))
+            machine = r.randrange(N_MACHINES)
+            try:
+                self.state.deploy(container, machine, force=True)
+            except ValueError:
+                self.reached["deploy refused (full or down)"] += 1
+
+    def deploy_block(self, r: random.Random) -> None:
+        app = r.randrange(N_APPS)
+        machines = [r.randrange(N_MACHINES) for _ in range(r.randint(1, 5))]
+        containers = [self.new_container(app) for _ in machines]
+        demand = containers[0].demand_vector(self.topology.resources)
+        try:
+            self.state.deploy_block(containers, machines, demand)
+        except ValueError:
+            self.reached["deploy_block rolled back"] += 1
+
+    def evict(self, r: random.Random) -> None:
+        cid = self.resident(r)
+        if cid is not None:
+            self.state.evict(cid)
+
+    def evict_block(self, r: random.Random) -> None:
+        cids = list(self.state.assignment)
+        picked = r.sample(cids, min(len(cids), r.randint(0, 3)))
+        picked += picked[:2]  # duplicates
+        picked += [self.next_cid + 7, -1]  # never deployed
+        r.shuffle(picked)
+        self.state.evict_block(picked)
+
+    def migrate(self, r: random.Random) -> None:
+        cid = self.resident(r)
+        if cid is None:
+            return
+        try:
+            self.state.migrate(cid, r.randrange(N_MACHINES))
+        except ValueError:
+            self.reached["migrate failed and restored"] += 1
+            assert cid in self.state.assignment
+
+    def fault(self, r: random.Random) -> None:
+        if len(self.failed) > 2 or (self.failed and r.random() < 0.5):
+            m = r.choice(sorted(self.failed))
+            repair_machines(self.state, [m])
+            self.failed.discard(m)
+            return
+        m = r.randrange(N_MACHINES)
+        if not machine_is_down(self.state, m):  # failed, or powered off
+            if fail_machines(self.state, [m]).displaced:
+                self.reached["fault displaced residents"] += 1
+            self.failed.add(m)
+
+    def power(self, r: random.Random) -> None:
+        # no demand drains idle machines, a large one wakes them: both
+        # are bare ``touch`` calls on rows whose residents did not move
+        self.tick += 1
+        demand = 0.0 if r.random() < 0.4 else 32.0 * N_MACHINES
+        woken, drained, _ = self.power_manager.step(self.state, self.tick, demand)
+        if woken or drained:
+            self.reached["power touched a machine"] += 1
+
+    def snapshot(self, r: random.Random) -> None:
+        self.adopt(self.state.snapshot())
+        self.reached["snapshot"] += 1
+
+    def restore(self, r: random.Random) -> None:
+        payload = self.state.checkpoint_payload()
+        assert not any("violation" in key for key in payload)
+        self.adopt(
+            ClusterState.from_payload(payload, self.topology, self.constraints)
+        )
+        self.reached["restored from payload"] += 1
+
+    def late_rule(self, r: random.Random) -> None:
+        # between two residents of one machine when there are any: the
+        # rule that turns placed containers into offenders after the fact
+        crowded = [
+            cids for cids in self.state.machine_containers.values()
+            if len(cids) > 1
+        ]
+        if crowded:
+            a, b = (
+                self.state.container(cid).app_id
+                for cid in r.sample(list(r.choice(crowded)), 2)
+            )
+        else:
+            a, b = r.randrange(N_APPS), r.randrange(N_APPS)
+        before = recount_violations(self.state)
+        scope = "rack" if r.random() < 0.4 else "machine"
+        self.constraints.add_rule(AntiAffinityRule(a, b), scope=scope)
+        if recount_violations(self.state) != before:
+            self.reached["late rule changed the count"] += 1
+
+    def query(self, r: random.Random) -> None:
+        tally = self.state._violations
+        if tally is not None and tally.version < self.state._log_base:
+            self.reached["queried past a compaction"] += 1
+        expected = recount_violations(self.state)
+        assert self.state.anti_affinity_violations() == expected
+        if expected:
+            self.reached["non-zero count"] += 1
+        if self.state._violations.per_rack_app:
+            self.reached["rack-scoped offenders"] += 1
+
+    # -- the invariant -------------------------------------------------
+    def check(self) -> None:
+        """What a query *would* answer right now equals the recount.
+
+        Asked of a probe — the state with a private copy of the tally —
+        so the real tally keeps its watermark and the next real query
+        still has every mutation since the last one to repair.
+        """
+        probe = copy.copy(self.state)
+        probe._violations = copy.deepcopy(self.state._violations)
+        assert probe.anti_affinity_violations() == recount_violations(
+            self.state
+        )
+
+
+#: every situation the issue lists must occur, not just every operation
+REQUIRED = (
+    "non-zero count",
+    "rack-scoped offenders",
+    "queried past a compaction",
+    "restored from payload",
+    "snapshot",
+    "late rule changed the count",
+    "migrate failed and restored",
+    "deploy_block rolled back",
+    "fault displaced residents",
+    "power touched a machine",
+)
+
+
+def _rule_for(op: str):
+    def run(self, r):
+        getattr(self.world, op)(r)
+
+    run.__name__ = op
+    return rule(r=st.randoms(use_true_random=False))(run)
+
+
+class TallyMachine(RuleBasedStateMachine):
+    """Hypothesis picks the operations and feeds their draws."""
+
+    #: summed over every example the run executes
+    coverage: Counter[str] = Counter()
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.world = World()
+
+    @invariant()
+    def tally_equals_recount(self) -> None:
+        self.world.check()
+
+    def teardown(self) -> None:
+        self.coverage.update(self.world.reached)
+
+
+for _op in sorted(set(World.OPS)):  # one rule per operation
+    setattr(TallyMachine, _op, _rule_for(_op))
+
+
+def test_stateful_tally_equals_recount():
+    TallyMachine.coverage.clear()
+    run_state_machine_as_test(
+        TallyMachine,
+        settings=settings(
+            max_examples=200, stateful_step_count=80, deadline=None
+        ),
+    )
+    missing = [k for k in REQUIRED if not TallyMachine.coverage[k]]
+    assert not missing, f"never reached: {missing}"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_replay_tally_equals_recount(seed):
+    r = random.Random(seed)
+    world = World()
+    for _ in range(400):
+        getattr(world, r.choice(World.OPS))(r)
+        world.check()
+    world.query(r)
+    missing = [k for k in REQUIRED if not world.reached[k]]
+    assert not missing, f"seed {seed} never reached: {missing}"
+
+
+# ----------------------------------------------------------------------
+# pointed cases
+# ----------------------------------------------------------------------
+def container(cid, app, cpu=2.0):
+    return Container(
+        container_id=cid, app_id=app, instance=0, cpu=cpu, mem_gb=cpu * 2
+    )
+
+
+def test_rule_added_after_placement_is_counted_without_a_touch():
+    cs = ConstraintSet()
+    state = ClusterState(build_cluster(4), cs)
+    state.deploy(container(0, app=0), 1)
+    state.deploy(container(1, app=1), 1)
+    assert state.anti_affinity_violations() == 0
+    version = state.version
+    cs.add_rule(AntiAffinityRule(0, 1))
+    assert state.version == version  # nothing announced the change
+    assert state.anti_affinity_violations() == 2
+
+
+def test_query_with_nothing_dirty_does_no_per_machine_work(monkeypatch):
+    world = World()
+    r = random.Random(5)
+    for _ in range(60):
+        world.deploy(r)
+    calls: list[int] = []
+    real = ClusterState._machine_offenders
+
+    def counting(self, machine_id, resident):
+        calls.append(machine_id)
+        return real(self, machine_id, resident)
+
+    monkeypatch.setattr(ClusterState, "_machine_offenders", counting)
+    state = world.state
+    first = state.anti_affinity_violations()
+    assert first == recount_violations(state) > 0
+    assert sorted(calls) == sorted(state.machine_containers)  # full count
+    calls.clear()
+    assert state.anti_affinity_violations() == first
+    assert calls == []
+    state.evict(next(iter(state.machine_containers[3])))
+    state.touch(7)
+    state.touch(7)
+    state.anti_affinity_violations()
+    assert sorted(calls) == [3, 7]  # the dirty machines, once each
+
+
+def test_failed_migrate_puts_the_container_back():
+    cs = ConstraintSet([AntiAffinityRule(0, 0)])
+    state = ClusterState(build_cluster(4), cs, track_events=True)
+    state.deploy(container(0, app=0), 0)
+    state.deploy(container(1, app=0), 1)
+    state.deploy(container(2, app=1, cpu=30.0), 2)
+    state.deploy(container(3, app=2, cpu=4.0), 0)
+    before = state.snapshot()
+    violations = state.anti_affinity_violations()
+    # anti-affinity, no room, no such machine
+    for cid, target, error in (
+        (0, 1, ValueError), (3, 2, ValueError), (3, 99, IndexError),
+    ):
+        with pytest.raises(error):
+            state.migrate(cid, target)
+        assert state.assignment == before.assignment
+        assert np.array_equal(state.available, before.available)
+        assert np.array_equal(state.container_count, before.container_count)
+        assert state.app_machines == before.app_machines
+        assert state.machine_containers == before.machine_containers
+        assert state.container(cid) == before.container(cid)
+        assert state.anti_affinity_violations() == violations
+        assert recount_violations(state) == violations
+    state.migrate(0, 3)  # and a legal one still moves it
+    assert state.assignment[0] == 3

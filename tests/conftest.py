@@ -7,6 +7,7 @@ tests that need specific structure build their own workloads.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -79,3 +80,13 @@ def state_for(apps, n_machines=4, machine=None, **topo_kw):
 
 def containers_for(apps):
     return containers_of(apps)
+
+
+def with_rack_scopes(apps) -> list[Application]:
+    """``apps`` with every third within-rule widened to rack scope (no
+    trace generator emits those, and they are counted on their own path)."""
+    return [
+        replace(app, anti_affinity_scope="rack")
+        if app.anti_affinity_within and app.app_id % 3 == 0 else app
+        for app in apps
+    ]

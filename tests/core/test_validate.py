@@ -37,6 +37,7 @@ from repro.core.validate import (
     validate_window,
 )
 
+from tests.cluster.test_violation_tally import recount_violations
 from tests.conftest import make_apps, state_for
 
 
@@ -250,6 +251,7 @@ def test_validate_state_mirrors_violation_counter(seed):
         if v.kind in (KIND_WITHIN, KIND_CROSS)
     ]
     assert bool(aa_violations) == (state.anti_affinity_violations() > 0)
+    assert measure_quality(state).violations == recount_violations(state)
 
 
 # ----------------------------------------------------------------------

@@ -590,6 +590,25 @@ def test_checkpoint_resume_flowpath_engine(seed, tmp_path):
     assert resumed == full
 
 
+def test_checkpoint_resume_samples_nonzero_violations_identically(tmp_path):
+    """A restored state carries no violation tally (it is not in the
+    checkpoint) and recounts on its first sample: with a scheduler that
+    places violations on purpose, every sample after the restore point
+    still reads exactly what the uninterrupted run read."""
+    import json
+
+    from repro.baselines import MedeaScheduler, MedeaWeights
+
+    every = 20
+    full, resumed = checkpoint_resume_canonical(
+        1, lambda: MedeaScheduler(MedeaWeights(c=1.0)), tmp_path, every=every
+    )
+    assert resumed == full
+    after_restore = json.loads(resumed)["samples"][every:]
+    assert len({s["violations"] for s in after_restore}) > 5
+    assert all(s["violations"] > 0 for s in after_restore[:50])
+
+
 def test_checkpoint_fingerprint_mismatch_rejected(tmp_path):
     """A snapshot cannot be restored into a run with a different seed,
     tick count or scheduler — the fingerprint check fails loudly
