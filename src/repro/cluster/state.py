@@ -271,8 +271,13 @@ class ClusterState:
         """
         mask = np.zeros(self.n_machines, dtype=bool)
         cs = self.constraints
+        app_machines = self.app_machines
+        # Hosting ids of every resident partner, scattered once at the
+        # end: conflict sets run to hundreds of applications, and a
+        # fancy-index store per partner would be most of this query.
+        ids: list[int] = []
         if cs.has_within(app_id):
-            hosting = self.app_machines.get(app_id)
+            hosting = app_machines.get(app_id)
             if hosting:
                 if cs.within_scope(app_id) == "rack":
                     # Rack-domain spreading: every machine in a rack
@@ -280,11 +285,13 @@ class ClusterState:
                     racks = np.unique(self.topology.rack_of[list(hosting)])
                     mask[np.isin(self.topology.rack_of, racks)] = True
                 else:
-                    mask[list(hosting)] = True
-        for other in cs.conflicts_of(app_id):
-            hosting = self.app_machines.get(other)
+                    ids.extend(hosting)
+        for other in cs.conflict_view(app_id):
+            hosting = app_machines.get(other)
             if hosting:
-                mask[list(hosting)] = True
+                ids.extend(hosting)
+        if ids:
+            mask[ids] = True
         return mask
 
     def feasible_mask(

@@ -11,12 +11,15 @@ so that per-rescue O(machines × dims) work dominates the round.
 
 The kernel re-plans the *same decisions* on the substrate PRs 1–3 built:
 
-* **Admit masks** come from a private, telemetry-quiet
-  :class:`~repro.core.feascache.FeasibilityCache` serving Equation-6
-  dominance verdicts per demand *shape* (movers and victims recycle a
-  handful of shapes), synchronised against the
+* **Admit masks** check Equation 6 first: a private, telemetry-quiet
+  :class:`~repro.core.feascache.FeasibilityCache` serves dominance
+  verdicts per demand *shape* (movers and victims recycle a handful of
+  shapes), synchronised against the
   :class:`~repro.cluster.state.ClusterState` dirty log — the full scan
-  per rescue becomes a per-dirty-machine update.
+  per rescue becomes a per-dirty-machine update.  The Equation 7–8
+  blacklist is read live from the state and only when some machine
+  dominates the demand; on a tight pool most relocation queries end at
+  Equation 6 with nothing to blacklist.
 * **Candidate orders** come from the engine's incrementally maintained
   :class:`~repro.core.machindex.MachineIndex` instead of a fresh
   ``argsort`` over all machines per strategy call.
@@ -53,6 +56,11 @@ from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.core.feascache import FeasibilityCache
 
+#: shared answer of :meth:`RescueKernel._admissible_ids` where no
+#: machine dominates the demand (read-only, like every id array it
+#: returns)
+_NO_IDS = np.empty(0, dtype=np.intp)
+
 
 @dataclass
 class _Residents:
@@ -69,7 +77,7 @@ class _Residents:
     """
 
     containers: list[Container]
-    app_ids: np.ndarray  # int64, enumeration order
+    app_ids: list[int]  # enumeration order
     priorities: np.ndarray  # int64, enumeration order
     demands: np.ndarray  # (k, dims) float64, enumeration order
     by_prio_cpu: np.ndarray  # int64 permutation, stable (priority, cpu)
@@ -125,7 +133,7 @@ class ResidentLedger:
         k = len(containers)
         dims = state.available.shape[1]
         resources = state.topology.resources
-        app_ids = np.fromiter((c.app_id for c in containers), np.int64, k)
+        app_ids = [c.app_id for c in containers]
         priorities = np.fromiter((c.priority for c in containers), np.int64, k)
         if k:
             demands = np.stack([c.demand_vector(resources) for c in containers])
@@ -167,43 +175,39 @@ class RescueKernel:
         #: "search-path verdicts" across the rescue axis.
         self.dominance = FeasibilityCache(report_telemetry=False)
         self.ledger = ResidentLedger()
-        #: app id -> [state uid, version, blacklist mask].  The live
-        #: Equation 7–8 blacklist is cheap once but the relocation
-        #: planner asks for the same few mover apps hundreds of times,
-        #: so the kernel keeps per-app masks synchronised against the
-        #: dirty log: a mutation on machine ``m`` can only flip verdict
-        #: ``m`` (an app's hosting set changes only where the log says
-        #: so), except for rack-scoped within-rules, where the dirty
-        #: set widens to every machine sharing a rack with a dirty one
-        #: — the same widening argument the feasibility cache documents.
-        self._forbidden: dict[int, list] = {}
-        #: (app id, demand bytes) -> (uid, version, ascending machine
-        #: ids admitting the pair).  The relocation planner's unit of
-        #: work, version-keyed like :attr:`_forbidden`: a failed plan
-        #: attempt leaves the state untouched, so consolidation's walk
-        #: over hundreds of candidate machines re-asks for the same few
-        #: (mover app, shape) pairs and each is answered O(1).
-        self._admissible: dict[
-            tuple[int, bytes], tuple[int, int, np.ndarray]
-        ] = {}
-        #: relocation-plan memo.  A plan attempt is fully determined by
-        #: (state uid, version, strategy key): consolidation's movers
-        #: are the ``(machine, prefix length)`` of the ledger row's
-        #: (priority, cpu) order, blocker migration's are the
+        #: (state uid, version) the three memos below were filled at.
+        #: An entry can only be replayed while the state is still at
+        #: the version it was computed for, and versions only grow, so
+        #: :meth:`_sync_memos` empties all three once the state has
+        #: moved on — each holds one version window's keys, not every
+        #: key a long-lived serving process has ever seen.
+        self._memo_stamp: tuple[int | None, int] = (None, -1)
+        #: (app id, demand bytes) -> ascending machine ids admitting
+        #: the pair.  The relocation planner's unit of work: a failed
+        #: plan attempt leaves the state untouched, so consolidation's
+        #: walk over hundreds of candidate machines re-asks for the
+        #: same few (mover app, shape) pairs and each is answered O(1).
+        self._admissible: dict[tuple[int, bytes], np.ndarray] = {}
+        #: relocation-plan memo, strategy key -> moves (``None`` for a
+        #: plan that failed).  Within one version window a plan attempt
+        #: is fully determined by its strategy key: consolidation's
+        #: movers are the ``(machine, prefix length)`` of the ledger
+        #: row's (priority, cpu) order, blocker migration's are the
         #: ``(machine, app)`` blocker set.  Failed attempts leave the
         #: state unmutated, so an exhaustive repair pass retrying the
         #: same machines for many blocked containers shares one version
         #: window — and most attempts are repeats of known failures.
         #: Successful plans mutate the state, bumping the version, so a
         #: hit can never replay a stale success.
-        self._plans: dict[tuple, tuple[int, int, list | None]] = {}
-        #: failed-rescue memo.  A rescue that ends in failure never
-        #: mutated the state, and its verdict is determined by the
-        #: (app, demand shape, flags, weights) of the attempt — during
-        #: exhaustive repair, sibling containers of one application
-        #: retry the identical hopeless rescue back to back.  The
-        #: stored ``scanned`` is replayed so the strategy-walk visit
-        #: counters stay bit-identical to the legacy loop's.
+        self._plans: dict[tuple, list | None] = {}
+        #: failed-rescue memo, attempt key -> (failure, scanned,
+        #: explored).  A rescue that ends in failure never mutated the
+        #: state, and its verdict is determined by the (app, demand
+        #: shape, flags, weights) of the attempt — during exhaustive
+        #: repair, sibling containers of one application retry the
+        #: identical hopeless rescue back to back.  The stored
+        #: ``scanned`` is replayed so the strategy-walk visit counters
+        #: stay bit-identical to the legacy loop's.
         self._failures: dict[tuple, tuple] = {}
         #: lifetime count of kernel-planned rescues
         self.invocations = 0
@@ -219,26 +223,26 @@ class RescueKernel:
           **must** survive — a failure-memo hit replays its stored
           ``scanned``/``explored`` charges and a plan-memo hit skips
           the per-mover ``explored`` charges, so a cold restart would
-          change the resumed run's counters.
-        * ``_forbidden``, ``_admissible`` and the resident ledger are
-          dropped: rebuilding them is charge-free (pure state reads, or
+          change the resumed run's counters.  Every entry is written
+          as ``(version, ...)`` with the version of :attr:`_memo_stamp`
+          — the per-entry form :meth:`restore` filters on — and the
+          memos hold one version window, so the image is bounded too.
+        * ``_admissible`` and the resident ledger are dropped:
+          rebuilding them is charge-free (pure state reads, or
           dominance syncs that are no-ops because every admissible-memo
           store synced its dominance entry at the same version the
           checkpoint captured), so the restored run stays bit-identical
           while the snapshot stays small.
         """
-        uid = self.dominance._state_uid
+        version = self._memo_stamp[1]
         return {
             "dominance": self.dominance.checkpoint(),
             "plans": {
-                key: value[1:]
-                for key, value in self._plans.items()
-                if value[0] == uid
+                key: (version, moves) for key, moves in self._plans.items()
             },
             "failures": {
-                key: value[1:]
-                for key, value in self._failures.items()
-                if value[0] == uid
+                key: (version, *verdict)
+                for key, verdict in self._failures.items()
             },
             "invocations": self.invocations,
         }
@@ -246,82 +250,37 @@ class RescueKernel:
     def restore(self, payload: dict, state: ClusterState) -> None:
         """Adopt a :meth:`checkpoint` image against the restored state.
 
-        Memo entries are rewritten to the restored state's uid; their
-        stored versions remain valid because the state checkpoint
-        persists the dirty log with identical numbering.
+        Only entries stored at the restored state's version are kept:
+        the state checkpoint persists the dirty log with identical
+        numbering, so those are exactly the entries that can still hit.
+        An image may carry entries of many older versions (one written
+        by a kernel that kept every entry it had ever stored does).
         """
-        uid = state.state_uid
-        self.dominance.restore(payload["dominance"], uid)
+        version = state.version
+        self.dominance.restore(payload["dominance"], state.state_uid)
+        self._memo_stamp = (state.state_uid, version)
         self._plans = {
-            key: (uid, *rest) for key, rest in payload["plans"].items()
+            key: moves
+            for key, (stored, moves) in payload["plans"].items()
+            if stored == version
         }
         self._failures = {
-            key: (uid, *rest) for key, rest in payload["failures"].items()
+            key: tuple(verdict)
+            for key, (stored, *verdict) in payload["failures"].items()
+            if stored == version
         }
         self.invocations = payload["invocations"]
-        self._forbidden = {}
         self._admissible = {}
         self.ledger = ResidentLedger()
 
-    def _forbidden_mask(self, state: ClusterState, app_id: int) -> np.ndarray:
-        """Incrementally synced ``state.forbidden_mask`` (read-only)."""
-        hit = self._forbidden.get(app_id)
-        if hit is None or hit[0] != state.state_uid:
-            mask = state.forbidden_mask(app_id)
-            self._forbidden[app_id] = [state.state_uid, state.version, mask]
-            return mask
-        if hit[1] == state.version:
-            return hit[2]
-        dirty = state.dirty_array_since(hit[1])
-        if dirty is None:
-            hit[2] = state.forbidden_mask(app_id)
-        elif dirty.size:
-            self._resync_forbidden(state, app_id, hit[2], dirty)
-        hit[1] = state.version
-        return hit[2]
-
-    def _resync_forbidden(
-        self,
-        state: ClusterState,
-        app_id: int,
-        mask: np.ndarray,
-        dirty: np.ndarray,
-    ) -> None:
-        """Recompute Equation 7–8 verdicts for the dirty machines only."""
-        cs = state.constraints
-        rack_within = (
-            cs.has_within(app_id) and cs.within_scope(app_id) == "rack"
-        )
-        if rack_within:
-            # A mutation can flip the verdict of every rack-mate.
-            rack_of = state.topology.rack_of
-            dirty = np.flatnonzero(
-                np.isin(rack_of, np.unique(rack_of[dirty]))
-            )
-        # Dirty sets are a handful of machines; hosting sets are the
-        # live ``app_machines`` entries.  Plain set intersections beat
-        # an ``np.isin`` per conflict partner by an order of magnitude
-        # at this size.
-        dirty_set = set(dirty.tolist())
-        hits: set[int] = set()
-        if cs.has_within(app_id):
-            hosting = state.app_machines.get(app_id)
-            if hosting:
-                if rack_within:
-                    rack_of = state.topology.rack_of
-                    racks = {int(rack_of[m]) for m in hosting}
-                    hits.update(
-                        m for m in dirty_set if int(rack_of[m]) in racks
-                    )
-                else:
-                    hits.update(hosting.keys() & dirty_set)
-        for other in cs.conflicts_of(app_id):
-            hosting = state.app_machines.get(other)
-            if hosting:
-                hits.update(hosting.keys() & dirty_set)
-        mask[dirty] = False
-        if hits:
-            mask[list(hits)] = True
+    def _sync_memos(self, state: ClusterState) -> None:
+        """Empty the version-keyed memos once ``state`` has moved on."""
+        stamp = (state.state_uid, state.version)
+        if stamp != self._memo_stamp:
+            self._admissible.clear()
+            self._plans.clear()
+            self._failures.clear()
+            self._memo_stamp = stamp
 
     def _admissible_ids(
         self, state: ClusterState, app_id: int, demand: np.ndarray
@@ -330,18 +289,21 @@ class RescueKernel:
 
         Equation 6 ∧ ¬(Equation 7–8), memoised per state version —
         read-only; callers filter with boolean keeps, never in place.
+        Equation 6 goes first: where no machine dominates the demand
+        (most relocation queries on a tight pool) the blacklist decides
+        nothing and is not evaluated.
         """
+        self._sync_memos(state)
         key = (app_id, demand.tobytes())
-        hit = self._admissible.get(key)
-        if (
-            hit is not None
-            and hit[0] == state.state_uid
-            and hit[1] == state.version
-        ):
-            return hit[2]
-        fit = self.dominance.dominance_mask(state, demand)
-        ids = np.flatnonzero(fit & ~self._forbidden_mask(state, app_id))
-        self._admissible[key] = (state.state_uid, state.version, ids)
+        ids = self._admissible.get(key)
+        if ids is None:
+            fit = self.dominance.dominance_mask(state, demand)
+            ids = (
+                np.flatnonzero(fit & ~state.forbidden_mask(app_id))
+                if fit.any()
+                else _NO_IDS
+            )
+            self._admissible[key] = ids
         return ids
 
     # ------------------------------------------------------------------
@@ -364,16 +326,11 @@ class RescueKernel:
             exhaustive,
             wkey,
         )
+        self._sync_memos(state)
         hit = self._failures.get(key)
-        if (
-            hit is not None
-            and hit[0] == state.state_uid
-            and hit[1] == state.version
-        ):
+        if hit is not None:
             out = RescueOutcome()
-            out.failure = hit[2]
-            out.scanned = hit[3]
-            out.explored = hit[4]
+            out.failure, out.scanned, out.explored = hit
             return out
         version_in = state.version
         out = RescueOutcome()
@@ -383,7 +340,7 @@ class RescueKernel:
         # cached feasibility queries.
         fit = self.dominance.dominance_mask(state, demand)
         out.explored += self.dominance.last_recomputed
-        forbidden = self._forbidden_mask(state, container.app_id)
+        forbidden = state.forbidden_mask(container.app_id)
 
         if config.enable_migration:
             machine = self._migrate_blockers(
@@ -411,29 +368,26 @@ class RescueKernel:
             else FailureReason.RESOURCES
         )
         if state.version == version_in:
-            self._failures[key] = (
-                state.state_uid,
-                version_in,
-                out.failure,
-                out.scanned,
-                out.explored,
-            )
+            self._failures[key] = (out.failure, out.scanned, out.explored)
         return out
 
     # ------------------------------------------------------------------
     def _blocker_mask(self, state, app_id: int, row: _Residents) -> np.ndarray:
         """Boolean mask over ``row``'s residents violating ``app_id``.
 
-        Vectorizes ``constraints.violates(app_id, c.app_id)`` over the
-        resident app array: cross-application conflicts via ``isin``,
-        the within-rule via an equality test.
+        ``constraints.violates(app_id, c.app_id)`` per resident: set
+        membership in the live conflict set, plus an equality test for
+        the within-rule.  A row holds a few dozen residents, so this
+        beats materialising the conflict set as an array for ``isin``
+        on every scanned machine.
         """
         cs = state.constraints
-        conflicts = np.fromiter(cs.conflicts_of(app_id), np.int64)
-        mask = np.isin(row.app_ids, conflicts)
+        conflicts = cs.conflict_view(app_id)
         if cs.has_within(app_id):
-            mask |= row.app_ids == app_id
-        return mask
+            flags = [a == app_id or a in conflicts for a in row.app_ids]
+        else:
+            flags = [a in conflicts for a in row.app_ids]
+        return np.array(flags, dtype=bool)
 
     # ------------------------------------------------------------------
     def _migrate_blockers(
@@ -660,19 +614,14 @@ class RescueKernel:
         ``explored`` charges — costs may differ from the legacy loop,
         decisions never do.
         """
-        state = planner.state
-        hit = self._plans.get(key)
-        if (
-            hit is not None
-            and hit[0] == state.state_uid
-            and hit[1] == state.version
-        ):
-            return hit[2]
+        self._sync_memos(planner.state)
+        if key in self._plans:
+            return self._plans[key]
         movers, demands = movers_fn()
         moves = self._plan_relocations(
             planner, movers, exclude, out, demands=demands
         )
-        self._plans[key] = (state.state_uid, state.version, moves)
+        self._plans[key] = moves
         return moves
 
     def _plan_relocations(

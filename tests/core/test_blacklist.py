@@ -58,16 +58,31 @@ class TestEquation8:
         assert bf.admits(2, 1)  # but any other machine is fine
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6
-    ),
-    st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=10
-    ),
-    st.integers(0, 4),
+#: anti-affinity rules as ``(app_a, app_b)`` pairs over five
+#: applications (``a == b`` is a within-rule); shared with
+#: ``tests/core/test_rescue_admissible.py``
+RULE_PAIRS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6
 )
+#: deployments as ``(app, machine)`` pairs on a four-machine cluster
+DEPLOYMENTS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=10
+)
+PROBE_APP = st.integers(0, 4)
+
+
+def scoped_constraints(rules, rack_scoped=frozenset()):
+    """``rules`` as a :class:`ConstraintSet`; the within-rule of an
+    application in ``rack_scoped`` spreads over racks, not machines."""
+    constraints = ConstraintSet()
+    for a, b in rules:
+        scope = "rack" if a == b and a in rack_scoped else "machine"
+        constraints.add_rule(AntiAffinityRule(a, b), scope=scope)
+    return constraints
+
+
+@settings(max_examples=30, deadline=None)
+@given(RULE_PAIRS, DEPLOYMENTS, PROBE_APP)
 def test_admission_vector_matches_forbidden_mask(rules, deployments, probe_app):
     """The per-machine Equation 7/8 form and the vectorised
     ``forbidden_mask`` fast path must agree on every machine."""
@@ -79,3 +94,56 @@ def test_admission_vector_matches_forbidden_mask(rules, deployments, probe_app):
     assert (
         bf.admission_vector(probe_app) == ~state.forbidden_mask(probe_app)
     ).all()
+
+
+def forbidden_mask_per_partner(state, app_id):
+    """``ClusterState.forbidden_mask`` as it was before the one-scatter
+    rewrite — one fancy-index store per resident partner, over the
+    ``frozenset`` copy of the conflict set — kept as the oracle."""
+    mask = np.zeros(state.n_machines, dtype=bool)
+    cs = state.constraints
+    if cs.has_within(app_id):
+        hosting = state.app_machines.get(app_id)
+        if hosting:
+            if cs.within_scope(app_id) == "rack":
+                racks = np.unique(state.topology.rack_of[list(hosting)])
+                mask[np.isin(state.topology.rack_of, racks)] = True
+            else:
+                mask[list(hosting)] = True
+    for other in cs.conflicts_of(app_id):
+        hosting = state.app_machines.get(other)
+        if hosting:
+            mask[list(hosting)] = True
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    RULE_PAIRS,
+    st.sets(st.integers(0, 4)),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 7)), max_size=16
+    ),
+    st.lists(st.integers(0, 15), max_size=6),
+)
+def test_one_scatter_forbidden_mask_matches_per_partner_loop(
+    rules, rack_scoped, deployments, evictions
+):
+    """Machine- and rack-scoped within-rules plus cross conflicts, on
+    an eight-machine, two-rack cluster, after deployments *and*
+    evictions (hosting dicts that emptied must drop out): the single
+    scatter blacklists exactly the machines the per-partner loop did,
+    for every application."""
+    state = ClusterState(
+        build_cluster(8, machines_per_rack=4),
+        scoped_constraints(rules, rack_scoped),
+    )
+    for cid, (app, machine) in enumerate(deployments):
+        state.deploy(container(cid, app=app), machine, force=True)
+    for cid in evictions:
+        if cid in state.assignment:
+            state.evict(cid)
+    for app in range(6):  # app 5 is named by no rule
+        assert np.array_equal(
+            state.forbidden_mask(app), forbidden_mask_per_partner(state, app)
+        )

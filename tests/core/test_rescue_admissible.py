@@ -1,0 +1,374 @@
+"""The rescue kernel's admit query: Equation 6 first, blacklist live.
+
+``RescueKernel._admissible_ids`` answers "which machines admit one
+container of ``(app, demand shape)``" for the relocation planner.  It
+checks Equation 6 dominance first and evaluates the Equation 7–8
+blacklist — read live from the state, never cached — only when some
+machine survives it.  Three contracts are pinned here:
+
+* **the answer** is ``state.feasible_mask`` (the from-scratch scan),
+  whatever happened to the state between two queries;
+* **the work**: no blacklist evaluation where nothing fits, and never
+  more than one per admissible-memo miss that found room plus one per
+  rescue — counted, not timed, so a regression of the ordering fails
+  here on any host;
+* **the memos** are bounded by one state-version window, and their
+  checkpoint image still reads both ways across the change that
+  bounded them.
+
+The decision-level contract (kernel ≡ legacy loop) stays where it was:
+``tests/core/test_rescuekernel.py`` and the rescue axis of
+``tests/test_differential.py``.
+"""
+
+from itertools import groupby
+from operator import attrgetter
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from benchmarks.e2e.workloads import rescue_stream
+from repro.cluster.constraints import ConstraintSet
+from repro.cluster.container import Container
+from repro.cluster.machine import MachineSpec
+from repro.cluster.state import ClusterState
+from repro.cluster.topology import build_cluster
+from repro.core import AladdinConfig, AladdinScheduler
+from repro.core.migration import RescuePlanner
+from repro.core.rescuekernel import RescueKernel
+from repro.sim.faults import fail_machines, machine_is_down, repair_machines
+from tests.core.test_blacklist import (
+    PROBE_APP,
+    RULE_PAIRS,
+    scoped_constraints,
+)
+
+N_MACHINES = 8
+#: 16 CPU fits no machine of the 8-CPU pool, 8 only an empty one
+DEMAND_CPUS = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+MACHINE = st.integers(0, N_MACHINES - 1)
+CONTAINER_ID = st.integers(0, 23)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("deploy"), PROBE_APP, MACHINE,
+            st.sampled_from(DEMAND_CPUS[:3]),
+        ),
+        st.tuples(st.just("migrate"), CONTAINER_ID, MACHINE),
+        st.tuples(st.just("evict"), CONTAINER_ID),
+        st.tuples(st.just("fail"), MACHINE),
+        st.tuples(st.just("repair"), MACHINE),
+        st.tuples(st.just("ask"), PROBE_APP, st.sampled_from(DEMAND_CPUS)),
+    ),
+    max_size=40,
+)
+
+
+def small_state(rules, rack_scoped=frozenset()):
+    """Eight 8-CPU machines in two racks under ``rules``; a within-rule
+    of an application in ``rack_scoped`` spreads over racks."""
+    topology = build_cluster(
+        N_MACHINES, machine=MachineSpec(cpu=8.0, mem_gb=16.0),
+        machines_per_rack=4,
+    )
+    return ClusterState(topology, scoped_constraints(rules, rack_scoped))
+
+
+def demand_of(cpu):
+    return np.array([cpu, 2.0 * cpu])
+
+
+def assert_admissible_matches_scan(kernel, state, app, cpu):
+    demand = demand_of(cpu)
+    expected = np.flatnonzero(state.feasible_mask(demand, app))
+    # twice: the second answer is the memo's
+    for _ in range(2):
+        assert np.array_equal(
+            kernel._admissible_ids(state, app, demand), expected
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(RULE_PAIRS, st.sets(PROBE_APP), OPS)
+def test_admissible_ids_match_the_from_scratch_scan(rules, rack_scoped, ops):
+    """One kernel, asked again and again while the state moves under it
+    — deployments, migrations (refused ones included: they still bump
+    the version), evictions, machines zeroed by a fault and repaired —
+    always answers what ``feasible_mask`` computes from scratch, the
+    nothing-fits demand included."""
+    state = small_state(rules, rack_scoped)
+    kernel = RescueKernel()
+    next_id = 0
+    for op in ops:
+        if op[0] == "deploy":
+            _, app, machine, cpu = op
+            if next_id < 24 and state.fits(demand_of(cpu), machine):
+                state.deploy(
+                    Container(
+                        container_id=next_id, app_id=app, instance=0,
+                        cpu=cpu, mem_gb=2.0 * cpu,
+                    ),
+                    machine,
+                    force=True,
+                )
+                next_id += 1
+        elif op[0] == "migrate":
+            _, cid, machine = op
+            if cid in state.assignment:
+                try:
+                    state.migrate(cid, machine)
+                except ValueError:
+                    pass  # refused: rolled back, version moved on
+        elif op[0] == "evict":
+            if op[1] in state.assignment:
+                state.evict(op[1])
+        elif op[0] == "fail":
+            if not machine_is_down(state, op[1]):
+                fail_machines(state, [op[1]])
+        elif op[0] == "repair":
+            if machine_is_down(state, op[1]):
+                repair_machines(state, [op[1]])
+        else:
+            assert_admissible_matches_scan(kernel, state, op[1], op[2])
+    for app in range(6):  # app 5 is named by no rule
+        for cpu in DEMAND_CPUS:
+            assert_admissible_matches_scan(kernel, state, app, cpu)
+
+
+# ----------------------------------------------------------------------
+# the work: counted, not timed
+# ----------------------------------------------------------------------
+def count_calls(obj, name, counter, key, gate=None):
+    """Rebind ``obj.name`` to a wrapper that bumps ``counter[key]`` —
+    only while ``counter[gate]`` is positive, when a gate is named —
+    and returns the original's result."""
+    original = getattr(obj, name)
+
+    def wrapper(*args, **kwargs):
+        if gate is None or counter[gate] > 0:
+            counter[key] += 1
+        return original(*args, **kwargs)
+
+    setattr(obj, name, wrapper)
+
+
+def test_no_blacklist_work_where_nothing_fits():
+    """Every machine is too full for the demand: the admit query ends at
+    Equation 6 — zero ``forbidden_mask`` calls, an empty answer — for a
+    conflict-laden application and across versions."""
+    state = small_state([(0, 1), (0, 2), (0, 0)])
+    for machine in range(N_MACHINES):
+        state.deploy(
+            Container(
+                container_id=machine, app_id=1 + machine % 2, instance=0,
+                cpu=6.0, mem_gb=12.0,
+            ),
+            machine,
+            force=True,
+        )
+    calls = {"forbidden": 0}
+    count_calls(state, "forbidden_mask", calls, "forbidden")
+    kernel = RescueKernel()
+    for cid in (0, 1, 2):
+        assert kernel._admissible_ids(state, 0, demand_of(4.0)).size == 0
+        assert kernel._admissible_ids(state, 3, demand_of(8.0)).size == 0
+        # swap the 6-CPU resident for a 5-CPU one: 3 CPU free, no room
+        state.evict(cid)
+        state.deploy(
+            Container(
+                container_id=100 + cid, app_id=1, instance=0,
+                cpu=5.0, mem_gb=10.0,
+            ),
+            cid,
+            force=True,
+        )
+    assert calls["forbidden"] == 0
+    # and where something does fit, the blacklist is consulted: once
+    assert kernel._admissible_ids(state, 0, demand_of(2.0)).size == 0
+    assert kernel._admissible_ids(state, 3, demand_of(2.0)).tolist() == [
+        0, 1, 2, 3, 4, 5, 6, 7,
+    ]
+    assert calls["forbidden"] == 2
+
+
+def tight_pool(n_apps, churn_ticks, seed=0):
+    """One ``tight-rescue`` pool in miniature, filled: the e2e ruler's
+    own generator (1.06× offered CPU, stationary churn)."""
+    stream = rescue_stream(0, seed, n_apps, churn_ticks)
+    state = ClusterState(
+        build_cluster(stream.n_machines, machines_per_rack=8),
+        ConstraintSet.from_applications(stream.applications),
+    )
+    engine = AladdinScheduler()
+    for batch in stream.fill:
+        engine.schedule(batch, state)
+    return stream, state, engine
+
+
+def churn(stream, state, engine, after_tick=None):
+    """Churn like ``benchmarks.e2e.inproc.run_tight_rescue``: a tick's
+    departures leave with its first arrival, every arriving application
+    is its own ``schedule`` round."""
+    for tick, (departing, arriving) in enumerate(stream.churn):
+        state.evict_block(departing)
+        for _, block in groupby(arriving, key=attrgetter("app_id")):
+            engine.schedule(list(block), state)
+        if after_tick is not None:
+            after_tick(tick)
+
+
+def test_blacklist_evaluations_bounded_by_misses_that_found_room():
+    """Over a seeded tight churn the kernel evaluates the blacklist at
+    most once per admissible-memo miss whose Equation 6 mask was
+    non-empty, plus once per rescue (``rescue_plan`` needs the blocked
+    container's own mask).  Most misses find no room at all — which is
+    why the order of the two checks is worth a gate."""
+    stream, state, engine = tight_pool(n_apps=90, churn_ticks=8)
+    kernel = engine.rescue_kernel
+    n = {
+        "in_rescue": 0, "in_admissible": 0, "forbidden": 0,
+        "misses": 0, "misses_with_room": 0,
+    }
+    count_calls(state, "forbidden_mask", n, "forbidden", gate="in_rescue")
+
+    def scoped(name, flag):
+        original = getattr(kernel, name)
+
+        def wrapper(*args, **kwargs):
+            n[flag] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                n[flag] -= 1
+
+        setattr(kernel, name, wrapper)
+
+    scoped("rescue_plan", "in_rescue")
+    scoped("_admissible_ids", "in_admissible")
+    dominance_mask = kernel.dominance.dominance_mask
+
+    def counted_dominance_mask(state, demand):
+        fit = dominance_mask(state, demand)
+        if n["in_admissible"]:
+            n["misses"] += 1
+            n["misses_with_room"] += bool(fit.any())
+        return fit
+
+    kernel.dominance.dominance_mask = counted_dominance_mask
+    invocations_before = kernel.invocations
+    churn(stream, state, engine)
+    rescues = kernel.invocations - invocations_before
+
+    assert rescues > 0 and n["misses_with_room"] > 0, "churn never rescued"
+    assert n["misses"] > 2 * n["misses_with_room"], (
+        "the pool is not tight: most admit queries found room"
+    )
+    assert n["forbidden"] <= n["misses_with_room"] + rescues
+
+
+# ----------------------------------------------------------------------
+# the memos: one version window, in memory and in the snapshot
+# ----------------------------------------------------------------------
+def memo_size(kernel):
+    return (
+        len(kernel._admissible) + len(kernel._plans) + len(kernel._failures)
+    )
+
+
+def test_memos_stay_bounded_over_a_long_churn():
+    """200 churn ticks (6,000 scheduling rounds, ~2,800 rescues) on one
+    engine: the version-keyed memos hold what one version window put
+    there, so their size after the second hundred ticks is what it was
+    after the first — before they were bounded every (app, shape), plan
+    and failure key ever seen stayed (6,518 entries at the end of this
+    very churn)."""
+    stream, state, engine = tight_pool(n_apps=60, churn_ticks=200)
+    kernel = engine.rescue_kernel
+    sizes = []
+    churn(
+        stream, state, engine,
+        after_tick=lambda _tick: sizes.append(memo_size(kernel)),
+    )
+    assert kernel.invocations > 1000
+    assert max(sizes) > 0, "no tick ever ended with a memoised entry"
+    assert max(sizes[100:]) <= 2 * max(sizes[:100])
+    assert max(sizes) < 10 * state.n_machines
+
+
+def test_stale_entries_are_dropped_when_the_version_moves():
+    stream, state, engine = tight_pool(n_apps=60, churn_ticks=3)
+    kernel = engine.rescue_kernel
+    churn(stream, state, engine)
+    assert kernel._memo_stamp[0] == state.state_uid
+    state.touch(0)
+    kernel._sync_memos(state)
+    assert memo_size(kernel) == 0
+    assert kernel._memo_stamp == (state.state_uid, state.version)
+
+
+def failed_rescue(state, kernel):
+    """Drive one rescue that fails (and is therefore memoised)."""
+    planner = RescuePlanner(state, AladdinConfig(), kernel=kernel)
+    blocked = Container(
+        container_id=99, app_id=4, instance=0, cpu=8.0, mem_gb=16.0,
+    )
+    demand = blocked.demand_vector(state.topology.resources)
+    out = planner.rescue(blocked, demand)
+    assert not out.ok
+    return planner, blocked, demand, out
+
+
+def full_small_state():
+    state = small_state([(0, 1)])
+    for machine in range(N_MACHINES):
+        state.deploy(
+            Container(
+                container_id=machine, app_id=machine % 2, instance=0,
+                cpu=7.0, mem_gb=14.0, priority=3,
+            ),
+            machine,
+            force=True,
+        )
+    return state
+
+
+def test_checkpoint_image_reads_both_ways():
+    """The payload keeps the per-entry ``(version, ...)`` form: an image
+    written here restores the charged memos, and an image in the older,
+    unbounded form — entries of many versions, most of them dead — is
+    cut down to the live ones on restore and replays the same charges."""
+    state = full_small_state()
+    kernel = RescueKernel()
+    planner, blocked, demand, first = failed_rescue(state, kernel)
+    image = kernel.checkpoint()
+    version = state.version
+    assert image["failures"] and all(
+        entry[0] == version for entry in image["failures"].values()
+    )
+    assert all(entry[0] == version for entry in image["plans"].values())
+
+    # what a snapshot written before the memos were bounded looks like
+    older = dict(image)
+    older["failures"] = dict(image["failures"])
+    older["plans"] = dict(image["plans"])
+    older["failures"][(7, b"stale", True, False, None)] = (
+        version - 3, first.failure, 11, 13,
+    )
+    older["plans"][("c", 5, 2)] = (version - 1, None)
+
+    for payload in (image, older):
+        restored = RescueKernel()
+        restored.restore(payload, state)
+        assert restored._memo_stamp == (state.state_uid, version)
+        assert set(restored._failures) == set(image["failures"])
+        assert set(restored._plans) == set(image["plans"])
+        replay = RescuePlanner(
+            state, planner.config, kernel=restored
+        ).rescue(blocked, demand)
+        assert (replay.failure, replay.scanned, replay.explored) == (
+            first.failure, first.scanned, first.explored,
+        )
+        # a memo hit: the restored kernel planned nothing
+        assert restored.ledger.builds == 0

@@ -28,9 +28,13 @@ from one seeded generator), so any divergence is attributable to the
 variant under test alone.
 """
 
+from itertools import groupby
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
+from benchmarks.e2e.workloads import rescue_stream
 from repro.cluster.constraints import ConstraintSet
 from repro.cluster.container import Application, containers_of
 from repro.cluster.state import ClusterState
@@ -481,6 +485,76 @@ def test_rescue_kernel_demonstrably_in_play():
             == kernel.total_telemetry.rescue_kernel_invocations
         )
     assert total > 0, "no replay ever invoked the rescue kernel"
+
+
+def tight_pool_replay(seed, n_apps, make_engines, churn_ticks=10):
+    """Drive engines through one pool of the e2e ruler's ``tight-rescue``
+    stream (``benchmarks.e2e.workloads.rescue_stream``: the fill asks
+    for 1.06× the pool's CPU, then a stationary churn of conflict-dense
+    applications, every arriving application its own round).
+
+    The 10-machine pool of :func:`churn_replay` is tight by accident of
+    the draw and mostly fails for lack of *blockers to move*; this one
+    is over-offered by construction, so most relocation queries find no
+    machine that dominates the mover's demand — the regime where the
+    kernel stops at Equation 6 and never reads the blacklist.
+    """
+    stream = rescue_stream(0, seed, n_apps, churn_ticks)
+    constraints = ConstraintSet.from_applications(stream.applications)
+    engines = make_engines()
+    states = [
+        ClusterState(
+            build_cluster(stream.n_machines, machines_per_rack=8), constraints
+        )
+        for _ in engines
+    ]
+
+    def schedule_round(batch, label):
+        rounds = [
+            engine.schedule(list(batch), state)
+            for engine, state in zip(engines, states)
+        ]
+        for other in rounds[1:]:
+            assert other.placements == rounds[0].placements, (
+                f"placements diverged at {label}"
+            )
+            assert other.undeployed == rounds[0].undeployed, (
+                f"failure verdicts diverged at {label}"
+            )
+        assert_states_agree(states, label)
+        return rounds[0]
+
+    undeployed = 0
+    for i, batch in enumerate(stream.fill):
+        undeployed += schedule_round(batch, f"fill round {i}").n_undeployed
+    for tick, (departing, arriving) in enumerate(stream.churn):
+        for state in states:
+            state.evict_block(departing)
+        for _, block in groupby(arriving, key=attrgetter("app_id")):
+            undeployed += schedule_round(
+                list(block), f"churn tick {tick}"
+            ).n_undeployed
+    return engines, undeployed
+
+
+@pytest.mark.parametrize(
+    "seed,n_apps", [(0, 90), (1, 90), (2, 60), (3, 60), (4, 150)]
+)
+def test_aladdin_rescue_kernel_matches_loop_at_offered_load_above_one(
+    seed, n_apps
+):
+    """The rescue axis on a pool offered 1.06× its CPU: kernel and
+    legacy loop agree on every placement, every failure verdict, every
+    post-round state and every rescue decision counter
+    (``rescue_machines_scanned`` included) — and placements really do
+    fail there, so rescue runs out of room rather than out of work."""
+    (kernel, legacy), undeployed = tight_pool_replay(
+        seed, n_apps, aladdin_rescue_pair
+    )
+    assert_rescue_decisions_agree(kernel, legacy)
+    assert kernel.total_telemetry.rescue_attempts > 20
+    assert kernel.total_telemetry.rescue_migrations > 0
+    assert undeployed > 0, "pool not over-offered: nothing stayed undeployed"
 
 
 # ----------------------------------------------------------------------
