@@ -33,6 +33,19 @@ _state_uids = itertools.count()
 _NO_DIRTY = np.empty(0, dtype=np.int64)
 
 
+def dominates(available: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Equation 6 per row: ``(available >= demand).all(axis=1)``.
+
+    Compared one resource column at a time and ANDed in place — the same
+    booleans, but a reduction over the (2-wide) resource axis costs more
+    than ten times the per-column compares at cluster size.
+    """
+    fit = available[:, 0] >= demand[0]
+    for dim in range(1, demand.size):
+        fit &= available[:, dim] >= demand[dim]
+    return fit
+
+
 @dataclass
 class _ViolationTally:
     """Cached answer of :meth:`ClusterState.anti_affinity_violations`.
@@ -101,7 +114,8 @@ class ClusterState:
         #: what lets checkpoint/restore promise bit-identical resumed
         #: decisions.
         self.machine_containers: dict[int, dict[int, None]] = {}
-        #: app id -> {machine id -> number of its containers there}
+        #: app id -> {machine id -> number of its containers there}; an
+        #: application with no resident container has no entry
         self.app_machines: dict[int, dict[int, int]] = {}
         self.events: EventLog | None = EventLog() if track_events else None
         self._clock = 0
@@ -306,7 +320,7 @@ class ClusterState:
         dominates ``demand`` (Equation 6) and — if ``app_id`` is given
         and ``respect_anti_affinity`` — it is not blacklisted.
         """
-        ok = (self.available >= demand).all(axis=1)
+        ok = dominates(self.available, demand)
         if app_id is not None and respect_anti_affinity:
             ok &= ~self.forbidden_mask(app_id)
         return ok
@@ -423,6 +437,8 @@ class ClusterState:
         per_machine[machine_id] -= 1
         if per_machine[machine_id] == 0:
             del per_machine[machine_id]
+            if not per_machine:
+                del self.app_machines[container.app_id]
         self.touch(machine_id)
         self._record(EventKind.EVICT, container_id, machine_id)
         return container
@@ -478,6 +494,8 @@ class ClusterState:
             per_machine[machine_id] -= 1
             if per_machine[machine_id] == 0:
                 del per_machine[machine_id]
+                if not per_machine:
+                    del app_machines[app_id]
         idx = np.asarray(machines, dtype=np.int64)
         np.add.at(self.available, idx, np.asarray(rows))
         np.subtract.at(self.container_count, idx, 1)

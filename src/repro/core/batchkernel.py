@@ -9,9 +9,15 @@ absorbs ``floor(min(available[m] / demand))`` consecutive containers
 before the walk moves on — one container for machine-scoped
 within-anti-affinity applications, one rack representative for
 rack-scoped ones.  The quota prefix-sum therefore maps container index
-→ machine directly, so a block of ``k`` identical containers costs
-O(m + k) NumPy work instead of ``k`` per-container machine scans, with
+→ machine directly, so a block of ``k`` identical containers costs one
+pass of NumPy work instead of ``k`` per-container machine scans, with
 the running capacity decrements folded into the quotas themselves.
+Every scope consumes its candidates strictly in order and needs at most
+``k`` of them (``k`` distinct racks for rack scope), so a plan of ``k``
+machines from a *prefix* of the candidate list is the plan from the
+whole list: the scheduler hands the kernel a window of the order sized
+from ``k`` and widens it only when the plan comes back short
+(``AladdinScheduler._batch_place``) — O(k) per block, not O(m + k).
 
 The kernel is a *plan*: it performs no state mutation, which keeps its
 output comparable against the per-container walk (the differential

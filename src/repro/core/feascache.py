@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, dominates
 
 
 @dataclass
@@ -185,7 +185,7 @@ class FeasibilityCache:
         entry = self._entries.get(key)
 
         if entry is None:
-            fit = (state.available >= demand).all(axis=1)
+            fit = dominates(state.available, demand)
             seen = self._shape_seen.get(key, 0) + 1
             if seen >= self.REUSE_THRESHOLD:
                 # The shape recurred: cache it and sync incrementally
@@ -220,7 +220,7 @@ class FeasibilityCache:
             # the gap exceeds n/8 mutations (floor SYNC_GAP_FLOOR, so
             # tiny clusters still sync small gaps incrementally), with
             # the same accounting as a compacted log.
-            entry.fit = (state.available >= demand).all(axis=1)
+            entry.fit = dominates(state.available, demand)
             self._count(hits=0, misses=n, invalidations=n)
         else:
             # Raw (possibly duplicated) slice: rewriting a verdict twice
@@ -230,12 +230,10 @@ class FeasibilityCache:
             dirty = state.dirty_raw_since(entry.version)
             if dirty is None:
                 # The log no longer reaches this far back: recompute.
-                entry.fit = (state.available >= demand).all(axis=1)
+                entry.fit = dominates(state.available, demand)
                 self._count(hits=0, misses=n, invalidations=n)
             elif dirty.size:
-                entry.fit[dirty] = (state.available[dirty] >= demand).all(
-                    axis=1
-                )
+                entry.fit[dirty] = dominates(state.available[dirty], demand)
                 # Occurrence count, clamped: on a tiny cluster the
                 # bounded slice can still repeat machines past n.
                 stale = min(int(dirty.size), n)

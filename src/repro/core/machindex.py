@@ -12,11 +12,20 @@ exactly which ones those are.
 :class:`MachineIndex` keeps the packing order alive across blocks and
 scheduling rounds, synchronised the same way the cross-round
 :class:`~repro.core.feascache.FeasibilityCache` synchronises verdicts:
-on each query the machines dirtied since the last sync are removed from
-the sorted order and merge-inserted at their new positions — two O(m)
-array copies plus an O(d log d) sort of the d dirty machines, instead
-of a full O(m log m) re-sort.  A compacted log or an unfamiliar state
-instance degrades to a full rebuild, never to a stale order.
+on each query the machines dirtied since the last sync are moved to
+their new positions.  The repair is **span-bounded**: the sorted key
+array is kept beside the order, the smallest and largest of the moved
+machines' old and new keys are bisected on it, and only the slice of
+the order between those two positions is rewritten, in place — every
+machine outside it keeps a key strictly below or above all of them.
+The slice is sorted but for the d moved machines, so a stable
+run-detecting sort repairs it in O(s + d log d) for a span of s
+positions; a block that packs one or two machines a little tighter
+moves them a handful of positions, whatever the size of the cluster.
+The widest span is a round's first resync after its departures (every
+used machine moved); nothing is special-cased for it.  A compacted log
+or an unfamiliar state instance degrades to a full rebuild, never to a
+stale order.
 
 The affinity tier is application-specific, so it is applied per query
 as a stable partition of the maintained order (affine hosts first).
@@ -36,6 +45,22 @@ dirty-log accessors — a full :class:`~repro.cluster.state.ClusterState`
 or a per-shard :class:`~repro.cluster.state.ShardView`), an optional
 boolean admit mask and an optional boolean affinity mask, both indexed
 by machine id in that state's id space.
+
+A caller that will read only a prefix of the result — depth limiting
+ends a container's search at its first admitting machine, so a block
+of k containers reads at most k candidates — passes ``limit``, and the
+mask is filtered over that many positions of the order instead of all
+of them.  The order is sorted by remaining CPU, so Equation 6's CPU
+term is a bisect: the window starts at the first key not below
+``min_cpu * (n_machines + 1)``.  ``min_cpu`` is a **promise** by the
+caller that ``mask`` implies ``available[:, 0] >= min_cpu`` (any
+dominance-derived mask for a demand with that much CPU does); every
+machine before the start then has less CPU than the demand and cannot
+be in the mask, so the skipped head is exact, not a heuristic.
+:attr:`MachineIndex.last_complete` reports whether the window reached
+the end of the order.  The unlimited form is the default and what the
+affinity-tiered queries, the rescue kernel, the flow engine, the LP
+engine and the sweep workers use.
 
 Under the rack-sharded parallel sweep (:mod:`repro.core.parallel`) one
 index instance lives in each worker process over its shard's
@@ -93,8 +118,16 @@ class MachineIndex:
         Lifetime counts of full O(m log m) re-sorts and incremental
         dirty-machine reinsertions.  Resyncs are also reported to the
         active telemetry collector.
+    positions_rewritten:
+        Lifetime count of order positions rewritten by resyncs — the
+        width of each repaired span, 0 for a resync whose machines kept
+        their keys.  Diagnostic only: not telemetry, not persisted.
     last_resynced:
         Machines re-keyed by the most recent :meth:`sync`.
+    last_complete:
+        Whether the most recent :meth:`candidates` result is the whole
+        admitted list (always, unless a ``limit`` window stopped short
+        of the end of the order).
     """
 
     def __init__(self) -> None:
@@ -104,9 +137,14 @@ class MachineIndex:
         self._order: np.ndarray | None = None
         #: per-machine packing key, indexed by machine id
         self._keys: np.ndarray | None = None
+        #: ``_keys[_order]`` — the keys in sorted order, what positions
+        #: are bisected on; derived, never persisted
+        self._sorted_keys: np.ndarray | None = None
         self.rebuilds = 0
         self.resyncs = 0
+        self.positions_rewritten = 0
         self.last_resynced = 0
+        self.last_complete = True
 
     def reset(self) -> None:
         """Drop the maintained order (next query rebuilds from scratch)."""
@@ -114,6 +152,7 @@ class MachineIndex:
         self._version = -1
         self._order = None
         self._keys = None
+        self._sorted_keys = None
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:
@@ -147,6 +186,7 @@ class MachineIndex:
         keys = payload["keys"]
         self._order = None if order is None else np.array(order)
         self._keys = None if keys is None else np.array(keys)
+        self._sorted_keys = None if order is None else self._keys[self._order]
         self._version = payload["version"]
         self._state_uid = state_uid if self._order is not None else None
         self.rebuilds = payload["rebuilds"]
@@ -177,39 +217,56 @@ class MachineIndex:
         ids = np.arange(state.n_machines, dtype=np.int64)
         self._keys = packing_keys(state, ids)
         self._order = np.argsort(self._keys, kind="stable")
+        self._sorted_keys = self._keys[self._order]
         self._state_uid = state.state_uid
         self._version = state.version
         self.rebuilds += 1
         self.last_resynced = state.n_machines
 
     def _reinsert(self, state: ClusterState, dirty: np.ndarray) -> None:
-        """Move the dirty machines to their new sorted positions."""
-        dirty_mask = np.zeros(state.n_machines, dtype=bool)
-        dirty_mask[dirty] = True
-        kept = self._order[~dirty_mask[self._order]]
-        kept_keys = self._keys[kept]
-        new_keys = packing_keys(state, dirty)
-        # ``dirty`` is ascending, so a stable key sort orders equal-key
-        # insertions by machine id — the canonical tie-break.
-        by_key = np.argsort(new_keys, kind="stable")
-        ins_ids = dirty[by_key]
-        ins_keys = new_keys[by_key]
-        pos = np.searchsorted(kept_keys, ins_keys, side="left")
-        # Exact key collisions between an inserted and a kept machine
-        # (possible with fractional CPU demands) break ties by id too.
-        right = np.searchsorted(kept_keys, ins_keys, side="right")
-        for i in np.flatnonzero(right > pos):
-            p, stop = int(pos[i]), int(right[i])
-            while p < stop and kept[p] < ins_ids[i]:
-                p += 1
-            pos[i] = p
-        self._order = np.insert(kept, pos, ins_ids)
-        self._keys[dirty] = new_keys
+        """Move the dirty machines to their new sorted positions.
+
+        Only the span of the order between the smallest and the largest
+        of the moved machines' old and new keys is rewritten, in place:
+        every machine outside it keeps a key strictly below or above
+        all of them, so its position cannot change.
+        """
         self.resyncs += 1
         self.last_resynced = int(dirty.size)
         tele = telemetry.current()
         if tele is not None:
             tele.index_resyncs += 1
+        keys = self._keys
+        old_keys = keys[dirty]
+        new_keys = packing_keys(state, dirty)
+        moved = new_keys != old_keys
+        n_moved = np.count_nonzero(moved)
+        if n_moved == 0:
+            return
+        if n_moved < dirty.size:
+            # A machine whose key did not change stays put, and must
+            # not widen the span.
+            old_keys, new_keys = old_keys[moved], new_keys[moved]
+            dirty = dirty[moved]
+        sorted_keys = self._sorted_keys
+        ends = np.concatenate((old_keys, new_keys))
+        lo = int(sorted_keys.searchsorted(ends.min()))
+        hi = int(sorted_keys.searchsorted(ends.max(), side="right"))
+        keys[dirty] = new_keys
+        span = self._order[lo:hi]
+        span_keys = keys[span]
+        # The span is sorted but for the moved machines, which a stable
+        # (run-detecting) sort repairs in near-linear time.
+        by_key = span_keys.argsort(kind="stable")
+        span_sorted = span_keys[by_key]
+        if (span_sorted[1:] == span_sorted[:-1]).any():
+            # Exact key collision (possible with fractional CPU
+            # demands): equal keys order by machine id, which the
+            # machines' previous positions do not encode.
+            by_key = np.lexsort((span, span_keys))
+        span[:] = span[by_key]
+        sorted_keys[lo:hi] = span_sorted
+        self.positions_rewritten += hi - lo
 
     # ------------------------------------------------------------------
     def candidates(
@@ -217,6 +274,8 @@ class MachineIndex:
         state: ClusterState,
         mask: np.ndarray | None = None,
         affinity: np.ndarray | None = None,
+        min_cpu: float = 0.0,
+        limit: int | None = None,
     ) -> np.ndarray:
         """Machine ids in the engines' total preference order.
 
@@ -226,16 +285,35 @@ class MachineIndex:
         ``scheduler._scores`` — the contract the differential harness
         enforces through the batch kernel.
 
+        ``limit`` asks for a *prefix* of that list: ``mask`` is read
+        over ``limit`` positions of the order only, from the first
+        machine ``min_cpu`` does not rule out (module docstring:
+        ``min_cpu`` is the caller's promise that ``mask`` implies
+        ``available[:, 0] >= min_cpu``), and :attr:`last_complete`
+        tells whether that window reached the end of the order.  The
+        affinity tier reorders across the whole order, so a tiered
+        query ignores ``limit`` and is always complete.
+
         With ``mask is None`` and no ``affinity`` the *internal* order
-        array is returned directly to keep the rescue kernel's
-        per-attempt cost flat — callers on that path (and any caller
-        that may hold the result across a ``sync``) must treat it as
-        read-only.
+        array is returned (as a read-only view, since resyncs repair it
+        in place) to keep the rescue kernel's per-attempt cost flat — a
+        caller holding it across a ``sync`` sees it change.
         """
         self.sync(state)
         order = self._order
-        if mask is not None:
+        self.last_complete = True
+        if mask is None:
+            order = order.view()
+            order.flags.writeable = False
+        elif limit is None or affinity is not None:
             order = order[mask[order]]
+        else:
+            start = int(
+                self._sorted_keys.searchsorted(min_cpu * (state.n_machines + 1))
+            )
+            window = order[start : start + limit]
+            self.last_complete = start + limit >= order.size
+            order = window[mask[window]]
         if affinity is None or order.size == 0:
             return order
         aff = affinity[order]

@@ -22,9 +22,12 @@ With both prunings on, the per-container walk collapses further into
 the **batched placement kernel** (:mod:`repro.core.batchkernel`): the
 block's machine sequence is read off per-machine fit quotas over the
 incrementally maintained packed-first index
-(:mod:`repro.core.machindex`) in one vectorized pass, O(m + k) for a
-block of k containers.  ``enable_batch_kernel`` (on by default) gates
-it; overflow and rescue still run the per-container path.
+(:mod:`repro.core.machindex`) in one vectorized pass.  Depth limiting
+bounds what that pass reads: a block of k containers takes its machines
+from the first k admitting candidates, so the admit mask is filtered
+over a window of the order sized from k — O(k) per block, not O(m).
+``enable_batch_kernel`` (on by default) gates it; overflow and rescue
+still run the per-container path.
 
 Disabling either flag performs the exact extra work the pruning avoids —
 per-container feasibility recomputation without IL, a full candidate
@@ -244,8 +247,23 @@ class AladdinScheduler(Scheduler):
         app_id = block[0].app_id
         cs = state.constraints
         scope = cs.within_scope(app_id) if cs.has_within(app_id) else None
-        order = self.machine_index.candidates(state, mask, affinity)
-        machines = block_plan(state, demand, order, len(block), scope)
+        # Depth limiting: a block of k reads at most k candidates, so the
+        # admit mask is filtered over a window of the order sized from
+        # k, not over the cluster.  Every scope consumes candidates
+        # strictly in order — a full plan from a prefix *is* the plan
+        # from the whole list — so the window only widens when the plan
+        # came up short with more of the order left to read.
+        k = len(block)
+        index = self.machine_index
+        limit = max(64, 2 * k)
+        while True:
+            order = index.candidates(
+                state, mask, affinity, min_cpu=demand[0], limit=limit
+            )
+            machines = block_plan(state, demand, order, k, scope)
+            if machines.size == k or index.last_complete:
+                break
+            limit *= 4
         placed = int(machines.size)
         # Commit the planned prefix in one batched mutation — the kernel
         # established feasibility, so the block path skips the scalar

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
 from repro.cluster.container import Container
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, dominates
 from repro.cluster.topology import build_cluster
 
 
@@ -109,6 +109,22 @@ class TestQueries:
         mask = state.feasible_mask(np.array([4.0, 8.0]), app_id=2)
         assert mask.tolist() == [False, True, True, True]
 
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_dominates_is_the_row_reduction(self, dims):
+        # Equation 6 column by column: the booleans of the reduction it
+        # replaces, ties and empty inputs included.
+        rng = np.random.default_rng(dims)
+        available = rng.integers(0, 6, (500, dims)).astype(np.float64)
+        for demand in rng.integers(0, 6, (20, dims)).astype(np.float64):
+            assert np.array_equal(
+                dominates(available, demand), (available >= demand).all(axis=1)
+            )
+            rows = available[rng.integers(0, 500, 7)]
+            assert np.array_equal(
+                dominates(rows, demand), (rows >= demand).all(axis=1)
+            )
+        assert dominates(available[:0], available[0]).shape == (0,)
+
     def test_used_machines_and_utilization(self, state):
         state.deploy(container(0, cpu=16.0), 0)
         state.deploy(container(1, app=3, cpu=8.0), 2)
@@ -130,6 +146,81 @@ class TestQueries:
         state.deploy(c, 1)
         assert state.deployed_containers(1) == [c]
         assert state.deployed_containers(0) == []
+
+
+class TestAppMachinesIndex:
+    """``app_machines`` holds the applications with a resident container
+    and nothing else: an entry is dropped with its last container, or a
+    long-lived service keeps (and checkpoints) one per application ever
+    placed."""
+
+    @staticmethod
+    def resident_apps(state):
+        return {c.app_id for c in state._containers.values()}
+
+    def test_applications_that_came_and_went_leave_nothing(self):
+        state = ClusterState(build_cluster(4), ConstraintSet())
+        for app in range(100):
+            state.deploy(container(app, app=app, cpu=1.0), app % 4)
+        assert len(state.app_machines) == 100
+        for app in range(0, 100, 2):
+            state.evict(app)
+        state.evict_block(range(1, 100, 2))
+        assert state.app_machines == {}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_churn_keeps_exactly_the_resident_applications(self, seed):
+        rng = np.random.default_rng(seed)
+        state = ClusterState(build_cluster(6), ConstraintSet())
+        next_cid = 0
+        for _ in range(300):
+            op = rng.random()
+            live = list(state.assignment)
+            if op < 0.4 or not live:
+                app, k = int(rng.integers(0, 12)), int(rng.integers(1, 4))
+                block = [container(next_cid + i, app=app, cpu=1.0) for i in range(k)]
+                machines = rng.integers(0, 6, k)
+                next_cid += k
+                try:
+                    state.deploy_block(block, machines, np.array([1.0, 2.0]))
+                except ValueError:
+                    pass  # a full machine: the block was rolled back
+            elif op < 0.6:
+                state.evict(int(rng.choice(live)))
+            elif op < 0.8:
+                state.evict_block(rng.choice(live, size=min(len(live), 5)).tolist())
+            else:
+                try:
+                    state.migrate(int(rng.choice(live)), int(rng.integers(0, 6)))
+                except ValueError:
+                    pass  # refused: the container is back on its source
+            assert set(state.app_machines) == self.resident_apps(state)
+            assert all(
+                count > 0
+                for per_machine in state.app_machines.values()
+                for count in per_machine.values()
+            )
+        state.evict_block(list(state.assignment))
+        assert state.app_machines == {}
+
+    def test_payload_with_emptied_entries_still_restores(self, state):
+        # What a checkpoint written before entries were dropped holds:
+        # an empty dict for every application that has left.
+        state.deploy(container(0, app=1), 1)
+        state.deploy(container(1, app=2, cpu=2.0), 2)
+        payload = state.checkpoint_payload()
+        payload["app_machines"][0] = {}
+        payload["app_machines"][7] = {}
+        restored = ClusterState.from_payload(
+            payload, state.topology, state.constraints
+        )
+        assert restored.machines_hosting(0) == {}
+        assert restored.forbidden_mask(1).tolist() == state.forbidden_mask(1).tolist()
+        assert restored.forbidden_mask(0).tolist() == state.forbidden_mask(0).tolist()
+        restored.deploy(container(2, app=0), 3)
+        restored.evict(2)
+        restored.evict(0)
+        assert set(restored.app_machines) - {7} == {2}
 
 
 class TestDirtyLogCompactionBoundary:

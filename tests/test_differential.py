@@ -66,7 +66,7 @@ def track_telemetry(engine):
     return engine
 
 
-def random_apps(rng, n_apps):
+def random_apps(rng, n_apps, max_block=4):
     """A churn-shaped workload: mixed constrained/unconstrained apps.
 
     Demands are drawn from a small set so that unconstrained apps of
@@ -82,7 +82,7 @@ def random_apps(rng, n_apps):
         apps.append(
             Application(
                 app_id=i,
-                n_containers=int(rng.integers(1, 5)),
+                n_containers=int(rng.integers(1, max_block + 1)),
                 cpu=float(rng.choice([1.0, 2.0, 4.0, 8.0])),
                 mem_gb=float(rng.choice([2.0, 4.0, 8.0, 16.0])),
                 priority=int(rng.integers(0, 3)),
@@ -105,15 +105,20 @@ def assert_states_agree(states, tick):
         )
 
 
-def churn_replay(seed, make_engines, ticks=12, n_machines=24):
+def churn_replay(
+    seed, make_engines, ticks=12, n_machines=24, n_apps=None, max_block=4
+):
     """Drive two engines through one identical randomized churn stream.
 
     Returns the (cached, cold) engine pair after the replay so callers
-    can inspect cache statistics.
+    can inspect cache statistics.  ``n_apps`` (12-21 drawn from the seed
+    when ``None``) and ``max_block`` size the stream for clusters wider
+    than the default 24 machines.
     """
     rng = np.random.default_rng(seed)
-    n_apps = int(rng.integers(12, 22))
-    apps = random_apps(rng, n_apps)
+    if n_apps is None:
+        n_apps = int(rng.integers(12, 22))
+    apps = random_apps(rng, n_apps, max_block)
     constraints = ConstraintSet.from_applications(apps)
     containers = containers_of(apps)
     by_app = {}
@@ -309,6 +314,20 @@ def test_aladdin_batched_matches_loop(seed):
     batched, loop = churn_replay(seed, aladdin_batch_pair)
     assert batched.batch_placed > 0, "replay never exercised the kernel"
     assert loop.batch_placed == 0, "loop engine must not batch"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_aladdin_batched_matches_loop_on_a_wide_cluster(seed):
+    """The batched×loop axis on 2,000 machines with blocks of up to 60:
+    the candidate windows ``_batch_place`` reads (``max(64, 2k)``
+    positions) are far narrower than the order here, where on the
+    24-machine replays above the first window is always the whole
+    cluster."""
+    batched, loop = churn_replay(
+        seed, aladdin_batch_pair, n_machines=2000, n_apps=320, max_block=60
+    )
+    assert batched.batch_placed > 5000
+    assert loop.batch_placed == 0
 
 
 @pytest.mark.parametrize("seed", [3, 11, 17])
