@@ -25,15 +25,20 @@ The kernel re-plans the *same decisions* on the substrate PRs 1–3 built:
   ``argsort`` over all machines per strategy call.
 * **Resident summaries** (:class:`ResidentLedger`) cache, per machine:
   the residents in their authoritative enumeration order, their
-  app/priority/demand arrays, the ``(priority, cpu)``-sorted
-  permutation, and the prefix-summed freeable demand in that order —
-  so consolidation's mover prefix is a ``searchsorted`` over cumulative
-  freed resources and preemption's victim sets are boolean masks, not
-  sorted Python loops.  Rows are dropped lazily for machines the dirty
+  app/priority columns, demand matrix and demand-shape keys, the
+  ``(priority, cpu)``-sorted permutation, and the prefix-summed
+  freeable demand in that order — so consolidation's mover prefix is a
+  ``searchsorted`` over cumulative freed resources and every strategy
+  names its movers as indices into the row, not as re-sorted
+  container lists.  Rows are dropped lazily for machines the dirty
   log reports as touched.
-* **Relocation planning** tracks reservations sparsely: the dominance
-  mask is fixed up only on the handful of reserved machines instead of
-  copying ``available`` per mover.
+* **Relocation planning** asks Equation 6 of every mover before it
+  plans any: a mover set holding a demand shape no machine dominates
+  cannot be relocated whatever is reserved or excluded, so the plan
+  ends there on dictionary look-ups.  A set that passes tracks
+  reservations sparsely: the dominance mask is fixed up only on the
+  handful of reserved machines instead of copying ``available`` per
+  mover.
 
 Decisions are bit-identical to the legacy loop — same machine freed,
 same victims in the same order, same failure verdicts — because every
@@ -73,14 +78,18 @@ class _Residents:
     ``(priority, cpu)`` argsort of that order — the exact permutation
     the legacy strategies' ``sorted(..., key=(priority, cpu))`` yields —
     and ``sorted_cum`` the running demand sum along it, accumulated
-    left-to-right like the legacy mover loop.
+    left-to-right like the legacy mover loop.  ``shape_keys`` are the
+    residents' demand bytes, the key the relocation planner's screen
+    looks a mover up by.  The per-resident columns the strategies walk
+    one resident at a time are plain lists (no numpy scalar boxing).
     """
 
     containers: list[Container]
     app_ids: list[int]  # enumeration order
-    priorities: np.ndarray  # int64, enumeration order
+    priorities: list[int]  # enumeration order
+    shape_keys: list[bytes]  # demands[i].tobytes(), enumeration order
     demands: np.ndarray  # (k, dims) float64, enumeration order
-    by_prio_cpu: np.ndarray  # int64 permutation, stable (priority, cpu)
+    by_prio_cpu: list[int]  # permutation, stable (priority, cpu)
     sorted_cum: np.ndarray  # (k, dims) cumsum of demands[by_prio_cpu]
 
 
@@ -131,29 +140,27 @@ class ResidentLedger:
     def _build(self, state: ClusterState, machine_id: int) -> _Residents:
         containers = state.deployed_containers(machine_id)
         k = len(containers)
-        dims = state.available.shape[1]
         resources = state.topology.resources
-        app_ids = [c.app_id for c in containers]
-        priorities = np.fromiter((c.priority for c in containers), np.int64, k)
-        if k:
-            demands = np.stack([c.demand_vector(resources) for c in containers])
-            cpus = np.fromiter((c.cpu for c in containers), np.float64, k)
-            # lexsort is stable: equal (priority, cpu) keep enumeration
-            # order, exactly like the legacy ``sorted`` call.
-            by_prio_cpu = np.lexsort((cpus, priorities)).astype(np.int64)
-            sorted_cum = np.cumsum(demands[by_prio_cpu], axis=0)
-        else:
-            demands = np.zeros((0, dims))
-            by_prio_cpu = np.empty(0, dtype=np.int64)
-            sorted_cum = np.zeros((0, dims))
+        priorities = [c.priority for c in containers]
+        # One (k, dims) matrix from the residents' own floats in
+        # ``resources`` order: the values ``Container.demand_vector``
+        # would stack, without a dict and an array per resident.
+        demands = np.array(
+            [[getattr(c, name) for name in resources] for c in containers],
+            dtype=np.float64,
+        ).reshape(k, len(resources))
+        # lexsort is stable: equal (priority, cpu) keep enumeration
+        # order, exactly like the legacy ``sorted`` call.
+        by_prio_cpu = np.lexsort(([c.cpu for c in containers], priorities))
         self.builds += 1
         return _Residents(
             containers=containers,
-            app_ids=app_ids,
+            app_ids=[c.app_id for c in containers],
             priorities=priorities,
+            shape_keys=[row.tobytes() for row in demands],
             demands=demands,
-            by_prio_cpu=by_prio_cpu,
-            sorted_cum=sorted_cum,
+            by_prio_cpu=by_prio_cpu.tolist(),
+            sorted_cum=np.cumsum(demands[by_prio_cpu], axis=0),
         )
 
 
@@ -175,13 +182,19 @@ class RescueKernel:
         #: "search-path verdicts" across the rescue axis.
         self.dominance = FeasibilityCache(report_telemetry=False)
         self.ledger = ResidentLedger()
-        #: (state uid, version) the three memos below were filled at.
+        #: (state uid, version) the four memos below were filled at.
         #: An entry can only be replayed while the state is still at
         #: the version it was computed for, and versions only grow, so
-        #: :meth:`_sync_memos` empties all three once the state has
+        #: :meth:`_sync_memos` empties all four once the state has
         #: moved on — each holds one version window's keys, not every
         #: key a long-lived serving process has ever seen.
         self._memo_stamp: tuple[int | None, int] = (None, -1)
+        #: demand bytes -> whether any machine dominates the shape
+        #: (Equation 6 on the unreserved state).  The relocation
+        #: planner's screen: exclusions and reservations only shrink a
+        #: mover's admissible set, so a shape that is dead here is dead
+        #: in every plan of this version window.
+        self._live: dict[bytes, bool] = {}
         #: (app id, demand bytes) -> ascending machine ids admitting
         #: the pair.  The relocation planner's unit of work: a failed
         #: plan attempt leaves the state untouched, so consolidation's
@@ -223,7 +236,11 @@ class RescueKernel:
           **must** survive — a failure-memo hit replays its stored
           ``scanned``/``explored`` charges and a plan-memo hit skips
           the per-mover ``explored`` charges, so a cold restart would
-          change the resumed run's counters.  Every entry is written
+          change the resumed run's counters.  So must ``_live``: a hit
+          skips a dominance query, and asking an unstored shape again
+          at the same version is what makes the reuse-gated cache
+          store it — which changes the ``last_recomputed`` a later
+          rescue of that shape is charged.  Every entry is written
           as ``(version, ...)`` with the version of :attr:`_memo_stamp`
           — the per-entry form :meth:`restore` filters on — and the
           memos hold one version window, so the image is bounded too.
@@ -244,6 +261,9 @@ class RescueKernel:
                 key: (version, *verdict)
                 for key, verdict in self._failures.items()
             },
+            "live": {
+                key: (version, alive) for key, alive in self._live.items()
+            },
             "invocations": self.invocations,
         }
 
@@ -254,7 +274,9 @@ class RescueKernel:
         the state checkpoint persists the dirty log with identical
         numbering, so those are exactly the entries that can still hit.
         An image may carry entries of many older versions (one written
-        by a kernel that kept every entry it had ever stored does).
+        by a kernel that kept every entry it had ever stored does), and
+        one written before the planner had a screen carries no ``live``
+        entry: its shapes are simply asked again.
         """
         version = state.version
         self.dominance.restore(payload["dominance"], state.state_uid)
@@ -269,6 +291,11 @@ class RescueKernel:
             for key, (stored, *verdict) in payload["failures"].items()
             if stored == version
         }
+        self._live = {
+            key: alive
+            for key, (stored, alive) in payload.get("live", {}).items()
+            if stored == version
+        }
         self.invocations = payload["invocations"]
         self._admissible = {}
         self.ledger = ResidentLedger()
@@ -277,6 +304,7 @@ class RescueKernel:
         """Empty the version-keyed memos once ``state`` has moved on."""
         stamp = (state.state_uid, state.version)
         if stamp != self._memo_stamp:
+            self._live.clear()
             self._admissible.clear()
             self._plans.clear()
             self._failures.clear()
@@ -372,8 +400,8 @@ class RescueKernel:
         return out
 
     # ------------------------------------------------------------------
-    def _blocker_mask(self, state, app_id: int, row: _Residents) -> np.ndarray:
-        """Boolean mask over ``row``'s residents violating ``app_id``.
+    def _blocker_rows(self, state, app_id: int, row: _Residents) -> list[int]:
+        """Ascending indices of ``row``'s residents violating ``app_id``.
 
         ``constraints.violates(app_id, c.app_id)`` per resident: set
         membership in the live conflict set, plus an equality test for
@@ -384,10 +412,11 @@ class RescueKernel:
         cs = state.constraints
         conflicts = cs.conflict_view(app_id)
         if cs.has_within(app_id):
-            flags = [a == app_id or a in conflicts for a in row.app_ids]
-        else:
-            flags = [a in conflicts for a in row.app_ids]
-        return np.array(flags, dtype=bool)
+            return [
+                i for i, a in enumerate(row.app_ids)
+                if a == app_id or a in conflicts
+            ]
+        return [i for i, a in enumerate(row.app_ids) if a in conflicts]
 
     # ------------------------------------------------------------------
     def _migrate_blockers(
@@ -408,26 +437,18 @@ class RescueKernel:
             out.explored += 1
             out.scanned += 1
             row = self.ledger.row(state, machine_id)
-            bmask = self._blocker_mask(state, app_id, row)
-            n_blockers = int(np.count_nonzero(bmask))
-            if n_blockers == 0:
+            blockers = self._blocker_rows(state, app_id, row)
+            if not blockers:
                 continue
             if not exhaustive and (
-                n_blockers > config.max_migrations_per_container
+                len(blockers) > config.max_migrations_per_container
             ):
                 continue
             if _rack_blocked(state, app_id, machine_id):
                 continue
-            bidx = np.flatnonzero(bmask)
             moves = self._planned_relocations(
-                planner,
-                ("b", machine_id, app_id),
-                lambda: (
-                    [row.containers[i] for i in bidx.tolist()],
-                    row.demands[bidx],
-                ),
-                machine_id,
-                out,
+                planner, ("b", machine_id, app_id), row, blockers,
+                machine_id, out,
             )
             if moves is None:
                 continue
@@ -492,19 +513,9 @@ class RescueKernel:
             if not feasible or movers_needed > mover_limit:
                 continue
 
-            def movers_fn(row=row, n=movers_needed):
-                mover_idx = row.by_prio_cpu[:n]
-                return (
-                    [row.containers[i] for i in mover_idx.tolist()],
-                    row.demands[mover_idx],
-                )
-
             moves = self._planned_relocations(
-                planner,
-                ("c", machine_id, movers_needed),
-                movers_fn,
-                machine_id,
-                out,
+                planner, ("c", machine_id, movers_needed), row,
+                row.by_prio_cpu[:movers_needed], machine_id, out,
             )
             if moves is None:
                 continue
@@ -531,19 +542,18 @@ class RescueKernel:
             out.explored += 1
             out.scanned += 1
             row = self.ledger.row(state, machine_id)
-            bmask = self._blocker_mask(state, app_id, row)
-            bidx = np.flatnonzero(bmask)
-            if bidx.size and int(
-                row.priorities[bidx].max()
+            priorities = row.priorities
+            blockers = self._blocker_rows(state, app_id, row)
+            if blockers and max(
+                priorities[i] for i in blockers
             ) >= container.priority:
                 continue  # cannot displace an equal-or-higher blocker
             if _rack_blocked(state, app_id, machine_id):
                 continue
-            victim_rows = bidx.tolist()
-            victims = [row.containers[i] for i in victim_rows]
+            victim_rows = list(blockers)
             avail_m = state.available[machine_id]
-            if bidx.size:
-                blocker_cum = np.cumsum(row.demands[bidx], axis=0)
+            if blockers:
+                blocker_cum = np.cumsum(row.demands[blockers], axis=0)
                 freed = blocker_cum[-1]
             else:
                 freed = np.zeros_like(demand)
@@ -551,47 +561,43 @@ class RescueKernel:
                 # Extend with strictly lower-priority residents in
                 # (priority, cpu) order until the machine fits, the
                 # same left-to-right accumulation as the legacy loop.
+                blocking = set(blockers)
                 lower = [
                     i
-                    for i in row.by_prio_cpu.tolist()
-                    if row.priorities[i] < container.priority
-                    and not bmask[i]
+                    for i in row.by_prio_cpu
+                    if priorities[i] < container.priority
+                    and i not in blocking
                 ]
                 if lower:
-                    seq = np.concatenate(
-                        [row.demands[bidx], row.demands[lower]], axis=0
-                    )
-                    cum = np.cumsum(seq, axis=0)
+                    cum = np.cumsum(row.demands[blockers + lower], axis=0)
                     fits_after = (
-                        (avail_m + cum[bidx.size :]) >= demand
+                        (avail_m + cum[len(blockers) :]) >= demand
                     ).all(axis=1)
                     hit = np.flatnonzero(fits_after)
                     take = int(hit[0]) + 1 if hit.size else len(lower)
                     victim_rows += lower[:take]
-                    victims += [row.containers[i] for i in lower[:take]]
-                    freed = cum[bidx.size + take - 1]
+                    freed = cum[len(blockers) + take - 1]
             if not ((avail_m + freed) >= demand).all():
                 continue
             # Equation 9 guard, accumulated in victim order like the
             # legacy planner (victims are few; the guard is not the
             # bottleneck and the float order must match bit for bit).
+            victims = [row.containers[i] for i in victim_rows]
             if planner.weights and sum(
                 planner._weighted_flow(v) for v in victims
             ) >= planner._weighted_flow(container):
                 continue
-            victim_demands = row.demands[np.asarray(victim_rows, dtype=np.int64)]
             moves = self._plan_relocations(
-                planner, victims, machine_id, out, demands=victim_demands
+                planner, row, victim_rows, machine_id, out
             )
             if moves is not None:
                 for victim, target in moves:
                     state.migrate(victim.container_id, target)
                     out.migrations += 1
                 return machine_id
-            for i, victim in enumerate(victims):
+            for i, victim in zip(victim_rows, victims):
                 target = self._relocation_target(
-                    planner, victim, machine_id, out,
-                    demand=victim_demands[i],
+                    planner, victim, machine_id, out, demand=row.demands[i]
                 )
                 if target is not None:
                     state.migrate(victim.container_id, target)
@@ -604,50 +610,66 @@ class RescueKernel:
 
     # ------------------------------------------------------------------
     def _planned_relocations(
-        self, planner, key, movers_fn, exclude: int, out
+        self, planner, key, row: _Residents, mover_rows: list[int],
+        exclude: int, out,
     ) -> list[tuple[Container, int]] | None:
         """Version-keyed front of :meth:`_plan_relocations`.
 
         ``key`` names the strategy-determined mover set (see
-        :attr:`_plans`); ``movers_fn`` lazily materialises the movers
-        and their demand rows only on a miss.  Hits skip the per-mover
-        ``explored`` charges — costs may differ from the legacy loop,
-        decisions never do.
+        :attr:`_plans`), ``mover_rows`` the same set as indices into
+        ``row``.  Hits skip the per-mover ``explored`` charges — costs
+        may differ from the legacy loop, decisions never do.
         """
         self._sync_memos(planner.state)
         if key in self._plans:
             return self._plans[key]
-        movers, demands = movers_fn()
-        moves = self._plan_relocations(
-            planner, movers, exclude, out, demands=demands
-        )
+        moves = self._plan_relocations(planner, row, mover_rows, exclude, out)
         self._plans[key] = moves
         return moves
 
     def _plan_relocations(
-        self, planner, movers, exclude: int, out, demands=None
+        self, planner, row: _Residents, mover_rows: list[int],
+        exclude: int, out,
     ) -> list[tuple[Container, int]] | None:
-        """Sparse-reservation twin of the legacy relocation planner.
+        """Screened, sparse-reservation twin of the legacy relocation
+        planner; the movers are ``row``'s residents at ``mover_rows``,
+        in that order.
 
-        The legacy loop recomputes a full admit mask and copies the
-        whole ``available`` matrix per mover to apply reservations;
-        here each mover starts from the memoised admissible-id list of
-        its ``(app, shape)`` pair and only the handful of excluded or
-        reserved machines are filtered out — reservations can only
-        *shrink* feasibility, so narrowing the cached verdicts is
-        exact.  ``demands`` optionally supplies the movers' demand rows
-        (the ledger already stacked them) to skip per-mover
-        ``demand_vector`` rebuilds.
+        **Screen.**  Equation 6 is asked of every mover before any is
+        planned: the first mover ``j`` whose demand shape no machine
+        dominates ends the plan, charged ``j + 1`` (one unit per mover
+        looked at, the planner's own rule).  Exclusions and
+        reservations only ever *shrink* a mover's admissible set, so
+        the sequential planner below would have failed at ``j`` or
+        earlier — same ``None``, no state touched — after paying a
+        blacklist evaluation for every live mover ahead of it.
+
+        **Plan.**  The legacy loop recomputes a full admit mask and
+        copies the whole ``available`` matrix per mover to apply
+        reservations; here each mover starts from the memoised
+        admissible-id list of its ``(app, shape)`` pair and only the
+        handful of excluded or reserved machines are filtered out —
+        narrowing the cached verdicts is exact for the same reason the
+        screen is.
         """
         state = planner.state
-        resources = state.topology.resources
+        self._sync_memos(state)
+        live = self._live
+        for j, i in enumerate(mover_rows):
+            shape = row.shape_keys[i]
+            alive = live.get(shape)
+            if alive is None:
+                alive = live[shape] = bool(
+                    self.dominance.dominance_mask(state, row.demands[i]).any()
+                )
+            if not alive:
+                out.explored += j + 1
+                return None
+        movers = [row.containers[i] for i in mover_rows]
+        demands = row.demands[np.asarray(mover_rows, dtype=np.intp)]
         reserved: dict[int, np.ndarray] = {}
         plan: list[tuple[Container, int]] = []
-        for i, mover in enumerate(movers):
-            demand = (
-                demands[i] if demands is not None
-                else mover.demand_vector(resources)
-            )
+        for mover, demand in zip(movers, demands):
             ids = self._admissible_ids(state, mover.app_id, demand)
             out.explored += 1
             drop = [exclude]

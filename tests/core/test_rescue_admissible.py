@@ -8,10 +8,11 @@ machine survives it.  Three contracts are pinned here:
 
 * **the answer** is ``state.feasible_mask`` (the from-scratch scan),
   whatever happened to the state between two queries;
-* **the work**: no blacklist evaluation where nothing fits, and never
+* **the work**: no blacklist evaluation where nothing fits, never
   more than one per admissible-memo miss that found room plus one per
-  rescue — counted, not timed, so a regression of the ordering fails
-  here on any host;
+  rescue, and no relocation plan that reaches the admit query with a
+  mover nothing dominates — counted, not timed, so a regression of
+  the ordering fails here on any host;
 * **the memos** are bounded by one state-version window, and their
   checkpoint image still reads both ways across the change that
   bounded them.
@@ -36,7 +37,7 @@ from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.core import AladdinConfig, AladdinScheduler
 from repro.core.migration import RescuePlanner
-from repro.core.rescuekernel import RescueKernel
+from repro.core.rescuekernel import _NO_IDS, RescueKernel
 from repro.sim.faults import fail_machines, machine_is_down, repair_machines
 from tests.core.test_blacklist import (
     PROBE_APP,
@@ -193,12 +194,15 @@ def test_no_blacklist_work_where_nothing_fits():
     assert calls["forbidden"] == 2
 
 
-def tight_pool(n_apps, churn_ticks, seed=0):
+def tight_pool(n_apps, churn_ticks, seed=0, slack=1.0):
     """One ``tight-rescue`` pool in miniature, filled: the e2e ruler's
-    own generator (1.06× offered CPU, stationary churn)."""
+    own generator (1.06× offered CPU, stationary churn).  ``slack``
+    multiplies the machine count for a pool offered less than that."""
     stream = rescue_stream(0, seed, n_apps, churn_ticks)
     state = ClusterState(
-        build_cluster(stream.n_machines, machines_per_rack=8),
+        build_cluster(
+            int(np.ceil(stream.n_machines * slack)), machines_per_rack=8
+        ),
         ConstraintSet.from_applications(stream.applications),
     )
     engine = AladdinScheduler()
@@ -223,13 +227,21 @@ def test_blacklist_evaluations_bounded_by_misses_that_found_room():
     """Over a seeded tight churn the kernel evaluates the blacklist at
     most once per admissible-memo miss whose Equation 6 mask was
     non-empty, plus once per rescue (``rescue_plan`` needs the blocked
-    container's own mask).  Most misses find no room at all — which is
-    why the order of the two checks is worth a gate."""
+    container's own mask).  That the no-room queries — most of them on
+    a tight pool — never reach the admit query at all is the relocation
+    planner's screen: no ``_admissible_ids`` call made from inside
+    ``_plan_relocations`` comes back with the empty Equation 6 answer,
+    and the sequential planner body (entered iff the plan asks for at
+    least one admissible list) runs fewer than twice per rescue
+    attempt.  Without the screen every plan enters it: 13 bodies per
+    attempt on this churn (1,175 for 90 attempts, 1,061 of them ending
+    on an empty Equation 6 answer), ~78 at full scale."""
     stream, state, engine = tight_pool(n_apps=90, churn_ticks=8)
     kernel = engine.rescue_kernel
     n = {
-        "in_rescue": 0, "in_admissible": 0, "forbidden": 0,
+        "in_rescue": 0, "in_admissible": 0, "in_plan": 0, "forbidden": 0,
         "misses": 0, "misses_with_room": 0,
+        "plans": 0, "bodies": 0, "dead_in_plan": 0,
     }
     count_calls(state, "forbidden_mask", n, "forbidden", gate="in_rescue")
 
@@ -257,14 +269,39 @@ def test_blacklist_evaluations_bounded_by_misses_that_found_room():
         return fit
 
     kernel.dominance.dominance_mask = counted_dominance_mask
+
+    admissible_ids = kernel._admissible_ids
+    asked_in_plan = []
+
+    def counted_admissible_ids(*args):
+        ids = admissible_ids(*args)
+        if n["in_plan"]:
+            asked_in_plan.append(ids)
+            n["dead_in_plan"] += ids is _NO_IDS
+        return ids
+
+    kernel._admissible_ids = counted_admissible_ids
+    plan_relocations = kernel._plan_relocations
+
+    def counted_plan_relocations(*args):
+        n["plans"] += 1
+        asked_in_plan.clear()
+        n["in_plan"] += 1
+        try:
+            return plan_relocations(*args)
+        finally:
+            n["in_plan"] -= 1
+            n["bodies"] += bool(asked_in_plan)
+
+    kernel._plan_relocations = counted_plan_relocations
     invocations_before = kernel.invocations
     churn(stream, state, engine)
     rescues = kernel.invocations - invocations_before
 
     assert rescues > 0 and n["misses_with_room"] > 0, "churn never rescued"
-    assert n["misses"] > 2 * n["misses_with_room"], (
-        "the pool is not tight: most admit queries found room"
-    )
+    assert n["plans"] > 5 * rescues, "the pool is not tight: few plans fail"
+    assert n["dead_in_plan"] == 0
+    assert 0 < n["bodies"] < 2 * rescues
     assert n["forbidden"] <= n["misses_with_room"] + rescues
 
 
