@@ -8,13 +8,34 @@ applications already deployed on it, so the set of machines *forbidden*
 for an application is the union of the machine sets of its conflicting
 applications.
 
-All hot paths are NumPy operations over dense machine ids; Python-level
-dictionaries only appear per-deployment, never per-machine-scan.
+The resident ledger is a set of maps every mutator keeps in step:
+
+* ``available`` and ``container_count`` — per-machine arrays;
+* ``assignment`` (container → machine) and ``_containers`` (container →
+  :class:`Container`) — the forward maps;
+* ``machine_containers`` (machine → residents, in deployment order) and
+  ``app_machines`` (application → {machine → residents}) — the inverse
+  maps, whose iteration orders readers rely on.
+
+Those are what :meth:`ClusterState.checkpoint_payload` persists.
+Two more are *derived* and never persisted: ``machine_apps`` (machine →
+{application → residents}, the transpose of ``app_machines``, rebuilt by
+:meth:`ClusterState.from_payload`) and the violation tally (rebuilt by
+the first :meth:`ClusterState.anti_affinity_violations` call).
+
+Containers of one application are identical (the IL premise), so the
+block mutators book per application rather than per container:
+``deploy_block`` commits one *placement run* (a stretch of equal machine
+ids) at a time and ``evict_block`` settles each (application, machine)
+pair once.  All hot paths are NumPy operations over dense machine ids;
+Python-level dictionaries only appear per run or pair, never per
+machine scan.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +65,25 @@ def dominates(available: np.ndarray, demand: np.ndarray) -> np.ndarray:
     for dim in range(1, demand.size):
         fit &= available[:, dim] >= demand[dim]
     return fit
+
+
+def _book(index: dict, outer: int, inner: int, n: int) -> None:
+    """Add ``n`` to ``index[outer][inner]``, creating missing entries."""
+    row = index.setdefault(outer, {})
+    row[inner] = row.get(inner, 0) + n
+
+
+def _release(index: dict, outer: int, inner: int, n: int) -> None:
+    """Take ``n`` from ``index[outer][inner]``; an entry that reaches
+    zero is deleted, and so is a row left empty."""
+    row = index[outer]
+    left = row[inner] - n
+    if left:
+        row[inner] = left
+    else:
+        del row[inner]
+        if not row:
+            del index[outer]
 
 
 @dataclass
@@ -117,6 +157,11 @@ class ClusterState:
         #: app id -> {machine id -> number of its containers there}; an
         #: application with no resident container has no entry
         self.app_machines: dict[int, dict[int, int]] = {}
+        #: machine id -> {app id -> number of its containers there}: the
+        #: transpose of ``app_machines``, derived (rebuilt on restore,
+        #: never persisted; its inner order carries no meaning).  An
+        #: empty machine has no entry.
+        self.machine_apps: dict[int, dict[int, int]] = {}
         self.events: EventLog | None = EventLog() if track_events else None
         self._clock = 0
         #: stable identity for cross-round caches (survives ``id()`` reuse)
@@ -329,17 +374,17 @@ class ClusterState:
         """True if placing ``container`` on ``machine_id`` breaks an
         anti-affinity rule (resources are not checked here)."""
         cs = self.constraints
-        for cid in self.machine_containers.get(machine_id, ()):
-            other = self._containers[cid]
-            if cs.violates(container.app_id, other.app_id):
+        app_id = container.app_id
+        hosted = self.machine_apps.get(machine_id)
+        if hosted:
+            if app_id in hosted and cs.has_within(app_id):
+                return True
+            if not cs.conflict_view(app_id).isdisjoint(hosted):
                 return True
         # Rack-scoped within-rules also forbid rack-mates.
-        if (
-            cs.has_within(container.app_id)
-            and cs.within_scope(container.app_id) == "rack"
-        ):
+        if cs.has_within(app_id) and cs.within_scope(app_id) == "rack":
             rack = int(self.topology.rack_of[machine_id])
-            for m in self.app_machines.get(container.app_id, ()):
+            for m in self.app_machines.get(app_id, ()):
                 if int(self.topology.rack_of[m]) == rack:
                     return True
         return False
@@ -418,8 +463,8 @@ class ClusterState:
         self.machine_containers.setdefault(machine_id, {})[
             container.container_id
         ] = None
-        per_machine = self.app_machines.setdefault(container.app_id, {})
-        per_machine[machine_id] = per_machine.get(machine_id, 0) + 1
+        _book(self.app_machines, container.app_id, machine_id, 1)
+        _book(self.machine_apps, machine_id, container.app_id, 1)
         self.touch(machine_id)
         self._record(EventKind.DEPLOY, container.container_id, machine_id)
 
@@ -433,12 +478,8 @@ class ClusterState:
         self.available[machine_id] += demand
         self.container_count[machine_id] -= 1
         self.machine_containers[machine_id].pop(container_id, None)
-        per_machine = self.app_machines[container.app_id]
-        per_machine[machine_id] -= 1
-        if per_machine[machine_id] == 0:
-            del per_machine[machine_id]
-            if not per_machine:
-                del self.app_machines[container.app_id]
+        _release(self.app_machines, container.app_id, machine_id, 1)
+        _release(self.machine_apps, machine_id, container.app_id, 1)
         self.touch(machine_id)
         self._record(EventKind.EVICT, container_id, machine_id)
         return container
@@ -455,50 +496,42 @@ class ClusterState:
         (:func:`np.add.at` is unbuffered: the per-occurrence additions to
         ``available`` apply in exactly the scalar loop's sequence), but
         the numpy call overhead and the dirty-log append are paid once
-        per window instead of once per container.  :meth:`evict` remains
-        the scalar fallback for single-container callers.
+        per window instead of once per container, and the per-application
+        maps are settled once per (application, machine) pair.
+        :meth:`evict` remains the scalar fallback for single-container
+        callers.
         """
-        assignment = self.assignment
-        # First occurrence wins; a duplicate id in the same window is
-        # "already evicted" by the time the loop would reach it, exactly
-        # like the absent-id case under the scalar loop.
-        present: list[int] = []
-        picked: set[int] = set()
-        for cid in container_ids:
-            if cid in assignment and cid not in picked:
-                picked.add(cid)
-                present.append(cid)
+        ids = list(container_ids)
+        # ``pop(cid, None)`` drops absent ids, and a repeated id is
+        # absent by its second occurrence — first occurrence wins, as
+        # under the scalar loop.
+        found = list(map(self.assignment.pop, ids, itertools.repeat(None)))
+        if None in found:
+            present = [cid for cid, m in zip(ids, found) if m is not None]
+            machines = [m for m in found if m is not None]
+        else:
+            present, machines = ids, found
         if not present:
             return 0
-        resources = self.topology.resources
-        containers = self._containers
+        gone = list(map(self._containers.pop, present))
+        apps = [c.app_id for c in gone]
         machine_containers = self.machine_containers
-        app_machines = self.app_machines
+        for cid, machine_id in zip(present, machines):
+            machine_containers[machine_id].pop(cid, None)
+        for (app_id, machine_id), n in Counter(zip(apps, machines)).items():
+            _release(self.app_machines, app_id, machine_id, n)
+            _release(self.machine_apps, machine_id, app_id, n)
         # All containers of an application are identical (the IL
         # premise), so the demand vector is derived once per app.
+        resources = self.topology.resources
         demand_of: dict[int, np.ndarray] = {}
-        machines: list[int] = []
-        rows: list[np.ndarray] = []
-        for cid in present:
-            machine_id = assignment.pop(cid)
-            container = containers.pop(cid)
-            app_id = container.app_id
-            demand = demand_of.get(app_id)
-            if demand is None:
-                demand = container.demand_vector(resources)
-                demand_of[app_id] = demand
-            machines.append(machine_id)
-            rows.append(demand)
-            machine_containers[machine_id].pop(cid, None)
-            per_machine = app_machines[app_id]
-            per_machine[machine_id] -= 1
-            if per_machine[machine_id] == 0:
-                del per_machine[machine_id]
-                if not per_machine:
-                    del app_machines[app_id]
+        for container in gone:
+            if container.app_id not in demand_of:
+                demand_of[container.app_id] = container.demand_vector(resources)
         idx = np.asarray(machines, dtype=np.int64)
-        np.add.at(self.available, idx, np.asarray(rows))
-        np.subtract.at(self.container_count, idx, 1)
+        np.add.at(self.available, idx, np.asarray([demand_of[a] for a in apps]))
+        # an int32 operand keeps ``ufunc.at`` on its fast path
+        np.subtract.at(self.container_count, idx, np.int32(1))
         self.touch_block(idx)
         if self.events is not None:
             for cid, machine_id in zip(present, machines):
@@ -519,11 +552,19 @@ class ClusterState:
         order; :meth:`deploy` remains the scalar fallback used by the
         overflow/rescue paths.
 
-        Raises ``ValueError`` with the block's resource updates rolled
-        back if any touched machine would go negative — a planner that
-        trips this guard has a bug (the guard is exact: ``available``
-        only decreases within the block, so a non-negative end state
-        implies every intermediate state was feasible too).
+        The ledger is committed per *placement run* — a stretch of
+        consecutive equal machine ids: the residents of a run join their
+        machine's resident dict in one update, and the per-application
+        counts and ``container_count`` move once per run.
+
+        Raises ``ValueError`` before mutating anything when a container
+        is already deployed, an id repeats within the block, or the
+        block mixes applications.  Raises ``ValueError`` with the
+        block's resource updates rolled back if any touched machine
+        would go negative — a planner that trips this guard has a bug
+        (the guard is exact: ``available`` only decreases within the
+        block, so a non-negative end state implies every intermediate
+        state was feasible too).
         """
         idx = np.asarray(machine_ids, dtype=np.int64)
         k = int(idx.size)
@@ -535,39 +576,52 @@ class ClusterState:
                 f"{k} machines"
             )
         assignment = self.assignment
-        for container in containers:
-            if container.container_id in assignment:
-                raise ValueError(
-                    f"container {container.container_id} is already "
-                    f"deployed on machine "
-                    f"{assignment[container.container_id]}"
-                )
-        touched = np.unique(idx)
-        # Snapshot the touched rows before mutating: rolling back by
-        # re-adding the demand is not bit-exact in floating point
-        # (a - b + b need not equal a), restoring the snapshot is.
-        before = self.available[touched].copy()
+        app_id = containers[0].app_id
+        cids = [c.container_id for c in containers if c.app_id == app_id]
+        if len(cids) != k:
+            raise ValueError(
+                "deploy_block got containers of more than one application"
+            )
+        fresh = set(cids)
+        if len(fresh) != k:
+            raise ValueError("deploy_block got a container id twice")
+        if not assignment.keys().isdisjoint(fresh):
+            cid = next(cid for cid in cids if cid in assignment)
+            raise ValueError(
+                f"container {cid} is already deployed on machine "
+                f"{assignment[cid]}"
+            )
+        # Snapshot the touched rows before mutating (fancy indexing
+        # copies; a machine listed twice is restored to the same row):
+        # rolling back by re-adding the demand is not bit-exact in
+        # floating point (a - b + b need not equal a), restoring is.
+        before = self.available[idx]
         np.subtract.at(self.available, idx, demand)
-        short = (self.available[touched] < 0.0).any(axis=1)
-        if short.any():
-            bad = touched[short].tolist()
-            self.available[touched] = before
+        after = self.available[idx]
+        if (after < 0.0).any():
+            bad = sorted(set(idx[(after < 0.0).any(axis=1)].tolist()))
+            self.available[idx] = before
             raise ValueError(
                 f"deploy_block plan overcommits machines {bad}: the "
                 "caller must establish feasibility before the block "
                 "commit"
             )
-        np.add.at(self.container_count, idx, 1)
         mlist = idx.tolist()
+        assignment.update(zip(cids, mlist))
+        self._containers.update(zip(cids, containers))
         machine_containers = self.machine_containers
-        app_machines = self.app_machines
-        for container, machine_id in zip(containers, mlist):
-            cid = container.container_id
-            assignment[cid] = machine_id
-            self._containers[cid] = container
-            machine_containers.setdefault(machine_id, {})[cid] = None
-            per_machine = app_machines.setdefault(container.app_id, {})
-            per_machine[machine_id] = per_machine.get(machine_id, 0) + 1
+        per_machine = self.app_machines.setdefault(app_id, {})
+        count = self.container_count
+        end = 0
+        for machine_id, run in itertools.groupby(mlist):
+            start, end = end, end + len(list(run))
+            n = end - start
+            machine_containers.setdefault(machine_id, {}).update(
+                dict.fromkeys(cids[start:end])
+            )
+            per_machine[machine_id] = per_machine.get(machine_id, 0) + n
+            _book(self.machine_apps, machine_id, app_id, n)
+            count[machine_id] += n
         self.touch_block(idx)
         if self.events is not None:
             for container, machine_id in zip(containers, mlist):
@@ -669,23 +723,15 @@ class ClusterState:
         two of one within-anti-affinity application, or any of an
         application sharing the machine with one it conflicts with.
         The applications the machine hosts are added to ``resident``."""
-        cids = self.machine_containers.get(machine_id)
-        if not cids:
+        apps = self.machine_apps.get(machine_id)
+        if not apps:
             return 0
-        containers = self._containers
-        apps: dict[int, int] = {}
-        for cid in cids:
-            app = containers[cid].app_id
-            apps[app] = apps.get(app, 0) + 1
         resident.update(apps)
-        if len(cids) < 2:
-            return 0
         cs = self.constraints
-        hosted = apps.keys()
         offenders = 0
         for app, count in apps.items():
             conflicts = cs.conflict_view(app)
-            if (conflicts and not conflicts.isdisjoint(hosted)) or (
+            if (conflicts and not conflicts.isdisjoint(apps)) or (
                 count > 1
                 and cs.has_within(app)
                 and cs.within_scope(app) == "machine"
@@ -723,6 +769,9 @@ class ClusterState:
         }
         clone.app_machines = {
             a: dict(d) for a, d in self.app_machines.items()
+        }
+        clone.machine_apps = {
+            m: dict(d) for m, d in self.machine_apps.items()
         }
         return clone
 
@@ -773,7 +822,8 @@ class ClusterState:
         process-local); consumers restored from the same checkpoint are
         rebound to it explicitly.  Topology and constraints are not
         serialised — the caller re-derives them (they are static) and a
-        machine-count mismatch is rejected up front.
+        machine-count mismatch is rejected up front.  ``machine_apps`` is
+        not in the payload either; it is rebuilt from ``app_machines``.
         """
         from repro.cluster.snapshot import SnapshotError
 
@@ -801,6 +851,9 @@ class ClusterState:
         state.app_machines = {
             a: dict(d) for a, d in payload["app_machines"].items()
         }
+        for app_id, per_machine in state.app_machines.items():
+            for machine_id, n in per_machine.items():
+                _book(state.machine_apps, machine_id, app_id, n)
         state.version = payload["version"]
         log = np.asarray(payload["dirty_log"], dtype=np.int64)
         if log.size > state._log_buf.size:

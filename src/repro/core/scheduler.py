@@ -42,7 +42,9 @@ objective of minimising the number of used machines.
 
 from __future__ import annotations
 
+import itertools
 import time
+from operator import attrgetter
 
 import numpy as np
 
@@ -169,13 +171,13 @@ class AladdinScheduler(Scheduler):
     ) -> None:
         tele = result.telemetry
         blocks = _group_blocks(containers)
-        self.last_weights = _derive_weights_for(containers, self.config)
+        self.last_weights = _derive_weights_for(blocks, self.config)
         # The preemption guard uses the *minimal* compliant weights
         # (base 1): it admits a preemption only when the weighted-flow
         # gain holds under every Equation-5-compliant weighting, which
         # makes rescue outcomes invariant across the paper's
         # 16/32/64/128 base sweep.
-        guard_weights = _derive_weights_for(containers, self.config, base=1.0)
+        guard_weights = _derive_weights_for(blocks, self.config, base=1.0)
         planner = RescuePlanner(
             state,
             self.config,
@@ -269,8 +271,10 @@ class AladdinScheduler(Scheduler):
         # established feasibility, so the block path skips the scalar
         # per-container prechecks.
         state.deploy_block(block[:placed], machines, demand)
-        for container, machine in zip(block, machines.tolist()):
-            result.placements[container.container_id] = machine
+        mlist = machines.tolist()
+        result.placements.update(
+            zip([c.container_id for c in block[:placed]], mlist)
+        )
         self.batch_placed += placed
         # One examined machine per placement, mirroring the DL walk's
         # per-container O(1) charge.
@@ -279,9 +283,7 @@ class AladdinScheduler(Scheduler):
         if tele is not None:
             tele.batch_kernel_invocations += 1
             tele.dl_prune_hits += placed
-            tele.machines_skipped += state.n_machines - int(
-                np.unique(machines).size
-            )
+            tele.machines_skipped += state.n_machines - len(set(mlist))
         return placed
 
     # ------------------------------------------------------------------
@@ -311,17 +313,17 @@ class AladdinScheduler(Scheduler):
         )
         placed = int(machines.size)
         state.deploy_block(block[:placed], machines, demand)
-        for container, machine in zip(block, machines.tolist()):
-            result.placements[container.container_id] = machine
+        mlist = machines.tolist()
+        result.placements.update(
+            zip([c.container_id for c in block[:placed]], mlist)
+        )
         self.batch_placed += placed
         result.explored += recomputed + placed
         tele = result.telemetry
         if tele is not None:
             tele.batch_kernel_invocations += 1
             tele.dl_prune_hits += placed
-            tele.machines_skipped += state.n_machines - int(
-                np.unique(machines).size
-            )
+            tele.machines_skipped += state.n_machines - len(set(mlist))
         return placed
 
     # ------------------------------------------------------------------
@@ -812,22 +814,21 @@ def _pick_machine(
 # ----------------------------------------------------------------------
 def _group_blocks(containers: list[Container]) -> list[list[Container]]:
     """Group consecutive containers of the same application."""
-    blocks: list[list[Container]] = []
-    for c in containers:
-        if blocks and blocks[-1][0].app_id == c.app_id:
-            blocks[-1].append(c)
-        else:
-            blocks.append([c])
-    return blocks
+    return [
+        list(block)
+        for _, block in itertools.groupby(containers, key=attrgetter("app_id"))
+    ]
 
 
 def _derive_weights_for(
-    containers: list[Container],
+    blocks: list[list[Container]],
     config: AladdinConfig,
     base: float | None = None,
 ) -> dict[int, float]:
     """Equation 3–5 weights for the priority classes present.
 
+    ``blocks`` are the round's application blocks (:func:`_group_blocks`);
+    a block's containers are identical, so one head per block is read.
     ``base`` overrides the config's weight-ratio floor (used by the
     preemption guard, which wants the minimal compliant weights).
     """
@@ -836,7 +837,8 @@ def _derive_weights_for(
     from repro.cluster.container import Application
 
     seen: dict[tuple[int, float], Application] = {}
-    for c in containers:
+    for block in blocks:
+        c = block[0]
         key = (c.priority, c.cpu)
         if key not in seen:
             seen[key] = Application(

@@ -140,8 +140,9 @@ class FlowPathSearch(Scheduler):
         state: ClusterState,
         result: ScheduleResult,
     ) -> None:
-        self.last_weights = _derive_weights_for(containers, self.config)
-        guard_weights = _derive_weights_for(containers, self.config, base=1.0)
+        blocks = _group_blocks(containers)
+        self.last_weights = _derive_weights_for(blocks, self.config)
+        guard_weights = _derive_weights_for(blocks, self.config, base=1.0)
         planner = RescuePlanner(
             state,
             self.config,
@@ -149,7 +150,6 @@ class FlowPathSearch(Scheduler):
             machine_index=self.machine_index,
             kernel=self.rescue_kernel,
         )
-        blocks = _group_blocks(containers)
         window = self.config.window_apps
         for start in range(0, len(blocks), window):
             window_blocks = sorted(

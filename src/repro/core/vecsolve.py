@@ -167,8 +167,8 @@ class SolverScheduler(AladdinScheduler):
     ) -> None:
         tele = result.telemetry
         blocks = _group_blocks(containers)
-        self.last_weights = _derive_weights_for(containers, self.config)
-        guard_weights = _derive_weights_for(containers, self.config, base=1.0)
+        self.last_weights = _derive_weights_for(blocks, self.config)
+        guard_weights = _derive_weights_for(blocks, self.config, base=1.0)
         planner = RescuePlanner(
             state,
             self.config,

@@ -131,6 +131,31 @@ class TestDeployBlock:
                 demand,
             )
 
+    def test_repeated_id_rejected_before_any_mutation(self, topo, constraints):
+        """A container listed twice used to be booked on both machines
+        while ``assignment`` kept only the second: a phantom resident
+        that outlived the container's eviction."""
+        state, untouched = fresh_pair(topo, constraints)
+        c = container(10, app=5, cpu=4.0)
+        demand = c.demand_vector(topo.resources)
+        with pytest.raises(ValueError, match="twice"):
+            state.deploy_block([c, c], np.array([1, 2]), demand)
+        assert_states_identical(state, untouched)
+        assert state.machine_apps == untouched.machine_apps
+
+    def test_mixed_applications_rejected_before_any_mutation(
+        self, topo, constraints
+    ):
+        """The block is booked at one ``demand`` under one application,
+        so a second application in it would be mis-booked."""
+        state, untouched = fresh_pair(topo, constraints)
+        block = [container(10, app=5, cpu=4.0), container(11, app=6, cpu=4.0)]
+        demand = block[0].demand_vector(topo.resources)
+        with pytest.raises(ValueError, match="more than one application"):
+            state.deploy_block(block, np.array([3, 5]), demand)
+        assert_states_identical(state, untouched)
+        assert state.machine_apps == untouched.machine_apps
+
     def test_overcommit_rolls_back_and_raises(self, topo, constraints):
         state, _ = fresh_pair(topo, constraints)
         before = state.available.copy()

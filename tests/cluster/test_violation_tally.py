@@ -1,4 +1,5 @@
-"""The violation tally against a brute-force recount.
+"""The violation tally against a brute-force recount, and the resident
+ledger against its per-container form.
 
 ``ClusterState.anti_affinity_violations`` answers from a tally it
 repairs over the dirty log.  What makes that safe is one invariant —
@@ -9,6 +10,12 @@ has, a seeded replay of the same operations (fast, and the same in
 every CI run), and a handful of pointed cases (late rule, failed
 migrate, no work when nothing is dirty).
 
+The same operations run in lockstep on a twin, :class:`PerContainerState`,
+whose mutators and Equation 7–8 point checks are the per-container
+bodies the block mutators replaced: after every step the two ledgers
+must agree bit for bit and in every iteration order a reader sees, and
+``machine_apps`` must equal a recount from the residents.
+
 :func:`recount_violations` is the pre-tally implementation, moved here
 verbatim: the reference the tally is held to, also imported by
 ``tests/core/test_validate.py``.
@@ -17,6 +24,7 @@ verbatim: the reference the tally is held to, also imported by
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 from collections import Counter
 
@@ -33,6 +41,7 @@ from hypothesis.stateful import (
 
 from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
 from repro.cluster.container import Container
+from repro.cluster.events import EventKind
 from repro.cluster.power import PowerConfig, PowerManager
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
@@ -87,6 +96,211 @@ def recount_violations(state: ClusterState) -> int:
     return violations
 
 
+class PerContainerState(ClusterState):
+    """The resident ledger booked one container at a time.
+
+    ``deploy`` / ``evict`` / ``deploy_block`` / ``evict_block`` /
+    ``would_violate`` / ``_machine_offenders`` are the bodies that
+    preceded the per-run and per-pair forms, kept verbatim: the
+    reference the block mutators are held to.  None of them reads or
+    writes ``machine_apps``.
+    """
+
+    def snapshot(self) -> "PerContainerState":
+        clone = super().snapshot()
+        clone.__class__ = PerContainerState
+        return clone
+
+    def would_violate(self, container: Container, machine_id: int) -> bool:
+        cs = self.constraints
+        for cid in self.machine_containers.get(machine_id, ()):
+            other = self._containers[cid]
+            if cs.violates(container.app_id, other.app_id):
+                return True
+        # Rack-scoped within-rules also forbid rack-mates.
+        if (
+            cs.has_within(container.app_id)
+            and cs.within_scope(container.app_id) == "rack"
+        ):
+            rack = int(self.topology.rack_of[machine_id])
+            for m in self.app_machines.get(container.app_id, ()):
+                if int(self.topology.rack_of[m]) == rack:
+                    return True
+        return False
+
+    def deploy(self, container, machine_id, demand=None, force=False):
+        if container.container_id in self.assignment:
+            raise ValueError(
+                f"container {container.container_id} is already deployed on "
+                f"machine {self.assignment[container.container_id]}"
+            )
+        if demand is None:
+            demand = container.demand_vector(self.topology.resources)
+        if not self.fits(demand, machine_id):
+            raise ValueError(f"machine {machine_id} lacks resources")
+        if not force and self.would_violate(container, machine_id):
+            raise ValueError("violates an anti-affinity constraint")
+        self.available[machine_id] -= demand
+        self.container_count[machine_id] += 1
+        self.assignment[container.container_id] = machine_id
+        self._containers[container.container_id] = container
+        self.machine_containers.setdefault(machine_id, {})[
+            container.container_id
+        ] = None
+        per_machine = self.app_machines.setdefault(container.app_id, {})
+        per_machine[machine_id] = per_machine.get(machine_id, 0) + 1
+        self.touch(machine_id)
+        self._record(EventKind.DEPLOY, container.container_id, machine_id)
+
+    def evict(self, container_id):
+        if container_id not in self.assignment:
+            raise KeyError(f"container {container_id} is not deployed")
+        machine_id = self.assignment.pop(container_id)
+        container = self._containers.pop(container_id)
+        demand = container.demand_vector(self.topology.resources)
+        self.available[machine_id] += demand
+        self.container_count[machine_id] -= 1
+        self.machine_containers[machine_id].pop(container_id, None)
+        per_machine = self.app_machines[container.app_id]
+        per_machine[machine_id] -= 1
+        if per_machine[machine_id] == 0:
+            del per_machine[machine_id]
+            if not per_machine:
+                del self.app_machines[container.app_id]
+        self.touch(machine_id)
+        self._record(EventKind.EVICT, container_id, machine_id)
+        return container
+
+    def evict_block(self, container_ids):
+        assignment = self.assignment
+        present: list[int] = []
+        picked: set[int] = set()
+        for cid in container_ids:
+            if cid in assignment and cid not in picked:
+                picked.add(cid)
+                present.append(cid)
+        if not present:
+            return 0
+        resources = self.topology.resources
+        containers = self._containers
+        machine_containers = self.machine_containers
+        app_machines = self.app_machines
+        demand_of: dict[int, np.ndarray] = {}
+        machines: list[int] = []
+        rows: list[np.ndarray] = []
+        for cid in present:
+            machine_id = assignment.pop(cid)
+            container = containers.pop(cid)
+            app_id = container.app_id
+            demand = demand_of.get(app_id)
+            if demand is None:
+                demand = container.demand_vector(resources)
+                demand_of[app_id] = demand
+            machines.append(machine_id)
+            rows.append(demand)
+            machine_containers[machine_id].pop(cid, None)
+            per_machine = app_machines[app_id]
+            per_machine[machine_id] -= 1
+            if per_machine[machine_id] == 0:
+                del per_machine[machine_id]
+                if not per_machine:
+                    del app_machines[app_id]
+        idx = np.asarray(machines, dtype=np.int64)
+        np.add.at(self.available, idx, np.asarray(rows))
+        np.subtract.at(self.container_count, idx, 1)
+        self.touch_block(idx)
+        if self.events is not None:
+            for cid, machine_id in zip(present, machines):
+                self._record(EventKind.EVICT, cid, machine_id)
+        return len(present)
+
+    def deploy_block(self, containers, machine_ids, demand):
+        idx = np.asarray(machine_ids, dtype=np.int64)
+        k = int(idx.size)
+        if k == 0:
+            return
+        if len(containers) != k:
+            raise ValueError("length mismatch")
+        assignment = self.assignment
+        for container in containers:
+            if container.container_id in assignment:
+                raise ValueError("already deployed")
+        touched = np.unique(idx)
+        before = self.available[touched].copy()
+        np.subtract.at(self.available, idx, demand)
+        short = (self.available[touched] < 0.0).any(axis=1)
+        if short.any():
+            self.available[touched] = before
+            raise ValueError("overcommits")
+        np.add.at(self.container_count, idx, 1)
+        mlist = idx.tolist()
+        machine_containers = self.machine_containers
+        app_machines = self.app_machines
+        for container, machine_id in zip(containers, mlist):
+            cid = container.container_id
+            assignment[cid] = machine_id
+            self._containers[cid] = container
+            machine_containers.setdefault(machine_id, {})[cid] = None
+            per_machine = app_machines.setdefault(container.app_id, {})
+            per_machine[machine_id] = per_machine.get(machine_id, 0) + 1
+        self.touch_block(idx)
+        if self.events is not None:
+            for container, machine_id in zip(containers, mlist):
+                self._record(EventKind.DEPLOY, container.container_id, machine_id)
+
+    def _machine_offenders(self, machine_id, resident):
+        cids = self.machine_containers.get(machine_id)
+        if not cids:
+            return 0
+        containers = self._containers
+        apps: dict[int, int] = {}
+        for cid in cids:
+            app = containers[cid].app_id
+            apps[app] = apps.get(app, 0) + 1
+        resident.update(apps)
+        if len(cids) < 2:
+            return 0
+        cs = self.constraints
+        hosted = apps.keys()
+        offenders = 0
+        for app, count in apps.items():
+            conflicts = cs.conflict_view(app)
+            if (conflicts and not conflicts.isdisjoint(hosted)) or (
+                count > 1
+                and cs.has_within(app)
+                and cs.within_scope(app) == "machine"
+            ):
+                offenders += count
+        return offenders
+
+
+def recount_machine_apps(state: ClusterState) -> dict[int, dict[int, int]]:
+    """machine -> {app -> residents}, counted from the residents."""
+    return {
+        m: dict(Counter(state.container(cid).app_id for cid in cids))
+        for m, cids in state.machine_containers.items()
+        if cids
+    }
+
+
+def assert_ledgers_identical(a: ClusterState, b: ClusterState) -> None:
+    """Bitwise resources, equal counts and dirty logs, and every map in
+    the iteration order its readers see."""
+    assert a.available.tobytes() == b.available.tobytes()
+    assert a.container_count.tolist() == b.container_count.tolist()
+    assert list(a.assignment.items()) == list(b.assignment.items())
+    assert list(a._containers) == list(b._containers)
+    assert (a.version, a._log_base, a.dirty_log) == (
+        b.version, b._log_base, b.dirty_log
+    )
+    assert [(m, list(cids)) for m, cids in a.machine_containers.items()] == [
+        (m, list(cids)) for m, cids in b.machine_containers.items()
+    ]
+    assert [(app, list(d.items())) for app, d in a.app_machines.items()] == [
+        (app, list(d.items())) for app, d in b.app_machines.items()
+    ]
+
+
 N_MACHINES = 24
 N_APPS = 40
 #: dirty-log bound forced on every state the world holds, so compaction
@@ -118,6 +332,10 @@ class World:
     handed — hypothesis' own (``st.randoms``, so failures shrink) or a
     seeded one — and :attr:`reached` records the situations that
     actually occurred, not merely the operations that ran.
+
+    Every mutation is applied to :attr:`state` and, in lockstep, to
+    :attr:`twin` (a :class:`PerContainerState`); both must return the
+    same thing or refuse alike.
     """
 
     #: the seeded replay draws from this (deploys weighted up so the
@@ -131,16 +349,37 @@ class World:
     def __init__(self) -> None:
         self.topology = build_cluster(N_MACHINES, machines_per_rack=4)
         self.constraints = build_rules()
-        self.power_manager = PowerManager(N_MACHINES, PowerConfig(min_on=16))
+        self.power_managers = [
+            PowerManager(N_MACHINES, PowerConfig(min_on=16)) for _ in range(2)
+        ]
         self.failed: set[int] = set()
         self.next_cid = 0
         self.tick = 0
         self.reached: Counter[str] = Counter()
-        self.adopt(ClusterState(self.topology, self.constraints))
+        self.adopt(
+            ClusterState(self.topology, self.constraints),
+            PerContainerState(self.topology, self.constraints),
+        )
 
-    def adopt(self, state: ClusterState) -> None:
-        state._log_limit = LOG_LIMIT
-        self.state = state
+    def adopt(self, state: ClusterState, twin: PerContainerState) -> None:
+        state._log_limit = twin._log_limit = LOG_LIMIT
+        self.state, self.twin = state, twin
+
+    def both(self, act, refusal=()) -> tuple[type | None, object]:
+        """``act(state)`` on the state and on its twin, as ``(error
+        type or None, result)``; the two outcomes must be equal.
+
+        Only ``refusal`` (``ValueError`` for the mutators that may turn
+        a placement down) is an outcome; any other error fails the test.
+        """
+        outcomes = []
+        for state in (self.state, self.twin):
+            try:
+                outcomes.append((None, act(state)))
+            except refusal as error:
+                outcomes.append((type(error), None))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
 
     # -- helpers -------------------------------------------------------
     def new_container(self, app: int) -> Container:
@@ -162,53 +401,65 @@ class World:
         for _ in range(r.randint(1, 3)):
             container = self.new_container(r.randrange(N_APPS))
             machine = r.randrange(N_MACHINES)
-            try:
-                self.state.deploy(container, machine, force=True)
-            except ValueError:
+            error, _ = self.both(
+                lambda s: s.deploy(container, machine, force=True), ValueError
+            )
+            if error is ValueError:
                 self.reached["deploy refused (full or down)"] += 1
 
     def deploy_block(self, r: random.Random) -> None:
         app = r.randrange(N_APPS)
         machines = [r.randrange(N_MACHINES) for _ in range(r.randint(1, 5))]
+        if len(machines) > 2 and r.random() < 0.5:
+            machines[-1] = machines[0]  # a machine in two runs, mostly
         containers = [self.new_container(app) for _ in machines]
         demand = containers[0].demand_vector(self.topology.resources)
-        try:
-            self.state.deploy_block(containers, machines, demand)
-        except ValueError:
+        error, _ = self.both(
+            lambda s: s.deploy_block(containers, machines, demand), ValueError
+        )
+        if error is ValueError:
             self.reached["deploy_block rolled back"] += 1
+        elif any(
+            machines[i] in machines[: i - 1] and machines[i] != machines[i - 1]
+            for i in range(2, len(machines))
+        ):
+            self.reached["deploy_block placed a machine in two runs"] += 1
 
     def evict(self, r: random.Random) -> None:
         cid = self.resident(r)
         if cid is not None:
-            self.state.evict(cid)
+            self.both(lambda s: s.evict(cid))
 
     def evict_block(self, r: random.Random) -> None:
         cids = list(self.state.assignment)
         picked = r.sample(cids, min(len(cids), r.randint(0, 3)))
+        if picked:
+            self.reached["evict_block with repeated and absent ids"] += 1
         picked += picked[:2]  # duplicates
         picked += [self.next_cid + 7, -1]  # never deployed
         r.shuffle(picked)
-        self.state.evict_block(picked)
+        self.both(lambda s: s.evict_block(picked))
 
     def migrate(self, r: random.Random) -> None:
         cid = self.resident(r)
         if cid is None:
             return
-        try:
-            self.state.migrate(cid, r.randrange(N_MACHINES))
-        except ValueError:
+        target = r.randrange(N_MACHINES)
+        error, _ = self.both(lambda s: s.migrate(cid, target), ValueError)
+        if error is ValueError:
             self.reached["migrate failed and restored"] += 1
             assert cid in self.state.assignment
 
     def fault(self, r: random.Random) -> None:
         if len(self.failed) > 2 or (self.failed and r.random() < 0.5):
             m = r.choice(sorted(self.failed))
-            repair_machines(self.state, [m])
+            self.both(lambda s: repair_machines(s, [m]))
             self.failed.discard(m)
             return
         m = r.randrange(N_MACHINES)
         if not machine_is_down(self.state, m):  # failed, or powered off
-            if fail_machines(self.state, [m]).displaced:
+            _, report = self.both(lambda s: fail_machines(s, [m]))
+            if report.displaced:
                 self.reached["fault displaced residents"] += 1
             self.failed.add(m)
 
@@ -217,21 +468,33 @@ class World:
         # are bare ``touch`` calls on rows whose residents did not move
         self.tick += 1
         demand = 0.0 if r.random() < 0.4 else 32.0 * N_MACHINES
-        woken, drained, _ = self.power_manager.step(self.state, self.tick, demand)
+        steps = [
+            manager.step(state, self.tick, demand)
+            for manager, state in zip(self.power_managers, (self.state, self.twin))
+        ]
+        assert steps[0] == steps[1]
+        woken, drained, _ = steps[0]
         if woken or drained:
             self.reached["power touched a machine"] += 1
 
     def snapshot(self, r: random.Random) -> None:
-        self.adopt(self.state.snapshot())
+        self.adopt(self.state.snapshot(), self.twin.snapshot())
         self.reached["snapshot"] += 1
 
     def restore(self, r: random.Random) -> None:
         payload = self.state.checkpoint_payload()
         assert not any("violation" in key for key in payload)
+        assert "machine_apps" not in payload
+        # the per-container ledger writes the very same checkpoint
+        twin_payload = self.twin.checkpoint_payload()
+        assert pickle.dumps(payload) == pickle.dumps(twin_payload)
         self.adopt(
-            ClusterState.from_payload(payload, self.topology, self.constraints)
+            ClusterState.from_payload(payload, self.topology, self.constraints),
+            PerContainerState.from_payload(
+                twin_payload, self.topology, self.constraints
+            ),
         )
-        self.reached["restored from payload"] += 1
+        self.reached["restored from a payload without machine_apps"] += 1
 
     def late_rule(self, r: random.Random) -> None:
         # between two residents of one machine when there are any: the
@@ -259,6 +522,7 @@ class World:
             self.reached["queried past a compaction"] += 1
         expected = recount_violations(self.state)
         assert self.state.anti_affinity_violations() == expected
+        assert self.twin.anti_affinity_violations() == expected
         if expected:
             self.reached["non-zero count"] += 1
         if self.state._violations.per_rack_app:
@@ -266,17 +530,28 @@ class World:
 
     # -- the invariant -------------------------------------------------
     def check(self) -> None:
-        """What a query *would* answer right now equals the recount.
+        """What a query *would* answer right now equals the recount, and
+        the ledger equals its per-container twin.
 
         Asked of a probe — the state with a private copy of the tally —
         so the real tally keeps its watermark and the next real query
-        still has every mutation since the last one to repair.
+        still has every mutation since the last one to repair.  The
+        Equation 7–8 point check is asked for two applications (rotated
+        with the version) on every machine.
         """
         probe = copy.copy(self.state)
         probe._violations = copy.deepcopy(self.state._violations)
         assert probe.anti_affinity_violations() == recount_violations(
             self.state
         )
+        assert_ledgers_identical(self.state, self.twin)
+        assert self.state.machine_apps == recount_machine_apps(self.state)
+        v = self.state.version
+        for app in (v % N_APPS, (7 * v + 3) % N_APPS):
+            c = Container(container_id=-2, app_id=app, instance=0, cpu=1.0, mem_gb=1.0)
+            assert [self.state.would_violate(c, m) for m in range(N_MACHINES)] == [
+                self.twin.would_violate(c, m) for m in range(N_MACHINES)
+            ]
 
 
 #: every situation the issue lists must occur, not just every operation
@@ -284,8 +559,10 @@ REQUIRED = (
     "non-zero count",
     "rack-scoped offenders",
     "queried past a compaction",
-    "restored from payload",
+    "restored from a payload without machine_apps",
     "snapshot",
+    "deploy_block placed a machine in two runs",
+    "evict_block with repeated and absent ids",
     "late rule changed the count",
     "migrate failed and restored",
     "deploy_block rolled back",

@@ -9,10 +9,15 @@ of the scale):
   (``MachineIndex.positions_rewritten``; the whole-order merge this
   replaced rewrote exactly ``resyncs x n_machines`` positions);
 * ``_batch_place`` reads one candidate window per block, a second one
-  only rarely.
+  only rarely;
+* the round's bookkeeping follows the application, not the container:
+  a violation resync reads no resident ``Container`` (the tally asks
+  ``machine_apps``), ``_derive_weights_for`` is handed one container
+  per block, and ``evict_block`` derives one demand vector per
+  departing application.
 
-A regression to per-cluster work fails these long before a benchmark
-would notice.  The workload matters: these counts hold where most of
+A regression to per-cluster (or per-container) work fails these long
+before a benchmark would notice.  The workload matters: these counts hold where most of
 the packed front admits the next block.  ``tests/test_differential.py``
 replays conflict- and memory-bound streams on which a block reads 1.2
 to 1.9 windows on average — decisions are pinned there, work is gated
@@ -26,7 +31,7 @@ from repro.cluster.constraints import ConstraintSet
 from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
-from repro.core import AladdinScheduler
+from repro.core import AladdinScheduler, scheduler
 from repro.core.machindex import MachineIndex
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import build_scenario
@@ -73,6 +78,103 @@ def test_resyncs_and_windows_stay_far_below_cluster_size(seed, monkeypatch):
     assert blocks > 2000
     assert len(windows) <= 1.05 * blocks
     assert max(windows) < n_machines, "a window as wide as the order"
+
+
+class CountingReads(dict):
+    """A dict that counts the reads of its values."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def test_round_bookkeeping_follows_the_application(monkeypatch):
+    counts = {"syncs": 0, "container_reads": 0, "evictions": 0}
+    handed: list[tuple[int, int]] = []  # (containers handed, blocks)
+    blocks_this_round: list[int] = []
+    demand_calls: list[tuple[int, int]] = []  # (demand vectors, apps)
+    in_evict = [False]
+
+    violations = ClusterState.anti_affinity_violations
+    evict_block = ClusterState.evict_block
+    demand_vector = Container.demand_vector
+    group_blocks = scheduler._group_blocks
+    derive = scheduler._derive_weights_for
+
+    def counting_violations(self):
+        # Swapped in for the call only; the dirty machines resync here.
+        real = self._containers
+        self._containers = spy = CountingReads(real)
+        try:
+            return violations(self)
+        finally:
+            self._containers = real
+            counts["syncs"] += 1
+            counts["container_reads"] += spy.reads
+
+    def counting_evict_block(self, ids):
+        ids = list(ids)
+        apps = {
+            self._containers[cid].app_id for cid in ids if cid in self.assignment
+        }
+        before = counts["evictions"]
+        in_evict[0] = True
+        try:
+            return evict_block(self, ids)
+        finally:
+            in_evict[0] = False
+            demand_calls.append((counts["evictions"] - before, len(apps)))
+
+    def counting_demand_vector(self, *args, **kwargs):
+        if in_evict[0]:
+            counts["evictions"] += 1
+        return demand_vector(self, *args, **kwargs)
+
+    def counting_group_blocks(containers):
+        blocks = group_blocks(containers)
+        blocks_this_round.append(len(blocks))
+        return blocks
+
+    def counting_derive(arg, *args, **kwargs):
+        handed.append((len(arg), blocks_this_round[-1]))
+        return derive(arg, *args, **kwargs)
+
+    monkeypatch.setattr(
+        ClusterState, "anti_affinity_violations", counting_violations
+    )
+    monkeypatch.setattr(ClusterState, "evict_block", counting_evict_block)
+    monkeypatch.setattr(Container, "demand_vector", counting_demand_vector)
+    monkeypatch.setattr(scheduler, "_group_blocks", counting_group_blocks)
+    monkeypatch.setattr(scheduler, "_derive_weights_for", counting_derive)
+
+    trace = build_scenario(
+        "mixed-lla", scale=0.167, seed=0, ticks=24, n_functions=100
+    )
+    simulator = OnlineSimulator(trace, OnlineConfig(seed=0, scenario="mixed-lla"))
+    result = simulator.run(AladdinScheduler())
+    blocks = result.telemetry.batch_kernel_invocations
+
+    assert counts["syncs"] > 50
+    assert counts["container_reads"] == 0
+    assert len(handed) == 2 * len(blocks_this_round) >= 2 * 24
+    assert all(n == n_blocks for n, n_blocks in handed)
+    assert sum(n for n, _ in handed) >= 2 * blocks
+    assert len(demand_calls) > 50 and sum(apps for _, apps in demand_calls) > 500
+    assert all(calls <= apps for calls, apps in demand_calls)
 
 
 def test_a_resync_whose_machines_kept_their_keys_rewrites_nothing():
