@@ -126,7 +126,10 @@ def test_fig12_cross_round_cache_ablation(trace, benchmark, capsys):
     machines examined, and — once the cluster is large enough that the
     O(machines) scans dominate the fixed bookkeeping — lower wall time.
     The pool factor doubles the Fig. 12 sweep's largest size so the
-    scan cost clears the per-query bookkeeping noise floor.
+    scan cost clears the per-query bookkeeping noise floor.  Both sides
+    run the per-container walk (batch kernel off): the kernel evaluates
+    a window of the order without the cache, so with it on the cache
+    would only serve affinity-tiered blocks, overflow and rescue.
     """
     from repro.sim import OnlineConfig, OnlineSimulator
 
@@ -134,11 +137,15 @@ def test_fig12_cross_round_cache_ablation(trace, benchmark, capsys):
     sim = OnlineSimulator(trace, cfg)
 
     def cached_run():
-        return sim.run(AladdinScheduler())
+        return sim.run(
+            AladdinScheduler(AladdinConfig(enable_batch_kernel=False))
+        )
 
     def cold_run():
         return sim.run(
-            AladdinScheduler(AladdinConfig(enable_feasibility_cache=False))
+            AladdinScheduler(AladdinConfig(
+                enable_batch_kernel=False, enable_feasibility_cache=False,
+            ))
         )
 
     def measure():
@@ -187,9 +194,11 @@ def test_fig12_batch_kernel_ablation(trace, benchmark, capsys):
     """Beyond Fig. 12: the batched placement kernel under churn.
 
     Same protocol as the cache ablation above, along the batched×loop
-    axis: both engines keep the cross-round cache (the PR 1 baseline),
-    one places blocks through the vectorized kernel over the
-    incremental machine index, the other walks containers one by one.
+    axis: both engines keep the cross-round cache enabled, one places
+    blocks through the vectorized kernel over windows of the
+    incremental machine index (the cache then serves only its
+    affinity-tiered blocks, overflow and rescue), the other walks
+    containers one by one over the cache's full masks.
     Identical placements (enforced by tests/test_differential.py);
     the ISSUE's acceptance bar is batched+cached wall time ≤ 0.7x of
     cached-only at this scale.

@@ -171,7 +171,7 @@ class ClusterState:
         self.version = 0
         # Dirty log: machine id per mutation, indexed by version.  A
         # consumer that remembers the version it last synced at reads
-        # ``dirty_since(v)`` to learn exactly which machines changed.
+        # ``dirty_array_since(v)`` to learn exactly which machines changed.
         # The log is compacted once it outgrows ``_log_limit``; consumers
         # older than the compaction base get ``None`` ("everything may
         # have changed") and must recompute fully.
@@ -254,28 +254,14 @@ class ClusterState:
         hot paths use :meth:`dirty_array_since`."""
         return self._log_buf[: self._log_len].tolist()
 
-    def dirty_since(self, version: int) -> set[int] | None:
-        """Machines mutated after ``version``, or ``None`` when unknown.
+    def dirty_array_since(self, version: int) -> np.ndarray | None:
+        """Machines mutated after ``version``, deduplicated and ascending,
+        or ``None`` when unknown.
 
         ``None`` means the log no longer reaches back to ``version``
         (compaction, or a version from another state instance): the
-        caller must treat every machine as dirty.
-        """
-        if version >= self.version:
-            return set()
-        if version < self._log_base:
-            return None
-        return set(
-            self._log_buf[version - self._log_base : self._log_len].tolist()
-        )
-
-    def dirty_array_since(self, version: int) -> np.ndarray | None:
-        """Like :meth:`dirty_since`, as a deduplicated ascending array.
-
-        The array form is what the hot-path consumers (the feasibility
-        cache and the packed-first machine index) index with directly,
-        skipping the Python-set round trip.  Callers must treat the
-        result as read-only.
+        caller must treat every machine as dirty.  Callers must treat
+        the result as read-only.
         """
         if version >= self.version:
             return _NO_DIRTY
@@ -368,6 +354,42 @@ class ClusterState:
         ok = dominates(self.available, demand)
         if app_id is not None and respect_anti_affinity:
             ok &= ~self.forbidden_mask(app_id)
+        return ok
+
+    def admits(
+        self, ids: np.ndarray, demand: np.ndarray, app_id: int
+    ) -> np.ndarray:
+        """``feasible_mask(demand, app_id)[ids]``, evaluated on ``ids`` only.
+
+        Equation 6 on the gathered rows, then Equations 7–8 per machine
+        from the applications it hosts (``machine_apps``): a caller that
+        reads a window of the machine order pays for the window, not for
+        the cluster or for the application's conflict partners.
+        """
+        ok = dominates(self.available[ids], demand)
+        cs = self.constraints
+        within = cs.has_within(app_id)
+        if not (within or cs.has_conflicts(app_id)):
+            return ok
+        # A within-rule forbids the application's own hosts (``None`` is
+        # never a hosted application id); at rack scope their racks too.
+        own = app_id if within else None
+        conflicts = cs.conflict_view(app_id)
+        get = self.machine_apps.get
+        pos = np.flatnonzero(ok)
+        blocked = [
+            i
+            for i, m in zip(pos.tolist(), ids[pos].tolist())
+            if (hosted := get(m))
+            and (own in hosted or not conflicts.isdisjoint(hosted))
+        ]
+        if blocked:
+            ok[blocked] = False
+        if within and cs.within_scope(app_id) == "rack":
+            hosting = self.app_machines.get(app_id)
+            if hosting:
+                rack_of = self.topology.rack_of
+                ok &= ~np.isin(rack_of[ids], rack_of[list(hosting)])
         return ok
 
     def would_violate(self, container: Container, machine_id: int) -> bool:
@@ -937,7 +959,7 @@ class ShardView:
     log segment.  ``advance(None)`` models a compacted coordinator log
     ("everything may have changed"): the local log is cleared and every
     consumer synced before this point recomputes fully, mirroring
-    :meth:`ClusterState.dirty_since` semantics.
+    :meth:`ClusterState.dirty_array_since` semantics.
     """
 
     #: dirty-log segments kept before compaction drops the oldest half
@@ -1004,8 +1026,3 @@ class ShardView:
         if len(segments) == 1:
             return segments[0]
         return np.concatenate(segments)
-
-    def dirty_since(self, version: int) -> set[int] | None:
-        """Set form of :meth:`dirty_array_since` (parity with states)."""
-        dirty = self.dirty_array_since(version)
-        return None if dirty is None else set(int(m) for m in dirty)

@@ -30,17 +30,23 @@ class AladdinConfig:
         state's dirty log reports as touched.  Only active together
         with ``enable_il`` — the cache *is* the cross-round form of
         isomorphism limiting, so disabling IL disables it (and keeps
-        the IL/DL ablations honest).  Placements are provably identical
-        with the cache on or off; the differential test harness replays
-        randomized churn to enforce that.
+        the IL/DL ablations honest).  It governs only the cluster-wide
+        verdicts: the per-container walk (batch kernel off, or DL off),
+        affinity-tiered blocks, a block's overflow and post-rescue
+        refresh, the requeue and repair passes, and the flow engine.
+        The batch kernel's windows evaluate Equations 6–8 on their own
+        positions and never query it.  Placements are provably
+        identical with the cache on or off; the differential test
+        harness replays randomized churn to enforce that.
     enable_batch_kernel:
         Place each application block in one vectorized sweep
         (:mod:`repro.core.batchkernel`) over the incrementally
         maintained packed-first machine index
         (:mod:`repro.core.machindex`) instead of one machine scan per
-        container.  Only active together with ``enable_il`` *and*
-        ``enable_dl`` — the kernel is the vectorized composition of the
-        two prunings, so disabling either falls back to the
+        container, evaluating Equations 6–8 on a window of that order
+        sized from the block.  Only active together with ``enable_il``
+        *and* ``enable_dl`` — the kernel is the vectorized composition
+        of the two prunings, so disabling either falls back to the
         per-container loop (and keeps the Fig. 12 IL/DL ablation
         honest).  Placements are provably identical with the kernel on
         or off; the differential harness replays randomized churn

@@ -54,6 +54,25 @@ thousands of entries between two sightings of the same shape:
 Both policies change only *when* verdicts are recomputed, never their
 values, so the cache stays decision-transparent — the differential
 harness proves cached ≡ cold bit-identically with them active.
+
+Who still asks for a cluster-wide verdict.  The default engine's batch
+kernel does not: it reads a window of the packed-first order sized from
+the block and evaluates Equations 6–8 on those positions only
+(:meth:`~repro.cluster.state.ClusterState.admits`).  The cache serves
+what reads the whole cluster:
+
+* :class:`~repro.core.scheduler.AladdinScheduler` — affinity-tiered
+  blocks, the walk over a block's overflow containers and its refresh
+  after a rescue, and every block on the batch-off / no-DL paths;
+* the engine-shared ``drain_requeue`` and ``final_repair`` passes;
+* :class:`~repro.core.search.FlowPathSearch`, per container;
+* the rescue kernel's private dominance cache (:meth:`dominance_mask`);
+* the parallel sweep's per-shard workers.
+
+On the ruler's default-engine workloads that leaves ``sim-mixed-lla``,
+``serve-diurnal`` and ``serve-storm-burst`` with no cache query at all;
+``tight-rescue`` queries it for overflow, requeued victims and the
+rescue kernel's dominance questions.
 """
 
 from __future__ import annotations

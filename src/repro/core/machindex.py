@@ -48,19 +48,21 @@ by machine id in that state's id space.
 
 A caller that will read only a prefix of the result — depth limiting
 ends a container's search at its first admitting machine, so a block
-of k containers reads at most k candidates — passes ``limit``, and the
-mask is filtered over that many positions of the order instead of all
-of them.  The order is sorted by remaining CPU, so Equation 6's CPU
-term is a bisect: the window starts at the first key not below
-``min_cpu * (n_machines + 1)``.  ``min_cpu`` is a **promise** by the
-caller that ``mask`` implies ``available[:, 0] >= min_cpu`` (any
-dominance-derived mask for a demand with that much CPU does); every
-machine before the start then has less CPU than the demand and cannot
-be in the mask, so the skipped head is exact, not a heuristic.
-:attr:`MachineIndex.last_complete` reports whether the window reached
-the end of the order.  The unlimited form is the default and what the
-affinity-tiered queries, the rescue kernel, the flow engine, the LP
-engine and the sweep workers use.
+of k containers reads at most k candidates — passes ``limit`` and a
+position **predicate** ``admit`` instead of a mask: ``admit(ids)``
+returns the admit verdicts of exactly those machine ids (the batch
+path hands it :meth:`~repro.cluster.state.ClusterState.admits`, which
+equals ``feasible_mask(demand, app)[ids]``), and it is asked about
+``limit`` positions of the order, never about the cluster.  ``min_cpu``
+is only where that window starts: the order is sorted by remaining
+CPU, so the first key not below ``min_cpu * (n_machines + 1)`` is a
+bisect, and ``admit`` must reject every machine before it (Equation 6
+does, for a demand with that much CPU) — the skipped head is exact,
+not a heuristic.  :attr:`MachineIndex.last_read` counts the positions
+handed to ``admit`` and :attr:`MachineIndex.last_complete` reports
+whether the window reached the end of the order.  The unlimited form
+is the default and what the affinity-tiered queries, the rescue
+kernel, the flow engine, the LP engine and the sweep workers use.
 
 Under the rack-sharded parallel sweep (:mod:`repro.core.parallel`) one
 index instance lives in each worker process over its shard's
@@ -80,6 +82,8 @@ reason the parallel sweep can promise byte-identical placements.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -128,6 +132,8 @@ class MachineIndex:
         Whether the most recent :meth:`candidates` result is the whole
         admitted list (always, unless a ``limit`` window stopped short
         of the end of the order).
+    last_read:
+        Positions the most recent ``limit`` query handed to ``admit``.
     """
 
     def __init__(self) -> None:
@@ -145,6 +151,7 @@ class MachineIndex:
         self.positions_rewritten = 0
         self.last_resynced = 0
         self.last_complete = True
+        self.last_read = 0
 
     def reset(self) -> None:
         """Drop the maintained order (next query rebuilds from scratch)."""
@@ -274,6 +281,8 @@ class MachineIndex:
         state: ClusterState,
         mask: np.ndarray | None = None,
         affinity: np.ndarray | None = None,
+        *,
+        admit: Callable[[np.ndarray], np.ndarray] | None = None,
         min_cpu: float = 0.0,
         limit: int | None = None,
     ) -> np.ndarray:
@@ -285,14 +294,15 @@ class MachineIndex:
         ``scheduler._scores`` — the contract the differential harness
         enforces through the batch kernel.
 
-        ``limit`` asks for a *prefix* of that list: ``mask`` is read
-        over ``limit`` positions of the order only, from the first
-        machine ``min_cpu`` does not rule out (module docstring:
-        ``min_cpu`` is the caller's promise that ``mask`` implies
-        ``available[:, 0] >= min_cpu``), and :attr:`last_complete`
-        tells whether that window reached the end of the order.  The
-        affinity tier reorders across the whole order, so a tiered
-        query ignores ``limit`` and is always complete.
+        ``limit`` asks for a *prefix* of the admitted list instead (no
+        ``mask``, no ``affinity``): ``limit`` positions of the order are
+        read from the first machine with at least ``min_cpu`` remaining
+        CPU, ``admit`` (machine ids -> booleans, the same verdicts a
+        mask would hold) filters them, :attr:`last_read` counts them and
+        :attr:`last_complete` tells whether they reached the end of the
+        order.  ``admit`` must reject every machine below ``min_cpu``
+        (any Equation-6 verdict for a demand with that much CPU does),
+        which is what makes the skipped head exact.
 
         With ``mask is None`` and no ``affinity`` the *internal* order
         array is returned (as a read-only view, since resyncs repair it
@@ -301,19 +311,20 @@ class MachineIndex:
         """
         self.sync(state)
         order = self._order
-        self.last_complete = True
-        if mask is None:
-            order = order.view()
-            order.flags.writeable = False
-        elif limit is None or affinity is not None:
-            order = order[mask[order]]
-        else:
+        if limit is not None:
             start = int(
                 self._sorted_keys.searchsorted(min_cpu * (state.n_machines + 1))
             )
             window = order[start : start + limit]
+            self.last_read = int(window.size)
             self.last_complete = start + limit >= order.size
-            order = window[mask[window]]
+            return window[admit(window)]
+        self.last_complete = True
+        if mask is None:
+            order = order.view()
+            order.flags.writeable = False
+        else:
+            order = order[mask[order]]
         if affinity is None or order.size == 0:
             return order
         aff = affinity[order]

@@ -24,10 +24,13 @@ block's machine sequence is read off per-machine fit quotas over the
 incrementally maintained packed-first index
 (:mod:`repro.core.machindex`) in one vectorized pass.  Depth limiting
 bounds what that pass reads: a block of k containers takes its machines
-from the first k admitting candidates, so the admit mask is filtered
-over a window of the order sized from k — O(k) per block, not O(m).
-``enable_batch_kernel`` (on by default) gates it; overflow and rescue
-still run the per-container path.
+from the first k admitting candidates, so Equations 6–8 are evaluated
+(:meth:`~repro.cluster.state.ClusterState.admits`) on a window of the
+order sized from k — O(k) per block, not O(m) — and no cluster-wide
+admit mask is built.  ``enable_batch_kernel`` (on by default) gates it;
+overflow and rescue still run the per-container path over a full mask,
+and so does an affinity-tiered block, whose tier reorders the whole
+order.
 
 Disabling either flag performs the exact extra work the pruning avoids —
 per-container feasibility recomputation without IL, a full candidate
@@ -216,12 +219,14 @@ class AladdinScheduler(Scheduler):
         app_id: int,
         result: ScheduleResult,
     ) -> np.ndarray:
-        """One IL feasibility evaluation, served incrementally when the
-        cross-round cache is enabled.
+        """One cluster-wide IL feasibility evaluation, served
+        incrementally when the cross-round cache is enabled.
 
-        The work charged to ``explored`` is the number of per-machine
-        verdicts actually recomputed — the full cluster without the
-        cache, only the dirty machines with it.
+        The batch kernel's window does not come through here; the
+        per-container walk, affinity-tiered blocks, overflow and rescue
+        do.  The work charged to ``explored`` is the number of
+        per-machine verdicts actually recomputed — the full cluster
+        without the cache, only the dirty machines with it.
         """
         if self.config.enable_il and self.config.enable_feasibility_cache:
             mask = self.feas_cache.feasible_mask(state, demand, app_id)
@@ -242,30 +247,42 @@ class AladdinScheduler(Scheduler):
     ) -> int:
         """Deploy the block's prefix in one vectorized kernel sweep.
 
-        Returns the number of containers placed.  Anything short of the
-        full block means every candidate quota is exhausted; the caller
-        routes the remainder through the rescue path.
+        ``mask`` is the block's full admit mask when ``affinity`` tiers
+        its order, and ``None`` otherwise.  Returns the number of
+        containers placed.  Anything short of the full block means every
+        candidate quota is exhausted; the caller routes the remainder
+        through the rescue path.
         """
         app_id = block[0].app_id
         cs = state.constraints
         scope = cs.within_scope(app_id) if cs.has_within(app_id) else None
-        # Depth limiting: a block of k reads at most k candidates, so the
-        # admit mask is filtered over a window of the order sized from
-        # k, not over the cluster.  Every scope consumes candidates
-        # strictly in order — a full plan from a prefix *is* the plan
-        # from the whole list — so the window only widens when the plan
-        # came up short with more of the order left to read.
         k = len(block)
         index = self.machine_index
-        limit = max(64, 2 * k)
-        while True:
-            order = index.candidates(
-                state, mask, affinity, min_cpu=demand[0], limit=limit
-            )
+        if mask is not None:
+            # The affinity tier reorders across the whole order.
+            order = index.candidates(state, mask, affinity)
             machines = block_plan(state, demand, order, k, scope)
-            if machines.size == k or index.last_complete:
-                break
-            limit *= 4
+        else:
+            # Depth limiting: a block of k reads at most k candidates, so
+            # Equations 6-8 are evaluated on a window of the order sized
+            # from k, not on the cluster, and each position read is
+            # charged to ``explored``.  Every scope consumes candidates
+            # strictly in order — a full plan from a prefix *is* the plan
+            # from the whole list — so the window only widens when the
+            # plan came up short with more of the order left to read.
+            def admit(ids: np.ndarray) -> np.ndarray:
+                return state.admits(ids, demand, app_id)
+
+            limit = max(64, 2 * k)
+            while True:
+                order = index.candidates(
+                    state, admit=admit, min_cpu=demand[0], limit=limit
+                )
+                result.explored += index.last_read
+                machines = block_plan(state, demand, order, k, scope)
+                if machines.size == k or index.last_complete:
+                    break
+                limit *= 4
         placed = int(machines.size)
         # Commit the planned prefix in one batched mutation — the kernel
         # established feasibility, so the block path skips the scalar
@@ -363,18 +380,26 @@ class AladdinScheduler(Scheduler):
                     else None
                 )
             else:
-                mask = self._feasible_mask(state, demand, app_id, result)
-                if cfg.enable_dl and cfg.enable_batch_kernel:
+                batch = cfg.enable_dl and cfg.enable_batch_kernel
+                # The batch kernel evaluates its own window; a full mask
+                # is built only for what reads the whole cluster — an
+                # affinity-tiered block and the non-batched walk.
+                mask = (
+                    self._feasible_mask(state, demand, app_id, result)
+                    if affinity is not None or not batch
+                    else None
+                )
+                if batch:
                     placed = self._batch_place(
                         block, state, demand, mask, affinity, result
                     )
                     pending = block[placed:]
-                    if pending and placed:
-                        # The kernel drained every quota; refresh the
-                        # mask (now empty bar rounding) so the overflow
-                        # containers fall straight through to rescue, as
-                        # the per-container walk would at this exact
-                        # point.
+                    if pending:
+                        # The kernel drained every quota: the overflow
+                        # containers walk a mask of the state as it is
+                        # now (empty bar rounding), so they fall straight
+                        # through to rescue, as the per-container walk
+                        # would at this exact point.
                         mask = self._feasible_mask(
                             state, demand, app_id, result
                         )

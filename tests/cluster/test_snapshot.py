@@ -218,7 +218,7 @@ class TestStaleWatermarkFallback:
         state.deploy(container(90, app=4, cpu=state.available[3, 0]), 3)
         for _ in range(state._log_limit + 1):
             state.touch(0)
-        assert state.dirty_since(synced_at) is None  # log really compacted
+        assert state.dirty_array_since(synced_at) is None  # log really compacted
 
         restored = FeasibilityCache(report_telemetry=False)
         restored.restore(image, state.state_uid)

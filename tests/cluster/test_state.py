@@ -227,7 +227,7 @@ class TestDirtyLogCompactionBoundary:
     """Regression: consumers synced before the compaction base must get
     ``None`` ("everything may have changed"), never a mis-sliced tail of
     the log or stale verdicts.  The ``version < _log_base`` guards in
-    ``dirty_since``/``dirty_array_since`` pin this; without them the
+    ``dirty_array_since``/``dirty_raw_since`` pin this; without them the
     slice index ``version - _log_base`` would go negative and silently
     return the wrong suffix of the log.
     """
@@ -242,15 +242,12 @@ class TestDirtyLogCompactionBoundary:
         synced = state.version
         self._compact(state)
         assert synced < state._log_base
-        assert state.dirty_since(synced) is None
         assert state.dirty_array_since(synced) is None
+        assert state.dirty_raw_since(synced) is None
 
     def test_version_exactly_at_base_still_served(self, state):
         self._compact(state)
         base = state._log_base
-        dirty = state.dirty_since(base)
-        assert dirty is not None
-        assert dirty == {3}
         arr = state.dirty_array_since(base)
         assert arr is not None and arr.tolist() == [3]
 
@@ -264,12 +261,12 @@ class TestDirtyLogCompactionBoundary:
         # return a short tail of post-compaction entries — all machine 3
         # — silently omitting machine 1's mutation.  The guard reports
         # "unknown" instead.
-        assert state.dirty_since(synced) is None
+        assert state.dirty_array_since(synced) is None
 
     def test_current_version_is_empty_even_after_compaction(self, state):
         self._compact(state)
-        assert state.dirty_since(state.version) == set()
         assert state.dirty_array_since(state.version).size == 0
+        assert state.dirty_raw_since(state.version).size == 0
 
     def test_cache_falls_back_to_full_recompute(self, state):
         from repro.core.feascache import FeasibilityCache

@@ -237,4 +237,4 @@ class TestTouchBlock:
         assert len(state.dirty_log) <= limit
         # Consumers older than the compaction watermark get the
         # degrade-to-recompute signal, never a partial slice.
-        assert state.dirty_since(0) is None
+        assert state.dirty_array_since(0) is None

@@ -1,16 +1,18 @@
 """Windowed candidates: a block's plan from a prefix of the order.
 
-``AladdinScheduler._batch_place`` filters the admit mask over a window
-of the packed-first order (``max(64, 2k)`` positions from the CPU
-bisect) and widens it x4 only while the plan is short and the order has
-more to read.  The claim is that this is the plan from the whole list:
-all three ``block_plan`` scopes consume candidates strictly in order.
+``AladdinScheduler._batch_place`` evaluates Equations 6-8
+(``ClusterState.admits``) on a window of the packed-first order
+(``max(64, 2k)`` positions from the CPU bisect) and widens it x4 only
+while the plan is short and the order has more to read.  The claim is
+that this is the plan from the whole list: all three ``block_plan``
+scopes consume candidates strictly in order.
 
 The oracle is the unlimited form — ``block_plan`` over
-``candidates(state, mask)`` from a *fresh* index — on clusters wider
-than the first window, so that windows really are narrower than the
-order.  ``candidates(..., min_cpu, limit)`` itself is checked against
-the unlimited list with windows far smaller than the scheduler's.
+``candidates(state, feasible_mask)`` from a *fresh* index — on clusters
+wider than the first window, so that windows really are narrower than
+the order.  ``candidates(..., admit, min_cpu, limit)`` itself is
+checked against the unlimited list with windows far smaller than the
+scheduler's.
 """
 
 import numpy as np
@@ -92,7 +94,10 @@ def batch_place(engine, state, block):
         len(block), scope,
     )
     result = ScheduleResult()
-    placed = engine._batch_place(block, state, demand, mask, affinity, result)
+    placed = engine._batch_place(
+        block, state, demand, None if affinity is None else mask, affinity,
+        result,
+    )
     got = [result.placements[c.container_id] for c in block[:placed]]
     return got, expected.tolist()
 
@@ -271,7 +276,9 @@ def test_window_is_a_prefix_of_the_unlimited_list(seed):
         assert index.last_complete
         min_cpu = float(rng.choice([0.0, cpu / 2, cpu]))
         limit = int(rng.choice([1, 4, 32, 150, 400, 1000]))
-        got = index.candidates(state, mask, min_cpu=min_cpu, limit=limit)
+        got = index.candidates(
+            state, admit=mask.__getitem__, min_cpu=min_cpu, limit=limit
+        )
         assert got.tolist() == full[: got.size].tolist()
         if index.last_complete:
             assert got.size == full.size
@@ -288,10 +295,11 @@ def test_min_cpu_zero_starts_at_the_head_of_the_order():
     state, _ = packed_front(10, 32.0, 4.0, (1, 1.0, 1.0, None, ()))
     index = MachineIndex()
     mask = np.ones(N_MACHINES, dtype=bool)
-    got = index.candidates(state, mask, min_cpu=0.0, limit=12)
+    admit = mask.__getitem__
+    got = index.candidates(state, admit=admit, min_cpu=0.0, limit=12)
     assert got.tolist() == list(range(12))  # the ten full machines first
     assert not index.last_complete
-    got = index.candidates(state, mask, min_cpu=1.0, limit=12)
+    got = index.candidates(state, admit=admit, min_cpu=1.0, limit=12)
     assert got.tolist() == list(range(10, 22))  # bisected past them
-    index.candidates(state, mask, min_cpu=1.0, limit=N_MACHINES - 10)
+    index.candidates(state, admit=admit, min_cpu=1.0, limit=N_MACHINES - 10)
     assert index.last_complete

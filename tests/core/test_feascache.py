@@ -44,40 +44,40 @@ class TestDirtyLog:
         v0 = state.version
         cid = deploy(state, app_id=0, machine_id=2)
         assert state.version == v0 + 1
-        assert state.dirty_since(v0) == {2}
+        assert state.dirty_array_since(v0).tolist() == [2]
         state.evict(cid)
         assert state.version == v0 + 2
-        assert state.dirty_since(v0) == {2}
+        assert state.dirty_array_since(v0).tolist() == [2]
 
     def test_migrate_dirties_source_and_target(self):
         state = fresh_state()
         cid = deploy(state, app_id=0, machine_id=1)
         v = state.version
         state.migrate(cid, 4)
-        assert state.dirty_since(v) == {1, 4}
+        assert state.dirty_array_since(v).tolist() == [1, 4]
 
-    def test_dirty_since_current_version_is_empty(self):
+    def test_dirty_array_since_current_version_is_empty(self):
         state = fresh_state()
         deploy(state, app_id=0, machine_id=0)
-        assert state.dirty_since(state.version) == set()
+        assert state.dirty_array_since(state.version).size == 0
 
     def test_touch_records_out_of_band_mutations(self):
         state = fresh_state()
         v = state.version
         state.available[3] = 0.0
         state.touch(3)
-        assert state.dirty_since(v) == {3}
+        assert state.dirty_array_since(v).tolist() == [3]
 
     def test_compaction_returns_none_for_ancient_consumers(self):
         state = fresh_state(n_machines=2)
         v0 = state.version
         for _ in range(state._log_limit + 10):
             state.touch(0)
-        assert state.dirty_since(v0) is None
+        assert state.dirty_array_since(v0) is None
         # A consumer synced after compaction still gets exact answers.
         v_recent = state.version
         state.touch(1)
-        assert state.dirty_since(v_recent) == {1}
+        assert state.dirty_array_since(v_recent).tolist() == [1]
 
     def test_snapshot_starts_a_fresh_identity(self):
         state = fresh_state()
@@ -85,7 +85,7 @@ class TestDirtyLog:
         clone = state.snapshot()
         assert clone.state_uid != state.state_uid
         assert clone.version == 0
-        assert clone.dirty_since(0) == set()
+        assert clone.dirty_array_since(0).size == 0
 
 
 # ----------------------------------------------------------------------

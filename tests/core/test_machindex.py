@@ -95,13 +95,14 @@ class TestDirtyArraySince:
             state.touch(0)
         assert state.dirty_array_since(v0) is None
 
-    def test_agrees_with_dirty_since(self):
+    def test_dedupes_the_raw_log(self):
         state = fresh_state()
         v = state.version
         deploy(state, app_id=0, machine_id=1)
         cid = deploy(state, app_id=0, machine_id=4)
         state.migrate(cid, 7)
-        assert set(state.dirty_array_since(v).tolist()) == state.dirty_since(v)
+        assert state.dirty_raw_since(v).tolist() == [1, 4, 4, 7]
+        assert state.dirty_array_since(v).tolist() == [1, 4, 7]
 
 
 # ----------------------------------------------------------------------

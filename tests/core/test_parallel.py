@@ -260,7 +260,7 @@ def test_shard_view_tracks_and_dedupes_dirty_ids():
     assert list(view.dirty_array_since(v0)) == [1, 3, 4]
     assert list(view.dirty_array_since(v0 + 1)) == [1, 4]
     assert view.dirty_array_since(view.version).size == 0
-    assert view.dirty_since(v0) == {1, 3, 4}
+    assert view.dirty_raw_since(v0).tolist() == [3, 1, 1, 4]
 
 
 def test_shard_view_full_resync_and_compaction_report_none():
@@ -269,7 +269,7 @@ def test_shard_view_full_resync_and_compaction_report_none():
     view.advance(np.array([2]))
     view.advance(None)  # coordinator-reported full resync
     assert view.dirty_array_since(v0) is None
-    assert view.dirty_since(v0) is None
+    assert view.dirty_raw_since(v0) is None
     # After the reset, incremental tracking resumes.
     v1 = view.version
     view.advance(np.array([0]))

@@ -9,7 +9,9 @@ of the scale):
   (``MachineIndex.positions_rewritten``; the whole-order merge this
   replaced rewrote exactly ``resyncs x n_machines`` positions);
 * ``_batch_place`` reads one candidate window per block, a second one
-  only rarely;
+  only rarely, and a block placed from its windows builds no
+  cluster-wide verdict (no ``forbidden_mask``, no feasibility-cache
+  query; the window predicate reads no more than the windows hold);
 * the round's bookkeeping follows the application, not the container:
   a violation resync reads no resident ``Container`` (the tally asks
   ``machine_apps``), ``_derive_weights_for`` is handed one container
@@ -32,6 +34,7 @@ from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.core import AladdinScheduler, scheduler
+from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import build_scenario
@@ -175,6 +178,75 @@ def test_round_bookkeeping_follows_the_application(monkeypatch):
     assert sum(n for n, _ in handed) >= 2 * blocks
     assert len(demand_calls) > 50 and sum(apps for _, apps in demand_calls) > 500
     assert all(calls <= apps for calls, apps in demand_calls)
+
+
+def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
+    """A block the kernel places in full from its windows evaluates
+    Equations 6-8 on those windows only: no ``forbidden_mask`` (the walk
+    over every conflict partner's hosts) and no feasibility-cache query,
+    and ``ClusterState.admits`` is asked about no more positions than
+    the windows hold.  Affinity-tiered blocks read a full mask by
+    design and are left out."""
+    counts = {"forbidden": 0, "cache": 0, "positions": 0, "windows": 0}
+    full_plan = [False]
+    window_blocks = leaky_blocks = 0
+
+    forbidden_mask, admits = ClusterState.forbidden_mask, ClusterState.admits
+    cache_mask = FeasibilityCache.feasible_mask
+    candidates = MachineIndex.candidates
+    batch_place = AladdinScheduler._batch_place
+    place_block = AladdinScheduler._place_block
+
+    def counting_forbidden(self, app_id):
+        counts["forbidden"] += 1
+        return forbidden_mask(self, app_id)
+
+    def counting_cache(self, *args):
+        counts["cache"] += 1
+        return cache_mask(self, *args)
+
+    def counting_admits(self, ids, *args):
+        counts["positions"] += len(ids)
+        return admits(self, ids, *args)
+
+    def counting_candidates(self, *args, limit=None, **kwargs):
+        counts["windows"] += limit or 0
+        return candidates(self, *args, limit=limit, **kwargs)
+
+    def recording_batch_place(self, block, *args):
+        placed = batch_place(self, block, *args)
+        full_plan[0] = placed == len(block)
+        return placed
+
+    def gated_place_block(self, block, state, *args):
+        nonlocal window_blocks, leaky_blocks
+        before = counts["forbidden"] + counts["cache"]
+        full_plan[0] = False
+        place_block(self, block, state, *args)
+        affine = state.constraints.affinities_of(block[0].app_id)
+        if full_plan[0] and not affine:
+            window_blocks += 1
+            leaky_blocks += counts["forbidden"] + counts["cache"] > before
+
+    monkeypatch.setattr(ClusterState, "forbidden_mask", counting_forbidden)
+    monkeypatch.setattr(ClusterState, "admits", counting_admits)
+    monkeypatch.setattr(FeasibilityCache, "feasible_mask", counting_cache)
+    monkeypatch.setattr(MachineIndex, "candidates", counting_candidates)
+    monkeypatch.setattr(
+        AladdinScheduler, "_batch_place", recording_batch_place
+    )
+    monkeypatch.setattr(AladdinScheduler, "_place_block", gated_place_block)
+
+    trace = build_scenario(
+        "mixed-lla", scale=0.167, seed=0, ticks=24, n_functions=100
+    )
+    simulator = OnlineSimulator(trace, OnlineConfig(seed=0, scenario="mixed-lla"))
+    result = simulator.run(AladdinScheduler())
+    blocks = result.telemetry.batch_kernel_invocations
+
+    assert window_blocks > 0.9 * blocks > 1800
+    assert leaky_blocks == 0
+    assert 0 < counts["positions"] <= counts["windows"]
 
 
 def test_a_resync_whose_machines_kept_their_keys_rewrites_nothing():

@@ -7,11 +7,23 @@ were recorded on the commit before ``anti_affinity_violations`` became
 a dirty-log consumer (7e0a44d, the brute-force recount); any change to
 what a sample reads — the count, ``mean_utilization``, a decision —
 moves them.
+
+The canonical JSON also carries the search's *cost* counters (a
+sample's ``explored`` / ``cache_hits``, the telemetry's
+``cache_hits`` / ``cache_misses`` / ``cache_invalidations``), which a
+change to how the search evaluates Equations 6-8 legitimately moves.
+The three Aladdin digests were re-recorded when the batch kernel began
+evaluating its window without the feasibility cache; their
+:func:`decision_projection` — the same JSON without those five keys —
+is pinned separately, from the commit before that change, so a moved
+cost and a moved decision fail different tests.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 
 import pytest
 
@@ -51,11 +63,11 @@ RUNS = {
     "aladdin-flow": (
         churn_trace, CHURN,
         lambda: AladdinScheduler(AladdinConfig(engine="flow")),
-        "4c44c7b6fdec754fa93c3d8a01dee878746ca04d6984232f9f27ae38481c5020", 0,
+        "66f96f9caac0c0aca94b0dc4a216f31bd587e8a364cd50b8ed356cb7c6e36495", 0,
     ),
     "aladdin-default": (
         churn_trace, CHURN, AladdinScheduler,
-        "4c44c7b6fdec754fa93c3d8a01dee878746ca04d6984232f9f27ae38481c5020", 0,
+        "66f96f9caac0c0aca94b0dc4a216f31bd587e8a364cd50b8ed356cb7c6e36495", 0,
     ),
     "firmament-quincy": (
         churn_trace, CHURN,
@@ -71,18 +83,55 @@ RUNS = {
         lambda: build_scenario("autoscale", scale=0.01, ticks=16),
         OnlineConfig(scenario="autoscale", autoscale=True, keep_alive="ttl"),
         AladdinScheduler,
-        "90f84c9686ac70b6f9cad2bfd620242a03be438e64eed100d2b5a567b3a8ec1f", 0,
+        "99c947d9f674098a9e772ab430aa863381974e3f9f3cefa4e5948925c0ab3540", 0,
     ),
 }
 
 
+#: name -> sha256 of :func:`decision_projection` of the run's canonical
+#: JSON
+DECISIONS = {
+    "aladdin-flow":
+        "00e14c495e51e40023e03fb01d4a071c09fe517aaaa3d81dab8718ec32d1ebbc",
+    "aladdin-default":
+        "00e14c495e51e40023e03fb01d4a071c09fe517aaaa3d81dab8718ec32d1ebbc",
+    "autoscale":
+        "751bedc4e2fbe8b642b33bdfeaed3012237ee64dca565053650343e047fcb1d8",
+}
+
+
+@functools.cache
+def run(name):
+    make_trace, config, make_scheduler, _digest, _ticks = RUNS[name]
+    return OnlineSimulator(make_trace(), config).run(make_scheduler())
+
+
+def decision_projection(canonical: str) -> str:
+    """``canonical`` without the search's cost counters."""
+    payload = json.loads(canonical)
+    for sample in payload["samples"]:
+        del sample["explored"], sample["cache_hits"]
+    for key in ("cache_hits", "cache_misses", "cache_invalidations"):
+        del payload["telemetry"][key]
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_canonical_json_is_byte_identical_to_the_recount_era(name):
-    make_trace, config, make_scheduler, digest, violating_ticks = RUNS[name]
-    result = OnlineSimulator(make_trace(), config).run(make_scheduler())
+    _trace, _config, _scheduler, digest, violating_ticks = RUNS[name]
+    result = run(name)
     assert (
         sum(1 for s in result.samples if s.violations) == violating_ticks
     )
-    assert (
-        hashlib.sha256(result.canonical_json().encode()).hexdigest() == digest
+    assert sha256(result.canonical_json()) == digest
+
+
+@pytest.mark.parametrize("name", DECISIONS)
+def test_decision_projection_is_pinned(name):
+    assert sha256(decision_projection(run(name).canonical_json())) == (
+        DECISIONS[name]
     )

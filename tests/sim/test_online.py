@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro import AladdinScheduler, GoKubeScheduler, generate_trace
+from repro import (
+    AladdinConfig,
+    AladdinScheduler,
+    GoKubeScheduler,
+    generate_trace,
+)
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace.arrival import ArrivalOrder
 
@@ -67,10 +72,13 @@ class TestLifecycle:
         byte-identical metrics — including the telemetry counters (SPFA
         relaxations, IL/DL prunes, cache hit/miss/invalidation totals),
         which must therefore be free of wall-clock or iteration-order
-        nondeterminism.  Wall times are excluded by design."""
+        nondeterminism.  Wall times are excluded by design.  Batch-off,
+        so every block goes through the cross-round cache (the batch
+        kernel evaluates its window without it)."""
         cfg = OnlineConfig(ticks=12, seed=7)
-        a = OnlineSimulator(trace, cfg).run(AladdinScheduler())
-        b = OnlineSimulator(trace, cfg).run(AladdinScheduler())
+        engine = AladdinConfig(enable_batch_kernel=False)
+        a = OnlineSimulator(trace, cfg).run(AladdinScheduler(engine))
+        b = OnlineSimulator(trace, cfg).run(AladdinScheduler(engine))
         assert a.canonical_json() == b.canonical_json()
         assert a.canonical_json().encode() == b.canonical_json().encode()
         # The serialisation must actually cover the telemetry.

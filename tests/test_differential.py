@@ -222,9 +222,16 @@ def _churn_replay(rng, engines, states, apps, by_app, ticks, n_apps):
 
 
 def aladdin_pair():
+    """Cached vs cold, both on the per-container walk: the batch kernel
+    evaluates its window without the cache, so with it on the cache
+    would serve only affinity-tiered blocks, overflow and rescue.  The
+    batched side is proven against the walk (which reads the cache's
+    full mask) by ``test_aladdin_batched_matches_loop``."""
     return [
-        AladdinScheduler(),  # cache on by default
-        AladdinScheduler(AladdinConfig(enable_feasibility_cache=False)),
+        AladdinScheduler(AladdinConfig(enable_batch_kernel=False)),
+        AladdinScheduler(AladdinConfig(
+            enable_batch_kernel=False, enable_feasibility_cache=False,
+        )),
     ]
 
 
@@ -288,9 +295,10 @@ def flowpath_parallel_pair():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_aladdin_cached_matches_cold(seed):
-    """≥ 20 randomized churn replays: the cached production engine and a
-    cold-start twin agree on every placement at every tick, and the
-    cache is demonstrably in play (hit-rate > 0)."""
+    """≥ 20 randomized churn replays: the cached engine and a cold-start
+    twin (both batch-off, see :func:`aladdin_pair`) agree on every
+    placement at every tick, and the cache is demonstrably in play
+    (hit-rate > 0)."""
     cached, cold = churn_replay(seed, aladdin_pair)
     assert cached.feas_cache.hits > 0, "replay never hit the cache"
     assert cached.feas_cache.hit_rate > 0.0
@@ -928,9 +936,9 @@ def scenario_churn_replay(seed, make_engines):
 @pytest.mark.parametrize("seed", range(20))
 def test_azure_scenario_cached_matches_cold(seed):
     """20 azure-fallback scenario replays (every family × five seeds):
-    the cached engine and its cold twin agree on every placement at
-    every tick of the serverless churn, and the cache is demonstrably
-    in play on the cached side only."""
+    the cached engine and its cold twin (both batch-off) agree on every
+    placement at every tick of the serverless churn, and the cache is
+    demonstrably in play on the cached side only."""
     cached, cold = scenario_churn_replay(seed, aladdin_pair)
     assert cached.feas_cache.hits > 0, "scenario replay never hit the cache"
     assert cold.feas_cache.hits == 0, "cold engine must not touch its cache"
