@@ -25,20 +25,36 @@ The kernel re-plans the *same decisions* on the substrate PRs 1–3 built:
   ``argsort`` over all machines per strategy call.
 * **Resident summaries** (:class:`ResidentLedger`) cache, per machine:
   the residents in their authoritative enumeration order, their
-  app/priority columns, demand matrix and demand-shape keys, the
-  ``(priority, cpu)``-sorted permutation, and the prefix-summed
+  app/priority columns, demand matrix and interned demand-shape ids,
+  the ``(priority, cpu)``-sorted permutation, and the prefix-summed
   freeable demand in that order — so consolidation's mover prefix is a
   ``searchsorted`` over cumulative freed resources and every strategy
   names its movers as indices into the row, not as re-sorted
   container lists.  Rows are dropped lazily for machines the dirty
-  log reports as touched.
+  log reports as touched; once a walk has asked for it, the ledger
+  also keeps every row at once as a padded :class:`ResidentTable`
+  (shape ids, priorities and cumulative demand in ``(priority, cpu)``
+  order) and rewrites the dirty machines' rows.
+* **The walks screen** before they read a resident.  Whether any
+  machine dominates a shape (Equation 6) is one vector per version
+  window over every interned shape (:meth:`ResidentLedger.live`).
+  Consolidation keeps exactly the candidates whose covering mover
+  prefix fits the mover limit and holds no dead shape — the first dead
+  position and one gather of the table's cumulative demand, for the
+  whole walk at once — and preemption keeps the candidates whose free
+  resources plus every strictly lower-priority resident cover the
+  demand (a necessary condition).  Only the survivors are walked
+  resident by resident; ``scanned`` and ``explored`` still charge
+  every position up to and including the success, as the loop does.
 * **Relocation planning** asks Equation 6 of every mover before it
   plans any: a mover set holding a demand shape no machine dominates
   cannot be relocated whatever is reserved or excluded, so the plan
-  ends there on dictionary look-ups.  A set that passes tracks
-  reservations sparsely: the dominance mask is fixed up only on the
-  handful of reserved machines instead of copying ``available`` per
-  mover.
+  ends there on look-ups into the liveness vector.  A set that passes
+  tracks reservations sparsely: the dominance mask is fixed up only
+  on the handful of reserved machines instead of copying
+  ``available`` per mover.
+* **Two version-window memos** remain: admissible ids per
+  ``(app, shape)`` and failed rescues per attempt key.
 
 Decisions are bit-identical to the legacy loop — same machine freed,
 same victims in the same order, same failure verdicts — because every
@@ -67,6 +83,17 @@ from repro.core.feascache import FeasibilityCache
 _NO_IDS = np.empty(0, dtype=np.intp)
 
 
+#: priority of a table pad: above every resident's, so never "lower"
+_PAD_PRIORITY = np.iinfo(np.int64).max
+
+#: relative slack of the preemption screen's fit test.  The screen sums
+#: a machine's lower-priority residents in (priority, cpu) order, the
+#: loop sums blockers first, so the two totals may differ in the last
+#: bits; the screen rejects only machines short by more than this, which
+#: no reordering of a few hundred additions can close.
+_FIT_RTOL = 1e-9
+
+
 @dataclass
 class _Residents:
     """Per-machine resident summary (one :class:`ResidentLedger` row).
@@ -78,19 +105,68 @@ class _Residents:
     ``(priority, cpu)`` argsort of that order — the exact permutation
     the legacy strategies' ``sorted(..., key=(priority, cpu))`` yields —
     and ``sorted_cum`` the running demand sum along it, accumulated
-    left-to-right like the legacy mover loop.  ``shape_keys`` are the
-    residents' demand bytes, the key the relocation planner's screen
-    looks a mover up by.  The per-resident columns the strategies walk
-    one resident at a time are plain lists (no numpy scalar boxing).
+    left-to-right like the legacy mover loop.  ``shape_ids`` are the
+    residents' interned demand shapes (:meth:`ResidentLedger.live`
+    answers Equation 6 per id).  The per-resident columns the strategies
+    walk one resident at a time are plain lists (no numpy scalar boxing).
     """
 
     containers: list[Container]
     app_ids: list[int]  # enumeration order
     priorities: list[int]  # enumeration order
-    shape_keys: list[bytes]  # demands[i].tobytes(), enumeration order
+    shape_ids: list[int]  # interned demands[i], enumeration order
     demands: np.ndarray  # (k, dims) float64, enumeration order
     by_prio_cpu: list[int]  # permutation, stable (priority, cpu)
     sorted_cum: np.ndarray  # (k, dims) cumsum of demands[by_prio_cpu]
+
+
+@dataclass
+class ResidentTable:
+    """Every machine's ledger row at once, in ``(priority, cpu)`` order.
+
+    Row ``m`` holds machine ``m``'s residents in ``by_prio_cpu`` order,
+    padded to the widest row plus one: the pad's shape id is ``-1``
+    (which :meth:`ResidentLedger.live` answers dead), its priority
+    :data:`_PAD_PRIORITY` and its cumulative demand 0.  Every row ends
+    in at least one pad, so "the first dead position" always exists.
+    """
+
+    shape_ids: np.ndarray  # (n, w) intp
+    priorities: np.ndarray  # (n, w) int64, nondecreasing along a row
+    sorted_cum: np.ndarray  # (n, w, dims) float64
+
+    @classmethod
+    def empty(cls, n_machines: int, width: int, dims: int) -> "ResidentTable":
+        return cls(
+            shape_ids=np.full((n_machines, width), -1, dtype=np.intp),
+            priorities=np.full((n_machines, width), _PAD_PRIORITY, np.int64),
+            sorted_cum=np.zeros((n_machines, width, dims)),
+        )
+
+    @property
+    def width(self) -> int:
+        return self.shape_ids.shape[1]
+
+    def widened(self, width: int) -> "ResidentTable":
+        """A copy ``width`` columns wide, the new columns pads."""
+        grown = ResidentTable.empty(
+            self.shape_ids.shape[0], width, self.sorted_cum.shape[2]
+        )
+        old = self.width
+        grown.shape_ids[:, :old] = self.shape_ids
+        grown.priorities[:, :old] = self.priorities
+        grown.sorted_cum[:, :old] = self.sorted_cum
+        return grown
+
+    def write(self, machine_id: int, row: _Residents) -> None:
+        k = len(row.containers)
+        order = row.by_prio_cpu
+        self.shape_ids[machine_id, :k] = [row.shape_ids[i] for i in order]
+        self.shape_ids[machine_id, k:] = -1
+        self.priorities[machine_id, :k] = [row.priorities[i] for i in order]
+        self.priorities[machine_id, k:] = _PAD_PRIORITY
+        self.sorted_cum[machine_id, :k] = row.sorted_cum
+        self.sorted_cum[machine_id, k:] = 0.0
 
 
 class ResidentLedger:
@@ -99,33 +175,60 @@ class ResidentLedger:
     Rows are built lazily on first query and dropped for exactly the
     machines the :class:`ClusterState` dirty log reports as touched —
     the same synchronisation discipline as the feasibility cache and
-    the machine index.  A compacted log or an unfamiliar state instance
-    drops every row; the ledger degrades to per-query rebuilds, never
-    to stale residents.
+    the machine index.  Once a strategy walk asks for the
+    :class:`ResidentTable` (the first consolidation or preemption), the
+    ledger also keeps that table and rewrites the rows of the machines
+    the dirty log reports.  A compacted log or an unfamiliar state
+    instance drops every row and the table; the ledger degrades to
+    rebuilds, never to stale residents.
+
+    Demand shapes are interned: a row names each resident's shape by a
+    small id, and :meth:`live` answers Equation 6 for every interned
+    shape at once.
     """
 
     def __init__(self) -> None:
         self._state_uid: int | None = None
         self._version: int = -1
         self._rows: dict[int, _Residents] = {}
+        #: demand bytes -> shape id; ``_shapes[id]`` is the demand row
+        self._shape_ids: dict[bytes, int] = {}
+        self._shapes: list[np.ndarray] = []
+        self._table: ResidentTable | None = None
+        #: machines whose table row predates their last mutation
+        self._stale: set[int] = set()
+        #: ``live`` answer and the (state uid, version, shapes) it is for
+        self._live_flags = np.zeros(1, dtype=bool)
+        self._live_stamp: tuple | None = None
         #: lifetime count of rows built (the ledger's work measure)
         self.builds = 0
+
+    def _reset(self, state: ClusterState) -> None:
+        self._rows.clear()
+        self._shape_ids.clear()
+        self._shapes.clear()
+        self._table = None
+        self._stale.clear()
+        self._live_stamp = None
+        self._state_uid = state.state_uid
+        self._version = state.version
 
     def sync(self, state: ClusterState) -> None:
         """Drop rows for machines mutated since the last sync."""
         if state.state_uid != self._state_uid:
-            self._rows.clear()
-            self._state_uid = state.state_uid
-            self._version = state.version
+            self._reset(state)
             return
         if state.version == self._version:
             return
         dirty = state.dirty_array_since(self._version)
         if dirty is None:
-            self._rows.clear()
-        else:
-            for machine_id in dirty.tolist():
-                self._rows.pop(machine_id, None)
+            self._reset(state)
+            return
+        dirty = dirty.tolist()
+        for machine_id in dirty:
+            self._rows.pop(machine_id, None)
+        if self._table is not None:
+            self._stale.update(dirty)
         self._version = state.version
 
     def row(self, state: ClusterState, machine_id: int) -> _Residents:
@@ -136,6 +239,48 @@ class ResidentLedger:
             row = self._build(state, machine_id)
             self._rows[machine_id] = row
         return row
+
+    def table(self, state: ClusterState) -> ResidentTable:
+        """The (synced) :class:`ResidentTable` of every machine."""
+        self.sync(state)
+        if self._table is None:
+            rows = [self.row(state, m) for m in range(state.n_machines)]
+            width = 1 + max((len(r.containers) for r in rows), default=0)
+            self._table = ResidentTable.empty(
+                state.n_machines, width, len(state.topology.resources)
+            )
+            for machine_id, row in enumerate(rows):
+                self._table.write(machine_id, row)
+        elif self._stale:
+            for machine_id in self._stale:
+                row = self.row(state, machine_id)
+                if len(row.containers) >= self._table.width:
+                    self._table = self._table.widened(len(row.containers) + 1)
+                self._table.write(machine_id, row)
+            self._stale.clear()
+        return self._table
+
+    def live(self, state: ClusterState) -> np.ndarray:
+        """Equation 6 per interned shape: does any machine dominate it?
+
+        One boolean per shape id, plus a trailing ``False`` that the
+        table's pad id ``-1`` reads.  Computed for every shape at once
+        (a shapes × machines comparison, one resource column at a time
+        like :func:`~repro.cluster.state.dominates`) and kept until the
+        state version moves or a new shape is interned.  Read-only.
+        """
+        stamp = (state.state_uid, state.version, len(self._shapes))
+        if stamp != self._live_stamp:
+            shapes = np.array(self._shapes, dtype=np.float64).reshape(
+                len(self._shapes), state.available.shape[1]
+            )
+            avail = state.available
+            fit = avail[:, 0] >= shapes[:, 0, None]
+            for dim in range(1, shapes.shape[1]):
+                fit &= avail[:, dim] >= shapes[:, dim, None]
+            self._live_flags = np.append(fit.any(axis=1), False)
+            self._live_stamp = stamp
+        return self._live_flags
 
     def _build(self, state: ClusterState, machine_id: int) -> _Residents:
         containers = state.deployed_containers(machine_id)
@@ -152,12 +297,21 @@ class ResidentLedger:
         # lexsort is stable: equal (priority, cpu) keep enumeration
         # order, exactly like the legacy ``sorted`` call.
         by_prio_cpu = np.lexsort(([c.cpu for c in containers], priorities))
+        interned = self._shape_ids
+        shape_ids = []
+        for demand in demands:
+            key = demand.tobytes()
+            shape = interned.get(key)
+            if shape is None:
+                shape = interned[key] = len(self._shapes)
+                self._shapes.append(demand)
+            shape_ids.append(shape)
         self.builds += 1
         return _Residents(
             containers=containers,
             app_ids=[c.app_id for c in containers],
             priorities=priorities,
-            shape_keys=[row.tobytes() for row in demands],
+            shape_ids=shape_ids,
             demands=demands,
             by_prio_cpu=by_prio_cpu.tolist(),
             sorted_cum=np.cumsum(demands[by_prio_cpu], axis=0),
@@ -182,37 +336,19 @@ class RescueKernel:
         #: "search-path verdicts" across the rescue axis.
         self.dominance = FeasibilityCache(report_telemetry=False)
         self.ledger = ResidentLedger()
-        #: (state uid, version) the four memos below were filled at.
+        #: (state uid, version) the two memos below were filled at.
         #: An entry can only be replayed while the state is still at
         #: the version it was computed for, and versions only grow, so
-        #: :meth:`_sync_memos` empties all four once the state has
-        #: moved on — each holds one version window's keys, not every
-        #: key a long-lived serving process has ever seen.
+        #: :meth:`_sync_memos` empties both once the state has moved
+        #: on — each holds one version window's keys, not every key a
+        #: long-lived serving process has ever seen.
         self._memo_stamp: tuple[int | None, int] = (None, -1)
-        #: demand bytes -> whether any machine dominates the shape
-        #: (Equation 6 on the unreserved state).  The relocation
-        #: planner's screen: exclusions and reservations only shrink a
-        #: mover's admissible set, so a shape that is dead here is dead
-        #: in every plan of this version window.
-        self._live: dict[bytes, bool] = {}
         #: (app id, demand bytes) -> ascending machine ids admitting
         #: the pair.  The relocation planner's unit of work: a failed
-        #: plan attempt leaves the state untouched, so consolidation's
-        #: walk over hundreds of candidate machines re-asks for the
-        #: same few (mover app, shape) pairs and each is answered O(1).
+        #: plan attempt leaves the state untouched, so the plans a walk
+        #: enters re-ask for the same few (mover app, shape) pairs and
+        #: each is answered O(1).
         self._admissible: dict[tuple[int, bytes], np.ndarray] = {}
-        #: relocation-plan memo, strategy key -> moves (``None`` for a
-        #: plan that failed).  Within one version window a plan attempt
-        #: is fully determined by its strategy key: consolidation's
-        #: movers are the ``(machine, prefix length)`` of the ledger
-        #: row's (priority, cpu) order, blocker migration's are the
-        #: ``(machine, app)`` blocker set.  Failed attempts leave the
-        #: state unmutated, so an exhaustive repair pass retrying the
-        #: same machines for many blocked containers shares one version
-        #: window — and most attempts are repeats of known failures.
-        #: Successful plans mutate the state, bumping the version, so a
-        #: hit can never replay a stale success.
-        self._plans: dict[tuple, list | None] = {}
         #: failed-rescue memo, attempt key -> (failure, scanned,
         #: explored).  A rescue that ends in failure never mutated the
         #: state, and its verdict is determined by the (app, demand
@@ -232,37 +368,30 @@ class RescueKernel:
         What is persisted and what is deliberately dropped follows the
         bit-identity requirement of checkpoint/restore:
 
-        * ``dominance`` entries and the ``_plans``/``_failures`` memos
-          **must** survive — a failure-memo hit replays its stored
-          ``scanned``/``explored`` charges and a plan-memo hit skips
-          the per-mover ``explored`` charges, so a cold restart would
-          change the resumed run's counters.  So must ``_live``: a hit
-          skips a dominance query, and asking an unstored shape again
-          at the same version is what makes the reuse-gated cache
-          store it — which changes the ``last_recomputed`` a later
-          rescue of that shape is charged.  Every entry is written
-          as ``(version, ...)`` with the version of :attr:`_memo_stamp`
-          — the per-entry form :meth:`restore` filters on — and the
-          memos hold one version window, so the image is bounded too.
-        * ``_admissible`` and the resident ledger are dropped:
-          rebuilding them is charge-free (pure state reads, or
-          dominance syncs that are no-ops because every admissible-memo
-          store synced its dominance entry at the same version the
-          checkpoint captured), so the restored run stays bit-identical
-          while the snapshot stays small.
+        * ``dominance`` entries and the ``_failures`` memo **must**
+          survive — a failure-memo hit replays its stored
+          ``scanned``/``explored`` charges, and the blocked container's
+          own Equation 6 query is charged the cache's
+          ``last_recomputed``, so a cold restart would change the
+          resumed run's counters.  Every failure entry is written as
+          ``(version, ...)`` with the version of :attr:`_memo_stamp` —
+          the per-entry form :meth:`restore` filters on — and the memo
+          holds one version window, so the image is bounded too.
+        * ``_admissible`` and the resident ledger (rows, table, shape
+          liveness) are dropped: rebuilding them is charge-free (pure
+          state reads, or dominance syncs that are no-ops because every
+          admissible-memo store synced its dominance entry at the same
+          version the checkpoint captured), so the restored run stays
+          bit-identical while the snapshot stays small.  The walks
+          screen from the table and its liveness vector, neither of
+          which asks the dominance cache anything.
         """
         version = self._memo_stamp[1]
         return {
             "dominance": self.dominance.checkpoint(),
-            "plans": {
-                key: (version, moves) for key, moves in self._plans.items()
-            },
             "failures": {
                 key: (version, *verdict)
                 for key, verdict in self._failures.items()
-            },
-            "live": {
-                key: (version, alive) for key, alive in self._live.items()
             },
             "invocations": self.invocations,
         }
@@ -275,25 +404,16 @@ class RescueKernel:
         numbering, so those are exactly the entries that can still hit.
         An image may carry entries of many older versions (one written
         by a kernel that kept every entry it had ever stored does), and
-        one written before the planner had a screen carries no ``live``
-        entry: its shapes are simply asked again.
+        one written before the walks screened carries ``plans`` and
+        ``live`` memos, which are ignored: nothing replays a plan any
+        more, and liveness is derived from the state.
         """
         version = state.version
         self.dominance.restore(payload["dominance"], state.state_uid)
         self._memo_stamp = (state.state_uid, version)
-        self._plans = {
-            key: moves
-            for key, (stored, moves) in payload["plans"].items()
-            if stored == version
-        }
         self._failures = {
             key: tuple(verdict)
             for key, (stored, *verdict) in payload["failures"].items()
-            if stored == version
-        }
-        self._live = {
-            key: alive
-            for key, (stored, alive) in payload.get("live", {}).items()
             if stored == version
         }
         self.invocations = payload["invocations"]
@@ -304,9 +424,7 @@ class RescueKernel:
         """Empty the version-keyed memos once ``state`` has moved on."""
         stamp = (state.state_uid, state.version)
         if stamp != self._memo_stamp:
-            self._live.clear()
             self._admissible.clear()
-            self._plans.clear()
             self._failures.clear()
             self._memo_stamp = stamp
 
@@ -446,9 +564,8 @@ class RescueKernel:
                 continue
             if _rack_blocked(state, app_id, machine_id):
                 continue
-            moves = self._planned_relocations(
-                planner, ("b", machine_id, app_id), row, blockers,
-                machine_id, out,
+            moves = self._plan_relocations(
+                planner, row, blockers, machine_id, out
             )
             if moves is None:
                 continue
@@ -474,55 +591,42 @@ class RescueKernel:
             if exhaustive
             else config.max_migrations_per_container
         )
-        # One vectorized shortfall matrix for the whole walk instead of
-        # a small allocation per machine; plain-int count and deficient
-        # lists keep the per-machine iteration free of numpy scalar
-        # boxing (the walk visits every candidate, most of them dead
-        # ends).
         shortfalls = demand - state.available[order]
-        counts = state.container_count[order].tolist()
         n_res = shortfalls.shape[1]
-        deficient = (shortfalls > 0.0).tolist()
-        shortfall_rows = shortfalls.tolist()
-        for pos, machine_id in enumerate(order.tolist()):
-            out.explored += 1
-            out.scanned += 1
-            k = counts[pos]
-            if k == 0:
-                continue
+        passing = self._consolidation_screen(
+            state, order, shortfalls, mover_limit
+        )
+        for pos in passing.tolist():
+            machine_id = int(order[pos])
             row = self.ledger.row(state, machine_id)
             # Minimal mover prefix of the (priority, cpu) order whose
             # cumulative freed demand covers the shortfall on every
-            # deficient dimension: one searchsorted per such dimension
-            # (the cumsums are nondecreasing — demands are positive).
+            # deficient dimension: one searchsorted per such dimension.
+            # The screen guarantees it exists within the mover limit.
             cum = row.sorted_cum
-            deficient_pos = deficient[pos]
-            shortfall = shortfall_rows[pos]
+            shortfall = shortfalls[pos].tolist()
             movers_needed = 1
-            feasible = True
             for d in range(n_res):
-                if not deficient_pos[d]:
-                    continue
-                idx = int(
-                    cum[:, d].searchsorted(shortfall[d], side="left")
-                )
-                if idx >= k:
-                    feasible = False
-                    break
-                movers_needed = max(movers_needed, idx + 1)
-            if not feasible or movers_needed > mover_limit:
-                continue
-
-            moves = self._planned_relocations(
-                planner, ("c", machine_id, movers_needed), row,
-                row.by_prio_cpu[:movers_needed], machine_id, out,
+                if shortfall[d] > 0.0:
+                    idx = int(
+                        cum[:, d].searchsorted(shortfall[d], side="left")
+                    )
+                    movers_needed = max(movers_needed, idx + 1)
+            moves = self._plan_relocations(
+                planner, row, row.by_prio_cpu[:movers_needed], machine_id,
+                out,
             )
             if moves is None:
                 continue
+            # one visit per position up to and including this one
+            out.explored += pos + 1
+            out.scanned += pos + 1
             for mover, target in moves:
                 state.migrate(mover.container_id, target)
                 out.migrations += 1
             return machine_id
+        out.explored += order.size
+        out.scanned += order.size
         return None
 
     # ------------------------------------------------------------------
@@ -531,16 +635,14 @@ class RescueKernel:
 
         state = planner.state
         config = planner.config
-        order = planner.machine_index.candidates(state, None)
         bound = max(1, config.migration_candidates) * 4
+        order = planner.machine_index.candidates(state, None)[:bound]
         app_id = container.app_id
-        scanned = 0
-        for machine_id in order.tolist():
-            if scanned >= bound:
-                break
-            scanned += 1
-            out.explored += 1
-            out.scanned += 1
+        passing = self._preemption_screen(
+            state, order, demand, container.priority
+        )
+        for pos in passing.tolist():
+            machine_id = int(order[pos])
             row = self.ledger.row(state, machine_id)
             priorities = row.priorities
             blockers = self._blocker_rows(state, app_id, row)
@@ -587,6 +689,10 @@ class RescueKernel:
                 planner._weighted_flow(v) for v in victims
             ) >= planner._weighted_flow(container):
                 continue
+            # this machine is freed, by relocation or eviction: one
+            # visit per position up to and including it
+            out.explored += pos + 1
+            out.scanned += pos + 1
             moves = self._plan_relocations(
                 planner, row, victim_rows, machine_id, out
             )
@@ -606,27 +712,58 @@ class RescueKernel:
                     state.evict(victim.container_id)
                     out.preempted.append(victim)
             return machine_id
+        out.explored += order.size
+        out.scanned += order.size
         return None
 
     # ------------------------------------------------------------------
-    def _planned_relocations(
-        self, planner, key, row: _Residents, mover_rows: list[int],
-        exclude: int, out,
-    ) -> list[tuple[Container, int]] | None:
-        """Version-keyed front of :meth:`_plan_relocations`.
+    def _consolidation_screen(
+        self, state, order: np.ndarray, shortfalls: np.ndarray,
+        mover_limit: int,
+    ) -> np.ndarray:
+        """Positions of ``order`` where consolidation can plan at all.
 
-        ``key`` names the strategy-determined mover set (see
-        :attr:`_plans`), ``mover_rows`` the same set as indices into
-        ``row``.  Hits skip the per-mover ``explored`` charges — costs
-        may differ from the legacy loop, decisions never do.
+        Exactly the machines whose minimal covering mover prefix (of
+        the (priority, cpu) order) exists, fits ``mover_limit`` and
+        holds no shape nothing dominates — everything else the walk
+        would pass over without a plan.  ``fd`` is the first dead
+        position of the table row (a pad if no resident is dead, so at
+        most the resident count) capped at the limit; a prefix of at
+        most ``fd`` movers covers the shortfall iff the cumulative
+        freed demand at ``fd - 1`` does on every dimension: the cumsums
+        are nondecreasing (demands are nonnegative), and a dimension
+        that is not short has a shortfall ≤ 0.
         """
-        self._sync_memos(planner.state)
-        if key in self._plans:
-            return self._plans[key]
-        moves = self._plan_relocations(planner, row, mover_rows, exclude, out)
-        self._plans[key] = moves
-        return moves
+        table = self.ledger.table(state)
+        live = self.ledger.live(state)
+        fd = np.minimum(
+            (~live[table.shape_ids[order]]).argmax(axis=1), mover_limit
+        )
+        passing = np.flatnonzero(fd)
+        covered = table.sorted_cum[order[passing], fd[passing] - 1]
+        return passing[(covered >= shortfalls[passing]).all(axis=1)]
 
+    def _preemption_screen(
+        self, state, order: np.ndarray, demand: np.ndarray, priority: int
+    ) -> np.ndarray:
+        """Positions of ``order`` where preemption might free room.
+
+        A necessary condition: free resources plus every strictly
+        lower-priority resident (a prefix of the (priority, cpu) order,
+        so one gather) cover the demand.  The loop's victims are a
+        subset of those residents, so a machine rejected here fails the
+        loop's fit check or an earlier test — with :data:`_FIT_RTOL`
+        of slack for the different order the loop adds them in.
+        """
+        table = self.ledger.table(state)
+        n_lower = (table.priorities[order] < priority).sum(axis=1)
+        room = state.available[order]
+        lower = np.flatnonzero(n_lower)
+        room[lower] += table.sorted_cum[order[lower], n_lower[lower] - 1]
+        slack = _FIT_RTOL * (np.abs(room) + np.abs(demand))
+        return np.flatnonzero((room + slack >= demand).all(axis=1))
+
+    # ------------------------------------------------------------------
     def _plan_relocations(
         self, planner, row: _Residents, mover_rows: list[int],
         exclude: int, out,
@@ -636,13 +773,16 @@ class RescueKernel:
         in that order.
 
         **Screen.**  Equation 6 is asked of every mover before any is
-        planned: the first mover ``j`` whose demand shape no machine
-        dominates ends the plan, charged ``j + 1`` (one unit per mover
-        looked at, the planner's own rule).  Exclusions and
-        reservations only ever *shrink* a mover's admissible set, so
-        the sequential planner below would have failed at ``j`` or
-        earlier — same ``None``, no state touched — after paying a
-        blacklist evaluation for every live mover ahead of it.
+        planned (:meth:`ResidentLedger.live`, one boolean per shape):
+        the first mover ``j`` whose demand shape no machine dominates
+        ends the plan, charged ``j + 1`` (one unit per mover looked at,
+        the planner's own rule).  Exclusions and reservations only ever
+        *shrink* a mover's admissible set, so the sequential planner
+        below would have failed at ``j`` or earlier — same ``None``, no
+        state touched — after paying a blacklist evaluation for every
+        live mover ahead of it.  Consolidation never hands over a dead
+        prefix (its walk screens for the same thing); blocker migration
+        and preemption do.
 
         **Plan.**  The legacy loop recomputes a full admit mask and
         copies the whole ``available`` matrix per mover to apply
@@ -653,16 +793,10 @@ class RescueKernel:
         screen is.
         """
         state = planner.state
-        self._sync_memos(state)
-        live = self._live
+        live = self.ledger.live(state)
+        shape_ids = row.shape_ids
         for j, i in enumerate(mover_rows):
-            shape = row.shape_keys[i]
-            alive = live.get(shape)
-            if alive is None:
-                alive = live[shape] = bool(
-                    self.dominance.dominance_mask(state, row.demands[i]).any()
-                )
-            if not alive:
+            if not live[shape_ids[i]]:
                 out.explored += j + 1
                 return None
         movers = [row.containers[i] for i in mover_rows]

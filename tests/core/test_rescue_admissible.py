@@ -223,27 +223,60 @@ def churn(stream, state, engine, after_tick=None):
             after_tick(tick)
 
 
+def count_screen_rejections(kernel, n, rejected=None):
+    """Rebind the kernel's two walk screens so ``n["rejected"]`` counts
+    the positions they reject; ``rejected`` (if given) holds the machine
+    ids the running walk's screen rejected, and is emptied when the walk
+    returns."""
+    for name in ("_consolidation_screen", "_preemption_screen"):
+        screen = getattr(kernel, name)
+
+        def screened(state, order, *args, _screen=screen):
+            passing = _screen(state, order, *args)
+            n["rejected"] += order.size - passing.size
+            if rejected is not None:
+                rejected.update(np.delete(order, passing).tolist())
+            return passing
+
+        setattr(kernel, name, screened)
+    if rejected is not None:
+        for name in ("_consolidate", "_preempt"):
+            walk = getattr(kernel, name)
+
+            def walked(*args, _walk=walk):
+                try:
+                    return _walk(*args)
+                finally:
+                    rejected.clear()
+
+            setattr(kernel, name, walked)
+
+
 def test_blacklist_evaluations_bounded_by_misses_that_found_room():
     """Over a seeded tight churn the kernel evaluates the blacklist at
     most once per admissible-memo miss whose Equation 6 mask was
     non-empty, plus once per rescue (``rescue_plan`` needs the blocked
     container's own mask).  That the no-room queries — most of them on
-    a tight pool — never reach the admit query at all is the relocation
-    planner's screen: no ``_admissible_ids`` call made from inside
-    ``_plan_relocations`` comes back with the empty Equation 6 answer,
-    and the sequential planner body (entered iff the plan asks for at
-    least one admissible list) runs fewer than twice per rescue
-    attempt.  Without the screen every plan enters it: 13 bodies per
-    attempt on this churn (1,175 for 90 attempts, 1,061 of them ending
-    on an empty Equation 6 answer), ~78 at full scale."""
+    a tight pool — never reach the admit query at all is the screens':
+    the walks reject, from the resident table, every machine whose
+    covering mover prefix holds a shape nothing dominates (more than
+    five positions per attempt here), the relocation planner ends any
+    other set holding one, so no ``_admissible_ids`` call made from
+    inside ``_plan_relocations`` comes back with the empty Equation 6
+    answer, and the sequential planner body (entered iff the plan asks
+    for at least one admissible list) runs fewer than twice per rescue
+    attempt.  Without the planner's screen every plan enters it: 13
+    bodies per attempt on this churn (1,175 for 90 attempts, 1,061 of
+    them ending on an empty Equation 6 answer), ~78 at full scale."""
     stream, state, engine = tight_pool(n_apps=90, churn_ticks=8)
     kernel = engine.rescue_kernel
     n = {
         "in_rescue": 0, "in_admissible": 0, "in_plan": 0, "forbidden": 0,
-        "misses": 0, "misses_with_room": 0,
+        "misses": 0, "misses_with_room": 0, "rejected": 0,
         "plans": 0, "bodies": 0, "dead_in_plan": 0,
     }
     count_calls(state, "forbidden_mask", n, "forbidden", gate="in_rescue")
+    count_screen_rejections(kernel, n)
 
     def scoped(name, flag):
         original = getattr(kernel, name)
@@ -299,28 +332,71 @@ def test_blacklist_evaluations_bounded_by_misses_that_found_room():
     rescues = kernel.invocations - invocations_before
 
     assert rescues > 0 and n["misses_with_room"] > 0, "churn never rescued"
-    assert n["plans"] > 5 * rescues, "the pool is not tight: few plans fail"
+    assert n["rejected"] > 5 * rescues, "the pool is not tight: few dead walks"
     assert n["dead_in_plan"] == 0
     assert 0 < n["bodies"] < 2 * rescues
     assert n["forbidden"] <= n["misses_with_room"] + rescues
+
+
+#: ``rescue_machines_scanned`` over the churn below, before the walks
+#: screened: every position up to and including the success, or the
+#: whole walk — the count a screen must leave alone
+SCANNED_BEFORE_THE_WALK_SCREENS = 3807
+
+
+def test_walks_plan_only_where_the_screen_passes():
+    """The walks read residents only where a plan can start.  Over the
+    seeded tight churn the relocation planner is entered at most 1.5
+    times per rescue attempt (84 for 90; 1,175 before the walks
+    screened, when consolidation handed it every covering prefix), never
+    for a machine the running walk's screen rejected, and the strategy
+    walks are charged exactly the positions they were charged before."""
+    stream, state, engine = tight_pool(n_apps=90, churn_ticks=8)
+    kernel = engine.rescue_kernel
+    rejected: set[int] = set()
+    n = {"rejected": 0, "plans": 0, "on_rejected": 0, "attempts": 0,
+         "scanned": 0}
+    count_screen_rejections(kernel, n, rejected)
+    plan_relocations = kernel._plan_relocations
+
+    def counted_plan_relocations(planner, row, mover_rows, exclude, out):
+        n["plans"] += 1
+        n["on_rejected"] += exclude in rejected
+        return plan_relocations(planner, row, mover_rows, exclude, out)
+
+    kernel._plan_relocations = counted_plan_relocations
+    rescue_plan = kernel.rescue_plan
+
+    def counted_rescue_plan(*args):
+        out = rescue_plan(*args)
+        n["attempts"] += 1
+        n["scanned"] += out.scanned
+        return out
+
+    kernel.rescue_plan = counted_rescue_plan
+    churn(stream, state, engine)
+
+    assert n["attempts"] == 90 and n["rejected"] > 0
+    assert n["plans"] <= 1.5 * n["attempts"]
+    assert n["on_rejected"] == 0
+    assert n["scanned"] == SCANNED_BEFORE_THE_WALK_SCREENS
 
 
 # ----------------------------------------------------------------------
 # the memos: one version window, in memory and in the snapshot
 # ----------------------------------------------------------------------
 def memo_size(kernel):
-    return (
-        len(kernel._admissible) + len(kernel._plans) + len(kernel._failures)
-    )
+    """Entries in the kernel's two version-window memos."""
+    return len(kernel._admissible) + len(kernel._failures)
 
 
 def test_memos_stay_bounded_over_a_long_churn():
     """200 churn ticks (6,000 scheduling rounds, ~2,800 rescues) on one
-    engine: the version-keyed memos hold what one version window put
-    there, so their size after the second hundred ticks is what it was
-    after the first — before they were bounded every (app, shape), plan
-    and failure key ever seen stayed (6,518 entries at the end of this
-    very churn)."""
+    engine: the two version-keyed memos (admissible ids, failed rescues)
+    hold what one version window put there, so their size after the
+    second hundred ticks is what it was after the first — before they
+    were bounded every (app, shape), plan and failure key ever seen
+    stayed (6,518 entries at the end of this very churn)."""
     stream, state, engine = tight_pool(n_apps=60, churn_ticks=200)
     kernel = engine.rescue_kernel
     sizes = []
@@ -373,9 +449,12 @@ def full_small_state():
 
 def test_checkpoint_image_reads_both_ways():
     """The payload keeps the per-entry ``(version, ...)`` form: an image
-    written here restores the charged memos, and an image in the older,
-    unbounded form — entries of many versions, most of them dead — is
-    cut down to the live ones on restore and replays the same charges."""
+    written here restores the charged memo (failed rescues; it carries
+    no plan or liveness memo, the kernel has neither), and an image in
+    an older form — entries of many versions, most of them dead, plus
+    the relocation-plan and liveness memos kernels used to write — is
+    cut down to the live failures on restore and replays the same
+    charges."""
     state = full_small_state()
     kernel = RescueKernel()
     planner, blocked, demand, first = failed_rescue(state, kernel)
@@ -384,23 +463,24 @@ def test_checkpoint_image_reads_both_ways():
     assert image["failures"] and all(
         entry[0] == version for entry in image["failures"].values()
     )
-    assert all(entry[0] == version for entry in image["plans"].values())
+    assert set(image) == {"dominance", "failures", "invocations"}
 
     # what a snapshot written before the memos were bounded looks like
     older = dict(image)
     older["failures"] = dict(image["failures"])
-    older["plans"] = dict(image["plans"])
     older["failures"][(7, b"stale", True, False, None)] = (
         version - 3, first.failure, 11, 13,
     )
-    older["plans"][("c", 5, 2)] = (version - 1, None)
+    older["plans"] = {("c", 5, 2): (version - 1, None), ("b", 0, 4): (
+        version, None,
+    )}
+    older["live"] = {demand.tobytes(): (version, False)}
 
     for payload in (image, older):
         restored = RescueKernel()
         restored.restore(payload, state)
         assert restored._memo_stamp == (state.state_uid, version)
         assert set(restored._failures) == set(image["failures"])
-        assert set(restored._plans) == set(image["plans"])
         replay = RescuePlanner(
             state, planner.config, kernel=restored
         ).rescue(blocked, demand)

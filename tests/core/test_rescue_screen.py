@@ -1,10 +1,14 @@
-"""The relocation planner's Equation-6 screen against the unscreened planner.
+"""The rescue kernel's Equation-6 screens against the unscreened code.
 
 ``RescueKernel._plan_relocations`` asks, before it plans any mover,
 whether any machine dominates each mover's demand shape; the first
 mover nobody dominates ends the plan.  The planner body it stands in
 front of is copied here (:func:`unscreened_plan_relocations`) as the
-oracle.  Three contracts:
+oracle.  The consolidation and preemption walks screen their whole
+candidate order at once from the resident ledger's table; their oracle
+is the per-machine test the walks used to make position by position
+(:func:`loop_consolidation_verdict`, :func:`loop_preemption_fits`).
+Four contracts:
 
 * **per plan** — same moves, or the same ``None``; the ``explored``
   charge is the oracle's unless the oracle failed at a *live* mover
@@ -19,7 +23,13 @@ oracle.  Three contracts:
   walk as the engine with the screen;
 * **across a snapshot** — restoring engine and state at every round
   boundary changes nothing, ``explored`` included, and a snapshot
-  written before the kernel had a screen still restores.
+  written before the kernel had a screen, or before the walks screened,
+  still restores;
+* **per walk position** — the consolidation screen's verdict is the
+  loop's, the preemption screen never rejects a machine the loop would
+  plan on (non-dyadic demands whose sums depend on order included), and
+  the liveness vector is Equation 6 per shape, while the state is
+  mutated under one kernel.
 
 Round-level ``explored`` is compared as a total only: a failed rescue's
 charges are replayed from the failure memo (so one plan's extra units
@@ -42,10 +52,12 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.state import ClusterState, dominates
 from repro.cluster.topology import build_cluster
 from repro.core import AladdinConfig, AladdinScheduler
-from repro.core.migration import RescueOutcome, RescuePlanner
-from repro.core.rescuekernel import RescueKernel
+from repro.core.migration import RescueOutcome, RescuePlanner, _rack_blocked
+from repro.core.rescuekernel import ResidentLedger, RescueKernel
+from repro.sim.faults import fail_machines, machine_is_down, repair_machines
 from tests.core.test_blacklist import PROBE_APP, RULE_PAIRS, scoped_constraints
 from tests.core.test_rescue_admissible import tight_pool
+from tests.core.test_rescuekernel import run_pair
 
 
 def unscreened_plan_relocations(
@@ -141,32 +153,86 @@ MACHINE = st.integers(0, N_MACHINES - 1)
 CONTAINER_ID = st.integers(0, 23)
 CPU = st.sampled_from((2.0, 3.0, 5.0))
 PRIORITY = st.integers(0, 2)
-OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("deploy"), PROBE_APP, st.lists(MACHINE, max_size=3), CPU,
-            PRIORITY,
-        ),
-        # one container on every machine with room: what fills the pool
-        # until the larger shapes fit nowhere
-        st.tuples(
-            st.just("deploy"), PROBE_APP, st.just(range(N_MACHINES)), CPU,
-            PRIORITY,
-        ),
-        st.tuples(st.just("migrate"), CONTAINER_ID, MACHINE),
-        st.tuples(st.just("evict"), CONTAINER_ID),
-        st.tuples(st.just("rule"), PROBE_APP, PROBE_APP),
-        st.tuples(st.just("check")),
-    ),
-    max_size=30,
-)
 
 
-def small_topology():
+def small_pool_ops(cpu, *extra):
+    """Mutation sequences for :func:`apply_op`, ``check`` marking where
+    the property is asked."""
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("deploy"), PROBE_APP, st.lists(MACHINE, max_size=3),
+                cpu, PRIORITY,
+            ),
+            # one container on every machine with room: what fills the
+            # pool until the larger shapes fit nowhere
+            st.tuples(
+                st.just("deploy"), PROBE_APP, st.just(range(N_MACHINES)), cpu,
+                PRIORITY,
+            ),
+            st.tuples(st.just("migrate"), CONTAINER_ID, MACHINE),
+            st.tuples(st.just("evict"), CONTAINER_ID),
+            st.tuples(st.just("rule"), PROBE_APP, PROBE_APP),
+            st.tuples(st.just("check")),
+            *extra,
+        ),
+        max_size=30,
+    )
+
+
+OPS = small_pool_ops(CPU)
+
+
+def small_topology(cpu=8.0):
     return build_cluster(
-        N_MACHINES, machine=MachineSpec(cpu=8.0, mem_gb=16.0),
+        N_MACHINES, machine=MachineSpec(cpu=cpu, mem_gb=2.0 * cpu),
         machines_per_rack=2,
     )
+
+
+def apply_op(state, rack_scoped, op, next_id):
+    """One small-pool mutation (refused migrations and rules added after
+    the residents they bind included); returns the next container id."""
+    if op[0] == "deploy":
+        _, app, machines, cpu, priority = op
+        demand = np.array([cpu, 2.0 * cpu])
+        for machine in machines:
+            if next_id < 24 and state.fits(demand, machine):
+                state.deploy(
+                    Container(
+                        container_id=next_id, app_id=app, instance=0,
+                        cpu=cpu, mem_gb=2.0 * cpu, priority=priority,
+                    ),
+                    machine,
+                    force=True,
+                )
+                next_id += 1
+    elif op[0] == "migrate":
+        _, cid, machine = op
+        if cid in state.assignment:
+            try:
+                state.migrate(cid, machine)
+            except ValueError:
+                pass  # refused: rolled back, version moved on
+    elif op[0] == "evict":
+        if op[1] in state.assignment:
+            state.evict(op[1])
+    elif op[0] == "evict_block":
+        state.evict_block([cid for cid in op[1] if cid in state.assignment])
+    elif op[0] == "fail":
+        if not machine_is_down(state, op[1]):
+            fail_machines(state, [op[1]])
+    elif op[0] == "repair":
+        if machine_is_down(state, op[1]):
+            repair_machines(state, [op[1]])
+    elif op[0] == "rule":
+        _, a, b = op
+        scope = "rack" if a == b and a in rack_scoped else "machine"
+        state.constraints.add_rule(AntiAffinityRule(a, b), scope=scope)
+        # a rule does not move the state's version; the kernel's
+        # admit memo is per version, so move it like a commit would
+        state.touch(0)
+    return next_id
 
 
 def mover_sets(kernel, state, row):
@@ -216,39 +282,10 @@ def test_screen_agrees_with_the_oracle_on_every_mover_set(
     kernel = RescueKernel()
     next_id = 0
     for op in ops:
-        if op[0] == "deploy":
-            _, app, machines, cpu, priority = op
-            demand = np.array([cpu, 2.0 * cpu])
-            for machine in machines:
-                if next_id < 24 and state.fits(demand, machine):
-                    state.deploy(
-                        Container(
-                            container_id=next_id, app_id=app, instance=0,
-                            cpu=cpu, mem_gb=2.0 * cpu, priority=priority,
-                        ),
-                        machine,
-                        force=True,
-                    )
-                    next_id += 1
-        elif op[0] == "migrate":
-            _, cid, machine = op
-            if cid in state.assignment:
-                try:
-                    state.migrate(cid, machine)
-                except ValueError:
-                    pass  # refused: rolled back, version moved on
-        elif op[0] == "evict":
-            if op[1] in state.assignment:
-                state.evict(op[1])
-        elif op[0] == "rule":
-            _, a, b = op
-            scope = "rack" if a == b and a in rack_scoped else "machine"
-            constraints.add_rule(AntiAffinityRule(a, b), scope=scope)
-            # a rule does not move the state's version; the kernel's
-            # admit memo is per version, so move it like a commit would
-            state.touch(0)
-        else:
+        if op[0] == "check":
             check_every_mover_set(kernel, state)
+        else:
+            next_id = apply_op(state, rack_scoped, op, next_id)
     check_every_mover_set(kernel, state)
 
 
@@ -289,10 +326,10 @@ def test_full_pool_every_set_with_a_large_mover_is_dead():
     # three movers looked at, nobody's blacklist evaluated
     assert kernel._plan_relocations(planner, row, [2, 1, 0], 0, out) is None
     assert out.explored == 3 and forbidden_calls == []
-    assert kernel._live == {
-        row.shape_keys[2]: True, row.shape_keys[1]: True,
-        row.shape_keys[0]: False,
-    }
+    # the liveness vector: one boolean per interned shape, and the pad
+    live = kernel.ledger.live(state)
+    assert [live[row.shape_ids[i]] for i in (2, 1, 0)] == [True, True, False]
+    assert len(live) == 4 and not live[-1]
     out = RescueOutcome()
     moves = kernel._plan_relocations(planner, row, [2, 1], 0, out)
     assert [(c.container_id, m) for c, m in moves] == [(2, 1), (1, 2)]
@@ -368,10 +405,14 @@ def assert_engines_agree(offered, min_rescues):
 
 
 def test_tight_churn_engine_with_screen_matches_engine_with_oracle():
-    """1.06× offered: most plans end at the screen, a few of them one
-    the oracle would have ended earlier, at a reservation."""
+    """1.06× offered.  The consolidation walk hands the planner only
+    prefixes of live shapes (its own screen rejects the rest, charged
+    their visit and nothing else), so a plan is charged more than the
+    oracle would charge only when a blocker or victim set holds a dead
+    shape behind a live mover the oracle runs out of targets for — on
+    this churn, never."""
     plans = assert_engines_agree(offered=OFFERED_LOAD, min_rescues=50)
-    assert 0 < plans["dearer"] < 0.05 * plans["made"]
+    assert plans["dearer"] == 0
 
 
 def test_loose_churn_engine_with_screen_matches_engine_with_oracle():
@@ -418,9 +459,10 @@ def run_rounds(restore_every_round):
 def test_restoring_at_every_round_boundary_changes_nothing():
     """Snapshot + restore before every scheduling round of the tight
     churn — every tick boundary, and every boundary inside a tick, where
-    a failed rescue's memos (liveness included) are still live at the
-    restored version: placements, failure reasons, rescue counters and
-    ``explored`` repeat the uninterrupted run round for round."""
+    a failed rescue's memo is still live at the restored version (the
+    ledger, its table and the liveness vector are rebuilt):
+    placements, failure reasons, rescue counters and ``explored`` repeat
+    the uninterrupted run round for round."""
     expected, straight = run_rounds(restore_every_round=False)
     trail, resumed = run_rounds(restore_every_round=True)
     assert sum(counters[2] for *_, counters in expected) > 30
@@ -431,32 +473,72 @@ def test_restoring_at_every_round_boundary_changes_nothing():
     )
 
 
-def test_snapshot_written_before_the_screen_still_restores():
-    """An image without a ``live`` entry (what the kernel wrote before
-    it had a screen) restores; the shapes are simply asked again."""
-    stream, state, engine = tight_pool(60, 2)
-    for block in rounds(stream, [state]):
-        engine.schedule(block, state)
-    kernel = engine.rescue_kernel
-    image = kernel.checkpoint()
+def older_kernel_image(image, state, with_live):
+    """``image`` in the form a kernel with a relocation-plan memo wrote:
+    a ``plans`` entry (failed consolidation and blocker plans, tagged
+    with their version), and — once the planner screened — a ``live``
+    entry per resident demand shape."""
     version = state.version
-    assert all(stored == version for stored, _ in image["live"].values())
-    older = {key: value for key, value in image.items() if key != "live"}
-    restored = RescueKernel()
-    restored.restore(older, state)
-    assert restored._live == {}
-    assert restored._plans == kernel._plans
-    assert restored._failures == kernel._failures
-    restored.restore(image, state)
-    assert restored._live == kernel._live
+    older = dict(image)
+    older["plans"] = {
+        ("c", machine, 1): (version, None) for machine in range(3)
+    }
+    older["plans"][("b", 0, 7)] = (version - 1, None)
+    if with_live:
+        older["live"] = {}
+        for c in state.deployed_containers(0):
+            demand = c.demand_vector(state.topology.resources)
+            alive = bool(dominates(state.available, demand).any())
+            older["live"][demand.tobytes()] = (version, alive)
+    return older
+
+
+def test_snapshot_written_before_the_screen_still_restores():
+    """Images written before the planner screened (a ``plans`` memo, no
+    ``live``) and before the walks screened (``plans`` and ``live``)
+    restore: both entries are ignored — nothing replays a plan, and
+    liveness is derived from the state — and an engine restored from
+    either, in the middle of a tight churn, makes the uninterrupted
+    run's placements, failures and rescue counters to the end."""
+    expected, _ = run_rounds(restore_every_round=False)
+    for with_live in (False, True):
+        stream, state, engine = tight_pool(60, 6)
+        trail = []
+        for i, block in enumerate(rounds(stream, [state])):
+            if i == len(expected) // 2:
+                image = engine.checkpoint()
+                image["rescue_kernel"] = older_kernel_image(
+                    image["rescue_kernel"], state, with_live
+                )
+                engine = AladdinScheduler.from_checkpoint(image, state)
+                kernel = engine.rescue_kernel
+                assert not hasattr(kernel, "_plans")
+                assert kernel._failures == {
+                    key: tuple(verdict)
+                    for key, (stored, *verdict) in image["rescue_kernel"][
+                        "failures"
+                    ].items()
+                    if stored == state.version
+                }
+            result = engine.schedule(block, state)
+            trail.append(
+                (result.placements, result.undeployed, rescue_counters(result))
+            )
+        assert trail == [
+            (placements, undeployed, counters)
+            for placements, undeployed, _, counters in expected
+        ]
 
 
 def test_liveness_memo_survives_a_snapshot_with_its_charges():
-    """Why the memo is in the image: the dominance cache stores a shape
-    on its second sighting, so a restored kernel that had to ask a
-    screened shape again — same version, same answer — would be charged
-    a one-machine resync where the uninterrupted kernel is charged the
-    whole scan when that shape is next rescued."""
+    """The dominance cache stores a shape on its second sighting, so a
+    screen that asked it — as the planner's did when liveness was a memo
+    filled by ``dominance_mask`` — would make a restored kernel that
+    asks a screened shape again be charged a one-machine resync where
+    the uninterrupted kernel is charged the whole scan when that shape
+    is next rescued.  Liveness is now derived from ``available`` and
+    never touches the cache, so a snapshot between two screens changes
+    no charge."""
     blocked = Container(
         container_id=99, app_id=7, instance=0, cpu=3.0, mem_gb=6.0,
     )
@@ -483,3 +565,265 @@ def test_liveness_memo_survives_a_snapshot_with_its_charges():
             (out.machine_id, out.failure, out.scanned, out.explored)
         )
     assert outcomes[0] == outcomes[1]
+
+
+# ----------------------------------------------------------------------
+# (d) the walks' screens against the loop's per-machine tests
+# ----------------------------------------------------------------------
+def loop_consolidation_verdict(state, row, shortfall, mover_limit):
+    """Whether the consolidation walk, position by position as it was
+    before it screened, reached a plan body here: the minimal covering
+    mover prefix exists, fits ``mover_limit``, and holds no shape that
+    no machine dominates (the planner's screen)."""
+    k = len(row.containers)
+    if k == 0:
+        return False
+    movers_needed = 1
+    for d in range(shortfall.size):
+        if shortfall[d] > 0.0:
+            idx = int(row.sorted_cum[:, d].searchsorted(shortfall[d], "left"))
+            if idx >= k:
+                return False
+            movers_needed = max(movers_needed, idx + 1)
+    if movers_needed > mover_limit:
+        return False
+    return all(
+        dominates(state.available, row.demands[i]).any()
+        for i in row.by_prio_cpu[:movers_needed]
+    )
+
+
+def loop_preemption_fits(state, machine_id, app_id, demand, priority):
+    """Whether ``RescuePlanner._preempt`` reaches its plan on
+    ``machine_id``: no equal-or-higher blocker, no rack-mate conflict,
+    and its victims — blockers first, then lower-priority residents in
+    (priority, cpu) order until the machine fits — free enough."""
+    cs = state.constraints
+    resources = state.topology.resources
+    residents = state.deployed_containers(machine_id)
+    victims = [c for c in residents if cs.violates(app_id, c.app_id)]
+    if any(c.priority >= priority for c in victims):
+        return False
+    if _rack_blocked(state, app_id, machine_id):
+        return False
+    avail = state.available[machine_id]
+    freed = sum(
+        (v.demand_vector(resources) for v in victims), np.zeros_like(demand)
+    )
+    if not ((avail + freed) >= demand).all():
+        lower = sorted(
+            (c for c in residents if c.priority < priority and c not in victims),
+            key=lambda c: (c.priority, c.cpu),
+        )
+        for extra in lower:
+            freed = freed + extra.demand_vector(resources)
+            if ((avail + freed) >= demand).all():
+                break
+    return bool(((avail + freed) >= demand).all())
+
+
+def loop_victim_demand(state, machine_id, app_id, priority):
+    """The demand the preemption loop frees *exactly*, in its own float
+    order, when it takes every victim it may: free resources plus the
+    blockers, then the other lower-priority residents."""
+    cs = state.constraints
+    resources = state.topology.resources
+    residents = state.deployed_containers(machine_id)
+    blockers = [c for c in residents if cs.violates(app_id, c.app_id)]
+    lower = sorted(
+        (c for c in residents if c.priority < priority and c not in blockers),
+        key=lambda c: (c.priority, c.cpu),
+    )
+    freed = np.zeros(len(resources))
+    for victim in blockers + lower:
+        freed = freed + victim.demand_vector(resources)
+    return state.available[machine_id] + freed
+
+
+def assert_table_is_the_rows(ledger, state):
+    """Every table row is the machine's row, rebuilt from scratch, in
+    (priority, cpu) order, padded with at least one dead pad."""
+    table = ledger.table(state)
+    fresh = ResidentLedger()
+    for machine_id in range(state.n_machines):
+        row = fresh.row(state, machine_id)
+        k = len(row.containers)
+        order = row.by_prio_cpu
+        assert table.width > k
+        shapes = [ledger._shapes[s] for s in table.shape_ids[machine_id, :k]]
+        assert np.array_equal(
+            np.array(shapes).reshape(row.demands.shape), row.demands[order]
+        )
+        assert table.priorities[machine_id, :k].tolist() == [
+            row.priorities[i] for i in order
+        ]
+        assert np.array_equal(table.sorted_cum[machine_id, :k], row.sorted_cum)
+        assert (table.shape_ids[machine_id, k:] == -1).all()
+    return fresh
+
+
+def check_walk_screens(kernel, state):
+    """Both vector screens at every position of a walk over the whole
+    pool, for probe demands, the covering-prefix boundaries of every
+    machine, and the exact sums the preemption loop frees."""
+    ledger = kernel.ledger
+    fresh = assert_table_is_the_rows(ledger, state)
+    live = ledger.live(state)
+    assert live.tolist() == [
+        bool(dominates(state.available, shape).any())
+        for shape in ledger._shapes
+    ] + [False]
+
+    n = state.n_machines
+    order = np.array([2, 0, 3, 1])
+    rows = [fresh.row(state, m) for m in order.tolist()]
+    probes = [np.array([cpu, 2.0 * cpu]) for cpu in (0.1, 0.7, 1.1, 2.0, 4.0)]
+    probes += [
+        state.available[m] + cum
+        for m, row in zip(order.tolist(), rows)
+        for cum in row.sorted_cum
+    ]
+    for demand in probes:
+        shortfalls = demand - state.available[order]
+        for limit in (0, 1, 2, n):
+            passing = kernel._consolidation_screen(
+                state, order, shortfalls, limit
+            ).tolist()
+            assert passing == [
+                pos for pos, row in enumerate(rows)
+                if loop_consolidation_verdict(
+                    state, row, shortfalls[pos], limit
+                )
+            ]
+
+    for priority in (1, 3):
+        for app in range(5):
+            demands = probes[:5] + [
+                loop_victim_demand(state, m, app, priority)
+                for m in order.tolist()
+            ]
+            for demand in demands:
+                passing = set(
+                    kernel._preemption_screen(
+                        state, order, demand, priority
+                    ).tolist()
+                )
+                for pos, machine_id in enumerate(order.tolist()):
+                    if loop_preemption_fits(
+                        state, machine_id, app, demand, priority
+                    ):
+                        assert pos in passing, (machine_id, app, demand)
+
+
+FRACTIONAL_CPU = st.sampled_from((0.1, 0.3, 0.7, 1.1))
+WALK_OPS = small_pool_ops(
+    FRACTIONAL_CPU,
+    st.tuples(st.just("evict_block"), st.lists(CONTAINER_ID, max_size=4)),
+    st.tuples(st.just("fail"), MACHINE),
+    st.tuples(st.just("repair"), MACHINE),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RULE_PAIRS, st.sets(PROBE_APP), WALK_OPS)
+def test_walk_screens_agree_with_the_loop_at_every_position(
+    rules, rack_scoped, ops
+):
+    """Four 2-CPU machines filled with 0.1 / 0.3 / 0.7 / 1.1-CPU
+    residents (sums that depend on the order they are added in), one
+    long-lived kernel, the state mutated between checks — deploys,
+    migrations, evictions one by one and in blocks, machines failed and
+    repaired, rules added late: the table holds every machine's row,
+    the liveness vector is Equation 6 per shape, the consolidation
+    screen keeps exactly the positions the loop planned at, and the
+    preemption screen keeps every position the loop would plan on."""
+    state = ClusterState(
+        small_topology(cpu=2.0), scoped_constraints(rules, rack_scoped)
+    )
+    kernel = RescueKernel()
+    next_id = 0
+    for op in ops:
+        if op[0] == "check":
+            check_walk_screens(kernel, state)
+        else:
+            next_id = apply_op(state, rack_scoped, op, next_id)
+    check_walk_screens(kernel, state)
+
+
+def test_preemption_screen_keeps_a_fit_that_depends_on_summation_order():
+    """An 8-CPU machine hosting a 1.1-CPU blocker and 0.1 / 0.3-CPU
+    lower-priority residents: the loop adds the blocker first and frees
+    a hair more than the (priority, cpu) prefix sum, so a demand equal
+    to what the loop frees fits the loop and falls short of the exact
+    screen sum — the slack keeps the machine, and the rescue preempts
+    on it exactly as the legacy planner does."""
+
+    def build():
+        state = ClusterState(
+            build_cluster(1, machine=MachineSpec(cpu=8.0, mem_gb=16.0)),
+            ConstraintSet([AntiAffinityRule(0, 1)]),
+        )
+        for cid, (app, cpu) in enumerate(((1, 1.1), (2, 0.1), (3, 0.3))):
+            state.deploy(
+                Container(
+                    container_id=cid, app_id=app, instance=0, cpu=cpu,
+                    mem_gb=2.0 * cpu,
+                ),
+                0,
+            )
+        return state
+
+    state = build()
+    demand = loop_victim_demand(state, 0, app_id=0, priority=1)
+    in_prefix_order = np.cumsum(
+        [[0.1, 0.2], [0.3, 0.6], [1.1, 2.2]], axis=0
+    )[-1]
+    assert not (state.available[0] + in_prefix_order >= demand).all()
+    assert loop_preemption_fits(state, 0, 0, demand, priority=1)
+    kernel = RescueKernel()
+    assert kernel._preemption_screen(state, np.array([0]), demand, 1).tolist() == [0]
+
+    blocked = Container(
+        container_id=9, app_id=0, instance=0, cpu=float(demand[0]),
+        mem_gb=float(demand[1]), priority=1,
+    )
+    assert np.array_equal(
+        blocked.demand_vector(state.topology.resources), demand
+    )
+    _, outcome, _ = run_pair(build, blocked)
+    assert outcome.ok and len(outcome.preempted) == 3
+
+
+def test_a_row_wider_than_the_table_widens_it():
+    """The table is as wide as its widest row plus a pad; a machine that
+    later holds more residents than that widens it, and the verdicts
+    stay the loop's."""
+    state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
+    kernel = RescueKernel()
+    next_id = apply_op(state, (), ("deploy", 0, range(N_MACHINES), 0.3, 0), 0)
+    width = kernel.ledger.table(state).width
+    assert width == 2
+    for cpu in (0.1, 0.7, 0.1, 0.3):
+        next_id = apply_op(state, (), ("deploy", 1, [0], cpu, 1), next_id)
+    assert kernel.ledger.table(state).width == 6
+    check_walk_screens(kernel, state)
+
+
+def test_a_compacted_dirty_log_rebuilds_every_row():
+    """A mutation the ledger never saw because the log was compacted
+    past its version: every row, the table and the shape ids are
+    rebuilt, never left stale."""
+    state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
+    kernel = RescueKernel()
+    next_id = 0
+    for cpu in (0.3, 0.7, 0.1):
+        next_id = apply_op(
+            state, (), ("deploy", 0, range(N_MACHINES), cpu, 0), next_id
+        )
+    kernel.ledger.table(state)
+    builds = kernel.ledger.builds
+    state.evict(2)  # a resident of machine 2
+    state.touch_block(np.zeros(state._log_limit, dtype=np.int64))
+    assert state.dirty_array_since(state.version - state._log_limit) is None
+    check_walk_screens(kernel, state)
+    assert kernel.ledger.builds == builds + N_MACHINES

@@ -280,3 +280,17 @@ class TestKernelBookkeeping:
         assert kernel.invocations == 2
         # Machines untouched by the first rescue keep their rows.
         assert kernel.ledger.builds < 2 * builds_after_first
+
+    def test_rescue_on_a_cluster_with_no_resident(self):
+        """Nothing deployed anywhere and a container no machine fits:
+        both walks screen an all-pad table (no shape interned, one pad
+        column) and every strategy fails as the loop's does."""
+        def build():
+            return make_state([], n_machines=3, cpu=8.0)
+
+        big = container(0, app=0, cpu=12, prio=2)
+        legacy, kern, kernel = run_pair(build, big)
+        assert not kern.ok and kern.failure is FailureReason.RESOURCES
+        assert kern.scanned == legacy.scanned > 0
+        assert kernel.ledger.table(build()).width == 1
+        assert kernel.ledger.live(build()).tolist() == [False]
