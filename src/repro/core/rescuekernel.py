@@ -30,22 +30,28 @@ The kernel re-plans the *same decisions* on the substrate PRs 1–3 built:
   freeable demand in that order — so consolidation's mover prefix is a
   ``searchsorted`` over cumulative freed resources and every strategy
   names its movers as indices into the row, not as re-sorted
-  container lists.  Rows are dropped lazily for machines the dirty
-  log reports as touched; once a walk has asked for it, the ledger
-  also keeps every row at once as a padded :class:`ResidentTable`
-  (shape ids, priorities and cumulative demand in ``(priority, cpu)``
-  order) and rewrites the dirty machines' rows.
+  container lists.  Rows are built only where a walk reads one and
+  dropped lazily for machines the dirty log reports as touched; once a
+  walk has asked for it, the ledger also keeps every machine at once as
+  a padded :class:`ResidentTable` (shape ids, priorities, CPUs and
+  cumulative demand in ``(priority, cpu)`` order), which one batched
+  writer fills: the dirty machines' residents, one stable ``lexsort``
+  and one ``cumsum`` along a zero-padded block per call — bit for bit
+  the rows' own sums, without building a row.
 * **The walks screen** before they read a resident.  Whether any
   machine dominates a shape (Equation 6) is one vector per version
   window over every interned shape (:meth:`ResidentLedger.live`).
   Consolidation keeps exactly the candidates whose covering mover
   prefix fits the mover limit and holds no dead shape — the first dead
   position and one gather of the table's cumulative demand, for the
-  whole walk at once — and preemption keeps the candidates whose free
+  whole walk at once.  Preemption keeps the candidates whose free
   resources plus every strictly lower-priority resident cover the
-  demand (a necessary condition).  Only the survivors are walked
-  resident by resident; ``scanned`` and ``explored`` still charge
-  every position up to and including the success, as the loop does.
+  demand (a necessary condition); of those it decides exactly every
+  machine hosting no blocker, where the victims are a prefix of the
+  table row and Equation 9 is the loop's own ``sum()`` of their
+  weighted flows.  Only the survivors are walked resident by
+  resident; ``scanned`` and ``explored`` still charge every position
+  up to and including the success, as the loop does.
 * **Relocation planning** asks Equation 6 of every mover before it
   plans any: a mover set holding a demand shape no machine dominates
   cannot be relocated whatever is reserved or excluded, so the plan
@@ -127,12 +133,14 @@ class ResidentTable:
     Row ``m`` holds machine ``m``'s residents in ``by_prio_cpu`` order,
     padded to the widest row plus one: the pad's shape id is ``-1``
     (which :meth:`ResidentLedger.live` answers dead), its priority
-    :data:`_PAD_PRIORITY` and its cumulative demand 0.  Every row ends
-    in at least one pad, so "the first dead position" always exists.
+    :data:`_PAD_PRIORITY`, its CPU and cumulative demand 0.  Every row
+    ends in at least one pad, so "the first dead position" always
+    exists.
     """
 
     shape_ids: np.ndarray  # (n, w) intp
     priorities: np.ndarray  # (n, w) int64, nondecreasing along a row
+    cpus: np.ndarray  # (n, w) float64, each resident's own ``cpu``
     sorted_cum: np.ndarray  # (n, w, dims) float64
 
     @classmethod
@@ -140,6 +148,7 @@ class ResidentTable:
         return cls(
             shape_ids=np.full((n_machines, width), -1, dtype=np.intp),
             priorities=np.full((n_machines, width), _PAD_PRIORITY, np.int64),
+            cpus=np.zeros((n_machines, width)),
             sorted_cum=np.zeros((n_machines, width, dims)),
         )
 
@@ -155,18 +164,9 @@ class ResidentTable:
         old = self.width
         grown.shape_ids[:, :old] = self.shape_ids
         grown.priorities[:, :old] = self.priorities
+        grown.cpus[:, :old] = self.cpus
         grown.sorted_cum[:, :old] = self.sorted_cum
         return grown
-
-    def write(self, machine_id: int, row: _Residents) -> None:
-        k = len(row.containers)
-        order = row.by_prio_cpu
-        self.shape_ids[machine_id, :k] = [row.shape_ids[i] for i in order]
-        self.shape_ids[machine_id, k:] = -1
-        self.priorities[machine_id, :k] = [row.priorities[i] for i in order]
-        self.priorities[machine_id, k:] = _PAD_PRIORITY
-        self.sorted_cum[machine_id, :k] = row.sorted_cum
-        self.sorted_cum[machine_id, k:] = 0.0
 
 
 class ResidentLedger:
@@ -177,13 +177,15 @@ class ResidentLedger:
     the same synchronisation discipline as the feasibility cache and
     the machine index.  Once a strategy walk asks for the
     :class:`ResidentTable` (the first consolidation or preemption), the
-    ledger also keeps that table and rewrites the rows of the machines
-    the dirty log reports.  A compacted log or an unfamiliar state
-    instance drops every row and the table; the ledger degrades to
-    rebuilds, never to stale residents.
+    ledger also keeps that table and rewrites, in one batch per call,
+    the table rows of the machines the dirty log reported since.  A
+    compacted log or an unfamiliar state instance drops every row and
+    the table; the ledger degrades to rebuilds, never to stale
+    residents.
 
-    Demand shapes are interned: a row names each resident's shape by a
-    small id, and :meth:`live` answers Equation 6 for every interned
+    Demand shapes are interned by the residents' own floats in
+    ``topology.resources`` order: a row names each resident's shape by
+    a small id, and :meth:`live` answers Equation 6 for every interned
     shape at once.
     """
 
@@ -191,12 +193,12 @@ class ResidentLedger:
         self._state_uid: int | None = None
         self._version: int = -1
         self._rows: dict[int, _Residents] = {}
-        #: demand bytes -> shape id; ``_shapes[id]`` is the demand row
-        self._shape_ids: dict[bytes, int] = {}
-        self._shapes: list[np.ndarray] = []
+        #: demand tuple -> shape id; ``_shapes[id]`` is the demand tuple
+        self._shape_ids: dict[tuple, int] = {}
+        self._shapes: list[tuple] = []
         self._table: ResidentTable | None = None
-        #: machines whose table row predates their last mutation
-        self._stale: set[int] = set()
+        #: per machine: its table row predates its last mutation
+        self._stale = np.zeros(0, dtype=bool)
         #: ``live`` answer and the (state uid, version, shapes) it is for
         self._live_flags = np.zeros(1, dtype=bool)
         self._live_stamp: tuple | None = None
@@ -208,7 +210,6 @@ class ResidentLedger:
         self._shape_ids.clear()
         self._shapes.clear()
         self._table = None
-        self._stale.clear()
         self._live_stamp = None
         self._state_uid = state.state_uid
         self._version = state.version
@@ -224,11 +225,10 @@ class ResidentLedger:
         if dirty is None:
             self._reset(state)
             return
-        dirty = dirty.tolist()
-        for machine_id in dirty:
-            self._rows.pop(machine_id, None)
         if self._table is not None:
-            self._stale.update(dirty)
+            self._stale[dirty] = True
+        for machine_id in dirty.tolist():
+            self._rows.pop(machine_id, None)
         self._version = state.version
 
     def row(self, state: ClusterState, machine_id: int) -> _Residents:
@@ -244,21 +244,87 @@ class ResidentLedger:
         """The (synced) :class:`ResidentTable` of every machine."""
         self.sync(state)
         if self._table is None:
-            rows = [self.row(state, m) for m in range(state.n_machines)]
-            width = 1 + max((len(r.containers) for r in rows), default=0)
             self._table = ResidentTable.empty(
-                state.n_machines, width, len(state.topology.resources)
+                state.n_machines, 1, len(state.topology.resources)
             )
-            for machine_id, row in enumerate(rows):
-                self._table.write(machine_id, row)
-        elif self._stale:
-            for machine_id in self._stale:
-                row = self.row(state, machine_id)
-                if len(row.containers) >= self._table.width:
-                    self._table = self._table.widened(len(row.containers) + 1)
-                self._table.write(machine_id, row)
-            self._stale.clear()
+            self._stale = np.ones(state.n_machines, dtype=bool)
+        stale = np.flatnonzero(self._stale)
+        if stale.size:
+            self._write(state, stale)
+            self._stale[stale] = False
         return self._table
+
+    def _write(self, state: ClusterState, machines: np.ndarray) -> None:
+        """Rewrite the table rows of ``machines`` (ascending) in one pass.
+
+        Their residents are collected in enumeration order, machine by
+        machine, and put in row order by one stable ``lexsort`` on
+        ``(machine, priority, cpu)`` — within a machine exactly the
+        ``by_prio_cpu`` permutation of its ledger row.  The cumulative
+        demand is one ``cumsum`` along the columns of a zero-padded
+        block: each row's own left-to-right additions, so the block is
+        bit for bit the rows' ``sorted_cum``.  No ledger row is built.
+        """
+        containers = [state.deployed_containers(m) for m in machines.tolist()]
+        counts = np.array([len(c) for c in containers], dtype=np.intp)
+        width = int(counts.max()) + 1
+        if width > self._table.width:
+            self._table = self._table.widened(width)
+        table = self._table
+        residents = [c for row in containers for c in row]
+        demands, shape_ids = self._intern(state, residents)
+        priorities = [c.priority for c in residents]
+        cpus = [c.cpu for c in residents]
+        owner = np.repeat(np.arange(machines.size), counts)
+        order = np.lexsort((cpus, priorities, owner))
+        # column of each sorted resident: its rank inside its machine
+        starts = np.cumsum(counts) - counts
+        col = np.arange(order.size) - np.repeat(starts, counts)
+        n, w = machines.size, table.width
+        block_ids = np.full((n, w), -1, dtype=np.intp)
+        block_ids[owner, col] = np.asarray(shape_ids, dtype=np.intp)[order]
+        block_prio = np.full((n, w), _PAD_PRIORITY, dtype=np.int64)
+        block_prio[owner, col] = np.asarray(priorities, dtype=np.int64)[order]
+        block_cpu = np.zeros((n, w))
+        block_cpu[owner, col] = np.asarray(cpus, dtype=np.float64)[order]
+        block_cum = np.zeros((n, w, demands.shape[1]))
+        block_cum[owner, col] = demands[order]
+        block_cum = np.cumsum(block_cum, axis=1)
+        block_cum[np.arange(w) >= counts[:, None]] = 0.0
+        table.shape_ids[machines] = block_ids
+        table.priorities[machines] = block_prio
+        table.cpus[machines] = block_cpu
+        table.sorted_cum[machines] = block_cum
+
+    def _intern(
+        self, state: ClusterState, containers: list[Container]
+    ) -> tuple[np.ndarray, list[int]]:
+        """The ``(k, dims)`` demand matrix of ``containers`` and their
+        interned shape ids.  A shape is the tuple of a resident's own
+        floats in ``topology.resources`` order — the values
+        ``Container.demand_vector`` would stack, without a dict and an
+        array per resident."""
+        keys = list(
+            zip(
+                *[
+                    [getattr(c, name) for c in containers]
+                    for name in state.topology.resources
+                ]
+            )
+        )
+        interned = self._shape_ids
+        shapes = self._shapes
+        shape_ids = []
+        for key in keys:
+            shape = interned.get(key)
+            if shape is None:
+                shape = interned[key] = len(shapes)
+                shapes.append(key)
+            shape_ids.append(shape)
+        demands = np.array(keys, dtype=np.float64).reshape(
+            len(containers), len(state.topology.resources)
+        )
+        return demands, shape_ids
 
     def live(self, state: ClusterState) -> np.ndarray:
         """Equation 6 per interned shape: does any machine dominate it?
@@ -284,28 +350,11 @@ class ResidentLedger:
 
     def _build(self, state: ClusterState, machine_id: int) -> _Residents:
         containers = state.deployed_containers(machine_id)
-        k = len(containers)
-        resources = state.topology.resources
         priorities = [c.priority for c in containers]
-        # One (k, dims) matrix from the residents' own floats in
-        # ``resources`` order: the values ``Container.demand_vector``
-        # would stack, without a dict and an array per resident.
-        demands = np.array(
-            [[getattr(c, name) for name in resources] for c in containers],
-            dtype=np.float64,
-        ).reshape(k, len(resources))
+        demands, shape_ids = self._intern(state, containers)
         # lexsort is stable: equal (priority, cpu) keep enumeration
         # order, exactly like the legacy ``sorted`` call.
         by_prio_cpu = np.lexsort(([c.cpu for c in containers], priorities))
-        interned = self._shape_ids
-        shape_ids = []
-        for demand in demands:
-            key = demand.tobytes()
-            shape = interned.get(key)
-            if shape is None:
-                shape = interned[key] = len(self._shapes)
-                self._shapes.append(demand)
-            shape_ids.append(shape)
         self.builds += 1
         return _Residents(
             containers=containers,
@@ -638,9 +687,7 @@ class RescueKernel:
         bound = max(1, config.migration_candidates) * 4
         order = planner.machine_index.candidates(state, None)[:bound]
         app_id = container.app_id
-        passing = self._preemption_screen(
-            state, order, demand, container.priority
-        )
+        passing = self._preemption_screen(planner, order, container, demand)
         for pos in passing.tolist():
             machine_id = int(order[pos])
             row = self.ledger.row(state, machine_id)
@@ -744,24 +791,93 @@ class RescueKernel:
         return passing[(covered >= shortfalls[passing]).all(axis=1)]
 
     def _preemption_screen(
-        self, state, order: np.ndarray, demand: np.ndarray, priority: int
+        self, planner, order: np.ndarray, container: Container,
+        demand: np.ndarray,
     ) -> np.ndarray:
-        """Positions of ``order`` where preemption might free room.
+        """Positions of ``order`` where preemption can plan.
 
-        A necessary condition: free resources plus every strictly
-        lower-priority resident (a prefix of the (priority, cpu) order,
-        so one gather) cover the demand.  The loop's victims are a
-        subset of those residents, so a machine rejected here fails the
-        loop's fit check or an earlier test — with :data:`_FIT_RTOL`
-        of slack for the different order the loop adds them in.
+        First a necessary condition at every position: free resources
+        plus every strictly lower-priority resident (a prefix of the
+        (priority, cpu) order, so one gather) cover the demand.  The
+        loop's victims are a subset of those residents, so a machine
+        rejected here fails the loop's fit check or an earlier test —
+        with :data:`_FIT_RTOL` of slack, because where a resident blocks
+        the container the loop adds the blockers first.
+
+        Of the survivors, a machine a rack-mate blocks is dropped (the
+        loop's ``continue``), and one hosting no blocker is decided
+        exactly by :meth:`_plans_without_blocker`.  A machine with a
+        blocker keeps the necessary condition: the loop decides it.
         """
+        from repro.core.migration import _rack_blocked
+
+        state = planner.state
         table = self.ledger.table(state)
-        n_lower = (table.priorities[order] < priority).sum(axis=1)
+        n_lower = (table.priorities[order] < container.priority).sum(axis=1)
         room = state.available[order]
         lower = np.flatnonzero(n_lower)
         room[lower] += table.sorted_cum[order[lower], n_lower[lower] - 1]
         slack = _FIT_RTOL * (np.abs(room) + np.abs(demand))
-        return np.flatnonzero((room + slack >= demand).all(axis=1))
+        passing = np.flatnonzero((room + slack >= demand).all(axis=1))
+        # ``_blocker_rows`` from the applications each machine hosts
+        app_id = container.app_id
+        cs = state.constraints
+        own = app_id if cs.has_within(app_id) else None
+        conflicts = cs.conflict_view(app_id)
+        hosted_on = state.machine_apps.get
+        keep = np.ones(passing.size, dtype=bool)
+        clear: list[int] = []
+        for j, machine_id in enumerate(order[passing].tolist()):
+            hosted = hosted_on(machine_id, ())
+            if _rack_blocked(state, app_id, machine_id):
+                keep[j] = False
+            elif own not in hosted and conflicts.isdisjoint(hosted):
+                clear.append(j)
+        if clear:
+            pos = passing[clear]
+            keep[clear] = self._plans_without_blocker(
+                planner, container, demand, table, order[pos], n_lower[pos]
+            )
+        return passing[keep]
+
+    def _plans_without_blocker(
+        self, planner, container: Container, demand: np.ndarray,
+        table: ResidentTable, machines: np.ndarray, n_lower: np.ndarray,
+    ) -> np.ndarray:
+        """Whether the preemption loop plans on each of ``machines``,
+        none of which hosts a blocker of ``container``.
+
+        There the loop's victims are a prefix of the table row: the
+        ``n_lower`` lower-priority residents up to the first column
+        where ``available + sorted_cum`` covers the demand (none if the
+        machine fits already).  ``sorted_cum`` is the loop's
+        ``np.cumsum`` bit for bit, so the fit is exact.  Equation 9 is
+        the loop's own expression — ``sum()`` of the victims' weighted
+        flows in victim order, ``>=`` the container's — never a numpy
+        reduction and never with a tolerance: integer-CPU ties such as
+        1.0 × 24 against 2.0 × 12 are common, and CPython sums floats
+        with compensation from 3.12 on, so only the same ``sum()`` call
+        gives the loop's verdict on every interpreter.
+        """
+        avail = planner.state.available[machines]
+        fits = (
+            (avail[:, None, :] + table.sorted_cum[machines]) >= demand
+        ).all(axis=2)
+        fits &= np.arange(table.width) < n_lower[:, None]
+        fit_now = (avail >= demand).all(axis=1)
+        ok = fit_now | fits.any(axis=1)
+        if not planner.weights:
+            return ok
+        take = np.where(fit_now, 0, fits.argmax(axis=1) + 1).tolist()
+        weight = planner.weights.get
+        flow = planner._weighted_flow(container)
+        priorities = table.priorities[machines].tolist()
+        cpus = table.cpus[machines].tolist()
+        for j in np.flatnonzero(ok).tolist():
+            victims = zip(priorities[j][: take[j]], cpus[j][: take[j]])
+            if sum(weight(p, 1.0) * cpu for p, cpu in victims) >= flow:
+                ok[j] = False
+        return ok
 
     # ------------------------------------------------------------------
     def _plan_relocations(

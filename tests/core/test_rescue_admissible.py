@@ -231,8 +231,9 @@ def count_screen_rejections(kernel, n, rejected=None):
     for name in ("_consolidation_screen", "_preemption_screen"):
         screen = getattr(kernel, name)
 
-        def screened(state, order, *args, _screen=screen):
-            passing = _screen(state, order, *args)
+        # the state (consolidation) or the planner (preemption) first
+        def screened(source, order, *args, _screen=screen):
+            passing = _screen(source, order, *args)
             n["rejected"] += order.size - passing.size
             if rejected is not None:
                 rejected.update(np.delete(order, passing).tolist())
@@ -380,6 +381,89 @@ def test_walks_plan_only_where_the_screen_passes():
     assert n["plans"] <= 1.5 * n["attempts"]
     assert n["on_rejected"] == 0
     assert n["scanned"] == SCANNED_BEFORE_THE_WALK_SCREENS
+
+
+#: ``explored`` over the same churn before the preemption screen decided
+#: machines without a blocker exactly — it removes only positions the
+#: loop passes over without a charge, so this must not move either
+EXPLORED_BEFORE_THE_EXACT_SCREEN = 6362
+
+
+def test_preemption_reads_rows_only_where_a_blocker_or_a_plan_is():
+    """Where no resident blocks the container, the preemption screen
+    decides the machine exactly (Equation 9 included), so the walk reads
+    a resident row only on a machine hosting a blocker or where it
+    plans.  Over the seeded tight churn: 142 rows in 17 preemption
+    walks, every one on a machine with a blocker (384 before, 241 of
+    them on machines hosting none; at full size 460 rows in 382 walks,
+    9,602 before).  The table's batch writer builds no ledger row (581
+    before: one per dirty machine it rewrote), and the walks are charged
+    exactly the ``scanned`` and ``explored`` they were charged before."""
+    stream, state, engine = tight_pool(n_apps=90, churn_ticks=8)
+    kernel = engine.rescue_kernel
+    ledger = kernel.ledger
+    n = {
+        "in_preempt": 0, "in_table": 0, "walks": 0, "rows": 0,
+        "unblocked_rows": 0, "plans": 0, "table_builds": 0,
+        "scanned": 0, "explored": 0,
+    }
+
+    def scoped(obj, name, flag, count=None):
+        original = getattr(obj, name)
+
+        def wrapper(*args):
+            n[flag] += 1
+            if count is not None:
+                n[count] += 1
+            try:
+                return original(*args)
+            finally:
+                n[flag] -= 1
+
+        setattr(obj, name, wrapper)
+
+    scoped(kernel, "_preempt", "in_preempt", count="walks")
+    scoped(ledger, "table", "in_table")
+    row, build = ledger.row, ledger._build
+    blocker_rows, plan_relocations = (
+        kernel._blocker_rows, kernel._plan_relocations,
+    )
+    rescue_plan = kernel.rescue_plan
+
+    def counted_row(*args):
+        n["rows"] += n["in_preempt"] > 0 and not n["in_table"]
+        return row(*args)
+
+    def counted_build(*args):
+        n["table_builds"] += n["in_table"] > 0
+        return build(*args)
+
+    def counted_blocker_rows(*args):
+        blockers = blocker_rows(*args)
+        n["unblocked_rows"] += n["in_preempt"] > 0 and not blockers
+        return blockers
+
+    def counted_plan_relocations(*args):
+        n["plans"] += n["in_preempt"] > 0
+        return plan_relocations(*args)
+
+    def counted_rescue_plan(*args):
+        out = rescue_plan(*args)
+        n["scanned"] += out.scanned
+        n["explored"] += out.explored
+        return out
+
+    ledger.row, ledger._build = counted_row, counted_build
+    kernel._blocker_rows = counted_blocker_rows
+    kernel._plan_relocations = counted_plan_relocations
+    kernel.rescue_plan = counted_rescue_plan
+    churn(stream, state, engine)
+
+    assert n["walks"] > 0 and n["rows"] > 0
+    assert n["unblocked_rows"] <= n["plans"]
+    assert n["table_builds"] == 0
+    assert n["scanned"] == SCANNED_BEFORE_THE_WALK_SCREENS
+    assert n["explored"] == EXPLORED_BEFORE_THE_EXACT_SCREEN
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ front of is copied here (:func:`unscreened_plan_relocations`) as the
 oracle.  The consolidation and preemption walks screen their whole
 candidate order at once from the resident ledger's table; their oracle
 is the per-machine test the walks used to make position by position
-(:func:`loop_consolidation_verdict`, :func:`loop_preemption_fits`).
-Four contracts:
+(:func:`loop_consolidation_verdict`; :func:`loop_preemption_victims`
+and :func:`loop_preempts`, the legacy preemption body).  Five
+contracts:
 
 * **per plan** — same moves, or the same ``None``; the ``explored``
   charge is the oracle's unless the oracle failed at a *live* mover
@@ -26,10 +27,16 @@ Four contracts:
   written before the kernel had a screen, or before the walks screened,
   still restores;
 * **per walk position** — the consolidation screen's verdict is the
-  loop's, the preemption screen never rejects a machine the loop would
-  plan on (non-dyadic demands whose sums depend on order included), and
-  the liveness vector is Equation 6 per shape, while the state is
-  mutated under one kernel.
+  loop's; the preemption screen's is the loop's on every machine where
+  no resident blocks the container, Equation 9 included, and never
+  rejects a machine the loop would plan on where one does (non-dyadic
+  demands whose sums depend on order, and integer CPUs whose weighted
+  flows tie, included); the liveness vector is Equation 6 per shape;
+  and the resident table, rewritten in batches, is every machine's row
+  — all while the state is mutated under one kernel;
+* **per interpreter** — Equation 9 is the loop's own ``sum()``, where a
+  left-to-right and a compensated float sum disagree (CI runs both
+  CPython 3.11 and 3.12).
 
 Round-level ``explored`` is compared as a total only: a failed rescue's
 charges are replayed from the failure memo (so one plan's extra units
@@ -38,11 +45,14 @@ versions (so the blocked container's own Equation 6 charge can differ
 either way).
 """
 
+import math
+from functools import reduce
 from itertools import groupby
-from operator import attrgetter
+from operator import add, attrgetter
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e.workloads import OFFERED_LOAD
@@ -53,7 +63,11 @@ from repro.cluster.state import ClusterState, dominates
 from repro.cluster.topology import build_cluster
 from repro.core import AladdinConfig, AladdinScheduler
 from repro.core.migration import RescueOutcome, RescuePlanner, _rack_blocked
-from repro.core.rescuekernel import ResidentLedger, RescueKernel
+from repro.core.rescuekernel import (
+    _PAD_PRIORITY,
+    ResidentLedger,
+    RescueKernel,
+)
 from repro.sim.faults import fail_machines, machine_is_down, repair_machines
 from tests.core.test_blacklist import PROBE_APP, RULE_PAIRS, scoped_constraints
 from tests.core.test_rescue_admissible import tight_pool
@@ -593,19 +607,22 @@ def loop_consolidation_verdict(state, row, shortfall, mover_limit):
     )
 
 
-def loop_preemption_fits(state, machine_id, app_id, demand, priority):
-    """Whether ``RescuePlanner._preempt`` reaches its plan on
-    ``machine_id``: no equal-or-higher blocker, no rack-mate conflict,
-    and its victims — blockers first, then lower-priority residents in
-    (priority, cpu) order until the machine fits — free enough."""
+def loop_preemption_victims(state, machine_id, app_id, demand, priority):
+    """``RescuePlanner._preempt``'s body on ``machine_id`` up to its
+    Equation 9 guard, as ``(hosts a blocker, victims)``: ``victims`` is
+    ``None`` unless there is no equal-or-higher blocker, no rack-mate
+    conflict, and the victims — blockers first, then lower-priority
+    residents in (priority, cpu) order until the machine fits — free
+    enough."""
     cs = state.constraints
     resources = state.topology.resources
     residents = state.deployed_containers(machine_id)
     victims = [c for c in residents if cs.violates(app_id, c.app_id)]
+    blocked = bool(victims)
     if any(c.priority >= priority for c in victims):
-        return False
+        return blocked, None
     if _rack_blocked(state, app_id, machine_id):
-        return False
+        return blocked, None
     avail = state.available[machine_id]
     freed = sum(
         (v.demand_vector(resources) for v in victims), np.zeros_like(demand)
@@ -616,10 +633,32 @@ def loop_preemption_fits(state, machine_id, app_id, demand, priority):
             key=lambda c: (c.priority, c.cpu),
         )
         for extra in lower:
+            victims.append(extra)
             freed = freed + extra.demand_vector(resources)
             if ((avail + freed) >= demand).all():
                 break
-    return bool(((avail + freed) >= demand).all())
+    if not ((avail + freed) >= demand).all():
+        return blocked, None
+    return blocked, victims
+
+
+def loop_preempts(planner, victims, container):
+    """The rest of the loop's body: victims that free enough, and the
+    Equation 9 guard in the loop's own arithmetic."""
+    return victims is not None and not (
+        planner.weights
+        and sum(planner._weighted_flow(v) for v in victims)
+        >= planner._weighted_flow(container)
+    )
+
+
+def loop_preemption_fits(state, machine_id, app_id, demand, priority):
+    """Whether ``RescuePlanner._preempt`` reaches its plan on
+    ``machine_id`` when no Equation 9 weights are set."""
+    _, victims = loop_preemption_victims(
+        state, machine_id, app_id, demand, priority
+    )
+    return victims is not None
 
 
 def loop_victim_demand(state, machine_id, app_id, priority):
@@ -665,12 +704,13 @@ def assert_table_is_the_rows(ledger, state):
 def check_walk_screens(kernel, state):
     """Both vector screens at every position of a walk over the whole
     pool, for probe demands, the covering-prefix boundaries of every
-    machine, and the exact sums the preemption loop frees."""
+    machine, and the exact sums the preemption loop frees — the
+    preemption screen under each of :data:`WEIGHT_SETS`."""
     ledger = kernel.ledger
     fresh = assert_table_is_the_rows(ledger, state)
     live = ledger.live(state)
     assert live.tolist() == [
-        bool(dominates(state.available, shape).any())
+        bool(dominates(state.available, np.array(shape)).any())
         for shape in ledger._shapes
     ] + [False]
 
@@ -696,6 +736,10 @@ def check_walk_screens(kernel, state):
                 )
             ]
 
+    planners = [
+        RescuePlanner(state, AladdinConfig(), weights=weights)
+        for weights in WEIGHT_SETS
+    ]
     for priority in (1, 3):
         for app in range(5):
             demands = probes[:5] + [
@@ -703,29 +747,107 @@ def check_walk_screens(kernel, state):
                 for m in order.tolist()
             ]
             for demand in demands:
-                passing = set(
-                    kernel._preemption_screen(
-                        state, order, demand, priority
-                    ).tolist()
-                )
-                for pos, machine_id in enumerate(order.tolist()):
-                    if loop_preemption_fits(
-                        state, machine_id, app, demand, priority
+                verdicts = [
+                    loop_preemption_victims(state, m, app, demand, priority)
+                    for m in order.tolist()
+                ]
+                for planner in planners:
+                    for container in preemptors(
+                        planner, app, priority, demand, verdicts
                     ):
-                        assert pos in passing, (machine_id, app, demand)
+                        check_preemption_screen(
+                            kernel, planner, order, container, demand,
+                            verdicts,
+                        )
 
 
-FRACTIONAL_CPU = st.sampled_from((0.1, 0.3, 0.7, 1.1))
-WALK_OPS = small_pool_ops(
-    FRACTIONAL_CPU,
-    st.tuples(st.just("evict_block"), st.lists(CONTAINER_ID, max_size=4)),
-    st.tuples(st.just("fail"), MACHINE),
-    st.tuples(st.just("repair"), MACHINE),
+#: Equation 9 weights the preemption screen is checked under: none (the
+#: fit alone decides); powers of two, under which the boundary flows of
+#: :func:`preemptors` land exactly and integer CPUs tie (1.0 × 4 against
+#: 2.0 × 2); and weights under which ties are rare
+WEIGHT_SETS = (
+    {},
+    {0: 1.0, 1: 2.0, 2: 2.0, 3: 4.0},
+    {0: 0.3, 1: 1.1, 2: 0.7, 3: 2.9},
 )
 
 
+def preemptors(planner, app, priority, demand, verdicts):
+    """The container ``demand`` is for, and — under Equation 9 weights —
+    containers whose weighted flow is exactly, and one ulp above, what a
+    machine's victims carry: where the guard flips."""
+    yield Container(
+        container_id=99, app_id=app, instance=0, cpu=float(demand[0]),
+        mem_gb=float(demand[1]), priority=priority,
+    )
+    if not planner.weights:
+        return
+    own = planner.weights.get(priority, 1.0)
+    flows = {
+        sum(planner._weighted_flow(v) for v in victims)
+        for _, victims in verdicts
+        if victims
+    }
+    for flow in sorted(flows):
+        for target in (flow, float(np.nextafter(flow, np.inf))):
+            yield Container(
+                container_id=99, app_id=app, instance=0, cpu=target / own,
+                mem_gb=float(demand[1]), priority=priority,
+            )
+
+
+def check_preemption_screen(
+    kernel, planner, order, container, demand, verdicts
+):
+    """Where no resident blocks ``container`` the screen keeps exactly
+    the positions the loop plans at; where one does, at least those."""
+    passing = set(
+        kernel._preemption_screen(planner, order, container, demand).tolist()
+    )
+    for pos, (blocked, victims) in enumerate(verdicts):
+        plans = loop_preempts(planner, victims, container)
+        context = (int(order[pos]), container, demand, planner.weights)
+        if blocked:
+            assert pos in passing or not plans, context
+        else:
+            assert (pos in passing) == plans, context
+
+
+def walk_ops(*cpus):
+    return small_pool_ops(
+        st.sampled_from(cpus),
+        st.tuples(st.just("evict_block"), st.lists(CONTAINER_ID, max_size=4)),
+        st.tuples(st.just("fail"), MACHINE),
+        st.tuples(st.just("repair"), MACHINE),
+    )
+
+
+def check_walks_while_mutating(machine_cpu, rules, rack_scoped, ops):
+    state = ClusterState(
+        small_topology(cpu=machine_cpu),
+        scoped_constraints(rules, rack_scoped),
+    )
+    kernel = RescueKernel()
+    next_id = 0
+    for op in ops:
+        if op[0] == "check":
+            check_walk_screens(kernel, state)
+        else:
+            next_id = apply_op(state, rack_scoped, op, next_id)
+    check_walk_screens(kernel, state)
+
+
 @settings(max_examples=100, deadline=None)
-@given(RULE_PAIRS, st.sets(PROBE_APP), WALK_OPS)
+@given(RULE_PAIRS, st.sets(PROBE_APP), walk_ops(0.1, 0.3, 0.7, 1.1))
+# ten 0.1-CPU victims: numpy's pairwise reduction of their flows is 1.0,
+# a left-to-right ``sum()`` 0.9999999999999999
+@example([], set(), [("deploy", 0, [0] * 10, 0.1, 0)])
+# a within-rule: the loop frees the application's own 1.1-CPU resident
+# first, the (priority, cpu) prefix would take 0.1 + 0.3 + 1.1
+@example(
+    [(1, 1)], set(),
+    [("deploy", a, [0], cpu, 0) for a, cpu in ((2, 0.1), (2, 0.3), (1, 1.1))],
+)
 def test_walk_screens_agree_with_the_loop_at_every_position(
     rules, rack_scoped, ops
 ):
@@ -736,18 +858,23 @@ def test_walk_screens_agree_with_the_loop_at_every_position(
     repaired, rules added late: the table holds every machine's row,
     the liveness vector is Equation 6 per shape, the consolidation
     screen keeps exactly the positions the loop planned at, and the
-    preemption screen keeps every position the loop would plan on."""
-    state = ClusterState(
-        small_topology(cpu=2.0), scoped_constraints(rules, rack_scoped)
-    )
-    kernel = RescueKernel()
-    next_id = 0
-    for op in ops:
-        if op[0] == "check":
-            check_walk_screens(kernel, state)
-        else:
-            next_id = apply_op(state, rack_scoped, op, next_id)
-    check_walk_screens(kernel, state)
+    preemption screen keeps exactly the positions the loop plans at on
+    machines where nothing blocks the container, and at least those
+    where something does — with no Equation 9 weights, and with weights
+    that do and do not tie."""
+    check_walks_while_mutating(2.0, rules, rack_scoped, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RULE_PAIRS, st.sets(PROBE_APP), walk_ops(1.0, 2.0, 3.0))
+def test_preemption_screen_is_exact_where_integer_flows_tie(
+    rules, rack_scoped, ops
+):
+    """The walk screens on four 8-CPU machines filled with 1-, 2- and
+    3-CPU residents, where weighted flows tie exactly (1.0 × 4 against
+    2.0 × 2): a screen that compared Equation 9 with any slack, or with
+    ``>`` for ``>=``, keeps machines the loop refuses."""
+    check_walks_while_mutating(8.0, rules, rack_scoped, ops)
 
 
 def test_preemption_screen_keeps_a_fit_that_depends_on_summation_order():
@@ -781,12 +908,14 @@ def test_preemption_screen_keeps_a_fit_that_depends_on_summation_order():
     assert not (state.available[0] + in_prefix_order >= demand).all()
     assert loop_preemption_fits(state, 0, 0, demand, priority=1)
     kernel = RescueKernel()
-    assert kernel._preemption_screen(state, np.array([0]), demand, 1).tolist() == [0]
-
     blocked = Container(
         container_id=9, app_id=0, instance=0, cpu=float(demand[0]),
         mem_gb=float(demand[1]), priority=1,
     )
+    planner = RescuePlanner(state, AladdinConfig())
+    assert kernel._preemption_screen(
+        planner, np.array([0]), blocked, demand
+    ).tolist() == [0]
     assert np.array_equal(
         blocked.demand_vector(state.topology.resources), demand
     )
@@ -809,10 +938,24 @@ def test_a_row_wider_than_the_table_widens_it():
     check_walk_screens(kernel, state)
 
 
+def record_writes(ledger):
+    """Rebind ``ledger._write`` so each batch it writes is recorded."""
+    batches = []
+    write = ledger._write
+
+    def recorded(state, machines):
+        batches.append(machines.tolist())
+        write(state, machines)
+
+    ledger._write = recorded
+    return batches
+
+
 def test_a_compacted_dirty_log_rebuilds_every_row():
     """A mutation the ledger never saw because the log was compacted
-    past its version: every row, the table and the shape ids are
-    rebuilt, never left stale."""
+    past its version: the table and the shape ids are rebuilt — every
+    machine rewritten in one batch, never left stale — without building
+    a ledger row."""
     state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
     kernel = RescueKernel()
     next_id = 0
@@ -821,9 +964,182 @@ def test_a_compacted_dirty_log_rebuilds_every_row():
             state, (), ("deploy", 0, range(N_MACHINES), cpu, 0), next_id
         )
     kernel.ledger.table(state)
-    builds = kernel.ledger.builds
+    batches = record_writes(kernel.ledger)
     state.evict(2)  # a resident of machine 2
     state.touch_block(np.zeros(state._log_limit, dtype=np.int64))
     assert state.dirty_array_since(state.version - state._log_limit) is None
     check_walk_screens(kernel, state)
-    assert kernel.ledger.builds == builds + N_MACHINES
+    assert batches == [list(range(N_MACHINES))]
+    assert kernel.ledger.builds == 0
+
+
+def test_the_first_table_is_one_batch_and_builds_no_row():
+    """The first walk's table goes through the same writer as every
+    later one, with every machine stale: one batch, no ledger row; a
+    later call rewrites exactly the machines mutated since."""
+    state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
+    next_id = 0
+    for cpu in (0.3, 0.7):
+        next_id = apply_op(
+            state, (), ("deploy", 0, range(N_MACHINES), cpu, 0), next_id
+        )
+    kernel = RescueKernel()
+    batches = record_writes(kernel.ledger)
+    kernel.ledger.table(state)
+    assert batches == [list(range(N_MACHINES))]
+    state.evict(0)  # machine 0
+    state.migrate(5, 3)  # machine 1 -> machine 3
+    kernel.ledger.table(state)
+    assert batches[1:] == [[0, 1, 3]]
+    kernel.ledger.table(state)
+    assert len(batches) == 2
+    assert kernel.ledger.builds == 0
+    check_walk_screens(kernel, state)
+
+
+def test_a_machine_emptied_to_all_pads():
+    """A machine whose last resident leaves keeps a row of pads only:
+    dead shape ids, pad priorities, zero CPU and cumulative demand."""
+    state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
+    next_id = apply_op(state, (), ("deploy", 0, [1, 1, 2], 0.3, 0), 0)
+    kernel = RescueKernel()
+    table = kernel.ledger.table(state)
+    assert table.width == 3 and (table.shape_ids[1, :2] >= 0).all()
+    for cid in (0, 1):
+        state.evict(cid)
+    table = kernel.ledger.table(state)
+    assert table.width == 3
+    assert (table.shape_ids[1] == -1).all()
+    assert (table.priorities[1] == _PAD_PRIORITY).all()
+    assert not table.cpus[1].any() and not table.sorted_cum[1].any()
+    check_walk_screens(kernel, state)
+
+
+def test_one_batch_widens_the_table_and_interns_a_new_shape():
+    """Two machines mutated between two table reads, one of them past
+    the table's width and with a shape nobody had: one batch widens the
+    table, interns the shape, and both rows are the machines' own."""
+    state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
+    next_id = apply_op(state, (), ("deploy", 0, range(N_MACHINES), 0.3, 0), 0)
+    kernel = RescueKernel()
+    assert kernel.ledger.table(state).width == 2
+    shapes = len(kernel.ledger._shapes)
+    batches = record_writes(kernel.ledger)
+    for cpu in (0.1, 0.7, 0.1):
+        next_id = apply_op(state, (), ("deploy", 1, [2], cpu, 1), next_id)
+    next_id = apply_op(state, (), ("deploy", 2, [0], 0.3, 2), next_id)
+    table = kernel.ledger.table(state)
+    assert batches == [[0, 2]]
+    assert table.width == 5
+    assert len(kernel.ledger._shapes) == shapes + 2  # 0.1 and 0.7 CPU
+    assert table.priorities[2, :4].tolist() == [0, 1, 1, 1]
+    assert table.cpus[2, :4].tolist() == [0.3, 0.1, 0.1, 0.7]
+    check_walk_screens(kernel, state)
+
+
+def test_a_restored_kernel_resumes_the_tight_churn():
+    """An engine restored mid-churn from a checkpoint image — whose
+    rescue-kernel part keeps the form it had before the table had a
+    batch writer, since the ledger is never persisted — builds its first
+    table through the writer, one batch with every machine stale, and
+    makes the uninterrupted run's placements, failures and rescue
+    counters to the end."""
+    expected, _ = run_rounds(restore_every_round=False)
+    stream, state, engine = tight_pool(60, 6)
+    trail = []
+    batches: list[list[int]] = []
+    for i, block in enumerate(rounds(stream, [state])):
+        if i == len(expected) // 2:
+            image = engine.checkpoint()
+            assert set(image["rescue_kernel"]) == {
+                "dominance", "failures", "invocations",
+            }
+            engine = AladdinScheduler.from_checkpoint(image, state)
+            batches = record_writes(engine.rescue_kernel.ledger)
+        result = engine.schedule(block, state)
+        trail.append(
+            (result.placements, result.undeployed, rescue_counters(result))
+        )
+    assert trail == [
+        (placements, undeployed, counters)
+        for placements, undeployed, _, counters in expected
+    ]
+    assert batches and batches[0] == list(range(state.n_machines))
+
+
+# ----------------------------------------------------------------------
+# (e) Equation 9 in the loop's own arithmetic
+# ----------------------------------------------------------------------
+def exact_pool(victim_cpus, free_cpu):
+    """One 8-CPU machine hosting priority-0 residents of ``victim_cpus``
+    and a priority-2 filler that leaves exactly ``free_cpu`` CPU (and
+    2 GB) free."""
+    state = ClusterState(
+        build_cluster(1, machine=MachineSpec(cpu=8.0, mem_gb=16.0)),
+        ConstraintSet(),
+    )
+    for cid, cpu in enumerate(victim_cpus):
+        state.deploy(
+            Container(
+                container_id=cid, app_id=1, instance=0, cpu=cpu,
+                mem_gb=2.0 * cpu,
+            ),
+            0,
+        )
+    cpu, mem = state.available[0].tolist()
+    state.deploy(
+        Container(
+            container_id=len(victim_cpus), app_id=2, instance=0,
+            cpu=cpu - free_cpu, mem_gb=mem - 2.0, priority=2,
+        ),
+        0,
+    )
+    assert state.available[0].tolist() == [free_cpu, 2.0]
+    return state
+
+
+@pytest.mark.parametrize(
+    "victim_cpus, free_cpu, cpu, weights",
+    [
+        # sequential 0.6000000000000001 trips the guard, compensated 0.6
+        # does not
+        ((0.1, 0.2, 0.3), 0.0, 0.6000000000000001, {0: 1.0, 1: 1.0}),
+        # ten victims: sequential 0.9999999999999999 passes, compensated
+        # (and numpy's pairwise reduction) 1.0 trips it
+        ((0.1,) * 10, 1.0, 2.0, {0: 1.0, 1: 0.5}),
+    ],
+)
+def test_equation9_is_the_loops_sum_on_every_interpreter(
+    victim_cpus, free_cpu, cpu, weights
+):
+    """Victim flows whose Equation 9 verdict depends on how ``sum()``
+    adds floats: left to right (CPython ≤ 3.11) and compensated (3.12
+    on) disagree here.  The demand needs every victim.  Whichever
+    ``sum()`` this interpreter has, the screen keeps the machine exactly
+    when the loop plans on it, and the rescue decides what the legacy
+    planner decides."""
+    flows = [weights[0] * c for c in victim_cpus]
+    flow = weights[1] * cpu
+    assert (reduce(add, flows) >= flow) != (math.fsum(flows) >= flow)
+    plans = not sum(flows) >= flow
+
+    def build():
+        return exact_pool(victim_cpus, free_cpu)
+
+    state = build()
+    blocked = Container(
+        container_id=99, app_id=0, instance=0, cpu=cpu, mem_gb=2.0,
+        priority=1,
+    )
+    demand = blocked.demand_vector(state.topology.resources)
+    _, victims = loop_preemption_victims(state, 0, 0, demand, priority=1)
+    assert [v.cpu for v in victims] == list(victim_cpus)
+    planner = RescuePlanner(state, AladdinConfig(), weights=weights)
+    assert loop_preempts(planner, victims, blocked) == plans
+    passing = RescueKernel()._preemption_screen(
+        planner, np.array([0]), blocked, demand
+    )
+    assert passing.tolist() == ([0] if plans else [])
+    _, outcome, _ = run_pair(build, blocked, weights=weights)
+    assert outcome.ok == plans
+    assert len(outcome.preempted) == (len(victim_cpus) if plans else 0)

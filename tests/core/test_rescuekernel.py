@@ -261,25 +261,34 @@ class TestRackScopedRules:
 
 class TestKernelBookkeeping:
     def test_ledger_rows_reused_across_attempts(self):
-        """A second rescue on untouched machines answers resident
-        summaries from the ledger instead of rebuilding them."""
+        """A second rescue after one machine changed rewrites that
+        machine's resident-table row only; the others keep theirs, and
+        the table builds no per-machine ledger row."""
         state = make_state([AntiAffinityRule(0, 1), AntiAffinityRule(2, 1)],
                            n_machines=3, cpu=8.0)
         state.deploy(container(0, app=0, cpu=2), 0)
         state.deploy(container(1, app=2, cpu=2), 1)
         state.deploy(container(9, app=5, cpu=7), 2)
         kernel = RescueKernel()
+        batches = []
+        write = kernel.ledger._write
+
+        def recorded(state, machines):
+            batches.append(machines.tolist())
+            write(state, machines)
+
+        kernel.ledger._write = recorded
         planner = RescuePlanner(state, AladdinConfig(), kernel=kernel)
         b = container(2, app=1, cpu=7)
         first = planner.rescue(b, b.demand_vector(state.topology.resources))
-        builds_after_first = kernel.ledger.builds
-        if first.ok:
-            state.deploy(b, first.machine_id)
+        assert not first.ok and batches == [[0, 1, 2]]
+        state.deploy(container(4, app=5, cpu=1), 2)
         b2 = container(3, app=1, cpu=7)
         planner.rescue(b2, b2.demand_vector(state.topology.resources))
         assert kernel.invocations == 2
-        # Machines untouched by the first rescue keep their rows.
-        assert kernel.ledger.builds < 2 * builds_after_first
+        # Machines untouched since the first rescue keep their rows.
+        assert batches == [[0, 1, 2], [2]]
+        assert kernel.ledger.builds == 0
 
     def test_rescue_on_a_cluster_with_no_resident(self):
         """Nothing deployed anywhere and a container no machine fits:
