@@ -356,42 +356,6 @@ class ClusterState:
             ok &= ~self.forbidden_mask(app_id)
         return ok
 
-    def admits(
-        self, ids: np.ndarray, demand: np.ndarray, app_id: int
-    ) -> np.ndarray:
-        """``feasible_mask(demand, app_id)[ids]``, evaluated on ``ids`` only.
-
-        Equation 6 on the gathered rows, then Equations 7–8 per machine
-        from the applications it hosts (``machine_apps``): a caller that
-        reads a window of the machine order pays for the window, not for
-        the cluster or for the application's conflict partners.
-        """
-        ok = dominates(self.available[ids], demand)
-        cs = self.constraints
-        within = cs.has_within(app_id)
-        if not (within or cs.has_conflicts(app_id)):
-            return ok
-        # A within-rule forbids the application's own hosts (``None`` is
-        # never a hosted application id); at rack scope their racks too.
-        own = app_id if within else None
-        conflicts = cs.conflict_view(app_id)
-        get = self.machine_apps.get
-        pos = np.flatnonzero(ok)
-        blocked = [
-            i
-            for i, m in zip(pos.tolist(), ids[pos].tolist())
-            if (hosted := get(m))
-            and (own in hosted or not conflicts.isdisjoint(hosted))
-        ]
-        if blocked:
-            ok[blocked] = False
-        if within and cs.within_scope(app_id) == "rack":
-            hosting = self.app_machines.get(app_id)
-            if hosting:
-                rack_of = self.topology.rack_of
-                ok &= ~np.isin(rack_of[ids], rack_of[list(hosting)])
-        return ok
-
     def would_violate(self, container: Container, machine_id: int) -> bool:
         """True if placing ``container`` on ``machine_id`` breaks an
         anti-affinity rule (resources are not checked here)."""

@@ -1,110 +1,123 @@
-"""Batched block placement kernel: one vectorized sweep per LLA block.
+"""Batched block placement kernel: one in-order walk per LLA block.
 
 Isomorphism limiting says every container of an application block is
 identical; depth limiting says each container takes the *first* machine
 of the packed-first order that still admits it.  Chaining the two, the
-whole block's placement is already determined at block start by
-per-machine **fit quotas**: walking the candidate order, machine ``m``
-absorbs ``floor(min(available[m] / demand))`` consecutive containers
-before the walk moves on — one container for machine-scoped
-within-anti-affinity applications, one rack representative for
-rack-scoped ones.  The quota prefix-sum therefore maps container index
-→ machine directly, so a block of ``k`` identical containers costs one
-pass of NumPy work instead of ``k`` per-container machine scans, with
-the running capacity decrements folded into the quotas themselves.
-Every scope consumes its candidates strictly in order and needs at most
-``k`` of them (``k`` distinct racks for rack scope), so a plan of ``k``
-machines from a *prefix* of the candidate list is the plan from the
-whole list: the scheduler hands the kernel a window of the order sized
-from ``k`` and widens it only when the plan comes back short
-(``AladdinScheduler._batch_place``) — O(k) per block, not O(m + k).
+whole block's placement is determined at block start by per-machine
+**fit quotas**: walking the candidate order, machine ``m`` absorbs
+``floor(min(available[m] / demand))`` consecutive containers before the
+walk moves on — one for machine-scoped within-anti-affinity
+applications, one per rack for rack-scoped ones.  The plan is a list of
+**placement runs** ``(machines, counts)``.
 
-The kernel is a *plan*: it performs no state mutation, which keeps its
-output comparable against the per-container walk (the differential
-harness replays both paths and asserts bit-identical placements).  A
-plan shorter than ``k`` means every quota is exhausted and the caller
-must route the remaining containers through the rescue path — exactly
-where the per-container walk would have handed over as well.
+The kernel reads a raw *window* of the order and decides admission
+itself, in the order the per-container walk would: **Equation 6** is one
+vectorised ``dominates`` over the window's rows; **Equations 7–8** are
+asked per Equation-6 survivor from the applications the machine hosts
+(``machine_apps``: the block's own application under a within-rule, its
+conflict set, and at rack scope the racks hosting it or already
+planned); the quota is computed in Python float arithmetic (the same
+IEEE division, minimum and floor NumPy makes), and the walk **stops at
+the k-th container**.  A block lands on a handful of machines, so
+Equations 7–8 are asked about a handful of positions, whatever the
+window's width.  Every scope consumes candidates strictly in order, so
+a full plan from a *prefix* of the order is the plan from the whole
+order: the scheduler sizes the window from ``k`` and widens it only
+when the plan comes back short (``AladdinScheduler._batch_place``).
 
-Contract (inputs, shard invariants, determinism)
-------------------------------------------------
-``block_plan`` takes the live state, the block's demand vector, the
-admitting candidates in the engines' total preference order, the block
-size ``k`` and the within-anti-affinity scope; every candidate must
-admit at least one container (the feasibility mask guarantees it).
-The function is deterministic and pure — same inputs, same plan.
+The kernel is a *plan*: it mutates nothing, which keeps it comparable
+against the per-container walk (the differential harness asserts
+bit-identical placements).  A plan of fewer than ``k`` containers from
+the whole order means every quota is exhausted; the remainder goes to
+rescue, exactly where the per-container walk would have handed over.
+Same inputs, same plan; candidates a caller already filtered pass
+through unchanged.
 
 Under the rack-sharded parallel sweep (:mod:`repro.core.parallel`) the
 kernel is also the *merge point*: the coordinator feeds it the union of
-per-shard candidate prefixes, re-ordered by the serial total order.
-Two shard invariants make that sound: racks never span shards, so the
-workers' shard-local rack deduplication composes into exactly the
-global ``within_scope == "rack"`` dedup below (re-deduping the merged
-set is a no-op on the same representatives); and a global prefix of
-``k`` candidates contains at most ``k`` per shard, so the per-shard
-``k``-prefixes always cover the global plan.
+per-shard admitted prefixes in the serial total order.  Racks never
+span shards, so the workers' rack deduplication composes into the
+global rack-scoped walk, and a global prefix of ``k`` candidates holds
+at most ``k`` per shard, so the per-shard ``k``-prefixes cover the plan.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, dominates
 
-_EMPTY_PLAN = np.empty(0, dtype=np.int64)
+_NO_RUNS = np.empty(0, dtype=np.int64)
+_NO_RUNS.flags.writeable = False
 
 
 def block_plan(
     state: ClusterState,
     demand: np.ndarray,
+    app_id: int,
     candidates: np.ndarray,
     k: int,
     within_scope: str | None,
-) -> np.ndarray:
-    """Machines for the next ``k`` identical containers, packed-first.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Placement runs for the next ``k`` identical containers.
 
-    Parameters
-    ----------
-    demand:
-        The block's per-container demand vector.
-    candidates:
-        Admitting machines in preference order (from
-        :meth:`~repro.core.machindex.MachineIndex.candidates` under the
-        block's feasibility mask — every entry fits at least one
-        container).
-    within_scope:
-        ``None`` when the application has no within-anti-affinity rule,
-        else ``"machine"`` or ``"rack"``.
-
-    Returns the machine id per container, in deployment order; a result
-    shorter than ``k`` means the quotas ran dry and the remainder
-    overflows into rescue.
+    ``candidates`` are machine ids in preference order (a raw window of
+    :meth:`~repro.core.machindex.MachineIndex.candidates`, filtered or
+    not); ``within_scope`` is ``None`` without a within-anti-affinity
+    rule, else ``"machine"`` or ``"rack"``.  Returns ``(machines,
+    counts)``: distinct machines in deployment order and the containers
+    each takes (``np.repeat(machines, counts)`` is the machine per
+    container); ``counts`` summing to less than ``k`` means the
+    candidates ran dry.
     """
     if candidates.size == 0 or k <= 0:
-        return _EMPTY_PLAN
+        return _NO_RUNS, _NO_RUNS
+    rows = state.available[candidates]
+    survivors = np.flatnonzero(dominates(rows, demand))
+    if survivors.size == 0:
+        return _NO_RUNS, _NO_RUNS
+    conflicts = state.constraints.conflict_view(app_id)
+    # ``None`` is never a hosted application id: without a within-rule
+    # the application's own hosts stay admissible.
+    own = app_id if within_scope is not None else None
+    screen = own is not None or bool(conflicts)
+    hosted_by = state.machine_apps.get
+    ids = candidates[survivors].tolist()
+    racks: list[int] = []
+    taken: set[int] = set()
     if within_scope == "rack":
-        # One container per rack: the per-container walk rejects every
-        # later rack-mate via ``would_violate``, leaving the first
-        # machine of each distinct rack, in candidate order.
-        racks = state.topology.rack_of[candidates]
-        _, first = np.unique(racks, return_index=True)
-        candidates = candidates[np.sort(first)]
-    if within_scope is not None:
-        return candidates[:k].astype(np.int64, copy=False)
-    # Every candidate admits at least one container (the feasibility
-    # mask guarantees quota >= 1), so the k-th container lands within
-    # the first k candidates — truncating before the quota division
-    # keeps the kernel O(k), not O(candidates), per block.
-    candidates = candidates[:k]
-    with np.errstate(divide="ignore"):
-        quota = np.floor(
-            (state.available[candidates] / demand).min(axis=1)
-        ).astype(np.int64)
-    cum = np.cumsum(quota)
-    placed = min(k, int(cum[-1]))
-    if placed <= 0:
-        return _EMPTY_PLAN
-    # Container i (1-based) lands on the first machine whose cumulative
-    # quota reaches i — the same machine the walk's fill counter yields.
-    slots = np.searchsorted(cum, np.arange(1, placed + 1), side="left")
-    return candidates[slots].astype(np.int64, copy=False)
+        rack_of = state.topology.rack_of
+        racks = rack_of[candidates[survivors]].tolist()
+        hosting = state.app_machines.get(app_id)
+        if hosting:
+            taken.update(rack_of[list(hosting)].tolist())
+    # Equation 6 holds on every survivor, so every quota is at least 1;
+    # a zero-demand dimension never binds.
+    dims = [(j, d) for j, d in enumerate(demand.tolist()) if d > 0.0]
+    machines: list[int] = []
+    counts: list[int] = []
+    left = k
+    for i, m in enumerate(ids):
+        if racks and racks[i] in taken:
+            continue
+        if screen and (hosted := hosted_by(m)) and (
+            own in hosted or not conflicts.isdisjoint(hosted)
+        ):
+            continue
+        if within_scope is None:
+            row = rows[survivors[i]].tolist()
+            n = min(math.floor(min([row[j] / d for j, d in dims])), left)
+        else:
+            n = 1
+            if racks:
+                taken.add(racks[i])
+        machines.append(m)
+        counts.append(n)
+        left -= n
+        if left == 0:
+            break
+    if not machines:
+        return _NO_RUNS, _NO_RUNS
+    return np.array(machines, dtype=np.int64), np.array(counts, dtype=np.int64)

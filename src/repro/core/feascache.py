@@ -58,7 +58,7 @@ harness proves cached ≡ cold bit-identically with them active.
 Who still asks for a cluster-wide verdict.  The default engine's batch
 kernel does not: it reads a window of the packed-first order sized from
 the block and evaluates Equations 6–8 on those positions only
-(:meth:`~repro.cluster.state.ClusterState.admits`).  The cache serves
+(:func:`~repro.core.batchkernel.block_plan`).  The cache serves
 what reads the whole cluster:
 
 * :class:`~repro.core.scheduler.AladdinScheduler` — affinity-tiered

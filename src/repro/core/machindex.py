@@ -13,7 +13,10 @@ exactly which ones those are.
 scheduling rounds, synchronised the same way the cross-round
 :class:`~repro.core.feascache.FeasibilityCache` synchronises verdicts:
 on each query the machines dirtied since the last sync are moved to
-their new positions.  The repair is **span-bounded**: the sorted key
+their new positions.  The index reads the *raw* log slice
+(``dirty_raw_since``), duplicates included: re-keying a machine is
+idempotent per log entry, so it pays no dedup sort.  The repair is
+**span-bounded**: the sorted key
 array is kept beside the order, the smallest and largest of the moved
 machines' old and new keys are bisected on it, and only the slice of
 the order between those two positions is rewritten, in place — every
@@ -46,23 +49,22 @@ or a per-shard :class:`~repro.cluster.state.ShardView`), an optional
 boolean admit mask and an optional boolean affinity mask, both indexed
 by machine id in that state's id space.
 
-A caller that will read only a prefix of the result — depth limiting
+A caller that will read only a prefix of the order — depth limiting
 ends a container's search at its first admitting machine, so a block
-of k containers reads at most k candidates — passes ``limit`` and a
-position **predicate** ``admit`` instead of a mask: ``admit(ids)``
-returns the admit verdicts of exactly those machine ids (the batch
-path hands it :meth:`~repro.cluster.state.ClusterState.admits`, which
-equals ``feasible_mask(demand, app)[ids]``), and it is asked about
-``limit`` positions of the order, never about the cluster.  ``min_cpu``
-is only where that window starts: the order is sorted by remaining
-CPU, so the first key not below ``min_cpu * (n_machines + 1)`` is a
-bisect, and ``admit`` must reject every machine before it (Equation 6
-does, for a demand with that much CPU) — the skipped head is exact,
-not a heuristic.  :attr:`MachineIndex.last_read` counts the positions
-handed to ``admit`` and :attr:`MachineIndex.last_complete` reports
-whether the window reached the end of the order.  The unlimited form
-is the default and what the affinity-tiered queries, the rescue
-kernel, the flow engine, the LP engine and the sweep workers use.
+of k containers reads at most k admitting candidates — passes
+``limit`` instead of a mask and gets a raw **window**: ``limit``
+positions of the order, unfiltered, as a read-only slice.  The batch
+kernel (:func:`~repro.core.batchkernel.block_plan`) evaluates
+Equations 6–8 on it itself, and only as far as its block needs.
+``min_cpu`` is where the window starts: the order is sorted by
+remaining CPU, so the first key not below ``min_cpu * (n_machines +
+1)`` is a bisect, and every machine before it has less than
+``min_cpu`` CPU left (Equation 6 rejects it for a demand with that
+much CPU) — the skipped head is exact, not a heuristic.
+:attr:`MachineIndex.last_complete` reports whether the window reached
+the end of the order.  The unlimited form is the default and what the
+affinity-tiered queries, the rescue kernel, the flow engine, the LP
+engine and the sweep workers use.
 
 Under the rack-sharded parallel sweep (:mod:`repro.core.parallel`) one
 index instance lives in each worker process over its shard's
@@ -82,8 +84,6 @@ reason the parallel sweep can promise byte-identical placements.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 import numpy as np
 
@@ -127,13 +127,12 @@ class MachineIndex:
         width of each repaired span, 0 for a resync whose machines kept
         their keys.  Diagnostic only: not telemetry, not persisted.
     last_resynced:
-        Machines re-keyed by the most recent :meth:`sync`.
+        Dirty-log entries the most recent :meth:`sync` applied (a
+        machine mutated twice counts twice; every machine on a rebuild).
     last_complete:
-        Whether the most recent :meth:`candidates` result is the whole
-        admitted list (always, unless a ``limit`` window stopped short
-        of the end of the order).
-    last_read:
-        Positions the most recent ``limit`` query handed to ``admit``.
+        Whether the most recent :meth:`candidates` result reaches the
+        end of the order (always, unless a ``limit`` window stopped
+        short of it).
     """
 
     def __init__(self) -> None:
@@ -151,7 +150,6 @@ class MachineIndex:
         self.positions_rewritten = 0
         self.last_resynced = 0
         self.last_complete = True
-        self.last_read = 0
 
     def reset(self) -> None:
         """Drop the maintained order (next query rebuilds from scratch)."""
@@ -209,7 +207,7 @@ class MachineIndex:
         if state.version == self._version:
             self.last_resynced = 0
             return
-        dirty = state.dirty_array_since(self._version)
+        dirty = state.dirty_raw_since(self._version)
         if dirty is None:
             # The log no longer reaches back to our version: rebuild.
             self._rebuild(state)
@@ -236,7 +234,8 @@ class MachineIndex:
         Only the span of the order between the smallest and the largest
         of the moved machines' old and new keys is rewritten, in place:
         every machine outside it keeps a key strictly below or above
-        all of them, so its position cannot change.
+        all of them, so its position cannot change.  A machine the raw
+        ``dirty`` slice lists twice gets the same key twice.
         """
         self.resyncs += 1
         self.last_resynced = int(dirty.size)
@@ -282,7 +281,6 @@ class MachineIndex:
         mask: np.ndarray | None = None,
         affinity: np.ndarray | None = None,
         *,
-        admit: Callable[[np.ndarray], np.ndarray] | None = None,
         min_cpu: float = 0.0,
         limit: int | None = None,
     ) -> np.ndarray:
@@ -294,20 +292,19 @@ class MachineIndex:
         ``scheduler._scores`` — the contract the differential harness
         enforces through the batch kernel.
 
-        ``limit`` asks for a *prefix* of the admitted list instead (no
-        ``mask``, no ``affinity``): ``limit`` positions of the order are
-        read from the first machine with at least ``min_cpu`` remaining
-        CPU, ``admit`` (machine ids -> booleans, the same verdicts a
-        mask would hold) filters them, :attr:`last_read` counts them and
-        :attr:`last_complete` tells whether they reached the end of the
-        order.  ``admit`` must reject every machine below ``min_cpu``
-        (any Equation-6 verdict for a demand with that much CPU does),
-        which is what makes the skipped head exact.
+        ``limit`` asks for a raw *window* of the order instead (no
+        ``mask``, no ``affinity``): the ``limit`` positions from the
+        first machine with at least ``min_cpu`` remaining CPU,
+        unfiltered, and :attr:`last_complete` tells whether they reached
+        the end of the order.  Every machine the bisect skips has less
+        than ``min_cpu`` CPU left, so a caller filtering for a demand
+        with that much CPU loses nothing by the skipped head.
 
-        With ``mask is None`` and no ``affinity`` the *internal* order
-        array is returned (as a read-only view, since resyncs repair it
-        in place) to keep the rescue kernel's per-attempt cost flat — a
-        caller holding it across a ``sync`` sees it change.
+        Without ``mask`` and ``affinity`` the result is a read-only view
+        of the *internal* order (a window is a slice of it), since
+        resyncs repair it in place: this keeps the rescue kernel's and
+        the batch kernel's per-query cost flat, and a caller holding it
+        across a ``sync`` sees it change.
         """
         self.sync(state)
         order = self._order
@@ -315,10 +312,10 @@ class MachineIndex:
             start = int(
                 self._sorted_keys.searchsorted(min_cpu * (state.n_machines + 1))
             )
-            window = order[start : start + limit]
-            self.last_read = int(window.size)
             self.last_complete = start + limit >= order.size
-            return window[admit(window)]
+            window = order[start : start + limit]
+            window.flags.writeable = False
+            return window
         self.last_complete = True
         if mask is None:
             order = order.view()

@@ -529,7 +529,9 @@ class ParallelSweep:
                 else np.empty(0, dtype=bool)
             )
         merged = merge_candidates(gids, keys, aff, state.n_machines)
-        machines = block_plan(state, demand, merged, k, within_scope)
+        machines = np.repeat(
+            *block_plan(state, demand, app_id, merged, k, within_scope)
+        )
         recomputed = sum(r[4]["recomputed"] for r in replies)
         admitted = sum(r[3] for r in replies)
 

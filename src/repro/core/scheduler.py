@@ -20,14 +20,15 @@ prunings of Section IV.A:
 
 With both prunings on, the per-container walk collapses further into
 the **batched placement kernel** (:mod:`repro.core.batchkernel`): the
-block's machine sequence is read off per-machine fit quotas over the
+block's placement runs are read off per-machine fit quotas over the
 incrementally maintained packed-first index
-(:mod:`repro.core.machindex`) in one vectorized pass.  Depth limiting
-bounds what that pass reads: a block of k containers takes its machines
-from the first k admitting candidates, so Equations 6–8 are evaluated
-(:meth:`~repro.cluster.state.ClusterState.admits`) on a window of the
-order sized from k — O(k) per block, not O(m) — and no cluster-wide
-admit mask is built.  ``enable_batch_kernel`` (on by default) gates it;
+(:mod:`repro.core.machindex`) in one in-order walk.  Depth limiting
+bounds what that walk reads: a block of k containers takes its machines
+from the first k admitting candidates, so the kernel is handed a raw
+window of the order sized from k — O(k) per block, not O(m) — checks
+Equation 6 on it in one vectorised step and Equations 7–8 only up to
+the machine that takes the k-th container, and no cluster-wide admit
+mask is built.  ``enable_batch_kernel`` (on by default) gates it;
 overflow and rescue still run the per-container path over a full mask,
 and so does an affinity-tiered block, whose tier reorders the whole
 order.
@@ -245,7 +246,7 @@ class AladdinScheduler(Scheduler):
         affinity: np.ndarray | None,
         result: ScheduleResult,
     ) -> int:
-        """Deploy the block's prefix in one vectorized kernel sweep.
+        """Deploy the block's prefix from one kernel walk.
 
         ``mask`` is the block's full admit mask when ``affinity`` tiers
         its order, and ``None`` otherwise.  Returns the number of
@@ -261,36 +262,33 @@ class AladdinScheduler(Scheduler):
         if mask is not None:
             # The affinity tier reorders across the whole order.
             order = index.candidates(state, mask, affinity)
-            machines = block_plan(state, demand, order, k, scope)
+            machines, counts = block_plan(state, demand, app_id, order, k, scope)
         else:
             # Depth limiting: a block of k reads at most k candidates, so
-            # Equations 6-8 are evaluated on a window of the order sized
-            # from k, not on the cluster, and each position read is
-            # charged to ``explored``.  Every scope consumes candidates
-            # strictly in order — a full plan from a prefix *is* the plan
-            # from the whole list — so the window only widens when the
-            # plan came up short with more of the order left to read.
-            def admit(ids: np.ndarray) -> np.ndarray:
-                return state.admits(ids, demand, app_id)
-
+            # the kernel walks a window of the order sized from k, not the
+            # cluster, and each position of it is charged to ``explored``.
+            # Every scope consumes candidates strictly in order — a full
+            # plan from a prefix *is* the plan from the whole list — so
+            # the window only widens when the plan came up short with
+            # more of the order left to read.
             limit = max(64, 2 * k)
             while True:
-                order = index.candidates(
-                    state, admit=admit, min_cpu=demand[0], limit=limit
+                window = index.candidates(state, min_cpu=demand[0], limit=limit)
+                result.explored += window.size
+                machines, counts = block_plan(
+                    state, demand, app_id, window, k, scope
                 )
-                result.explored += index.last_read
-                machines = block_plan(state, demand, order, k, scope)
-                if machines.size == k or index.last_complete:
+                if counts.sum() == k or index.last_complete:
                     break
                 limit *= 4
-        placed = int(machines.size)
+        targets = np.repeat(machines, counts)
+        placed = int(targets.size)
         # Commit the planned prefix in one batched mutation — the kernel
         # established feasibility, so the block path skips the scalar
         # per-container prechecks.
-        state.deploy_block(block[:placed], machines, demand)
-        mlist = machines.tolist()
+        state.deploy_block(block[:placed], targets, demand)
         result.placements.update(
-            zip([c.container_id for c in block[:placed]], mlist)
+            zip([c.container_id for c in block[:placed]], targets.tolist())
         )
         self.batch_placed += placed
         # One examined machine per placement, mirroring the DL walk's
@@ -300,7 +298,7 @@ class AladdinScheduler(Scheduler):
         if tele is not None:
             tele.batch_kernel_invocations += 1
             tele.dl_prune_hits += placed
-            tele.machines_skipped += state.n_machines - len(set(mlist))
+            tele.machines_skipped += state.n_machines - machines.size
         return placed
 
     # ------------------------------------------------------------------

@@ -35,6 +35,7 @@ backpressure answer, with ``retry_after`` seconds) or ``"error"``.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from typing import Any
@@ -163,23 +164,44 @@ def container_to_wire(c: Container) -> dict:
 
 
 def container_from_wire(obj: Any) -> Container:
-    """Parse one wire container, or raise :class:`ProtocolError`."""
+    """Parse one wire container, or raise :class:`ProtocolError`.
+
+    Values are held to the rules :class:`~repro.cluster.container.Application`
+    enforces — ids and ``priority`` non-negative, ``cpu`` and ``mem_gb``
+    finite and positive — so a request that would fail inside the
+    scheduler is refused here, before it can share a window.
+    """
     if not isinstance(obj, dict):
         raise ProtocolError(f"container must be an object, got {obj!r}")
-    missing = [f for f in _CONTAINER_FIELDS if f not in obj]
-    if missing:
-        raise ProtocolError(f"container is missing fields {missing}")
     try:
-        return Container(
-            container_id=int(obj["container_id"]),
-            app_id=int(obj["app_id"]),
-            instance=int(obj["instance"]),
-            cpu=float(obj["cpu"]),
-            mem_gb=float(obj["mem_gb"]),
-            priority=int(obj["priority"]),
-        )
-    except (TypeError, ValueError) as exc:
+        container_id = int(obj["container_id"])
+        app_id = int(obj["app_id"])
+        instance = int(obj["instance"])
+        priority = int(obj["priority"])
+        cpu = float(obj["cpu"])
+        mem_gb = float(obj["mem_gb"])
+    except KeyError:
+        missing = [f for f in _CONTAINER_FIELDS if f not in obj]
+        raise ProtocolError(f"container is missing fields {missing}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad container field: {exc}") from exc
+    # NaN fails both comparisons, as do zero, negatives and infinity
+    if min(container_id, app_id, instance, priority) < 0 or not (
+        0.0 < cpu < math.inf and 0.0 < mem_gb < math.inf
+    ):
+        values = (container_id, app_id, instance, cpu, mem_gb, priority)
+        bad = [
+            f for f, v in zip(_CONTAINER_FIELDS, values)
+            if (v < 0 if isinstance(v, int) else not 0.0 < v < math.inf)
+        ]
+        raise ProtocolError(
+            f"container fields {bad} out of range: ids and priority must "
+            "be >= 0, cpu and mem_gb finite and > 0"
+        )
+    return Container(
+        container_id=container_id, app_id=app_id, instance=instance,
+        cpu=cpu, mem_gb=mem_gb, priority=priority,
+    )
 
 
 # ----------------------------------------------------------------------

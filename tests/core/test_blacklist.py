@@ -9,7 +9,6 @@ from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.core.blacklist import BlacklistFunction
-from repro.sim.faults import fail_machines
 
 
 def container(cid, app, cpu=1.0):
@@ -148,65 +147,3 @@ def test_one_scatter_forbidden_mask_matches_per_partner_loop(
         assert np.array_equal(
             state.forbidden_mask(app), forbidden_mask_per_partner(state, app)
         )
-
-
-#: demand shapes whose Equation-6 verdicts differ with a machine's load
-PROBE_DEMANDS = [
-    np.array([1.0, 2.0]), np.array([24.0, 2.0]), np.array([32.0, 64.0])
-]
-
-
-def assert_admits_matches_feasible_mask(state, ids):
-    ids = np.asarray(ids, dtype=np.int64)
-    for app in range(6):  # app 5 is named by no rule
-        for demand in PROBE_DEMANDS:
-            assert np.array_equal(
-                state.admits(ids, demand, app),
-                state.feasible_mask(demand, app)[ids],
-            ), (app, demand, ids)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    RULE_PAIRS,
-    st.sets(st.integers(0, 4)),
-    DEPLOYMENTS,
-    st.lists(st.integers(0, 11), max_size=5),
-    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), max_size=3),
-    st.lists(st.integers(0, 3), max_size=2, unique=True),
-    RULE_PAIRS,
-    st.lists(st.integers(0, 3), max_size=8),
-)
-def test_window_admits_match_the_feasible_mask(
-    rules, rack_scoped, deployments, evictions, migrations, failures,
-    late_rules, ids,
-):
-    """``ClusterState.admits`` — the batch kernel's window predicate —
-    is ``feasible_mask(demand, app)[ids]`` for every application and any
-    ``ids`` (repeats included), after deployments, ``evict_block``,
-    migrations, failed (down) machines and rules added after placement,
-    with machine- and rack-scoped within-rules and cross conflicts on a
-    four-machine, two-rack cluster."""
-    state = ClusterState(
-        build_cluster(4, machines_per_rack=2),
-        scoped_constraints(rules, rack_scoped),
-    )
-    for cid, (app, machine) in enumerate(deployments):
-        if state.fits(np.array([4.0, 2.0]), machine):
-            state.deploy(container(cid, app=app, cpu=4.0), machine, force=True)
-    assert_admits_matches_feasible_mask(state, ids)
-    state.evict_block(evictions)
-    assert_admits_matches_feasible_mask(state, ids)
-    for cid, target in migrations:
-        if cid in state.assignment:
-            try:
-                state.migrate(cid, target)
-            except ValueError:
-                pass  # refused: the container stays on its source
-    assert_admits_matches_feasible_mask(state, ids)
-    fail_machines(state, failures)
-    assert_admits_matches_feasible_mask(state, ids)
-    for a, b in late_rules:
-        scope = "rack" if a == b and a not in rack_scoped else "machine"
-        state.constraints.add_rule(AntiAffinityRule(a, b), scope=scope)
-    assert_admits_matches_feasible_mask(state, ids)

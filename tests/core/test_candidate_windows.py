@@ -1,17 +1,17 @@
 """Windowed candidates: a block's plan from a prefix of the order.
 
-``AladdinScheduler._batch_place`` evaluates Equations 6-8
-(``ClusterState.admits``) on a window of the packed-first order
-(``max(64, 2k)`` positions from the CPU bisect) and widens it x4 only
-while the plan is short and the order has more to read.  The claim is
-that this is the plan from the whole list: all three ``block_plan``
+``AladdinScheduler._batch_place`` hands the batch kernel a raw window of
+the packed-first order (``max(64, 2k)`` positions from the CPU bisect),
+on which the kernel evaluates Equations 6-8 itself, and widens it x4
+only while the plan is short and the order has more to read.  The claim
+is that this is the plan from the whole list: all three ``block_plan``
 scopes consume candidates strictly in order.
 
 The oracle is the unlimited form — ``block_plan`` over
 ``candidates(state, feasible_mask)`` from a *fresh* index — on clusters
 wider than the first window, so that windows really are narrower than
-the order.  ``candidates(..., admit, min_cpu, limit)`` itself is
-checked against the unlimited list with windows far smaller than the
+the order.  ``candidates(..., min_cpu, limit)`` itself is checked
+against the unlimited list with windows far smaller than the
 scheduler's.
 """
 
@@ -89,10 +89,10 @@ def batch_place(engine, state, block):
     scope = cs.within_scope(app_id) if cs.has_within(app_id) else None
     mask = state.feasible_mask(demand, app_id)
     affinity = state.affinity_mask(app_id)
-    expected = block_plan(
-        state, demand, MachineIndex().candidates(state, mask, affinity),
-        len(block), scope,
-    )
+    expected = np.repeat(*block_plan(
+        state, demand, app_id,
+        MachineIndex().candidates(state, mask, affinity), len(block), scope,
+    ))
     result = ScheduleResult()
     placed = engine._batch_place(
         block, state, demand, None if affinity is None else mask, affinity,
@@ -276,30 +276,32 @@ def test_window_is_a_prefix_of_the_unlimited_list(seed):
         assert index.last_complete
         min_cpu = float(rng.choice([0.0, cpu / 2, cpu]))
         limit = int(rng.choice([1, 4, 32, 150, 400, 1000]))
-        got = index.candidates(
-            state, admit=mask.__getitem__, min_cpu=min_cpu, limit=limit
-        )
-        assert got.tolist() == full[: got.size].tolist()
-        if index.last_complete:
-            assert got.size == full.size
-        else:
-            # exactly ``limit`` positions were read, from the first key
-            # that min_cpu does not rule out
-            keys = packing_keys(state, np.arange(N_MACHINES, dtype=np.int64))
-            start = int((keys < min_cpu * (N_MACHINES + 1)).sum())
-            read = index.candidates(state)[start : start + limit]
-            assert got.tolist() == read[mask[read]].tolist()
+        window = index.candidates(state, min_cpu=min_cpu, limit=limit)
+        complete = index.last_complete
+        assert not window.flags.writeable
+        # the window is raw: what the mask admits of it is a prefix of
+        # the admitted list, since the mask rejects every machine the
+        # min_cpu bisect skipped
+        admitted = window[mask[window]]
+        assert admitted.tolist() == full[: admitted.size].tolist()
+        # exactly ``limit`` positions of the order, from the first key
+        # that min_cpu does not rule out
+        keys = packing_keys(state, np.arange(N_MACHINES, dtype=np.int64))
+        start = int((keys < min_cpu * (N_MACHINES + 1)).sum())
+        order = index.candidates(state)
+        assert window.tolist() == order[start : start + limit].tolist()
+        assert complete == (start + limit >= N_MACHINES)
+        if complete:
+            assert admitted.size == full.size
 
 
 def test_min_cpu_zero_starts_at_the_head_of_the_order():
     state, _ = packed_front(10, 32.0, 4.0, (1, 1.0, 1.0, None, ()))
     index = MachineIndex()
-    mask = np.ones(N_MACHINES, dtype=bool)
-    admit = mask.__getitem__
-    got = index.candidates(state, admit=admit, min_cpu=0.0, limit=12)
+    got = index.candidates(state, min_cpu=0.0, limit=12)
     assert got.tolist() == list(range(12))  # the ten full machines first
     assert not index.last_complete
-    got = index.candidates(state, admit=admit, min_cpu=1.0, limit=12)
+    got = index.candidates(state, min_cpu=1.0, limit=12)
     assert got.tolist() == list(range(10, 22))  # bisected past them
-    index.candidates(state, admit=admit, min_cpu=1.0, limit=N_MACHINES - 10)
+    index.candidates(state, min_cpu=1.0, limit=N_MACHINES - 10)
     assert index.last_complete

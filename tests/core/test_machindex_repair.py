@@ -283,6 +283,34 @@ def test_one_moved_machine_rewrites_only_the_positions_it_crosses():
     assert index.positions_rewritten == 3
 
 
+def test_one_raw_slice_that_touches_a_machine_several_times():
+    """The resync reads the raw log slice: machine 4 appears five times
+    (deploys, an eviction, a bare touch) and machine 2 twice.  Every
+    entry is applied — re-keying a machine is idempotent — and the
+    order is the fresh ``argsort``'s, as if the slice had been deduped."""
+    state = ClusterState(build_cluster(12), ConstraintSet())
+    index = MachineIndex()
+    deploy(state, 0, 7, cpu=6.0)
+    index.candidates(state)
+    version = state.version
+    cids = [deploy(state, 0, 4, cpu=3.0) for _ in range(3)]
+    deploy(state, 0, 2, cpu=1.5)
+    state.evict(cids[0])
+    state.touch(4)
+    deploy(state, 0, 2, cpu=2.0)
+    raw = state.dirty_raw_since(version).tolist()
+    assert raw == [4, 4, 4, 2, 4, 4, 2]
+    assert index.candidates(state).tolist() == ground_truth(state).tolist()
+    assert (index.resyncs, index.rebuilds) == (1, 1)
+    assert index.last_resynced == len(raw)
+    # the span runs from machine 7 (26 CPU, which machine 4 at 26 CPU
+    # now precedes by id) to machine 4's old place behind 0, 1, 2, 3:
+    # six positions, however often the slice names machine 4
+    assert index.positions_rewritten == 6
+    keys = packing_keys(state, np.arange(12, dtype=np.int64))
+    assert np.array_equal(index._sorted_keys, np.sort(keys))
+
+
 def test_unmasked_result_is_read_only():
     state = ClusterState(build_cluster(8), ConstraintSet())
     index = MachineIndex()

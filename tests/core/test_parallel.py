@@ -369,7 +369,7 @@ def _serial_plan(state, demand, app_id, k, scope):
     index = MachineIndex()
     mask = cache.feasible_mask(state, demand, app_id)
     order = index.candidates(state, mask, state.affinity_mask(app_id))
-    return block_plan(state, demand, order, k, scope)
+    return np.repeat(*block_plan(state, demand, app_id, order, k, scope))
 
 
 @pytest.mark.parametrize("workers", [2, 3])

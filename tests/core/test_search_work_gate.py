@@ -11,7 +11,9 @@ of the scale):
 * ``_batch_place`` reads one candidate window per block, a second one
   only rarely, and a block placed from its windows builds no
   cluster-wide verdict (no ``forbidden_mask``, no feasibility-cache
-  query; the window predicate reads no more than the windows hold);
+  query; the kernel reads exactly the windows' positions);
+* the kernel asks Equations 7-8 about no position behind the machine
+  that takes the block's last container;
 * the round's bookkeeping follows the application, not the container:
   a violation resync reads no resident ``Container`` (the tally asks
   ``machine_apps``), ``_derive_weights_for`` is handed one container
@@ -38,6 +40,7 @@ from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import build_scenario
+from tests.core.test_batchkernel import ReadRecorder
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -56,6 +59,7 @@ def test_resyncs_and_windows_stay_far_below_cluster_size(seed, monkeypatch):
         if limit is not None:
             windows.append(limit)
             assert got.size <= limit, "read past the window"
+            assert not got.flags.writeable, "a window is a view of the order"
         return got
 
     monkeypatch.setattr(MachineIndex, "_reinsert", counting_reinsert)
@@ -184,16 +188,18 @@ def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
     """A block the kernel places in full from its windows evaluates
     Equations 6-8 on those windows only: no ``forbidden_mask`` (the walk
     over every conflict partner's hosts) and no feasibility-cache query,
-    and ``ClusterState.admits`` is asked about no more positions than
-    the windows hold.  Affinity-tiered blocks read a full mask by
-    design and are left out."""
+    and the kernel is handed exactly the windows' positions.
+    Affinity-tiered blocks read a full mask by design and are left
+    out."""
     counts = {"forbidden": 0, "cache": 0, "positions": 0, "windows": 0}
     full_plan = [False]
+    last_window = [None]
     window_blocks = leaky_blocks = 0
 
-    forbidden_mask, admits = ClusterState.forbidden_mask, ClusterState.admits
+    forbidden_mask = ClusterState.forbidden_mask
     cache_mask = FeasibilityCache.feasible_mask
     candidates = MachineIndex.candidates
+    block_plan = scheduler.block_plan
     batch_place = AladdinScheduler._batch_place
     place_block = AladdinScheduler._place_block
 
@@ -205,13 +211,17 @@ def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
         counts["cache"] += 1
         return cache_mask(self, *args)
 
-    def counting_admits(self, ids, *args):
-        counts["positions"] += len(ids)
-        return admits(self, ids, *args)
-
     def counting_candidates(self, *args, limit=None, **kwargs):
-        counts["windows"] += limit or 0
-        return candidates(self, *args, limit=limit, **kwargs)
+        got = candidates(self, *args, limit=limit, **kwargs)
+        if limit is not None:
+            counts["windows"] += got.size
+            last_window[0] = got
+        return got
+
+    def counting_block_plan(state, demand, app_id, window, *args):
+        if window is last_window[0]:
+            counts["positions"] += window.size
+        return block_plan(state, demand, app_id, window, *args)
 
     def recording_batch_place(self, block, *args):
         placed = batch_place(self, block, *args)
@@ -229,9 +239,9 @@ def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
             leaky_blocks += counts["forbidden"] + counts["cache"] > before
 
     monkeypatch.setattr(ClusterState, "forbidden_mask", counting_forbidden)
-    monkeypatch.setattr(ClusterState, "admits", counting_admits)
     monkeypatch.setattr(FeasibilityCache, "feasible_mask", counting_cache)
     monkeypatch.setattr(MachineIndex, "candidates", counting_candidates)
+    monkeypatch.setattr(scheduler, "block_plan", counting_block_plan)
     monkeypatch.setattr(
         AladdinScheduler, "_batch_place", recording_batch_place
     )
@@ -246,7 +256,81 @@ def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
 
     assert window_blocks > 0.9 * blocks > 1800
     assert leaky_blocks == 0
-    assert 0 < counts["positions"] <= counts["windows"]
+    assert 0 < counts["positions"] == counts["windows"]
+
+
+def test_equations_7_8_stop_at_the_blocks_last_planned_machine(monkeypatch):
+    """A constrained block placed in full from its windows asks what a
+    machine hosts only up to the machine that takes its last container:
+    the kernel's walk stops there, where a predicate over the whole
+    window would ask every Equation-6 survivor of it.  And nothing in
+    ``_batch_place`` builds a cluster-wide verdict."""
+    counts = {"blocks": 0, "asked": 0, "late": 0, "cluster_wide": 0}
+    engine = AladdinScheduler()
+    in_window_path = [False]
+    block_size = [0]
+
+    forbidden_mask = ClusterState.forbidden_mask
+    cache_mask = FeasibilityCache.feasible_mask
+    deploy_block = ClusterState.deploy_block
+    batch_place = AladdinScheduler._batch_place
+
+    def counting_forbidden(self, app_id):
+        counts["cluster_wide"] += in_window_path[0]
+        return forbidden_mask(self, app_id)
+
+    def counting_cache(self, *args):
+        counts["cluster_wide"] += in_window_path[0]
+        return cache_mask(self, *args)
+
+    def recording_batch_place(self, block, state, demand, mask, *args):
+        if mask is not None:
+            return batch_place(self, block, state, demand, mask, *args)
+        real = state.machine_apps
+        state.machine_apps = ReadRecorder(real)
+        in_window_path[0] = True
+        block_size[0] = len(block)
+        try:
+            return batch_place(self, block, state, demand, mask, *args)
+        finally:
+            in_window_path[0] = False
+            state.machine_apps = real
+
+    def checking_deploy_block(self, containers, machine_ids, demand):
+        spy = self.machine_apps
+        if isinstance(spy, ReadRecorder):
+            # the plan is made: the real map takes the commit
+            self.machine_apps = spy.real
+            app_id = containers[0].app_id
+            cs = self.constraints
+            constrained = cs.has_within(app_id) or cs.has_conflicts(app_id)
+            if constrained and len(containers) == block_size[0]:
+                order = engine.machine_index._order
+                position = np.empty(order.size, dtype=np.int64)
+                position[order] = np.arange(order.size)
+                last = position[int(np.asarray(machine_ids)[-1])]
+                counts["blocks"] += 1
+                counts["asked"] += len(spy.asked)
+                counts["late"] += int((position[spy.asked] > last).sum())
+        return deploy_block(self, containers, machine_ids, demand)
+
+    monkeypatch.setattr(ClusterState, "forbidden_mask", counting_forbidden)
+    monkeypatch.setattr(FeasibilityCache, "feasible_mask", counting_cache)
+    monkeypatch.setattr(ClusterState, "deploy_block", checking_deploy_block)
+    monkeypatch.setattr(
+        AladdinScheduler, "_batch_place", recording_batch_place
+    )
+
+    trace = build_scenario(
+        "mixed-lla", scale=0.167, seed=0, ticks=24, n_functions=100
+    )
+    simulator = OnlineSimulator(trace, OnlineConfig(seed=0, scenario="mixed-lla"))
+    simulator.run(engine)
+
+    assert counts["blocks"] > 500
+    assert counts["asked"] >= counts["blocks"]
+    assert counts["late"] == 0
+    assert counts["cluster_wide"] == 0
 
 
 def test_a_resync_whose_machines_kept_their_keys_rewrites_nothing():

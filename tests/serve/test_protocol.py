@@ -127,6 +127,40 @@ class TestContainerWire:
         with pytest.raises(ProtocolError, match="bad container field"):
             container_from_wire(wire)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mem_gb", 0.0), ("cpu", -1.0), ("cpu", 0.0),
+            ("cpu", float("nan")), ("mem_gb", float("inf")),
+            ("container_id", -1), ("app_id", -3), ("instance", -1),
+            ("priority", -1),
+        ],
+    )
+    def test_values_the_scheduler_would_refuse(self, field, value):
+        # Application enforces the same rules; a container breaking them
+        # used to pass the wire check and fail its whole window
+        wire = container_to_wire(
+            Container(container_id=1, app_id=1, instance=0,
+                      cpu=1.0, mem_gb=1.0, priority=0)
+        )
+        wire[field] = value
+        with pytest.raises(ProtocolError, match=field):
+            container_from_wire(wire)
+
+    def test_json_nan_from_the_wire_is_refused(self):
+        # json emits and accepts the NaN / Infinity literals
+        wire = container_to_wire(
+            Container(container_id=1, app_id=1, instance=0,
+                      cpu=1.0, mem_gb=1.0, priority=0)
+        )
+        wire["cpu"] = float("nan")
+        frame = encode_frame({"type": "place", "containers": [wire]})
+        assert b'"cpu":NaN' in frame
+        req = read_bytes(frame)
+        assert req["containers"][0]["cpu"] != req["containers"][0]["cpu"]
+        with pytest.raises(ProtocolError, match="cpu"):
+            validate_request(req)
+
 
 class TestValidateRequest:
     def test_type_tables_are_disjoint_and_complete(self):

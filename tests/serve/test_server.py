@@ -207,6 +207,60 @@ class TestWindows:
         assert decided == {str(c.container_id) for c in place["_containers"]}
         assert server.windows == 1
 
+    def test_place_the_scheduler_would_refuse_gets_its_own_error(
+        self, make_server, sock_path, serve_trace
+    ):
+        """A ``mem_gb: 0`` place pipelined between a depart and a valid
+        place is answered with its own protocol error; the depart and
+        the sibling place commit and are recorded.  (When the wire
+        check let it through, the scheduler raised on it after the
+        window had already evicted the departure, and every coalesced
+        request was answered "window failed".)"""
+        from repro.serve.protocol import container_to_wire, recv_frame
+
+        server = make_server(ServeConfig(window_max=8))
+        first = serve_trace.containers[:4]
+        sibling = serve_trace.containers[5:8]
+        poison = container_to_wire(serve_trace.containers[4])
+        poison["mem_gb"] = 0.0
+        with ServerThread(server, sock_path):
+            with ServeClient(sock_path) as client:
+                placed = client.place(first)["placements"]
+                victim = int(next(iter(placed)))
+                windows_before = client.stats()["windows"]
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(30)
+                sock.connect(sock_path)
+                try:
+                    for obj in (
+                        {"type": "depart", "containers": [victim]},
+                        {"type": "place", "containers": [poison]},
+                        {"type": "place", "containers": [
+                            container_to_wire(c) for c in sibling
+                        ]},
+                    ):
+                        send_frame(sock, obj)
+                    replies = [recv_frame(sock) for _ in range(3)]
+                finally:
+                    sock.close()
+                stats = client.stats()
+        errors = [r for r in replies if r["status"] == "error"]
+        assert len(errors) == 1 and "mem_gb" in errors[0]["error"]
+        oks = [r for r in replies if r["status"] == "ok"]
+        assert len(oks) == 2
+        [placed_reply] = [r for r in oks if "placements" in r]
+        decided = set(placed_reply["placements"]) | set(
+            placed_reply["undeployed"]
+        )
+        assert decided == {str(c.container_id) for c in sibling}
+        [depart_reply] = [r for r in oks if "placements" not in r]
+        assert depart_reply["departed"] == 1
+        assert victim not in server.state.assignment
+        assert str(serve_trace.containers[4].container_id) not in decided
+        assert stats["totals"]["departed"] == 1
+        assert stats["windows"] > windows_before
+        assert sum(s.departed_containers for s in server.result.samples) == 1
+
     def test_fault_then_repair_coalesced_applies_repairs_first(
         self, make_server, serve_trace
     ):
