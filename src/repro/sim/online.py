@@ -340,9 +340,7 @@ def arrival_schedule(trace: Trace, config: OnlineConfig) -> ArrivalSchedule:
         rng.uniform(np.log(lo), np.log(hi + 1), len(apps))
     ).astype(np.int64)
     life_of = {app.app_id: int(lifetimes[i]) for i, app in enumerate(apps)}
-    by_app: dict[int, list] = {}
-    for c in trace.containers:
-        by_app.setdefault(c.app_id, []).append(c)
+    by_app = trace.containers_by_app()
     horizon = config.ticks + int(lifetimes.max()) + 1
     return ArrivalSchedule(apps, arrival_tick, life_of, by_app, horizon)
 

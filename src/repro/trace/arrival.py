@@ -66,9 +66,7 @@ def order_applications(trace: Trace, order: ArrivalOrder) -> list[Application]:
 
 def order_containers(trace: Trace, order: ArrivalOrder) -> list[Container]:
     """Containers of ``trace`` in arrival order (app blocks kept intact)."""
-    by_app: dict[int, list[Container]] = {}
-    for c in trace.containers:
-        by_app.setdefault(c.app_id, []).append(c)
+    by_app = trace.containers_by_app()
     out: list[Container] = []
     for app in order_applications(trace, order):
         out.extend(by_app[app.app_id])

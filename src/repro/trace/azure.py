@@ -223,36 +223,32 @@ def load_invocations(path: str | Path) -> list[dict]:
     return out
 
 
-def load_durations(path: str | Path) -> dict[tuple[str, str, str], float]:
-    """(owner, app, function) → average duration in ms."""
+def _load_averages(
+    path: str | Path, keys: tuple[str, ...], column: str, what: str
+) -> dict[tuple[str, ...], float]:
+    """``keys`` columns → the non-negative ``column`` value of each row."""
     path = Path(path)
-    out: dict[tuple[str, str, str], float] = {}
-    for row in _read_rows(
-        path, ("HashOwner", "HashApp", "HashFunction", "Average")
-    ):
-        value = _parse_float(row, "Average", path, row["_line"])
+    out: dict[tuple[str, ...], float] = {}
+    for row in _read_rows(path, (*keys, column)):
+        value = _parse_float(row, column, path, row["_line"])
         if value < 0:
             raise AzureTraceError(
-                f"{path.name}:{row['_line']}: negative duration {value}"
+                f"{path.name}:{row['_line']}: negative {what} {value}"
             )
-        out[(row["HashOwner"], row["HashApp"], row["HashFunction"])] = value
+        out[tuple(row[k] for k in keys)] = value
     return out
+
+
+def load_durations(path: str | Path) -> dict[tuple[str, str, str], float]:
+    """(owner, app, function) → average duration in ms."""
+    keys = ("HashOwner", "HashApp", "HashFunction")
+    return _load_averages(path, keys, "Average", "duration")
 
 
 def load_memory(path: str | Path) -> dict[tuple[str, str], float]:
     """(owner, app) → average allocated memory in MB."""
-    path = Path(path)
-    out: dict[tuple[str, str], float] = {}
-    for row in _read_rows(
-        path, ("HashOwner", "HashApp", "AverageAllocatedMb")
-    ):
-        value = _parse_float(row, "AverageAllocatedMb", path, row["_line"])
-        if value < 0:
-            raise AzureTraceError(
-                f"{path.name}:{row['_line']}: negative memory {value}"
-            )
-        out[(row["HashOwner"], row["HashApp"])] = value
-    return out
+    keys = ("HashOwner", "HashApp")
+    return _load_averages(path, keys, "AverageAllocatedMb", "memory")
 
 
 def _cache_path(root: Path, day: int) -> Path:

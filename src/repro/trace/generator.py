@@ -25,9 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.container import Application
-from repro.trace.schema import Trace, TraceConfig
+from repro.trace.schema import Trace, TraceConfig, collector_paused
 
 
+@collector_paused()
 def generate_trace(config: TraceConfig | None = None, **overrides) -> Trace:
     """Generate a deterministic synthetic trace.
 
@@ -39,6 +40,12 @@ def generate_trace(config: TraceConfig | None = None, **overrides) -> Trace:
         config = TraceConfig(**overrides)
     elif overrides:
         raise TypeError("pass either a TraceConfig or keyword overrides, not both")
+    return Trace(config=config, applications=generate_applications(config))
+
+
+def generate_applications(config: TraceConfig) -> list[Application]:
+    """The applications :func:`generate_trace` wraps, without the
+    constraint index and container list a :class:`Trace` derives."""
     rng = np.random.default_rng(config.seed)
 
     sizes = _sample_sizes(rng, config)
@@ -51,7 +58,7 @@ def generate_trace(config: TraceConfig | None = None, **overrides) -> Trace:
     )
     cpus = _calibrate_demand(cpus, sizes, config, frozen=frozen)
 
-    apps = [
+    return [
         Application(
             app_id=i,
             n_containers=int(sizes[i]),
@@ -64,7 +71,6 @@ def generate_trace(config: TraceConfig | None = None, **overrides) -> Trace:
         )
         for i in range(config.n_apps)
     ]
-    return Trace(config=config, applications=apps)
 
 
 # ----------------------------------------------------------------------

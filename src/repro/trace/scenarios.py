@@ -60,8 +60,8 @@ import numpy as np
 
 from repro.cluster.container import Application
 from repro.trace.azure import MINUTES_PER_DAY, AzureDataset, azure_dataset
-from repro.trace.generator import generate_trace
-from repro.trace.schema import Trace, TraceConfig
+from repro.trace.generator import generate_applications
+from repro.trace.schema import Trace, TraceConfig, collector_paused
 
 #: machine CPU capacity (32 CPU / 64 GB machines, Section V.A)
 _MACHINE_CPU = 32.0
@@ -112,7 +112,7 @@ class ScenarioConfig:
         here.
     lla_share:
         Size of the Alibaba-style LLA base, as a multiplier on
-        ``scale`` fed to :func:`~repro.trace.generator.generate_trace`.
+        ``scale`` fed to :func:`~repro.trace.generator.generate_applications`.
     lla_lifetime / lla_arrival_span:
         LLA lifetimes (log-uniform ticks) and the fraction of the day
         their arrivals are spread over (0.25 → all LLAs arrive in the
@@ -259,23 +259,24 @@ def _bin_day(invocations: np.ndarray, ticks: int) -> np.ndarray:
 def _lla_base(config: ScenarioConfig) -> list[Application]:
     """The constrained LLA base, arrival/lifetime encoded in names."""
     base_scale = max(0.002, config.scale * config.lla_share)
-    base = generate_trace(scale=base_scale, seed=config.seed)
+    base = generate_applications(TraceConfig(scale=base_scale, seed=config.seed))
     rng = np.random.default_rng((config.seed << 1) ^ 0x11A)
     span = max(1, round(config.lla_arrival_span * config.ticks))
-    ticks = rng.integers(0, span, base.n_apps)
+    ticks = rng.integers(0, span, len(base))
     lo, hi = config.lla_lifetime
     lives = np.exp(
-        rng.uniform(np.log(lo), np.log(hi + 1), base.n_apps)
+        rng.uniform(np.log(lo), np.log(hi + 1), len(base))
     ).astype(np.int64)
     return [
         replace(
             app,
             name=_encode(f"lla-{app.app_id:05d}", int(ticks[i]), int(lives[i])),
         )
-        for i, app in enumerate(base.applications)
+        for i, app in enumerate(base)
     ]
 
 
+@collector_paused()
 def build_scenario(
     config: ScenarioConfig | str,
     dataset: AzureDataset | None = None,
@@ -383,8 +384,6 @@ def scenario_schedule(trace: Trace, config) -> "object":
     apps = [app for _, app in plan]
     arrival_tick = np.array([t for (t, _), _ in plan], dtype=np.int64)
     life_of = {app.app_id: life for (_, life), app in plan}
-    by_app: dict[int, list] = {}
-    for c in trace.containers:
-        by_app.setdefault(c.app_id, []).append(c)
+    by_app = trace.containers_by_app()
     horizon = int(max(t + life for (t, life), _ in plan)) + 1
     return ArrivalSchedule(apps, arrival_tick, life_of, by_app, horizon)

@@ -15,6 +15,8 @@ scale-invariant (see DESIGN.md §4, "Scale").
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.cluster.constraints import ConstraintSet
@@ -142,6 +144,25 @@ class TraceConfig:
         return max(1, round(FULL_BIG_CONFLICT_COVERAGE * self.scale))
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector over a bulk build of acyclic objects,
+    which every collection the heap's growth triggers would re-walk.
+
+    The outermost pause settles the build with one full collection on
+    exit, so its objects are promoted once; nested pauses, and callers
+    that turned the collector off, leave it as it is.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect()
+
+
 @dataclass
 class Trace:
     """A generated workload: applications plus derived indices."""
@@ -151,9 +172,17 @@ class Trace:
     constraints: ConstraintSet = field(init=False)
     containers: list[Container] = field(init=False)
 
+    @collector_paused()
     def __post_init__(self) -> None:
         self.constraints = ConstraintSet.from_applications(self.applications)
         self.containers = containers_of(self.applications)
+
+    def containers_by_app(self) -> dict[int, list[Container]]:
+        """Each application's containers, keyed by app id in trace order."""
+        by_app: dict[int, list[Container]] = {}
+        for c in self.containers:
+            by_app.setdefault(c.app_id, []).append(c)
+        return by_app
 
     @property
     def n_containers(self) -> int:
