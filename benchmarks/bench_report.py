@@ -1,8 +1,8 @@
 """Fig. 12+ ablation report: the optimisation trajectory as JSON.
 
 Runs the online churn workload through the cumulative optimisation
-stack — plain Aladdin, +IL+DL, +cross-round cache, +batch kernel,
-+parallel workers — and writes the latency trajectory to
+stack — plain Aladdin, +IL+DL, +cross-round cache, +batch kernel —
+and writes the latency trajectory to
 ``BENCH_fig12.json``.  This is the committed, re-measurable form of the
 repository's performance claims: each variant reports best-of-N
 scheduling wall time, the deterministic machines-examined counter, and
@@ -114,7 +114,6 @@ def measure(
         "batch_kernel_invocations": tele.batch_kernel_invocations,
         "index_resyncs": tele.index_resyncs,
         "machines_skipped": tele.machines_skipped,
-        "parallel_sweeps": tele.parallel_sweeps,
     }
 
 
@@ -124,7 +123,6 @@ def run_report(
     ticks: int,
     pool_factor: float,
     repeats: int,
-    workers: int = 4,
 ) -> dict:
     trace = generate_trace(scale=scale, seed=seed)
     cfg = OnlineConfig(
@@ -133,9 +131,6 @@ def run_report(
     n_machines = max(
         1, round(trace.config.n_machines * pool_factor)
     )
-    variants = dict(VARIANTS)
-    if workers > 1:
-        variants[f"+workers{workers}"] = AladdinConfig(workers=workers)
     report: dict = {
         "figure": "Fig. 12+ (online churn ablation)",
         "setup": {
@@ -146,11 +141,10 @@ def run_report(
             "n_machines": n_machines,
             "n_containers": trace.n_containers,
             "repeats": repeats,
-            "workers": workers,
         },
         "variants": {},
     }
-    for name, variant in variants.items():
+    for name, variant in VARIANTS.items():
         report["variants"][name] = measure(trace, cfg, variant, repeats)
         print(
             f"{name:>10}: {report['variants'][name]['wall_time_ms']:8.1f} ms, "
@@ -160,13 +154,6 @@ def run_report(
     batched = report["variants"]["+batch"]["wall_time_ms"]
     report["batched_over_cached"] = round(batched / cached, 3) if cached else None
     print(f"batched/cached wall-time ratio: {report['batched_over_cached']}")
-    if workers > 1:
-        par = report["variants"][f"+workers{workers}"]["wall_time_ms"]
-        report["parallel_speedup"] = round(batched / par, 3) if par else None
-        print(
-            f"parallel speedup at {workers} workers "
-            f"({os.cpu_count()} CPUs visible): {report['parallel_speedup']}"
-        )
     return report
 
 
@@ -406,7 +393,6 @@ def run_restore_report(
 
     engine_image = engine.checkpoint()
     state_image = state.checkpoint_payload()
-    engine.close()
 
     def first_round(warm: bool) -> tuple[float, dict]:
         rstate = ClusterState.from_payload(state_image, topo, trace.constraints)
@@ -417,7 +403,6 @@ def run_restore_report(
         t0 = time.perf_counter()
         result = e.schedule(list(probe), rstate)
         dt = time.perf_counter() - t0
-        e.close()
         return dt, dict(result.placements)
 
     report: dict = {
@@ -507,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
                              "batch kernel at 4k/12k machines; trace: "
                              "Azure-scenario sweep (diurnal/burst/churn-"
                              "storm/mixed-lla vs the LLA-only baseline) "
-                             "across the cache/batch/workers axes; "
+                             "across the cache/batch axes; "
                              "power: machine-hours and cold-start rate "
                              "per keep-alive policy with the "
                              "autoscaling lifecycle on "
@@ -520,9 +505,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pool-factor", type=float, default=8.0)
     parser.add_argument("--repeats", type=int, default=3,
                         help="wall-time repetitions per variant (best-of)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="shard workers for the parallel variant row "
-                             "(1 disables the row; default 4)")
     parser.add_argument("--n-apps", type=int, default=240,
                         help="rescue mode: fill-phase application count "
                              "(sizes the machine pool)")
@@ -628,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         report = run_report(
             args.scale, args.seed, args.ticks, args.pool_factor,
-            args.repeats, workers=args.workers,
+            args.repeats,
         )
     # Every committed BENCH_*.json carries the same provenance header.
     report.setdefault("setup", {}).update(host_info())

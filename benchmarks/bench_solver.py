@@ -53,16 +53,11 @@ def replay_windows(trace, n_machines: int, cfg: AladdinConfig, window: int) -> d
     telemetry = SchedulerTelemetry()
     placed = 0
     t0 = time.perf_counter()
-    try:
-        for i in range(0, len(containers), window):
-            result = engine.schedule(containers[i : i + window], state)
-            placed += result.n_deployed
-            if result.telemetry is not None:
-                telemetry.merge(result.telemetry)
-    finally:
-        close = getattr(engine, "close", None)
-        if callable(close):
-            close()
+    for i in range(0, len(containers), window):
+        result = engine.schedule(containers[i : i + window], state)
+        placed += result.n_deployed
+        if result.telemetry is not None:
+            telemetry.merge(result.telemetry)
     elapsed = time.perf_counter() - t0
     quality = measure_quality(state, blocked=len(containers) - placed)
     audit = validate_state(state)

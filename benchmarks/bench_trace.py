@@ -3,10 +3,10 @@
 Runs every scenario family of :mod:`repro.trace.scenarios` — built on
 the seeded synthetic fallback, so the benchmark needs nothing on disk —
 through the Aladdin optimisation axes (full stack, no cross-round
-cache, no batch kernel, sharded workers) and commits the result as
+cache, no batch kernel) and commits the result as
 ``BENCH_trace.json``.  Two claims are asserted, not just reported:
 
-* **decision parity** — the cache/batch/workers axes are semantically
+* **decision parity** — the cache/batch axes are semantically
   transparent, so every variant's decision signature (per-tick
   arrived/departed/running/used-machines/failures/migrations/violations
   plus the run totals) must be identical per scenario;
@@ -27,7 +27,6 @@ TRACE_VARIANTS: dict[str, AladdinConfig] = {
     "full": AladdinConfig(),
     "no-cache": AladdinConfig(enable_feasibility_cache=False),
     "no-batch": AladdinConfig(enable_batch_kernel=False),
-    "workers2": AladdinConfig(workers=2),
 }
 
 
@@ -96,7 +95,6 @@ def _row(best) -> dict:
         "cache_misses": tele.cache_misses,
         "cache_hit_rate": round(tele.cache_hit_rate, 4),
         "batch_kernel_invocations": tele.batch_kernel_invocations,
-        "parallel_sweeps": tele.parallel_sweeps,
         # Wall seconds per tick phase (window apply + scheduler phases),
         # from the same best-of-repeats run as wall_time_ms.
         "phase_time_s": {

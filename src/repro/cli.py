@@ -244,34 +244,6 @@ def cmd_online(args) -> int:
     return 0
 
 
-#: one-shot guard for the oversubscription warning (warn once per
-#: process, however many schedulers an invocation constructs)
-_workers_warned = False
-
-
-def _warn_oversubscribed_workers(workers: int) -> None:
-    """Warn once when ``--workers`` exceeds the visible CPU count.
-
-    Oversubscribed shard workers time-slice against each other, so the
-    parallel sweep usually runs *slower* than at ``--workers
-    os.cpu_count()`` — surprising enough to flag, but legitimate for
-    testing, so a warning rather than an error.
-    """
-    global _workers_warned
-    import os
-
-    cpus = os.cpu_count() or 1
-    if workers > cpus and not _workers_warned:
-        _workers_warned = True
-        print(
-            f"warning: --workers {workers} exceeds the {cpus} CPUs "
-            f"visible to this process; shard workers will oversubscribe "
-            f"cores (placements stay bit-identical, wall time usually "
-            f"worse than --workers {cpus})",
-            file=sys.stderr,
-        )
-
-
 def _write_profile(path: str, result) -> None:
     """Write the per-tick, per-phase wall-time breakdown (``--profile``).
 
@@ -309,12 +281,9 @@ def _write_profile(path: str, result) -> None:
 
 def _aladdin_variant(args, factories):
     """The scheduler an ``online``/``serve`` invocation asked for."""
-    if args.workers > 1:
-        _warn_oversubscribed_workers(args.workers)
     if args.scheduler == "Aladdin" and (
         args.no_cache or args.no_batch or args.no_rescue_kernel
-        or args.workers > 1 or args.engine != "batch"
-        or args.solver_objective != "packing" or args.rebalance_shards
+        or args.engine != "batch" or args.solver_objective != "packing"
     ):
         from repro.core import engine_for
 
@@ -323,10 +292,8 @@ def _aladdin_variant(args, factories):
                 enable_feasibility_cache=not args.no_cache,
                 enable_batch_kernel=not args.no_batch,
                 enable_rescue_kernel=not args.no_rescue_kernel,
-                workers=args.workers,
                 engine=args.engine,
                 solver_objective=args.solver_objective,
-                shard_rebalance=args.rebalance_shards,
             )
         )
     return factories[args.scheduler]()
@@ -454,10 +421,6 @@ def _add_variant_args(parser: argparse.ArgumentParser) -> None:
                              "instead of the vectorized rescue kernel "
                              "(Aladdin only; decisions are bit-identical "
                              "either way)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes for the rack-sharded parallel sweep "
-                             "(Aladdin only; 1 = serial, placements are "
-                             "bit-identical either way)")
     parser.add_argument("--engine", default="batch",
                         choices=["batch", "flow", "solver"],
                         help="placement engine (Aladdin only): the "
@@ -470,12 +433,6 @@ def _add_variant_args(parser: argparse.ArgumentParser) -> None:
                              "weighted packing (default) or two-phase "
                              "max-min fairness over per-app placed "
                              "fractions")
-    parser.add_argument("--rebalance-shards", action="store_true",
-                        help="resize the parallel sweep's shards by "
-                             "per-rack resident density at checkpoint "
-                             "boundaries (Aladdin with --workers > 1; "
-                             "placements are unchanged, worker cache "
-                             "telemetry differs)")
     parser.add_argument("--profile", metavar="PATH",
                         help="write a per-tick, per-phase wall-time "
                              "breakdown (window apply, departures, "

@@ -773,9 +773,8 @@ class ClusterState:
         index, rescue kernel) store the versions they are synced at,
         and restoring both sides together keeps those watermarks valid
         — the restored consumers resync from the persisted watermark
-        instead of rebuilding cold.  ``available`` is copied out, so a
-        state whose array is currently adopted into the parallel
-        sweep's shared memory checkpoints its private values.
+        instead of rebuilding cold.  ``available`` is copied out, so the
+        image does not move with the live state.
         """
         return {
             "n_machines": self.n_machines,
@@ -890,103 +889,3 @@ class ClusterState:
                     source_machine=source_machine,
                 )
             )
-
-
-#: shard views are identified like full states, from the same uid space
-_shard_uids = _state_uids
-
-
-class ShardView:
-    """A worker-local, dirty-log-tracked window onto one machine shard.
-
-    The parallel sweep (:mod:`repro.core.parallel`) partitions machines
-    by rack into contiguous ``[lo, hi)`` ranges.  Each worker process
-    holds one ``ShardView``: a zero-copy slice of the coordinator's
-    shared-memory ``available`` array plus a *local* dirty log fed by
-    the coordinator's messages.  The view quacks like a
-    :class:`ClusterState` for exactly the consumers the worker runs —
-    the :class:`~repro.core.feascache.FeasibilityCache` and the
-    :class:`~repro.core.machindex.MachineIndex` — which only read
-    :attr:`available`, :attr:`n_machines`, :attr:`state_uid`,
-    :attr:`version`, :attr:`constraints` and the ``dirty_*_since``
-    queries.  Machine ids are shard-local (``0 .. hi - lo``); the
-    coordinator translates to and from global ids at the boundary.
-
-    The view's :attr:`constraints` are deliberately empty: anti-affinity
-    blacklists are application-specific coordinator state, so the
-    coordinator evaluates them and ships the forbidden ids with each
-    query — the worker's cache holds only the app-independent capacity
-    dominance term, mirroring the serial cache's split.
-
-    Versioning is local: :meth:`advance` bumps :attr:`version` by one
-    per coordinator message and appends that message's dirty ids as one
-    log segment.  ``advance(None)`` models a compacted coordinator log
-    ("everything may have changed"): the local log is cleared and every
-    consumer synced before this point recomputes fully, mirroring
-    :meth:`ClusterState.dirty_array_since` semantics.
-    """
-
-    #: dirty-log segments kept before compaction drops the oldest half
-    MAX_SEGMENTS = 512
-
-    def __init__(self, available: np.ndarray) -> None:
-        #: remaining resources of this shard, shape (hi - lo, n_dims) —
-        #: typically a live view into the coordinator's shared memory
-        self.available = available
-        #: empty on purpose — blacklists are evaluated coordinator-side
-        self.constraints = ConstraintSet()
-        self.state_uid = next(_shard_uids)
-        self.version = 0
-        self._segments: list[np.ndarray] = []
-        self._base = 0
-
-    @property
-    def n_machines(self) -> int:
-        return int(self.available.shape[0])
-
-    # ------------------------------------------------------------------
-    def advance(self, dirty_local: np.ndarray | None) -> None:
-        """Apply one coordinator sync message to the local dirty log.
-
-        ``dirty_local`` holds the shard-local ids mutated since the last
-        message (possibly empty); ``None`` means the coordinator's own
-        log was compacted past the shard's sync point, so the whole
-        shard must be treated as dirty.
-        """
-        self.version += 1
-        if dirty_local is None:
-            self._segments.clear()
-            self._base = self.version
-            return
-        self._segments.append(np.asarray(dirty_local, dtype=np.int64))
-        if len(self._segments) > self.MAX_SEGMENTS:
-            drop = len(self._segments) // 2
-            del self._segments[:drop]
-            self._base += drop
-
-    def dirty_array_since(self, version: int) -> np.ndarray | None:
-        """Shard-local ids dirtied after ``version`` (``None``: unknown)."""
-        if version >= self.version:
-            return _NO_DIRTY
-        if version < self._base:
-            return None
-        segments = self._segments[version - self._base :]
-        if len(segments) == 1:
-            return np.unique(segments[0])
-        return np.unique(np.concatenate(segments))
-
-    def dirty_raw_since(self, version: int) -> np.ndarray | None:
-        """Raw, possibly duplicated form of :meth:`dirty_array_since`.
-
-        Skips the dedup sort for consumers whose resync is idempotent
-        (the feasibility cache rewrites verdicts in place), matching
-        :meth:`ClusterState.dirty_raw_since`.
-        """
-        if version >= self.version:
-            return _NO_DIRTY
-        if version < self._base:
-            return None
-        segments = self._segments[version - self._base :]
-        if len(segments) == 1:
-            return segments[0]
-        return np.concatenate(segments)

@@ -11,9 +11,6 @@
   packed-first machine ordering shared by both engines;
 * :mod:`~repro.core.batchkernel` — the batched block placement kernel
   (one vectorized sweep per application block);
-* :mod:`~repro.core.parallel` — the rack-sharded process-parallel
-  feasibility/scoring sweep (``AladdinConfig(workers=N)``),
-  bit-identical to the serial pipeline;
 * :mod:`~repro.core.migration` — priority-aware preemption and
   migration (Section III.B, Fig. 3 and Fig. 7);
 * :mod:`~repro.core.validate` — the shared Equation 7–9 placement
@@ -32,12 +29,6 @@ from repro.core.blacklist import BlacklistFunction
 from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex
 from repro.core.network_builder import LayeredNetwork, build_layered_network
-from repro.core.parallel import (
-    ParallelSweep,
-    merge_candidates,
-    rack_work_weights,
-    shard_bounds,
-)
 from repro.core.scheduler import AladdinScheduler
 from repro.core.search import FlowPathSearch
 from repro.core.validate import (
@@ -83,10 +74,6 @@ __all__ = [
     "block_plan",
     "LayeredNetwork",
     "build_layered_network",
-    "ParallelSweep",
-    "merge_candidates",
-    "rack_work_weights",
-    "shard_bounds",
     "AladdinScheduler",
     "FlowPathSearch",
     "engine_for",

@@ -32,13 +32,6 @@ the whole order means every quota is exhausted; the remainder goes to
 rescue, exactly where the per-container walk would have handed over.
 Same inputs, same plan; candidates a caller already filtered pass
 through unchanged.
-
-Under the rack-sharded parallel sweep (:mod:`repro.core.parallel`) the
-kernel is also the *merge point*: the coordinator feeds it the union of
-per-shard admitted prefixes in the serial total order.  Racks never
-span shards, so the workers' rack deduplication composes into the
-global rack-scoped walk, and a global prefix of ``k`` candidates holds
-at most ``k`` per shard, so the per-shard ``k``-prefixes cover the plan.
 """
 
 from __future__ import annotations

@@ -110,28 +110,6 @@ class AladdinConfig:
         ``schedule()`` call and raise on any violation.  Off by default
         (it is a full-state audit); the differential and parity
         harnesses switch it on.
-    workers:
-        Process count for the rack-sharded parallel feasibility/scoring
-        sweep (:mod:`repro.core.parallel`).  ``1`` (the default) keeps
-        the serial code path untouched — same-seed runs stay
-        byte-identical to previous releases.  With ``workers > 1`` the
-        per-block sweep fans out over rack-aligned machine shards held
-        in shared memory; it is only active together with ``enable_il``,
-        ``enable_dl``, ``enable_batch_kernel`` and
-        ``enable_feasibility_cache`` (the sweep parallelises exactly
-        that pipeline), and placements are provably bit-identical to
-        the serial path — the workers axis of
-        ``tests/test_differential.py`` enforces it under churn.
-    shard_rebalance:
-        Resize the parallel sweep's shards by per-rack resident density
-        at checkpoint boundaries (work-weighted :func:`shard_bounds`).
-        Placement decisions are bit-identical either way — the merge
-        re-establishes the serial total order for any rack-aligned
-        partition — but a rebalance resets the shard workers' caches
-        (cold resync), so the cache hit/miss telemetry differs from a
-        never-rebalanced run.  Off by default to keep default runs
-        byte-identical to previous releases; opt in via
-        ``online/serve --rebalance-shards``.
     """
 
     priority_weight_base: float = 16.0
@@ -150,8 +128,6 @@ class AladdinConfig:
     engine: str = "batch"
     solver_objective: str = "packing"
     validate_placements: bool = False
-    workers: int = 1
-    shard_rebalance: bool = False
 
     def __post_init__(self) -> None:
         if self.priority_weight_base < 1:
@@ -162,8 +138,6 @@ class AladdinConfig:
             raise ValueError("migration_candidates must be >= 0")
         if self.max_migrations_per_container < 0:
             raise ValueError("max_migrations_per_container must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.engine not in ("batch", "flow", "solver"):
             raise ValueError(
                 f"unknown engine {self.engine!r} "

@@ -66,8 +66,7 @@ what reads the whole cluster:
   after a rescue, and every block on the batch-off / no-DL paths;
 * the engine-shared ``drain_requeue`` and ``final_repair`` passes;
 * :class:`~repro.core.search.FlowPathSearch`, per container;
-* the rescue kernel's private dominance cache (:meth:`dominance_mask`);
-* the parallel sweep's per-shard workers.
+* the rescue kernel's private dominance cache (:meth:`dominance_mask`).
 
 On the ruler's default-engine workloads that leaves ``sim-mixed-lla``,
 ``serve-diurnal`` and ``serve-storm-burst`` with no cache query at all;

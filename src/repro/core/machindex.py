@@ -40,14 +40,14 @@ candidate set in the heterogeneous corner where it fails.  Either way
 the returned order is bit-identical to the scratch-built one, which is
 what lets the batch kernel promise placement-identical results.
 
-Contract (inputs, shard invariants, determinism)
-------------------------------------------------
+Contract (inputs, determinism)
+------------------------------
 :meth:`MachineIndex.candidates` takes a state (anything exposing
 ``available``, ``n_machines``, ``state_uid``, ``version`` and the
-dirty-log accessors — a full :class:`~repro.cluster.state.ClusterState`
-or a per-shard :class:`~repro.cluster.state.ShardView`), an optional
-boolean admit mask and an optional boolean affinity mask, both indexed
-by machine id in that state's id space.
+dirty-log accessors, in practice a
+:class:`~repro.cluster.state.ClusterState`), an optional boolean admit
+mask and an optional boolean affinity mask, both indexed by machine id
+in that state's id space.
 
 A caller that will read only a prefix of the order — depth limiting
 ends a container's search at its first admitting machine, so a block
@@ -63,24 +63,13 @@ remaining CPU, so the first key not below ``min_cpu * (n_machines +
 much CPU) — the skipped head is exact, not a heuristic.
 :attr:`MachineIndex.last_complete` reports whether the window reached
 the end of the order.  The unlimited form is the default and what the
-affinity-tiered queries, the rescue kernel, the flow engine, the LP
-engine and the sweep workers use.
-
-Under the rack-sharded parallel sweep (:mod:`repro.core.parallel`) one
-index instance lives in each worker process over its shard's
-``ShardView``; because the packed-first key of a machine depends only
-on its own ``available`` row and its id, per-shard orders concatenated
-in shard order relate to the global order by a single stable merge on
-the (tier-augmented) key — the coordinator's ``merge_candidates``
-exploits exactly this.  Shard-local ids translate to global ids by
-adding the shard's offset, which preserves the id tie-break since
-shards are contiguous, ascending id ranges.
+affinity-tiered queries, the rescue kernel, the flow engine and the
+LP engine use.
 
 Determinism guarantee: given the same state contents, mask and
 affinity, ``candidates`` returns the same array, bit for bit,
 regardless of the resync history (incremental reinsertions vs a fresh
-rebuild) — the property the differential harness replays for, and the
-reason the parallel sweep can promise byte-identical placements.
+rebuild) — the property the differential harness replays for.
 """
 
 from __future__ import annotations

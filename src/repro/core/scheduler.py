@@ -61,7 +61,6 @@ from repro.core.config import AladdinConfig
 from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex, affinity_tier, packing_keys
 from repro.core.migration import RescuePlanner
-from repro.core.parallel import ParallelSweep
 from repro.core.rescuekernel import RescueKernel
 from repro.core.validate import validate_state
 from repro.core.weights import derive_priority_weights
@@ -86,43 +85,6 @@ class AladdinScheduler(Scheduler):
         self.rescue_kernel = (
             RescueKernel() if self.config.enable_rescue_kernel else None
         )
-        #: rack-sharded parallel sweep; only built when the whole
-        #: cache+index+kernel pipeline it parallelises is enabled, so
-        #: ``workers=1`` (the default) leaves the serial path untouched.
-        cfg = self.config
-        self.parallel: ParallelSweep | None = None
-        if (
-            cfg.workers > 1
-            and cfg.enable_il
-            and cfg.enable_dl
-            and cfg.enable_batch_kernel
-            and cfg.enable_feasibility_cache
-        ):
-            self.parallel = ParallelSweep(cfg.workers)
-
-    def close(self) -> None:
-        """Release parallel-sweep workers and shared memory (idempotent)."""
-        if self.parallel is not None:
-            self.parallel.close()
-
-    # ------------------------------------------------------------------
-    def rebalance_shards(self, state: ClusterState) -> bool:
-        """Resize the parallel sweep's shards by current resident density.
-
-        Only acts when ``shard_rebalance`` is configured and the sweep is
-        active; returns whether a rebalance happened.  Called by the
-        online simulator at checkpoint boundaries (before the snapshot is
-        written, so the checkpoint captures the post-rebalance layout).
-        Placement decisions are unaffected — the merge re-establishes the
-        serial total order for any rack-aligned partition — but the
-        workers resync their caches cold, which shows up in cache
-        telemetry (why the knob is opt-in).
-        """
-        if not self.config.shard_rebalance or self.parallel is None:
-            return False
-        from repro.core.parallel import rack_work_weights
-
-        return self.parallel.rebalance(state, rack_work_weights(state))
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:
@@ -146,8 +108,8 @@ class AladdinScheduler(Scheduler):
 
         ``config`` must match the configuration the checkpoint was
         taken under for the resumed run to be bit-identical (a
-        mismatched kernel/parallel layout degrades those components to
-        a cold start instead of corrupting).
+        mismatched kernel layout degrades that component to a cold
+        start instead of corrupting).
         """
         engine = cls(config)
         engine.restore_checkpoint(payload, state)
@@ -302,46 +264,6 @@ class AladdinScheduler(Scheduler):
         return placed
 
     # ------------------------------------------------------------------
-    def _parallel_place(
-        self,
-        block: list[Container],
-        state: ClusterState,
-        demand: np.ndarray,
-        result: ScheduleResult,
-    ) -> int:
-        """Deploy the block's prefix via the rack-sharded parallel sweep.
-
-        The sweep runs the per-shard feascache + machindex pipelines in
-        the worker processes and merges their candidate prefixes into
-        the serial order, so the planned machines — and therefore the
-        deploys below — are bit-identical to :meth:`_batch_place` over a
-        serially maintained cache and index.  The ``explored`` charge is
-        the honest parallel equivalent: dominance verdicts actually
-        recomputed across all shards, plus one per placement for the DL
-        walk.
-        """
-        app_id = block[0].app_id
-        cs = state.constraints
-        scope = cs.within_scope(app_id) if cs.has_within(app_id) else None
-        machines, recomputed, admitted = self.parallel.plan_block(
-            state, demand, app_id, len(block), scope
-        )
-        placed = int(machines.size)
-        state.deploy_block(block[:placed], machines, demand)
-        mlist = machines.tolist()
-        result.placements.update(
-            zip([c.container_id for c in block[:placed]], mlist)
-        )
-        self.batch_placed += placed
-        result.explored += recomputed + placed
-        tele = result.telemetry
-        if tele is not None:
-            tele.batch_kernel_invocations += 1
-            tele.dl_prune_hits += placed
-            tele.machines_skipped += state.n_machines - len(set(mlist))
-        return placed
-
-    # ------------------------------------------------------------------
     def _place_block(
         self,
         block: list[Container],
@@ -361,46 +283,27 @@ class AladdinScheduler(Scheduler):
         candidates: _CandidateWalk | None = None
         pending = block
         if cfg.enable_il:
-            if (
-                cfg.enable_dl
-                and cfg.enable_batch_kernel
-                and self.parallel is not None
-            ):
-                # The sharded sweep subsumes the coordinator-side
-                # feasibility evaluation; a mask is only rebuilt (from
-                # the coordinator's own cache) if overflow containers
-                # need the serial walk.
-                placed = self._parallel_place(block, state, demand, result)
+            batch = cfg.enable_dl and cfg.enable_batch_kernel
+            # The batch kernel evaluates its own window; a full mask
+            # is built only for what reads the whole cluster — an
+            # affinity-tiered block and the non-batched walk.
+            mask = (
+                self._feasible_mask(state, demand, app_id, result)
+                if affinity is not None or not batch
+                else None
+            )
+            if batch:
+                placed = self._batch_place(
+                    block, state, demand, mask, affinity, result
+                )
                 pending = block[placed:]
-                mask = (
-                    self._feasible_mask(state, demand, app_id, result)
-                    if pending
-                    else None
-                )
-            else:
-                batch = cfg.enable_dl and cfg.enable_batch_kernel
-                # The batch kernel evaluates its own window; a full mask
-                # is built only for what reads the whole cluster — an
-                # affinity-tiered block and the non-batched walk.
-                mask = (
-                    self._feasible_mask(state, demand, app_id, result)
-                    if affinity is not None or not batch
-                    else None
-                )
-                if batch:
-                    placed = self._batch_place(
-                        block, state, demand, mask, affinity, result
-                    )
-                    pending = block[placed:]
-                    if pending:
-                        # The kernel drained every quota: the overflow
-                        # containers walk a mask of the state as it is
-                        # now (empty bar rounding), so they fall straight
-                        # through to rescue, as the per-container walk
-                        # would at this exact point.
-                        mask = self._feasible_mask(
-                            state, demand, app_id, result
-                        )
+                if pending:
+                    # The kernel drained every quota: the overflow
+                    # containers walk a mask of the state as it is
+                    # now (empty bar rounding), so they fall straight
+                    # through to rescue, as the per-container walk
+                    # would at this exact point.
+                    mask = self._feasible_mask(state, demand, app_id, result)
             if pending:
                 candidates = _CandidateWalk(
                     state, demand, mask, within, cfg.enable_dl, affinity=affinity
@@ -515,7 +418,7 @@ def engine_checkpoint(engine) -> dict:
     """Image of an engine's cross-round ledgers, for a snapshot payload.
 
     Shared by both engines (``engine`` exposes ``feas_cache``,
-    ``machine_index``, ``rescue_kernel`` and ``parallel``): the ledgers
+    ``machine_index`` and ``rescue_kernel``): the ledgers
     are the warm state a restart would otherwise rebuild cold, and a
     cold rebuild is not only slower but *observably different* — the
     machine index reports ``index_resyncs`` telemetry on incremental
@@ -534,9 +437,6 @@ def engine_checkpoint(engine) -> dict:
             if engine.rescue_kernel is not None
             else None
         ),
-        "parallel": (
-            engine.parallel.checkpoint() if engine.parallel is not None else None
-        ),
     }
 
 
@@ -546,9 +446,10 @@ def engine_restore(engine, payload: dict, state: ClusterState) -> None:
     Every ledger is rebound to the restored state's fresh uid; the
     persisted sync versions stay valid because the state checkpoint
     carries the dirty log verbatim.  Components present on only one
-    side (e.g. the checkpoint was taken without a rescue kernel, or
-    with a different worker count) start cold — a full resync on first
-    use, never silent corruption.
+    side (e.g. the checkpoint was taken without a rescue kernel) start
+    cold — a full resync on first use, never silent corruption.  An
+    image written while the engine could still run a rack-sharded
+    parallel sweep may carry a ``parallel`` entry; it is ignored.
     """
     engine.feas_cache.restore(payload["feas_cache"], state.state_uid)
     engine.machine_index.restore(payload["machine_index"], state.state_uid)
@@ -557,8 +458,6 @@ def engine_restore(engine, payload: dict, state: ClusterState) -> None:
     kernel_image = payload.get("rescue_kernel")
     if engine.rescue_kernel is not None and kernel_image is not None:
         engine.rescue_kernel.restore(kernel_image, state)
-    if engine.parallel is not None:
-        engine.parallel.restore(state, payload.get("parallel"))
 
 
 # ----------------------------------------------------------------------

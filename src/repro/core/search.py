@@ -34,7 +34,6 @@ from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex
 from repro.core.migration import RescuePlanner
 from repro.core.network_builder import LayeredNetwork, build_layered_network
-from repro.core.parallel import ParallelSweep
 from repro.core.rescuekernel import RescueKernel
 from repro.core.scheduler import (
     _derive_weights_for,
@@ -69,33 +68,6 @@ class FlowPathSearch(Scheduler):
         self.rescue_kernel = (
             RescueKernel() if self.config.enable_rescue_kernel else None
         )
-        #: rack-sharded parallel sweep for the cached+DL path; gated
-        #: exactly like the vectorised engine's (workers=1 → serial)
-        cfg = self.config
-        self.parallel: ParallelSweep | None = None
-        if (
-            cfg.workers > 1
-            and cfg.enable_il
-            and cfg.enable_dl
-            and cfg.enable_feasibility_cache
-        ):
-            self.parallel = ParallelSweep(cfg.workers)
-
-    def close(self) -> None:
-        """Release parallel-sweep workers and shared memory (idempotent)."""
-        if self.parallel is not None:
-            self.parallel.close()
-
-    # ------------------------------------------------------------------
-    def rebalance_shards(self, state: ClusterState) -> bool:
-        """Work-weighted shard resize at checkpoint boundaries; same
-        semantics as the vectorised engine's hook (opt-in, decisions
-        unaffected, worker caches resync cold)."""
-        if not self.config.shard_rebalance or self.parallel is None:
-            return False
-        from repro.core.parallel import rack_work_weights
-
-        return self.parallel.rebalance(state, rack_work_weights(state))
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:
@@ -295,22 +267,6 @@ class FlowPathSearch(Scheduler):
 
         cfg = self.config
         tele = result.telemetry
-        if self.parallel is not None:
-            # The sharded sweep answers the k=1 query: per-shard cached
-            # admission + index prefix, merged into the serial order —
-            # the winner is the exact machine ``order[0]`` below yields.
-            machines, recomputed, admitted = self.parallel.plan_block(
-                state, demand, container.app_id, 1, None
-            )
-            result.explored += recomputed
-            if tele is not None:
-                tele.machines_skipped += state.n_machines - admitted
-            if machines.size == 0:
-                return None
-            result.explored += 1
-            if tele is not None:
-                tele.dl_prune_hits += 1
-            return int(machines[0])
         if cfg.enable_il and cfg.enable_feasibility_cache:
             admit = self.feas_cache.feasible_mask(
                 state, demand, container.app_id

@@ -146,7 +146,7 @@ class SolverScheduler(AladdinScheduler):
 
     Subclasses :class:`~repro.core.scheduler.AladdinScheduler`: the
     cross-round ledgers (feasibility cache, machine index, rescue
-    kernel, optional parallel sweep), checkpoint/restore and the
+    kernel), checkpoint/restore and the
     per-container fallback path are all inherited — the LP replaces
     only the in-window placement loop.
     """

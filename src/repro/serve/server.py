@@ -259,9 +259,6 @@ class PlacementServer:
                 client_writer.close()
             if self._clients:
                 await asyncio.gather(*self._clients, return_exceptions=True)
-            close = getattr(self.scheduler, "close", None)
-            if callable(close):
-                close()
 
     def request_stop(self) -> None:
         """Thread-safe shutdown trigger (used by :class:`ServerThread`)."""

@@ -524,21 +524,13 @@ class OnlineSimulator:
             ``callback(tick, path)`` invoked after each snapshot is
             durably on disk (crash-injection hook for tests/CI).
         """
-        try:
-            return self._run(
-                scheduler,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                restore_from=restore_from,
-                on_checkpoint=on_checkpoint,
-            )
-        finally:
-            # Schedulers may hold external resources (the parallel
-            # sweep's worker processes and shared memory); release them
-            # when the simulation is done with the scheduler.
-            close = getattr(scheduler, "close", None)
-            if callable(close):
-                close()
+        return self._run(
+            scheduler,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+            restore_from=restore_from,
+            on_checkpoint=on_checkpoint,
+        )
 
     # ------------------------------------------------------------------
     def _fingerprint(self, scheduler: Scheduler) -> dict:
@@ -670,13 +662,6 @@ class OnlineSimulator:
                 and checkpoint_path
                 and (tick + 1) % checkpoint_every == 0
             ):
-                # Work-weighted shard resize (opt-in via
-                # AladdinConfig.shard_rebalance) fires *before* the
-                # snapshot so the checkpoint captures the post-rebalance
-                # layout and a resumed run adopts it bit-identically.
-                rebalance = getattr(scheduler, "rebalance_shards", None)
-                if rebalance is not None:
-                    rebalance(state)
                 self._write_checkpoint(
                     checkpoint_path, scheduler, state, result,
                     departures, idx, tick, lifecycle,

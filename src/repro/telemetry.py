@@ -24,9 +24,6 @@ place all of those savings are *counted*:
   O(m log m) re-sort;
 * ``machines_skipped`` — machines never scored because the admit mask
   or the batch kernel's quota sweep excluded them up front;
-* ``parallel_sweeps`` — application blocks planned by the rack-sharded
-  parallel sweep (:mod:`repro.core.parallel`) instead of the serial
-  cache+index pipeline;
 * ``rescue_attempts`` / ``rescue_migrations`` / ``rescue_preemptions``
   / ``rescue_machines_scanned`` — the Section III.B rescue machinery's
   deterministic accounting: rescue calls, containers moved, containers
@@ -46,13 +43,9 @@ place all of those savings are *counted*:
   A float (fractional by nature), so like the wall times it is *not*
   part of the deterministic counter set;
 * ``phase_time_s`` — wall time per scheduler phase (search, rescue,
-  requeue, repair);
-* ``worker_time_s`` — per-shard-worker wall seconds inside the parallel
-  sweep (the shard-imbalance signal: a skewed distribution means the
-  rack partition is lopsided).  Wall times are *not* part of the
-  deterministic counter set: :meth:`SchedulerTelemetry.counters`
-  excludes both dicts so two runs with the same seed serialise
-  byte-identically.
+  requeue, repair).  Wall times are *not* part of the deterministic
+  counter set: :meth:`SchedulerTelemetry.counters` excludes them so two
+  runs with the same seed serialise byte-identically.
 
 Producers (SPFA, the candidate walk, the feasibility cache) report to a
 module-level *current collector* installed by the scheduler around each
@@ -83,7 +76,6 @@ class SchedulerTelemetry:
     batch_kernel_invocations: int = 0
     index_resyncs: int = 0
     machines_skipped: int = 0
-    parallel_sweeps: int = 0
     rescue_attempts: int = 0
     rescue_migrations: int = 0
     rescue_preemptions: int = 0
@@ -98,10 +90,6 @@ class SchedulerTelemetry:
     #: phase name -> accumulated wall seconds (non-deterministic; kept
     #: out of :meth:`counters` on purpose)
     phase_time_s: dict[str, float] = field(default_factory=dict)
-    #: shard worker name -> accumulated wall seconds inside the parallel
-    #: sweep (non-deterministic, excluded from :meth:`counters` like the
-    #: phase times; the spread across workers is the imbalance signal)
-    worker_time_s: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
@@ -126,7 +114,6 @@ class SchedulerTelemetry:
             "batch_kernel_invocations": self.batch_kernel_invocations,
             "index_resyncs": self.index_resyncs,
             "machines_skipped": self.machines_skipped,
-            "parallel_sweeps": self.parallel_sweeps,
             "rescue_attempts": self.rescue_attempts,
             "rescue_migrations": self.rescue_migrations,
             "rescue_preemptions": self.rescue_preemptions,
@@ -138,12 +125,6 @@ class SchedulerTelemetry:
 
     def add_phase_time(self, phase: str, seconds: float) -> None:
         self.phase_time_s[phase] = self.phase_time_s.get(phase, 0.0) + seconds
-
-    def add_worker_time(self, worker: str, seconds: float) -> None:
-        """Accumulate one shard worker's in-query wall time."""
-        self.worker_time_s[worker] = (
-            self.worker_time_s.get(worker, 0.0) + seconds
-        )
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -165,7 +146,6 @@ class SchedulerTelemetry:
         self.batch_kernel_invocations += other.batch_kernel_invocations
         self.index_resyncs += other.index_resyncs
         self.machines_skipped += other.machines_skipped
-        self.parallel_sweeps += other.parallel_sweeps
         self.rescue_attempts += other.rescue_attempts
         self.rescue_migrations += other.rescue_migrations
         self.rescue_preemptions += other.rescue_preemptions
@@ -176,8 +156,6 @@ class SchedulerTelemetry:
         self.solver_relaxation_gap += other.solver_relaxation_gap
         for phase, dt in other.phase_time_s.items():
             self.add_phase_time(phase, dt)
-        for worker, dt in other.worker_time_s.items():
-            self.add_worker_time(worker, dt)
 
     def summary(self) -> str:
         """One-line human rendering for CLI run summaries."""
@@ -197,8 +175,6 @@ class SchedulerTelemetry:
             parts.append(f"index resyncs {self.index_resyncs}")
         if self.machines_skipped:
             parts.append(f"machines skipped {self.machines_skipped}")
-        if self.parallel_sweeps:
-            parts.append(f"parallel sweeps {self.parallel_sweeps}")
         if self.rescue_attempts:
             parts.append(
                 f"rescues {self.rescue_attempts}"
@@ -216,12 +192,6 @@ class SchedulerTelemetry:
                 f" ({self.solver_rounding_repairs} rounding repairs,"
                 f" gap {self.solver_relaxation_gap:.2f})"
             )
-        if self.worker_time_s:
-            spread = ", ".join(
-                f"{name} {dt * 1000:.1f}ms"
-                for name, dt in sorted(self.worker_time_s.items())
-            )
-            parts.append(f"workers: {spread}")
         if self.phase_time_s:
             timing = ", ".join(
                 f"{name} {dt * 1000:.1f}ms"

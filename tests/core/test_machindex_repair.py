@@ -10,7 +10,7 @@ test (16 machines, integer CPUs, one mutation per sync) cannot:
 * several machines dirtied between two syncs, by ``deploy_block``,
   ``evict_block``, ``migrate``, faults, power drains and bare touches;
 * machines emptied back into the tail of untouched machines;
-* heterogeneous capacities, and a per-shard index over a ``ShardView``;
+* heterogeneous capacities;
 * **exact float key collisions** — on 9 machines with half-CPU shapes
   machine 0 at 2.5 CPU and machine 5 at 2.0 CPU both key 25.0, so the
   machine-id tie-break decides and previous positions must not.
@@ -24,7 +24,7 @@ import pytest
 
 from repro.cluster.constraints import ConstraintSet
 from repro.cluster.container import Container
-from repro.cluster.state import ClusterState, ShardView
+from repro.cluster.state import ClusterState
 from repro.cluster.topology import (
     MachineSpec,
     build_cluster,
@@ -58,12 +58,7 @@ def mixed_topology():
 
 
 class World:
-    """One state under random mutation, with the indexes that follow it.
-
-    ``index`` follows the whole state; ``shard_index`` follows a
-    ``ShardView`` over machines ``[lo, hi)`` fed the way the parallel
-    sweep's coordinator feeds its workers.
-    """
+    """One state under random mutation, with the index that follows it."""
 
     OPS = (
         ["deploy_block"] * 4
@@ -76,11 +71,6 @@ class World:
         self.r = r
         self.state = ClusterState(topology, ConstraintSet())
         self.index = MachineIndex()
-        n = topology.n_machines
-        self.lo, self.hi = n // 3, n - n // 4
-        self.view = ShardView(self.state.available[self.lo : self.hi])
-        self.shard_index = MachineIndex()
-        self.shard_synced = self.state.version
         self.next_cid = 0
         self.failed: set[int] = set()
         self.drained: set[int] = set()
@@ -198,14 +188,6 @@ class World:
                 self.reached["span narrower than the order"] += 1
             if any((keys == keys[m]).sum() > 1 for m in moved.tolist()):
                 self.reached["a moved machine collided on its key"] += 1
-
-        # the shard: ship the ids dirtied since its last message
-        dirty = state.dirty_array_since(self.shard_synced)
-        self.shard_synced = state.version
-        local = dirty[(dirty >= self.lo) & (dirty < self.hi)] - self.lo
-        self.view.advance(local)
-        got = self.shard_index.candidates(self.view)
-        assert got.tolist() == ground_truth(self.view).tolist()
 
     def run(self, steps: int) -> None:
         for _ in range(steps):

@@ -38,9 +38,6 @@ class SlowScheduler:
         time.sleep(self._delay_s)
         return self._inner.schedule(batch, state)
 
-    def close(self) -> None:
-        self._inner.close()
-
 
 @pytest.fixture
 def slow_server(serve_trace, serve_topology, sock_path):

@@ -1,6 +1,6 @@
 """Fault injection against the serving stack.
 
-Three failure modes from the ISSUE, each exercised for real:
+Two failure modes, each exercised for real:
 
 * a client that disconnects mid-response — the window still commits,
   the server keeps serving, and the decisions stay recoverable;
@@ -8,10 +8,7 @@ Three failure modes from the ISSUE, each exercised for real:
   ``repro serve --crash-after-window`` dies hard after the snapshot is
   durable, and a warm ``--restore`` restart resumes the exact run (the
   lost reply is re-fetched from the decision log, and the completed
-  replay is bit-identical to the uninterrupted simulation);
-* a sweep worker killed during a served window — the parallel sweep
-  takes PR 5's documented cold path (fresh workers, full resync) and
-  the window's decisions match the serial engine's exactly.
+  replay is bit-identical to the uninterrupted simulation).
 """
 
 from __future__ import annotations
@@ -25,11 +22,10 @@ import time
 
 import pytest
 
-from repro.core import AladdinConfig, AladdinScheduler
+from repro.core import AladdinScheduler
 from repro.serve import (
     ServeClient,
     ServeConfig,
-    ServerThread,
     replay_online_schedule,
     send_frame,
 )
@@ -186,57 +182,3 @@ def test_sigkill_between_commit_and_reply_resumes_exactly(
         assert proc2.wait(timeout=60) == 0, proc2.stdout.read()
     assert served == expected
 
-
-# ----------------------------------------------------------------------
-# killed sweep worker during a served window
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_killed_sweep_worker_falls_back_cold(serve_trace, serve_topology,
-                                             sock_dir):
-    """SIGKILL one shard worker between served windows: the next window
-    rides the documented cold path — plan_block tears the sweep down,
-    respawns fresh workers over fresh shared memory and retries — and
-    its decisions are bit-identical to a serial engine fed the same
-    windows (only cost counters may differ)."""
-    from repro.cluster.state import ClusterState
-    from repro.sim.online import apply_window
-
-    parallel_sched = AladdinScheduler(AladdinConfig(workers=2))
-    server_state = ClusterState(serve_topology, serve_trace.constraints)
-    from repro.serve import PlacementServer
-
-    server = PlacementServer(parallel_sched, server_state)
-    serial_sched = AladdinScheduler()
-    serial_state = ClusterState(serve_topology, serve_trace.constraints)
-
-    first = serve_trace.containers[:40]
-    second = serve_trace.containers[40:80]
-    sock = os.path.join(sock_dir, "w.sock")
-    try:
-        with ServerThread(server, sock):
-            with ServeClient(sock) as client:
-                r1 = client.place(first)
-                sweep = parallel_sched.parallel
-                assert sweep is not None and sweep.sweeps > 0, (
-                    "first window never exercised the parallel sweep"
-                )
-                victim = sweep._procs[0]
-                victim.kill()
-                victim.join()
-                r2 = client.place(second)
-                assert sweep.cold_restarts == 1, (
-                    "worker death did not take the cold-restart path"
-                )
-    finally:
-        parallel_sched.close()
-
-    # serial reference over the identical two windows
-    _, ref1 = apply_window(serial_sched, serial_state, tick=0, batch=first)
-    _, ref2 = apply_window(serial_sched, serial_state, tick=1, batch=second)
-    assert r1["placements"] == {
-        str(cid): m for cid, m in ref1.placements.items()
-    }
-    assert r2["placements"] == {
-        str(cid): m for cid, m in ref2.placements.items()
-    }, "cold-path window diverged from the serial engine"
-    assert server_state.assignment == serial_state.assignment

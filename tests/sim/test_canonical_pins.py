@@ -17,6 +17,14 @@ evaluating its window without the feasibility cache; their
 :func:`decision_projection` — the same JSON without those five keys —
 is pinned separately, from the commit before that change, so a moved
 cost and a moved decision fail different tests.
+
+When the rack-sharded parallel sweep was deleted, its always-zero
+``parallel_sweeps`` counter left the telemetry, and every digest here
+was re-recorded once: each is the sha256 of the canonical JSON the
+commit before the deletion (4fe1a11) produced, with that one key
+removed (and, for :data:`DECISIONS`, projected as below).  Nothing else
+in the JSON moved, so the pins still hold the decisions of the commits
+named above.
 """
 
 from __future__ import annotations
@@ -63,27 +71,27 @@ RUNS = {
     "aladdin-flow": (
         churn_trace, CHURN,
         lambda: AladdinScheduler(AladdinConfig(engine="flow")),
-        "66f96f9caac0c0aca94b0dc4a216f31bd587e8a364cd50b8ed356cb7c6e36495", 0,
+        "1be4d052347ec75e27a6e411b174561ba17859c6a5a10078cdd605c3bcc789a7", 0,
     ),
     "aladdin-default": (
         churn_trace, CHURN, AladdinScheduler,
-        "66f96f9caac0c0aca94b0dc4a216f31bd587e8a364cd50b8ed356cb7c6e36495", 0,
+        "1be4d052347ec75e27a6e411b174561ba17859c6a5a10078cdd605c3bcc789a7", 0,
     ),
     "firmament-quincy": (
         churn_trace, CHURN,
         lambda: FirmamentScheduler(FirmamentPolicy.QUINCY),
-        "08b9c24cc36b2ef775f8e46dc3a60f626d6dc18485cc9f2d5804a75a83028379", 53,
+        "7f4901b8253472906147db9995c5099be69df0247595bf1f02846e0d59075dd6", 53,
     ),
     "medea-c1-rack-scoped": (
         rack_scoped_trace, CHURN,
         lambda: MedeaScheduler(MedeaWeights(c=1.0)),
-        "d56f9a9bc389e17f1ebbc30827261d2de8ffba5d5c00cd311168db9be20df1b6", 207,
+        "d017d7ef0f8c02819f7886feb9181c085d072dee9061aa5ede38b382023d6888", 207,
     ),
     "autoscale": (
         lambda: build_scenario("autoscale", scale=0.01, ticks=16),
         OnlineConfig(scenario="autoscale", autoscale=True, keep_alive="ttl"),
         AladdinScheduler,
-        "99c947d9f674098a9e772ab430aa863381974e3f9f3cefa4e5948925c0ab3540", 0,
+        "6e3b532cb7b6c71c028601766f16261d137f8b311e0bb137a6444c9f2a83d7ef", 0,
     ),
 }
 
@@ -92,11 +100,11 @@ RUNS = {
 #: JSON
 DECISIONS = {
     "aladdin-flow":
-        "00e14c495e51e40023e03fb01d4a071c09fe517aaaa3d81dab8718ec32d1ebbc",
+        "8cabf857331e077919644d9c1484b3b254c689e851a4c7c1b7bd1e2d898af534",
     "aladdin-default":
-        "00e14c495e51e40023e03fb01d4a071c09fe517aaaa3d81dab8718ec32d1ebbc",
+        "8cabf857331e077919644d9c1484b3b254c689e851a4c7c1b7bd1e2d898af534",
     "autoscale":
-        "751bedc4e2fbe8b642b33bdfeaed3012237ee64dca565053650343e047fcb1d8",
+        "ec79880d109ac3ba2075c81a27db7cef7b68f0dcbf0fe9e11ce3ba7a21a1f5ba",
 }
 
 

@@ -1,7 +1,7 @@
 """Snapshots written by an earlier commit restore and resume here.
 
-``data/*.ckpt.gz`` are mid-run snapshots (tick 5 of 12) that commit
-852ccbd wrote, before the batch kernel read raw windows of the machine
+``data/lla.ckpt.gz`` and ``data/mixed-lla.ckpt.gz`` are mid-run
+snapshots (tick 5 of 12) that commit 852ccbd wrote, before the batch kernel read raw windows of the machine
 order and the index repaired itself from the raw dirty-log slice: one
 on the synthetic LLA trace (scale 0.03), one on the azure ``mixed-lla``
 scenario (scale 0.01).  The index's checkpoint image kept its form, so
@@ -9,6 +9,22 @@ an engine restored from either resumes the writing commit's run to the
 byte: the resumed canonical JSON — placements, failures, samples,
 ``explored`` and every telemetry counter — hashes to what that commit's
 own uninterrupted run produced, and to what this commit's does.
+
+The digests were re-recorded once, when the rack-sharded parallel
+sweep was deleted and its ``parallel_sweeps`` counter left the
+telemetry: each is the sha256 of the canonical JSON that the commit
+before the deletion (4fe1a11) produced for the uninterrupted run, with
+that one key removed.  The images themselves are unchanged; the
+restored result still carries the counter in its pickled telemetry,
+and the canonical JSON no longer reads it.
+
+``data/lla-workers2.ckpt.gz`` is the same tick-5 snapshot of the
+``lla`` case taken by 4fe1a11 with ``AladdinConfig(workers=2)``: its
+engine image carries the sweep's ``parallel`` entry, and its telemetry
+``parallel_sweeps`` and ``worker_time_s``.  The serial engine ignores
+all three and resumes the run to the serial run's decisions; the cost
+counters (``explored``, cache hits) of the ticks the sweep planned are
+its own and are not compared.
 
 Regenerate only if the snapshot format itself changes: run each case
 to its first ``checkpoint_every=5`` snapshot on the commit whose
@@ -19,6 +35,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -30,39 +47,74 @@ from repro.trace import build_scenario, generate_trace
 
 DATA = pathlib.Path(__file__).parent / "data"
 
+def lla_trace():
+    return generate_trace(scale=0.03, seed=0)
+
+
+LLA = OnlineConfig(ticks=12, seed=0)
+LLA_DIGEST = "856b46346d492bee4b92dd83497b5954973837226c6725e71686fbb3227346f2"
+
 #: name -> (trace factory, config, sha256 of the uninterrupted run's
-#: canonical JSON on the writing commit)
+#: canonical JSON on the writing commit minus ``parallel_sweeps``,
+#: whether the resumed run reproduces that JSON byte for byte)
 CASES = {
-    "lla": (
-        lambda: generate_trace(scale=0.03, seed=0),
-        OnlineConfig(ticks=12, seed=0),
-        "6435114fb893123d1ff5be7825a3813fb4edfb9999d0451a2136fd04d275d25b",
-    ),
+    "lla": (lla_trace, LLA, LLA_DIGEST, True),
     "mixed-lla": (
         lambda: build_scenario("mixed-lla", scale=0.01, seed=0, ticks=12),
         OnlineConfig(ticks=12, seed=0, scenario="mixed-lla"),
-        "05e40e2ef23c9c0386f95713634544727f4a93e0e1ad308213b8d424b88770fb",
+        "7d5265b4ec9704fa54c8b70a4e3450ecda0ebbd707993377b7f762bcc09bc4f2",
+        True,
     ),
+    # the sweep's cost counters up to the snapshot are its own
+    "lla-workers2": (lla_trace, LLA, LLA_DIGEST, False),
 }
+
+#: the per-sample fields that are decisions, not search cost
+DECISION_FIELDS = (
+    "arrived", "departed", "running", "failures", "used_machines",
+    "mean_utilization", "migrations", "violations",
+)
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def decisions(canonical: str) -> dict:
+    """The run's totals and each sample's decision fields."""
+    payload = json.loads(canonical)
+    return {
+        "totals": payload["totals"],
+        "samples": [
+            {k: s[k] for k in DECISION_FIELDS} for s in payload["samples"]
+        ],
+    }
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_snapshot_of_the_earlier_commit_resumes_its_run(name, tmp_path):
-    make_trace, config, digest = CASES[name]
+    make_trace, config, digest, byte_for_byte = CASES[name]
     path = tmp_path / f"{name}.ckpt"
     path.write_bytes(gzip.decompress((DATA / f"{name}.ckpt.gz").read_bytes()))
 
-    image = read_snapshot(str(path), kind="online-sim")["engine"]["machine_index"]
+    snapshot = read_snapshot(str(path), kind="online-sim")
+    image = snapshot["engine"]["machine_index"]
     assert sorted(image) == sorted(AladdinScheduler().machine_index.checkpoint())
 
     trace = make_trace()
     resumed = OnlineSimulator(trace, config).run(
         AladdinScheduler(), restore_from=str(path)
-    )
-    assert sha256(resumed.canonical_json()) == digest
-    straight = OnlineSimulator(trace, config).run(AladdinScheduler())
-    assert sha256(straight.canonical_json()) == digest
+    ).canonical_json()
+    straight = OnlineSimulator(trace, config).run(
+        AladdinScheduler()
+    ).canonical_json()
+    assert sha256(straight) == digest
+    assert decisions(resumed) == decisions(straight)
+    if byte_for_byte:
+        assert sha256(resumed) == digest
+    else:
+        # what the serial engine has to ignore
+        assert snapshot["engine"]["parallel"] is not None
+        written = vars(snapshot["result"].telemetry)
+        assert written["parallel_sweeps"] > 0 and written["worker_time_s"]
+        assert "parallel_sweeps" not in json.loads(resumed)["telemetry"]

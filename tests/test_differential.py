@@ -7,9 +7,7 @@ for every query they return exactly what the from-scratch computation —
 ``state.feasible_mask``, the per-container packed-first walk — would
 have produced.  This harness puts the claims under load.  Each replay
 drives *multiple instances of the same engine* — cached vs cold,
-batched vs per-container loop, parallel (rack-sharded worker
-processes, :mod:`repro.core.parallel`) vs serial, and the full
-product of those axes —
+batched vs per-container loop, and the full product of those axes —
 through an identical randomized churn stream of arrivals, departures,
 machine failures and repairs (with the scheduler's own rescue
 migrations and preemptions firing along the way), and asserts after
@@ -28,6 +26,9 @@ from one seeded generator), so any divergence is attributable to the
 variant under test alone.
 """
 
+import gzip
+import hashlib
+import pathlib
 from itertools import groupby
 from operator import attrgetter
 
@@ -42,6 +43,9 @@ from repro.cluster.topology import build_cluster
 from repro.core import AladdinConfig, AladdinScheduler, FlowPathSearch
 from repro.sim.faults import fail_machines, repair_machines
 from repro.telemetry import SchedulerTelemetry
+from tests.sim.test_parent_checkpoints import decisions
+
+DATA = pathlib.Path(__file__).parent / "sim" / "data"
 
 
 def track_telemetry(engine):
@@ -63,6 +67,25 @@ def track_telemetry(engine):
 
     engine.schedule = schedule
     engine.total_telemetry = total
+    return engine
+
+
+def record_decisions(engine):
+    """Hash every round's placements and failure verdicts, in order,
+    into ``engine.decisions`` (a ``hashlib.sha256`` object)."""
+    digest = hashlib.sha256()
+    original = engine.schedule
+
+    def schedule(batch, state):
+        result = original(batch, state)
+        digest.update(repr((
+            sorted((int(c), int(m)) for c, m in result.placements.items()),
+            sorted((int(c), r.value) for c, r in result.undeployed.items()),
+        )).encode())
+        return result
+
+    engine.schedule = schedule
+    engine.decisions = digest
     return engine
 
 
@@ -130,22 +153,6 @@ def churn_replay(
         ClusterState(build_cluster(n_machines, machines_per_rack=4), constraints)
         for _ in engines
     ]
-    try:
-        return _churn_replay(
-            rng, engines, states, apps, by_app, ticks, n_apps
-        )
-    finally:
-        # Engines may hold external resources (the parallel sweep's
-        # worker processes and shared memory); attribute reads on the
-        # returned engines stay valid after close().
-        for engine in engines:
-            close = getattr(engine, "close", None)
-            if callable(close):
-                close()
-
-
-def _churn_replay(rng, engines, states, apps, by_app, ticks, n_apps):
-
     arrival_tick = np.sort(rng.integers(0, ticks, n_apps))
     lifetimes = rng.integers(3, 10, n_apps)
     life_of = {app.app_id: int(lifetimes[i]) for i, app in enumerate(apps)}
@@ -260,39 +267,6 @@ def flowpath_pair():
     ]
 
 
-def aladdin_parallel_pair(workers=2):
-    return [
-        AladdinScheduler(),  # serial (workers=1 default)
-        AladdinScheduler(AladdinConfig(workers=workers)),
-    ]
-
-
-def aladdin_parallel_grid():
-    """The workers×batched×cached product of the vectorised engine.
-
-    The parallel sweep only activates with the whole cache+kernel
-    pipeline enabled, so the degraded variants double as a check that
-    the gating falls back to the serial path rather than diverging.
-    """
-    return [
-        AladdinScheduler(AladdinConfig(
-            workers=workers,
-            enable_batch_kernel=batch,
-            enable_feasibility_cache=cache,
-        ))
-        for workers in (1, 2, 3)
-        for batch in (True, False)
-        for cache in (True, False)
-    ]
-
-
-def flowpath_parallel_pair():
-    return [
-        FlowPathSearch(),
-        FlowPathSearch(AladdinConfig(workers=2)),
-    ]
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_aladdin_cached_matches_cold(seed):
     """≥ 20 randomized churn replays: the cached engine and a cold-start
@@ -348,47 +322,85 @@ def test_engine_grid_agrees_under_churn(seed):
     assert all(e.batch_placed == 0 for e in engines[2:4])
 
 
+@pytest.mark.parametrize("seed", [2, 9, 14])
+def test_aladdin_grid_agrees_under_churn(seed):
+    """The batched×cached product of the vectorised engine on its own —
+    four variants, the batch-off ones exercising the cache — replays one
+    churn stream with identical placements throughout."""
+    engines = churn_replay(seed, aladdin_grid)
+    assert engines[0].batch_placed > 0
+    assert all(e.batch_placed == 0 for e in engines[2:])
+    assert engines[2].feas_cache.hits > 0
+
+
+# ----------------------------------------------------------------------
+# the decisions of the deleted parallel sweep
+#
+# The rack-sharded parallel sweep (``AladdinConfig(workers=...)``) was
+# deleted at the commit after 4fe1a11.  Until then these replays ran it
+# beside the serial engine and asserted the two agreed at every tick.
+# Each digest below is the ``record_decisions`` hash of the sweep's own
+# decision stream on that replay, recorded at 4fe1a11 with
+# ``workers=2`` (and, for the grid seeds, with every workers 1/2/3 ×
+# batched × cached variant — all twelve hashed alike); the serial
+# engine at 4fe1a11 hashed the same.  The serial engines here must
+# still reproduce them.
+# ----------------------------------------------------------------------
+#: churn-replay seed -> decision digest of the sweep at 4fe1a11 (the
+#: reference flow engine's sweep produced the same streams)
+SWEEP_DECISIONS = {
+    0: "fe4c0b17d9f722b41186b261f5bd2a3275085e84912731b34a6ba1be225fb4b5",
+    1: "9d0d82ae9445d4a105ef0edc161b41603442709c007bb79ab215783565f58b19",
+    2: "c6ec3330b81c8866934eaad38c4622296c41b2a16403eb1cb8c6426a8e654622",
+    3: "bdc2174af30c354dca299fd775164d00af3068be6af2b9399f394d040630e676",
+    4: "a64526c4a73b9eebb6f8b49fc3f9a0419c6f409460aa6469a607a86fc9d682bc",
+    5: "37ee598ad6e1c8782a36ae8ea1f7fb393e6418090adacc62dbe8c890d0dfe6fe",
+    6: "495e09e4f7a3c3726e0824f8a8b1618fcbd4ea3e753a45684421183461b9351e",
+    7: "46891cf777f2d3b89e522b676de2ac7409a8774c8c40c5b3e77884916e4a09b8",
+    8: "57d506870a5f94c3f28838245927915afde5c9836f9c69140082016d7ce1807e",
+    9: "ea07d890a25c701678d9e4fab26c42ebb4b68c6c4d84158e6dcea92f925819e7",
+    10: "3056e4ccdd38fb69aa35f671870a6437480fe9998a66c7a7ee38bef094265870",
+    11: "985d660e59b79afd2871bcacfbef22dd177c6bf414e59320745f9cf297e8c3d0",
+    12: "84cb6bc723318a41469a9913fac728ef6d425955fce155e897d6bdcfea3925c3",
+    13: "942dcd832b87af352e06d24241bcee511bbdc865d07b8ba95a1055fad119cfd8",
+    14: "27e79d706e85194235232d56b1d855948c70a142cf9f269c4ab199debea7cf72",
+    15: "3363551d17b525d243c35641b75786dd7e2710630310c1d3f69007f665af7bb4",
+    16: "53139a5c852149adac74d91911437634d6c9db14d92ce7a0d3a84c1cd3212ad2",
+    17: "0a0ea79b1b74f8948fbb1633c8ed04c4bd297a526da70e041cbd031122da6a41",
+    18: "927c164cb3de98991d4b219e895f94ee3a13d7372a00a84dbb3e5c00f2115f93",
+    19: "341cada199f8447baec416cd448b27651ba2d38bb972567775327894fa127111",
+}
+
+
+def recorded(make_engines):
+    return lambda: [record_decisions(e) for e in make_engines()]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_aladdin_parallel_matches_serial(seed):
-    """≥ 20 randomized churn replays across the workers axis: the
-    rack-sharded parallel sweep and the serial engine agree on every
-    placement at every tick, and the sweep is demonstrably in play on
-    the parallel side only."""
-    serial, parallel = churn_replay(seed, aladdin_parallel_pair)
-    assert parallel.parallel is not None
-    assert parallel.parallel.sweeps > 0, "replay never exercised the sweep"
-    assert serial.parallel is None, "serial engine must not shard"
+    """≥ 20 randomized churn replays: the serial engine makes, at every
+    tick, the decisions the parallel sweep made on the same stream."""
+    (serial,) = churn_replay(seed, recorded(lambda: [AladdinScheduler()]))
+    assert serial.decisions.hexdigest() == SWEEP_DECISIONS[seed]
 
 
 @pytest.mark.parametrize("seed", [2, 9, 14])
 def test_aladdin_parallel_grid_agrees_under_churn(seed):
-    """The workers×batched×cached product — twelve engine variants,
-    including degraded configs where the sweep's gating must fall back
-    to the serial path — replays one churn stream with identical
-    placements throughout."""
-    engines = churn_replay(seed, aladdin_parallel_grid)
-    active = [e for e in engines if e.parallel is not None]
-    assert active, "grid contains no live parallel variant"
-    assert all(e.parallel.sweeps > 0 for e in active)
-    # Gating: the sweep must not have been built for degraded configs.
-    for e in engines:
-        cfg = e.config
-        expect = (
-            cfg.workers > 1
-            and cfg.enable_batch_kernel
-            and cfg.enable_feasibility_cache
-        )
-        assert (e.parallel is not None) == expect
+    """The twelve-variant workers×batched×cached grid agreed on one
+    decision stream per seed; the four batched×cached variants left
+    reproduce it."""
+    engines = churn_replay(seed, recorded(aladdin_grid))
+    assert {e.decisions.hexdigest() for e in engines} == {
+        SWEEP_DECISIONS[seed]
+    }
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_flowpath_parallel_matches_serial(seed):
-    """The reference flow-network engine honours the same workers
-    contract on its cached k=1 queries."""
-    serial, parallel = churn_replay(seed, flowpath_parallel_pair)
-    assert parallel.parallel is not None
-    assert parallel.parallel.sweeps > 0
-    assert serial.parallel is None
+    """The reference flow-network engine's sweep answered its cached
+    k=1 queries with the same decisions; the serial engine still does."""
+    (serial,) = churn_replay(seed, recorded(lambda: [FlowPathSearch()]))
+    assert serial.decisions.hexdigest() == SWEEP_DECISIONS[seed]
 
 
 def aladdin_rescue_pair():
@@ -585,7 +597,7 @@ def test_aladdin_rescue_kernel_matches_loop_at_offered_load_above_one(
 
 
 # ----------------------------------------------------------------------
-# checkpoint × batched × cached × workers axis: a run killed at tick k
+# checkpoint × batched × cached axis: a run killed at tick k
 # and restored from its snapshot finishes bit-identical (canonical JSON,
 # including telemetry counters) to the uninterrupted run.
 # ----------------------------------------------------------------------
@@ -668,18 +680,42 @@ def test_checkpoint_resume_across_ablation_grid(seed, variant, tmp_path):
     assert resumed == full
 
 
+#: seed -> sha256 of the uninterrupted serial run's canonical JSON at
+#: 4fe1a11, with ``telemetry.parallel_sweeps`` removed
+WORKERS2_SERIAL_DIGESTS = {
+    0: "9fe3ae5caea8e0904e84deb59647985c709c965b271aeb17b087cae0b65109d4",
+    3: "43077e10ccf4ceab52540521a8acb0388fbc933c12cf1c10e74d9e009dd7a05c",
+}
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_checkpoint_resume_with_workers(seed, tmp_path):
-    """workers=2: the restored run re-spawns the shard workers, adopts
-    the restored ``available`` into fresh shared memory, reloads each
-    worker's shard-local watermark, and still finishes bit-identical."""
-    full, resumed = checkpoint_resume_canonical(
-        seed,
-        lambda: AladdinScheduler(AladdinConfig(workers=2)),
-        tmp_path,
-        every=25 + 10 * seed,
+    """A ``workers=2`` run killed after its first snapshot, resumed on
+    the serial engine.  ``data/churn-workers2-seed{0,3}.ckpt.gz`` are
+    the snapshots 4fe1a11 wrote for this stream with
+    ``AladdinConfig(workers=2)`` and ``every=25 + 10 * seed`` (ticks 24
+    and 54); their engine images carry the sweep's ``parallel`` entry.
+    The resumed run's totals and per-sample decisions equal the
+    uninterrupted serial run's; the cost counters of the ticks the
+    sweep planned are its own and are not compared."""
+    from repro.sim.online import OnlineConfig, OnlineSimulator
+
+    path = tmp_path / f"ckpt-{seed}.bin"
+    path.write_bytes(gzip.decompress(
+        (DATA / f"churn-workers2-seed{seed}.ckpt.gz").read_bytes()
+    ))
+    trace = _online_trace()
+    cfg = OnlineConfig(ticks=15, seed=seed)
+    full = OnlineSimulator(trace, cfg).run(AladdinScheduler()).canonical_json()
+    resumed = (
+        OnlineSimulator(trace, cfg)
+        .run(AladdinScheduler(), restore_from=str(path))
+        .canonical_json()
     )
-    assert resumed == full
+    assert hashlib.sha256(full.encode()).hexdigest() == (
+        WORKERS2_SERIAL_DIGESTS[seed]
+    )
+    assert decisions(resumed) == decisions(full)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -768,13 +804,12 @@ def test_replay_exercises_mixed_churn():
 # through a live `repro serve` server and through the in-process
 # OnlineSimulator, must produce bit-identical canonical JSON — the
 # served run IS the simulated run, window for window, across the
-# batched×cached×workers axes.
+# batched×cached axes.
 # ----------------------------------------------------------------------
 SERVE_VARIANTS = {
     "default": AladdinConfig(),
     "no-batch": AladdinConfig(enable_batch_kernel=False),
     "no-cache": AladdinConfig(enable_feasibility_cache=False),
-    "workers-2": AladdinConfig(workers=2),
 }
 
 
@@ -813,7 +848,7 @@ def test_served_decisions_match_simulated(variant):
     """One request per simulated tick through the serving stack: the
     server's coalesced windows reproduce the simulator's run exactly —
     totals, per-tick samples and telemetry counters all bit-identical,
-    for the default engine and its batched/cached/workers ablations."""
+    for the default engine and its batched/cached ablations."""
     from repro.sim.online import OnlineConfig, OnlineSimulator
 
     sched_cfg = SERVE_VARIANTS[variant]
@@ -893,44 +928,38 @@ def scenario_churn_replay(seed, make_engines):
         ClusterState(pool_topology(trace, cfg), trace.constraints)
         for _ in engines
     ]
-    try:
-        departures: dict[int, list[int]] = {}
-        idx = 0
-        for tick in range(sched.horizon):
-            for cid in departures.pop(tick, ()):
-                for state in states:
-                    if cid in state.assignment:
-                        state.evict(cid)
-            batch = []
-            while idx < len(sched.apps) and sched.arrival_tick[idx] <= tick:
-                batch.extend(sched.by_app[sched.apps[idx].app_id])
-                idx += 1
-            if batch:
-                rounds = [
-                    engine.schedule(list(batch), state)
-                    for engine, state in zip(engines, states)
-                ]
-                first = rounds[0]
-                for other in rounds[1:]:
-                    assert other.placements == first.placements, (
-                        f"placements diverged at tick {tick}"
-                    )
-                    assert other.undeployed == first.undeployed, (
-                        f"failure verdicts diverged at tick {tick}"
-                    )
-                for c in batch:
-                    if c.container_id in first.placements:
-                        end = tick + sched.life_of[c.app_id]
-                        departures.setdefault(end, []).append(c.container_id)
-            assert_states_agree(states, tick)
-            if idx >= len(sched.apps) and not departures:
-                break
-        return engines
-    finally:
-        for engine in engines:
-            close = getattr(engine, "close", None)
-            if callable(close):
-                close()
+    departures: dict[int, list[int]] = {}
+    idx = 0
+    for tick in range(sched.horizon):
+        for cid in departures.pop(tick, ()):
+            for state in states:
+                if cid in state.assignment:
+                    state.evict(cid)
+        batch = []
+        while idx < len(sched.apps) and sched.arrival_tick[idx] <= tick:
+            batch.extend(sched.by_app[sched.apps[idx].app_id])
+            idx += 1
+        if batch:
+            rounds = [
+                engine.schedule(list(batch), state)
+                for engine, state in zip(engines, states)
+            ]
+            first = rounds[0]
+            for other in rounds[1:]:
+                assert other.placements == first.placements, (
+                    f"placements diverged at tick {tick}"
+                )
+                assert other.undeployed == first.undeployed, (
+                    f"failure verdicts diverged at tick {tick}"
+                )
+            for c in batch:
+                if c.container_id in first.placements:
+                    end = tick + sched.life_of[c.app_id]
+                    departures.setdefault(end, []).append(c.container_id)
+        assert_states_agree(states, tick)
+        if idx >= len(sched.apps) and not departures:
+            break
+    return engines
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -952,12 +981,21 @@ def test_azure_scenario_batched_matches_loop(seed):
     assert loop.batch_placed == 0
 
 
+#: scenario seed -> decision digest of the ``workers=2`` sweep at 4fe1a11
+SCENARIO_SWEEP_DECISIONS = {
+    1: "34d64333186f367594a76de052d542fd3e57b946c0edacb527c43a19bd56f6eb",
+    2: "6680dde8b2a8188c2f0a0fa61ce4f244361a830f4548c6201a36d96e7840eee6",
+}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_azure_scenario_parallel_matches_serial(seed):
-    """The workers axis holds under serverless churn."""
-    serial, parallel = scenario_churn_replay(seed, aladdin_parallel_pair)
-    assert parallel.parallel is not None and parallel.parallel.sweeps > 0
-    assert serial.parallel is None
+    """Under serverless churn too, the serial engine makes the
+    decisions the parallel sweep made."""
+    (serial,) = scenario_churn_replay(
+        seed, recorded(lambda: [AladdinScheduler()])
+    )
+    assert serial.decisions.hexdigest() == SCENARIO_SWEEP_DECISIONS[seed]
 
 
 @pytest.mark.parametrize("name", ["diurnal", "churn-storm"])

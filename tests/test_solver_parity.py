@@ -66,52 +66,46 @@ def parity_replay(seed, engines, ticks=10, n_machines=24):
     down: list[tuple[int, int]] = []
     down_now: set[int] = set()
     idx = 0
-    try:
-        for tick in range(ticks):
-            for cid in departures.pop(tick, ()):
-                for state in states:
-                    if cid in state.assignment:
-                        state.evict(cid)
-            while down and down[0][0] <= tick:
-                _, machine = down.pop(0)
-                down_now.discard(machine)
-                for state in states:
-                    repair_machines(state, [machine])
-            if rng.random() < 0.30:
-                victim = int(rng.integers(0, n_machines))
-                if victim not in down_now:
-                    down_now.add(victim)
-                    down.append((tick + int(rng.integers(2, 5)), victim))
-                    down.sort()
-                    for i, state in enumerate(states):
-                        report = fail_machines(state, [victim])
-                        requeues[i].extend(
-                            sorted(
-                                report.displaced,
-                                key=lambda c: (-c.priority, c.container_id),
-                            )
+    for tick in range(ticks):
+        for cid in departures.pop(tick, ()):
+            for state in states:
+                if cid in state.assignment:
+                    state.evict(cid)
+        while down and down[0][0] <= tick:
+            _, machine = down.pop(0)
+            down_now.discard(machine)
+            for state in states:
+                repair_machines(state, [machine])
+        if rng.random() < 0.30:
+            victim = int(rng.integers(0, n_machines))
+            if victim not in down_now:
+                down_now.add(victim)
+                down.append((tick + int(rng.integers(2, 5)), victim))
+                down.sort()
+                for i, state in enumerate(states):
+                    report = fail_machines(state, [victim])
+                    requeues[i].extend(
+                        sorted(
+                            report.displaced,
+                            key=lambda c: (-c.priority, c.container_id),
                         )
-            arrivals = []
-            while idx < n_apps and arrival_tick[idx] <= tick:
-                app = apps[idx]
-                arrivals.extend(by_app[app.app_id])
-                end = tick + int(lifetimes[idx])
-                departures.setdefault(end, []).extend(
-                    c.container_id for c in by_app[app.app_id]
-                )
-                idx += 1
-            for i, (engine, state) in enumerate(zip(engines, states)):
-                batch = requeues[i] + arrivals
-                requeues[i] = []
-                if not batch:
-                    continue
-                result = engine.schedule(batch, state)
-                ever_placed[i].update(result.placements)
-    finally:
-        for engine in engines:
-            close = getattr(engine, "close", None)
-            if callable(close):
-                close()
+                    )
+        arrivals = []
+        while idx < n_apps and arrival_tick[idx] <= tick:
+            app = apps[idx]
+            arrivals.extend(by_app[app.app_id])
+            end = tick + int(lifetimes[idx])
+            departures.setdefault(end, []).extend(
+                c.container_id for c in by_app[app.app_id]
+            )
+            idx += 1
+        for i, (engine, state) in enumerate(zip(engines, states)):
+            batch = requeues[i] + arrivals
+            requeues[i] = []
+            if not batch:
+                continue
+            result = engine.schedule(batch, state)
+            ever_placed[i].update(result.placements)
 
     arrived = len(containers)
     qualities = [
