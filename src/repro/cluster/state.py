@@ -668,11 +668,9 @@ class ClusterState:
         restored state starts without a tally.
 
         Unlike the other queries this one **writes** to the state (the
-        tally), so it belongs to whichever thread mutates the state: the
-        window executor (``apply_window``), ``core.validate`` and the
-        CLI's exit-time print call it.  A ``serve`` control request
-        answered on the event-loop thread (``stats``, ``result``,
-        ``decisions``) must never do so.
+        tally).  Its callers (``apply_window``, ``core.validate``, the
+        CLI's exit-time print) all run on the thread that mutates the
+        state; in ``serve`` that is the event loop, between windows.
         """
         cs = self.constraints
         tally = self._violations

@@ -37,14 +37,13 @@ Life of a request
    :meth:`PlacementServer.restore`; the lost replies are recoverable
    through the ``decisions`` control request.
 4. **Reply.**  Replies are serialised and written by an asyncio task
-   while the *next* window already runs in the executor thread — result
-   serialisation overlaps the sweep, so slow clients never stall
-   scheduling.
+   that runs before the *next* window starts; a slow client's unsent
+   bytes wait in its transport, never in front of scheduling.
 
-The scheduler runs in a thread-pool executor: scheduling is the
-CPU-bound part, and keeping it off the event loop leaves the loop free
-to accept connections, answer control requests and apply backpressure
-while a window is in flight.
+Every window runs on the event-loop thread, so reads, commits and
+control replies never interleave and need no lock.  The trade-off:
+frames, control requests and admission decisions (429s included) are
+handled *between* windows, so each waits at most one window.
 """
 
 from __future__ import annotations
@@ -143,11 +142,6 @@ class PlacementServer:
         #: tick -> decisions of that committed window (bounded log)
         self.decisions: dict[int, dict] = {}
         self._queue: deque = deque()
-        #: serialises the window-commit fold (result/decisions/windows)
-        #: against control reads on the event loop.  Held only for the
-        #: fast fold, never across a scheduler round, so taking it on
-        #: the loop blocks for microseconds at worst.
-        self._commit_lock = threading.Lock()
         self._wakeup = asyncio.Event()
         self._stop = asyncio.Event()
         self._reply_tasks: set[asyncio.Task] = set()
@@ -299,22 +293,14 @@ class PlacementServer:
                 if rtype == "ping":
                     await self._write(writer, {"status": "ok", "pong": True})
                 elif rtype == "stats":
-                    # Control reads snapshot under the commit lock so a
-                    # mid-fold window in the executor can never leak a
-                    # half-committed result (sample appended, totals
-                    # not yet folded in).
-                    with self._commit_lock:
-                        reply = self._stats_reply()
-                    await self._write(writer, reply)
+                    await self._write(writer, self._stats_reply())
                 elif rtype == "result":
-                    with self._commit_lock:
-                        canonical = self.result.canonical_json()
+                    canonical = self.result.canonical_json()
                     await self._write(
                         writer, {"status": "ok", "canonical": canonical}
                     )
                 elif rtype == "decisions":
-                    with self._commit_lock:
-                        reply = self._decisions_reply(req["tick"])
+                    reply = self._decisions_reply(req["tick"])
                     await self._write(writer, reply)
                 elif rtype == "shutdown":
                     await self._write(writer, {"status": "ok", "stopping": True})
@@ -390,7 +376,6 @@ class PlacementServer:
     # window loop
     # ------------------------------------------------------------------
     async def _window_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if not self._queue:
                 if self._stop.is_set():
@@ -406,9 +391,7 @@ class PlacementServer:
                 window.append(self._queue.popleft())
             self.telemetry.record_window(len(window))
             try:
-                replies = await loop.run_in_executor(
-                    None, self._apply_window, window
-                )
+                replies = self._apply_window(window)
             except Exception as exc:
                 # Last resort for a genuine scheduler bug — protocol-
                 # valid requests can no longer land here, because
@@ -419,16 +402,17 @@ class PlacementServer:
                          "error": f"window failed: {exc!r}"})
                     for _req, w in window
                 ]
-            # Replies serialise and flush on the event loop while the
-            # *next* window is already scheduling in the executor.
+            # One yield per window: the reply task runs (and any handler
+            # already runnable reads) before the next window starts.
             self._track(asyncio.create_task(self._send_replies(replies)))
+            await asyncio.sleep(0)
 
     async def _send_replies(self, replies) -> None:
         for writer, obj in replies:
             await self._write(writer, obj)
 
     # ------------------------------------------------------------------
-    # window application (executor thread)
+    # window application
     # ------------------------------------------------------------------
     def _validate_window(self, window) -> dict[int, str]:
         """Vet fault/repair requests against the committed state.
@@ -596,10 +580,9 @@ class PlacementServer:
         penalties = (
             self.lifecycle.last_penalties if self.lifecycle is not None else {}
         )
-        with self._commit_lock:
-            record_window(self.result, sample, schedule)
-            self._log_decisions(tick, sample, schedule, warm, penalties)
-            self.windows += 1
+        record_window(self.result, sample, schedule)
+        self._log_decisions(tick, sample, schedule, warm, penalties)
+        self.windows += 1
 
         ckpt = None
         cfg = self.config

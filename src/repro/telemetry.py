@@ -50,8 +50,9 @@ place all of those savings are *counted*:
 Producers (SPFA, the candidate walk, the feasibility cache) report to a
 module-level *current collector* installed by the scheduler around each
 ``schedule()`` call, so deep call sites need no plumbing.  The collector
-is plain module state, matching the single-threaded simulator; nesting
-is supported (collectors save/restore) for schedulers that invoke other
+is plain module state, matching the single-threaded simulator and
+``serve`` (its windows run on the event-loop thread); nesting is
+supported (collectors save/restore) for schedulers that invoke other
 schedulers.
 """
 

@@ -20,6 +20,19 @@ from repro.sim.online import OnlineConfig, pool_topology
 from repro.trace import generate_trace
 
 
+class HookedScheduler:
+    """Aladdin that calls ``hook()`` at the start of every round."""
+
+    def __init__(self, hook) -> None:
+        self._inner = AladdinScheduler()
+        self._hook = hook
+        self.name = self._inner.name
+
+    def schedule(self, batch, state):
+        self._hook()
+        return self._inner.schedule(batch, state)
+
+
 @pytest.fixture
 def sock_dir():
     d = tempfile.mkdtemp(prefix="ald", dir="/tmp")

@@ -110,7 +110,8 @@ def test_rejection_reply_carries_retry_after(slow_server, sock_path):
     socks = []
     try:
         # 12 one-shot connections, frames sent without awaiting replies:
-        # 1 window in flight + 3 queued, the rest must bounce
+        # the server reads them between windows, queues 3, and the rest
+        # that arrive before the queue drains must bounce
         for w in range(12):
             s = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
             s.connect(sock_path)

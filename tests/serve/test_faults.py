@@ -18,6 +18,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -26,23 +27,37 @@ from repro.core import AladdinScheduler
 from repro.serve import (
     ServeClient,
     ServeConfig,
+    ServerThread,
     replay_online_schedule,
     send_frame,
 )
 from repro.serve.protocol import container_to_wire
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import load_trace, save_trace
+from tests.serve.conftest import HookedScheduler
 
 
 # ----------------------------------------------------------------------
 # client disconnect mid-response
 # ----------------------------------------------------------------------
-def test_client_disconnect_mid_response(served, serve_trace, sock_path):
+@pytest.fixture
+def gated(make_server, sock_path):
+    """A server whose rounds wait until the returned gate is set."""
+    gate = threading.Event()
+    server = make_server(scheduler=HookedScheduler(
+        lambda: gate.wait(timeout=60)
+    ))
+    with ServerThread(server, sock_path):
+        with ServeClient(sock_path) as client:
+            yield server, client, gate
+
+
+def test_client_disconnect_mid_response(gated, serve_trace, sock_path):
     """A client that sends a placement and hangs up before reading the
     reply: the window commits anyway, the undeliverable reply is
     counted, the serving loop survives, and the orphaned decisions stay
     fetchable from the decision log."""
-    server, client = served
+    server, client, gate = gated
     raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     raw.connect(sock_path)
     batch = serve_trace.containers[:5]
@@ -50,7 +65,8 @@ def test_client_disconnect_mid_response(served, serve_trace, sock_path):
         "type": "place",
         "containers": [container_to_wire(c) for c in batch],
     })
-    raw.close()  # gone before the reply
+    raw.close()  # gone before the reply...
+    gate.set()  # ...because the window could not commit until now
 
     # the window must still commit (poll via the surviving client)
     deadline = time.monotonic() + 30

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 
 import pytest
 
@@ -23,6 +24,68 @@ from repro.serve import (
     ServerThread,
     send_frame,
 )
+from repro.serve.protocol import container_to_wire, encode_frame, recv_frame
+from tests.serve.conftest import HookedScheduler
+
+
+class TestEventLoopWindows:
+    def test_windows_run_on_the_loop_thread(self, make_server, sock_path,
+                                            serve_trace):
+        """Every round runs on the server's event-loop thread, and
+        serving windows starts no helper thread (no executor)."""
+        idents: list[int] = []
+        server = make_server(scheduler=HookedScheduler(
+            lambda: idents.append(threading.get_ident())
+        ))
+        before = {t.ident for t in threading.enumerate()}
+        harness = ServerThread(server, sock_path)
+        with harness:
+            with ServeClient(sock_path) as client:
+                for i in range(3):
+                    client.place(serve_trace.containers[i * 2:(i + 1) * 2])
+            started = [
+                t.name for t in threading.enumerate()
+                if t.ident not in before and t is not harness._thread
+            ]
+        assert idents == [harness._thread.ident] * 3
+        assert started == []
+
+    def test_replies_are_written_before_the_next_window(
+        self, make_server, sock_path, serve_trace
+    ):
+        """Three pipelined ``place`` frames, one per window: window k's
+        reply is written before window k+1's round starts."""
+        written = [0]
+        seen: list[int] = []
+        server = make_server(
+            ServeConfig(window_max=1),
+            scheduler=HookedScheduler(lambda: seen.append(written[0])),
+        )
+        write = server._write
+
+        async def counted_write(writer, obj):
+            ok = await write(writer, obj)
+            written[0] += 1
+            return ok
+
+        server._write = counted_write
+        # one sendall: the handler admits all three frames before the
+        # first window runs, so the queue is never empty between them
+        frames = b"".join(
+            encode_frame({"type": "place",
+                          "containers": [container_to_wire(c)]})
+            for c in serve_trace.containers[:3]
+        )
+        with ServerThread(server, sock_path):
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                raw.connect(sock_path)
+                raw.sendall(frames)
+                replies = [recv_frame(raw) for _ in range(3)]
+            finally:
+                raw.close()
+        assert [r["tick"] for r in replies] == [0, 1, 2]
+        assert seen == [0, 1, 2]
 
 
 class TestWindows:
