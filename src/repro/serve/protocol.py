@@ -16,7 +16,8 @@ and never consume queue capacity:
 ========== ===============================================================
 type       payload
 ========== ===============================================================
-place      ``containers``: container objects; optional ``departures``
+place      ``containers``: 6-element container arrays, fields in
+           :data:`_CONTAINER_FIELDS` order; optional ``departures``
 depart     ``containers``: container ids to evict
 fault      ``machines``: machine ids to fail (displaced are requeued)
 repair     ``machines``: machine ids to bring back
@@ -35,9 +36,9 @@ backpressure answer, with ``retry_after`` seconds) or ``"error"``.
 from __future__ import annotations
 
 import json
-import math
 import socket
 import struct
+import sys
 from typing import Any
 
 from repro.cluster.container import Container
@@ -54,10 +55,14 @@ CONTROL_TYPES = frozenset(
 )
 REQUEST_TYPES = WINDOW_TYPES | CONTROL_TYPES
 
-#: wire fields of a container object, in canonical order
+#: a wire container is a JSON array of these fields, in this order
 _CONTAINER_FIELDS = (
     "container_id", "app_id", "instance", "cpu", "mem_gb", "priority",
 )
+#: JSON types each position admits; never ``bool`` (JSON ``true``)
+_INTEGER, _NUMBER = frozenset({int}), frozenset({int, float})
+_FIELD_TYPES = (_INTEGER,) * 3 + (_NUMBER,) * 2 + (_INTEGER,)
+_FLOAT_MAX = sys.float_info.max  # also refuses ints no float can hold
 
 
 class ProtocolError(ValueError):
@@ -151,56 +156,48 @@ def _recv_exact(sock: socket.socket, n: int, eof_ok: bool) -> bytes | None:
 # ----------------------------------------------------------------------
 # container marshalling
 # ----------------------------------------------------------------------
-def container_to_wire(c: Container) -> dict:
-    """JSON-safe form of one container."""
-    return {
-        "container_id": c.container_id,
-        "app_id": c.app_id,
-        "instance": c.instance,
-        "cpu": c.cpu,
-        "mem_gb": c.mem_gb,
-        "priority": c.priority,
-    }
+def container_to_wire(c: Container) -> list:
+    """JSON-safe form of one container, in :data:`_CONTAINER_FIELDS` order."""
+    return [c.container_id, c.app_id, c.instance, c.cpu, c.mem_gb, c.priority]
 
 
 def container_from_wire(obj: Any) -> Container:
     """Parse one wire container, or raise :class:`ProtocolError`.
+
+    Only a 6-element array in :data:`_CONTAINER_FIELDS` order is a
+    container, and nothing is coerced: ``true`` is no id, and ``1.9`` is
+    not truncated onto another container's id.
 
     Values are held to the rules :class:`~repro.cluster.container.Application`
     enforces — ids and ``priority`` non-negative, ``cpu`` and ``mem_gb``
     finite and positive — so a request that would fail inside the
     scheduler is refused here, before it can share a window.
     """
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"container must be an object, got {obj!r}")
-    try:
-        container_id = int(obj["container_id"])
-        app_id = int(obj["app_id"])
-        instance = int(obj["instance"])
-        priority = int(obj["priority"])
-        cpu = float(obj["cpu"])
-        mem_gb = float(obj["mem_gb"])
-    except KeyError:
-        missing = [f for f in _CONTAINER_FIELDS if f not in obj]
-        raise ProtocolError(f"container is missing fields {missing}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"bad container field: {exc}") from exc
+    if type(obj) is not list or len(obj) != len(_CONTAINER_FIELDS):
+        raise ProtocolError(
+            f"container must be a {len(_CONTAINER_FIELDS)}-element array "
+            f"[{', '.join(_CONTAINER_FIELDS)}], got {obj!r}"
+        )
+    container_id, app_id, instance, cpu, mem_gb, priority = obj
     # NaN fails both comparisons, as do zero, negatives and infinity
-    if min(container_id, app_id, instance, priority) < 0 or not (
-        0.0 < cpu < math.inf and 0.0 < mem_gb < math.inf
+    if not (
+        type(container_id) is type(app_id) is type(instance)
+        is type(priority) is int
+        and type(cpu) in _NUMBER and type(mem_gb) in _NUMBER
+        and min(container_id, app_id, instance, priority) >= 0
+        and 0.0 < cpu <= _FLOAT_MAX and 0.0 < mem_gb <= _FLOAT_MAX
     ):
-        values = (container_id, app_id, instance, cpu, mem_gb, priority)
         bad = [
-            f for f, v in zip(_CONTAINER_FIELDS, values)
-            if (v < 0 if isinstance(v, int) else not 0.0 < v < math.inf)
+            f for f, v, types in zip(_CONTAINER_FIELDS, obj, _FIELD_TYPES)
+            if type(v) not in types
+            or not (v >= 0 if types is _INTEGER else 0.0 < v <= _FLOAT_MAX)
         ]
         raise ProtocolError(
-            f"container fields {bad} out of range: ids and priority must "
-            "be >= 0, cpu and mem_gb finite and > 0"
+            f"bad container fields {bad}: ids and priority must be JSON "
+            "integers >= 0, cpu and mem_gb finite JSON numbers > 0"
         )
     return Container(
-        container_id=container_id, app_id=app_id, instance=instance,
-        cpu=cpu, mem_gb=mem_gb, priority=priority,
+        container_id, app_id, instance, float(cpu), float(mem_gb), priority
     )
 
 

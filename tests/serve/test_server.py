@@ -279,13 +279,17 @@ class TestWindows:
         check let it through, the scheduler raised on it after the
         window had already evicted the departure, and every coalesced
         request was answered "window failed".)"""
-        from repro.serve.protocol import container_to_wire, recv_frame
+        from repro.serve.protocol import (
+            _CONTAINER_FIELDS,
+            container_to_wire,
+            recv_frame,
+        )
 
         server = make_server(ServeConfig(window_max=8))
         first = serve_trace.containers[:4]
         sibling = serve_trace.containers[5:8]
         poison = container_to_wire(serve_trace.containers[4])
-        poison["mem_gb"] = 0.0
+        poison[_CONTAINER_FIELDS.index("mem_gb")] = 0.0
         with ServerThread(server, sock_path):
             with ServeClient(sock_path) as client:
                 placed = client.place(first)["placements"]
@@ -308,7 +312,7 @@ class TestWindows:
                     sock.close()
                 stats = client.stats()
         errors = [r for r in replies if r["status"] == "error"]
-        assert len(errors) == 1 and "mem_gb" in errors[0]["error"]
+        assert len(errors) == 1 and "['mem_gb']" in errors[0]["error"]
         oks = [r for r in replies if r["status"] == "ok"]
         assert len(oks) == 2
         [placed_reply] = [r for r in oks if "placements" in r]
