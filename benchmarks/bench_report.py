@@ -13,28 +13,16 @@ Entry points (also wired into CI as a non-gating smoke job)::
 
     PYTHONPATH=src python -m benchmarks.bench_report                # full
     PYTHONPATH=src python -m benchmarks.bench_report --smoke        # CI
-    PYTHONPATH=src python -m benchmarks.bench_report --mode rescue  # rescue
     PYTHONPATH=src python -m benchmarks.bench_report --mode serve   # SLO
 
-``--smoke`` refuses to overwrite the committed ``BENCH_fig12.json`` /
-``BENCH_rescue.json``: it writes the ``*_smoke.json`` twin unless
+``--smoke`` refuses to overwrite a committed ``BENCH_*.json`` (e.g.
+``BENCH_fig12.json``): it writes the ``*_smoke.json`` twin unless
 ``--out`` names another path explicitly (``--force`` overrides).
 
 The default mode reproduces the acceptance-scale measurement: the
 0.05-scale trace under ``machine_pool_factor=8.0`` yields a
 4000-machine cluster, the scale at which the batched+cached vs
 cached-only ratio is asserted (≤ 0.7x) by ``bench_fig12_latency.py``.
-
-``--mode rescue`` measures the Section III.B rescue path instead.  The
-calibrated trace never drives the cluster into rescue territory (it is
-generated to fit), so this mode builds its own conflict-heavy workload:
-a fill phase packs the cluster to ~0.95 utilisation, then churn ticks
-evict departures and arrive hot (priority 1–3) replacements, forcing
-migration/consolidation/preemption on nearly every tick.  Both rescue
-variants — the legacy per-machine loop and the vectorized rescue
-kernel — replay the identical stream; the report asserts their
-decision counters match and commits the ``phase_time_s["rescue"]``
-ratio (kernel ≤ 0.5x legacy) as ``BENCH_rescue.json``.
 """
 
 from __future__ import annotations
@@ -47,15 +35,10 @@ import subprocess
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro import AladdinConfig, AladdinScheduler, generate_trace
-from repro.cluster.constraints import ConstraintSet
-from repro.cluster.container import Application, containers_of
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.sim import OnlineConfig, OnlineSimulator
-from repro.telemetry import SchedulerTelemetry
 
 def host_info() -> dict:
     """Provenance header stamped into every ``BENCH_*.json`` setup.
@@ -154,195 +137,6 @@ def run_report(
     batched = report["variants"]["+batch"]["wall_time_ms"]
     report["batched_over_cached"] = round(batched / cached, 3) if cached else None
     print(f"batched/cached wall-time ratio: {report['batched_over_cached']}")
-    return report
-
-
-# ----------------------------------------------------------------------
-# --mode rescue: tight-cluster migration/consolidation/preemption bench
-# ----------------------------------------------------------------------
-
-#: decision counters that must be bit-identical across the rescue axis
-RESCUE_DECISION_COUNTERS = (
-    "rescue_attempts",
-    "rescue_migrations",
-    "rescue_preemptions",
-    "rescue_machines_scanned",
-)
-
-
-def rescue_apps(rng, n_apps: int, start_id: int = 0, hot: bool = False):
-    """Conflict-heavy applications that make placements collide.
-
-    Conflicts are drawn against the trailing 60 applications so the
-    blacklists stay dense as the stream grows; ``hot`` arrivals carry
-    priority 1–3, which is what arms the preemption strategy against
-    the priority-0 residents of the fill phase.
-    """
-    apps = []
-    for i in range(start_id, start_id + n_apps):
-        conflicts = frozenset(
-            j for j in range(max(0, i - 60), i) if rng.random() < 0.15
-        )
-        apps.append(
-            Application(
-                app_id=i,
-                n_containers=int(rng.integers(1, 6)),
-                cpu=float(rng.choice([2.0, 4.0, 8.0, 12.0, 16.0, 24.0])),
-                mem_gb=float(rng.choice([4.0, 8.0, 16.0, 32.0])),
-                priority=int(rng.integers(1, 4)) if hot else int(rng.integers(0, 3)),
-                anti_affinity_within=bool(rng.random() < 0.5),
-                anti_affinity_scope="rack" if rng.random() < 0.25 else "machine",
-                conflicts=conflicts,
-            )
-        )
-    return apps
-
-
-def build_rescue_stream(
-    seed: int, n_apps: int, util_target: float, churn_ticks: int
-):
-    """One deterministic fill+churn stream both variants replay.
-
-    The machine pool is sized so that the fill phase alone lands at
-    ``util_target`` CPU utilisation — every churn arrival after that
-    has to fight for space through the rescue path.
-    """
-    rng = np.random.default_rng(seed)
-    fill = rescue_apps(rng, n_apps)
-    churn = []
-    next_id = n_apps
-    all_apps = list(fill)
-    for t in range(churn_ticks):
-        newapps = rescue_apps(rng, 6, start_id=next_id, hot=True)
-        next_id += 6
-        departs = [
-            int(x)
-            for x in rng.choice(n_apps + t * 6, size=6, replace=False)
-        ]
-        churn.append((newapps, departs))
-        all_apps.extend(newapps)
-    containers = containers_of(all_apps)
-    by_app: dict[int, list] = {}
-    for c in containers:
-        by_app.setdefault(c.app_id, []).append(c)
-    fill_cpu = sum(c.cpu for a in fill for c in by_app[a.app_id])
-    n_machines = max(4, int(np.ceil(fill_cpu / (32.0 * util_target))))
-    return all_apps, fill, churn, by_app, n_machines
-
-
-def measure_rescue(stream, variant: AladdinConfig, repeats: int) -> dict:
-    """Best-of-``repeats`` replay of the rescue stream for one variant.
-
-    The decision counters are deterministic across repeats (asserted);
-    only the phase timings take the best-of treatment.
-    """
-    best = None
-    for _ in range(repeats):
-        run = _replay_rescue_stream(stream, variant)
-        if best is None or run["rescue_ms"] < best["rescue_ms"]:
-            if best is not None:
-                for key in RESCUE_DECISION_COUNTERS:
-                    assert run[key] == best[key], (
-                        f"nondeterministic rescue counter {key}"
-                    )
-            best = run
-    return best
-
-
-def _replay_rescue_stream(stream, variant: AladdinConfig) -> dict:
-    all_apps, fill, churn, by_app, n_machines = stream
-    constraints = ConstraintSet.from_applications(all_apps)
-    state = ClusterState(
-        build_cluster(n_machines, machines_per_rack=8), constraints
-    )
-    engine = AladdinScheduler(variant)
-    total = SchedulerTelemetry()
-    elapsed = 0.0
-    placed = failed = 0
-
-    def sched(batch):
-        nonlocal elapsed, placed, failed
-        t0 = time.perf_counter()
-        result = engine.schedule(batch, state)
-        elapsed += time.perf_counter() - t0
-        if result.telemetry:
-            total.merge(result.telemetry)
-        placed += len(result.placements)
-        failed += result.n_undeployed
-
-    for i in range(0, len(fill), 10):
-        sched([c for a in fill[i : i + 10] for c in by_app[a.app_id]])
-    for newapps, departs in churn:
-        for app_id in departs:
-            for c in by_app.get(app_id, []):
-                if c.container_id in state.assignment:
-                    state.evict(c.container_id)
-        sched([c for app in newapps for c in by_app[app.app_id]])
-    util = float(
-        1.0 - state.available[:, 0].sum() / (n_machines * 32.0)
-    )
-    return {
-        "rescue_ms": round(total.phase_time_s.get("rescue", 0.0) * 1000, 1),
-        "wall_time_ms": round(elapsed * 1000, 1),
-        "final_utilization": round(util, 3),
-        "placed": placed,
-        "failed": failed,
-        "rescue_attempts": total.rescue_attempts,
-        "rescue_migrations": total.rescue_migrations,
-        "rescue_preemptions": total.rescue_preemptions,
-        "rescue_machines_scanned": total.rescue_machines_scanned,
-        "rescue_kernel_invocations": total.rescue_kernel_invocations,
-    }
-
-
-def run_rescue_report(
-    seed: int, n_apps: int, util_target: float, churn_ticks: int,
-    repeats: int,
-) -> dict:
-    stream = build_rescue_stream(seed, n_apps, util_target, churn_ticks)
-    report: dict = {
-        "figure": "Section III.B (rescue path: kernel vs legacy loop)",
-        "setup": {
-            "seed": seed,
-            "n_apps": n_apps,
-            "util_target": util_target,
-            "churn_ticks": churn_ticks,
-            "n_machines": stream[4],
-            "repeats": repeats,
-        },
-        "variants": {},
-    }
-    variants = {
-        "legacy-loop": AladdinConfig(enable_rescue_kernel=False),
-        "rescue-kernel": AladdinConfig(),
-    }
-    for name, variant in variants.items():
-        row = measure_rescue(stream, variant, repeats)
-        report["variants"][name] = row
-        print(
-            f"{name:>14}: rescue {row['rescue_ms']:7.1f} ms, "
-            f"wall {row['wall_time_ms']:7.1f} ms, "
-            f"{row['rescue_attempts']} attempts, "
-            f"{row['rescue_migrations']} migrations, "
-            f"{row['rescue_preemptions']} preemptions"
-        )
-    legacy = report["variants"]["legacy-loop"]
-    kernel = report["variants"]["rescue-kernel"]
-    report["decisions_identical"] = all(
-        legacy[key] == kernel[key] for key in RESCUE_DECISION_COUNTERS
-    )
-    report["kernel_over_legacy_rescue"] = (
-        round(kernel["rescue_ms"] / legacy["rescue_ms"], 3)
-        if legacy["rescue_ms"]
-        else None
-    )
-    print(
-        f"decisions identical: {report['decisions_identical']}; "
-        f"kernel/legacy rescue-phase ratio: "
-        f"{report['kernel_over_legacy_rescue']}"
-    )
-    if not report["decisions_identical"]:
-        raise SystemExit("rescue kernel diverged from the legacy loop")
     return report
 
 
@@ -449,13 +243,12 @@ def resolve_out(out: str | None, smoke: bool, force: bool, mode: str = "fig12") 
     full measurement.
 
     Without ``--out`` the full run writes the mode's committed file
-    (``BENCH_fig12.json`` / ``BENCH_rescue.json``) and the smoke run
+    (``BENCH_fig12.json``, ``BENCH_restore.json``, ...) and the smoke run
     its ``*_smoke.json`` twin; a smoke run that explicitly names a
     committed file is refused unless forced.
     """
     committed = {
         "fig12": "BENCH_fig12.json",
-        "rescue": "BENCH_rescue.json",
         "restore": "BENCH_restore.json",
         "serve": "BENCH_serve.json",
         "solver": "BENCH_solver.json",
@@ -478,12 +271,11 @@ def main(argv: list[str] | None = None) -> int:
         description="Fig. 12+ churn ablation -> BENCH_fig12.json"
     )
     parser.add_argument("--mode",
-                        choices=("fig12", "rescue", "restore", "serve",
+                        choices=("fig12", "restore", "serve",
                                  "solver", "trace", "power"),
                         default="fig12",
                         help="fig12: cumulative ablation trajectory; "
-                             "rescue: tight-cluster rescue-path kernel "
-                             "vs legacy loop; restore: first-round "
+                             "restore: first-round "
                              "latency after a restart, warm cache "
                              "resync vs cold rebuild; serve: closed-loop "
                              "SLO load against the async placement "
@@ -505,15 +297,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pool-factor", type=float, default=8.0)
     parser.add_argument("--repeats", type=int, default=3,
                         help="wall-time repetitions per variant (best-of)")
-    parser.add_argument("--n-apps", type=int, default=240,
-                        help="rescue mode: fill-phase application count "
-                             "(sizes the machine pool)")
-    parser.add_argument("--util-target", type=float, default=0.96,
-                        help="rescue mode: fill-phase CPU utilisation "
-                             "the pool is sized for")
-    parser.add_argument("--churn-ticks", type=int, default=20,
-                        help="rescue mode: hot-arrival churn ticks after "
-                             "the fill phase")
     parser.add_argument("--duration", type=float, default=10.0,
                         help="serve mode: measured seconds per operating "
                              "point")
@@ -549,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                              "machines)")
     parser.add_argument("--out", default=None,
                         help="output path (default per --mode: "
-                             "BENCH_fig12.json / BENCH_rescue.json, or "
+                             "BENCH_fig12.json, BENCH_restore.json, ..., or "
                              "the *_smoke.json twin under --smoke)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI smoke mode: tiny scale, one repetition, "
@@ -561,7 +344,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.smoke:
         args.scale, args.ticks, args.repeats = 0.02, 20, 1
-        args.n_apps, args.churn_ticks = 80, 6
         args.duration, args.clients = 2.0, 4
         args.solver_scales, args.window_sizes = (0.02,), (32,)
         args.trace_ticks, args.n_functions = 16, 64
@@ -597,11 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_serve_report(
             args.scale, args.seed, args.serve_pool_factor,
             args.duration, args.clients, args.batch_size,
-        )
-    elif args.mode == "rescue":
-        report = run_rescue_report(
-            args.seed, args.n_apps, args.util_target, args.churn_ticks,
-            args.repeats,
         )
     elif args.mode == "restore":
         report = run_restore_report(

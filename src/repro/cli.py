@@ -282,7 +282,7 @@ def _write_profile(path: str, result) -> None:
 def _aladdin_variant(args, factories):
     """The scheduler an ``online``/``serve`` invocation asked for."""
     if args.scheduler == "Aladdin" and (
-        args.no_cache or args.no_batch or args.no_rescue_kernel
+        args.no_cache or args.no_batch
         or args.engine != "batch" or args.solver_objective != "packing"
     ):
         from repro.core import engine_for
@@ -291,7 +291,6 @@ def _aladdin_variant(args, factories):
             AladdinConfig(
                 enable_feasibility_cache=not args.no_cache,
                 enable_batch_kernel=not args.no_batch,
-                enable_rescue_kernel=not args.no_rescue_kernel,
                 engine=args.engine,
                 solver_objective=args.solver_objective,
             )
@@ -416,11 +415,6 @@ def _add_variant_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-batch", action="store_true",
                         help="disable the batched block placement kernel "
                              "(Aladdin only; batched-vs-loop ablation)")
-    parser.add_argument("--no-rescue-kernel", action="store_true",
-                        help="plan rescues with the legacy per-machine loop "
-                             "instead of the vectorized rescue kernel "
-                             "(Aladdin only; decisions are bit-identical "
-                             "either way)")
     parser.add_argument("--engine", default="batch",
                         choices=["batch", "flow", "solver"],
                         help="placement engine (Aladdin only): the "

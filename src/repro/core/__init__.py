@@ -12,7 +12,10 @@
 * :mod:`~repro.core.batchkernel` — the batched block placement kernel
   (one vectorized sweep per application block);
 * :mod:`~repro.core.migration` — priority-aware preemption and
-  migration (Section III.B, Fig. 3 and Fig. 7);
+  migration (Section III.B, Fig. 3 and Fig. 7): the per-round
+  :class:`~repro.core.migration.RescuePlanner` front;
+* :mod:`~repro.core.rescuekernel` — the rescue strategies themselves,
+  planned on the cache + index substrate;
 * :mod:`~repro.core.validate` — the shared Equation 7–9 placement
   validator and the Fig. 9 quality metrics all engines are held to;
 * :mod:`~repro.core.vecsolve` — the one-shot LP window engine

@@ -51,19 +51,6 @@ class AladdinConfig:
         honest).  Placements are provably identical with the kernel on
         or off; the differential harness replays randomized churn
         across the batched×loop axis to enforce that.
-    enable_rescue_kernel:
-        Plan migrations, consolidations and preemptions through the
-        vectorized rescue kernel (:mod:`repro.core.rescuekernel`):
-        admit masks come from a persistent dominance cache instead of a
-        full-cluster scan per rescue attempt, packed-first candidate
-        orders from the incremental machine index, mover/victim
-        selection from per-machine resident summaries (prefix-summed
-        freeable demand, synchronised against the state's dirty log),
-        and relocation planning tracks reservations sparsely instead of
-        copying the whole ``available`` matrix per mover.  The legacy
-        per-machine loop remains the oracle: decisions are bit-identical
-        — same machine freed, same victims in the same order — enforced
-        by the rescue axis of the differential harness.
     window_apps:
         Scheduling-window width in applications.  Containers inside one
         window are re-ordered by weighted flow (priority); windows model
@@ -119,7 +106,6 @@ class AladdinConfig:
     enable_preemption: bool = True
     enable_feasibility_cache: bool = True
     enable_batch_kernel: bool = True
-    enable_rescue_kernel: bool = True
     window_apps: int = 64
     migration_candidates: int = 16
     max_migrations_per_container: int = 16

@@ -296,8 +296,8 @@ class FeasibilityCache:
         the same way, but returned as the cache's *shared* entry array —
         callers must treat it as read-only (copy before mutating).  The
         rescue kernel queries this per mover/victim demand shape, where
-        allocating a fresh mask per query would negate the win over the
-        legacy loop's full scans.
+        allocating a fresh mask per query would negate the win over a
+        full scan per query.
         """
         if state.state_uid != self._state_uid:
             self.reset()

@@ -1,15 +1,21 @@
 """Vectorized rescue kernel: batched migration/consolidation/preemption.
 
-The legacy :class:`~repro.core.migration.RescuePlanner` strategies are
-pure-Python per-machine loops: every rescue attempt opens with a
-full-cluster ``(available >= demand).all(axis=1)`` scan, every candidate
-machine re-lists and re-sorts its residents, and every relocation query
-copies the whole ``available`` matrix to apply reservations.  At high
-utilization — the regime where the paper's Fig. 9/12 advantage is
-actually measured — nearly every blocked container triggers a rescue,
-so that per-rescue O(machines × dims) work dominates the round.
+This module is where the Section III.B strategies — blocker
+migration, consolidation, preemption — are implemented; every rescue
+the engines attempt is planned here, through
+:class:`~repro.core.migration.RescuePlanner`.  Written as plain
+per-machine loops (*the loop*: ``RescueLoop`` in
+``tests/core/rescue_loop.py``, kept as the oracle), every rescue
+attempt opens with a full-cluster ``(available >= demand).all(axis=1)``
+scan, every candidate machine re-lists and re-sorts its residents, and
+every relocation query copies the whole ``available`` matrix to apply
+reservations.  At high utilization — the regime where the paper's
+Fig. 9/12 advantage is actually measured — nearly every blocked
+container triggers a rescue, so that per-rescue O(machines × dims)
+work dominates the round.
 
-The kernel re-plans the *same decisions* on the substrate PRs 1–3 built:
+The kernel plans the loop's *same decisions* on the engines' cached
+substrate:
 
 * **Admit masks** check Equation 6 first: a private, telemetry-quiet
   :class:`~repro.core.feascache.FeasibilityCache` serves dominance
@@ -62,19 +68,19 @@ The kernel re-plans the *same decisions* on the substrate PRs 1–3 built:
 * **Two version-window memos** remain: admissible ids per
   ``(app, shape)`` and failed rescues per attempt key.
 
-Decisions are bit-identical to the legacy loop — same machine freed,
-same victims in the same order, same failure verdicts — because every
-float is accumulated in the same sequence (``np.cumsum`` performs the
-legacy loop's left-to-right additions) and every tie-break replays the
-legacy order.  The rescue axis of ``tests/test_differential.py``
-enforces the equivalence under randomized churn; the unit oracles in
-``tests/core/test_rescuekernel.py`` pin each strategy against the
-legacy planner directly.
+Decisions are bit-identical to the loop's — same machine freed, same
+victims in the same order, same failure verdicts — because every float
+is accumulated in the same sequence (``np.cumsum`` performs the loop's
+left-to-right additions) and every tie-break replays the loop's order.
+The rescue axis of ``tests/test_differential.py`` enforces the
+equivalence under randomized churn; the unit oracles in
+``tests/core/test_rescuekernel.py`` pin each strategy against the loop
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +88,39 @@ from repro.base import FailureReason
 from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.core.feascache import FeasibilityCache
+
+
+@dataclass
+class RescueOutcome:
+    """Result of one rescue attempt for one blocked container."""
+
+    machine_id: int | None = None
+    migrations: int = 0
+    preempted: list[Container] = field(default_factory=list)
+    explored: int = 0
+    #: candidate machines examined by the strategy walks (a decision
+    #: count: the loop oracle's visits, machine for machine)
+    scanned: int = 0
+    failure: FailureReason | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.machine_id is not None
+
+
+def _rack_blocked(state: ClusterState, app_id: int, machine_id: int) -> bool:
+    """True when a rack-scoped within-rule dooms ``machine_id``:
+    relocating or evicting its residents cannot clear a conflict seated
+    on a rack-mate."""
+    cs = state.constraints
+    if not (cs.has_within(app_id) and cs.within_scope(app_id) == "rack"):
+        return False
+    rack = int(state.topology.rack_of[machine_id])
+    return any(
+        m != machine_id and int(state.topology.rack_of[m]) == rack
+        for m in state.app_machines.get(app_id, ())
+    )
+
 
 #: shared answer of :meth:`RescueKernel._admissible_ids` where no
 #: machine dominates the demand (read-only, like every id array it
@@ -109,9 +148,9 @@ class _Residents:
     build version — stable until the machine is next mutated, at which
     point the dirty log drops the row).  ``by_prio_cpu`` is the stable
     ``(priority, cpu)`` argsort of that order — the exact permutation
-    the legacy strategies' ``sorted(..., key=(priority, cpu))`` yields —
+    the loop's strategies' ``sorted(..., key=(priority, cpu))`` yields —
     and ``sorted_cum`` the running demand sum along it, accumulated
-    left-to-right like the legacy mover loop.  ``shape_ids`` are the
+    left-to-right like the loop's mover walk.  ``shape_ids`` are the
     residents' interned demand shapes (:meth:`ResidentLedger.live`
     answers Equation 6 per id).  The per-resident columns the strategies
     walk one resident at a time are plain lists (no numpy scalar boxing).
@@ -353,7 +392,7 @@ class ResidentLedger:
         priorities = [c.priority for c in containers]
         demands, shape_ids = self._intern(state, containers)
         # lexsort is stable: equal (priority, cpu) keep enumeration
-        # order, exactly like the legacy ``sorted`` call.
+        # order, exactly like the loop's ``sorted`` call.
         by_prio_cpu = np.lexsort(([c.cpu for c in containers], priorities))
         self.builds += 1
         return _Residents(
@@ -368,13 +407,12 @@ class ResidentLedger:
 
 
 class RescueKernel:
-    """Vectorized twin of the legacy rescue strategies.
+    """The rescue strategies on the cached substrate.
 
     One instance lives on each engine (next to its feasibility cache
-    and machine index) and survives across ``schedule()`` calls.  The
-    planner dispatches to :meth:`rescue_plan` when the kernel is
-    wired in (``AladdinConfig.enable_rescue_kernel``); the legacy loop
-    remains the oracle the differential harness replays against.
+    and machine index) and survives across ``schedule()`` calls; the
+    engine's :class:`~repro.core.migration.RescuePlanner` hands every
+    attempt to :meth:`rescue_plan`.
     """
 
     def __init__(self) -> None:
@@ -405,7 +443,7 @@ class RescueKernel:
         #: repair, sibling containers of one application retry the
         #: identical hopeless rescue back to back.  The stored
         #: ``scanned`` is replayed so the strategy-walk visit counters
-        #: stay bit-identical to the legacy loop's.
+        #: stay bit-identical to the loop's.
         self._failures: dict[tuple, tuple] = {}
         #: lifetime count of kernel-planned rescues
         self.invocations = 0
@@ -503,9 +541,7 @@ class RescueKernel:
 
     # ------------------------------------------------------------------
     def rescue_plan(self, planner, container, demand, allow_preemption, exhaustive):
-        """Mirror of ``RescuePlanner._rescue`` on the cached substrate."""
-        from repro.core.migration import RescueOutcome
-
+        """Plan one rescue of ``container`` for ``planner``'s round."""
         self.invocations += 1
         state = planner.state
         config = planner.config
@@ -529,7 +565,7 @@ class RescueKernel:
             return out
         version_in = state.version
         out = RescueOutcome()
-        # The shared dominance entry replaces the legacy full-cluster
+        # The shared dominance entry replaces the loop's full-cluster
         # scan; ``explored`` is charged the honest incremental cost
         # (the verdicts actually recomputed), like the search path's
         # cached feasibility queries.
@@ -589,8 +625,6 @@ class RescueKernel:
     def _migrate_blockers(
         self, planner, container, candidates, out, exhaustive
     ) -> int | None:
-        from repro.core.migration import _rack_blocked
-
         state = planner.state
         config = planner.config
         ids = np.flatnonzero(candidates)
@@ -680,8 +714,6 @@ class RescueKernel:
 
     # ------------------------------------------------------------------
     def _preempt(self, planner, container, demand, out) -> int | None:
-        from repro.core.migration import _rack_blocked
-
         state = planner.state
         config = planner.config
         bound = max(1, config.migration_candidates) * 4
@@ -709,7 +741,7 @@ class RescueKernel:
             if not ((avail_m + freed) >= demand).all():
                 # Extend with strictly lower-priority residents in
                 # (priority, cpu) order until the machine fits, the
-                # same left-to-right accumulation as the legacy loop.
+                # same left-to-right accumulation as the loop.
                 blocking = set(blockers)
                 lower = [
                     i
@@ -729,7 +761,7 @@ class RescueKernel:
             if not ((avail_m + freed) >= demand).all():
                 continue
             # Equation 9 guard, accumulated in victim order like the
-            # legacy planner (victims are few; the guard is not the
+            # loop (victims are few; the guard is not the
             # bottleneck and the float order must match bit for bit).
             victims = [row.containers[i] for i in victim_rows]
             if planner.weights and sum(
@@ -809,8 +841,6 @@ class RescueKernel:
         exactly by :meth:`_plans_without_blocker`.  A machine with a
         blocker keeps the necessary condition: the loop decides it.
         """
-        from repro.core.migration import _rack_blocked
-
         state = planner.state
         table = self.ledger.table(state)
         n_lower = (table.priorities[order] < container.priority).sum(axis=1)
@@ -884,7 +914,7 @@ class RescueKernel:
         self, planner, row: _Residents, mover_rows: list[int],
         exclude: int, out,
     ) -> list[tuple[Container, int]] | None:
-        """Screened, sparse-reservation twin of the legacy relocation
+        """Screened, sparse-reservation twin of the loop's relocation
         planner; the movers are ``row``'s residents at ``mover_rows``,
         in that order.
 
@@ -900,7 +930,7 @@ class RescueKernel:
         prefix (its walk screens for the same thing); blocker migration
         and preemption do.
 
-        **Plan.**  The legacy loop recomputes a full admit mask and
+        **Plan.**  The loop recomputes a full admit mask and
         copies the whole ``available`` matrix per mover to apply
         reservations; here each mover starts from the memoised
         admissible-id list of its ``(app, shape)`` pair and only the
@@ -955,7 +985,7 @@ class RescueKernel:
     def _relocation_target(
         self, planner, mover: Container, exclude: int, out, demand=None
     ) -> int | None:
-        """Cached-dominance twin of ``RescuePlanner._relocation_target``."""
+        """Cached-dominance twin of the loop's ``_relocation_target``."""
         state = planner.state
         if demand is None:
             demand = mover.demand_vector(state.topology.resources)

@@ -80,11 +80,9 @@ class AladdinScheduler(Scheduler):
         self.machine_index = MachineIndex()
         #: lifetime count of containers placed by the batch kernel
         self.batch_placed = 0
-        #: vectorized rescue planning on the cache+index substrate;
-        #: ``None`` routes rescues through the legacy per-machine loop
-        self.rescue_kernel = (
-            RescueKernel() if self.config.enable_rescue_kernel else None
-        )
+        #: rescue planning (migration, consolidation, preemption) on
+        #: the cache+index substrate
+        self.rescue_kernel = RescueKernel()
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:
@@ -432,11 +430,7 @@ def engine_checkpoint(engine) -> dict:
         "feas_cache": engine.feas_cache.checkpoint(),
         "machine_index": engine.machine_index.checkpoint(),
         "batch_placed": getattr(engine, "batch_placed", 0),
-        "rescue_kernel": (
-            engine.rescue_kernel.checkpoint()
-            if engine.rescue_kernel is not None
-            else None
-        ),
+        "rescue_kernel": engine.rescue_kernel.checkpoint(),
     }
 
 
@@ -445,10 +439,13 @@ def engine_restore(engine, payload: dict, state: ClusterState) -> None:
 
     Every ledger is rebound to the restored state's fresh uid; the
     persisted sync versions stay valid because the state checkpoint
-    carries the dirty log verbatim.  Components present on only one
-    side (e.g. the checkpoint was taken without a rescue kernel) start
+    carries the dirty log verbatim.  A component the image lacks starts
     cold — a full resync on first use, never silent corruption.  An
-    image written while the engine could still run a rack-sharded
+    engine that could still be configured to plan rescues with the
+    per-machine loop wrote ``"rescue_kernel": None`` in that mode: the
+    kernel then starts cold, and the resumed run makes the decisions
+    the uninterrupted one makes (its memos replay only cost charges).
+    An image written while the engine could still run a rack-sharded
     parallel sweep may carry a ``parallel`` entry; it is ignored.
     """
     engine.feas_cache.restore(payload["feas_cache"], state.state_uid)
@@ -456,7 +453,7 @@ def engine_restore(engine, payload: dict, state: ClusterState) -> None:
     if hasattr(engine, "batch_placed"):
         engine.batch_placed = payload.get("batch_placed", 0)
     kernel_image = payload.get("rescue_kernel")
-    if engine.rescue_kernel is not None and kernel_image is not None:
+    if kernel_image is not None:
         engine.rescue_kernel.restore(kernel_image, state)
 
 

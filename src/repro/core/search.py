@@ -63,11 +63,8 @@ class FlowPathSearch(Scheduler):
         #: per-container full argsort whenever the cache yields an
         #: admit mask to restrict it to
         self.machine_index = MachineIndex()
-        #: vectorized rescue planning, shared semantics with the
-        #: vectorised engine (``None`` = legacy per-machine loop)
-        self.rescue_kernel = (
-            RescueKernel() if self.config.enable_rescue_kernel else None
-        )
+        #: rescue planning, shared semantics with the vectorised engine
+        self.rescue_kernel = RescueKernel()
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:

@@ -156,8 +156,6 @@ class TickSample:
     batch_invocations: int = 0
     #: rescue attempts (migration/consolidation/preemption planning)
     rescue_attempts: int = 0
-    #: of those, attempts planned by the vectorized rescue kernel
-    rescue_kernel_invocations: int = 0
     #: power/warm-pool telemetry, set only when a lifecycle runtime is
     #: active (``None`` otherwise — and then absent from
     #: :meth:`OnlineResult.canonical_json`, preserving default-off
@@ -235,7 +233,6 @@ class OnlineResult:
                 "cache_hits": s.cache_hits,
                 "batch_invocations": s.batch_invocations,
                 "rescue_attempts": s.rescue_attempts,
-                "rescue_kernel_invocations": s.rescue_kernel_invocations,
             }
             if s.powered_machines is not None:
                 # Lifecycle telemetry only exists on autoscale runs, so
@@ -394,7 +391,7 @@ def apply_window(
 
     migrations = failed = explored = 0
     cache_hits = batch_invocations = 0
-    rescue_attempts = rescue_kernel_invocations = 0
+    rescue_attempts = 0
     schedule: ScheduleResult | None = None
     if batch:
         schedule = scheduler.schedule(batch, state)
@@ -405,9 +402,6 @@ def apply_window(
             cache_hits = schedule.telemetry.cache_hits
             batch_invocations = schedule.telemetry.batch_kernel_invocations
             rescue_attempts = schedule.telemetry.rescue_attempts
-            rescue_kernel_invocations = (
-                schedule.telemetry.rescue_kernel_invocations
-            )
             # Per-tick copy of the round's scheduler phases, next to the
             # window phases, so a profile dump shows the whole tick.
             for name, dt in schedule.telemetry.phase_time_s.items():
@@ -433,7 +427,6 @@ def apply_window(
         cache_hits=cache_hits,
         batch_invocations=batch_invocations,
         rescue_attempts=rescue_attempts,
-        rescue_kernel_invocations=rescue_kernel_invocations,
         phase_s=phase_s,
     )
     if lifecycle is not None:

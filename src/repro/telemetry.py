@@ -28,11 +28,7 @@ place all of those savings are *counted*:
   / ``rescue_machines_scanned`` — the Section III.B rescue machinery's
   deterministic accounting: rescue calls, containers moved, containers
   evicted, and candidate machines examined by the strategy loops.
-  Identical across the rescue-kernel axis (the decisions are);
-* ``rescue_kernel_invocations`` — rescues planned by the vectorized
-  kernel (:mod:`repro.core.rescuekernel`) instead of the legacy
-  per-machine loop (the one rescue counter that distinguishes the
-  kernel axis);
+  Identical to the per-machine loop oracle's (the decisions are);
 * ``solver_calls`` / ``solver_rounding_repairs`` — LP solves issued by
   the solver engine (:mod:`repro.core.vecsolve`) and planned
   placements its deterministic rounding pass had to reject back into
@@ -81,7 +77,6 @@ class SchedulerTelemetry:
     rescue_migrations: int = 0
     rescue_preemptions: int = 0
     rescue_machines_scanned: int = 0
-    rescue_kernel_invocations: int = 0
     solver_calls: int = 0
     solver_rounding_repairs: int = 0
     #: LP-optimum units minus committed units, accumulated per solve; a
@@ -119,7 +114,6 @@ class SchedulerTelemetry:
             "rescue_migrations": self.rescue_migrations,
             "rescue_preemptions": self.rescue_preemptions,
             "rescue_machines_scanned": self.rescue_machines_scanned,
-            "rescue_kernel_invocations": self.rescue_kernel_invocations,
             "solver_calls": self.solver_calls,
             "solver_rounding_repairs": self.solver_rounding_repairs,
         }
@@ -151,7 +145,6 @@ class SchedulerTelemetry:
         self.rescue_migrations += other.rescue_migrations
         self.rescue_preemptions += other.rescue_preemptions
         self.rescue_machines_scanned += other.rescue_machines_scanned
-        self.rescue_kernel_invocations += other.rescue_kernel_invocations
         self.solver_calls += other.solver_calls
         self.solver_rounding_repairs += other.solver_rounding_repairs
         self.solver_relaxation_gap += other.solver_relaxation_gap
@@ -182,10 +175,6 @@ class SchedulerTelemetry:
                 f" ({self.rescue_migrations} migr,"
                 f" {self.rescue_preemptions} evict,"
                 f" {self.rescue_machines_scanned} scanned)"
-            )
-        if self.rescue_kernel_invocations:
-            parts.append(
-                f"rescue kernel {self.rescue_kernel_invocations}"
             )
         if self.solver_calls:
             parts.append(

@@ -12,6 +12,7 @@ from repro.cluster.topology import build_cluster
 from repro.core.config import AladdinConfig
 from repro.core.migration import RescuePlanner
 from repro.core.rescuekernel import RescueKernel
+from tests.core.rescue_loop import RescueLoop
 
 
 def container(cid, app, cpu, prio=0):
@@ -40,7 +41,7 @@ class TestFig3bMigration:
         filler = container(9, app=5, cpu=28)
         state.deploy(filler, 1)
         b = container(1, app=1, cpu=20, prio=0)
-        planner = RescuePlanner(state, AladdinConfig())
+        planner = RescuePlanner(state, AladdinConfig(), kernel=RescueKernel())
         outcome = planner.rescue(b, demand(b, state))
         assert outcome.ok and outcome.machine_id == 0
         assert outcome.migrations == 1
@@ -56,7 +57,7 @@ class TestFig3bMigration:
         state.deploy(container(1, app=2, cpu=4), 1)  # app 0 conflicts with 2
         state.deploy(container(3, app=5, cpu=10), 1)  # machine 1: 18 CPU free
         b = container(2, app=1, cpu=20)
-        planner = RescuePlanner(state, AladdinConfig())
+        planner = RescuePlanner(state, AladdinConfig(), kernel=RescueKernel())
         outcome = planner.rescue(b, demand(b, state))
         # Machine 1 hosts app 2 which conflicts with blocker app 0, and
         # there is no third machine: migration must fail, and preemption
@@ -70,7 +71,9 @@ class TestFig3bMigration:
         state.deploy(container(9, app=5, cpu=28), 1)
         b = container(1, app=1, cpu=20)
         cfg = AladdinConfig(enable_migration=False, enable_preemption=False)
-        outcome = RescuePlanner(state, cfg).rescue(b, demand(b, state))
+        outcome = RescuePlanner(state, cfg, kernel=RescueKernel()).rescue(
+            b, demand(b, state)
+        )
         assert not outcome.ok
 
 
@@ -83,7 +86,7 @@ class TestFig7Consolidation:
         state.deploy(container(0, app=0, cpu=3), 0)
         state.deploy(container(1, app=1, cpu=3), 1)
         big = container(2, app=2, cpu=6)
-        planner = RescuePlanner(state, AladdinConfig())
+        planner = RescuePlanner(state, AladdinConfig(), kernel=RescueKernel())
         outcome = planner.rescue(big, demand(big, state))
         assert outcome.ok
         assert outcome.migrations == 1
@@ -96,10 +99,14 @@ class TestFig7Consolidation:
         state.deploy(container(9, app=9, cpu=5), 1)
         big = container(10, app=10, cpu=7)
         cfg = AladdinConfig(max_migrations_per_container=1, enable_preemption=False)
-        outcome = RescuePlanner(state, cfg).rescue(big, demand(big, state))
+        outcome = RescuePlanner(state, cfg, kernel=RescueKernel()).rescue(
+            big, demand(big, state)
+        )
         assert not outcome.ok  # would need >1 move
         cfg = AladdinConfig(max_migrations_per_container=4, enable_preemption=False)
-        outcome = RescuePlanner(state, cfg).rescue(big, demand(big, state))
+        outcome = RescuePlanner(state, cfg, kernel=RescueKernel()).rescue(
+            big, demand(big, state)
+        )
         assert outcome.ok
 
 
@@ -112,16 +119,15 @@ class TestFig7Consolidation:
         disabling Fig. 7 at 0 while the other strategies kept their
         one-machine floor.  The Fig. 7 scenario must rescue regardless.
         """
-        for kernel_on in (False, True):
+        for kernel in (RescueLoop(), RescueKernel()):
             state = make_state([], n_machines=2, cpu=8.0)
             state.deploy(container(0, app=0, cpu=3), 0)
             state.deploy(container(1, app=1, cpu=3), 1)
             big = container(2, app=2, cpu=6)
             cfg = AladdinConfig(migration_candidates=0)
-            kernel = RescueKernel() if kernel_on else None
             planner = RescuePlanner(state, cfg, kernel=kernel)
             outcome = planner.rescue(big, demand(big, state))
-            assert outcome.ok, f"kernel_on={kernel_on}"
+            assert outcome.ok, type(kernel).__name__
             assert outcome.migrations == 1
 
 
@@ -131,7 +137,7 @@ class TestPriorityPreemption:
         low = container(0, app=1, cpu=4, prio=0)
         state.deploy(low, 0)
         high = container(1, app=0, cpu=4, prio=2)
-        outcome = RescuePlanner(state, AladdinConfig()).rescue(
+        outcome = RescuePlanner(state, AladdinConfig(), kernel=RescueKernel()).rescue(
             high, demand(high, state)
         )
         # One machine only: the low-priority blocker cannot relocate, so
@@ -146,7 +152,7 @@ class TestPriorityPreemption:
         high = container(0, app=1, cpu=4, prio=2)
         state.deploy(high, 0)
         low = container(1, app=0, cpu=4, prio=0)
-        outcome = RescuePlanner(state, AladdinConfig()).rescue(
+        outcome = RescuePlanner(state, AladdinConfig(), kernel=RescueKernel()).rescue(
             low, demand(low, state)
         )
         assert not outcome.ok
@@ -163,7 +169,7 @@ class TestPriorityPreemption:
         state.deploy(container(8, app=6, cpu=24), 0)
         state.deploy(container(7, app=7, cpu=20), 1)
         high = container(1, app=0, cpu=4, prio=2)
-        outcome = RescuePlanner(state, AladdinConfig()).rescue(
+        outcome = RescuePlanner(state, AladdinConfig(), kernel=RescueKernel()).rescue(
             high, demand(high, state)
         )
         assert outcome.ok and outcome.machine_id == 0
@@ -176,7 +182,9 @@ class TestPriorityPreemption:
         state.deploy(container(0, app=1, cpu=4, prio=0), 0)
         high = container(1, app=0, cpu=4, prio=2)
         cfg = AladdinConfig(enable_preemption=False, enable_migration=False)
-        outcome = RescuePlanner(state, cfg).rescue(high, demand(high, state))
+        outcome = RescuePlanner(state, cfg, kernel=RescueKernel()).rescue(
+            high, demand(high, state)
+        )
         assert not outcome.ok
 
 
@@ -186,7 +194,9 @@ class TestFailureClassification:
         state.deploy(container(0, app=0, cpu=4), 0)
         c = container(1, app=1, cpu=4)
         cfg = AladdinConfig(enable_migration=False, enable_preemption=False)
-        outcome = RescuePlanner(state, cfg).rescue(c, demand(c, state))
+        outcome = RescuePlanner(state, cfg, kernel=RescueKernel()).rescue(
+            c, demand(c, state)
+        )
         assert outcome.failure is FailureReason.RESOURCES
 
     def test_anti_affinity_blocking(self):
@@ -194,5 +204,7 @@ class TestFailureClassification:
         state.deploy(container(0, app=0, cpu=1), 0)
         c = container(1, app=1, cpu=1)
         cfg = AladdinConfig(enable_migration=False, enable_preemption=False)
-        outcome = RescuePlanner(state, cfg).rescue(c, demand(c, state))
+        outcome = RescuePlanner(state, cfg, kernel=RescueKernel()).rescue(
+            c, demand(c, state)
+        )
         assert outcome.failure is FailureReason.ANTI_AFFINITY

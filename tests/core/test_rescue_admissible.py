@@ -17,7 +17,7 @@ machine survives it.  Three contracts are pinned here:
   checkpoint image still reads both ways across the change that
   bounded them.
 
-The decision-level contract (kernel ≡ legacy loop) stays where it was:
+The decision-level contract (kernel ≡ loop oracle) stays where it was:
 ``tests/core/test_rescuekernel.py`` and the rescue axis of
 ``tests/test_differential.py``.
 """

@@ -8,7 +8,7 @@ oracle.  The consolidation and preemption walks screen their whole
 candidate order at once from the resident ledger's table; their oracle
 is the per-machine test the walks used to make position by position
 (:func:`loop_consolidation_verdict`; :func:`loop_preemption_victims`
-and :func:`loop_preempts`, the legacy preemption body).  Five
+and :func:`loop_preempts`, the loop oracle's preemption body).  Five
 contracts:
 
 * **per plan** — same moves, or the same ``None``; the ``explored``
@@ -62,11 +62,13 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.state import ClusterState, dominates
 from repro.cluster.topology import build_cluster
 from repro.core import AladdinConfig, AladdinScheduler
-from repro.core.migration import RescueOutcome, RescuePlanner, _rack_blocked
+from repro.core.migration import RescuePlanner
 from repro.core.rescuekernel import (
     _PAD_PRIORITY,
     ResidentLedger,
     RescueKernel,
+    RescueOutcome,
+    _rack_blocked,
 )
 from repro.sim.faults import fail_machines, machine_is_down, repair_machines
 from tests.core.test_blacklist import PROBE_APP, RULE_PAIRS, scoped_constraints
@@ -608,7 +610,7 @@ def loop_consolidation_verdict(state, row, shortfall, mover_limit):
 
 
 def loop_preemption_victims(state, machine_id, app_id, demand, priority):
-    """``RescuePlanner._preempt``'s body on ``machine_id`` up to its
+    """``RescueLoop._preempt``'s body on ``machine_id`` up to its
     Equation 9 guard, as ``(hosts a blocker, victims)``: ``victims`` is
     ``None`` unless there is no equal-or-higher blocker, no rack-mate
     conflict, and the victims — blockers first, then lower-priority
@@ -653,7 +655,7 @@ def loop_preempts(planner, victims, container):
 
 
 def loop_preemption_fits(state, machine_id, app_id, demand, priority):
-    """Whether ``RescuePlanner._preempt`` reaches its plan on
+    """Whether ``RescueLoop._preempt`` reaches its plan on
     ``machine_id`` when no Equation 9 weights are set."""
     _, victims = loop_preemption_victims(
         state, machine_id, app_id, demand, priority
@@ -737,7 +739,7 @@ def check_walk_screens(kernel, state):
             ]
 
     planners = [
-        RescuePlanner(state, AladdinConfig(), weights=weights)
+        RescuePlanner(state, AladdinConfig(), weights=weights, kernel=kernel)
         for weights in WEIGHT_SETS
     ]
     for priority in (1, 3):
@@ -883,7 +885,7 @@ def test_preemption_screen_keeps_a_fit_that_depends_on_summation_order():
     a hair more than the (priority, cpu) prefix sum, so a demand equal
     to what the loop frees fits the loop and falls short of the exact
     screen sum — the slack keeps the machine, and the rescue preempts
-    on it exactly as the legacy planner does."""
+    on it exactly as the loop oracle does."""
 
     def build():
         state = ClusterState(
@@ -912,7 +914,7 @@ def test_preemption_screen_keeps_a_fit_that_depends_on_summation_order():
         container_id=9, app_id=0, instance=0, cpu=float(demand[0]),
         mem_gb=float(demand[1]), priority=1,
     )
-    planner = RescuePlanner(state, AladdinConfig())
+    planner = RescuePlanner(state, AladdinConfig(), kernel=kernel)
     assert kernel._preemption_screen(
         planner, np.array([0]), blocked, demand
     ).tolist() == [0]
@@ -1116,8 +1118,8 @@ def test_equation9_is_the_loops_sum_on_every_interpreter(
     adds floats: left to right (CPython ≤ 3.11) and compensated (3.12
     on) disagree here.  The demand needs every victim.  Whichever
     ``sum()`` this interpreter has, the screen keeps the machine exactly
-    when the loop plans on it, and the rescue decides what the legacy
-    planner decides."""
+    when the loop plans on it, and the rescue decides what the loop
+    oracle decides."""
     flows = [weights[0] * c for c in victim_cpus]
     flow = weights[1] * cpu
     assert (reduce(add, flows) >= flow) != (math.fsum(flows) >= flow)
@@ -1134,9 +1136,12 @@ def test_equation9_is_the_loops_sum_on_every_interpreter(
     demand = blocked.demand_vector(state.topology.resources)
     _, victims = loop_preemption_victims(state, 0, 0, demand, priority=1)
     assert [v.cpu for v in victims] == list(victim_cpus)
-    planner = RescuePlanner(state, AladdinConfig(), weights=weights)
+    kernel = RescueKernel()
+    planner = RescuePlanner(
+        state, AladdinConfig(), weights=weights, kernel=kernel
+    )
     assert loop_preempts(planner, victims, blocked) == plans
-    passing = RescueKernel()._preemption_screen(
+    passing = kernel._preemption_screen(
         planner, np.array([0]), blocked, demand
     )
     assert passing.tolist() == ([0] if plans else [])

@@ -1,8 +1,9 @@
-"""Vectorized rescue kernel vs the legacy per-machine loop.
+"""Vectorized rescue kernel vs the per-machine loop oracle.
 
 Every test builds one scenario twice and runs the rescue once through
-the legacy :class:`~repro.core.migration.RescuePlanner` loop and once
-through the :class:`~repro.core.rescuekernel.RescueKernel`, then
+:class:`~repro.core.migration.RescuePlanner` with the loop oracle
+(:class:`~tests.core.rescue_loop.RescueLoop`) and once with the
+:class:`~repro.core.rescuekernel.RescueKernel`, then
 asserts the *decisions* are bit-identical: same success verdict, same
 freed machine, same victims in the same order, same failure
 classification, same post-rescue cluster state.  Costs (``explored``)
@@ -27,6 +28,7 @@ from repro.cluster.topology import build_cluster
 from repro.core.config import AladdinConfig
 from repro.core.migration import RescuePlanner
 from repro.core.rescuekernel import RescueKernel
+from tests.core.rescue_loop import RescueLoop
 
 
 def container(cid, app, cpu, prio=0):
@@ -48,35 +50,34 @@ def make_state(rules, n_machines=2, cpu=32.0, machines_per_rack=None):
 def run_pair(build_state, blocked, config=None, weights=None, **rescue_kw):
     """Run one scenario through the loop and the kernel; assert parity.
 
-    Returns ``(legacy_outcome, kernel_outcome, kernel)`` so tests can
+    Returns ``(loop_outcome, kernel_outcome, kernel)`` so tests can
     add scenario-specific assertions on top of the parity checks.
     """
     config = config or AladdinConfig()
     outcomes = []
     states = []
     kernel = RescueKernel()
-    for use_kernel in (False, True):
+    for planner_kernel in (RescueLoop(), kernel):
         state = build_state()
         planner = RescuePlanner(
-            state, config, weights=weights,
-            kernel=kernel if use_kernel else None,
+            state, config, weights=weights, kernel=planner_kernel,
         )
         demand = blocked.demand_vector(state.topology.resources)
         outcomes.append(planner.rescue(blocked, demand, **rescue_kw))
         states.append(state)
-    legacy, kern = outcomes
-    assert kern.ok == legacy.ok
-    assert kern.machine_id == legacy.machine_id
-    assert kern.migrations == legacy.migrations
+    loop, kern = outcomes
+    assert kern.ok == loop.ok
+    assert kern.machine_id == loop.machine_id
+    assert kern.migrations == loop.migrations
     assert [c.container_id for c in kern.preempted] == [
-        c.container_id for c in legacy.preempted
+        c.container_id for c in loop.preempted
     ], "victim sets or their order diverged"
-    assert kern.failure == legacy.failure
-    assert kern.scanned == legacy.scanned, "strategy-loop visit counts diverged"
+    assert kern.failure == loop.failure
+    assert kern.scanned == loop.scanned, "strategy-loop visit counts diverged"
     assert states[0].assignment == states[1].assignment
     assert np.array_equal(states[0].available, states[1].available)
     assert kernel.invocations == 1
-    return legacy, kern, kernel
+    return loop, kern, kernel
 
 
 class TestBlockerMigration:
@@ -89,7 +90,7 @@ class TestBlockerMigration:
             return state
 
         b = container(1, app=1, cpu=20, prio=0)
-        legacy, kern, _ = run_pair(build, b)
+        loop, kern, _ = run_pair(build, b)
         assert kern.ok and kern.machine_id == 0
         assert kern.migrations == 1
 
@@ -106,7 +107,7 @@ class TestBlockerMigration:
             return state
 
         b = container(2, app=1, cpu=20)
-        legacy, kern, _ = run_pair(build, b)
+        loop, kern, _ = run_pair(build, b)
         assert not kern.ok
         assert kern.failure is FailureReason.ANTI_AFFINITY
 
@@ -120,7 +121,7 @@ class TestConsolidation:
             return state
 
         big = container(2, app=2, cpu=6)
-        legacy, kern, _ = run_pair(build, big)
+        loop, kern, _ = run_pair(build, big)
         assert kern.ok
         assert kern.migrations == 1
 
@@ -138,12 +139,12 @@ class TestConsolidation:
         tight = AladdinConfig(
             max_migrations_per_container=1, enable_preemption=False
         )
-        legacy, kern, _ = run_pair(build, big, config=tight)
+        loop, kern, _ = run_pair(build, big, config=tight)
         assert not kern.ok
         roomy = AladdinConfig(
             max_migrations_per_container=4, enable_preemption=False
         )
-        legacy, kern, _ = run_pair(build, big, config=roomy)
+        loop, kern, _ = run_pair(build, big, config=roomy)
         assert kern.ok
 
 
@@ -159,7 +160,7 @@ class TestPreemption:
             return state
 
         high = container(3, app=0, cpu=12, prio=2)
-        legacy, kern, _ = run_pair(build, high)
+        loop, kern, _ = run_pair(build, high)
         assert kern.ok
         assert len(kern.preempted) >= 2
 
@@ -170,7 +171,7 @@ class TestPreemption:
             return state
 
         low = container(1, app=0, cpu=4, prio=0)
-        legacy, kern, _ = run_pair(build, low)
+        loop, kern, _ = run_pair(build, low)
         assert not kern.ok
 
     def test_relocation_preferred_over_eviction(self):
@@ -183,7 +184,7 @@ class TestPreemption:
             return state
 
         high = container(1, app=0, cpu=4, prio=2)
-        legacy, kern, _ = run_pair(build, high)
+        loop, kern, _ = run_pair(build, high)
         assert kern.ok and kern.machine_id == 0
         assert kern.preempted == []
         assert kern.migrations == 1
@@ -200,12 +201,12 @@ class TestPreemption:
 
         high = container(1, app=0, cpu=4, prio=2)
         # Victim flow 1.0 * 4 >= preemptor flow 1.0 * 4: guard trips.
-        legacy, kern, _ = run_pair(
+        loop, kern, _ = run_pair(
             build, high, weights={0: 1.0, 2: 1.0, 3: 4.0}
         )
         assert not kern.ok
         # Preemptor weight high enough: the same preemption is allowed.
-        legacy, kern, _ = run_pair(
+        loop, kern, _ = run_pair(
             build, high, weights={0: 1.0, 2: 2.0, 3: 8.0}
         )
         assert kern.ok
@@ -230,7 +231,7 @@ class TestRackScopedRules:
             return state
 
         b = container(1, app=1, cpu=6)
-        legacy, kern, _ = run_pair(build, b)
+        loop, kern, _ = run_pair(build, b)
         assert kern.ok and kern.machine_id == 0
         assert kern.migrations == 1
 
@@ -254,9 +255,34 @@ class TestRackScopedRules:
             return state
 
         b = container(1, app=1, cpu=6)
-        legacy, kern, _ = run_pair(build, b)
+        loop, kern, _ = run_pair(build, b)
         assert not kern.ok
         assert kern.failure is FailureReason.ANTI_AFFINITY
+
+    def test_rack_mate_dooms_blocker_migration(self):
+        """The arrival's own application sits on a rack-mate of the
+        roomy machine 0 under a rack-scoped within-rule: moving machine
+        0's cross-conflict blocker to rack 1 would not clear it, so
+        blocker migration skips it.  Consolidation frees machine 3 in
+        rack 1 instead, moving its filler to machine 0."""
+        def build():
+            cs = ConstraintSet([AntiAffinityRule(0, 1)])
+            cs.add_rule(AntiAffinityRule(0, 0), scope="rack")
+            state = make_state(
+                cs, n_machines=4, cpu=16.0, machines_per_rack=2
+            )
+            state.deploy(container(0, app=1, cpu=1), 0)    # the blocker
+            state.deploy(container(1, app=0, cpu=10), 1)   # rack-mate
+            state.deploy(container(10, app=5, cpu=14), 2)  # rack 1: 2 free
+            state.deploy(container(11, app=5, cpu=14), 3)
+            return state
+
+        b = container(2, app=0, cpu=10)
+        state = build()
+        assert state.available[0, 0] >= b.cpu  # machine 0 has the room
+        loop, kern, _ = run_pair(build, b)
+        assert kern.ok and kern.machine_id == 3
+        assert kern.migrations == 1
 
 
 class TestKernelBookkeeping:
@@ -298,8 +324,8 @@ class TestKernelBookkeeping:
             return make_state([], n_machines=3, cpu=8.0)
 
         big = container(0, app=0, cpu=12, prio=2)
-        legacy, kern, kernel = run_pair(build, big)
+        loop, kern, kernel = run_pair(build, big)
         assert not kern.ok and kern.failure is FailureReason.RESOURCES
-        assert kern.scanned == legacy.scanned > 0
+        assert kern.scanned == loop.scanned > 0
         assert kernel.ledger.table(build()).width == 1
         assert kernel.ledger.live(build()).tolist() == [False]

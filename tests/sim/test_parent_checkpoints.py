@@ -14,9 +14,14 @@ The digests were re-recorded once, when the rack-sharded parallel
 sweep was deleted and its ``parallel_sweeps`` counter left the
 telemetry: each is the sha256 of the canonical JSON that the commit
 before the deletion (4fe1a11) produced for the uninterrupted run, with
-that one key removed.  The images themselves are unchanged; the
-restored result still carries the counter in its pickled telemetry,
-and the canonical JSON no longer reads it.
+that one key removed.  They were re-recorded once more, the same
+way, when the counter of kernel-planned rescues left the telemetry
+and the samples (every rescue now goes through the kernel, so it
+only repeated ``rescue_attempts``): the sha256 of the canonical JSON of the
+commit before that change, with that key removed.  The images
+themselves are unchanged; the restored result still carries both
+counters in its pickled telemetry and samples, and the canonical JSON
+no longer reads them.
 
 ``data/lla-workers2.ckpt.gz`` is the same tick-5 snapshot of the
 ``lla`` case taken by 4fe1a11 with ``AladdinConfig(workers=2)``: its
@@ -52,17 +57,18 @@ def lla_trace():
 
 
 LLA = OnlineConfig(ticks=12, seed=0)
-LLA_DIGEST = "856b46346d492bee4b92dd83497b5954973837226c6725e71686fbb3227346f2"
+LLA_DIGEST = "cc32cd9ae0dd3bf48dc01df869cd4199400bb113822b0bc3ae464e231dba046b"
 
 #: name -> (trace factory, config, sha256 of the uninterrupted run's
-#: canonical JSON on the writing commit minus ``parallel_sweeps``,
+#: canonical JSON on the writing commit minus ``parallel_sweeps`` and
+#: the kernel-planned rescue count,
 #: whether the resumed run reproduces that JSON byte for byte)
 CASES = {
     "lla": (lla_trace, LLA, LLA_DIGEST, True),
     "mixed-lla": (
         lambda: build_scenario("mixed-lla", scale=0.01, seed=0, ticks=12),
         OnlineConfig(ticks=12, seed=0, scenario="mixed-lla"),
-        "7d5265b4ec9704fa54c8b70a4e3450ecda0ebbd707993377b7f762bcc09bc4f2",
+        "4a30438d2f92753dce75587449bf1bf9ac44e3e838c278db690e9757ee27a8d1",
         True,
     ),
     # the sweep's cost counters up to the snapshot are its own

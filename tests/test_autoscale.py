@@ -38,6 +38,7 @@ from repro.core import AladdinConfig, AladdinScheduler
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.sim.metrics import power_metrics
 from repro.trace import build_scenario
+from tests.core.rescue_loop import loop_rescue
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +270,7 @@ def _decisions(canonical: str) -> dict:
     must not)."""
     payload = json.loads(canonical)
     tele = {"explored", "cache_hits", "batch_invocations",
-            "rescue_attempts", "rescue_kernel_invocations"}
+            "rescue_attempts"}
     return {
         "totals": payload["totals"],
         "samples": [
@@ -304,10 +305,12 @@ def test_autoscale_run_is_deterministic():
 
 
 _ABLATIONS = [
-    AladdinConfig(enable_feasibility_cache=False),
-    AladdinConfig(enable_batch_kernel=False),
-    AladdinConfig(enable_rescue_kernel=False),
-    AladdinConfig(enable_batch_kernel=False, enable_feasibility_cache=False),
+    lambda: AladdinScheduler(AladdinConfig(enable_feasibility_cache=False)),
+    lambda: AladdinScheduler(AladdinConfig(enable_batch_kernel=False)),
+    lambda: loop_rescue(AladdinScheduler()),
+    lambda: AladdinScheduler(AladdinConfig(
+        enable_batch_kernel=False, enable_feasibility_cache=False,
+    )),
 ]
 _POLICIES = ["fixed", "ttl", "lru", "none"]
 
@@ -323,7 +326,7 @@ def test_autoscale_parity_across_engine_variants(seed):
     )
     baseline = _run(trace, cfg).canonical_json()
     variant = _run(
-        trace, cfg, AladdinScheduler(_ABLATIONS[seed % len(_ABLATIONS)])
+        trace, cfg, _ABLATIONS[seed % len(_ABLATIONS)]()
     ).canonical_json()
     assert _decisions(variant) == _decisions(baseline)
 

@@ -55,17 +55,6 @@ def test_full_run_may_target_committed_path():
     assert out == "BENCH_fig12.json"
 
 
-def test_rescue_mode_defaults():
-    assert (
-        resolve_out(None, smoke=False, force=False, mode="rescue")
-        == "BENCH_rescue.json"
-    )
-    assert (
-        resolve_out(None, smoke=True, force=False, mode="rescue")
-        == "BENCH_rescue_smoke.json"
-    )
-
-
 def test_solver_mode_defaults():
     assert (
         resolve_out(None, smoke=False, force=False, mode="solver")
@@ -78,10 +67,10 @@ def test_solver_mode_defaults():
 
 
 def test_smoke_refuses_either_committed_artefact():
-    # The guard is mode-independent: a rescue smoke run must not
+    # The guard is mode-independent: a solver smoke run must not
     # clobber the fig12 artefact and vice versa.
-    for name in ("BENCH_rescue.json", "BENCH_fig12.json", "BENCH_solver.json"):
-        for mode in ("fig12", "rescue", "solver"):
+    for name in ("BENCH_restore.json", "BENCH_fig12.json", "BENCH_solver.json"):
+        for mode in ("fig12", "restore", "solver"):
             with pytest.raises(SystemExit, match="refusing to overwrite"):
                 resolve_out(name, smoke=True, force=False, mode=mode)
 
