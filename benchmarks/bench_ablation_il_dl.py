@@ -23,14 +23,11 @@ from repro.report import format_table
 
 from benchmarks.conftest import once
 
-# The cross-round feasibility cache is held off so the grid isolates
-# the paper's two prunings; the cache has its own ablation in
-# bench_fig12_latency.py.
 GRID = {
     "plain": AladdinConfig(enable_il=False, enable_dl=False),
-    "+IL": AladdinConfig(enable_dl=False, enable_feasibility_cache=False),
+    "+IL": AladdinConfig(enable_dl=False),
     "+DL": AladdinConfig(enable_il=False),
-    "+IL+DL": AladdinConfig(enable_feasibility_cache=False),
+    "+IL+DL": AladdinConfig(),
 }
 
 

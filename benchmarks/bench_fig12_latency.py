@@ -37,16 +37,11 @@ POLICIES = {
     "Aladdin": lambda: AladdinScheduler(
         AladdinConfig(enable_il=False, enable_dl=False)
     ),
-    # The cross-round cache and the batch kernel are held off here so
-    # the curve isolates the paper's IL/DL prunings; the ablations
-    # below measure each optimisation on its own.
-    "Aladdin+IL": lambda: AladdinScheduler(
-        AladdinConfig(enable_dl=False, enable_feasibility_cache=False)
-    ),
+    # The batch kernel is held off here so the curve isolates the
+    # paper's IL/DL prunings; the ablation below measures it on its own.
+    "Aladdin+IL": lambda: AladdinScheduler(AladdinConfig(enable_dl=False)),
     "Aladdin+IL+DL": lambda: AladdinScheduler(
-        AladdinConfig(
-            enable_feasibility_cache=False, enable_batch_kernel=False
-        )
+        AladdinConfig(enable_batch_kernel=False)
     ),
 }
 
@@ -115,93 +110,18 @@ def test_fig12_il_dl_halve_the_search(trace, benchmark, capsys):
     assert pruned <= il
 
 
-def test_fig12_cross_round_cache_ablation(trace, benchmark, capsys):
-    """Beyond Fig. 12: the cross-round feasibility cache under churn.
-
-    The IL/DL ablation above measures one burst round; this one measures
-    the *repeated-round* cost the online churn workload exposes, where
-    successive rounds re-derive feasibility verdicts for machines nothing
-    touched.  Cached vs cold-start Aladdin on the same churn stream:
-    identical placements (enforced by tests/test_differential.py), fewer
-    machines examined, and — once the cluster is large enough that the
-    O(machines) scans dominate the fixed bookkeeping — lower wall time.
-    The pool factor doubles the Fig. 12 sweep's largest size so the
-    scan cost clears the per-query bookkeeping noise floor.  Both sides
-    run the per-container walk (batch kernel off): the kernel evaluates
-    a window of the order without the cache, so with it on the cache
-    would only serve affinity-tiered blocks, overflow and rescue.
-    """
-    from repro.sim import OnlineConfig, OnlineSimulator
-
-    cfg = OnlineConfig(ticks=60, seed=0, machine_pool_factor=8.0)
-    sim = OnlineSimulator(trace, cfg)
-
-    def cached_run():
-        return sim.run(
-            AladdinScheduler(AladdinConfig(enable_batch_kernel=False))
-        )
-
-    def cold_run():
-        return sim.run(
-            AladdinScheduler(AladdinConfig(
-                enable_batch_kernel=False, enable_feasibility_cache=False,
-            ))
-        )
-
-    def measure():
-        # One discarded warm-up (page cache, frequency scaling), then
-        # interleaved repetitions so slow drift hits both variants
-        # equally; best-of-three damps the residual noise.  The explored
-        # counters are deterministic — any single run of each serves.
-        cold_run()
-        cached_runs, cold_runs = [], []
-        for _ in range(3):
-            cold_runs.append(cold_run())
-            cached_runs.append(cached_run())
-        return cached_runs, cold_runs
-
-    cached_runs, cold_runs = once(benchmark, measure)
-    cached, cold = cached_runs[0], cold_runs[0]
-    cached_s = min(r.total_elapsed_s for r in cached_runs)
-    cold_s = min(r.total_elapsed_s for r in cold_runs)
-    explored_cached = sum(s.explored for s in cached.samples)
-    explored_cold = sum(s.explored for s in cold.samples)
-    tele = cached.telemetry
-    with capsys.disabled():
-        print(
-            f"\nFig. 12+: churn scheduling wall time over {cfg.ticks} arrival "
-            f"ticks ({sim._topology.n_machines} machines) — cold "
-            f"{cold_s * 1000:.0f} ms -> cached {cached_s * 1000:.0f} ms "
-            f"({cached_s / cold_s:.2f}x); machines examined "
-            f"{explored_cold:,} -> {explored_cached:,}; cache hit rate "
-            f"{tele.cache_hit_rate:.1%} ({tele.cache_hits:,} hits, "
-            f"{tele.cache_invalidations:,} invalidations)"
-        )
-    # Identical outcomes, deterministic counters.
-    assert cached.canonical_json() != cold.canonical_json()  # explored differs
-    assert [s.running_containers for s in cached.samples] == [
-        s.running_containers for s in cold.samples
-    ]
-    assert cached.total_migrations == cold.total_migrations
-    assert tele.cache_hit_rate > 0.0
-    assert cold.telemetry.cache_hits == 0
-    assert explored_cached < explored_cold
-    # The headline: repeated-round scheduling is cheaper with the cache.
-    assert cached_s < cold_s
-
-
 def test_fig12_batch_kernel_ablation(trace, benchmark, capsys):
     """Beyond Fig. 12: the batched placement kernel under churn.
 
-    Same protocol as the cache ablation above, along the batched×loop
-    axis: both engines keep the cross-round cache enabled, one places
-    blocks through the vectorized kernel over windows of the
-    incremental machine index (the cache then serves only its
-    affinity-tiered blocks, overflow and rescue), the other walks
-    containers one by one over the cache's full masks.
-    Identical placements (enforced by tests/test_differential.py);
-    the ISSUE's acceptance bar is batched+cached wall time ≤ 0.7x of
-    cached-only at this scale.
+    The repeated-round cost the online churn workload exposes, along
+    the batched×loop axis: one engine places blocks through the
+    vectorized kernel over windows of the incremental machine index,
+    the other walks containers one by one over cluster-wide admit
+    masks.  Identical placements (enforced by
+    tests/test_differential.py); the acceptance bar is batched wall
+    time ≤ 0.7x of the loop's at this scale.  The pool factor doubles
+    the Fig. 12 sweep's largest size so the scan cost clears the
+    bookkeeping noise floor.
     """
     from repro.sim import OnlineConfig, OnlineSimulator
 
@@ -217,7 +137,10 @@ def test_fig12_batch_kernel_ablation(trace, benchmark, capsys):
         )
 
     def measure():
-        loop_run()  # discarded warm-up
+        # One discarded warm-up (page cache, frequency scaling), then
+        # interleaved repetitions so slow drift hits both variants
+        # equally; best-of-three damps the residual noise.
+        loop_run()
         batched_runs, loop_runs = [], []
         for _ in range(3):
             loop_runs.append(loop_run())
@@ -246,7 +169,7 @@ def test_fig12_batch_kernel_ablation(trace, benchmark, capsys):
     assert batched.total_migrations == loop.total_migrations
     assert tele.batch_kernel_invocations > 0
     assert loop.telemetry.batch_kernel_invocations == 0
-    # The ISSUE's acceptance bar: batched+cached ≤ 0.7x cached-only.
+    # The acceptance bar: batched ≤ 0.7x the per-container loop.
     assert batched_s <= 0.7 * loop_s
 
 

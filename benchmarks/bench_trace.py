@@ -2,18 +2,23 @@
 
 Runs every scenario family of :mod:`repro.trace.scenarios` — built on
 the seeded synthetic fallback, so the benchmark needs nothing on disk —
-through the Aladdin optimisation axes (full stack, no cross-round
-cache, no batch kernel) and commits the result as
-``BENCH_trace.json``.  Two claims are asserted, not just reported:
+through the Aladdin optimisation axis (full stack, no batch kernel)
+and commits the result as ``BENCH_trace.json``.  Two claims are
+asserted, not just reported:
 
-* **decision parity** — the cache/batch axes are semantically
-  transparent, so every variant's decision signature (per-tick
+* **decision parity** — the batch axis is semantically transparent, so
+  every variant's decision signature (per-tick
   arrived/departed/running/used-machines/failures/migrations/violations
   plus the run totals) must be identical per scenario;
 * **the churn-storm story** — the report carries an ``lla-only`` row
   (the synthetic Alibaba-style workload at the same scale) so the
-  committed numbers show what orders-of-magnitude-higher churn does to
-  the feasibility cache's hit rate (see EXPERIMENTS.md).
+  committed numbers show how much more churn per busy tick the
+  serverless scenarios put through the engine (see EXPERIMENTS.md).
+
+The committed ``BENCH_trace.json`` predates the deletion of the
+cross-round feasibility cache: its ``no-cache`` rows, full/no-cache
+ratios and cache hit rates are history, not something this sweep
+still measures.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from repro.trace import SCENARIOS, build_scenario
 #: optimisation axes swept per scenario
 TRACE_VARIANTS: dict[str, AladdinConfig] = {
     "full": AladdinConfig(),
-    "no-cache": AladdinConfig(enable_feasibility_cache=False),
     "no-batch": AladdinConfig(enable_batch_kernel=False),
 }
 
@@ -91,9 +95,6 @@ def _row(best) -> dict:
             if busy_ticks else 0.0
         ),
         "machines_examined": sum(s.explored for s in best.samples),
-        "cache_hits": tele.cache_hits,
-        "cache_misses": tele.cache_misses,
-        "cache_hit_rate": round(tele.cache_hit_rate, 4),
         "batch_kernel_invocations": tele.batch_kernel_invocations,
         # Wall seconds per tick phase (window apply + scheduler phases),
         # from the same best-of-repeats run as wall_time_ms.
@@ -158,8 +159,7 @@ def run_trace_report(
             print(
                 f"{name:>12} / {vname:<9}: {r['wall_time_ms']:8.1f} ms, "
                 f"arrived {r['arrived']:>6}, churn/tick "
-                f"{r['churn_per_busy_tick']:>7}, cache "
-                f"{r['cache_hit_rate']:.1%}"
+                f"{r['churn_per_busy_tick']:>7}"
             )
         signatures = {v: rows[v].pop("_signature") for v in rows}
         baseline = signatures[variant_names[0]]
@@ -177,19 +177,6 @@ def run_trace_report(
             "decisions_identical": True,
             "variants": rows,
         }
-        if "full" in rows and "no-cache" in rows:
-            # The churn-fast-path regression signal: > 1.00 means the
-            # cross-round cache costs more than the scans it saves on
-            # this scenario (see EXPERIMENTS.md, churn fast path).
-            denom = rows["no-cache"]["wall_time_ms"]
-            ratio = rows["full"]["wall_time_ms"] / denom if denom else 0.0
-            report["scenarios"][name]["full_vs_no_cache_ratio"] = round(
-                ratio, 4
-            )
-            print(
-                f"{name:>12} full/no-cache wall ratio: {ratio:.2f}"
-                " (<= 1.00: the cache pays for itself)"
-            )
 
     storm = report["scenarios"].get("churn-storm")
     lla = report["scenarios"].get("lla-only")
@@ -199,15 +186,9 @@ def run_trace_report(
                 storm["variants"]["full"]["churn_per_busy_tick"],
                 lla["variants"]["full"]["churn_per_busy_tick"],
             ],
-            "cache_hit_rate": [
-                storm["variants"]["full"]["cache_hit_rate"],
-                lla["variants"]["full"]["cache_hit_rate"],
-            ],
         }
         print(
             "churn-storm vs lla-only: churn/tick "
-            f"{report['churn_storm_vs_lla_only']['churn_per_busy_tick']}, "
-            "cache hit rate "
-            f"{report['churn_storm_vs_lla_only']['cache_hit_rate']}"
+            f"{report['churn_storm_vs_lla_only']['churn_per_busy_tick']}"
         )
     return report

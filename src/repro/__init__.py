@@ -36,7 +36,6 @@ from repro.cluster import (
 from repro.core import (
     AladdinConfig,
     AladdinScheduler,
-    FeasibilityCache,
     FlowPathSearch,
     PlacementInvalidError,
     QualityMetrics,
@@ -94,7 +93,6 @@ __all__ = [
     "build_heterogeneous_cluster",
     "AladdinConfig",
     "AladdinScheduler",
-    "FeasibilityCache",
     "FlowPathSearch",
     "PlacementInvalidError",
     "QualityMetrics",

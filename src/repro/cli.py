@@ -282,14 +282,13 @@ def _write_profile(path: str, result) -> None:
 def _aladdin_variant(args, factories):
     """The scheduler an ``online``/``serve`` invocation asked for."""
     if args.scheduler == "Aladdin" and (
-        args.no_cache or args.no_batch
+        args.no_batch
         or args.engine != "batch" or args.solver_objective != "packing"
     ):
         from repro.core import engine_for
 
         return engine_for(
             AladdinConfig(
-                enable_feasibility_cache=not args.no_cache,
                 enable_batch_kernel=not args.no_batch,
                 engine=args.engine,
                 solver_objective=args.solver_objective,
@@ -409,9 +408,6 @@ def cmd_faults(args) -> int:
 # ----------------------------------------------------------------------
 def _add_variant_args(parser: argparse.ArgumentParser) -> None:
     """The Aladdin ablation axes shared by ``online`` and ``serve``."""
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the cross-round feasibility cache "
-                             "(Aladdin only; cached-vs-cold ablation)")
     parser.add_argument("--no-batch", action="store_true",
                         help="disable the batched block placement kernel "
                              "(Aladdin only; batched-vs-loop ablation)")

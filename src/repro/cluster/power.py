@@ -21,8 +21,7 @@ Sealing works by zeroing the machine's capacity row and touching the
 dirty log — exactly the administratively-down convention
 :func:`repro.core.validate.validate_state` already excludes from its
 Eq. 9 bookkeeping audit, and the same signal that makes the
-feasibility cache, machine index and rescue kernel drop their entries
-for the machine.  No engine needs power-specific code.
+machine index and rescue kernel drop their entries for the machine.  No engine needs power-specific code.
 
 The drain planner powers down **packed-last first**: among machines
 that host nothing (or only warm-pool containers the caller is willing

@@ -181,8 +181,8 @@ class ClusterState:
         # consumers dedup a *slice* of it on every sync, and slicing an
         # array is free where converting a list slice costs O(entries)
         # Python-object unboxing per query — under storm churn that
-        # conversion, repeated per cache shape and index sync, was the
-        # dominant cache-side cost.
+        # conversion, repeated per consumer sync, was the dominant
+        # consumer-side cost.
         self._log_buf = np.empty(1024, dtype=np.int64)
         self._log_len = 0
         self._log_base = 0
@@ -283,8 +283,8 @@ class ClusterState:
 
         The raw log slice in mutation order: a machine touched twice
         since ``version`` appears twice.  For consumers whose per-entry
-        work is idempotent (the feasibility cache rewrites the same
-        verdict), indexing with duplicates is cheaper than any dedup
+        work is idempotent (the machine index re-keys the same
+        machine), indexing with duplicates is cheaper than any dedup
         when the slice is short.  Callers must treat the result as
         read-only.
         """
@@ -767,8 +767,8 @@ class ClusterState:
         log and its compaction base.
 
         The dirty log is persisted *verbatim* with its exact version
-        numbering: consumer checkpoints (feasibility cache, machine
-        index, rescue kernel) store the versions they are synced at,
+        numbering: consumer checkpoints (machine index,
+        rescue kernel) store the versions they are synced at,
         and restoring both sides together keeps those watermarks valid
         — the restored consumers resync from the persisted watermark
         instead of rebuilding cold.  ``available`` is copied out, so the

@@ -15,7 +15,7 @@
   migration (Section III.B, Fig. 3 and Fig. 7): the per-round
   :class:`~repro.core.migration.RescuePlanner` front;
 * :mod:`~repro.core.rescuekernel` — the rescue strategies themselves,
-  planned on the cache + index substrate;
+  planned on the machine index and a resident ledger;
 * :mod:`~repro.core.validate` — the shared Equation 7–9 placement
   validator and the Fig. 9 quality metrics all engines are held to;
 * :mod:`~repro.core.vecsolve` — the one-shot LP window engine
@@ -29,7 +29,6 @@ from repro.core.config import AladdinConfig
 from repro.core.weights import derive_priority_weights, weighted_flow_value
 from repro.core.batchkernel import block_plan
 from repro.core.blacklist import BlacklistFunction
-from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex
 from repro.core.network_builder import LayeredNetwork, build_layered_network
 from repro.core.scheduler import AladdinScheduler
@@ -72,7 +71,6 @@ __all__ = [
     "derive_priority_weights",
     "weighted_flow_value",
     "BlacklistFunction",
-    "FeasibilityCache",
     "MachineIndex",
     "block_plan",
     "LayeredNetwork",

@@ -24,20 +24,6 @@ class AladdinConfig:
         moment a container has a valid placement.
     enable_migration / enable_preemption:
         The two flow-increasing mechanisms of Section III.B.
-    enable_feasibility_cache:
-        Persist IL feasibility verdicts across scheduling rounds
-        (:mod:`repro.core.feascache`), invalidating only machines the
-        state's dirty log reports as touched.  Only active together
-        with ``enable_il`` — the cache *is* the cross-round form of
-        isomorphism limiting, so disabling IL disables it (and keeps
-        the IL/DL ablations honest).  It governs only the cluster-wide
-        verdicts: the per-container walk (batch kernel off, or DL off),
-        affinity-tiered blocks, a block's overflow and post-rescue
-        refresh, the requeue and repair passes, and the flow engine.
-        The batch kernel's windows evaluate Equations 6–8 on their own
-        positions and never query it.  Placements are provably
-        identical with the cache on or off; the differential test
-        harness replays randomized churn to enforce that.
     enable_batch_kernel:
         Place each application block in one vectorized sweep
         (:mod:`repro.core.batchkernel`) over the incrementally
@@ -104,7 +90,6 @@ class AladdinConfig:
     enable_dl: bool = True
     enable_migration: bool = True
     enable_preemption: bool = True
-    enable_feasibility_cache: bool = True
     enable_batch_kernel: bool = True
     window_apps: int = 64
     migration_candidates: int = 16

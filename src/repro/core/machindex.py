@@ -10,10 +10,9 @@ migrations and faults can move inside the order, and the
 exactly which ones those are.
 
 :class:`MachineIndex` keeps the packing order alive across blocks and
-scheduling rounds, synchronised the same way the cross-round
-:class:`~repro.core.feascache.FeasibilityCache` synchronises verdicts:
-on each query the machines dirtied since the last sync are moved to
-their new positions.  The index reads the *raw* log slice
+scheduling rounds, synchronised against that log: on each query the
+machines dirtied since the last sync are moved to their new
+positions.  The index reads the *raw* log slice
 (``dirty_raw_since``), duplicates included: re-keying a machine is
 idempotent per log entry, so it pays no dedup sort.  The repair is
 **span-bounded**: the sorted key
@@ -100,10 +99,9 @@ def affinity_tier(n_machines: int) -> float:
 class MachineIndex:
     """Persistent packed-first machine ordering with dirty-log resync.
 
-    One instance lives on each scheduler (next to its
-    ``FeasibilityCache``) and survives across ``schedule()`` calls,
-    rebinding automatically when handed a different
-    :class:`ClusterState`.
+    One instance lives on each scheduler (next to its rescue kernel)
+    and survives across ``schedule()`` calls, rebinding automatically
+    when handed a different :class:`ClusterState`.
 
     Attributes
     ----------

@@ -14,18 +14,15 @@ Fig. 9/12 advantage is actually measured — nearly every blocked
 container triggers a rescue, so that per-rescue O(machines × dims)
 work dominates the round.
 
-The kernel plans the loop's *same decisions* on the engines' cached
-substrate:
+The kernel plans the loop's *same decisions* on the engines'
+cross-round substrate:
 
-* **Admit masks** check Equation 6 first: a private, telemetry-quiet
-  :class:`~repro.core.feascache.FeasibilityCache` serves dominance
-  verdicts per demand *shape* (movers and victims recycle a handful of
-  shapes), synchronised against the
-  :class:`~repro.cluster.state.ClusterState` dirty log — the full scan
-  per rescue becomes a per-dirty-machine update.  The Equation 7–8
-  blacklist is read live from the state and only when some machine
-  dominates the demand; on a tight pool most relocation queries end at
-  Equation 6 with nothing to blacklist.
+* **Admit masks** check Equation 6 first, read live from the state
+  (:func:`~repro.cluster.state.dominates`, one vectorised pass — the
+  loop's own scan, charged as the loop charges it).  The Equation 7–8
+  blacklist is read only when some machine dominates the demand; on a
+  tight pool most relocation queries end at Equation 6 with nothing to
+  blacklist.
 * **Candidate orders** come from the engine's incrementally maintained
   :class:`~repro.core.machindex.MachineIndex` instead of a fresh
   ``argsort`` over all machines per strategy call.
@@ -86,8 +83,7 @@ import numpy as np
 
 from repro.base import FailureReason
 from repro.cluster.container import Container
-from repro.cluster.state import ClusterState
-from repro.core.feascache import FeasibilityCache
+from repro.cluster.state import ClusterState, dominates
 
 
 @dataclass
@@ -213,14 +209,13 @@ class ResidentLedger:
 
     Rows are built lazily on first query and dropped for exactly the
     machines the :class:`ClusterState` dirty log reports as touched —
-    the same synchronisation discipline as the feasibility cache and
-    the machine index.  Once a strategy walk asks for the
-    :class:`ResidentTable` (the first consolidation or preemption), the
-    ledger also keeps that table and rewrites, in one batch per call,
-    the table rows of the machines the dirty log reported since.  A
-    compacted log or an unfamiliar state instance drops every row and
-    the table; the ledger degrades to rebuilds, never to stale
-    residents.
+    the same synchronisation discipline as the machine index.  Once a
+    strategy walk asks for the :class:`ResidentTable` (the first
+    consolidation or preemption), the ledger also keeps that table and
+    rewrites, in one batch per call, the table rows of the machines the
+    dirty log reported since.  A compacted log or an unfamiliar state
+    instance drops every row and the table; the ledger degrades to
+    rebuilds, never to stale residents.
 
     Demand shapes are interned by the residents' own floats in
     ``topology.resources`` order: a row names each resident's shape by
@@ -407,21 +402,15 @@ class ResidentLedger:
 
 
 class RescueKernel:
-    """The rescue strategies on the cached substrate.
+    """The rescue strategies on the cross-round substrate.
 
-    One instance lives on each engine (next to its feasibility cache
-    and machine index) and survives across ``schedule()`` calls; the
-    engine's :class:`~repro.core.migration.RescuePlanner` hands every
-    attempt to :meth:`rescue_plan`.
+    One instance lives on each engine (next to its machine index) and
+    survives across ``schedule()`` calls; the engine's
+    :class:`~repro.core.migration.RescuePlanner` hands every attempt to
+    :meth:`rescue_plan`.
     """
 
     def __init__(self) -> None:
-        #: private Equation-6 dominance verdicts per demand shape.  Not
-        #: the engine's ``feas_cache``: rescue demand shapes would
-        #: perturb the search path's hit statistics, and the quiet mode
-        #: keeps engine-level ``cache_*`` telemetry counters meaning
-        #: "search-path verdicts" across the rescue axis.
-        self.dominance = FeasibilityCache(report_telemetry=False)
         self.ledger = ResidentLedger()
         #: (state uid, version) the two memos below were filled at.
         #: An entry can only be replayed while the state is still at
@@ -455,27 +444,20 @@ class RescueKernel:
         What is persisted and what is deliberately dropped follows the
         bit-identity requirement of checkpoint/restore:
 
-        * ``dominance`` entries and the ``_failures`` memo **must**
-          survive — a failure-memo hit replays its stored
-          ``scanned``/``explored`` charges, and the blocked container's
-          own Equation 6 query is charged the cache's
-          ``last_recomputed``, so a cold restart would change the
-          resumed run's counters.  Every failure entry is written as
-          ``(version, ...)`` with the version of :attr:`_memo_stamp` —
-          the per-entry form :meth:`restore` filters on — and the memo
-          holds one version window, so the image is bounded too.
+        * The ``_failures`` memo **must** survive — a failure-memo hit
+          replays its stored ``scanned``/``explored`` charges, so a
+          cold restart would change the resumed run's counters.  Every
+          failure entry is written as ``(version, ...)`` with the
+          version of :attr:`_memo_stamp` — the per-entry form
+          :meth:`restore` filters on — and the memo holds one version
+          window, so the image is bounded too.
         * ``_admissible`` and the resident ledger (rows, table, shape
           liveness) are dropped: rebuilding them is charge-free (pure
-          state reads, or dominance syncs that are no-ops because every
-          admissible-memo store synced its dominance entry at the same
-          version the checkpoint captured), so the restored run stays
-          bit-identical while the snapshot stays small.  The walks
-          screen from the table and its liveness vector, neither of
-          which asks the dominance cache anything.
+          state reads), so the restored run stays bit-identical while
+          the snapshot stays small.
         """
         version = self._memo_stamp[1]
         return {
-            "dominance": self.dominance.checkpoint(),
             "failures": {
                 key: (version, *verdict)
                 for key, verdict in self._failures.items()
@@ -493,10 +475,11 @@ class RescueKernel:
         by a kernel that kept every entry it had ever stored does), and
         one written before the walks screened carries ``plans`` and
         ``live`` memos, which are ignored: nothing replays a plan any
-        more, and liveness is derived from the state.
+        more, and liveness is derived from the state.  One written while
+        the kernel kept a private cross-round dominance cache carries a
+        ``dominance`` entry, ignored too: Equation 6 is read live.
         """
         version = state.version
-        self.dominance.restore(payload["dominance"], state.state_uid)
         self._memo_stamp = (state.state_uid, version)
         self._failures = {
             key: tuple(verdict)
@@ -530,7 +513,7 @@ class RescueKernel:
         key = (app_id, demand.tobytes())
         ids = self._admissible.get(key)
         if ids is None:
-            fit = self.dominance.dominance_mask(state, demand)
+            fit = dominates(state.available, demand)
             ids = (
                 np.flatnonzero(fit & ~state.forbidden_mask(app_id))
                 if fit.any()
@@ -565,12 +548,10 @@ class RescueKernel:
             return out
         version_in = state.version
         out = RescueOutcome()
-        # The shared dominance entry replaces the loop's full-cluster
-        # scan; ``explored`` is charged the honest incremental cost
-        # (the verdicts actually recomputed), like the search path's
-        # cached feasibility queries.
-        fit = self.dominance.dominance_mask(state, demand)
-        out.explored += self.dominance.last_recomputed
+        # The loop's full-cluster Equation 6 scan, charged as the loop
+        # charges it: one unit per machine.
+        fit = dominates(state.available, demand)
+        out.explored += state.n_machines
         forbidden = state.forbidden_mask(container.app_id)
 
         if config.enable_migration:
@@ -935,8 +916,8 @@ class RescueKernel:
         reservations; here each mover starts from the memoised
         admissible-id list of its ``(app, shape)`` pair and only the
         handful of excluded or reserved machines are filtered out —
-        narrowing the cached verdicts is exact for the same reason the
-        screen is.
+        narrowing the memoised verdicts is exact for the same reason
+        the screen is.
         """
         state = planner.state
         live = self.ledger.live(state)
@@ -985,7 +966,7 @@ class RescueKernel:
     def _relocation_target(
         self, planner, mover: Container, exclude: int, out, demand=None
     ) -> int | None:
-        """Cached-dominance twin of the loop's ``_relocation_target``."""
+        """Memoised-admit twin of the loop's ``_relocation_target``."""
         state = planner.state
         if demand is None:
             demand = mover.demand_vector(state.topology.resources)

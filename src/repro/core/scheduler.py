@@ -33,6 +33,11 @@ overflow and rescue still run the per-container path over a full mask,
 and so does an affinity-tiered block, whose tier reorders the whole
 order.
 
+Every cluster-wide admit mask either engine builds is read live from
+the state by :func:`feasible_mask` — Equation 6 ∧ ¬(Equations 7–8), one
+vectorised pass — and charged one unit per machine to ``explored``.
+Nothing about feasibility is carried from one round to the next.
+
 Disabling either flag performs the exact extra work the pruning avoids —
 per-container feasibility recomputation without IL, a full candidate
 ordering per container without DL — while provably producing identical
@@ -58,7 +63,6 @@ from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.core.batchkernel import block_plan
 from repro.core.config import AladdinConfig
-from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex, affinity_tier, packing_keys
 from repro.core.migration import RescuePlanner
 from repro.core.rescuekernel import RescueKernel
@@ -74,14 +78,12 @@ class AladdinScheduler(Scheduler):
         self.name = self.config.variant_name()
         #: priority-class weights derived for the last scheduled stream
         self.last_weights: dict[int, float] = {}
-        #: cross-round IL feasibility verdicts (survives schedule() calls)
-        self.feas_cache = FeasibilityCache()
         #: incrementally maintained packed-first machine ordering
         self.machine_index = MachineIndex()
         #: lifetime count of containers placed by the batch kernel
         self.batch_placed = 0
         #: rescue planning (migration, consolidation, preemption) on
-        #: the cache+index substrate
+        #: the machine index and a resident ledger
         self.rescue_kernel = RescueKernel()
 
     # ------------------------------------------------------------------
@@ -163,38 +165,14 @@ class AladdinScheduler(Scheduler):
                 for block in window_blocks:
                     self._place_block(block, state, planner, result, requeue)
             with tele.phase("requeue"):
-                drain_requeue(self, requeue, state, planner, result)
+                drain_requeue(requeue, state, planner, result)
         if self.config.final_repair and result.undeployed:
             with tele.phase("repair"):
-                final_repair(self, containers, state, planner, result)
+                final_repair(containers, state, planner, result)
         # Rescue migrations move already-placed containers; re-read their
         # final machine from the authoritative state.
         for cid in result.placements:
             result.placements[cid] = state.assignment[cid]
-
-    # ------------------------------------------------------------------
-    def _feasible_mask(
-        self,
-        state: ClusterState,
-        demand: np.ndarray,
-        app_id: int,
-        result: ScheduleResult,
-    ) -> np.ndarray:
-        """One cluster-wide IL feasibility evaluation, served
-        incrementally when the cross-round cache is enabled.
-
-        The batch kernel's window does not come through here; the
-        per-container walk, affinity-tiered blocks, overflow and rescue
-        do.  The work charged to ``explored`` is the number of
-        per-machine verdicts actually recomputed — the full cluster
-        without the cache, only the dirty machines with it.
-        """
-        if self.config.enable_il and self.config.enable_feasibility_cache:
-            mask = self.feas_cache.feasible_mask(state, demand, app_id)
-            result.explored += self.feas_cache.last_recomputed
-            return mask
-        result.explored += state.n_machines
-        return state.feasible_mask(demand, app_id)
 
     # ------------------------------------------------------------------
     def _batch_place(
@@ -275,7 +253,6 @@ class AladdinScheduler(Scheduler):
         app_id = block[0].app_id
         demand = block[0].demand_vector(state.topology.resources)
         within = state.constraints.has_within(app_id)
-        n_machines = state.n_machines
 
         affinity = state.affinity_mask(app_id)
         candidates: _CandidateWalk | None = None
@@ -286,7 +263,7 @@ class AladdinScheduler(Scheduler):
             # is built only for what reads the whole cluster — an
             # affinity-tiered block and the non-batched walk.
             mask = (
-                self._feasible_mask(state, demand, app_id, result)
+                feasible_mask(state, demand, app_id, result)
                 if affinity is not None or not batch
                 else None
             )
@@ -301,7 +278,7 @@ class AladdinScheduler(Scheduler):
                     # now (empty bar rounding), so they fall straight
                     # through to rescue, as the per-container walk
                     # would at this exact point.
-                    mask = self._feasible_mask(state, demand, app_id, result)
+                    mask = feasible_mask(state, demand, app_id, result)
             if pending:
                 candidates = _CandidateWalk(
                     state, demand, mask, within, cfg.enable_dl, affinity=affinity
@@ -333,10 +310,8 @@ class AladdinScheduler(Scheduler):
                     result.explored += candidates.last_cost
             else:
                 # No IL: the per-container feasibility recomputation is
-                # the exact redundant work the pruning (and its
-                # cross-round cache) avoids, so it bypasses the cache.
-                mask = state.feasible_mask(demand, app_id)
-                result.explored += n_machines
+                # the exact redundant work the pruning avoids.
+                mask = feasible_mask(state, demand, app_id, result)
                 machine = _pick_machine(state, mask, cfg.enable_dl, affinity=affinity)
                 result.explored += int(mask.sum()) if not cfg.enable_dl else 1
 
@@ -358,14 +333,10 @@ class AladdinScheduler(Scheduler):
                     state.deploy(container, outcome.machine_id, demand)
                     result.placements[container.container_id] = outcome.machine_id
                     if cfg.enable_il:
-                        # The rescue moved containers around: the cached
-                        # feasibility verdicts are stale, so the
-                        # isomorphism cache is rebuilt from live state
+                        # The rescue moved containers around: the block's
+                        # mask is stale, so it is rebuilt from live state
                         # (the rebuild cost is charged to `explored`).
-                        # With the cross-round cache the rebuild itself
-                        # is incremental: only the machines the rescue
-                        # touched are re-evaluated.
-                        mask = self._feasible_mask(state, demand, app_id, result)
+                        mask = feasible_mask(state, demand, app_id, result)
                         candidates = _CandidateWalk(
                             state, demand, mask, within, cfg.enable_dl,
                             affinity=state.affinity_mask(app_id),
@@ -415,8 +386,8 @@ class AladdinScheduler(Scheduler):
 def engine_checkpoint(engine) -> dict:
     """Image of an engine's cross-round ledgers, for a snapshot payload.
 
-    Shared by both engines (``engine`` exposes ``feas_cache``,
-    ``machine_index`` and ``rescue_kernel``): the ledgers
+    Shared by both engines (``engine`` exposes ``machine_index`` and
+    ``rescue_kernel``): the ledgers
     are the warm state a restart would otherwise rebuild cold, and a
     cold rebuild is not only slower but *observably different* — the
     machine index reports ``index_resyncs`` telemetry on incremental
@@ -427,7 +398,6 @@ def engine_checkpoint(engine) -> dict:
     cross-round charges.
     """
     return {
-        "feas_cache": engine.feas_cache.checkpoint(),
         "machine_index": engine.machine_index.checkpoint(),
         "batch_placed": getattr(engine, "batch_placed", 0),
         "rescue_kernel": engine.rescue_kernel.checkpoint(),
@@ -446,9 +416,10 @@ def engine_restore(engine, payload: dict, state: ClusterState) -> None:
     kernel then starts cold, and the resumed run makes the decisions
     the uninterrupted one makes (its memos replay only cost charges).
     An image written while the engine could still run a rack-sharded
-    parallel sweep may carry a ``parallel`` entry; it is ignored.
+    parallel sweep may carry a ``parallel`` entry, and one written while
+    it kept a cross-round feasibility cache carries that cache's image;
+    both are ignored.
     """
-    engine.feas_cache.restore(payload["feas_cache"], state.state_uid)
     engine.machine_index.restore(payload["machine_index"], state.state_uid)
     if hasattr(engine, "batch_placed"):
         engine.batch_placed = payload.get("batch_placed", 0)
@@ -458,10 +429,28 @@ def engine_restore(engine, payload: dict, state: ClusterState) -> None:
 
 
 # ----------------------------------------------------------------------
-# engine-shared rescue passes
+# engine-shared feasibility and rescue passes
 # ----------------------------------------------------------------------
+def feasible_mask(
+    state: ClusterState,
+    demand: np.ndarray,
+    app_id: int,
+    result: ScheduleResult,
+) -> np.ndarray:
+    """Equation 6 ∧ ¬(Equations 7–8) over the whole cluster, read live.
+
+    Every cluster-wide admit mask of both engines comes through here —
+    affinity-tiered blocks, a block's overflow and its rebuild after a
+    rescue, the per-container walk, the requeue and repair passes and
+    the flow engine's admission test — and each charges one unit per
+    machine to ``explored``.  The batch kernel's windows do not: they
+    evaluate Equations 6–8 on their own positions.
+    """
+    result.explored += state.n_machines
+    return state.feasible_mask(demand, app_id)
+
+
 def drain_requeue(
-    engine,
     requeue: list[Container],
     state: ClusterState,
     planner: RescuePlanner,
@@ -473,24 +462,15 @@ def drain_requeue(
     preemption chains are cut at depth one, which is safe because a
     victim is strictly lower priority than its preemptor.
 
-    Shared by both engines (``engine`` exposes ``config`` and
-    ``feas_cache``), for the same reason as :func:`final_repair`: the
-    flow engine used to drop a victim the moment no machine admitted it
-    directly, while the vectorised engine migrated to make room — on a
-    tight cluster that single asymmetry makes the engines' placements
+    Shared by both engines, for the same reason as :func:`final_repair`:
+    the flow engine used to drop a victim the moment no machine admitted
+    it directly, while the vectorised engine migrated to make room — on
+    a tight cluster that single asymmetry makes the engines' placements
     drift apart for the rest of the run.
     """
-    config = engine.config
     for container in requeue:
         demand = container.demand_vector(state.topology.resources)
-        if config.enable_il and config.enable_feasibility_cache:
-            mask = engine.feas_cache.feasible_mask(
-                state, demand, container.app_id
-            )
-            result.explored += engine.feas_cache.last_recomputed
-        else:
-            result.explored += state.n_machines
-            mask = state.feasible_mask(demand, container.app_id)
+        mask = feasible_mask(state, demand, container.app_id, result)
         machine = _pick_machine(state, mask, dl=True)
         if machine is None:
             outcome = planner.rescue(container, demand, allow_preemption=False)
@@ -512,7 +492,6 @@ def drain_requeue(
 
 
 def final_repair(
-    engine,
     containers: list[Container],
     state: ClusterState,
     planner: RescuePlanner,
@@ -524,14 +503,13 @@ def final_repair(
     scan.  Preemption stays off — repairing one failure by creating
     another is not progress.
 
-    Shared by both engines (``engine`` exposes ``config`` and
-    ``feas_cache``): the repair decisions depend only on the cluster
-    state, so running the identical pass from
+    Shared by both engines: the repair decisions depend only on the
+    cluster state, so running the identical pass from
     :class:`~repro.core.search.FlowPathSearch` keeps the engines'
     placements indistinguishable — the cross-engine property test found
     a workload where an Aladdin-only repair pass made the two diverge.
     """
-    config = engine.config
+    config = planner.config
     by_id = {c.container_id: c for c in containers}
     pending = sorted(
         result.undeployed,
@@ -561,14 +539,7 @@ def final_repair(
         for cid in group:
             container = by_id[cid]
             demand = container.demand_vector(state.topology.resources)
-            if config.enable_il and config.enable_feasibility_cache:
-                mask = engine.feas_cache.feasible_mask(
-                    state, demand, container.app_id
-                )
-                result.explored += engine.feas_cache.last_recomputed
-            else:
-                result.explored += state.n_machines
-                mask = state.feasible_mask(demand, container.app_id)
+            mask = feasible_mask(state, demand, container.app_id, result)
             machine = _pick_machine(state, mask, dl=True)
             if machine is None:
                 outcome = planner.rescue(

@@ -30,7 +30,6 @@ from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.core.blacklist import BlacklistFunction
 from repro.core.config import AladdinConfig
-from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex
 from repro.core.migration import RescuePlanner
 from repro.core.network_builder import LayeredNetwork, build_layered_network
@@ -41,6 +40,7 @@ from repro.core.scheduler import (
     drain_requeue,
     engine_checkpoint,
     engine_restore,
+    feasible_mask,
     final_repair,
 )
 from repro.core.validate import validate_state
@@ -56,12 +56,9 @@ class FlowPathSearch(Scheduler):
         self.name = self.config.variant_name() + "[flow]"
         self.last_network: LayeredNetwork | None = None
         self.last_weights: dict[int, float] = {}
-        #: cross-round IL feasibility verdicts, shared semantics with
-        #: the vectorised engine (the differential harness compares both)
-        self.feas_cache = FeasibilityCache()
         #: incrementally maintained packed-first ordering; replaces the
-        #: per-container full argsort whenever the cache yields an
-        #: admit mask to restrict it to
+        #: per-container full argsort whenever isomorphism limiting
+        #: yields an admit mask to restrict it to
         self.machine_index = MachineIndex()
         #: rescue planning, shared semantics with the vectorised engine
         self.rescue_kernel = RescueKernel()
@@ -133,7 +130,7 @@ class FlowPathSearch(Scheduler):
             # workloads where only an unbounded rescue scan succeeds.
             version_before = state.version
             with result.telemetry.phase("repair"):
-                final_repair(self, containers, state, planner, result)
+                final_repair(containers, state, planner, result)
             if self.last_network is not None:
                 touched = state.dirty_array_since(version_before)
                 if touched is None:
@@ -227,7 +224,7 @@ class FlowPathSearch(Scheduler):
             # engines drift.  Rescues mutate machines behind the
             # network's back; re-truthify the touched sink residuals.
             version_before = state.version
-            drain_requeue(self, requeue, state, planner, result)
+            drain_requeue(requeue, state, planner, result)
             touched = state.dirty_array_since(version_before)
             if touched is None:
                 touched = np.arange(state.n_machines)
@@ -248,27 +245,25 @@ class FlowPathSearch(Scheduler):
         The exploration order is the same total order as the vectorised
         engine's (`_scores`): affinity tier, packing level, machine id.
 
-        With the cross-round cache enabled the per-machine admission
-        test is answered from the persistent IL verdicts (synchronised
-        against the state's dirty log) instead of evaluating the
-        ``VectorCapacity`` + blacklist pair afresh; the admitted set is
-        identical — ``capacity.admits`` *is* Equation 6 ∧ Equation 8,
-        which is exactly what ``ClusterState.feasible_mask`` vectorises.
-        On that path the exploration order comes from the incrementally
-        maintained :class:`~repro.core.machindex.MachineIndex`
-        restricted to the admit mask — no per-container ``argsort`` over
-        every machine — and the first candidate *is* the answer, since
-        every entry of the restricted order is admitted by construction.
+        With isomorphism limiting the per-machine admission test is
+        answered by one vectorised admit mask
+        (:func:`~repro.core.scheduler.feasible_mask`) instead of
+        evaluating the ``VectorCapacity`` + blacklist pair machine by
+        machine; the admitted set is identical — ``capacity.admits``
+        *is* Equation 6 ∧ Equation 8, which is exactly what
+        ``ClusterState.feasible_mask`` vectorises.  On that path the
+        exploration order comes from the incrementally maintained
+        :class:`~repro.core.machindex.MachineIndex` restricted to the
+        admit mask — no per-container ``argsort`` over every machine —
+        and the first candidate *is* the answer, since every entry of
+        the restricted order is admitted by construction.
         """
         from repro.core.scheduler import _scores
 
         cfg = self.config
         tele = result.telemetry
-        if cfg.enable_il and cfg.enable_feasibility_cache:
-            admit = self.feas_cache.feasible_mask(
-                state, demand, container.app_id
-            )
-            result.explored += self.feas_cache.last_recomputed
+        if cfg.enable_il:
+            admit = feasible_mask(state, demand, container.app_id, result)
             order = self.machine_index.candidates(
                 state, admit, state.affinity_mask(container.app_id)
             )

@@ -13,8 +13,8 @@ replaces the per-block sweep/deploy interleaving.
 Formulation (per scheduling window)
 -----------------------------------
 * **Candidates.**  Per block, the same admit mask the batch engine
-  computes (Equation 6 dominance + the Equation 7–8 blacklist, served
-  by the cross-round cache) ordered by the incremental
+  computes (Equation 6 dominance + the Equation 7–8 blacklist, read
+  live from the state) ordered by the incremental
   :class:`~repro.core.machindex.MachineIndex` packed-first order, then
   *capped*: the prefix whose fit quotas cover ``~1.5k`` containers.
   The cap is what keeps the LP small — O(Σk) variables, not O(blocks ×
@@ -68,6 +68,7 @@ from repro.core.scheduler import (
     _derive_weights_for,
     _group_blocks,
     drain_requeue,
+    feasible_mask,
     final_repair,
 )
 from repro.core.validate import WindowContext, validate_window
@@ -145,10 +146,9 @@ class SolverScheduler(AladdinScheduler):
     """The LP window engine; see the module docstring for the model.
 
     Subclasses :class:`~repro.core.scheduler.AladdinScheduler`: the
-    cross-round ledgers (feasibility cache, machine index, rescue
-    kernel), checkpoint/restore and the
-    per-container fallback path are all inherited — the LP replaces
-    only the in-window placement loop.
+    cross-round ledgers (machine index, rescue kernel),
+    checkpoint/restore and the per-container fallback path are all
+    inherited — the LP replaces only the in-window placement loop.
     """
 
     def __init__(self, config: AladdinConfig | None = None) -> None:
@@ -198,10 +198,10 @@ class SolverScheduler(AladdinScheduler):
                 for block in pending:
                     self._place_block(block, state, planner, result, requeue)
             with tele.phase("requeue"):
-                drain_requeue(self, requeue, state, planner, result)
+                drain_requeue(requeue, state, planner, result)
         if self.config.final_repair and result.undeployed:
             with tele.phase("repair"):
-                final_repair(self, containers, state, planner, result)
+                final_repair(containers, state, planner, result)
         # Rescue migrations move already-placed containers; re-read their
         # final machine from the authoritative state.
         for cid in result.placements:
@@ -325,7 +325,7 @@ class SolverScheduler(AladdinScheduler):
         """
         app_id = block[0].app_id
         demand = block[0].demand_vector(state.topology.resources)
-        mask = self._feasible_mask(state, demand, app_id, result)
+        mask = feasible_mask(state, demand, app_id, result)
         affinity = state.affinity_mask(app_id)
         order = self.machine_index.candidates(state, mask, affinity)
         if order.size == 0:

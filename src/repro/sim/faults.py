@@ -95,7 +95,7 @@ def fail_machines(state: ClusterState, machine_ids: list[int]) -> FaultReport:
             blast[container.app_id] = blast.get(container.app_id, 0) + 1
         state.available[machine_id] = 0.0
         # Direct capacity mutation: tell the dirty log so cross-round
-        # feasibility caches drop their verdicts for this machine.
+        # ledgers (machine index, resident ledger) resync this machine.
         state.touch(machine_id)
     return FaultReport(
         failed_machines=list(machine_ids),

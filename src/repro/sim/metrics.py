@@ -53,15 +53,10 @@ class SimulationMetrics:
     latency_total_s: float
     latency_per_container_ms: float
     #: scheduler telemetry (all 0 for schedulers without the layer):
-    #: SPFA relaxations, IL/DL pruning hits, and the cross-round
-    #: feasibility-cache hit/miss/invalidation counters
+    #: SPFA relaxations and IL/DL pruning hits
     spfa_relaxations: int = 0
     il_prune_hits: int = 0
     dl_prune_hits: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-    cache_hit_rate: float = 0.0
 
     def row(self) -> dict[str, object]:
         """Flat dict for table rendering / JSON dumps."""
@@ -154,10 +149,6 @@ def compute_metrics(
         spfa_relaxations=tele.spfa_relaxations if tele else 0,
         il_prune_hits=tele.il_prune_hits if tele else 0,
         dl_prune_hits=tele.dl_prune_hits if tele else 0,
-        cache_hits=tele.cache_hits if tele else 0,
-        cache_misses=tele.cache_misses if tele else 0,
-        cache_invalidations=tele.cache_invalidations if tele else 0,
-        cache_hit_rate=tele.cache_hit_rate if tele else 0.0,
     )
 
 

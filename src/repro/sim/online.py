@@ -150,8 +150,6 @@ class TickSample:
     violations: int
     #: machines examined by this tick's scheduling round (0 on idle ticks)
     explored: int = 0
-    #: feasibility verdicts served from the cross-round cache this tick
-    cache_hits: int = 0
     #: application blocks placed by the batched kernel this tick
     batch_invocations: int = 0
     #: rescue attempts (migration/consolidation/preemption planning)
@@ -181,8 +179,8 @@ class OnlineResult:
     """Per-tick series plus whole-run aggregates.
 
     :attr:`telemetry` merges every scheduling round's counters: SPFA
-    relaxations, IL/DL pruning hits, and the cross-round feasibility
-    cache's hit/miss/invalidation totals.  Counters are deterministic
+    relaxations, IL/DL pruning hits, batch-kernel blocks, index resyncs
+    and the rescue accounting.  Counters are deterministic
     for a fixed seed; phase wall times are not, so
     :meth:`canonical_json` (the determinism-test serialisation)
     excludes them.
@@ -230,7 +228,6 @@ class OnlineResult:
                 "migrations": s.migrations,
                 "violations": s.violations,
                 "explored": s.explored,
-                "cache_hits": s.cache_hits,
                 "batch_invocations": s.batch_invocations,
                 "rescue_attempts": s.rescue_attempts,
             }
@@ -390,8 +387,7 @@ def apply_window(
         phase_s["window_power"] = time.perf_counter() - t0
 
     migrations = failed = explored = 0
-    cache_hits = batch_invocations = 0
-    rescue_attempts = 0
+    batch_invocations = rescue_attempts = 0
     schedule: ScheduleResult | None = None
     if batch:
         schedule = scheduler.schedule(batch, state)
@@ -399,7 +395,6 @@ def apply_window(
         failed = schedule.n_undeployed
         explored = schedule.explored
         if schedule.telemetry is not None:
-            cache_hits = schedule.telemetry.cache_hits
             batch_invocations = schedule.telemetry.batch_kernel_invocations
             rescue_attempts = schedule.telemetry.rescue_attempts
             # Per-tick copy of the round's scheduler phases, next to the
@@ -424,7 +419,6 @@ def apply_window(
         migrations=migrations,
         violations=state.anti_affinity_violations(),
         explored=explored,
-        cache_hits=cache_hits,
         batch_invocations=batch_invocations,
         rescue_attempts=rescue_attempts,
         phase_s=phase_s,

@@ -21,12 +21,12 @@ def run_online(
     machine_pool_factor: float = 1.2,
 ) -> OnlineResult:
     """One online (arrival/departure churn) run — the repeated-round
-    workload where the cross-round feasibility cache earns its keep.
+    workload where the engines' cross-round ledgers earn their keep.
 
     The scheduler instance is reused across every tick on purpose:
-    cross-round caches only help when they survive rounds, and the
-    per-tick telemetry in the returned :class:`OnlineResult` records
-    exactly how much they helped.
+    cross-round ledgers (machine index, rescue memos) only help when
+    they survive rounds, and the per-tick telemetry in the returned
+    :class:`OnlineResult` records exactly how much they helped.
     """
     sim = OnlineSimulator(
         trace,

@@ -2,10 +2,8 @@
 
 The paper's overhead argument is quantitative: isomorphism limiting
 replaces per-container feasibility scans with per-application ones,
-depth limiting cuts each search to its first admitting machine, and the
-incremental feasibility cache (see :mod:`repro.core.feascache`) carries
-those verdicts across scheduling rounds.  This module is the single
-place all of those savings are *counted*:
+and depth limiting cuts each search to its first admitting machine.
+This module is the single place those savings are *counted*:
 
 * ``spfa_relaxations`` — successful edge relaxations inside
   :func:`repro.flownet.spfa.spfa` (the flow-solver cost driver);
@@ -13,9 +11,6 @@ place all of those savings are *counted*:
   already exhausted search + rescue (isomorphism limiting);
 * ``dl_prune_hits`` — placements served by the O(1) depth-limited
   pointer walk instead of a full candidate re-ranking;
-* ``cache_hits`` / ``cache_misses`` / ``cache_invalidations`` —
-  per-machine feasibility verdicts served from, recomputed into, and
-  discarded from the cross-round cache;
 * ``batch_kernel_invocations`` — application blocks placed by the
   vectorized batch kernel (:mod:`repro.core.batchkernel`) instead of
   the per-container walk;
@@ -43,7 +38,7 @@ place all of those savings are *counted*:
   counter set: :meth:`SchedulerTelemetry.counters` excludes them so two
   runs with the same seed serialise byte-identically.
 
-Producers (SPFA, the candidate walk, the feasibility cache) report to a
+Producers (SPFA, the candidate walk, the batch kernel) report to a
 module-level *current collector* installed by the scheduler around each
 ``schedule()`` call, so deep call sites need no plumbing.  The collector
 is plain module state, matching the single-threaded simulator and
@@ -67,9 +62,6 @@ class SchedulerTelemetry:
     spfa_relaxations: int = 0
     il_prune_hits: int = 0
     dl_prune_hits: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
     batch_kernel_invocations: int = 0
     index_resyncs: int = 0
     machines_skipped: int = 0
@@ -88,12 +80,6 @@ class SchedulerTelemetry:
     phase_time_s: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of feasibility verdicts served from the cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def counters(self) -> dict[str, int]:
         """The deterministic counter set, in a stable key order.
 
@@ -104,9 +90,6 @@ class SchedulerTelemetry:
             "spfa_relaxations": self.spfa_relaxations,
             "il_prune_hits": self.il_prune_hits,
             "dl_prune_hits": self.dl_prune_hits,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_invalidations": self.cache_invalidations,
             "batch_kernel_invocations": self.batch_kernel_invocations,
             "index_resyncs": self.index_resyncs,
             "machines_skipped": self.machines_skipped,
@@ -135,9 +118,6 @@ class SchedulerTelemetry:
         self.spfa_relaxations += other.spfa_relaxations
         self.il_prune_hits += other.il_prune_hits
         self.dl_prune_hits += other.dl_prune_hits
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_invalidations += other.cache_invalidations
         self.batch_kernel_invocations += other.batch_kernel_invocations
         self.index_resyncs += other.index_resyncs
         self.machines_skipped += other.machines_skipped
@@ -154,9 +134,6 @@ class SchedulerTelemetry:
     def summary(self) -> str:
         """One-line human rendering for CLI run summaries."""
         parts = [
-            f"cache {self.cache_hits}/{self.cache_hits + self.cache_misses}"
-            f" hits ({self.cache_hit_rate:.0%})",
-            f"invalidated {self.cache_invalidations}",
             f"IL prunes {self.il_prune_hits}",
             f"DL prunes {self.dl_prune_hits}",
             f"SPFA relaxations {self.spfa_relaxations}",

@@ -25,7 +25,6 @@ from repro.cluster.snapshot import (
 )
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
-from repro.core.feascache import FeasibilityCache
 
 
 def container(cid, app=0, cpu=4.0, prio=0):
@@ -195,54 +194,6 @@ class TestStateRoundTrip:
         state.save(path)
         with pytest.raises(SnapshotError, match="machines"):
             ClusterState.restore(path, build_cluster(3), constraints)
-
-
-# ----------------------------------------------------------------------
-# stale-watermark contract: compaction past the persisted version
-# means full resync, never silently stale verdicts
-# ----------------------------------------------------------------------
-class TestStaleWatermarkFallback:
-    def test_cache_restored_past_compaction_recomputes_fully(
-        self, topo, constraints
-    ):
-        state = populated_state(topo, constraints)
-        demand = np.array([4.0, 8.0])
-        cache = FeasibilityCache(report_telemetry=False)
-        cache.feasible_mask(state, demand, app_id=3)
-        cache.feasible_mask(state, demand, app_id=3)  # recurrence: entry stored
-        image = cache.checkpoint()
-        synced_at = next(iter(image["entries"].values()))[1]
-
-        # Compact the log well past the checkpointed watermark while
-        # mutating actual feasibility (fill machine 3 completely).
-        state.deploy(container(90, app=4, cpu=state.available[3, 0]), 3)
-        for _ in range(state._log_limit + 1):
-            state.touch(0)
-        assert state.dirty_array_since(synced_at) is None  # log really compacted
-
-        restored = FeasibilityCache(report_telemetry=False)
-        restored.restore(image, state.state_uid)
-        got = restored.feasible_mask(state, demand, app_id=3)
-        want = state.feasible_mask(demand, app_id=3)
-        assert got.tolist() == want.tolist()
-        assert not got[3]  # the post-checkpoint mutation is visible
-
-    def test_resync_inside_log_window_is_warm(self, topo, constraints):
-        state = populated_state(topo, constraints)
-        demand = np.array([4.0, 8.0])
-        cache = FeasibilityCache(report_telemetry=False)
-        cache.feasible_mask(state, demand, app_id=3)
-        cache.feasible_mask(state, demand, app_id=3)  # recurrence: entry stored
-        image = cache.checkpoint()
-
-        state.deploy(container(91, app=4, cpu=state.available[3, 0]), 3)
-        restored = FeasibilityCache(report_telemetry=False)
-        restored.restore(image, state.state_uid)
-        before = restored.misses
-        got = restored.feasible_mask(state, demand, app_id=3)
-        assert got.tolist() == state.feasible_mask(demand, app_id=3).tolist()
-        # only the one dirtied machine was recomputed — warm, not cold
-        assert restored.misses - before == 1
 
 
 class TestEnvelopeFuzz:

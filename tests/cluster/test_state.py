@@ -268,18 +268,65 @@ class TestDirtyLogCompactionBoundary:
         assert state.dirty_array_since(state.version).size == 0
         assert state.dirty_raw_since(state.version).size == 0
 
-    def test_cache_falls_back_to_full_recompute(self, state):
-        from repro.core.feascache import FeasibilityCache
 
-        demand = np.array([4.0, 8.0])
-        cache = FeasibilityCache(report_telemetry=False)
-        cache.feasible_mask(state, demand, app_id=3)
-        # fill machine 2 to capacity, then compact past the sync point
-        state.deploy(container(7, app=3, cpu=state.available[2, 0]), 2)
-        self._compact(state)
-        got = cache.feasible_mask(state, demand, app_id=3)
-        assert got.tolist() == state.feasible_mask(demand, app_id=3).tolist()
-        assert not got[2]
+class TestDirtyLog:
+    """Change tracking: every mutation bumps the version and logs the
+    machines it touched, for the cross-round consumers (machine index,
+    resident ledger, violation tally)."""
+
+    @staticmethod
+    def fresh_state(n_machines=6):
+        return ClusterState(
+            build_cluster(n_machines, machines_per_rack=3), ConstraintSet()
+        )
+
+    def test_every_mutation_bumps_version_and_logs_machine(self):
+        state = self.fresh_state()
+        v0 = state.version
+        state.deploy(container(1), 2)
+        assert state.version == v0 + 1
+        assert state.dirty_array_since(v0).tolist() == [2]
+        state.evict(1)
+        assert state.version == v0 + 2
+        assert state.dirty_array_since(v0).tolist() == [2]
+
+    def test_migrate_dirties_source_and_target(self):
+        state = self.fresh_state()
+        state.deploy(container(1), 1)
+        v = state.version
+        state.migrate(1, 4)
+        assert state.dirty_array_since(v).tolist() == [1, 4]
+
+    def test_dirty_array_since_current_version_is_empty(self):
+        state = self.fresh_state()
+        state.deploy(container(1), 0)
+        assert state.dirty_array_since(state.version).size == 0
+
+    def test_touch_records_out_of_band_mutations(self):
+        state = self.fresh_state()
+        v = state.version
+        state.available[3] = 0.0
+        state.touch(3)
+        assert state.dirty_array_since(v).tolist() == [3]
+
+    def test_compaction_returns_none_for_ancient_consumers(self):
+        state = self.fresh_state(n_machines=2)
+        v0 = state.version
+        for _ in range(state._log_limit + 10):
+            state.touch(0)
+        assert state.dirty_array_since(v0) is None
+        # A consumer synced after compaction still gets exact answers.
+        v_recent = state.version
+        state.touch(1)
+        assert state.dirty_array_since(v_recent).tolist() == [1]
+
+    def test_snapshot_starts_a_fresh_identity(self):
+        state = self.fresh_state()
+        state.deploy(container(1), 0)
+        clone = state.snapshot()
+        assert clone.state_uid != state.state_uid
+        assert clone.version == 0
+        assert clone.dirty_array_since(0).size == 0
 
 
 class TestEventTracking:

@@ -36,6 +36,7 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.core import AladdinConfig, AladdinScheduler
+from repro.core import rescuekernel
 from repro.core.migration import RescuePlanner
 from repro.core.rescuekernel import _NO_IDS, RescueKernel
 from repro.sim.faults import fail_machines, machine_is_down, repair_machines
@@ -253,7 +254,9 @@ def count_screen_rejections(kernel, n, rejected=None):
             setattr(kernel, name, walked)
 
 
-def test_blacklist_evaluations_bounded_by_misses_that_found_room():
+def test_blacklist_evaluations_bounded_by_misses_that_found_room(
+    monkeypatch,
+):
     """Over a seeded tight churn the kernel evaluates the blacklist at
     most once per admissible-memo miss whose Equation 6 mask was
     non-empty, plus once per rescue (``rescue_plan`` needs the blocked
@@ -293,16 +296,17 @@ def test_blacklist_evaluations_bounded_by_misses_that_found_room():
 
     scoped("rescue_plan", "in_rescue")
     scoped("_admissible_ids", "in_admissible")
-    dominance_mask = kernel.dominance.dominance_mask
+    # the kernel's Equation 6 call: one per admissible-memo miss
+    dominates = rescuekernel.dominates
 
-    def counted_dominance_mask(state, demand):
-        fit = dominance_mask(state, demand)
+    def counted_dominates(available, demand):
+        fit = dominates(available, demand)
         if n["in_admissible"]:
             n["misses"] += 1
             n["misses_with_room"] += bool(fit.any())
         return fit
 
-    kernel.dominance.dominance_mask = counted_dominance_mask
+    monkeypatch.setattr(rescuekernel, "dominates", counted_dominates)
 
     admissible_ids = kernel._admissible_ids
     asked_in_plan = []
@@ -385,8 +389,12 @@ def test_walks_plan_only_where_the_screen_passes():
 
 #: ``explored`` over the same churn before the preemption screen decided
 #: machines without a blocker exactly — it removes only positions the
-#: loop passes over without a charge, so this must not move either
-EXPLORED_BEFORE_THE_EXACT_SCREEN = 6362
+#: loop passes over without a charge, so this must not move either.
+#: Re-recorded (6,362 before) when the kernel's private dominance cache
+#: was deleted: each rescue's Equation 6 scan is now charged the loop's
+#: ``n_machines``, where the cache charged only the verdicts it
+#: recomputed.  ``SCANNED_BEFORE_THE_WALK_SCREENS`` did not move.
+EXPLORED_BEFORE_THE_EXACT_SCREEN = 11849
 
 
 def test_preemption_reads_rows_only_where_a_blocker_or_a_plan_is():
@@ -536,9 +544,9 @@ def test_checkpoint_image_reads_both_ways():
     written here restores the charged memo (failed rescues; it carries
     no plan or liveness memo, the kernel has neither), and an image in
     an older form — entries of many versions, most of them dead, plus
-    the relocation-plan and liveness memos kernels used to write — is
-    cut down to the live failures on restore and replays the same
-    charges."""
+    the relocation-plan, liveness and dominance-cache images kernels
+    used to write — is cut down to the live failures on restore and
+    replays the same charges."""
     state = full_small_state()
     kernel = RescueKernel()
     planner, blocked, demand, first = failed_rescue(state, kernel)
@@ -547,10 +555,17 @@ def test_checkpoint_image_reads_both_ways():
     assert image["failures"] and all(
         entry[0] == version for entry in image["failures"].values()
     )
-    assert set(image) == {"dominance", "failures", "invocations"}
+    assert set(image) == {"failures", "invocations"}
 
-    # what a snapshot written before the memos were bounded looks like
+    # what a snapshot written before the memos were bounded looks like,
+    # with the image of the private dominance cache the kernel kept
+    # until Equation 6 was read live
     older = dict(image)
+    older["dominance"] = {
+        "entries": {demand.tobytes(): (np.zeros(N_MACHINES, bool), version)},
+        "shape_seen": {}, "hits": 0, "misses": N_MACHINES,
+        "invalidations": 0, "last_recomputed": N_MACHINES,
+    }
     older["failures"] = dict(image["failures"])
     older["failures"][(7, b"stale", True, False, None)] = (
         version - 3, first.failure, 11, 13,

@@ -1053,9 +1053,7 @@ def test_a_restored_kernel_resumes_the_tight_churn():
     for i, block in enumerate(rounds(stream, [state])):
         if i == len(expected) // 2:
             image = engine.checkpoint()
-            assert set(image["rescue_kernel"]) == {
-                "dominance", "failures", "invocations",
-            }
+            assert set(image["rescue_kernel"]) == {"failures", "invocations"}
             engine = AladdinScheduler.from_checkpoint(image, state)
             batches = record_writes(engine.rescue_kernel.ledger)
         result = engine.schedule(block, state)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.base import FailureReason
+from repro.cluster.container import Application, containers_of
 from repro.cluster.machine import MachineSpec
 from repro.core import AladdinConfig, AladdinScheduler
 
@@ -162,3 +163,83 @@ class TestStateConsistency:
                 (r.metrics.n_undeployed, r.metrics.n_violating_placements)
             )
         assert len(outcomes) == 1
+
+
+class TestMaskRebuiltAfterRescue:
+    """A rescue mutates machines in the middle of a block; the block's
+    admit mask is then rebuilt from live state.  The IL engine must
+    decide exactly what the IL-off engine decides, which reads a fresh
+    mask for every container."""
+
+    @staticmethod
+    def run_rounds(config, apps_by_round, n_machines, constraints_apps):
+        """Schedule successive rounds on one persistent state."""
+        engine = AladdinScheduler(config)
+        state = state_for(
+            constraints_apps, n_machines=n_machines,
+            machines_per_rack=n_machines,
+        )
+        results = []
+        next_cid = 0
+        for apps in apps_by_round:
+            batch = containers_of(apps, start_id=next_cid)
+            next_cid += len(batch)
+            results.append(engine.schedule(batch, state))
+        return results, state
+
+    def compare_engines(self, apps_by_round, n_machines, constraints_apps):
+        res_il, state_il = self.run_rounds(
+            AladdinConfig(), apps_by_round, n_machines, constraints_apps
+        )
+        res_cold, state_cold = self.run_rounds(
+            AladdinConfig(enable_il=False), apps_by_round, n_machines,
+            constraints_apps,
+        )
+        for ri, rc in zip(res_il, res_cold):
+            assert ri.placements == rc.placements
+            assert ri.undeployed == rc.undeployed
+        assert state_il.assignment == state_cold.assignment
+        assert np.allclose(state_il.available, state_cold.available)
+        return res_il
+
+    def test_preemption_rebuilds_the_block_mask(self):
+        # Round 1 fills both machines with low-priority containers;
+        # round 2's high-priority within-anti-affinity pair must preempt
+        # on each machine, rebuilding the block's mask after each rescue.
+        # (The tiny low-priority app in round 2 puts both priority
+        # classes into the round's Equation-5 guard weights, so the
+        # high class's weighted flow strictly dominates its victims'.)
+        low = [Application(0, 4, 16.0, 32.0, priority=0)]
+        high = [
+            Application(1, 2, 16.0, 32.0, priority=2,
+                        anti_affinity_within=True),
+            Application(2, 1, 1.0, 2.0, priority=0),
+        ]
+        results = self.compare_engines(
+            [low, high], n_machines=2, constraints_apps=low + high
+        )
+        assert results[1].preemptions >= 2
+        placed_hi = {
+            m for cid, m in results[1].placements.items() if cid < 6
+        }
+        assert len(placed_hi) == 2  # anti-affinity honoured through rescue
+
+    def test_rescue_migration_rebuilds_the_block_mask(self):
+        # m0 hosts apps 0 and 1 (free 20 CPU); m1 hosts app 2 (free 16)
+        # because it conflicts with app 0.  A 24-CPU arrival fits
+        # nowhere; the only rescue is consolidating app 1's small
+        # container from m0 onto m1 (app 0 itself cannot move there —
+        # the conflict blocks it), and the rebuilt mask must see m0's
+        # recovered capacity.
+        round1 = [
+            Application(0, 1, 8.0, 16.0),
+            Application(1, 1, 4.0, 8.0),
+            Application(2, 1, 16.0, 32.0, conflicts=frozenset({0})),
+        ]
+        round2 = [Application(3, 1, 24.0, 48.0)]
+        results = self.compare_engines(
+            [round1, round2], n_machines=2,
+            constraints_apps=round1 + round2,
+        )
+        assert results[1].migrations >= 1
+        assert results[1].n_undeployed == 0

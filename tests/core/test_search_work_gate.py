@@ -10,8 +10,9 @@ of the scale):
   replaced rewrote exactly ``resyncs x n_machines`` positions);
 * ``_batch_place`` reads one candidate window per block, a second one
   only rarely, and a block placed from its windows builds no
-  cluster-wide verdict (no ``forbidden_mask``, no feasibility-cache
-  query; the kernel reads exactly the windows' positions);
+  cluster-wide verdict (no ``forbidden_mask``, no
+  ``ClusterState.feasible_mask``; the kernel reads exactly the
+  windows' positions);
 * the kernel asks Equations 7-8 about no position behind the machine
   that takes the block's last container;
 * the round's bookkeeping follows the application, not the container:
@@ -36,7 +37,6 @@ from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.core import AladdinScheduler, scheduler
-from repro.core.feascache import FeasibilityCache
 from repro.core.machindex import MachineIndex
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import build_scenario
@@ -187,17 +187,17 @@ def test_round_bookkeeping_follows_the_application(monkeypatch):
 def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
     """A block the kernel places in full from its windows evaluates
     Equations 6-8 on those windows only: no ``forbidden_mask`` (the walk
-    over every conflict partner's hosts) and no feasibility-cache query,
-    and the kernel is handed exactly the windows' positions.
+    over every conflict partner's hosts) and no cluster-wide admit mask
+    (``ClusterState.feasible_mask``), and the kernel is handed exactly the windows' positions.
     Affinity-tiered blocks read a full mask by design and are left
     out."""
-    counts = {"forbidden": 0, "cache": 0, "positions": 0, "windows": 0}
+    counts = {"forbidden": 0, "mask": 0, "positions": 0, "windows": 0}
     full_plan = [False]
     last_window = [None]
     window_blocks = leaky_blocks = 0
 
     forbidden_mask = ClusterState.forbidden_mask
-    cache_mask = FeasibilityCache.feasible_mask
+    feasible_mask = ClusterState.feasible_mask
     candidates = MachineIndex.candidates
     block_plan = scheduler.block_plan
     batch_place = AladdinScheduler._batch_place
@@ -207,9 +207,9 @@ def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
         counts["forbidden"] += 1
         return forbidden_mask(self, app_id)
 
-    def counting_cache(self, *args):
-        counts["cache"] += 1
-        return cache_mask(self, *args)
+    def counting_mask(self, *args):
+        counts["mask"] += 1
+        return feasible_mask(self, *args)
 
     def counting_candidates(self, *args, limit=None, **kwargs):
         got = candidates(self, *args, limit=limit, **kwargs)
@@ -230,16 +230,16 @@ def test_window_blocks_ask_no_cluster_wide_verdict(monkeypatch):
 
     def gated_place_block(self, block, state, *args):
         nonlocal window_blocks, leaky_blocks
-        before = counts["forbidden"] + counts["cache"]
+        before = counts["forbidden"] + counts["mask"]
         full_plan[0] = False
         place_block(self, block, state, *args)
         affine = state.constraints.affinities_of(block[0].app_id)
         if full_plan[0] and not affine:
             window_blocks += 1
-            leaky_blocks += counts["forbidden"] + counts["cache"] > before
+            leaky_blocks += counts["forbidden"] + counts["mask"] > before
 
     monkeypatch.setattr(ClusterState, "forbidden_mask", counting_forbidden)
-    monkeypatch.setattr(FeasibilityCache, "feasible_mask", counting_cache)
+    monkeypatch.setattr(ClusterState, "feasible_mask", counting_mask)
     monkeypatch.setattr(MachineIndex, "candidates", counting_candidates)
     monkeypatch.setattr(scheduler, "block_plan", counting_block_plan)
     monkeypatch.setattr(
@@ -271,7 +271,7 @@ def test_equations_7_8_stop_at_the_blocks_last_planned_machine(monkeypatch):
     block_size = [0]
 
     forbidden_mask = ClusterState.forbidden_mask
-    cache_mask = FeasibilityCache.feasible_mask
+    feasible_mask = ClusterState.feasible_mask
     deploy_block = ClusterState.deploy_block
     batch_place = AladdinScheduler._batch_place
 
@@ -279,9 +279,9 @@ def test_equations_7_8_stop_at_the_blocks_last_planned_machine(monkeypatch):
         counts["cluster_wide"] += in_window_path[0]
         return forbidden_mask(self, app_id)
 
-    def counting_cache(self, *args):
+    def counting_mask(self, *args):
         counts["cluster_wide"] += in_window_path[0]
-        return cache_mask(self, *args)
+        return feasible_mask(self, *args)
 
     def recording_batch_place(self, block, state, demand, mask, *args):
         if mask is not None:
@@ -315,7 +315,7 @@ def test_equations_7_8_stop_at_the_blocks_last_planned_machine(monkeypatch):
         return deploy_block(self, containers, machine_ids, demand)
 
     monkeypatch.setattr(ClusterState, "forbidden_mask", counting_forbidden)
-    monkeypatch.setattr(FeasibilityCache, "feasible_mask", counting_cache)
+    monkeypatch.setattr(ClusterState, "feasible_mask", counting_mask)
     monkeypatch.setattr(ClusterState, "deploy_block", checking_deploy_block)
     monkeypatch.setattr(
         AladdinScheduler, "_batch_place", recording_batch_place

@@ -8,15 +8,18 @@ a dirty-log consumer (7e0a44d, the brute-force recount); any change to
 what a sample reads — the count, ``mean_utilization``, a decision —
 moves them.
 
-The canonical JSON also carries the search's *cost* counters (a
-sample's ``explored`` / ``cache_hits``, the telemetry's
-``cache_hits`` / ``cache_misses`` / ``cache_invalidations``), which a
-change to how the search evaluates Equations 6-8 legitimately moves.
-The three Aladdin digests were re-recorded when the batch kernel began
-evaluating its window without the feasibility cache; their
-:func:`decision_projection` — the same JSON without those five keys —
-is pinned separately, from the commit before that change, so a moved
-cost and a moved decision fail different tests.
+The canonical JSON also carries the search's *cost* counter (a
+sample's ``explored``), which a change to how the search evaluates
+Equations 6-8 legitimately moves.  The three Aladdin digests were
+re-recorded when the batch kernel began evaluating its window without
+the feasibility cache; their :func:`decision_projection` — the same
+JSON without the cost counters — is pinned separately, from the commit
+before that change, so a moved cost and a moved decision fail
+different tests.  Until the cross-round feasibility cache was deleted
+the cost counters also counted its hits, misses and invalidations (a
+sample's ``cache_hits``, the telemetry's ``cache_hits`` /
+``cache_misses`` / ``cache_invalidations``); the projection drops
+those keys where an older JSON still has them.
 
 When the rack-sharded parallel sweep was deleted, its always-zero
 ``parallel_sweeps`` counter left the telemetry, and every digest here
@@ -32,6 +35,13 @@ counter of rescues the kernel planned — always equal to
 the telemetry and every sample, and the digests were re-recorded the
 same way: the sha256 of the canonical JSON of the commit before that
 change, with that one key removed wherever it appeared.
+
+When the cross-round feasibility cache was deleted, its four counters
+left the telemetry and the samples, and :data:`RUNS` was re-recorded
+the same way: the sha256 of the canonical JSON of the commit before the
+deletion, with those keys removed.  None of these runs asked the cache
+anything that moved another key (the change's own JSON hashed the
+same), and :data:`DECISIONS` did not move.
 """
 
 from __future__ import annotations
@@ -78,27 +88,27 @@ RUNS = {
     "aladdin-flow": (
         churn_trace, CHURN,
         lambda: AladdinScheduler(AladdinConfig(engine="flow")),
-        "979397a8a6c1c8eac1eee39557c850b15be26916880ce82c2c025a140bd47aad", 0,
+        "f29992d7b70b5e5b6ebe51fa7a8af07e2b9ef1383b646c74e5e4ac89b33a06d4", 0,
     ),
     "aladdin-default": (
         churn_trace, CHURN, AladdinScheduler,
-        "979397a8a6c1c8eac1eee39557c850b15be26916880ce82c2c025a140bd47aad", 0,
+        "f29992d7b70b5e5b6ebe51fa7a8af07e2b9ef1383b646c74e5e4ac89b33a06d4", 0,
     ),
     "firmament-quincy": (
         churn_trace, CHURN,
         lambda: FirmamentScheduler(FirmamentPolicy.QUINCY),
-        "a2e4aa368b514db6332a6818a18c8387dd85e4ace283f9264052eaa68e5ace8a", 53,
+        "a05a8bcfafdbad34b856804763a7236ff685c8061bcabf4f7ccfda9ce0b2cc1f", 53,
     ),
     "medea-c1-rack-scoped": (
         rack_scoped_trace, CHURN,
         lambda: MedeaScheduler(MedeaWeights(c=1.0)),
-        "5932e0f9ee050d4323e8c8f4b7f4fd497dbb0de39cbc94c33a25bac3db90b20e", 207,
+        "c8a6272d8a2223847aced55c47a114dfb73e2856d6aefeb98d5e3f3d63cb867f", 207,
     ),
     "autoscale": (
         lambda: build_scenario("autoscale", scale=0.01, ticks=16),
         OnlineConfig(scenario="autoscale", autoscale=True, keep_alive="ttl"),
         AladdinScheduler,
-        "8b8f3f559eaff0b0773070aca64e8b75f225e9fcae68c3a0bdb97b161dde53ef", 0,
+        "07b5fd5105ff1f6c0059c1279c59e7a77c0392fb2df9e8f386d6209e044b81c0", 0,
     ),
 }
 
@@ -125,9 +135,10 @@ def decision_projection(canonical: str) -> str:
     """``canonical`` without the search's cost counters."""
     payload = json.loads(canonical)
     for sample in payload["samples"]:
-        del sample["explored"], sample["cache_hits"]
+        del sample["explored"]
+        sample.pop("cache_hits", None)
     for key in ("cache_hits", "cache_misses", "cache_invalidations"):
-        del payload["telemetry"][key]
+        payload["telemetry"].pop(key, None)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -70,11 +70,10 @@ class TestLifecycle:
     def test_byte_identical_metrics_across_runs(self, trace):
         """Two runs with the same trace, scheduler and seed serialise to
         byte-identical metrics — including the telemetry counters (SPFA
-        relaxations, IL/DL prunes, cache hit/miss/invalidation totals),
+        relaxations, IL/DL prunes, index resyncs, rescue accounting),
         which must therefore be free of wall-clock or iteration-order
         nondeterminism.  Wall times are excluded by design.  Batch-off,
-        so every block goes through the cross-round cache (the batch
-        kernel evaluates its window without it)."""
+        so every block walks a cluster-wide admit mask."""
         cfg = OnlineConfig(ticks=12, seed=7)
         engine = AladdinConfig(enable_batch_kernel=False)
         a = OnlineSimulator(trace, cfg).run(AladdinScheduler(engine))
@@ -84,7 +83,6 @@ class TestLifecycle:
         # The serialisation must actually cover the telemetry.
         assert '"telemetry"' in a.canonical_json()
         assert a.telemetry.counters() == b.telemetry.counters()
-        assert a.telemetry.cache_hits > 0  # churn exercised the cache
 
     def test_canonical_json_excludes_wall_times(self, trace):
         cfg = OnlineConfig(ticks=8, seed=1)

@@ -18,10 +18,16 @@ that one key removed.  They were re-recorded once more, the same
 way, when the counter of kernel-planned rescues left the telemetry
 and the samples (every rescue now goes through the kernel, so it
 only repeated ``rescue_attempts``): the sha256 of the canonical JSON of the
-commit before that change, with that key removed.  The images
-themselves are unchanged; the restored result still carries both
-counters in its pickled telemetry and samples, and the canonical JSON
-no longer reads them.
+commit before that change, with that key removed.  And once more when
+the cross-round feasibility cache was deleted: its ``cache_hits`` /
+``cache_misses`` / ``cache_invalidations`` counters left the telemetry
+and ``cache_hits`` the samples, and each digest is the sha256 of the
+canonical JSON of the commit before the deletion with those keys
+removed.  The images themselves are unchanged; the restored result
+still carries every removed counter in its pickled telemetry and
+samples, and its engine image the cache's ``feas_cache`` and the
+rescue kernel's ``dominance`` entries, which the restore ignores; the
+canonical JSON no longer reads any of them.
 
 ``data/lla-workers2.ckpt.gz`` is the same tick-5 snapshot of the
 ``lla`` case taken by 4fe1a11 with ``AladdinConfig(workers=2)``: its
@@ -57,18 +63,18 @@ def lla_trace():
 
 
 LLA = OnlineConfig(ticks=12, seed=0)
-LLA_DIGEST = "cc32cd9ae0dd3bf48dc01df869cd4199400bb113822b0bc3ae464e231dba046b"
+LLA_DIGEST = "6898460b813b34cba071e5d2b0a5170cc970a9bd0ba9f9d028c1c00fb589d217"
 
 #: name -> (trace factory, config, sha256 of the uninterrupted run's
-#: canonical JSON on the writing commit minus ``parallel_sweeps`` and
-#: the kernel-planned rescue count,
+#: canonical JSON on the writing commit minus ``parallel_sweeps``, the
+#: kernel-planned rescue count and the feasibility cache's counters,
 #: whether the resumed run reproduces that JSON byte for byte)
 CASES = {
     "lla": (lla_trace, LLA, LLA_DIGEST, True),
     "mixed-lla": (
         lambda: build_scenario("mixed-lla", scale=0.01, seed=0, ticks=12),
         OnlineConfig(ticks=12, seed=0, scenario="mixed-lla"),
-        "4a30438d2f92753dce75587449bf1bf9ac44e3e838c278db690e9757ee27a8d1",
+        "ca73b6cbcb9c3361c7a3833adc66ef65c5e0dbe3e7b10ca4691e564521834636",
         True,
     ),
     # the sweep's cost counters up to the snapshot are its own

@@ -265,12 +265,11 @@ def _run(trace, cfg, scheduler=None):
 
 def _decisions(canonical: str) -> dict:
     """The decision-derived view of a canonical run: totals and every
-    per-tick sample minus engine telemetry (explored/cache/batch/rescue
+    per-tick sample minus engine telemetry (explored/batch/rescue
     counters legitimately differ across ablation variants; placements
     must not)."""
     payload = json.loads(canonical)
-    tele = {"explored", "cache_hits", "batch_invocations",
-            "rescue_attempts"}
+    tele = {"explored", "batch_invocations", "rescue_attempts"}
     return {
         "totals": payload["totals"],
         "samples": [
@@ -305,12 +304,8 @@ def test_autoscale_run_is_deterministic():
 
 
 _ABLATIONS = [
-    lambda: AladdinScheduler(AladdinConfig(enable_feasibility_cache=False)),
     lambda: AladdinScheduler(AladdinConfig(enable_batch_kernel=False)),
     lambda: loop_rescue(AladdinScheduler()),
-    lambda: AladdinScheduler(AladdinConfig(
-        enable_batch_kernel=False, enable_feasibility_cache=False,
-    )),
 ]
 _POLICIES = ["fixed", "ttl", "lru", "none"]
 

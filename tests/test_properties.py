@@ -136,26 +136,23 @@ def test_violating_set_matches_state(data):
 
 @settings(max_examples=25, deadline=None)
 @given(workloads())
-def test_cache_is_invisible_across_engines(data):
-    """Four-way differential: the production engine and the reference
-    flow-network engine, each with the cross-round feasibility cache
-    enabled and disabled, place every randomized workload identically.
-
-    This is the property the cache's correctness argument reduces to —
-    a cached query must be indistinguishable from a cold
-    ``state.feasible_mask`` call, in *both* engines, on arbitrary
-    constraint mixes.  Each engine schedules twice, each round against a
-    fresh state: round one exercises within-round reuse (shared
-    signatures, requeue and repair re-queries), round two exercises the
-    cache's rebind-and-reset path — a new ``state_uid`` must drop every
-    stale verdict.
+def test_engines_place_alike(data):
+    """Engine-vs-engine differential: the production engine, the
+    reference flow-network engine, and the flow engine with IL off —
+    which admits each path by evaluating ``VectorCapacity`` and the
+    blacklist machine by machine, Algorithm 1 literally, instead of
+    reading one admit mask — place every randomized workload
+    identically, on arbitrary constraint mixes.  Each engine schedules
+    twice, each round against a fresh state: round two exercises the
+    rebind path of the cross-round ledgers (machine index, rescue
+    kernel) — a new ``state_uid`` must drop everything learnt about the
+    old state.
     """
     apps, n_machines = data
     engines = [
         AladdinScheduler(),
-        AladdinScheduler(AladdinConfig(enable_feasibility_cache=False)),
         FlowPathSearch(),
-        FlowPathSearch(AladdinConfig(enable_feasibility_cache=False)),
+        FlowPathSearch(AladdinConfig(enable_il=False)),
     ]
     for round_no in range(2):
         outcomes = []
