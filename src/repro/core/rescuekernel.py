@@ -26,21 +26,17 @@ cross-round substrate:
 * **Candidate orders** come from the engine's incrementally maintained
   :class:`~repro.core.machindex.MachineIndex` instead of a fresh
   ``argsort`` over all machines per strategy call.
-* **Resident summaries** (:class:`ResidentLedger`) cache, per machine:
-  the residents in their authoritative enumeration order, their
-  app/priority columns, demand matrix and interned demand-shape ids,
-  the ``(priority, cpu)``-sorted permutation, and the prefix-summed
-  freeable demand in that order — so consolidation's mover prefix is a
-  ``searchsorted`` over cumulative freed resources and every strategy
-  names its movers as indices into the row, not as re-sorted
-  container lists.  Rows are built only where a walk reads one and
-  dropped lazily for machines the dirty log reports as touched; once a
-  walk has asked for it, the ledger also keeps every machine at once as
-  a padded :class:`ResidentTable` (shape ids, priorities, CPUs and
-  cumulative demand in ``(priority, cpu)`` order), which one batched
-  writer fills: the dirty machines' residents, one stable ``lexsort``
-  and one ``cumsum`` along a zero-padded block per call — bit for bit
-  the rows' own sums, without building a row.
+* **The resident table** (:class:`ResidentLedger`): once a walk has
+  asked for it, every machine's residents at once as a padded
+  :class:`ResidentTable` — interned demand-shape ids, priorities, CPUs
+  and the prefix-summed freeable demand, in ``(priority, cpu)`` order —
+  so consolidation's mover prefix is a ``searchsorted`` over cumulative
+  freed resources.  One batched writer keeps it current: the residents
+  of the machines the dirty log reports as touched, one stable
+  ``lexsort`` and one ``cumsum`` along a zero-padded block per call.
+  The table is the only cached view of the residents: past the
+  screens, a walk reads the few machines it still visits straight from
+  ``state.deployed_containers``, as the loop does.
 * **The walks screen** before they read a resident.  Whether any
   machine dominates a shape (Equation 6) is one vector per version
   window over every interned shape (:meth:`ResidentLedger.live`).
@@ -78,6 +74,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -118,6 +115,24 @@ def _rack_blocked(state: ClusterState, app_id: int, machine_id: int) -> bool:
     )
 
 
+def _blockers(
+    state: ClusterState, app_id: int, residents: list[Container]
+) -> list[Container]:
+    """``residents`` violating ``app_id``, in their order: the live
+    conflict set, plus the application itself under a within-rule
+    (``constraints.violates`` per resident, without its per-call
+    look-ups)."""
+    cs = state.constraints
+    own = app_id if cs.has_within(app_id) else None
+    conflicts = cs.conflict_view(app_id)
+    return [c for c in residents if c.app_id == own or c.app_id in conflicts]
+
+
+#: the loop's resident order: ``sorted(..., key=_PRIORITY_CPU)`` is
+#: stable, so equal keys keep their enumeration order
+_PRIORITY_CPU = attrgetter("priority", "cpu")
+
+
 #: shared answer of :meth:`RescueKernel._admissible_ids` where no
 #: machine dominates the demand (read-only, like every id array it
 #: returns)
@@ -136,41 +151,20 @@ _FIT_RTOL = 1e-9
 
 
 @dataclass
-class _Residents:
-    """Per-machine resident summary (one :class:`ResidentLedger` row).
-
-    ``containers`` is in the machine's authoritative enumeration order
-    (what :meth:`ClusterState.deployed_containers` returns at the row's
-    build version — stable until the machine is next mutated, at which
-    point the dirty log drops the row).  ``by_prio_cpu`` is the stable
-    ``(priority, cpu)`` argsort of that order — the exact permutation
-    the loop's strategies' ``sorted(..., key=(priority, cpu))`` yields —
-    and ``sorted_cum`` the running demand sum along it, accumulated
-    left-to-right like the loop's mover walk.  ``shape_ids`` are the
-    residents' interned demand shapes (:meth:`ResidentLedger.live`
-    answers Equation 6 per id).  The per-resident columns the strategies
-    walk one resident at a time are plain lists (no numpy scalar boxing).
-    """
-
-    containers: list[Container]
-    app_ids: list[int]  # enumeration order
-    priorities: list[int]  # enumeration order
-    shape_ids: list[int]  # interned demands[i], enumeration order
-    demands: np.ndarray  # (k, dims) float64, enumeration order
-    by_prio_cpu: list[int]  # permutation, stable (priority, cpu)
-    sorted_cum: np.ndarray  # (k, dims) cumsum of demands[by_prio_cpu]
-
-
-@dataclass
 class ResidentTable:
-    """Every machine's ledger row at once, in ``(priority, cpu)`` order.
+    """Every machine's residents at once, in ``(priority, cpu)`` order.
 
-    Row ``m`` holds machine ``m``'s residents in ``by_prio_cpu`` order,
-    padded to the widest row plus one: the pad's shape id is ``-1``
-    (which :meth:`ResidentLedger.live` answers dead), its priority
+    Row ``m`` holds machine ``m``'s residents in the order the loop's
+    ``sorted(..., key=(priority, cpu))`` puts them (stable over
+    :meth:`ClusterState.deployed_containers`), padded to the widest row
+    plus one: the pad's shape id is ``-1`` (which
+    :meth:`ResidentLedger.live` answers dead), its priority
     :data:`_PAD_PRIORITY`, its CPU and cumulative demand 0.  Every row
     ends in at least one pad, so "the first dead position" always
-    exists.
+    exists.  ``sorted_cum`` is the running demand sum along a row,
+    accumulated left to right like the loop's mover walk; past the
+    residents it is 0 again, so only its first ``k`` columns (``k``
+    residents) are monotone.
     """
 
     shape_ids: np.ndarray  # (n, w) intp
@@ -205,28 +199,25 @@ class ResidentTable:
 
 
 class ResidentLedger:
-    """Dirty-log-synchronised cache of per-machine resident summaries.
+    """Dirty-log-synchronised :class:`ResidentTable` of every machine.
 
-    Rows are built lazily on first query and dropped for exactly the
-    machines the :class:`ClusterState` dirty log reports as touched —
-    the same synchronisation discipline as the machine index.  Once a
-    strategy walk asks for the :class:`ResidentTable` (the first
-    consolidation or preemption), the ledger also keeps that table and
-    rewrites, in one batch per call, the table rows of the machines the
-    dirty log reported since.  A compacted log or an unfamiliar state
-    instance drops every row and the table; the ledger degrades to
-    rebuilds, never to stale residents.
+    The table is built when a strategy walk first asks for it (the
+    first consolidation or preemption); from then on each read
+    rewrites, in one batch, the rows of exactly the machines the
+    :class:`ClusterState` dirty log reported since — the same
+    synchronisation discipline as the machine index.  A compacted log
+    or an unfamiliar state instance drops the table; the ledger
+    degrades to a rebuild, never to stale residents.
 
     Demand shapes are interned by the residents' own floats in
-    ``topology.resources`` order: a row names each resident's shape by
-    a small id, and :meth:`live` answers Equation 6 for every interned
-    shape at once.
+    ``topology.resources`` order: the table names each resident's shape
+    by a small id, and :meth:`live` answers Equation 6 for every
+    interned shape at once.
     """
 
     def __init__(self) -> None:
         self._state_uid: int | None = None
         self._version: int = -1
-        self._rows: dict[int, _Residents] = {}
         #: demand tuple -> shape id; ``_shapes[id]`` is the demand tuple
         self._shape_ids: dict[tuple, int] = {}
         self._shapes: list[tuple] = []
@@ -236,11 +227,8 @@ class ResidentLedger:
         #: ``live`` answer and the (state uid, version, shapes) it is for
         self._live_flags = np.zeros(1, dtype=bool)
         self._live_stamp: tuple | None = None
-        #: lifetime count of rows built (the ledger's work measure)
-        self.builds = 0
 
     def _reset(self, state: ClusterState) -> None:
-        self._rows.clear()
         self._shape_ids.clear()
         self._shapes.clear()
         self._table = None
@@ -249,30 +237,17 @@ class ResidentLedger:
         self._version = state.version
 
     def sync(self, state: ClusterState) -> None:
-        """Drop rows for machines mutated since the last sync."""
-        if state.state_uid != self._state_uid:
-            self._reset(state)
-            return
-        if state.version == self._version:
-            return
-        dirty = state.dirty_array_since(self._version)
-        if dirty is None:
-            self._reset(state)
-            return
-        if self._table is not None:
-            self._stale[dirty] = True
-        for machine_id in dirty.tolist():
-            self._rows.pop(machine_id, None)
-        self._version = state.version
-
-    def row(self, state: ClusterState, machine_id: int) -> _Residents:
-        """The (synced) resident summary of ``machine_id``."""
-        self.sync(state)
-        row = self._rows.get(machine_id)
-        if row is None:
-            row = self._build(state, machine_id)
-            self._rows[machine_id] = row
-        return row
+        """Mark the table rows of machines mutated since the last sync
+        stale.  The raw log slice will do: a machine touched twice is
+        marked twice."""
+        if state.state_uid == self._state_uid:
+            dirty = state.dirty_raw_since(self._version)
+            if dirty is not None:
+                if self._table is not None:
+                    self._stale[dirty] = True
+                self._version = state.version
+                return
+        self._reset(state)
 
     def table(self, state: ClusterState) -> ResidentTable:
         """The (synced) :class:`ResidentTable` of every machine."""
@@ -294,10 +269,10 @@ class ResidentLedger:
         Their residents are collected in enumeration order, machine by
         machine, and put in row order by one stable ``lexsort`` on
         ``(machine, priority, cpu)`` — within a machine exactly the
-        ``by_prio_cpu`` permutation of its ledger row.  The cumulative
+        permutation of the loop's stable ``sorted``.  The cumulative
         demand is one ``cumsum`` along the columns of a zero-padded
-        block: each row's own left-to-right additions, so the block is
-        bit for bit the rows' ``sorted_cum``.  No ledger row is built.
+        block: each row's own left-to-right additions, bit for bit the
+        loop's running sum over that order.
         """
         containers = [state.deployed_containers(m) for m in machines.tolist()]
         counts = np.array([len(c) for c in containers], dtype=np.intp)
@@ -314,21 +289,19 @@ class ResidentLedger:
         # column of each sorted resident: its rank inside its machine
         starts = np.cumsum(counts) - counts
         col = np.arange(order.size) - np.repeat(starts, counts)
-        n, w = machines.size, table.width
-        block_ids = np.full((n, w), -1, dtype=np.intp)
-        block_ids[owner, col] = np.asarray(shape_ids, dtype=np.intp)[order]
-        block_prio = np.full((n, w), _PAD_PRIORITY, dtype=np.int64)
-        block_prio[owner, col] = np.asarray(priorities, dtype=np.int64)[order]
-        block_cpu = np.zeros((n, w))
-        block_cpu[owner, col] = np.asarray(cpus, dtype=np.float64)[order]
-        block_cum = np.zeros((n, w, demands.shape[1]))
-        block_cum[owner, col] = demands[order]
-        block_cum = np.cumsum(block_cum, axis=1)
-        block_cum[np.arange(w) >= counts[:, None]] = 0.0
-        table.shape_ids[machines] = block_ids
-        table.priorities[machines] = block_prio
-        table.cpus[machines] = block_cpu
-        table.sorted_cum[machines] = block_cum
+        block = ResidentTable.empty(
+            machines.size, table.width, demands.shape[1]
+        )
+        block.shape_ids[owner, col] = np.asarray(shape_ids)[order]
+        block.priorities[owner, col] = np.asarray(priorities)[order]
+        block.cpus[owner, col] = np.asarray(cpus, dtype=np.float64)[order]
+        block.sorted_cum[owner, col] = demands[order]
+        cum = np.cumsum(block.sorted_cum, axis=1)
+        cum[np.arange(table.width) >= counts[:, None]] = 0.0
+        table.shape_ids[machines] = block.shape_ids
+        table.priorities[machines] = block.priorities
+        table.cpus[machines] = block.cpus
+        table.sorted_cum[machines] = cum
 
     def _intern(
         self, state: ClusterState, containers: list[Container]
@@ -382,24 +355,6 @@ class ResidentLedger:
             self._live_stamp = stamp
         return self._live_flags
 
-    def _build(self, state: ClusterState, machine_id: int) -> _Residents:
-        containers = state.deployed_containers(machine_id)
-        priorities = [c.priority for c in containers]
-        demands, shape_ids = self._intern(state, containers)
-        # lexsort is stable: equal (priority, cpu) keep enumeration
-        # order, exactly like the loop's ``sorted`` call.
-        by_prio_cpu = np.lexsort(([c.cpu for c in containers], priorities))
-        self.builds += 1
-        return _Residents(
-            containers=containers,
-            app_ids=[c.app_id for c in containers],
-            priorities=priorities,
-            shape_ids=shape_ids,
-            demands=demands,
-            by_prio_cpu=by_prio_cpu.tolist(),
-            sorted_cum=np.cumsum(demands[by_prio_cpu], axis=0),
-        )
-
 
 class RescueKernel:
     """The rescue strategies on the cross-round substrate.
@@ -451,7 +406,7 @@ class RescueKernel:
           version of :attr:`_memo_stamp` — the per-entry form
           :meth:`restore` filters on — and the memo holds one version
           window, so the image is bounded too.
-        * ``_admissible`` and the resident ledger (rows, table, shape
+        * ``_admissible`` and the resident ledger (table, shape
           liveness) are dropped: rebuilding them is charge-free (pure
           state reads), so the restored run stays bit-identical while
           the snapshot stays small.
@@ -584,25 +539,6 @@ class RescueKernel:
         return out
 
     # ------------------------------------------------------------------
-    def _blocker_rows(self, state, app_id: int, row: _Residents) -> list[int]:
-        """Ascending indices of ``row``'s residents violating ``app_id``.
-
-        ``constraints.violates(app_id, c.app_id)`` per resident: set
-        membership in the live conflict set, plus an equality test for
-        the within-rule.  A row holds a few dozen residents, so this
-        beats materialising the conflict set as an array for ``isin``
-        on every scanned machine.
-        """
-        cs = state.constraints
-        conflicts = cs.conflict_view(app_id)
-        if cs.has_within(app_id):
-            return [
-                i for i, a in enumerate(row.app_ids)
-                if a == app_id or a in conflicts
-            ]
-        return [i for i, a in enumerate(row.app_ids) if a in conflicts]
-
-    # ------------------------------------------------------------------
     def _migrate_blockers(
         self, planner, container, candidates, out, exhaustive
     ) -> int | None:
@@ -618,8 +554,9 @@ class RescueKernel:
         for machine_id in order.tolist():
             out.explored += 1
             out.scanned += 1
-            row = self.ledger.row(state, machine_id)
-            blockers = self._blocker_rows(state, app_id, row)
+            blockers = _blockers(
+                state, app_id, state.deployed_containers(machine_id)
+            )
             if not blockers:
                 continue
             if not exhaustive and (
@@ -628,9 +565,7 @@ class RescueKernel:
                 continue
             if _rack_blocked(state, app_id, machine_id):
                 continue
-            moves = self._plan_relocations(
-                planner, row, blockers, machine_id, out
-            )
+            moves = self._plan_relocations(planner, blockers, machine_id, out)
             if moves is None:
                 continue
             for blocker, target in moves:
@@ -660,25 +595,26 @@ class RescueKernel:
         passing = self._consolidation_screen(
             state, order, shortfalls, mover_limit
         )
+        sorted_cum = self.ledger.table(state).sorted_cum
         for pos in passing.tolist():
             machine_id = int(order[pos])
-            row = self.ledger.row(state, machine_id)
+            residents = sorted(
+                state.deployed_containers(machine_id), key=_PRIORITY_CPU
+            )
             # Minimal mover prefix of the (priority, cpu) order whose
             # cumulative freed demand covers the shortfall on every
             # deficient dimension: one searchsorted per such dimension.
             # The screen guarantees it exists within the mover limit.
-            cum = row.sorted_cum
+            # Only the residents' columns are monotone: the pads are 0.
+            cum = sorted_cum[machine_id, : len(residents)]
             shortfall = shortfalls[pos].tolist()
             movers_needed = 1
             for d in range(n_res):
                 if shortfall[d] > 0.0:
-                    idx = int(
-                        cum[:, d].searchsorted(shortfall[d], side="left")
-                    )
+                    idx = int(cum[:, d].searchsorted(shortfall[d]))
                     movers_needed = max(movers_needed, idx + 1)
             moves = self._plan_relocations(
-                planner, row, row.by_prio_cpu[:movers_needed], machine_id,
-                out,
+                planner, residents[:movers_needed], machine_id, out
             )
             if moves is None:
                 continue
@@ -703,48 +639,40 @@ class RescueKernel:
         passing = self._preemption_screen(planner, order, container, demand)
         for pos in passing.tolist():
             machine_id = int(order[pos])
-            row = self.ledger.row(state, machine_id)
-            priorities = row.priorities
-            blockers = self._blocker_rows(state, app_id, row)
-            if blockers and max(
-                priorities[i] for i in blockers
-            ) >= container.priority:
+            residents = state.deployed_containers(machine_id)
+            blockers = _blockers(state, app_id, residents)
+            if any(c.priority >= container.priority for c in blockers):
                 continue  # cannot displace an equal-or-higher blocker
             if _rack_blocked(state, app_id, machine_id):
                 continue
-            victim_rows = list(blockers)
+            # Victims: the blockers, then strictly lower-priority
+            # residents in (priority, cpu) order until the machine fits —
+            # one cumsum, the loop's left-to-right accumulation.
+            blocking = {c.container_id for c in blockers}
+            lower = [
+                c for c in sorted(residents, key=_PRIORITY_CPU)
+                if c.priority < container.priority
+                and c.container_id not in blocking
+            ]
+            demands, _ = self.ledger._intern(state, blockers + lower)
+            cum = np.cumsum(demands, axis=0)
+            n_blockers = len(blockers)
             avail_m = state.available[machine_id]
-            if blockers:
-                blocker_cum = np.cumsum(row.demands[blockers], axis=0)
-                freed = blocker_cum[-1]
-            else:
-                freed = np.zeros_like(demand)
-            if not ((avail_m + freed) >= demand).all():
-                # Extend with strictly lower-priority residents in
-                # (priority, cpu) order until the machine fits, the
-                # same left-to-right accumulation as the loop.
-                blocking = set(blockers)
-                lower = [
-                    i
-                    for i in row.by_prio_cpu
-                    if priorities[i] < container.priority
-                    and i not in blocking
-                ]
-                if lower:
-                    cum = np.cumsum(row.demands[blockers + lower], axis=0)
-                    fits_after = (
-                        (avail_m + cum[len(blockers) :]) >= demand
-                    ).all(axis=1)
-                    hit = np.flatnonzero(fits_after)
-                    take = int(hit[0]) + 1 if hit.size else len(lower)
-                    victim_rows += lower[:take]
-                    freed = cum[len(blockers) + take - 1]
+            victims = blockers
+            freed = cum[n_blockers - 1] if blockers else np.zeros_like(demand)
+            if lower and not ((avail_m + freed) >= demand).all():
+                fits_after = (
+                    (avail_m + cum[n_blockers:]) >= demand
+                ).all(axis=1)
+                hit = np.flatnonzero(fits_after)
+                take = int(hit[0]) + 1 if hit.size else len(lower)
+                victims = blockers + lower[:take]
+                freed = cum[n_blockers + take - 1]
             if not ((avail_m + freed) >= demand).all():
                 continue
             # Equation 9 guard, accumulated in victim order like the
             # loop (victims are few; the guard is not the
             # bottleneck and the float order must match bit for bit).
-            victims = [row.containers[i] for i in victim_rows]
             if planner.weights and sum(
                 planner._weighted_flow(v) for v in victims
             ) >= planner._weighted_flow(container):
@@ -753,20 +681,19 @@ class RescueKernel:
             # visit per position up to and including it
             out.explored += pos + 1
             out.scanned += pos + 1
-            moves = self._plan_relocations(
-                planner, row, victim_rows, machine_id, out
-            )
+            moves = self._plan_relocations(planner, victims, machine_id, out)
             if moves is not None:
                 for victim, target in moves:
                     state.migrate(victim.container_id, target)
                     out.migrations += 1
                 return machine_id
-            for i, victim in zip(victim_rows, victims):
-                target = self._relocation_target(
-                    planner, victim, machine_id, out, demand=row.demands[i]
+            # relocate what can go alone, evict the rest
+            for victim in victims:
+                moves = self._plan_relocations(
+                    planner, [victim], machine_id, out
                 )
-                if target is not None:
-                    state.migrate(victim.container_id, target)
+                if moves is not None:
+                    state.migrate(victim.container_id, moves[0][1])
                     out.migrations += 1
                 else:
                     state.evict(victim.container_id)
@@ -830,7 +757,7 @@ class RescueKernel:
         room[lower] += table.sorted_cum[order[lower], n_lower[lower] - 1]
         slack = _FIT_RTOL * (np.abs(room) + np.abs(demand))
         passing = np.flatnonzero((room + slack >= demand).all(axis=1))
-        # ``_blocker_rows`` from the applications each machine hosts
+        # ``_blockers`` from the applications each machine hosts
         app_id = container.app_id
         cs = state.constraints
         own = app_id if cs.has_within(app_id) else None
@@ -892,24 +819,25 @@ class RescueKernel:
 
     # ------------------------------------------------------------------
     def _plan_relocations(
-        self, planner, row: _Residents, mover_rows: list[int],
-        exclude: int, out,
+        self, planner, movers: list[Container], exclude: int, out,
     ) -> list[tuple[Container, int]] | None:
         """Screened, sparse-reservation twin of the loop's relocation
-        planner; the movers are ``row``'s residents at ``mover_rows``,
-        in that order.
+        planner, for ``movers`` in that order.  One mover is the loop's
+        ``_relocation_target`` (preemption's per-victim fallback): the
+        same target, or ``None``, for the same charge of one.
 
         **Screen.**  Equation 6 is asked of every mover before any is
-        planned (:meth:`ResidentLedger.live`, one boolean per shape):
-        the first mover ``j`` whose demand shape no machine dominates
-        ends the plan, charged ``j + 1`` (one unit per mover looked at,
-        the planner's own rule).  Exclusions and reservations only ever
-        *shrink* a mover's admissible set, so the sequential planner
-        below would have failed at ``j`` or earlier — same ``None``, no
-        state touched — after paying a blacklist evaluation for every
-        live mover ahead of it.  Consolidation never hands over a dead
-        prefix (its walk screens for the same thing); blocker migration
-        and preemption do.
+        planned (:meth:`ResidentLedger.live`, one boolean per shape;
+        the movers' shapes are interned first, so the liveness vector
+        covers them): the first mover ``j`` whose demand shape no
+        machine dominates ends the plan, charged ``j + 1`` (one unit per
+        mover looked at, the planner's own rule).  Exclusions and
+        reservations only ever *shrink* a mover's admissible set, so the
+        sequential planner below would have failed at ``j`` or earlier —
+        same ``None``, no state touched — after paying a blacklist
+        evaluation for every live mover ahead of it.  Consolidation
+        never hands over a dead prefix (its walk screens for the same
+        thing); blocker migration and preemption do.
 
         **Plan.**  The loop recomputes a full admit mask and
         copies the whole ``available`` matrix per mover to apply
@@ -920,14 +848,12 @@ class RescueKernel:
         the screen is.
         """
         state = planner.state
+        demands, shape_ids = self.ledger._intern(state, movers)
         live = self.ledger.live(state)
-        shape_ids = row.shape_ids
-        for j, i in enumerate(mover_rows):
-            if not live[shape_ids[i]]:
+        for j, shape in enumerate(shape_ids):
+            if not live[shape]:
                 out.explored += j + 1
                 return None
-        movers = [row.containers[i] for i in mover_rows]
-        demands = row.demands[np.asarray(mover_rows, dtype=np.intp)]
         reserved: dict[int, np.ndarray] = {}
         plan: list[tuple[Container, int]] = []
         for mover, demand in zip(movers, demands):
@@ -962,19 +888,3 @@ class RescueKernel:
                 reserved.get(target, np.zeros_like(demand)) + demand
             )
         return plan
-
-    def _relocation_target(
-        self, planner, mover: Container, exclude: int, out, demand=None
-    ) -> int | None:
-        """Memoised-admit twin of the loop's ``_relocation_target``."""
-        state = planner.state
-        if demand is None:
-            demand = mover.demand_vector(state.topology.resources)
-        ids = self._admissible_ids(state, mover.app_id, demand)
-        out.explored += 1
-        pos = int(ids.searchsorted(exclude))
-        if pos < ids.size and ids[pos] == exclude:
-            ids = np.delete(ids, pos)
-        if ids.size == 0:
-            return None
-        return int(ids[np.argmin(state.available[ids, 0])])

@@ -364,10 +364,10 @@ def test_walks_plan_only_where_the_screen_passes():
     count_screen_rejections(kernel, n, rejected)
     plan_relocations = kernel._plan_relocations
 
-    def counted_plan_relocations(planner, row, mover_rows, exclude, out):
+    def counted_plan_relocations(planner, movers, exclude, out):
         n["plans"] += 1
         n["on_rejected"] += exclude in rejected
-        return plan_relocations(planner, row, mover_rows, exclude, out)
+        return plan_relocations(planner, movers, exclude, out)
 
     kernel._plan_relocations = counted_plan_relocations
     rescue_plan = kernel.rescue_plan
@@ -400,60 +400,59 @@ EXPLORED_BEFORE_THE_EXACT_SCREEN = 11849
 def test_preemption_reads_rows_only_where_a_blocker_or_a_plan_is():
     """Where no resident blocks the container, the preemption screen
     decides the machine exactly (Equation 9 included), so the walk reads
-    a resident row only on a machine hosting a blocker or where it
-    plans.  Over the seeded tight churn: 142 rows in 17 preemption
-    walks, every one on a machine with a blocker (384 before, 241 of
-    them on machines hosting none; at full size 460 rows in 382 walks,
-    9,602 before).  The table's batch writer builds no ledger row (581
-    before: one per dirty machine it rewrote), and the walks are charged
-    exactly the ``scanned`` and ``explored`` they were charged before."""
+    a machine's residents (``state.deployed_containers``, outside the
+    table's batch writer) only on a machine hosting a blocker or where
+    it plans.  Over the seeded tight churn: 142 machines read in 17
+    preemption walks, every one hosting a blocker (384 before, 241 of
+    them hosting none; at full size 460 in 382 walks, 9,602 before),
+    and the walks are charged exactly the ``scanned`` and ``explored``
+    they were charged before."""
     stream, state, engine = tight_pool(n_apps=90, churn_ticks=8)
     kernel = engine.rescue_kernel
     ledger = kernel.ledger
     n = {
-        "in_preempt": 0, "in_table": 0, "walks": 0, "rows": 0,
-        "unblocked_rows": 0, "plans": 0, "table_builds": 0,
-        "scanned": 0, "explored": 0,
+        "in_table": 0, "walks": 0, "rows": 0, "unblocked_rows": 0,
+        "plans": 0, "scanned": 0, "explored": 0,
     }
-
-    def scoped(obj, name, flag, count=None):
-        original = getattr(obj, name)
-
-        def wrapper(*args):
-            n[flag] += 1
-            if count is not None:
-                n[count] += 1
-            try:
-                return original(*args)
-            finally:
-                n[flag] -= 1
-
-        setattr(obj, name, wrapper)
-
-    scoped(kernel, "_preempt", "in_preempt", count="walks")
-    scoped(ledger, "table", "in_table")
-    row, build = ledger.row, ledger._build
-    blocker_rows, plan_relocations = (
-        kernel._blocker_rows, kernel._plan_relocations,
-    )
+    #: the running preemption walk: its container, and the machines it
+    #: planned on (a plan and its per-victim fallbacks count once)
+    walk: dict = {}
+    preempt, table = kernel._preempt, ledger.table
+    deployed_containers = state.deployed_containers
+    plan_relocations = kernel._plan_relocations
     rescue_plan = kernel.rescue_plan
 
-    def counted_row(*args):
-        n["rows"] += n["in_preempt"] > 0 and not n["in_table"]
-        return row(*args)
+    def walked(planner, container, demand, out):
+        n["walks"] += 1
+        walk.update(container=container, planned=set())
+        try:
+            return preempt(planner, container, demand, out)
+        finally:
+            walk.clear()
 
-    def counted_build(*args):
-        n["table_builds"] += n["in_table"] > 0
-        return build(*args)
+    def scoped_table(*args):
+        n["in_table"] += 1
+        try:
+            return table(*args)
+        finally:
+            n["in_table"] -= 1
 
-    def counted_blocker_rows(*args):
-        blockers = blocker_rows(*args)
-        n["unblocked_rows"] += n["in_preempt"] > 0 and not blockers
-        return blockers
+    def counted_deployed_containers(machine_id):
+        residents = deployed_containers(machine_id)
+        if walk and not n["in_table"]:
+            app_id = walk["container"].app_id
+            n["rows"] += 1
+            n["unblocked_rows"] += not any(
+                state.constraints.violates(app_id, c.app_id)
+                for c in residents
+            )
+        return residents
 
-    def counted_plan_relocations(*args):
-        n["plans"] += n["in_preempt"] > 0
-        return plan_relocations(*args)
+    def counted_plan_relocations(planner, movers, exclude, out):
+        if walk and exclude not in walk["planned"]:
+            walk["planned"].add(exclude)
+            n["plans"] += 1
+        return plan_relocations(planner, movers, exclude, out)
 
     def counted_rescue_plan(*args):
         out = rescue_plan(*args)
@@ -461,15 +460,14 @@ def test_preemption_reads_rows_only_where_a_blocker_or_a_plan_is():
         n["explored"] += out.explored
         return out
 
-    ledger.row, ledger._build = counted_row, counted_build
-    kernel._blocker_rows = counted_blocker_rows
+    kernel._preempt, ledger.table = walked, scoped_table
+    state.deployed_containers = counted_deployed_containers
     kernel._plan_relocations = counted_plan_relocations
     kernel.rescue_plan = counted_rescue_plan
     churn(stream, state, engine)
 
     assert n["walks"] > 0 and n["rows"] > 0
     assert n["unblocked_rows"] <= n["plans"]
-    assert n["table_builds"] == 0
     assert n["scanned"] == SCANNED_BEFORE_THE_WALK_SCREENS
     assert n["explored"] == EXPLORED_BEFORE_THE_EXACT_SCREEN
 
@@ -587,4 +585,4 @@ def test_checkpoint_image_reads_both_ways():
             first.failure, first.scanned, first.explored,
         )
         # a memo hit: the restored kernel planned nothing
-        assert restored.ledger.builds == 0
+        assert restored.ledger._table is None

