@@ -249,7 +249,6 @@ def resolve_out(out: str | None, smoke: bool, force: bool, mode: str = "fig12") 
         "fig12": "BENCH_fig12.json",
         "restore": "BENCH_restore.json",
         "serve": "BENCH_serve.json",
-        "solver": "BENCH_solver.json",
         "trace": "BENCH_trace.json",
         "power": "BENCH_power.json",
     }
@@ -270,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--mode",
                         choices=("fig12", "restore", "serve",
-                                 "solver", "trace", "power"),
+                                 "trace", "power"),
                         default="fig12",
                         help="fig12: cumulative ablation trajectory; "
                              "restore: first-round "
@@ -278,8 +277,7 @@ def main(argv: list[str] | None = None) -> int:
                              "resync vs cold rebuild; serve: closed-loop "
                              "SLO load against the async placement "
                              "service (req/s, p50/p99 decision latency); "
-                             "solver: LP window engine vs SPFA and the "
-                             "batch kernel at 4k/12k machines; trace: "
+                             "trace: "
                              "Azure-scenario sweep (diurnal/burst/churn-"
                              "storm/mixed-lla vs the LLA-only baseline) "
                              "across the batch axis; "
@@ -303,15 +301,6 @@ def main(argv: list[str] | None = None) -> int:
                              "saturated operating point")
     parser.add_argument("--batch-size", type=int, default=16,
                         help="serve mode: containers per placement request")
-    parser.add_argument("--window-sizes", type=int, nargs="+",
-                        default=(64, 256),
-                        help="solver mode: containers per scheduling "
-                             "window (one benchmark cell per size)")
-    parser.add_argument("--solver-scales", type=float, nargs="+",
-                        default=(0.05, 0.15),
-                        help="solver mode: trace scales (0.05/0.15 under "
-                             "the default pool factor -> 4,000 and "
-                             "12,000 machines)")
     parser.add_argument("--trace-ticks", type=int, default=48,
                         help="trace mode: tick bins the Azure day is "
                              "folded into (default 48 -> 30-minute "
@@ -343,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         args.scale, args.ticks, args.repeats = 0.02, 20, 1
         args.duration, args.clients = 2.0, 4
-        args.solver_scales, args.window_sizes = (0.02,), (32,)
         args.trace_ticks, args.n_functions = 16, 64
         if args.mode in ("trace", "power"):
             args.scale = 0.01
@@ -363,13 +351,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_trace_report(
             args.scale, args.seed, args.trace_ticks, args.repeats,
             n_functions=args.n_functions,
-        )
-    elif args.mode == "solver":
-        from benchmarks.bench_solver import run_solver_report
-
-        report = run_solver_report(
-            args.seed, tuple(args.solver_scales),
-            tuple(args.window_sizes), args.pool_factor, args.repeats,
         )
     elif args.mode == "serve":
         from benchmarks.bench_serve import run_serve_report

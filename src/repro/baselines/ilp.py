@@ -16,10 +16,8 @@ subject to single placement per container, per-machine multidimensional
 capacity (Equation-1 analogue), and, when ``c = 0``, hard anti-affinity
 exclusions instead of the ``z`` relaxation.
 
-The sparse ``A_ub x <= b_ub`` assembly lives in
-:class:`SparseLinearModel` so the solver engine
-(:mod:`repro.core.vecsolve`) reuses the exact same machinery for its
-LP-relaxed window formulation instead of growing a second COO builder.
+scipy is optional (the ``solver`` packaging extra): this module is its
+only user, and it is imported only when a window is actually solved.
 """
 
 from __future__ import annotations
@@ -28,21 +26,29 @@ import numpy as np
 
 from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
-from repro.core.vecsolve import _require_scipy
 
 _PENALTY_SCALE = 10.0
+
+
+def _require_scipy() -> None:
+    """Fail fast, and actionably, when the ``solver`` extra is missing."""
+    try:
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse  # noqa: F401
+    except ImportError as exc:
+        raise ImportError(
+            "Medea's exact window MILP needs scipy, which is packaged as "
+            "the optional 'solver' extra — install it with "
+            "`pip install 'repro[solver]'` (or `pip install scipy`)"
+        ) from exc
 
 
 class SparseLinearModel:
     """Incremental COO assembly of an ``A_ub x <= b_ub`` constraint block.
 
-    Shared by the Medea window MILP below and the solver engine's window
-    LP: callers append rows entry by entry (:meth:`add_entry` under an
-    explicit row counter, or whole rows via :meth:`add_row`) and finish
-    with :meth:`constraints`, which materialises the CSR matrix and the
-    :class:`scipy.optimize.LinearConstraint` in one go.  scipy is only
-    imported at materialisation time, keeping the assembly importable
-    without the ``solver`` extra.
+    Callers append whole rows with :meth:`add_row` and finish with
+    :meth:`constraints`, which materialises the CSR matrix and the
+    :class:`scipy.optimize.LinearConstraint` in one go.
     """
 
     def __init__(self) -> None:
@@ -50,46 +56,26 @@ class SparseLinearModel:
         self.cols: list[int] = []
         self.vals: list[float] = []
         self.ub: list[float] = []
-        self.n_rows = 0
 
-    def add_entry(self, row: int, col: int, val: float) -> None:
-        """Append one coefficient to an open row."""
-        self.rows.append(row)
-        self.cols.append(col)
-        self.vals.append(val)
-
-    def close_row(self, ub: float) -> int:
-        """Finish the current row with its upper bound; returns its id."""
-        self.ub.append(float(ub))
-        row = self.n_rows
-        self.n_rows += 1
-        return row
-
-    def add_row(self, entries: list[tuple[int, float]], ub: float) -> int:
+    def add_row(self, entries: list[tuple[int, float]], ub: float) -> None:
         """Append one complete ``Σ coef·x[col] <= ub`` row."""
-        row = self.n_rows
+        row = len(self.ub)
         for col, val in entries:
-            self.add_entry(row, col, val)
-        return self.close_row(ub)
-
-    def matrix(self, n_vars: int):
-        """The assembled sparse CSR matrix, shape (n_rows, n_vars)."""
-        _require_scipy()
-        from scipy import sparse
-
-        return sparse.csr_matrix(
-            (self.vals, (self.rows, self.cols)),
-            shape=(self.n_rows, n_vars),
-        )
+            self.rows.append(row)
+            self.cols.append(col)
+            self.vals.append(val)
+        self.ub.append(float(ub))
 
     def constraints(self, n_vars: int):
         """The assembled :class:`scipy.optimize.LinearConstraint`."""
         _require_scipy()
-        from scipy import optimize
+        from scipy import optimize, sparse
 
-        return optimize.LinearConstraint(
-            self.matrix(n_vars), ub=np.array(self.ub)
+        matrix = sparse.csr_matrix(
+            (self.vals, (self.rows, self.cols)),
+            shape=(len(self.ub), n_vars),
         )
+        return optimize.LinearConstraint(matrix, ub=np.array(self.ub))
 
 
 def solve_medea_window(

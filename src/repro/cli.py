@@ -282,8 +282,7 @@ def _write_profile(path: str, result) -> None:
 def _aladdin_variant(args, factories):
     """The scheduler an ``online``/``serve`` invocation asked for."""
     if args.scheduler == "Aladdin" and (
-        args.no_batch
-        or args.engine != "batch" or args.solver_objective != "packing"
+        args.no_batch or args.engine != "batch"
     ):
         from repro.core import engine_for
 
@@ -291,7 +290,6 @@ def _aladdin_variant(args, factories):
             AladdinConfig(
                 enable_batch_kernel=not args.no_batch,
                 engine=args.engine,
-                solver_objective=args.solver_objective,
             )
         )
     return factories[args.scheduler]()
@@ -412,17 +410,10 @@ def _add_variant_args(parser: argparse.ArgumentParser) -> None:
                         help="disable the batched block placement kernel "
                              "(Aladdin only; batched-vs-loop ablation)")
     parser.add_argument("--engine", default="batch",
-                        choices=["batch", "flow", "solver"],
+                        choices=["batch", "flow"],
                         help="placement engine (Aladdin only): the "
-                             "vectorised incremental scheduler (default), "
-                             "the flow-network reference, or the one-shot "
-                             "LP window solver (needs the 'solver' extra)")
-    parser.add_argument("--solver-objective", default="packing",
-                        choices=["packing", "maxmin"],
-                        help="window-LP objective for --engine solver: "
-                             "weighted packing (default) or two-phase "
-                             "max-min fairness over per-app placed "
-                             "fractions")
+                             "vectorised incremental scheduler (default) "
+                             "or the flow-network reference")
     parser.add_argument("--profile", metavar="PATH",
                         help="write a per-tick, per-phase wall-time "
                              "breakdown (window apply, departures, "

@@ -251,7 +251,7 @@ class ClusterState:
     def dirty_log(self) -> list[int]:
         """The live dirty-log entries, oldest first (one machine id per
         version since :attr:`_log_base`).  Diagnostic/test accessor —
-        hot paths use :meth:`dirty_array_since`."""
+        hot paths use :meth:`dirty_raw_since` or :meth:`dirty_array_since`."""
         return self._log_buf[: self._log_len].tolist()
 
     def dirty_array_since(self, version: int) -> np.ndarray | None:

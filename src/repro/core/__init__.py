@@ -17,9 +17,7 @@
 * :mod:`~repro.core.rescuekernel` — the rescue strategies themselves,
   planned on the machine index and a resident ledger;
 * :mod:`~repro.core.validate` — the shared Equation 7–9 placement
-  validator and the Fig. 9 quality metrics all engines are held to;
-* :mod:`~repro.core.vecsolve` — the one-shot LP window engine
-  (``AladdinConfig(engine="solver")``; needs the ``solver`` extra);
+  validator and the Fig. 9 quality metrics both engines are held to;
 * :mod:`~repro.core.scheduler` — :class:`AladdinScheduler`, the
   end-to-end scheduler; :func:`engine_for` picks the engine a config
   names.
@@ -50,19 +48,11 @@ def engine_for(config: AladdinConfig | None = None):
     """Build the placement engine ``config.engine`` names.
 
     ``"batch"`` → :class:`AladdinScheduler`, ``"flow"`` →
-    :class:`FlowPathSearch`, ``"solver"`` →
-    :class:`~repro.core.vecsolve.SolverScheduler` (imported lazily so
-    the default engines stay importable without scipy; selecting the
-    solver without the ``solver`` extra raises an actionable
-    ImportError).
+    :class:`FlowPathSearch`.
     """
     config = config if config is not None else AladdinConfig()
     if config.engine == "flow":
         return FlowPathSearch(config)
-    if config.engine == "solver":
-        from repro.core.vecsolve import SolverScheduler
-
-        return SolverScheduler(config)
     return AladdinScheduler(config)
 
 

@@ -64,19 +64,10 @@ class AladdinConfig:
         ``"batch"`` (the vectorised incremental scheduler,
         :class:`~repro.core.scheduler.AladdinScheduler`), ``"flow"``
         (the flow-network reference engine,
-        :class:`~repro.core.search.FlowPathSearch`) or ``"solver"``
-        (the one-shot LP window engine,
-        :class:`~repro.core.vecsolve.SolverScheduler`; needs scipy —
-        install the ``solver`` extra).  The field is advisory for the
-        concrete classes (constructing ``AladdinScheduler`` directly
-        always builds the batch engine) — the factory is the switch.
-    solver_objective:
-        Objective of the solver engine's window LP: ``"packing"``
-        (maximise weighted placed count with a packed-first tie-break,
-        mirroring the incremental engines' preference order) or
-        ``"maxmin"`` (two-phase max-min fairness over per-application
-        placed fractions first, packing second — the Soroush-style
-        scenario axis).  Ignored by the other engines.
+        :class:`~repro.core.search.FlowPathSearch`).  The field is
+        advisory for the concrete classes (constructing
+        ``AladdinScheduler`` directly always builds the batch engine) —
+        the factory is the switch.
     validate_placements:
         Run the shared Equation 7–9 validator
         (:func:`repro.core.validate.validate_state`) after every
@@ -97,7 +88,6 @@ class AladdinConfig:
     final_repair: bool = True
     gang_scheduling: bool = False
     engine: str = "batch"
-    solver_objective: str = "packing"
     validate_placements: bool = False
 
     def __post_init__(self) -> None:
@@ -109,15 +99,9 @@ class AladdinConfig:
             raise ValueError("migration_candidates must be >= 0")
         if self.max_migrations_per_container < 0:
             raise ValueError("max_migrations_per_container must be >= 0")
-        if self.engine not in ("batch", "flow", "solver"):
+        if self.engine not in ("batch", "flow"):
             raise ValueError(
-                f"unknown engine {self.engine!r} "
-                "(choose batch, flow or solver)"
-            )
-        if self.solver_objective not in ("packing", "maxmin"):
-            raise ValueError(
-                f"unknown solver_objective {self.solver_objective!r} "
-                "(choose packing or maxmin)"
+                f"unknown engine {self.engine!r} (choose batch or flow)"
             )
 
     def variant_name(self) -> str:

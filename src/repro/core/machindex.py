@@ -62,8 +62,7 @@ remaining CPU, so the first key not below ``min_cpu * (n_machines +
 much CPU) — the skipped head is exact, not a heuristic.
 :attr:`MachineIndex.last_complete` reports whether the window reached
 the end of the order.  The unlimited form is the default and what the
-affinity-tiered queries, the rescue kernel, the flow engine and the
-LP engine use.
+affinity-tiered queries, the rescue kernel and the flow engine use.
 
 Determinism guarantee: given the same state contents, mask and
 affinity, ``candidates`` returns the same array, bit for bit,

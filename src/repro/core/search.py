@@ -132,7 +132,7 @@ class FlowPathSearch(Scheduler):
             with result.telemetry.phase("repair"):
                 final_repair(containers, state, planner, result)
             if self.last_network is not None:
-                touched = state.dirty_array_since(version_before)
+                touched = state.dirty_raw_since(version_before)
                 if touched is None:
                     # Log compacted: conservatively re-truthify every
                     # sink residual (the patch is idempotent).
@@ -197,7 +197,7 @@ class FlowPathSearch(Scheduler):
                         # residuals can have gone stale (interior edges
                         # are infinite), so patch those in place instead
                         # of rebuilding the whole network per rescue.
-                        touched = state.dirty_array_since(version_before)
+                        touched = state.dirty_raw_since(version_before)
                         if touched is None:
                             # Dirty log compacted past us: fall back to
                             # the full rebuild over the live containers.
@@ -225,7 +225,7 @@ class FlowPathSearch(Scheduler):
             # network's back; re-truthify the touched sink residuals.
             version_before = state.version
             drain_requeue(requeue, state, planner, result)
-            touched = state.dirty_array_since(version_before)
+            touched = state.dirty_raw_since(version_before)
             if touched is None:
                 touched = np.arange(state.n_machines)
             _patch_residuals(network, state, touched)
@@ -368,7 +368,8 @@ def _patch_residuals(
     feasible (``validate_flow`` stays green: flow ≤ capacity by
     construction) while restoring the invariant ``residual ==
     state.available[m, flow_dim]`` that :meth:`FlowPathSearch._augment`
-    relies on for subsequent pushes.
+    relies on for subsequent pushes.  ``touched`` is the raw dirty-log
+    slice: a machine may repeat, and re-patching it changes nothing.
     """
     net = network.net
     for m in touched:

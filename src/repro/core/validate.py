@@ -1,7 +1,7 @@
 """Shared Equation 7–9 placement validation for all engines.
 
-The three engines (vectorised batch, flow-network reference, LP solver)
-promise the same legality contract from Section III of the paper:
+Both engines (vectorised batch, flow-network reference) promise the
+same legality contract from Section III of the paper:
 
 * **Equation 7** — anti-affinity *within*: at most one container of a
   within-anti-affinity application per machine (or per rack, for
@@ -12,30 +12,23 @@ promise the same legality contract from Section III of the paper:
   never exceeds its capacity vector (the per-placement Equation 6
   dominance check, accumulated).
 
-Until this module, each engine re-implemented the checks ad hoc
-(``ClusterState.deploy`` guards, ``would_violate``, the per-metric
-``anti_affinity_violations`` counter).  The solver engine
-(:mod:`repro.core.vecsolve`) made a single source of truth mandatory:
-its LP relaxation plans a whole window against a *frozen* pre-window
-state, so its rounded plan must be auditable against exactly the
-constraint set the incremental engines enforce one deploy at a time.
+This module is the single source of truth for those checks.
 
 Two entry points:
 
 * :func:`validate_window` — audit a *proposed* window plan (container →
   machine) against a :class:`WindowContext` frozen before any of the
   window's deploys.  Pure: no state mutation, usable from property
-  tests and the solver's pre-commit audit alike.
+  tests.
 * :func:`validate_state` — audit a *live* state's resident population:
   capacity bookkeeping (Equation 9) and the full Equation 7–8 rule set.
-  All engines run it post-round when
-  ``AladdinConfig(validate_placements=True)``, and the quality-parity
-  harness runs it per tick.
+  Both engines run it post-round when
+  ``AladdinConfig(validate_placements=True)``.
 
 The module also defines the Fig. 9-style placement-quality metrics and
-the documented parity tolerances the solver engine is held to
-(:data:`QUALITY_TOLERANCE`): decisions need not be bit-identical to the
-reference engine, quality must be equivalent.
+the documented tolerances (:data:`QUALITY_TOLERANCE`) within which a
+candidate engine's quality must match the reference engine's when its
+decisions are not bit-identical.
 """
 
 from __future__ import annotations
@@ -369,14 +362,14 @@ def validate_state(state: ClusterState) -> ValidationReport:
 
 
 # ----------------------------------------------------------------------
-# Fig. 9-style placement quality and the solver parity tolerances
+# Fig. 9-style placement quality and the parity tolerances
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class QualityMetrics:
     """The placement-quality triple of the Fig. 9 panels.
 
     ``fragmentation`` is the mean *unused* fraction across used
-    machines — low is good, and a solver that strands capacity shows up
+    machines — low is good, and an engine that strands capacity shows up
     here even when its used-machine count matches.
     """
 
@@ -405,13 +398,12 @@ def measure_quality(state: ClusterState, blocked: int = 0) -> QualityMetrics:
     )
 
 
-#: Documented parity tolerances for the solver engine against the
-#: reference engine on identical workloads (see tests/test_solver_parity
-#: and EXPERIMENTS.md).  The LP relaxation + deterministic rounding may
-#: pick different machines, but quality must be equivalent.  Every axis
-#: is a cost, so the gate is one-sided: only a candidate *worse* than
-#: the reference beyond tolerance fails (beating the reference — the
-#: joint LP often packs tighter than the greedy walk — is never a gap):
+#: Documented parity tolerances for a candidate engine against the
+#: reference engine on identical workloads.  The candidate may pick
+#: different machines, but quality must be equivalent.  Every axis is a
+#: cost, so the gate is one-sided: only a candidate *worse* than the
+#: reference beyond tolerance fails (beating the reference is never a
+#: gap):
 #:
 #: * ``used_machines``: within 10% relative or 2 machines absolute,
 #:   whichever is looser (small clusters quantise hard);

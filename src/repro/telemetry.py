@@ -24,15 +24,6 @@ This module is the single place those savings are *counted*:
   deterministic accounting: rescue calls, containers moved, containers
   evicted, and candidate machines examined by the strategy loops.
   Identical to the per-machine loop oracle's (the decisions are);
-* ``solver_calls`` / ``solver_rounding_repairs`` — LP solves issued by
-  the solver engine (:mod:`repro.core.vecsolve`) and planned
-  placements its deterministic rounding pass had to reject back into
-  the per-container repair path (capacity/affinity drift between the
-  relaxed optimum and integral commitment);
-* ``solver_relaxation_gap`` — accumulated gap between the LP optimum's
-  fractional placement count and the units the rounding pass committed.
-  A float (fractional by nature), so like the wall times it is *not*
-  part of the deterministic counter set;
 * ``phase_time_s`` — wall time per scheduler phase (search, rescue,
   requeue, repair).  Wall times are *not* part of the deterministic
   counter set: :meth:`SchedulerTelemetry.counters` excludes them so two
@@ -69,12 +60,6 @@ class SchedulerTelemetry:
     rescue_migrations: int = 0
     rescue_preemptions: int = 0
     rescue_machines_scanned: int = 0
-    solver_calls: int = 0
-    solver_rounding_repairs: int = 0
-    #: LP-optimum units minus committed units, accumulated per solve; a
-    #: float, so excluded from :meth:`counters` (platform-dependent LP
-    #: arithmetic must never leak into the byte-identity contract)
-    solver_relaxation_gap: float = 0.0
     #: phase name -> accumulated wall seconds (non-deterministic; kept
     #: out of :meth:`counters` on purpose)
     phase_time_s: dict[str, float] = field(default_factory=dict)
@@ -97,8 +82,6 @@ class SchedulerTelemetry:
             "rescue_migrations": self.rescue_migrations,
             "rescue_preemptions": self.rescue_preemptions,
             "rescue_machines_scanned": self.rescue_machines_scanned,
-            "solver_calls": self.solver_calls,
-            "solver_rounding_repairs": self.solver_rounding_repairs,
         }
 
     def add_phase_time(self, phase: str, seconds: float) -> None:
@@ -125,9 +108,6 @@ class SchedulerTelemetry:
         self.rescue_migrations += other.rescue_migrations
         self.rescue_preemptions += other.rescue_preemptions
         self.rescue_machines_scanned += other.rescue_machines_scanned
-        self.solver_calls += other.solver_calls
-        self.solver_rounding_repairs += other.solver_rounding_repairs
-        self.solver_relaxation_gap += other.solver_relaxation_gap
         for phase, dt in other.phase_time_s.items():
             self.add_phase_time(phase, dt)
 
@@ -152,12 +132,6 @@ class SchedulerTelemetry:
                 f" ({self.rescue_migrations} migr,"
                 f" {self.rescue_preemptions} evict,"
                 f" {self.rescue_machines_scanned} scanned)"
-            )
-        if self.solver_calls:
-            parts.append(
-                f"solver {self.solver_calls} LP solves"
-                f" ({self.solver_rounding_repairs} rounding repairs,"
-                f" gap {self.solver_relaxation_gap:.2f})"
             )
         if self.phase_time_s:
             timing = ", ".join(

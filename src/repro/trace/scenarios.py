@@ -29,8 +29,7 @@ Four named families (``SCENARIOS``):
 ``burst``
     Diurnal plus a synchronized spike — invocation counts in a short
     tick window are multiplied several-fold, modelling a flash event
-    on top of steady traffic (the regime the max-min solver objective
-    should be checked under).
+    on top of steady traffic.
 ``churn-storm``
     Every function container lives exactly one tick: per-tick
     arrivals*and* departures both equal the full invocation volume —

@@ -1,10 +1,12 @@
 """Medea baseline tests: the weights(a, b, c) semantics."""
 
 import importlib.util
+import sys
 
 import pytest
 
 from repro.base import FailureReason
+from repro.baselines.ilp import _require_scipy
 from repro.baselines.medea import MedeaScheduler, MedeaWeights, violation_penalty
 
 from tests.conftest import containers_for, make_apps, state_for
@@ -127,3 +129,17 @@ class TestExactMode:
             apps, n_machines=3, weights=MedeaWeights(1, 1, 0), exact=True
         )
         assert r_exact.n_deployed >= r_greedy.n_deployed
+
+
+def test_missing_scipy_raises_actionable_import_error(monkeypatch):
+    # scipy is the optional ``solver`` extra; only the exact mode needs it.
+    for mod in ("scipy", "scipy.optimize", "scipy.sparse"):
+        monkeypatch.setitem(sys.modules, mod, None)
+    with pytest.raises(ImportError, match=r"repro\[solver\]"):
+        _require_scipy()
+    apps = make_apps((2, 4.0, 0, False, ()))
+    with pytest.raises(ImportError, match=r"repro\[solver\]"):
+        run(apps, weights=MedeaWeights(1, 1, 0), exact=True)
+    # The greedy mode never touches scipy.
+    result, _ = run(apps, weights=MedeaWeights(1, 1, 0))
+    assert result.n_deployed == 2

@@ -42,6 +42,12 @@ the same way: the sha256 of the canonical JSON of the commit before the
 deletion, with those keys removed.  None of these runs asked the cache
 anything that moved another key (the change's own JSON hashed the
 same), and :data:`DECISIONS` did not move.
+
+When the LP window engine was deleted, its two always-zero counters
+``solver_calls`` and ``solver_rounding_repairs`` left the telemetry,
+and every digest here, :data:`DECISIONS` included, was re-recorded the
+same way: the sha256 of the canonical JSON (or of its projection) of
+the commit before the deletion (3b2fc78), with those two keys removed.
 """
 
 from __future__ import annotations
@@ -88,27 +94,27 @@ RUNS = {
     "aladdin-flow": (
         churn_trace, CHURN,
         lambda: AladdinScheduler(AladdinConfig(engine="flow")),
-        "f29992d7b70b5e5b6ebe51fa7a8af07e2b9ef1383b646c74e5e4ac89b33a06d4", 0,
+        "609c8d806b29c7e5608ab952c9688f5af276b758a230ff378aeebb995f7e0823", 0,
     ),
     "aladdin-default": (
         churn_trace, CHURN, AladdinScheduler,
-        "f29992d7b70b5e5b6ebe51fa7a8af07e2b9ef1383b646c74e5e4ac89b33a06d4", 0,
+        "609c8d806b29c7e5608ab952c9688f5af276b758a230ff378aeebb995f7e0823", 0,
     ),
     "firmament-quincy": (
         churn_trace, CHURN,
         lambda: FirmamentScheduler(FirmamentPolicy.QUINCY),
-        "a05a8bcfafdbad34b856804763a7236ff685c8061bcabf4f7ccfda9ce0b2cc1f", 53,
+        "21f149612073de377054460af9cc56b9f13369736f4b3a2cd16812cfdea6386f", 53,
     ),
     "medea-c1-rack-scoped": (
         rack_scoped_trace, CHURN,
         lambda: MedeaScheduler(MedeaWeights(c=1.0)),
-        "c8a6272d8a2223847aced55c47a114dfb73e2856d6aefeb98d5e3f3d63cb867f", 207,
+        "141ea93eb18230a35ada2faab1901be3026edcb7cd01f9e28105d1b0b93d9254", 207,
     ),
     "autoscale": (
         lambda: build_scenario("autoscale", scale=0.01, ticks=16),
         OnlineConfig(scenario="autoscale", autoscale=True, keep_alive="ttl"),
         AladdinScheduler,
-        "07b5fd5105ff1f6c0059c1279c59e7a77c0392fb2df9e8f386d6209e044b81c0", 0,
+        "7c54018b9853b1c34a731e02d316fb6202b9bf917920a3f48ebba89966537740", 0,
     ),
 }
 
@@ -117,11 +123,11 @@ RUNS = {
 #: JSON
 DECISIONS = {
     "aladdin-flow":
-        "182ef98ea1d7d86fdf02d3629e5491a38d262cc0619a4ff2348fb613d42f1cbd",
+        "d795bb2ec9b66d7c50ee243f1ac825a6a4d1f0bcca7c06670cb3e373f864fb80",
     "aladdin-default":
-        "182ef98ea1d7d86fdf02d3629e5491a38d262cc0619a4ff2348fb613d42f1cbd",
+        "d795bb2ec9b66d7c50ee243f1ac825a6a4d1f0bcca7c06670cb3e373f864fb80",
     "autoscale":
-        "f3c9c9db9d0d86331f84719c6cb981d24f8ec0fbf8eb96f07c730089b2873fc9",
+        "3ab81dba7acd93acb3e3f7624cdf58cf222783429046e7097f8cd29fa6122876",
 }
 
 
@@ -137,7 +143,8 @@ def decision_projection(canonical: str) -> str:
     for sample in payload["samples"]:
         del sample["explored"]
         sample.pop("cache_hits", None)
-    for key in ("cache_hits", "cache_misses", "cache_invalidations"):
+    for key in ("cache_hits", "cache_misses", "cache_invalidations",
+                "solver_calls", "solver_rounding_repairs"):
         payload["telemetry"].pop(key, None)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

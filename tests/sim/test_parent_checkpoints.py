@@ -23,7 +23,11 @@ the cross-round feasibility cache was deleted: its ``cache_hits`` /
 ``cache_misses`` / ``cache_invalidations`` counters left the telemetry
 and ``cache_hits`` the samples, and each digest is the sha256 of the
 canonical JSON of the commit before the deletion with those keys
-removed.  The images themselves are unchanged; the restored result
+removed.  And once more when the LP window engine was deleted: its
+``solver_calls`` / ``solver_rounding_repairs`` counters, always zero
+here, left the telemetry, and each digest is the sha256 of the
+canonical JSON of the commit before the deletion (3b2fc78) with those
+two keys removed.  The images themselves are unchanged; the restored result
 still carries every removed counter in its pickled telemetry and
 samples, and its engine image the cache's ``feas_cache`` and the
 rescue kernel's ``dominance`` entries, which the restore ignores; the
@@ -63,18 +67,19 @@ def lla_trace():
 
 
 LLA = OnlineConfig(ticks=12, seed=0)
-LLA_DIGEST = "6898460b813b34cba071e5d2b0a5170cc970a9bd0ba9f9d028c1c00fb589d217"
+LLA_DIGEST = "cc3f116565e17bfb882ad427e8d6c0bc86d9d7002cadde8785bacf09a5150325"
 
 #: name -> (trace factory, config, sha256 of the uninterrupted run's
 #: canonical JSON on the writing commit minus ``parallel_sweeps``, the
-#: kernel-planned rescue count and the feasibility cache's counters,
+#: kernel-planned rescue count, the feasibility cache's counters and the
+#: LP engine's two counters,
 #: whether the resumed run reproduces that JSON byte for byte)
 CASES = {
     "lla": (lla_trace, LLA, LLA_DIGEST, True),
     "mixed-lla": (
         lambda: build_scenario("mixed-lla", scale=0.01, seed=0, ticks=12),
         OnlineConfig(ticks=12, seed=0, scenario="mixed-lla"),
-        "ca73b6cbcb9c3361c7a3833adc66ef65c5e0dbe3e7b10ca4691e564521834636",
+        "2d6baf571975742dc686971c338e28d9d15ba313d8642af46f83bcb695bec912",
         True,
     ),
     # the sweep's cost counters up to the snapshot are its own

@@ -52,22 +52,22 @@ def test_full_run_may_target_committed_path():
     assert out == "BENCH_fig12.json"
 
 
-def test_solver_mode_defaults():
+def test_trace_mode_defaults():
     assert (
-        resolve_out(None, smoke=False, force=False, mode="solver")
-        == "BENCH_solver.json"
+        resolve_out(None, smoke=False, force=False, mode="trace")
+        == "BENCH_trace.json"
     )
     assert (
-        resolve_out(None, smoke=True, force=False, mode="solver")
-        == "BENCH_solver_smoke.json"
+        resolve_out(None, smoke=True, force=False, mode="trace")
+        == "BENCH_trace_smoke.json"
     )
 
 
 def test_smoke_refuses_either_committed_artefact():
-    # The guard is mode-independent: a solver smoke run must not
+    # The guard is mode-independent: a restore smoke run must not
     # clobber the fig12 artefact and vice versa.
-    for name in ("BENCH_restore.json", "BENCH_fig12.json", "BENCH_solver.json"):
-        for mode in ("fig12", "restore", "solver"):
+    for name in ("BENCH_restore.json", "BENCH_fig12.json"):
+        for mode in ("fig12", "restore"):
             with pytest.raises(SystemExit, match="refusing to overwrite"):
                 resolve_out(name, smoke=True, force=False, mode=mode)
 

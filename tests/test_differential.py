@@ -905,12 +905,13 @@ def test_restore_of_an_image_without_a_rescue_kernel(seed, tmp_path):
 #: seed -> sha256 of the uninterrupted serial run's canonical JSON at
 #: 4fe1a11, with ``telemetry.parallel_sweeps`` removed, re-recorded
 #: when the counter of kernel-planned rescues left the telemetry and
-#: the samples, and again when the feasibility cache's counters did:
-#: each time the canonical JSON of the commit before that change with
-#: those keys removed too
+#: the samples, again when the feasibility cache's counters did, and
+#: again when the LP window engine's ``solver_calls`` /
+#: ``solver_rounding_repairs`` did: each time the canonical JSON of the
+#: commit before that change with those keys removed too
 WORKERS2_SERIAL_DIGESTS = {
-    0: "ba91206abc46c6c9be632b2f2e7d3f2e15599229915eba10540c5c88b2c8b572",
-    3: "ee7014982d7761921339917c93cfdaad6dce5846ffd1b61848b13e460e47306d",
+    0: "a6828b9d122a9f293ce7bdd26f481cac9433268cd1bf8c1bda8be81707dc1c1c",
+    3: "b6b84a9b07b4d743c0122776a259f9ac17a755e4ee0cd04de8fe5aa9da073999",
 }
 
 
