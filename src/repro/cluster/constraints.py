@@ -18,6 +18,9 @@ with ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.cluster.container import Application
 
@@ -27,6 +30,19 @@ PRIORITY_CLASSES: tuple[int, ...] = (0, 1, 2, 3)
 #: shared answer of :meth:`ConstraintSet.conflict_view` for an
 #: application no cross-application rule names
 _NO_CONFLICTS: frozenset[int] = frozenset()
+
+
+def _mirrored(adopted: list[tuple[int, frozenset[int]]], conflicts: dict) -> bool:
+    """True when every adopted pair ``(a, b)`` has its ``(b, a)``: one
+    sort of each side, where a membership test per pair would miss the
+    cache on nearly every one of a full trace's millions."""
+    if not adopted or adopted[0][0] not in conflicts.get(min(adopted[0][1]), ()):
+        return False  # nothing to check, or a first pair already one-sided
+    src = np.repeat([a for a, _ in adopted], [len(p) for _, p in adopted])
+    dst = np.fromiter(chain.from_iterable(p for _, p in adopted), np.int64, src.size)
+    if dst.min() < 0 or max(src.max(), dst.max()) >= 1 << 31:
+        return False  # ids the keys cannot hold
+    return bool(np.array_equal(np.sort(src << 32 | dst), np.sort(dst << 32 | src)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +97,7 @@ class ConstraintSet:
         self.revision = 0
         self._within: set[int] = set()
         self._within_scope: dict[int, str] = {}
-        self._conflicts: dict[int, set[int]] = {}
+        self._conflicts: dict[int, set[int] | frozenset[int]] = {}
         self._affinities: dict[int, set[int]] = {}
         for rule in rules or []:
             self.add_rule(rule)
@@ -90,44 +106,40 @@ class ConstraintSet:
     def from_applications(cls, apps: list[Application]) -> "ConstraintSet":
         """Build the symmetric constraint index from application metadata.
 
-        Equivalent to one :meth:`add_rule` per within-flag and per
-        ``conflicts`` entry, in application order — down to the
-        iteration order of every internal dict and set, which placement
-        decisions depend on.  Cross-application pairs are the bulk of a
-        trace (millions at full scale) and are inserted directly; the
-        pairs :class:`AntiAffinityRule` would reject or reinterpret (a
-        negative id, an application naming itself) go through
-        :meth:`add_rule` so every check it makes still applies.
+        Equal in content to one :meth:`add_rule` per within-flag and
+        ``conflicts`` entry, then one :meth:`add_affinity` per affinity
+        once the conflict graph is complete.  That graph (millions of
+        pairs at full scale) is stored once: each ``conflicts`` frozenset
+        is adopted as is, and only reverse entries the input lacks are
+        added.  Anything else (a non-frozenset, a negative id, an app
+        naming itself) goes through :meth:`add_rule` and its checks.
         """
         cs = cls()
         conflicts = cs._conflicts
+        adopted = []
         for app in apps:
-            a = app.app_id
+            a, peers = app.app_id, app.conflicts
             if app.anti_affinity_within:
-                cs.add_rule(
-                    AntiAffinityRule(a, a),
-                    scope=getattr(app, "anti_affinity_scope", "machine"),
-                )
-            for b in app.conflicts:
-                if b > a >= 0:
-                    lo, hi = a, b
-                elif a > b >= 0:
-                    lo, hi = b, a
-                else:
+                scope = getattr(app, "anti_affinity_scope", "machine")
+                cs.add_rule(AntiAffinityRule(a, a), scope=scope)
+            if type(peers) is not frozenset or a < 0 or a in peers:
+                for b in peers:
                     cs.add_rule(AntiAffinityRule(a, b))
-                    continue
-                # add_rule's insertion order: the smaller id's entry is
-                # created (and filled) first
-                peers = conflicts.get(lo)
-                if peers is None:
-                    peers = conflicts[lo] = set()
-                peers.add(hi)
-                peers = conflicts.get(hi)
-                if peers is None:
-                    peers = conflicts[hi] = set()
-                peers.add(lo)
+            elif peers:
+                adopted.append((a, peers))  # a duplicate id unites its sets
+                conflicts[a] = conflicts[a] | peers if a in conflicts else peers
+        for a, peers in () if _mirrored(adopted, conflicts) else adopted:
+            for b in peers:  # add the reverse entries the input lacks
+                entry = conflicts.get(b, _NO_CONFLICTS)
+                if type(entry) is set:
+                    entry.add(a)
+                elif a not in entry:
+                    if b < 0:
+                        AntiAffinityRule(a, b)  # raises: ids are non-negative
+                    conflicts[b] = {a, *iter(entry)}  # sized as add_rule sizes it
+        for app in apps:
             for other in getattr(app, "affinities", ()):  # soft, one-way
-                cs.add_affinity(a, other)
+                cs.add_affinity(app.app_id, other)
         cs.revision += 1
         return cs
 
@@ -147,7 +159,8 @@ class ConstraintSet:
         return frozenset(self._affinities.get(app_id, ()))
 
     def add_rule(self, rule: AntiAffinityRule, scope: str = "machine") -> None:
-        """Register one rule; cross-application rules are made symmetric."""
+        """Register one rule; cross-application rules are made symmetric
+        (an adopted conflict set is copied before its first write)."""
         if scope not in ("machine", "rack"):
             raise ValueError(f"scope must be 'machine' or 'rack', got {scope!r}")
         rule = rule.normalized()
@@ -155,8 +168,11 @@ class ConstraintSet:
             self._within.add(rule.app_a)
             self._within_scope[rule.app_a] = scope
         else:
-            self._conflicts.setdefault(rule.app_a, set()).add(rule.app_b)
-            self._conflicts.setdefault(rule.app_b, set()).add(rule.app_a)
+            for a, b in (rule.app_a, rule.app_b), (rule.app_b, rule.app_a):
+                peers = self._conflicts.get(a, _NO_CONFLICTS)
+                if type(peers) is not set:  # adopted, or new: own a copy
+                    peers = self._conflicts[a] = set(peers)
+                peers.add(b)
         self.revision += 1
 
     def has_within(self, app_id: int) -> bool:
@@ -169,11 +185,7 @@ class ConstraintSet:
         return self._within_scope.get(app_id, "machine")
 
     def has_conflicts(self, app_id: int) -> bool:
-        """True when any cross-application rule names ``app_id``.
-
-        Allocation-free membership test for hot paths;
-        :meth:`conflicts_of` materialises the actual set.
-        """
+        """True when any cross-application rule names ``app_id``."""
         return app_id in self._conflicts
 
     def conflicts_of(self, app_id: int) -> frozenset[int]:
@@ -183,26 +195,20 @@ class ConstraintSet:
     def conflict_view(self, app_id: int) -> "set[int] | frozenset[int]":
         """The conflict set of ``app_id`` without the copy.
 
-        The live internal set (empty when no rule names ``app_id``):
-        callers must treat it as read-only and must not hold it across
-        an :meth:`add_rule`.  For per-machine hot loops;
-        :meth:`conflicts_of` is the safe, copying form.
+        A frozenset (often the application's own ``conflicts``) or a set,
+        empty when no rule names ``app_id``: read-only, not to be held
+        across an :meth:`add_rule`, and in no contracted order.  For
+        per-machine hot loops; :meth:`conflicts_of` is the safe form.
         """
         return self._conflicts.get(app_id, _NO_CONFLICTS)
 
     def conflicting_pairs(self) -> set[tuple[int, int]]:
         """All cross-application conflict pairs, canonically ordered."""
-        pairs: set[tuple[int, int]] = set()
-        for a, others in self._conflicts.items():
-            for b in others:
-                pairs.add((a, b) if a <= b else (b, a))
-        return pairs
+        return {(a, b) for a, peers in self._conflicts.items() for b in peers if a < b}
 
     def apps_with_anti_affinity(self) -> set[int]:
         """Every application touched by at least one anti-affinity rule."""
-        touched = set(self._within)
-        touched.update(self._conflicts)
-        return touched
+        return self._within | self._conflicts.keys()
 
     def violates(self, app_a: int, app_b: int) -> bool:
         """True when co-locating containers of ``app_a`` and ``app_b``
@@ -213,9 +219,3 @@ class ConstraintSet:
 
     def __len__(self) -> int:
         return len(self._within) + len(self.conflicting_pairs())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ConstraintSet(within={len(self._within)}, "
-            f"cross_pairs={len(self.conflicting_pairs())})"
-        )

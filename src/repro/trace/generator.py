@@ -305,6 +305,7 @@ def _assign_anti_affinity(
     constrained = set(order[:n_constrained].tolist())
 
     conflicts: list[set[int]] = [set() for _ in range(n)]
+    ids = list(range(n))  # one int object per id, however often drawn
     total_containers = int(sizes.sum())
 
     # --- layer 2a: the noisy pool -------------------------------------
@@ -359,10 +360,9 @@ def _assign_anti_affinity(
             continue  # would overshoot the victim mass; try smaller apps
         share = rng.uniform(lo_cov, hi_cov)
         k = max(1, round(share * noisy_list.size))
-        partners = rng.choice(noisy_list, size=k, replace=False)
-        for b in partners:
-            conflicts[i].add(int(b))
-            conflicts[int(b)].add(i)
+        for b in rng.choice(noisy_list, size=k, replace=False).tolist():
+            conflicts[i].add(ids[b])
+            conflicts[b].add(ids[i])
         if cpus[i] < 8.0:
             cpus[i] = 8.0
         # Victims are pinned by their interference constraints, not by
@@ -381,8 +381,7 @@ def _assign_anti_affinity(
         k_draws = np.minimum(
             rng.geometric(0.6, constrained_list.size), 3
         )
-        for idx, a in enumerate(constrained_list):
-            a = int(a)
+        for idx, a in enumerate(map(ids.__getitem__, constrained_list)):
             has_any = bool(conflicts[a]) or within[a]
             need = int(k_draws[idx]) if has_any else max(1, int(k_draws[idx]))
             if has_any and rng.random() < 0.7:
@@ -390,13 +389,15 @@ def _assign_anti_affinity(
             for _ in range(4 * need):
                 if need <= 0:
                     break
-                b = int(constrained_list[rng.integers(constrained_list.size)])
+                b = ids[constrained_list[rng.integers(constrained_list.size)]]
                 if b != a and b not in conflicts[a]:
                     conflicts[a].add(b)
                     conflicts[b].add(a)
                     need -= 1
 
-    _add_big_conflictors(rng, config, sizes, priorities, conflicts, constrained, within)
+    _add_big_conflictors(
+        rng, config, sizes, priorities, conflicts, constrained, within, ids
+    )
     # Freeze both the pool and the victims against demand recalibration:
     # their demands are structural to the interference mechanism.
     return within, conflicts, noisy | victim
@@ -410,6 +411,7 @@ def _add_big_conflictors(
     conflicts: list[set[int]],
     constrained: set[int],
     within: np.ndarray,
+    ids: list[int],
 ) -> None:
     """Make a few high-priority LLAs conflict with >= the coverage target.
 
@@ -433,16 +435,14 @@ def _add_big_conflictors(
     spread = np.array(
         sorted(i for i in constrained if within[i] and i not in heavy_set)
     )
-    for a in heavy:
-        a = int(a)
+    for a in map(ids.__getitem__, heavy):
         covered = int(sizes[list(conflicts[a])].sum()) if conflicts[a] else 0
         for pool in (packable, spread):
             if covered >= coverage_target or pool.size == 0:
                 break
-            for b in rng.permutation(pool):
+            for b in map(ids.__getitem__, rng.permutation(pool)):
                 if covered >= coverage_target:
                     break
-                b = int(b)
                 if b in conflicts[a]:
                     continue
                 conflicts[a].add(b)

@@ -3,10 +3,13 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
+from repro.cluster.constraints import AntiAffinityRule, ConstraintSet, _mirrored
 from repro.cluster.container import Application
 
+from benchmarks.e2e.workloads import rescue_stream
 from tests.conftest import with_rack_scopes
 
 
@@ -97,7 +100,8 @@ class TestConstraintSet:
 
 
 def per_rule_build(apps) -> ConstraintSet:
-    """``from_applications`` as it was: one ``add_rule`` per entry."""
+    """``from_applications`` spelled out: one ``add_rule`` per entry,
+    then the affinities once the conflict graph is complete."""
     cs = ConstraintSet()
     for app in apps:
         if app.anti_affinity_within:
@@ -107,19 +111,22 @@ def per_rule_build(apps) -> ConstraintSet:
             )
         for other in app.conflicts:
             cs.add_rule(AntiAffinityRule(app.app_id, other))
+    for app in apps:
         for other in getattr(app, "affinities", ()):
             cs.add_affinity(app.app_id, other)
     return cs
 
 
-def ordered_image(cs: ConstraintSet):
-    """Every container of the index with its iteration order exposed:
-    placement decisions walk these sets, so equal-as-sets is not enough."""
+def content_image(cs: ConstraintSet):
+    """Every container of the index as sorted content.  No reader walks
+    these sets in order (masks, membership tests and ``isdisjoint``), so
+    equal content is what a build must reproduce; the decisions that
+    rest on that are pinned in ``test_index_order_decisions.py``."""
     return (
-        list(cs._within),
-        list(cs._within_scope.items()),
-        [(a, list(peers)) for a, peers in cs._conflicts.items()],
-        [(a, list(peers)) for a, peers in cs._affinities.items()],
+        sorted(cs._within),
+        sorted(cs._within_scope.items()),
+        sorted((a, sorted(peers)) for a, peers in cs._conflicts.items()),
+        sorted((a, sorted(peers)) for a, peers in cs._affinities.items()),
     )
 
 
@@ -131,7 +138,7 @@ class TestBulkBuild:
         apps = build_scenario(family, scale=0.05, ticks=24).applications
         assert any(app.conflicts for app in apps)
         bulk = ConstraintSet.from_applications(apps)
-        assert ordered_image(bulk) == ordered_image(per_rule_build(apps))
+        assert content_image(bulk) == content_image(per_rule_build(apps))
 
     def test_synthetic_trace_with_rack_scopes_builds_identically(self):
         from repro.trace import generate_trace
@@ -140,7 +147,7 @@ class TestBulkBuild:
             generate_trace(scale=0.05, seed=3).applications
         )
         bulk = ConstraintSet.from_applications(apps)
-        assert ordered_image(bulk) == ordered_image(per_rule_build(apps))
+        assert content_image(bulk) == content_image(per_rule_build(apps))
         assert "rack" in bulk._within_scope.values()
 
     def test_pairs_the_rule_class_reinterprets_or_rejects(self):
@@ -156,10 +163,149 @@ class TestBulkBuild:
         # the per-rule path, overrides the declared rack scope)
         selfish = [app(0, (3, 0, 1), within=True, scope="rack"), app(3, (0,))]
         bulk = ConstraintSet.from_applications(selfish)
-        assert ordered_image(bulk) == ordered_image(per_rule_build(selfish))
+        assert content_image(bulk) == content_image(per_rule_build(selfish))
         assert bulk.within_scope(0) == "machine" and 0 not in bulk.conflict_view(0)
         for bad in ([app(2, (-1,))], [app(-2, (1,))], [app(-2, (-5,))]):
             with pytest.raises(ValueError, match="non-negative"):
                 ConstraintSet.from_applications(bad)
         with pytest.raises(ValueError, match="scope"):
             ConstraintSet.from_applications([app(1, (), True, "zone")])
+
+
+def app(app_id, conflicts=(), **fields) -> Application:
+    return Application(app_id, 1, 1.0, 2.0, conflicts=frozenset(conflicts), **fields)
+
+
+def mirrored(apps) -> bool:
+    """``_mirrored`` on ``apps``' conflict sets, asked past its probe of
+    the first pair (the complete index always passes it)."""
+    complete = ConstraintSet.from_applications(apps)._conflicts
+    return _mirrored([(a.app_id, a.conflicts) for a in apps if a.conflicts], complete)
+
+
+def assert_symmetric(cs: ConstraintSet) -> None:
+    for a in cs.apps_with_anti_affinity():
+        for b in cs.conflict_view(a):
+            assert a in cs.conflict_view(b), (a, b)
+
+
+class TestAdoptedConflictSets:
+    """``from_applications`` keeps each application's ``conflicts``
+    frozenset as its conflict set and completes what the input lacks."""
+
+    @pytest.mark.parametrize("affinity_first", [True, False])
+    def test_an_anti_affine_pair_cannot_prefer_co_location(self, affinity_first):
+        # the affinities are checked against the complete conflict
+        # graph, so the order of the two applications does not matter
+        fond, averse = app(0, affinities=frozenset({1})), app(1, {0})
+        apps = [fond, averse] if affinity_first else [averse, fond]
+        with pytest.raises(ValueError, match="anti-affine"):
+            ConstraintSet.from_applications(apps)
+
+    def test_one_sided_conflicts_are_completed(self):
+        one_sided = app(1, {0})
+        cs = ConstraintSet.from_applications([one_sided])
+        assert cs.violates(0, 1) and cs.violates(1, 0)
+        assert cs.has_conflicts(0) and cs.conflict_view(0) == {1}
+        assert cs.conflict_view(1) is one_sided.conflicts
+
+    def test_completing_an_adopted_set_leaves_the_application_alone(self):
+        first, second = app(0, {2}), app(1, {0})
+        cs = ConstraintSet.from_applications([first, second])
+        assert cs.conflict_view(0) == {1, 2}
+        assert first.conflicts == frozenset({2})
+        assert cs.violates(2, 0) and cs.violates(0, 1)
+
+    def test_a_shared_id_unites_its_conflict_sets(self):
+        first, second = app(0, {1}), app(0, {2})
+        cs = ConstraintSet.from_applications([first, second])
+        assert cs.conflict_view(0) == {1, 2}
+        assert cs.violates(1, 0) and cs.violates(2, 0)
+        assert first.conflicts == frozenset({1})
+        assert second.conflicts == frozenset({2})
+        # and when every pair is mirrored, the united set is the index's
+        both = [first, second, app(1, {0}), app(2, {0})]
+        cs = ConstraintSet.from_applications(both)
+        assert cs.conflict_view(0) == {1, 2}
+        assert_symmetric(cs)
+
+    def test_ids_beyond_the_sort_keys_still_build(self):
+        big = 1 << 40
+        for apps in ([app(big, {1}), app(1, {big})], [app(big, {1})]):
+            cs = ConstraintSet.from_applications(apps)
+            assert cs.violates(1, big) and cs.violates(big, 1)
+            assert_symmetric(cs)
+
+    def test_a_negative_id_is_refused(self):
+        for apps in ([app(2, {-1})], [app(0, {1}), app(1, {0, -3})]):
+            with pytest.raises(ValueError, match="non-negative"):
+                ConstraintSet.from_applications(apps)
+
+    def test_a_frozenset_naming_its_owner_is_a_within_rule(self):
+        selfish = SimpleNamespace(
+            app_id=0, conflicts=frozenset({0, 3}), anti_affinity_within=False
+        )
+        cs = ConstraintSet.from_applications([selfish])
+        assert cs.has_within(0) and cs.within_scope(0) == "machine"
+        assert cs.conflict_view(0) == {3} and cs.violates(3, 0)
+
+    def test_add_rule_copies_an_adopted_entry_before_writing(self):
+        first, second = app(0, {1}), app(1, {0})
+        cs = ConstraintSet.from_applications([first, second])
+        assert cs.conflict_view(0) is first.conflicts
+        revision = cs.revision
+        cs.add_rule(AntiAffinityRule(0, 5))
+        assert cs.revision == revision + 1
+        assert cs.conflict_view(0) == {1, 5} and cs.conflict_view(5) == {0}
+        assert first.conflicts == frozenset({1})
+        assert cs.conflict_view(1) is second.conflicts
+        assert_symmetric(cs)
+
+    def test_a_generated_trace_is_symmetric(self):
+        from repro.trace import generate_trace
+
+        apps = generate_trace(scale=0.05, seed=3).applications
+        # verified by one sort of each side, with no membership test
+        assert mirrored(apps)
+        cs = ConstraintSet.from_applications(apps)
+        assert_symmetric(cs)
+        assert content_image(cs) == content_image(per_rule_build(apps))
+
+    def test_the_tight_rescue_stream_is_completed(self):
+        apps = rescue_stream(0, 0, 120, 8).applications
+        # the stream names only earlier applications: every pair is
+        # one-sided in the input
+        assert all(
+            a.app_id not in apps[b].conflicts for a in apps for b in a.conflicts
+        )
+        assert not mirrored(apps)
+        cs = ConstraintSet.from_applications(apps)
+        assert_symmetric(cs)
+        assert content_image(cs) == content_image(per_rule_build(apps))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.frozensets(st.integers(0, 7), max_size=5),
+            st.booleans(),
+        ),
+        max_size=8,
+    )
+)
+def test_the_bulk_build_is_the_per_rule_build(records):
+    # small ids on purpose: duplicates, one-sided and mirrored pairs
+    apps = [
+        app(a, peers - {a}, anti_affinity_within=within)
+        for a, peers, within in records
+    ]
+    cs = ConstraintSet.from_applications(apps)
+    assert content_image(cs) == content_image(per_rule_build(apps))
+    assert_symmetric(cs)
+    pairs = {(a.app_id, b) for a in apps for b in a.conflicts}
+    symmetric = all((b, a) in pairs for a, b in pairs)
+    if mirrored(apps):
+        assert symmetric
+    elif len({a.app_id for a in apps}) == len(apps):
+        assert not pairs or not symmetric

@@ -6,6 +6,11 @@ build runs with the collector off and settles with one full collection
 on the outermost exit.  The content pins were recorded before the pause
 and the LLA base's switch to :func:`generate_applications`, so neither
 may change a trace.
+
+The conflict graph, the largest structure of a trace, is held once:
+the constraint index adopts each application's ``conflicts`` frozenset,
+and the generator names every id through one shared int.  Both are
+gated by count (:class:`TestStoredOnce`), not by timing.
 """
 
 import gc
@@ -17,16 +22,20 @@ from repro.trace import SCENARIOS, TraceConfig, build_scenario, generate_trace
 from repro.trace import schema
 from repro.trace.generator import generate_applications
 from repro.trace.schema import Trace, collector_paused
-from tests.cluster.test_constraints import ordered_image
+from tests.cluster.test_constraints import content_image
 
 #: (applications, containers, constraint index) digests per family at
-#: scale 0.05, recorded before the collector pause landed
+#: scale 0.05, recorded before the collector pause landed.  The third
+#: digest is of the index's sorted content (``content_image``), taken
+#: at the commit before the index began adopting the applications'
+#: conflict sets (e591788); it replaced a digest of the iteration order,
+#: which no placement decision reads.
 PINS = {
-    "autoscale": ("667b70c16aaeb380", "266f9078a7a2d485", "4eb51f8251b5b52c"),
-    "burst": ("fd838b692c62b0dc", "cc139ac63f97e6c0", "b564534c35ccaf30"),
-    "churn-storm": ("a0df8dc1b5e417de", "2e7fe34f40b5b2bc", "6b3372b0c31625ac"),
-    "diurnal": ("b50afe721839e14e", "5a243b371bc9164d", "b564534c35ccaf30"),
-    "mixed-lla": ("df912f2869319f75", "bd3f0c728dc7d459", "ba4d1665ecf314f8"),
+    "autoscale": ("667b70c16aaeb380", "266f9078a7a2d485", "053634d7875d4ece"),
+    "burst": ("fd838b692c62b0dc", "cc139ac63f97e6c0", "c785aa4008351dfd"),
+    "churn-storm": ("a0df8dc1b5e417de", "2e7fe34f40b5b2bc", "8adea5e2b875520e"),
+    "diurnal": ("b50afe721839e14e", "5a243b371bc9164d", "c785aa4008351dfd"),
+    "mixed-lla": ("df912f2869319f75", "bd3f0c728dc7d459", "e612ad53a7740835"),
 }
 
 
@@ -42,7 +51,7 @@ def content(trace: Trace) -> tuple[str, str, str]:
         for a in trace.applications
     ]
     containers = [(c.container_id, c.app_id, c.instance) for c in trace.containers]
-    return digest(apps), digest(containers), digest(ordered_image(trace.constraints))
+    return digest(apps), digest(containers), digest(content_image(trace.constraints))
 
 
 class TestContentPins:
@@ -57,6 +66,30 @@ class TestContentPins:
     @pytest.mark.parametrize("family", sorted(PINS))
     def test_scenario_content_is_pinned(self, family):
         assert content(build_scenario(family, scale=0.05)) == PINS[family]
+
+
+class TestStoredOnce:
+    """The conflict graph is held once: by count, with no timing."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace(scale=0.1, seed=0)
+
+    def test_the_index_adopts_every_conflict_set(self, trace):
+        constrained = [a for a in trace.applications if a.conflicts]
+        assert len(constrained) > trace.n_apps // 2
+        for a in constrained:
+            assert trace.constraints.conflict_view(a.app_id) is a.conflicts
+
+    def test_the_conflict_sets_share_one_int_per_id(self, trace):
+        entries = [
+            b
+            for a in trace.applications
+            for b in trace.constraints.conflict_view(a.app_id)
+        ]
+        assert len(entries) > 50 * trace.n_apps
+        # one object per id: drawn ids used to be a new int per entry
+        assert len({id(b) for b in entries}) <= trace.n_apps
 
 
 @pytest.fixture
