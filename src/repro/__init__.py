@@ -44,7 +44,6 @@ from repro.core import (
     measure_quality,
     quality_gaps,
     validate_state,
-    validate_window,
 )
 from repro.baselines import (
     SCHEDULERS,
@@ -101,7 +100,6 @@ __all__ = [
     "measure_quality",
     "quality_gaps",
     "validate_state",
-    "validate_window",
     "SchedulerTelemetry",
     "SCHEDULERS",
     "FirmamentPolicy",

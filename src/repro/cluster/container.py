@@ -10,6 +10,8 @@ property Aladdin's IL pruning exploits (Section IV.A).  Containers are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,12 +106,15 @@ class Application:
         return self.anti_affinity_within or bool(self.conflicts)
 
 
-@dataclass(frozen=True)
-class Container:
-    """One container instance of an LLA.
+class Container(NamedTuple):
+    """One container instance of an LLA: an immutable tuple.
 
     ``container_id`` is globally dense; ``instance`` is the index of this
-    container within its application (0-based).
+    container within its application (0-based).  The field order is the
+    wire order: :mod:`repro.serve.protocol` sends ``list(c)`` and reads
+    its ``_CONTAINER_FIELDS`` from ``Container._fields``.  Equality and
+    hash are the tuple's: a container hashes as the tuple of its fields,
+    which fixes the order of every set and dict of containers.
     """
 
     container_id: int
@@ -132,20 +137,17 @@ def containers_of(
 
     Container ids are assigned densely in application order starting at
     ``start_id``, so ``containers_of(apps)[k].container_id == start_id + k``.
+    Each application's run of isomorphic containers is one ``map`` of
+    :meth:`Container._make` over its zipped columns: no per-container
+    ``__init__``, no per-container ``__dict__``.
     """
     out: list[Container] = []
     next_id = start_id
     for app in apps:
-        for instance in range(app.n_containers):
-            out.append(
-                Container(
-                    container_id=next_id,
-                    app_id=app.app_id,
-                    instance=instance,
-                    cpu=app.cpu,
-                    mem_gb=app.mem_gb,
-                    priority=app.priority,
-                )
-            )
-            next_id += 1
+        n = app.n_containers
+        out += map(Container._make, zip(
+            range(next_id, next_id + n), repeat(app.app_id, n), range(n),
+            repeat(app.cpu, n), repeat(app.mem_gb, n), repeat(app.priority, n),
+        ))
+        next_id += n
     return out

@@ -11,7 +11,15 @@ tests in ``tests/cluster/test_snapshot.py`` pin:
   :class:`SnapshotError` instead of deserialising garbage into a
   half-restored run.
 * **Versioning** — a 4-byte magic plus a format version reject files
-  written by an incompatible release up front.
+  written by an incompatible release up front.  This release writes
+  format 2 and reads formats 1 and 2.  They differ only in how a
+  :class:`~repro.cluster.container.Container` pickles: a frozen
+  dataclass in format 1, a tuple in format 2.  A format-1 file is
+  loaded with its containers mapped to a plain placeholder that keeps
+  their fields in ``__dict__``;
+  :meth:`~repro.cluster.state.ClusterState.from_payload`, the one
+  reader of pickled containers, rebuilds each as a tuple.  A release
+  that reads only format 1 refuses a format-2 file by its version.
 * **Atomicity** — the payload is written to a temporary file in the
   target directory, fsynced, and renamed over the destination with
   :func:`os.replace`.  A crash mid-write leaves either the previous
@@ -27,6 +35,7 @@ online-simulation restore path by mistake.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import struct
@@ -36,13 +45,24 @@ from typing import Any
 #: file magic — "ALaDdiN snapshot"
 MAGIC = b"ALDN"
 #: bump when the payload layout changes incompatibly
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: magic + format version + sha256 digest + payload length
 _HEADER = struct.Struct("<4sI32sQ")
 
 
 class SnapshotError(RuntimeError):
     """A snapshot file is missing, corrupted, or incompatible."""
+
+
+class _Format1Container:
+    """A container pickled by format 1, with its fields in ``__dict__``."""
+
+
+class _Format1Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == ("repro.cluster.container", "Container"):
+            return _Format1Container
+        return super().find_class(module, name)
 
 
 def write_snapshot(path: str, payload: Any, kind: str) -> None:
@@ -81,7 +101,8 @@ def read_snapshot(path: str, kind: str) -> Any:
 
     Raises :class:`SnapshotError` when the file is unreadable,
     truncated, fails the checksum, was written by an incompatible
-    format version, or carries a different ``kind`` tag.
+    format version, does not unpickle in this release (the original
+    error is its ``__cause__``), or carries a different ``kind`` tag.
     """
     try:
         with open(path, "rb") as fh:
@@ -93,10 +114,10 @@ def read_snapshot(path: str, kind: str) -> Any:
     magic, version, digest, length = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise SnapshotError(f"{path!r} is not an Aladdin snapshot")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise SnapshotError(
             f"snapshot {path!r} has format version {version}, "
-            f"this release reads {FORMAT_VERSION}"
+            f"this release reads 1 and {FORMAT_VERSION}"
         )
     blob = data[_HEADER.size :]
     if len(blob) != length:
@@ -106,7 +127,14 @@ def read_snapshot(path: str, kind: str) -> Any:
         )
     if hashlib.sha256(blob).digest() != digest:
         raise SnapshotError(f"snapshot {path!r} failed its checksum")
-    envelope = pickle.loads(blob)
+    try:
+        unpickler = _Format1Unpickler if version == 1 else pickle.Unpickler
+        envelope = unpickler(io.BytesIO(blob)).load()
+    except Exception as exc:
+        raise SnapshotError(
+            f"snapshot {path!r} (format version {version}) does not "
+            f"load in this release: {exc!r}"
+        ) from exc
     if envelope.get("kind") != kind:
         raise SnapshotError(
             f"snapshot {path!r} holds a {envelope.get('kind')!r} payload, "

@@ -807,6 +807,8 @@ class ClusterState:
         serialised — the caller re-derives them (they are static) and a
         machine-count mismatch is rejected up front.  ``machine_apps`` is
         not in the payload either; it is rebuilt from ``app_machines``.
+        Containers a format-1 snapshot loaded as placeholders are rebuilt
+        as :class:`Container` tuples (see :mod:`repro.cluster.snapshot`).
         """
         from repro.cluster.snapshot import SnapshotError
 
@@ -826,7 +828,10 @@ class ClusterState:
             payload["container_count"], dtype=np.int32
         )
         state.assignment = dict(payload["assignment"])
-        state._containers = dict(payload["containers"])
+        state._containers = {
+            cid: c if type(c) is Container else Container(**vars(c))
+            for cid, c in payload["containers"].items()
+        }
         state.machine_containers = {
             m: {cid: None for cid in cids}
             for m, cids in payload["machine_containers"].items()

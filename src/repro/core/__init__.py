@@ -36,11 +36,9 @@ from repro.core.validate import (
     PlacementInvalidError,
     QualityMetrics,
     ValidationReport,
-    WindowContext,
     measure_quality,
     quality_gaps,
     validate_state,
-    validate_window,
 )
 
 
@@ -72,9 +70,7 @@ __all__ = [
     "PlacementInvalidError",
     "QualityMetrics",
     "ValidationReport",
-    "WindowContext",
     "measure_quality",
     "quality_gaps",
     "validate_state",
-    "validate_window",
 ]

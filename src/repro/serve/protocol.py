@@ -55,10 +55,8 @@ CONTROL_TYPES = frozenset(
 )
 REQUEST_TYPES = WINDOW_TYPES | CONTROL_TYPES
 
-#: a wire container is a JSON array of these fields, in this order
-_CONTAINER_FIELDS = (
-    "container_id", "app_id", "instance", "cpu", "mem_gb", "priority",
-)
+#: a wire container is a JSON array of the tuple's fields, in their order
+_CONTAINER_FIELDS = Container._fields
 #: JSON types each position admits; never ``bool`` (JSON ``true``)
 _INTEGER, _NUMBER = frozenset({int}), frozenset({int, float})
 _FIELD_TYPES = (_INTEGER,) * 3 + (_NUMBER,) * 2 + (_INTEGER,)
@@ -157,8 +155,9 @@ def _recv_exact(sock: socket.socket, n: int, eof_ok: bool) -> bytes | None:
 # container marshalling
 # ----------------------------------------------------------------------
 def container_to_wire(c: Container) -> list:
-    """JSON-safe form of one container, in :data:`_CONTAINER_FIELDS` order."""
-    return [c.container_id, c.app_id, c.instance, c.cpu, c.mem_gb, c.priority]
+    """JSON-safe form of one container: the tuple as a list, its fields
+    in declaration order, which is :data:`_CONTAINER_FIELDS`."""
+    return list(c)
 
 
 def container_from_wire(obj: Any) -> Container:
@@ -171,7 +170,8 @@ def container_from_wire(obj: Any) -> Container:
     Values are held to the rules :class:`~repro.cluster.container.Application`
     enforces — ids and ``priority`` non-negative, ``cpu`` and ``mem_gb``
     finite and positive — so a request that would fail inside the
-    scheduler is refused here, before it can share a window.
+    scheduler is refused here, before it can share a window.  The
+    container is built positionally, since wire order is field order.
     """
     if type(obj) is not list or len(obj) != len(_CONTAINER_FIELDS):
         raise ProtocolError(

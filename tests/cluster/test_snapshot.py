@@ -7,7 +7,10 @@ whose persisted version predates log compaction falls back to a full
 resync, never to stale verdicts).
 """
 
+import gzip
+import hashlib
 import os
+import pathlib
 import pickle
 
 import numpy as np
@@ -25,6 +28,10 @@ from repro.cluster.snapshot import (
 )
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
+from repro.trace import generate_trace
+
+#: committed format-1 images (see tests/sim/test_parent_checkpoints.py)
+DATA = pathlib.Path(__file__).parent.parent / "sim" / "data"
 
 
 def container(cid, app=0, cpu=4.0, prio=0):
@@ -54,6 +61,15 @@ def populated_state(topo, constraints, track_events=False):
     state.evict(2)
     state.touch(0)
     return state
+
+
+def write_raw(path, blob, version):
+    """A checksummed file of ``blob`` under a ``version`` header."""
+    header = _HEADER.pack(
+        MAGIC, version, hashlib.sha256(blob).digest(), len(blob)
+    )
+    with open(path, "wb") as fh:
+        fh.write(header + blob)
 
 
 # ----------------------------------------------------------------------
@@ -105,13 +121,7 @@ class TestEnvelope:
 
     def test_future_format_version_rejected(self, tmp_path):
         path = str(tmp_path / "snap.bin")
-        blob = pickle.dumps({"kind": "test", "payload": 1})
-        import hashlib
-
-        header = _HEADER.pack(
-            MAGIC, FORMAT_VERSION + 1, hashlib.sha256(blob).digest(), len(blob)
-        )
-        open(path, "wb").write(header + blob)
+        write_raw(path, pickle.dumps({"kind": "test", "payload": 1}), FORMAT_VERSION + 1)
         with pytest.raises(SnapshotError, match="format version"):
             read_snapshot(path, kind="test")
 
@@ -194,6 +204,67 @@ class TestStateRoundTrip:
         state.save(path)
         with pytest.raises(SnapshotError, match="machines"):
             ClusterState.restore(path, build_cluster(3), constraints)
+
+
+class Vanished:
+    """Pickled, then renamed in the blob to a class no release has."""
+
+
+def format1_image(tmp_path, name="lla"):
+    """A committed format-1 online-sim snapshot, ungzipped."""
+    path = tmp_path / f"{name}.ckpt"
+    path.write_bytes(gzip.decompress((DATA / f"{name}.ckpt.gz").read_bytes()))
+    return path
+
+
+class TestFormats:
+    """Format 2 is written, formats 1 and 2 are read, and a file that
+    does not load in this release is a :class:`SnapshotError`."""
+
+    def test_writes_format_2(self, tmp_path):
+        path = str(tmp_path / "snap.bin")
+        write_snapshot(path, {"x": 1}, kind="test")
+        with open(path, "rb") as fh:
+            assert _HEADER.unpack_from(fh.read())[1] == FORMAT_VERSION == 2
+
+    def test_format_2_cluster_state_round_trips(self, tmp_path, topo, constraints):
+        state = populated_state(topo, constraints)
+        path = str(tmp_path / "state.bin")
+        state.save(path)
+        back = ClusterState.restore(path, topo, constraints)
+        assert back._containers == state._containers
+        assert all(type(c) is Container for c in back._containers.values())
+        assert back.deployed_containers(1) == state.deployed_containers(1)
+
+    def test_format_1_residents_are_containers(self, tmp_path):
+        payload = read_snapshot(str(format1_image(tmp_path)), kind="online-sim")
+        image = payload["state"]
+        state = ClusterState.from_payload(image, build_cluster(image["n_machines"]))
+        trace = {c.container_id: c for c in generate_trace(scale=0.03, seed=0).containers}
+        residents = [state.container(cid) for cid in state.assignment]
+        assert len(residents) == len(image["containers"]) > 0
+        assert all(type(c) is Container for c in residents)
+        assert all(c == trace[c.container_id] for c in residents)
+
+    @pytest.mark.parametrize("version", [1, FORMAT_VERSION])
+    def test_unknown_class_is_a_snapshot_error(self, tmp_path, version):
+        blob = pickle.dumps({"kind": "test", "payload": Vanished()})
+        path = str(tmp_path / "snap.bin")
+        write_raw(path, blob.replace(b"Vanished", b"Vanishex"), version)
+        with pytest.raises(SnapshotError, match=f"format version {version}") as err:
+            read_snapshot(path, kind="test")
+        assert path in str(err.value)
+        assert isinstance(err.value.__cause__, AttributeError)
+
+    def test_format_1_payload_under_format_2_header_is_a_snapshot_error(self, tmp_path):
+        """A format-1 container does not construct as a tuple: the
+        ``TypeError`` surfaces as a :class:`SnapshotError`."""
+        data = format1_image(tmp_path).read_bytes()
+        path = str(tmp_path / "relabelled.ckpt")
+        write_raw(path, data[_HEADER.size :], FORMAT_VERSION)
+        with pytest.raises(SnapshotError, match="does not load") as err:
+            read_snapshot(path, kind="online-sim")
+        assert isinstance(err.value.__cause__, TypeError)
 
 
 class TestEnvelopeFuzz:

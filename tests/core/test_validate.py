@@ -1,6 +1,7 @@
-"""Property tests for the shared Equation 7–9 validator (core.validate).
+"""Property tests for the shared Equation 7–9 validator (core.validate)
+and the window-plan oracle (tests/core/window_oracle.py).
 
-Two directions, both load-bearing for the solver engine's contract:
+Two directions, both load-bearing for the engines' legality contract:
 
 * **Soundness on legal plans** — every placement a legacy engine
   commits passes :func:`validate_window` (against the pre-round frozen
@@ -30,15 +31,14 @@ from repro.core.validate import (
     KIND_WITHIN,
     QualityMetrics,
     PlacementInvalidError,
-    WindowContext,
     measure_quality,
     quality_gaps,
     validate_state,
-    validate_window,
 )
 
 from tests.cluster.test_violation_tally import recount_violations
 from tests.conftest import make_apps, state_for
+from tests.core.window_oracle import WindowContext, validate_window
 
 
 def _random_workload(seed):
