@@ -46,12 +46,24 @@ from repro.cluster.events import Event, EventKind, EventLog
 from repro.cluster.topology import ClusterTopology
 
 #: distinguishes state instances without relying on ``id()`` reuse —
-#: cross-round caches key their entries on this uid.
+#: a :class:`StateCursor` names the instance it belongs to by this uid.
 _state_uids = itertools.count()
 
-#: shared "nothing changed" answer of :meth:`ClusterState.dirty_array_since`
-#: (callers treat it as read-only)
-_NO_DIRTY = np.empty(0, dtype=np.int64)
+
+class StateCursor:
+    """A position in one state's change feed: which
+    :class:`ClusterState` (its uid) and which of its versions.
+
+    A consumer holds one and hands it to :meth:`ClusterState.advance`
+    on every sync.  A fresh cursor is *never synced*: its first advance
+    answers "rebuild".  Cursors are mutable; ``advance`` moves them.
+    """
+
+    __slots__ = ("uid", "version")
+
+    def __init__(self, uid: int | None = None, version: int = -1) -> None:
+        self.uid = uid
+        self.version = version
 
 
 def dominates(available: np.ndarray, demand: np.ndarray) -> np.ndarray:
@@ -90,13 +102,13 @@ def _release(index: dict, outer: int, inner: int, n: int) -> None:
 class _ViolationTally:
     """Cached answer of :meth:`ClusterState.anti_affinity_violations`.
 
-    ``version`` / ``revision`` say which state mutation and which
-    :attr:`ConstraintSet.revision` the counts are exact for; both maps
-    hold non-zero entries only and ``total`` is their sum.
+    ``revision`` / ``cursor`` say which :attr:`ConstraintSet.revision`
+    and which state mutation the counts are exact for; both maps hold
+    non-zero entries only and ``total`` is their sum.
     """
 
     revision: int
-    version: int = -1
+    cursor: StateCursor
     total: int = 0
     #: machine id -> offending containers on it (Eq. 7-8 at machine scope)
     per_machine: dict[int, int] = field(default_factory=dict)
@@ -170,15 +182,15 @@ class ClusterState:
         #: evict, migrate or external touch bumps it by one
         self.version = 0
         # Dirty log: machine id per mutation, indexed by version.  A
-        # consumer that remembers the version it last synced at reads
-        # ``dirty_array_since(v)`` to learn exactly which machines changed.
-        # The log is compacted once it outgrows ``_log_limit``; consumers
+        # consumer holds a :class:`StateCursor` and reads the machines
+        # changed since it through :meth:`advance`, the one change feed.
+        # The log is compacted once it outgrows ``_log_limit``; cursors
         # older than the compaction base get ``None`` ("everything may
-        # have changed") and must recompute fully.
+        # have changed") and the consumer recomputes fully.
         #
         # The log lives in a growable int64 buffer (``_log_buf`` holds
         # ``_log_len`` live entries) rather than a Python list: the hot
-        # consumers dedup a *slice* of it on every sync, and slicing an
+        # consumers read a *slice* of it on every sync, and slicing an
         # array is free where converting a list slice costs O(entries)
         # Python-object unboxing per query — under storm churn that
         # conversion, repeated per consumer sync, was the dominant
@@ -247,50 +259,30 @@ class ClusterState:
         self._log_len = keep
         self._log_base += drop
 
-    @property
-    def dirty_log(self) -> list[int]:
-        """The live dirty-log entries, oldest first (one machine id per
-        version since :attr:`_log_base`).  Diagnostic/test accessor —
-        hot paths use :meth:`dirty_raw_since` or :meth:`dirty_array_since`."""
-        return self._log_buf[: self._log_len].tolist()
+    def cursor(self) -> StateCursor:
+        """A cursor at this state's current version."""
+        return StateCursor(self.state_uid, self.version)
 
-    def dirty_array_since(self, version: int) -> np.ndarray | None:
-        """Machines mutated after ``version``, deduplicated and ascending,
-        or ``None`` when unknown.
+    def advance(self, cursor: StateCursor) -> np.ndarray | None:
+        """The machines mutated since ``cursor``, and move it to now.
 
-        ``None`` means the log no longer reaches back to ``version``
-        (compaction, or a version from another state instance): the
-        caller must treat every machine as dirty.  Callers must treat
-        the result as read-only.
+        The answer is the raw log slice in mutation order: a machine
+        touched twice since the cursor appears twice (a consumer whose
+        per-entry work is idempotent pays no dedup).  It is ``None``,
+        "everything may have changed, rebuild", when the cursor belongs
+        to another state instance (a :meth:`snapshot`, a restored state,
+        a state that replaced this one), when it was never synced, or
+        when compaction has passed it.  Either way the cursor is moved
+        to this state's current version.  Callers must treat the slice
+        as read-only.
         """
-        if version >= self.version:
-            return _NO_DIRTY
-        if version < self._log_base:
-            return None
-        raw = self._log_buf[version - self._log_base : self._log_len]
-        n = self.topology.n_machines
-        if raw.size > n:
-            # Dense slice: a boolean scatter + flatnonzero dedups in
-            # O(slice + n) — same ascending-unique result as np.unique
-            # without the O(slice log slice) sort.
-            flags = np.zeros(n, dtype=bool)
-            flags[raw] = True
-            return np.flatnonzero(flags)
-        return np.unique(raw)
-
-    def dirty_raw_since(self, version: int) -> np.ndarray | None:
-        """Like :meth:`dirty_array_since`, without deduplication.
-
-        The raw log slice in mutation order: a machine touched twice
-        since ``version`` appears twice.  For consumers whose per-entry
-        work is idempotent (the machine index re-keys the same
-        machine), indexing with duplicates is cheaper than any dedup
-        when the slice is short.  Callers must treat the result as
-        read-only.
-        """
-        if version >= self.version:
-            return _NO_DIRTY
-        if version < self._log_base:
+        version = cursor.version
+        known = cursor.uid == self.state_uid and (
+            self._log_base <= version <= self.version
+        )
+        cursor.uid = self.state_uid
+        cursor.version = self.version
+        if not known:
             return None
         return self._log_buf[version - self._log_base : self._log_len]
 
@@ -659,11 +651,11 @@ class ClusterState:
         rack-scoped rules the co-location domain is the rack).
 
         The count is kept as a tally per machine and per rack-scoped
-        application, and each call re-examines only what the dirty log
-        reports mutated since the previous call — O(touched machines),
-        not O(resident containers).  Everything is recounted (the same
-        two helpers over every machine) on the first call, after log
-        compaction has passed the tally's watermark, and when
+        application, and each call re-examines only what the change feed
+        (:meth:`advance`) reports mutated since the previous call —
+        O(touched machines), not O(resident containers).  Everything is
+        recounted (the same two helpers over every machine) on the first
+        call, after log compaction has passed the tally's cursor, and when
         :attr:`ConstraintSet.revision` moved; a :meth:`snapshot` or
         restored state starts without a tally.
 
@@ -674,16 +666,27 @@ class ClusterState:
         """
         cs = self.constraints
         tally = self._violations
-        dirty = None
+        raw = None
         if tally is not None and tally.revision == cs.revision:
-            dirty = self.dirty_array_since(tally.version)
-        if dirty is None:
-            tally = self._violations = _ViolationTally(cs.revision)
+            raw = self.advance(tally.cursor)
+        if raw is None:
+            tally = self._violations = _ViolationTally(
+                cs.revision, self.cursor()
+            )
             machines = self.machine_containers
-        elif dirty.size == 0:
+        elif raw.size == 0:
             return tally.total
         else:
-            machines = dirty.tolist()
+            n = self.topology.n_machines
+            if raw.size > n:
+                # Dense slice: a boolean scatter + flatnonzero dedups in
+                # O(slice + n) — same ascending-unique result as np.unique
+                # without the O(slice log slice) sort.
+                flags = np.zeros(n, dtype=bool)
+                flags[raw] = True
+                machines = np.flatnonzero(flags).tolist()
+            else:
+                machines = np.unique(raw).tolist()
         # A rack-scoped application's count can only have risen if it
         # gained a container — on a machine that is then dirty and hosts
         # it now — and only have fallen if it was non-zero.
@@ -699,7 +702,6 @@ class ClusterState:
                 tally.store(
                     tally.per_rack_app, app_id, self._rack_offenders(app_id)
                 )
-        tally.version = self.version
         return tally.total
 
     def _machine_offenders(self, machine_id: int, resident: set[int]) -> int:
@@ -740,8 +742,9 @@ class ClusterState:
         """Deep-copy the mutable state (topology/constraints are shared).
 
         The clone gets a fresh :attr:`state_uid` and an empty dirty log:
-        caches keyed on the original keep their entries, caches handed
-        the clone start cold — stale cross-talk is impossible.
+        a cursor taken on the original advances to "rebuild" on the
+        clone, so consumers handed the clone start cold — stale
+        cross-talk is impossible.
         """
         clone = ClusterState(self.topology, self.constraints)
         clone.available = self.available.copy()
@@ -767,10 +770,10 @@ class ClusterState:
         log and its compaction base.
 
         The dirty log is persisted *verbatim* with its exact version
-        numbering: consumer checkpoints (machine index,
-        rescue kernel) store the versions they are synced at,
-        and restoring both sides together keeps those watermarks valid
-        — the restored consumers resync from the persisted watermark
+        numbering: consumer checkpoints (machine index, rescue kernel)
+        store the versions they are synced at, and restoring both sides
+        together keeps those positions valid — a cursor rebound to the
+        restored state at its persisted version advances over the log
         instead of rebuilding cold.  ``available`` is copied out, so the
         image does not move with the live state.
         """
@@ -802,11 +805,12 @@ class ClusterState:
         """Rebuild a state from :meth:`checkpoint_payload`.
 
         The restored state gets a **fresh** :attr:`state_uid` (uids are
-        process-local); consumers restored from the same checkpoint are
-        rebound to it explicitly.  Topology and constraints are not
-        serialised — the caller re-derives them (they are static) and a
-        machine-count mismatch is rejected up front.  ``machine_apps`` is
-        not in the payload either; it is rebuilt from ``app_machines``.
+        process-local): a cursor taken on the original advances to
+        "rebuild" here until it is rebound to the new uid explicitly.
+        Topology and constraints are not serialised — the caller
+        re-derives them (they are static) and a machine-count mismatch
+        is rejected up front.  ``machine_apps`` is not in the payload
+        either; it is rebuilt from ``app_machines``.
         Containers a format-1 snapshot loaded as placeholders are rebuilt
         as :class:`Container` tuples (see :mod:`repro.cluster.snapshot`).
         """

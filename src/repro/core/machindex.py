@@ -12,9 +12,10 @@ exactly which ones those are.
 :class:`MachineIndex` keeps the packing order alive across blocks and
 scheduling rounds, synchronised against that log: on each query the
 machines dirtied since the last sync are moved to their new
-positions.  The index reads the *raw* log slice
-(``dirty_raw_since``), duplicates included: re-keying a machine is
-idempotent per log entry, so it pays no dedup sort.  The repair is
+positions.  The index holds a :class:`~repro.cluster.state.StateCursor`
+and reads the state's one change feed (``advance``), the *raw* log
+slice with duplicates included: re-keying a machine is idempotent per
+log entry, so it pays no dedup sort.  The repair is
 **span-bounded**: the sorted key
 array is kept beside the order, the smallest and largest of the moved
 machines' old and new keys are bisected on it, and only the slice of
@@ -25,9 +26,9 @@ run-detecting sort repairs it in O(s + d log d) for a span of s
 positions; a block that packs one or two machines a little tighter
 moves them a handful of positions, whatever the size of the cluster.
 The widest span is a round's first resync after its departures (every
-used machine moved); nothing is special-cased for it.  A compacted log
-or an unfamiliar state instance degrades to a full rebuild, never to a
-stale order.
+used machine moved); nothing is special-cased for it.  When the feed
+answers "rebuild" (a compacted log, an unfamiliar state instance) the
+index re-sorts from scratch, never keeping a stale order.
 
 The affinity tier is application-specific, so it is applied per query
 as a stable partition of the maintained order (affine hosts first).
@@ -42,8 +43,8 @@ what lets the batch kernel promise placement-identical results.
 Contract (inputs, determinism)
 ------------------------------
 :meth:`MachineIndex.candidates` takes a state (anything exposing
-``available``, ``n_machines``, ``state_uid``, ``version`` and the
-dirty-log accessors, in practice a
+``available``, ``n_machines``, ``cursor`` and ``advance`` (the change
+feed), in practice a
 :class:`~repro.cluster.state.ClusterState`), an optional boolean admit
 mask and an optional boolean affinity mask, both indexed by machine id
 in that state's id space.
@@ -75,7 +76,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, StateCursor
 
 
 def packing_keys(state: ClusterState, ids: np.ndarray) -> np.ndarray:
@@ -122,8 +123,8 @@ class MachineIndex:
     """
 
     def __init__(self) -> None:
-        self._state_uid: int | None = None
-        self._version: int = -1
+        #: position in the state's change feed the order is synced at
+        self._cursor = StateCursor()
         #: machine ids sorted by (packing key, id); None until first sync
         self._order: np.ndarray | None = None
         #: per-machine packing key, indexed by machine id
@@ -139,8 +140,7 @@ class MachineIndex:
 
     def reset(self) -> None:
         """Drop the maintained order (next query rebuilds from scratch)."""
-        self._state_uid = None
-        self._version = -1
+        self._cursor = StateCursor()
         self._order = None
         self._keys = None
         self._sorted_keys = None
@@ -159,7 +159,7 @@ class MachineIndex:
         return {
             "order": None if self._order is None else self._order.copy(),
             "keys": None if self._keys is None else self._keys.copy(),
-            "version": self._version,
+            "version": self._cursor.version,
             "rebuilds": self.rebuilds,
             "resyncs": self.resyncs,
             "last_resynced": self.last_resynced,
@@ -168,18 +168,21 @@ class MachineIndex:
     def restore(self, payload: dict, state_uid: int) -> None:
         """Adopt a :meth:`checkpoint` image, rebinding to ``state_uid``.
 
-        The persisted ``version`` stays valid against the restored
-        state's dirty log (persisted with identical numbering), so the
-        next :meth:`sync` reinserts only the machines dirtied since the
-        checkpoint.
+        The cursor is rebound to the restored state's uid at the
+        persisted ``version``, which stays valid against its dirty log
+        (persisted with identical numbering), so the next :meth:`sync`
+        reinserts only the machines dirtied since the checkpoint.
         """
         order = payload["order"]
         keys = payload["keys"]
         self._order = None if order is None else np.array(order)
         self._keys = None if keys is None else np.array(keys)
         self._sorted_keys = None if order is None else self._keys[self._order]
-        self._version = payload["version"]
-        self._state_uid = state_uid if self._order is not None else None
+        self._cursor = (
+            StateCursor()
+            if order is None
+            else StateCursor(state_uid, payload["version"])
+        )
         self.rebuilds = payload["rebuilds"]
         self.resyncs = payload["resyncs"]
         self.last_resynced = payload["last_resynced"]
@@ -187,30 +190,19 @@ class MachineIndex:
     # ------------------------------------------------------------------
     def sync(self, state: ClusterState) -> None:
         """Bring the order up to date with ``state``'s current version."""
-        if state.state_uid != self._state_uid or self._order is None:
-            self._rebuild(state)
-            return
-        if state.version == self._version:
-            self.last_resynced = 0
-            return
-        dirty = state.dirty_raw_since(self._version)
+        dirty = state.advance(self._cursor)
         if dirty is None:
-            # The log no longer reaches back to our version: rebuild.
             self._rebuild(state)
-            return
-        if dirty.size:
+        elif dirty.size:
             self._reinsert(state, dirty)
         else:
             self.last_resynced = 0
-        self._version = state.version
 
     def _rebuild(self, state: ClusterState) -> None:
         ids = np.arange(state.n_machines, dtype=np.int64)
         self._keys = packing_keys(state, ids)
         self._order = np.argsort(self._keys, kind="stable")
         self._sorted_keys = self._keys[self._order]
-        self._state_uid = state.state_uid
-        self._version = state.version
         self.rebuilds += 1
         self.last_resynced = state.n_machines
 

@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.base import FailureReason
 from repro.cluster.container import Container
-from repro.cluster.state import ClusterState, dominates
+from repro.cluster.state import ClusterState, StateCursor, dominates
 
 
 @dataclass
@@ -204,10 +204,11 @@ class ResidentLedger:
     The table is built when a strategy walk first asks for it (the
     first consolidation or preemption); from then on each read
     rewrites, in one batch, the rows of exactly the machines the
-    :class:`ClusterState` dirty log reported since — the same
-    synchronisation discipline as the machine index.  A compacted log
-    or an unfamiliar state instance drops the table; the ledger
-    degrades to a rebuild, never to stale residents.
+    :class:`ClusterState` change feed (``advance`` on the ledger's
+    cursor) reported since — the same synchronisation discipline as the
+    machine index.  When the feed answers "rebuild" (a compacted log,
+    an unfamiliar state instance) the ledger drops the table, never
+    keeping stale residents.
 
     Demand shapes are interned by the residents' own floats in
     ``topology.resources`` order: the table names each resident's shape
@@ -216,8 +217,8 @@ class ResidentLedger:
     """
 
     def __init__(self) -> None:
-        self._state_uid: int | None = None
-        self._version: int = -1
+        #: position in the state's change feed the table is synced at
+        self._cursor = StateCursor()
         #: demand tuple -> shape id; ``_shapes[id]`` is the demand tuple
         self._shape_ids: dict[tuple, int] = {}
         self._shapes: list[tuple] = []
@@ -228,26 +229,18 @@ class ResidentLedger:
         self._live_flags = np.zeros(1, dtype=bool)
         self._live_stamp: tuple | None = None
 
-    def _reset(self, state: ClusterState) -> None:
-        self._shape_ids.clear()
-        self._shapes.clear()
-        self._table = None
-        self._live_stamp = None
-        self._state_uid = state.state_uid
-        self._version = state.version
-
     def sync(self, state: ClusterState) -> None:
         """Mark the table rows of machines mutated since the last sync
-        stale.  The raw log slice will do: a machine touched twice is
-        marked twice."""
-        if state.state_uid == self._state_uid:
-            dirty = state.dirty_raw_since(self._version)
-            if dirty is not None:
-                if self._table is not None:
-                    self._stale[dirty] = True
-                self._version = state.version
-                return
-        self._reset(state)
+        stale, or drop everything when the feed answers "rebuild".  The
+        raw log slice will do: a machine touched twice is marked twice."""
+        dirty = state.advance(self._cursor)
+        if dirty is None:
+            self._shape_ids.clear()
+            self._shapes.clear()
+            self._table = None
+            self._live_stamp = None
+        elif self._table is not None:
+            self._stale[dirty] = True
 
     def table(self, state: ClusterState) -> ResidentTable:
         """The (synced) :class:`ResidentTable` of every machine."""

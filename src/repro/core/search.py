@@ -27,7 +27,7 @@ import numpy as np
 from repro import telemetry
 from repro.base import FailureReason, ScheduleResult, Scheduler
 from repro.cluster.container import Container
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, StateCursor
 from repro.core.blacklist import BlacklistFunction
 from repro.core.config import AladdinConfig
 from repro.core.machindex import MachineIndex
@@ -128,16 +128,11 @@ class FlowPathSearch(Scheduler):
             # The same exhaustive repair pass the vectorised engine
             # runs; skipping it here made the engines diverge on
             # workloads where only an unbounded rescue scan succeeds.
-            version_before = state.version
+            since = state.cursor()
             with result.telemetry.phase("repair"):
                 final_repair(containers, state, planner, result)
             if self.last_network is not None:
-                touched = state.dirty_raw_since(version_before)
-                if touched is None:
-                    # Log compacted: conservatively re-truthify every
-                    # sink residual (the patch is idempotent).
-                    touched = np.arange(state.n_machines)
-                _patch_residuals(self.last_network, state, touched)
+                _patch_residuals(self.last_network, state, since)
         # Rescue migrations move already-placed containers; re-read their
         # final machine from the authoritative state.
         for cid in result.placements:
@@ -174,7 +169,7 @@ class FlowPathSearch(Scheduler):
                     container, demand, state, network, blacklist, result
                 )
                 if machine is None:
-                    version_before = state.version
+                    since = state.cursor()
                     outcome = planner.rescue(container, demand)
                     result.explored += outcome.explored
                     if outcome.ok and state.would_violate(
@@ -197,17 +192,7 @@ class FlowPathSearch(Scheduler):
                         # residuals can have gone stale (interior edges
                         # are infinite), so patch those in place instead
                         # of rebuilding the whole network per rescue.
-                        touched = state.dirty_raw_since(version_before)
-                        if touched is None:
-                            # Dirty log compacted past us: fall back to
-                            # the full rebuild over the live containers.
-                            flat = [c for c in flat if c.container_id not in
-                                    result.placements and c.container_id not in
-                                    result.undeployed]
-                            network = build_layered_network(flat, state)
-                            self.last_network = network
-                        else:
-                            _patch_residuals(network, state, touched)
+                        _patch_residuals(network, state, since)
                         continue
                     result.undeployed[container.container_id] = outcome.failure
                     if self.config.enable_il:
@@ -223,12 +208,9 @@ class FlowPathSearch(Scheduler):
             # a victim no longer fits anywhere directly cannot make the
             # engines drift.  Rescues mutate machines behind the
             # network's back; re-truthify the touched sink residuals.
-            version_before = state.version
+            since = state.cursor()
             drain_requeue(requeue, state, planner, result)
-            touched = state.dirty_raw_since(version_before)
-            if touched is None:
-                touched = np.arange(state.n_machines)
-            _patch_residuals(network, state, touched)
+            _patch_residuals(network, state, since)
 
     # ------------------------------------------------------------------
     def _find_path(
@@ -355,22 +337,26 @@ class FlowPathSearch(Scheduler):
 def _patch_residuals(
     network: LayeredNetwork,
     state: ClusterState,
-    touched: np.ndarray,
+    since: StateCursor,
     flow_dim: int = 0,
 ) -> None:
-    """Re-truthify the sink residuals of rescue-touched machines.
+    """Re-truthify the sink residuals of machines touched after ``since``.
 
     Every interior edge of the layered network is infinite; only the
     machine → sink edges carry state-dependent capacity, so a rescue
     that migrates or preempts containers can only stale *those* — and
-    only for the machines the dirty log reports as touched.  Setting
-    ``capacity = flow + available`` keeps the already-pushed flow
-    feasible (``validate_flow`` stays green: flow ≤ capacity by
+    only for the machines the state's change feed reports as touched.
+    Setting ``capacity = flow + available`` keeps the already-pushed
+    flow feasible (``validate_flow`` stays green: flow ≤ capacity by
     construction) while restoring the invariant ``residual ==
     state.available[m, flow_dim]`` that :meth:`FlowPathSearch._augment`
-    relies on for subsequent pushes.  ``touched`` is the raw dirty-log
-    slice: a machine may repeat, and re-patching it changes nothing.
+    relies on for subsequent pushes.  The feed's raw slice may repeat a
+    machine, and re-patching it changes nothing — which is also why,
+    when the feed answers "rebuild", patching every machine is safe.
     """
+    touched = state.advance(since)
+    if touched is None:
+        touched = range(state.n_machines)
     net = network.net
     for m in touched:
         edge = net.edges[network.machine_edge[int(m)]]

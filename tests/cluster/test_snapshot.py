@@ -163,7 +163,10 @@ class TestStateRoundTrip:
         assert np.array_equal(back.available, state.available)
         assert np.array_equal(back.container_count, state.container_count)
         assert back.version == state.version
-        assert back.dirty_log == state.dirty_log
+        assert (
+            back.checkpoint_payload()["dirty_log"]
+            == state.checkpoint_payload()["dirty_log"]
+        )
         assert back._log_base == state._log_base
         assert back.app_machines == state.app_machines
         # resident enumeration order is part of the determinism contract

@@ -55,7 +55,7 @@ def assert_states_identical(a: ClusterState, b: ClusterState) -> None:
     assert (a.available == b.available).all()  # bitwise, not allclose
     assert (a.container_count == b.container_count).all()
     assert a.version == b.version
-    assert a.dirty_log == b.dirty_log
+    assert a.checkpoint_payload()["dirty_log"] == b.checkpoint_payload()["dirty_log"]
     assert {m: list(c) for m, c in a.machine_containers.items() if c} == {
         m: list(c) for m, c in b.machine_containers.items() if c
     }
@@ -225,16 +225,17 @@ class TestTouchBlock:
         for m in ids:
             b.touch(m)
         assert a.version == b.version
-        assert a.dirty_log == b.dirty_log
+        assert a.checkpoint_payload()["dirty_log"] == b.checkpoint_payload()["dirty_log"]
 
     def test_block_append_compacts_like_scalar(self, topo, constraints):
         state = ClusterState(topo, constraints)
         limit = state._log_limit
+        since = state.cursor()
         state.touch_block(np.zeros(limit + 10, dtype=np.int64))
         # The log compacted (dropped its oldest half) but the version
         # kept counting every touch.
         assert state.version == limit + 10
-        assert len(state.dirty_log) <= limit
-        # Consumers older than the compaction watermark get the
+        assert len(state.checkpoint_payload()["dirty_log"]) <= limit
+        # Cursors older than the compaction base get the
         # degrade-to-recompute signal, never a partial slice.
-        assert state.dirty_array_since(0) is None
+        assert state.advance(since) is None

@@ -14,7 +14,10 @@ The same operations run in lockstep on a twin, :class:`PerContainerState`,
 whose mutators and Equation 7–8 point checks are the per-container
 bodies the block mutators replaced: after every step the two ledgers
 must agree bit for bit and in every iteration order a reader sees, and
-``machine_apps`` must equal a recount from the residents.
+``machine_apps`` must equal a recount from the residents.  Every step
+also holds the state's change feed to its coverage: a cursor taken
+before the step advances to a slice naming every machine the step
+changed, or to "rebuild".
 
 :func:`recount_violations` is the pre-tally implementation, moved here
 verbatim: the reference the tally is held to, also imported by
@@ -290,8 +293,8 @@ def assert_ledgers_identical(a: ClusterState, b: ClusterState) -> None:
     assert a.container_count.tolist() == b.container_count.tolist()
     assert list(a.assignment.items()) == list(b.assignment.items())
     assert list(a._containers) == list(b._containers)
-    assert (a.version, a._log_base, a.dirty_log) == (
-        b.version, b._log_base, b.dirty_log
+    assert (a.version, a._log_base, a.checkpoint_payload()["dirty_log"]) == (
+        b.version, b._log_base, b.checkpoint_payload()["dirty_log"]
     )
     assert [(m, list(cids)) for m, cids in a.machine_containers.items()] == [
         (m, list(cids)) for m, cids in b.machine_containers.items()
@@ -304,7 +307,7 @@ def assert_ledgers_identical(a: ClusterState, b: ClusterState) -> None:
 N_MACHINES = 24
 N_APPS = 40
 #: dirty-log bound forced on every state the world holds, so compaction
-#: (and with it the "log no longer reaches the watermark" recount)
+#: (and with it the "feed answers rebuild" recount)
 #: happens within a dozen mutations instead of after 4096
 LOG_LIMIT = 8
 
@@ -518,7 +521,7 @@ class World:
 
     def query(self, r: random.Random) -> None:
         tally = self.state._violations
-        if tally is not None and tally.version < self.state._log_base:
+        if tally is not None and tally.cursor.version < self.state._log_base:
             self.reached["queried past a compaction"] += 1
         expected = recount_violations(self.state)
         assert self.state.anti_affinity_violations() == expected
@@ -528,13 +531,43 @@ class World:
         if self.state._violations.per_rack_app:
             self.reached["rack-scoped offenders"] += 1
 
-    # -- the invariant -------------------------------------------------
+    # -- the invariants ------------------------------------------------
+    def step(self, op: str, r: random.Random) -> None:
+        """Run operation ``op`` and hold the change feed to what it did.
+
+        A cursor taken before the step must be answered with a slice
+        naming every machine whose ``available`` row or resident set
+        changed, or with ``None`` ("rebuild") — always ``None`` once the
+        step replaced the state (snapshot, restore).
+        """
+        before = self.state
+        since = before.cursor()
+        available = before.available.copy()
+        residents = {m: set(c) for m, c in before.machine_containers.items()}
+        getattr(self, op)(r)
+        after = self.state
+        raw = after.advance(since)
+        if after is not before:
+            assert raw is None
+            return
+        if raw is None:
+            self.reached["feed answered rebuild"] += 1
+            return
+        changed = set(
+            np.flatnonzero((after.available != available).any(axis=1)).tolist()
+        )
+        for m in residents.keys() | after.machine_containers.keys():
+            if residents.get(m, set()) != set(after.machine_containers.get(m, ())):
+                changed.add(m)
+        assert changed <= set(raw.tolist()), (op, changed, raw.tolist())
+        self.reached["feed answered a slice"] += 1
+
     def check(self) -> None:
         """What a query *would* answer right now equals the recount, and
         the ledger equals its per-container twin.
 
         Asked of a probe — the state with a private copy of the tally —
-        so the real tally keeps its watermark and the next real query
+        so the real tally keeps its cursor and the next real query
         still has every mutation since the last one to repair.  The
         Equation 7–8 point check is asked for two applications (rotated
         with the version) on every machine.
@@ -568,12 +601,14 @@ REQUIRED = (
     "deploy_block rolled back",
     "fault displaced residents",
     "power touched a machine",
+    "feed answered a slice",
+    "feed answered rebuild",
 )
 
 
 def _rule_for(op: str):
     def run(self, r):
-        getattr(self.world, op)(r)
+        self.world.step(op, r)
 
     run.__name__ = op
     return rule(r=st.randoms(use_true_random=False))(run)
@@ -618,7 +653,7 @@ def test_seeded_replay_tally_equals_recount(seed):
     r = random.Random(seed)
     world = World()
     for _ in range(400):
-        getattr(world, r.choice(World.OPS))(r)
+        world.step(r.choice(World.OPS), r)
         world.check()
     world.query(r)
     missing = [k for k in REQUIRED if not world.reached[k]]

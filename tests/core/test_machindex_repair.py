@@ -24,7 +24,7 @@ import pytest
 
 from repro.cluster.constraints import ConstraintSet
 from repro.cluster.container import Container
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, StateCursor
 from repro.cluster.topology import (
     MachineSpec,
     build_cluster,
@@ -165,7 +165,9 @@ class World:
     def sync_and_check(self) -> None:
         state, index = self.state, self.index
         all_ids = np.arange(state.n_machines, dtype=np.int64)
-        dirty = state.dirty_array_since(index._version)
+        synced = index._cursor
+        raw = state.advance(StateCursor(synced.uid, synced.version))
+        dirty = None if raw is None else np.unique(raw)
         before = (index.resyncs, index.rebuilds, index.positions_rewritten)
         old_keys = None if index._keys is None else index._keys.copy()
 
@@ -274,13 +276,13 @@ def test_one_raw_slice_that_touches_a_machine_several_times():
     index = MachineIndex()
     deploy(state, 0, 7, cpu=6.0)
     index.candidates(state)
-    version = state.version
+    since = state.cursor()
     cids = [deploy(state, 0, 4, cpu=3.0) for _ in range(3)]
     deploy(state, 0, 2, cpu=1.5)
     state.evict(cids[0])
     state.touch(4)
     deploy(state, 0, 2, cpu=2.0)
-    raw = state.dirty_raw_since(version).tolist()
+    raw = state.advance(since).tolist()
     assert raw == [4, 4, 4, 2, 4, 4, 2]
     assert index.candidates(state).tolist() == ground_truth(state).tolist()
     assert (index.resyncs, index.rebuilds) == (1, 1)
