@@ -10,9 +10,13 @@
   direct O(|T|·|N|) bipartite form (Section III.A).
 """
 
+from bisect import bisect_left
+from itertools import accumulate
+
 import pytest
 
 from repro import AladdinConfig, AladdinScheduler, Simulator
+from repro.cluster.container import containers_of
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.core.network_builder import (
@@ -114,7 +118,10 @@ def test_ablation_network_aggregation(benchmark, trace, capsys):
     of magnitude versus the direct bipartite network."""
     topo = build_cluster(trace.config.n_machines)
     state = ClusterState(topo, trace.constraints)
-    window = trace.containers[:2000]
+    # the trace's first 2,000 containers, built from the leading
+    # applications only
+    ends = list(accumulate(a.n_containers for a in trace.applications))
+    window = containers_of(trace.applications[: bisect_left(ends, 2000) + 1])[:2000]
 
     def build_both():
         layered = build_layered_network(window, state)

@@ -166,9 +166,7 @@ def run_restore_report(
     state = ClusterState(topo, trace.constraints)
     engine = AladdinScheduler()
 
-    by_app: dict[int, list] = {}
-    for c in trace.containers:
-        by_app.setdefault(c.app_id, []).append(c)
+    by_app = trace.containers_by_app()
     apps = sorted(by_app)
     n_probe = max(4, len(apps) // 50)
     fill, probe_apps = apps[:-n_probe], apps[-n_probe:]

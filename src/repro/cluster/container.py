@@ -130,9 +130,7 @@ class Container(NamedTuple):
         return np.array([values[name] for name in resources], dtype=np.float64)
 
 
-def containers_of(
-    apps: list[Application], start_id: int = 0
-) -> list[Container]:
+def containers_of(apps: list[Application], start_id: int = 0) -> list[Container]:
     """Expand applications into their container instances.
 
     Container ids are assigned densely in application order starting at
@@ -142,12 +140,11 @@ def containers_of(
     ``__init__``, no per-container ``__dict__``.
     """
     out: list[Container] = []
-    next_id = start_id
     for app in apps:
         n = app.n_containers
         out += map(Container._make, zip(
-            range(next_id, next_id + n), repeat(app.app_id, n), range(n),
+            range(start_id, start_id + n), repeat(app.app_id, n), range(n),
             repeat(app.cpu, n), repeat(app.mem_gb, n), repeat(app.priority, n),
         ))
-        next_id += n
+        start_id += n
     return out

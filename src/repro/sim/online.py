@@ -308,7 +308,7 @@ class ArrivalSchedule:
     arrival_tick: np.ndarray
     #: app_id -> lifetime in ticks
     life_of: dict[int, int]
-    #: app_id -> that application's containers
+    #: app_id -> its containers, all built with the plan, not in the run loop
     by_app: dict[int, list]
     #: last tick any departure can land on + 1
     horizon: int

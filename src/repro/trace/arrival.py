@@ -67,7 +67,4 @@ def order_applications(trace: Trace, order: ArrivalOrder) -> list[Application]:
 def order_containers(trace: Trace, order: ArrivalOrder) -> list[Container]:
     """Containers of ``trace`` in arrival order (app blocks kept intact)."""
     by_app = trace.containers_by_app()
-    out: list[Container] = []
-    for app in order_applications(trace, order):
-        out.extend(by_app[app.app_id])
-    return out
+    return [c for app in order_applications(trace, order) for c in by_app[app.app_id]]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.cluster.constraints import ConstraintSet
 from repro.cluster.container import Application, Container, containers_of
@@ -165,28 +166,34 @@ def collector_paused():
 
 @dataclass
 class Trace:
-    """A generated workload: applications plus derived indices."""
+    """A workload: its applications, their constraint index, containers on demand."""
 
     config: TraceConfig
     applications: list[Application]
     constraints: ConstraintSet = field(init=False)
-    containers: list[Container] = field(init=False)
 
     @collector_paused()
     def __post_init__(self) -> None:
         self.constraints = ConstraintSet.from_applications(self.applications)
-        self.containers = containers_of(self.applications)
 
+    @cached_property
+    @collector_paused()
+    def containers(self) -> list[Container]:
+        return containers_of(self.applications)
+
+    @collector_paused()
     def containers_by_app(self) -> dict[int, list[Container]]:
         """Each application's containers, keyed by app id in trace order."""
         by_app: dict[int, list[Container]] = {}
-        for c in self.containers:
-            by_app.setdefault(c.app_id, []).append(c)
+        start = 0
+        for app in self.applications:
+            by_app.setdefault(app.app_id, []).extend(containers_of([app], start))
+            start += app.n_containers
         return by_app
 
     @property
     def n_containers(self) -> int:
-        return len(self.containers)
+        return sum(a.n_containers for a in self.applications)
 
     @property
     def n_apps(self) -> int:
@@ -199,7 +206,5 @@ class Trace:
         return application
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Trace(apps={self.n_apps}, containers={self.n_containers}, "
-            f"scale={self.config.scale})"
-        )
+        return (f"Trace(apps={self.n_apps}, containers={self.n_containers}, "
+                f"scale={self.config.scale})")

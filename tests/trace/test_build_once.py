@@ -11,6 +11,12 @@ The conflict graph, the largest structure of a trace, is held once:
 the constraint index adopts each application's ``conflicts`` frozenset,
 and the generator names every id through one shared int.  Both are
 gated by count (:class:`TestStoredOnce`), not by timing.
+
+A trace is a table of applications: a build derives only the constraint
+index, and containers are built where they are read, per application.
+Building a scenario and its serving state constructs no container
+(:class:`TestContainersOnDemand`, a count gate), and every on-demand
+view equals the flat list the build used to hold.
 """
 
 import gc
@@ -18,6 +24,9 @@ import hashlib
 
 import pytest
 
+from repro.cluster.container import Application, containers_of
+from repro.cluster.state import ClusterState
+from repro.sim.online import OnlineConfig, pool_topology
 from repro.trace import SCENARIOS, TraceConfig, build_scenario, generate_trace
 from repro.trace import schema
 from repro.trace.generator import generate_applications
@@ -145,11 +154,33 @@ class TestCollectorPause:
         def boom(apps):
             raise RuntimeError("mid-build failure")
 
-        monkeypatch.setattr(schema, "containers_of", boom)
+        # the constraint index is the bulk step a build still runs
+        monkeypatch.setattr(
+            schema.ConstraintSet, "from_applications", staticmethod(boom)
+        )
         with pytest.raises(RuntimeError, match="mid-build"):
             generate_trace(scale=0.02, seed=0)
         assert gc.isenabled()
         assert [generation for generation, _ in collections] == [2]
+
+    def test_a_failed_materialisation_restores_the_collector(
+        self, collector_on, collections, monkeypatch
+    ):
+        trace = generate_trace(scale=0.02, seed=0)
+
+        def boom(apps):
+            raise RuntimeError("mid-materialisation failure")
+
+        monkeypatch.setattr(schema, "containers_of", boom)
+        with pytest.raises(RuntimeError, match="mid-materialisation"):
+            trace.containers
+        assert gc.isenabled()
+        assert "containers" not in vars(trace)
+        # the build settled once, the failed materialisation once
+        assert [generation for generation, _ in collections] == [2, 2]
+        monkeypatch.undo()
+        assert trace.containers == containers_of(trace.applications)
+        assert "containers" in vars(trace)
 
     def test_a_disabled_collector_stays_off(self, collections):
         was = gc.isenabled()
@@ -161,3 +192,91 @@ class TestCollectorPause:
         finally:
             if was:
                 gc.enable()
+
+
+def regrouped(trace: Trace) -> dict:
+    """The grouping a trace gave while it held its flat container list:
+    each container appended under its app id, in list order."""
+    by_app: dict = {}
+    for c in trace.containers:
+        by_app.setdefault(c.app_id, []).append(c)
+    return by_app
+
+
+def scenario_or_generated(family: str) -> Trace:
+    if family == "generated":
+        return generate_trace(scale=0.05, seed=0)
+    return build_scenario(family, scale=0.05)
+
+
+class TestContainersOnDemand:
+    """Containers are built where they are read: by count, with no timing."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Containers constructed through the trace, counted."""
+        counts = [0]
+
+        def counting(apps, start_id=0):
+            out = containers_of(apps, start_id)
+            counts[0] += len(out)
+            return out
+
+        monkeypatch.setattr(schema, "containers_of", counting)
+        return counts
+
+    @pytest.mark.parametrize("family", sorted(SCENARIOS) + ["generated"])
+    def test_a_build_and_its_serving_state_construct_no_container(
+        self, family, built
+    ):
+        trace = scenario_or_generated(family)
+        state = ClusterState(pool_topology(trace, OnlineConfig()), trace.constraints)
+        assert state.n_machines > 0
+        assert trace.n_apps == len(trace.applications)
+        n = trace.n_containers
+        assert built == [0]
+        assert "containers" not in vars(trace)
+        # the counter is live: the arrival plans' grouping builds through it
+        assert sum(map(len, trace.containers_by_app().values())) == n
+        assert built == [n]
+
+    @pytest.mark.parametrize("family", sorted(SCENARIOS) + ["generated"])
+    def test_the_grouping_is_the_flat_list(self, family):
+        trace = scenario_or_generated(family)
+        by_app = trace.containers_by_app()
+        assert [
+            c for a in trace.applications for c in by_app[a.app_id]
+        ] == trace.containers
+        assert all(len(by_app[a.app_id]) == a.n_containers for a in trace.applications)
+        assert trace.n_containers == len(trace.containers)
+        assert list(by_app.items()) == list(regrouped(trace).items())
+
+    def test_app_ids_out_of_list_order(self):
+        apps = [
+            Application(app_id=2, n_containers=3, cpu=2.0, mem_gb=4.0),
+            Application(app_id=0, n_containers=1, cpu=1.0, mem_gb=2.0, priority=1),
+            Application(app_id=1, n_containers=2, cpu=4.0, mem_gb=8.0),
+        ]
+        trace = Trace(config=TraceConfig(scale=0.01), applications=apps)
+        by_app = trace.containers_by_app()
+        assert list(by_app) == [2, 0, 1]
+        assert [c.container_id for c in by_app[2]] == [0, 1, 2]
+        assert [c.container_id for c in by_app[0]] == [3]
+        assert [c.container_id for c in by_app[1]] == [4, 5]
+        assert [c for a in apps for c in by_app[a.app_id]] == trace.containers
+        assert trace.containers == containers_of(apps)
+        assert list(by_app.items()) == list(regrouped(trace).items())
+        assert trace.n_containers == 6
+
+    def test_a_duplicate_app_id_merges_its_runs_in_list_order(self):
+        apps = [
+            Application(app_id=0, n_containers=2, cpu=1.0, mem_gb=2.0),
+            Application(app_id=1, n_containers=1, cpu=2.0, mem_gb=4.0),
+            Application(app_id=0, n_containers=2, cpu=4.0, mem_gb=8.0),
+        ]
+        trace = Trace(config=TraceConfig(scale=0.01), applications=apps)
+        by_app = trace.containers_by_app()
+        assert list(by_app.items()) == list(regrouped(trace).items())
+        assert [c.container_id for c in by_app[0]] == [0, 1, 3, 4]
+        assert [c.instance for c in by_app[0]] == [0, 1, 0, 1]
+        assert trace.n_containers == len(trace.containers) == 5
