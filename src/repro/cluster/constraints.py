@@ -17,8 +17,10 @@ with ``a``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -26,23 +28,6 @@ from repro.cluster.container import Application
 
 #: Priority classes used by the reproduction's traces, lowest first.
 PRIORITY_CLASSES: tuple[int, ...] = (0, 1, 2, 3)
-
-#: shared answer of :meth:`ConstraintSet.conflict_view` for an
-#: application no cross-application rule names
-_NO_CONFLICTS: frozenset[int] = frozenset()
-
-
-def _mirrored(adopted: list[tuple[int, frozenset[int]]], conflicts: dict) -> bool:
-    """True when every adopted pair ``(a, b)`` has its ``(b, a)``: one
-    sort of each side, where a membership test per pair would miss the
-    cache on nearly every one of a full trace's millions."""
-    if not adopted or adopted[0][0] not in conflicts.get(min(adopted[0][1]), ()):
-        return False  # nothing to check, or a first pair already one-sided
-    src = np.repeat([a for a, _ in adopted], [len(p) for _, p in adopted])
-    dst = np.fromiter(chain.from_iterable(p for _, p in adopted), np.int64, src.size)
-    if dst.min() < 0 or max(src.max(), dst.max()) >= 1 << 31:
-        return False  # ids the keys cannot hold
-    return bool(np.array_equal(np.sort(src << 32 | dst), np.sort(dst << 32 | src)))
 
 
 @dataclass(frozen=True)
@@ -85,6 +70,13 @@ class ConstraintSet:
     paper's case — replicas on distinct machines) or ``"rack"``
     (replicas on distinct racks, the fault-domain the network's ``R``
     vertex layer models; Kubernetes calls this a ``topologyKey``).
+
+    The cross-application graph is held in rows, 4 bytes an entry
+    whatever its density: every application a rule names has a row,
+    ranked by id (:attr:`pos`), and one sorted array holds each entry as
+    the key ``row * n + partner row`` (``n`` rows), row ``r`` between
+    ``offsets[r]`` and ``offsets[r + 1]``.  :meth:`add_rule` buffers its
+    pair; the next query merges the buffer into the rows.
     """
 
     def __init__(self, rules: list[AntiAffinityRule] | None = None) -> None:
@@ -95,10 +87,14 @@ class ConstraintSet:
         #: a rule added after placement changes verdicts with no state
         #: mutation to announce it
         self.revision = 0
-        self._within: set[int] = set()
         self._within_scope: dict[int, str] = {}
-        self._conflicts: dict[int, set[int] | frozenset[int]] = {}
         self._affinities: dict[int, set[int]] = {}
+        self._pending: list[tuple[int, int]] = []
+        self._ids = np.empty(0, dtype=np.int64)  # row -> app id
+        self._pos: dict[int, int] = {}
+        self._keys = np.empty(0, dtype=np.int32)
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._mask: tuple[int | None, bytes] = (None, b"")
         for rule in rules or []:
             self.add_rule(rule)
 
@@ -108,40 +104,68 @@ class ConstraintSet:
 
         Equal in content to one :meth:`add_rule` per within-flag and
         ``conflicts`` entry, then one :meth:`add_affinity` per affinity
-        once the conflict graph is complete.  That graph (millions of
-        pairs at full scale) is stored once: each ``conflicts`` frozenset
-        is adopted as is, and only reverse entries the input lacks are
-        added.  Anything else (a non-frozenset, a negative id, an app
-        naming itself) goes through :meth:`add_rule` and its checks.
+        once the conflict graph is complete, but the graph is built in
+        one vectorised pass.
         """
         cs = cls()
-        conflicts = cs._conflicts
-        adopted = []
         for app in apps:
-            a, peers = app.app_id, app.conflicts
             if app.anti_affinity_within:
                 scope = getattr(app, "anti_affinity_scope", "machine")
-                cs.add_rule(AntiAffinityRule(a, a), scope=scope)
-            if type(peers) is not frozenset or a < 0 or a in peers:
-                for b in peers:
-                    cs.add_rule(AntiAffinityRule(a, b))
-            elif peers:
-                adopted.append((a, peers))  # a duplicate id unites its sets
-                conflicts[a] = conflicts[a] | peers if a in conflicts else peers
-        for a, peers in () if _mirrored(adopted, conflicts) else adopted:
-            for b in peers:  # add the reverse entries the input lacks
-                entry = conflicts.get(b, _NO_CONFLICTS)
-                if type(entry) is set:
-                    entry.add(a)
-                elif a not in entry:
-                    if b < 0:
-                        AntiAffinityRule(a, b)  # raises: ids are non-negative
-                    conflicts[b] = {a, *iter(entry)}  # sized as add_rule sizes it
+                cs.add_rule(AntiAffinityRule(app.app_id, app.app_id), scope=scope)
+        owners = np.array([app.app_id for app in apps], dtype=np.int64)
+        sizes = np.array([len(app.conflicts) for app in apps], dtype=np.int64)
+        peers = chain.from_iterable(app.conflicts for app in apps)
+        cs._merge(owners, sizes, np.fromiter(peers, np.int64, sizes.sum()))
         for app in apps:
             for other in getattr(app, "affinities", ()):  # soft, one-way
                 cs.add_affinity(app.app_id, other)
         cs.revision += 1
         return cs
+
+    def _merge(self, owners: np.ndarray, sizes: np.ndarray, peers: np.ndarray) -> None:
+        """Add the pairs each ``owners[i]`` forms with its next
+        ``sizes[i]`` ``peers``, both ways.  Rows stay 32-bit where they
+        fit: 64-bit pairs would make this build the process's peak."""
+        if self._ids.size:  # the graph so far
+            owners = np.concatenate((self._ids, owners))
+            sizes = np.concatenate((np.diff(self._offsets), sizes))
+            peers = np.concatenate((self._ids[self._keys % self._ids.size], peers))
+        owners, sizes = owners[sizes > 0], sizes[sizes > 0]
+        if not peers.size:
+            return
+        if min(owners.min(), peers.min()) < 0:
+            raise ValueError("application ids must be non-negative")
+        top = int(max(owners.max(), peers.max()))
+        if top < 2 * peers.size:  # dense ids: rank by a presence table
+            seen = np.zeros(top + 1, dtype=bool)
+            seen[owners] = seen[peers] = True
+            ids, rank = np.flatnonzero(seen), (np.cumsum(seen) - 1).__getitem__
+        else:
+            ids = np.unique(np.concatenate((owners, peers)))
+            rank = ids.searchsorted
+        n = ids.size
+        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        b = rank(peers).astype(dtype)
+        del peers
+        a = np.repeat(rank(owners).astype(dtype), sizes)
+        if (a == b).any():
+            raise ValueError("use anti_affinity_within for self-conflicts")
+        keys = np.concatenate((a * n + b, b * n + a))
+        del a, b
+        keys.sort()
+        self._keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        self._offsets = np.searchsorted(self._keys, np.arange(n + 1) * n)
+        self._ids, self._pos = ids, dict(zip(ids.tolist(), range(n)))
+        self._mask = (None, b"")
+
+    @property
+    def pos(self) -> dict[int, int]:
+        """Row of every application a cross-application rule names."""
+        if self._pending:
+            pairs = np.array(self._pending, dtype=np.int64)
+            self._pending = []
+            self._merge(pairs[:, 0], np.ones(len(pairs), np.int64), pairs[:, 1])
+        return self._pos
 
     def add_affinity(self, app_id: int, other: int) -> None:
         """Register a soft co-location preference (one-way)."""
@@ -159,26 +183,20 @@ class ConstraintSet:
         return frozenset(self._affinities.get(app_id, ()))
 
     def add_rule(self, rule: AntiAffinityRule, scope: str = "machine") -> None:
-        """Register one rule; cross-application rules are made symmetric
-        (an adopted conflict set is copied before its first write)."""
+        """Register one rule; cross-application rules are made symmetric."""
         if scope not in ("machine", "rack"):
             raise ValueError(f"scope must be 'machine' or 'rack', got {scope!r}")
         rule = rule.normalized()
         if rule.within:
-            self._within.add(rule.app_a)
             self._within_scope[rule.app_a] = scope
         else:
-            for a, b in (rule.app_a, rule.app_b), (rule.app_b, rule.app_a):
-                peers = self._conflicts.get(a, _NO_CONFLICTS)
-                if type(peers) is not set:  # adopted, or new: own a copy
-                    peers = self._conflicts[a] = set(peers)
-                peers.add(b)
+            self._pending.append((rule.app_a, rule.app_b))
         self.revision += 1
 
     def has_within(self, app_id: int) -> bool:
         """True when containers of ``app_id`` must be on distinct machines
         (or distinct racks, per :meth:`within_scope`)."""
-        return app_id in self._within
+        return app_id in self._within_scope
 
     def within_scope(self, app_id: int) -> str:
         """Spread domain of ``app_id``'s within-rule: machine or rack."""
@@ -186,36 +204,101 @@ class ConstraintSet:
 
     def has_conflicts(self, app_id: int) -> bool:
         """True when any cross-application rule names ``app_id``."""
-        return app_id in self._conflicts
+        return app_id in self.pos
+
+    def row(self, app_id: int) -> np.ndarray:
+        """Rows of ``app_id``'s conflict partners, ascending."""
+        r = self.pos.get(app_id)
+        if r is None:
+            return self._keys[:0]
+        lo, hi = self._offsets[r : r + 2].tolist()
+        return self._keys[lo:hi] - r * self._ids.size
+
+    def partners(self, app_id: int) -> list[int]:
+        """Applications that must not share a machine with ``app_id``,
+        ascending."""
+        row = self.row(app_id)  # merges what is pending first
+        return self._ids[row].tolist()
 
     def conflicts_of(self, app_id: int) -> frozenset[int]:
         """Applications that must not share a machine with ``app_id``."""
-        return frozenset(self._conflicts.get(app_id, ()))
+        return frozenset(self.partners(app_id))
 
-    def conflict_view(self, app_id: int) -> "set[int] | frozenset[int]":
-        """The conflict set of ``app_id`` without the copy.
+    def blacklist(self, app_id: int) -> bytes:
+        """A byte per row of :attr:`pos`, set where that application
+        conflicts with ``app_id``, and a last byte never set:
+        ``mask[pos.get(other, -1)]`` asks about any ``other``.  The last
+        mask is kept; none is to be held across an :meth:`add_rule`."""
+        pos = self.pos  # a merge drops the kept mask
+        last, mask = self._mask
+        if last != app_id:
+            flags = np.zeros(len(pos) + 1, dtype=np.uint8)
+            flags[self.row(app_id)] = 1
+            mask = flags.tobytes()
+            self._mask = (app_id, mask)
+        return mask
 
-        A frozenset (often the application's own ``conflicts``) or a set,
-        empty when no rule names ``app_id``: read-only, not to be held
-        across an :meth:`add_rule`, and in no contracted order.  For
-        per-machine hot loops; :meth:`conflicts_of` is the safe form.
-        """
-        return self._conflicts.get(app_id, _NO_CONFLICTS)
+    def clashes(self, app_id: int, apps) -> bool:
+        """True when ``app_id`` conflicts with an application of ``apps``."""
+        mask, pos = self.blacklist(app_id), self._pos
+        return not pos.keys().isdisjoint(apps) and any(
+            map(mask.__getitem__, map(pos.get, apps, repeat(-1)))
+        )
 
-    def conflicting_pairs(self) -> set[tuple[int, int]]:
-        """All cross-application conflict pairs, canonically ordered."""
-        return {(a, b) for a, peers in self._conflicts.items() for b in peers if a < b}
+    def clashing(self, groups: list[int], rows: list[int]) -> list[bool]:
+        """Whether each ``rows[i]`` conflicts with another row of its
+        group (``groups`` non-decreasing).  Many entries are paired in
+        numpy and asked in one ``searchsorted``, its needles sorted since
+        a random probe of a large index misses the cache at every step;
+        a handful is paired in Python and bisected one by one, where
+        numpy's per-call cost would outweigh the work."""
+        keys, n = self._keys, self._ids.size
+        out = [False] * len(rows)
+        if len(rows) > 16:
+            g, r = np.array(groups), np.array(rows)
+            later = np.searchsorted(g, g, "right") - np.arange(g.size) - 1
+            asker = np.repeat(np.arange(g.size), later)
+            other = asker + 1 + np.arange(asker.size)
+            other -= np.repeat(np.cumsum(later) - later, later)
+            query = (r[asker] * n + r[other]).astype(keys.dtype)
+            order = np.argsort(query)
+            query, asker, other = query[order], asker[order], other[order]
+            found = keys[np.searchsorted(keys, query).clip(max=keys.size - 1)] == query
+            for i, j in zip(compress(asker, found), compress(other, found)):
+                out[i] = out[j] = True
+            return out
+        # memoryviews read Python ints: no numpy call per probe, and each
+        # probe bisects only the asker's row
+        view, bounds = memoryview(keys), memoryview(self._offsets)
+        for i, group in enumerate(groups):
+            lo, hi = bounds[rows[i]], bounds[rows[i] + 1]
+            for j in range(i + 1, len(groups)):
+                if groups[j] != group:
+                    break
+                key = rows[i] * n + rows[j]
+                at = bisect_left(view, key, lo, hi)
+                if at < hi and view[at] == key:
+                    out[i] = out[j] = True
+        return out
+
+    def conflicting_pairs(self) -> Iterator[tuple[int, int]]:
+        """Every cross-application conflict pair ``(a, b)``, ``a < b``,
+        in ascending order, a row at a time."""
+        for r, a in enumerate(list(self.pos)):
+            row = self.row(a)
+            yield from zip(repeat(a), self._ids[row[row > r]].tolist())
 
     def apps_with_anti_affinity(self) -> set[int]:
         """Every application touched by at least one anti-affinity rule."""
-        return self._within | self._conflicts.keys()
+        return self._within_scope.keys() | self.pos.keys()
 
     def violates(self, app_a: int, app_b: int) -> bool:
         """True when co-locating containers of ``app_a`` and ``app_b``
         on one machine breaks a rule (including ``app_a == app_b``)."""
         if app_a == app_b:
-            return app_a in self._within
-        return app_b in self._conflicts.get(app_a, ())
+            return app_a in self._within_scope
+        return bool(self.blacklist(app_a)[self._pos.get(app_b, -1)])
 
     def __len__(self) -> int:
-        return len(self._within) + len(self.conflicting_pairs())
+        self.pos  # merges what is pending
+        return len(self._within_scope) + self._keys.size // 2

@@ -9,8 +9,10 @@ property Aladdin's IL pruning exploits (Section IV.A).  Containers are
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import lt
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +44,8 @@ class Application:
         domain the flow network's ``R`` vertex layer models.
     conflicts:
         Ids of other applications this one must not share a machine with
-        (*anti-affinity across applications*).
+        (*anti-affinity across applications*), held as a sorted tuple;
+        any iterable of ids is accepted and normalised.
     affinities:
         Ids of applications this one *prefers* to share a machine with —
         a soft constraint (Borg-style affinity; the related-work section
@@ -60,7 +63,7 @@ class Application:
     priority: int = 0
     anti_affinity_within: bool = False
     anti_affinity_scope: str = "machine"
-    conflicts: frozenset[int] = field(default_factory=frozenset)
+    conflicts: tuple[int, ...] = ()
     affinities: frozenset[int] = field(default_factory=frozenset)
     name: str = ""
 
@@ -78,7 +81,12 @@ class Application:
             )
         if self.priority < 0:
             raise ValueError(f"priority must be non-negative, got {self.priority}")
-        if self.app_id in self.conflicts:
+        conflicts = self.conflicts
+        if type(conflicts) is not tuple or not all(map(lt, conflicts, conflicts[1:])):
+            conflicts = tuple(sorted(set(conflicts)))
+            object.__setattr__(self, "conflicts", conflicts)
+        i = bisect_left(conflicts, self.app_id)
+        if conflicts[i : i + 1] == (self.app_id,):
             raise ValueError(
                 "use anti_affinity_within for self-conflicts, not the "
                 "cross-application conflict set"
@@ -88,11 +96,10 @@ class Application:
                 f"anti_affinity_scope must be 'machine' or 'rack', got "
                 f"{self.anti_affinity_scope!r}"
             )
-        overlap = self.affinities & self.conflicts
-        if overlap:
+        if self.affinities and not self.affinities.isdisjoint(conflicts):
             raise ValueError(
-                f"applications {sorted(overlap)} appear in both affinities "
-                "and conflicts"
+                f"applications {sorted(self.affinities.intersection(conflicts))} "
+                "appear in both affinities and conflicts"
             )
 
     def demand_vector(self, resources: tuple[str, ...] = DEFAULT_RESOURCES) -> np.ndarray:

@@ -323,7 +323,7 @@ class ClusterState:
                     mask[np.isin(self.topology.rack_of, racks)] = True
                 else:
                     ids.extend(hosting)
-        for other in cs.conflict_view(app_id):
+        for other in cs.partners(app_id):
             hosting = app_machines.get(other)
             if hosting:
                 ids.extend(hosting)
@@ -357,7 +357,7 @@ class ClusterState:
         if hosted:
             if app_id in hosted and cs.has_within(app_id):
                 return True
-            if not cs.conflict_view(app_id).isdisjoint(hosted):
+            if cs.clashes(app_id, hosted):
                 return True
         # Rack-scoped within-rules also forbid rack-mates.
         if cs.has_within(app_id) and cs.within_scope(app_id) == "rack":
@@ -673,7 +673,7 @@ class ClusterState:
             tally = self._violations = _ViolationTally(
                 cs.revision, self.cursor()
             )
-            machines = self.machine_containers
+            machines = list(self.machine_containers)
         elif raw.size == 0:
             return tally.total
         else:
@@ -691,12 +691,9 @@ class ClusterState:
         # gained a container — on a machine that is then dirty and hosts
         # it now — and only have fallen if it was non-zero.
         suspects = set(tally.per_rack_app)
-        for machine_id in machines:
-            tally.store(
-                tally.per_machine,
-                machine_id,
-                self._machine_offenders(machine_id, suspects),
-            )
+        offenders = self._machine_offenders(machines, suspects)
+        for machine_id, count in zip(machines, offenders):
+            tally.store(tally.per_machine, machine_id, count)
         for app_id in suspects:
             if cs.has_within(app_id) and cs.within_scope(app_id) == "rack":
                 tally.store(
@@ -704,25 +701,44 @@ class ClusterState:
                 )
         return tally.total
 
-    def _machine_offenders(self, machine_id: int, resident: set[int]) -> int:
-        """Containers on ``machine_id`` that break a machine-scoped rule:
-        two of one within-anti-affinity application, or any of an
+    def _machine_offenders(
+        self, machines: list[int], resident: set[int]
+    ) -> list[int]:
+        """Containers on each of ``machines`` that break a machine-scoped
+        rule: two of one within-anti-affinity application, or any of an
         application sharing the machine with one it conflicts with.
-        The applications the machine hosts are added to ``resident``."""
-        apps = self.machine_apps.get(machine_id)
-        if not apps:
-            return 0
-        resident.update(apps)
+        The applications the machines host are added to ``resident``.
+
+        Only a machine hosting two constrained applications can break a
+        cross-application rule; their pairs are asked all at once."""
         cs = self.constraints
-        offenders = 0
-        for app, count in apps.items():
-            conflicts = cs.conflict_view(app)
-            if (conflicts and not conflicts.isdisjoint(apps)) or (
-                count > 1
-                and cs.has_within(app)
-                and cs.within_scope(app) == "machine"
+        pos = cs.pos
+        offenders = [0] * len(machines)
+        counted: set[tuple[int, int]] = set()  # (slot, app) of a within-rule
+        slots: list[int] = []  # per constrained application of a machine
+        found: list[int] = []  # hosting two or more
+        for slot, machine_id in enumerate(machines):
+            apps = self.machine_apps.get(machine_id, {})
+            resident.update(apps)
+            for app, count in apps.items():
+                if (
+                    count > 1
+                    and cs.has_within(app)
+                    and cs.within_scope(app) == "machine"
+                ):
+                    offenders[slot] += count
+                    counted.add((slot, app))
+            constrained = pos.keys() & apps.keys()
+            if len(constrained) > 1:
+                slots += itertools.repeat(slot, len(constrained))
+                found += constrained
+        if found:
+            hit = cs.clashing(slots, list(map(pos.__getitem__, found)))
+            for slot, app in zip(
+                itertools.compress(slots, hit), itertools.compress(found, hit)
             ):
-                offenders += count
+                if (slot, app) not in counted:  # an offender counts once
+                    offenders[slot] += self.machine_apps[machines[slot]][app]
         return offenders
 
     def _rack_offenders(self, app_id: int) -> int:

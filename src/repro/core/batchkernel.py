@@ -37,6 +37,7 @@ through unchanged.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -71,11 +72,15 @@ def block_plan(
     survivors = np.flatnonzero(dominates(rows, demand))
     if survivors.size == 0:
         return _NO_RUNS, _NO_RUNS
-    conflicts = state.constraints.conflict_view(app_id)
     # ``None`` is never a hosted application id: without a within-rule
     # the application's own hosts stay admissible.
     own = app_id if within_scope is not None else None
-    screen = own is not None or bool(conflicts)
+    pos = state.constraints.pos
+    conflicted = app_id in pos
+    screen = own is not None or conflicted
+    if conflicted:  # a byte per constrained application, a clear last one
+        blocked = state.constraints.blacklist(app_id).__getitem__
+        named, rest = pos.keys(), repeat(-1)
     hosted_by = state.machine_apps.get
     ids = candidates[survivors].tolist()
     racks: list[int] = []
@@ -96,7 +101,10 @@ def block_plan(
         if racks and racks[i] in taken:
             continue
         if screen and (hosted := hosted_by(m)) and (
-            own in hosted or not conflicts.isdisjoint(hosted)
+            own in hosted
+            or conflicted
+            and not named.isdisjoint(hosted)
+            and any(map(blocked, map(pos.get, hosted, rest)))
         ):
             continue
         if within_scope is None:

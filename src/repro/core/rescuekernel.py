@@ -74,6 +74,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -124,8 +125,8 @@ def _blockers(
     look-ups)."""
     cs = state.constraints
     own = app_id if cs.has_within(app_id) else None
-    conflicts = cs.conflict_view(app_id)
-    return [c for c in residents if c.app_id == own or c.app_id in conflicts]
+    pos, mask = cs.pos, cs.blacklist(app_id)
+    return [c for c in residents if c.app_id == own or mask[pos.get(c.app_id, -1)]]
 
 
 #: the loop's resident order: ``sorted(..., key=_PRIORITY_CPU)`` is
@@ -754,7 +755,8 @@ class RescueKernel:
         app_id = container.app_id
         cs = state.constraints
         own = app_id if cs.has_within(app_id) else None
-        conflicts = cs.conflict_view(app_id)
+        pos = cs.pos
+        blocked, named, rest = cs.blacklist(app_id).__getitem__, pos.keys(), repeat(-1)
         hosted_on = state.machine_apps.get
         keep = np.ones(passing.size, dtype=bool)
         clear: list[int] = []
@@ -762,7 +764,10 @@ class RescueKernel:
             hosted = hosted_on(machine_id, ())
             if _rack_blocked(state, app_id, machine_id):
                 keep[j] = False
-            elif own not in hosted and conflicts.isdisjoint(hosted):
+            elif own not in hosted and (
+                named.isdisjoint(hosted)
+                or not any(map(blocked, map(pos.get, hosted, rest)))
+            ):
                 clear.append(j)
         if clear:
             pos = passing[clear]

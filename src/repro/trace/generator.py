@@ -66,7 +66,7 @@ def generate_applications(config: TraceConfig) -> list[Application]:
             mem_gb=float(cpus[i]) * 2.0,
             priority=int(priorities[i]),
             anti_affinity_within=bool(within[i]),
-            conflicts=frozenset(conflicts[i]),
+            conflicts=tuple(sorted(conflicts[i])),
             name=f"lla-{i:05d}",
         )
         for i in range(config.n_apps)
@@ -193,8 +193,8 @@ def _calibrate_demand(
         # single-instance apps — later passes adjust singletons too.
         allow_singletons = pass_no >= 5
         converged = True
+        mean = float(np.dot(cpus, sizes)) / total
         for i in order:
-            mean = float(np.dot(cpus, sizes)) / total
             error = abs(mean - target)
             if error <= 0.02 * target:
                 break
@@ -215,7 +215,7 @@ def _calibrate_demand(
             if abs(new_mean - target) < error:
                 cpus[i] = new_val
                 converged = False
-        mean = float(np.dot(cpus, sizes)) / total
+                mean = float(np.dot(cpus, sizes)) / total
         if abs(mean - target) <= 0.02 * target:
             break
         # A no-op pass only ends the walk once the singleton levers have

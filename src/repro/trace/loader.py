@@ -55,8 +55,7 @@ def save_trace(trace: Trace, stem: str | Path) -> tuple[Path, Path]:
     with conflicts_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["app_a", "app_b"])
-        for a, b in sorted(trace.constraints.conflicting_pairs()):
-            writer.writerow([a, b])
+        writer.writerows(trace.constraints.conflicting_pairs())
 
     return apps_path, conflicts_path
 
@@ -104,7 +103,7 @@ def load_trace(stem: str | Path, config: TraceConfig | None = None) -> Trace:
                         ),
                         anti_affinity_scope=row.get("anti_affinity_scope")
                         or "machine",
-                        conflicts=frozenset(conflicts.get(app_id, ())),
+                        conflicts=conflicts.get(app_id, ()),
                         affinities=frozenset(
                             int(a)
                             for a in (row.get("affinities") or "").split()

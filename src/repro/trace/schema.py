@@ -170,7 +170,7 @@ class Trace:
 
     config: TraceConfig
     applications: list[Application]
-    constraints: ConstraintSet = field(init=False)
+    constraints: ConstraintSet = field(init=False, compare=False)
 
     @collector_paused()
     def __post_init__(self) -> None:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster.constraints import AntiAffinityRule, ConstraintSet, _mirrored
+from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
 from repro.cluster.container import Application
 
 from benchmarks.e2e.workloads import rescue_stream
+from tests.cluster.reference_index import ReferenceIndex
 from tests.conftest import with_rack_scopes
 
 
@@ -51,7 +52,7 @@ class TestConstraintSet:
 
     def test_conflicting_pairs_canonical(self):
         cs = ConstraintSet([AntiAffinityRule(5, 1), AntiAffinityRule(1, 5)])
-        assert cs.conflicting_pairs() == {(1, 5)}
+        assert list(cs.conflicting_pairs()) == [(1, 5)]
 
     def test_len_counts_within_and_pairs(self):
         cs = ConstraintSet(
@@ -77,13 +78,12 @@ class TestConstraintSet:
     def test_conflicts_of_unknown_app_is_empty(self):
         assert ConstraintSet().conflicts_of(42) == frozenset()
 
-    def test_conflict_view_is_the_live_set_not_a_copy(self):
+    def test_later_rules_merge_on_the_next_query(self):
         cs = ConstraintSet([AntiAffinityRule(1, 2)])
-        assert cs.conflict_view(1) == {2}
-        assert cs.conflict_view(1) is cs.conflict_view(1)
-        assert cs.conflict_view(42) == frozenset()
-        cs.add_rule(AntiAffinityRule(1, 3))
-        assert cs.conflict_view(1) == {2, 3}
+        assert cs.partners(1) == [2] and cs.partners(42) == []
+        cs.add_rule(AntiAffinityRule(3, 1))
+        assert cs.partners(1) == [2, 3] and cs.partners(3) == [1]
+        assert list(cs.pos) == [1, 2, 3]
 
     def test_revision_moves_with_every_rule(self):
         cs = ConstraintSet()
@@ -118,14 +118,13 @@ def per_rule_build(apps) -> ConstraintSet:
 
 
 def content_image(cs: ConstraintSet):
-    """Every container of the index as sorted content.  No reader walks
-    these sets in order (masks, membership tests and ``isdisjoint``), so
-    equal content is what a build must reproduce; the decisions that
-    rest on that are pinned in ``test_index_order_decisions.py``."""
+    """Every container of the index as sorted content (the form the
+    pins digest).  No reader depends on more than content: masks,
+    membership tests and row look-ups."""
     return (
-        sorted(cs._within),
+        sorted(cs._within_scope),
         sorted(cs._within_scope.items()),
-        sorted((a, sorted(peers)) for a, peers in cs._conflicts.items()),
+        sorted((a, cs.partners(a)) for a in cs.pos),
         sorted((a, sorted(peers)) for a, peers in cs._affinities.items()),
     )
 
@@ -159,12 +158,9 @@ class TestBulkBuild:
                 anti_affinity_within=within, anti_affinity_scope=scope,
             )
 
-        # naming itself is a within-rule at machine scope (and, as in
-        # the per-rule path, overrides the declared rack scope)
-        selfish = [app(0, (3, 0, 1), within=True, scope="rack"), app(3, (0,))]
-        bulk = ConstraintSet.from_applications(selfish)
-        assert content_image(bulk) == content_image(per_rule_build(selfish))
-        assert bulk.within_scope(0) == "machine" and 0 not in bulk.conflict_view(0)
+        # a record naming itself is refused, as Application refuses it
+        with pytest.raises(ValueError, match="self-conflicts"):
+            ConstraintSet.from_applications([app(0, (3, 0, 1), within=True)])
         for bad in ([app(2, (-1,))], [app(-2, (1,))], [app(-2, (-5,))]):
             with pytest.raises(ValueError, match="non-negative"):
                 ConstraintSet.from_applications(bad)
@@ -173,25 +169,24 @@ class TestBulkBuild:
 
 
 def app(app_id, conflicts=(), **fields) -> Application:
-    return Application(app_id, 1, 1.0, 2.0, conflicts=frozenset(conflicts), **fields)
+    return Application(app_id, 1, 1.0, 2.0, conflicts=conflicts, **fields)
 
 
 def mirrored(apps) -> bool:
-    """``_mirrored`` on ``apps``' conflict sets, asked past its probe of
-    the first pair (the complete index always passes it)."""
-    complete = ConstraintSet.from_applications(apps)._conflicts
-    return _mirrored([(a.app_id, a.conflicts) for a in apps if a.conflicts], complete)
+    """Whether every pair ``apps`` name is named from both sides."""
+    pairs = {(a.app_id, b) for a in apps for b in a.conflicts}
+    return all((b, a) in pairs for a, b in pairs)
 
 
 def assert_symmetric(cs: ConstraintSet) -> None:
     for a in cs.apps_with_anti_affinity():
-        for b in cs.conflict_view(a):
-            assert a in cs.conflict_view(b), (a, b)
+        for b in cs.partners(a):
+            assert a in cs.partners(b), (a, b)
 
 
 class TestAdoptedConflictSets:
-    """``from_applications`` keeps each application's ``conflicts``
-    frozenset as its conflict set and completes what the input lacks."""
+    """``from_applications`` takes each application's ``conflicts`` as
+    given and completes what the input lacks."""
 
     @pytest.mark.parametrize("affinity_first", [True, False])
     def test_an_anti_affine_pair_cannot_prefer_co_location(self, affinity_first):
@@ -206,27 +201,27 @@ class TestAdoptedConflictSets:
         one_sided = app(1, {0})
         cs = ConstraintSet.from_applications([one_sided])
         assert cs.violates(0, 1) and cs.violates(1, 0)
-        assert cs.has_conflicts(0) and cs.conflict_view(0) == {1}
-        assert cs.conflict_view(1) is one_sided.conflicts
+        assert cs.has_conflicts(0) and cs.partners(0) == [1]
+        assert cs.partners(1) == list(one_sided.conflicts) == [0]
 
     def test_completing_an_adopted_set_leaves_the_application_alone(self):
         first, second = app(0, {2}), app(1, {0})
         cs = ConstraintSet.from_applications([first, second])
-        assert cs.conflict_view(0) == {1, 2}
-        assert first.conflicts == frozenset({2})
+        assert cs.partners(0) == [1, 2]
+        assert first.conflicts == (2,)
         assert cs.violates(2, 0) and cs.violates(0, 1)
 
     def test_a_shared_id_unites_its_conflict_sets(self):
         first, second = app(0, {1}), app(0, {2})
         cs = ConstraintSet.from_applications([first, second])
-        assert cs.conflict_view(0) == {1, 2}
+        assert cs.partners(0) == [1, 2]
         assert cs.violates(1, 0) and cs.violates(2, 0)
-        assert first.conflicts == frozenset({1})
-        assert second.conflicts == frozenset({2})
+        assert first.conflicts == (1,)
+        assert second.conflicts == (2,)
         # and when every pair is mirrored, the united set is the index's
         both = [first, second, app(1, {0}), app(2, {0})]
         cs = ConstraintSet.from_applications(both)
-        assert cs.conflict_view(0) == {1, 2}
+        assert cs.partners(0) == [1, 2]
         assert_symmetric(cs)
 
     def test_ids_beyond_the_sort_keys_still_build(self):
@@ -241,31 +236,31 @@ class TestAdoptedConflictSets:
             with pytest.raises(ValueError, match="non-negative"):
                 ConstraintSet.from_applications(apps)
 
-    def test_a_frozenset_naming_its_owner_is_a_within_rule(self):
+    def test_a_record_naming_itself_is_refused(self):
         selfish = SimpleNamespace(
             app_id=0, conflicts=frozenset({0, 3}), anti_affinity_within=False
         )
-        cs = ConstraintSet.from_applications([selfish])
-        assert cs.has_within(0) and cs.within_scope(0) == "machine"
-        assert cs.conflict_view(0) == {3} and cs.violates(3, 0)
+        with pytest.raises(ValueError, match="self-conflicts"):
+            ConstraintSet.from_applications([selfish])
+        with pytest.raises(ValueError, match="self-conflicts"):
+            app(0, {0, 3})
 
-    def test_add_rule_copies_an_adopted_entry_before_writing(self):
+    def test_add_rule_merges_on_the_next_query(self):
         first, second = app(0, {1}), app(1, {0})
         cs = ConstraintSet.from_applications([first, second])
-        assert cs.conflict_view(0) is first.conflicts
         revision = cs.revision
         cs.add_rule(AntiAffinityRule(0, 5))
         assert cs.revision == revision + 1
-        assert cs.conflict_view(0) == {1, 5} and cs.conflict_view(5) == {0}
-        assert first.conflicts == frozenset({1})
-        assert cs.conflict_view(1) is second.conflicts
+        assert cs._pending  # buffered until a query
+        assert cs.partners(0) == [1, 5] and cs.partners(5) == [0]
+        assert not cs._pending
+        assert first.conflicts == (1,) and second.conflicts == (0,)
         assert_symmetric(cs)
 
     def test_a_generated_trace_is_symmetric(self):
         from repro.trace import generate_trace
 
         apps = generate_trace(scale=0.05, seed=3).applications
-        # verified by one sort of each side, with no membership test
         assert mirrored(apps)
         cs = ConstraintSet.from_applications(apps)
         assert_symmetric(cs)
@@ -303,9 +298,77 @@ def test_the_bulk_build_is_the_per_rule_build(records):
     cs = ConstraintSet.from_applications(apps)
     assert content_image(cs) == content_image(per_rule_build(apps))
     assert_symmetric(cs)
-    pairs = {(a.app_id, b) for a in apps for b in a.conflicts}
-    symmetric = all((b, a) in pairs for a, b in pairs)
-    if mirrored(apps):
-        assert symmetric
-    elif len({a.app_id for a in apps}) == len(apps):
-        assert not pairs or not symmetric
+
+
+#: small ids collide (duplicates, one-sided and mirrored pairs); the
+#: large ones exceed 32 bits and are ranked, not stored, by the rows
+IDS = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 2**31 - 1, 2**31, 2**40])
+
+
+def assert_same(cs: ConstraintSet, ref: ReferenceIndex, asked) -> None:
+    """Every query of the index against the oracle."""
+    assert content_image(cs) == ref.image()
+    assert list(cs.conflicting_pairs()) == ref.pairs()
+    assert len(cs) == len(ref.scope) + len(ref.pairs())
+    assert cs.apps_with_anti_affinity() == ref.scope.keys() | ref.conflicts.keys()
+    pos = cs.pos
+    assert list(pos) == sorted(ref.conflicts)
+    for a in asked:
+        peers = ref.conflicts.get(a, set())
+        assert cs.has_conflicts(a) == bool(peers)
+        assert cs.partners(a) == sorted(peers)
+        assert cs.conflicts_of(a) == peers
+        for b in asked:
+            assert cs.violates(a, b) == ref.violates(a, b)
+    mask = cs.blacklist(0)
+    assert len(mask) == len(pos) + 1
+    assert {b for b in pos if mask[pos[b]]} == ref.conflicts.get(0, set())
+    for a in asked:
+        for b in asked:
+            assert cs.clashes(a, {b: 1}) == (a != b and ref.violates(a, b))
+    # every constrained application of a group asked against the others,
+    # in groups few and many enough for both ways of forming the pairs
+    ids = list(pos)
+    for copies in (1, 33):  # a handful of entries, then more than 16
+        groups = [(g, pos[a]) for g in range(copies) for a in ids[g % 2 :]]
+        hits = cs.clashing([g for g, _ in groups], [r for _, r in groups])
+        assert hits == [
+            any(ref.violates(ids[r], ids[q]) for h, q in groups if h == g and q != r)
+            for g, r in groups
+        ]
+
+
+@given(
+    st.lists(st.tuples(IDS, st.frozensets(IDS, max_size=4), st.booleans()), max_size=6),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("rule"), IDS, IDS),
+            st.tuples(st.just("affinity"), IDS, IDS),
+            st.tuples(st.just("query"), IDS, IDS),
+        ),
+        max_size=8,
+    ),
+)
+def test_the_rows_answer_what_the_hash_sets_answer(records, steps):
+    apps = [
+        app(a, peers - {a}, anti_affinity_within=within)
+        for a, peers, within in records
+    ]
+    cs = ConstraintSet.from_applications(apps)
+    ref = ReferenceIndex.from_applications(apps)
+    asked = {a for a, _, _ in records} | {0, 2**31}
+    assert_same(cs, ref, asked)
+    for kind, a, b in steps:
+        asked |= {a, b}
+        if kind == "rule":
+            cs.add_rule(AntiAffinityRule(a, b))
+            ref.add_rule(min(a, b), max(a, b))
+        elif kind == "affinity" and a != b:
+            refused = ref.violates(a, b)
+            if refused:
+                with pytest.raises(ValueError, match="anti-affine"):
+                    cs.add_affinity(a, b)
+            else:
+                cs.add_affinity(a, b)
+                ref.add_affinity(a, b)
+        assert_same(cs, ref, asked)

@@ -45,6 +45,24 @@ class TestApplication:
     def test_rejects_self_in_conflicts(self):
         with pytest.raises(ValueError, match="anti_affinity_within"):
             app(i=3, conflicts=frozenset({3}))
+        with pytest.raises(ValueError, match="anti_affinity_within"):
+            app(i=3, conflicts=(1, 3, 9))
+
+    @pytest.mark.parametrize(
+        "given",
+        [frozenset({9, 1, 4}), [4, 9, 1, 4], (9, 4, 1), (1, 4, 4, 9), iter((4, 1, 9))],
+    )
+    def test_conflicts_are_normalised_to_a_sorted_tuple(self, given):
+        assert app(conflicts=given).conflicts == (1, 4, 9)
+
+    def test_a_sorted_tuple_passes_through(self):
+        ids = (1, 4, 9)
+        assert app(conflicts=ids).conflicts is ids
+        assert app().conflicts == ()
+
+    def test_rejects_an_id_in_both_affinities_and_conflicts(self):
+        with pytest.raises(ValueError, match=r"\[4\] appear in both"):
+            app(conflicts=(1, 4), affinities=frozenset({4, 7}))
 
     @pytest.mark.parametrize(
         "kw",

@@ -251,7 +251,10 @@ class PerContainerState(ClusterState):
             for container, machine_id in zip(containers, mlist):
                 self._record(EventKind.DEPLOY, container.container_id, machine_id)
 
-    def _machine_offenders(self, machine_id, resident):
+    def _machine_offenders(self, machines, resident):
+        return [self._offenders_on(m, resident) for m in machines]
+
+    def _offenders_on(self, machine_id, resident):
         cids = self.machine_containers.get(machine_id)
         if not cids:
             return 0
@@ -267,8 +270,7 @@ class PerContainerState(ClusterState):
         hosted = apps.keys()
         offenders = 0
         for app, count in apps.items():
-            conflicts = cs.conflict_view(app)
-            if (conflicts and not conflicts.isdisjoint(hosted)) or (
+            if any(cs.violates(app, other) for other in hosted if other != app) or (
                 count > 1
                 and cs.has_within(app)
                 and cs.within_scope(app) == "machine"
@@ -689,9 +691,9 @@ def test_query_with_nothing_dirty_does_no_per_machine_work(monkeypatch):
     calls: list[int] = []
     real = ClusterState._machine_offenders
 
-    def counting(self, machine_id, resident):
-        calls.append(machine_id)
-        return real(self, machine_id, resident)
+    def counting(self, machines, resident):
+        calls.extend(machines)
+        return real(self, machines, resident)
 
     monkeypatch.setattr(ClusterState, "_machine_offenders", counting)
     state = world.state

@@ -96,7 +96,7 @@ def oracle_admits(state, ids, demand, app_id):
     if not (within or cs.has_conflicts(app_id)):
         return ok
     own = app_id if within else None
-    conflicts = cs.conflict_view(app_id)
+    conflicts = cs.conflicts_of(app_id)
     get = state.machine_apps.get
     pos = np.flatnonzero(ok)
     blocked = [

@@ -108,7 +108,9 @@ class TestLoadAlibabaTrace:
         path = write_meta(tmp_path, rows)
         a = load_alibaba_trace(path, seed=3)
         b = load_alibaba_trace(path, seed=3)
-        assert a.constraints.conflicting_pairs() == b.constraints.conflicting_pairs()
+        assert list(a.constraints.conflicting_pairs()) == list(
+            b.constraints.conflicting_pairs()
+        )
 
     def test_loaded_trace_schedules(self, tmp_path):
         from repro import AladdinScheduler, Simulator

@@ -7,10 +7,11 @@ on the outermost exit.  The content pins were recorded before the pause
 and the LLA base's switch to :func:`generate_applications`, so neither
 may change a trace.
 
-The conflict graph, the largest structure of a trace, is held once:
-the constraint index adopts each application's ``conflicts`` frozenset,
-and the generator names every id through one shared int.  Both are
-gated by count (:class:`TestStoredOnce`), not by timing.
+The conflict graph, the largest structure of a trace, is held once and
+compactly: each application's ``conflicts`` is a sorted tuple naming
+every id through one shared int, and the constraint index keeps one
+32-bit key an entry.  Both are gated by count and retained bytes
+(:class:`TestStoredOnce`), not by timing.
 
 A trace is a table of applications: a build derives only the constraint
 index, and containers are built where they are read, per application.
@@ -21,6 +22,7 @@ view equals the flat list the build used to hold.
 
 import gc
 import hashlib
+import sys
 
 import pytest
 
@@ -77,28 +79,53 @@ class TestContentPins:
         assert content(build_scenario(family, scale=0.05)) == PINS[family]
 
 
+def retained_bytes(objects) -> int:
+    """``sys.getsizeof`` summed over ``objects`` and every object their
+    dicts, lists, tuples and sets hold, each object counted once (a
+    NumPy array that owns its data counts its buffer)."""
+    seen, total, stack = set(), 0, list(objects)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+    return total
+
+
 class TestStoredOnce:
-    """The conflict graph is held once: by count, with no timing."""
+    """The conflict graph is held once, in compact rows: by count and
+    by bytes, with no timing."""
 
     @pytest.fixture(scope="class")
     def trace(self):
         return generate_trace(scale=0.1, seed=0)
 
-    def test_the_index_adopts_every_conflict_set(self, trace):
-        constrained = [a for a in trace.applications if a.conflicts]
-        assert len(constrained) > trace.n_apps // 2
-        for a in constrained:
-            assert trace.constraints.conflict_view(a.app_id) is a.conflicts
+    def test_conflicts_hold_at_most_16_bytes_an_entry(self):
+        # a sorted tuple of shared ints costs 8 B an entry and a row of
+        # the index 4 B, before headers; a frozenset per application
+        # costs 63 B an entry on this trace
+        trace = build_scenario("mixed-lla", scale=0.1)
+        entries = sum(len(a.conflicts) for a in trace.applications)
+        assert entries > 20_000
+        assert entries == 2 * sum(1 for _ in trace.constraints.conflicting_pairs())
+        held = retained_bytes(
+            [a.conflicts for a in trace.applications] + [vars(trace.constraints)]
+        )
+        assert held <= 16 * entries
 
     def test_the_conflict_sets_share_one_int_per_id(self, trace):
-        entries = [
-            b
-            for a in trace.applications
-            for b in trace.constraints.conflict_view(a.app_id)
-        ]
+        entries = [b for a in trace.applications for b in a.conflicts]
         assert len(entries) > 50 * trace.n_apps
         # one object per id: drawn ids used to be a new int per entry
         assert len({id(b) for b in entries}) <= trace.n_apps
+        assert all(
+            a.conflicts == tuple(sorted(set(a.conflicts))) for a in trace.applications
+        )
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Trace generator calibration tests (the Fig. 8 statistics)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,23 @@ class TestDeterminismAndScaling:
         assert [x.n_containers for x in a.applications] == [
             x.n_containers for x in b.applications
         ]
-        assert a.constraints.conflicting_pairs() == b.constraints.conflicting_pairs()
+        assert list(a.constraints.conflicting_pairs()) == list(
+            b.constraints.conflicting_pairs()
+        )
+
+    def test_equal_traces_compare_equal(self):
+        # the derived constraint index takes no part in the comparison
+        assert generate_trace(scale=0.01) == generate_trace(scale=0.01)
+
+    def test_traces_differing_in_one_application_compare_unequal(self):
+        a, b = generate_trace(scale=0.01), generate_trace(scale=0.01)
+        app = b.applications[3]
+        b.applications[3] = replace(app, conflicts=(*app.conflicts, 10**6))
+        assert a != b
+        b.applications[3] = replace(app, priority=app.priority + 1)
+        assert a != b
+        b.applications[3] = app
+        assert a == b
 
     def test_different_seed_different_trace(self):
         a = generate_trace(scale=0.02, seed=3)
