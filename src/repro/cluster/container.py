@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from operator import lt
 from typing import NamedTuple
 
@@ -82,7 +82,9 @@ class Application:
         if self.priority < 0:
             raise ValueError(f"priority must be non-negative, got {self.priority}")
         conflicts = self.conflicts
-        if type(conflicts) is not tuple or not all(map(lt, conflicts, conflicts[1:])):
+        if type(conflicts) is not tuple or not all(
+            map(lt, conflicts, islice(conflicts, 1, None))
+        ):
             conflicts = tuple(sorted(set(conflicts)))
             object.__setattr__(self, "conflicts", conflicts)
         i = bisect_left(conflicts, self.app_id)

@@ -156,7 +156,7 @@ def _synthesize_constraints(
             mem_gb=a.mem_gb,
             priority=int(priorities[i]),
             anti_affinity_within=bool(within[i]),
-            conflicts=tuple(sorted(conflicts[i])),
+            conflicts=conflicts[i],
             name=a.name,
         )
         for i, a in enumerate(apps)

@@ -22,6 +22,8 @@ trace (Fig. 8 and Section V.A/V.D):
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.cluster.container import Application
@@ -46,6 +48,11 @@ def generate_trace(config: TraceConfig | None = None, **overrides) -> Trace:
 def generate_applications(config: TraceConfig) -> list[Application]:
     """The applications :func:`generate_trace` wraps, without the
     constraint index and container list a :class:`Trace` derives."""
+    return _applications(config, [f"lla-{i:05d}" for i in range(config.n_apps)])
+
+
+def _applications(config: TraceConfig, names: list[str]) -> list[Application]:
+    """:func:`generate_applications`, application ``i`` named ``names[i]``."""
     rng = np.random.default_rng(config.seed)
 
     sizes = _sample_sizes(rng, config)
@@ -66,8 +73,8 @@ def generate_applications(config: TraceConfig) -> list[Application]:
             mem_gb=float(cpus[i]) * 2.0,
             priority=int(priorities[i]),
             anti_affinity_within=bool(within[i]),
-            conflicts=tuple(sorted(conflicts[i])),
-            name=f"lla-{i:05d}",
+            conflicts=conflicts[i],
+            name=names[i],
         )
         for i in range(config.n_apps)
     ]
@@ -280,7 +287,7 @@ def _assign_anti_affinity(
     sizes: np.ndarray,
     priorities: np.ndarray,
     cpus: np.ndarray,
-) -> tuple[np.ndarray, list[set[int]], np.ndarray]:
+) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
     """Assign within-app flags and the cross-application conflict graph.
 
     Three layers, mirroring the constraint stories of Section II.A:
@@ -296,16 +303,18 @@ def _assign_anti_affinity(
        cluster — the property Fig. 9 measures.
     3. **Background conflicts**: sparse random pairs for texture.
 
-    Returns (within flags, conflict sets, noisy-app mask); the caller
-    pins ``cpus[noisy] == 1``.
+    The graph is one sorted array of keys ``a * n + b``, both directions
+    of every edge (32-bit while ``n² < 2³¹``): a set per application
+    would leave its freed tables in the heap.  Every layer skips
+    existing partners, so no key repeats.
+
+    Returns (within flags, sorted conflict tuples, noisy-app mask); the
+    caller pins ``cpus[noisy] == 1``.
     """
     n = len(sizes)
     n_constrained = round(config.frac_anti_affinity * n)
     order = np.argsort(sizes)[::-1]
     constrained = set(order[:n_constrained].tolist())
-
-    conflicts: list[set[int]] = [set() for _ in range(n)]
-    ids = list(range(n))  # one int object per id, however often drawn
     total_containers = int(sizes.sum())
 
     # --- layer 2a: the noisy pool -------------------------------------
@@ -353,6 +362,8 @@ def _assign_anti_affinity(
     victim = np.zeros(n, dtype=bool)
     lo_cov, hi_cov = config.victim_noise_coverage
     covered = 0
+    key_type = np.int32 if n * n < 2**31 else np.int64
+    rows, cols = [], []
     for i in victim_candidates:
         if covered >= victim_target or noisy_list.size == 0:
             break
@@ -360,9 +371,9 @@ def _assign_anti_affinity(
             continue  # would overshoot the victim mass; try smaller apps
         share = rng.uniform(lo_cov, hi_cov)
         k = max(1, round(share * noisy_list.size))
-        for b in rng.choice(noisy_list, size=k, replace=False).tolist():
-            conflicts[i].add(ids[b])
-            conflicts[b].add(ids[i])
+        # noisy partners are distinct and never victims: fresh edges
+        cols.append(rng.choice(noisy_list, size=k, replace=False).astype(key_type))
+        rows.append(np.full(k, i, key_type))
         if cpus[i] < 8.0:
             cpus[i] = 8.0
         # Victims are pinned by their interference constraints, not by
@@ -374,33 +385,71 @@ def _assign_anti_affinity(
         within[i] = False
         victim[i] = True
         covered += int(sizes[i])
+    keys = _with_edges(n, np.empty(0, key_type), rows, cols)
+    del rows, cols
 
     # --- layer 3: background texture ----------------------------------
-    constrained_list = np.array(sorted(constrained))
-    if constrained_list.size >= 2:
-        k_draws = np.minimum(
-            rng.geometric(0.6, constrained_list.size), 3
-        )
-        for idx, a in enumerate(map(ids.__getitem__, constrained_list)):
-            has_any = bool(conflicts[a]) or within[a]
-            need = int(k_draws[idx]) if has_any else max(1, int(k_draws[idx]))
+    constrained_list = sorted(constrained)
+    if len(constrained_list) >= 2:
+        k_draws = np.minimum(rng.geometric(0.6, len(constrained_list)), 3).tolist()
+        start = _row_starts(keys, n)
+        linked = [lo < hi for lo, hi in zip(start, start[1:])]
+        victim_keys = memoryview(keys)
+        texture: set[int] = set()  # keys, both directions
+
+        def partnered(a: int, b: int) -> bool:
+            key = a * n + b
+            j = bisect_left(victim_keys, key, start[a], start[a + 1])
+            return (j < start[a + 1] and victim_keys[j] == key) or key in texture
+
+        for a, k in zip(constrained_list, k_draws):
+            has_any = linked[a] or within[a]
+            need = k if has_any else max(1, k)
             if has_any and rng.random() < 0.7:
                 continue  # most texture mass on unconstrained-so-far apps
             for _ in range(4 * need):
                 if need <= 0:
                     break
-                b = ids[constrained_list[rng.integers(constrained_list.size)]]
-                if b != a and b not in conflicts[a]:
-                    conflicts[a].add(b)
-                    conflicts[b].add(a)
+                b = constrained_list[rng.integers(len(constrained_list))]
+                if b != a and not partnered(a, b):
+                    texture.update((a * n + b, b * n + a))
+                    linked[a] = linked[b] = True
                     need -= 1
+        victim_keys.release()
+        keys = np.concatenate((keys, np.fromiter(texture, key_type)))
+        keys.sort()
+        del texture
 
-    _add_big_conflictors(
-        rng, config, sizes, priorities, conflicts, constrained, within, ids
+    rows, cols = _add_big_conflictors(
+        rng, config, sizes, priorities, keys, constrained, within
     )
+    keys = _with_edges(n, keys, rows, cols)
+    # one row at a time: the whole array's .tolist() is an int an entry
+    start = _row_starts(keys, n)
+    np.remainder(keys, n, out=keys)
+    ids = list(range(n))  # one int object per id, however often drawn
+    conflicts = [
+        tuple(map(ids.__getitem__, keys[lo:hi].tolist()))
+        for lo, hi in zip(start, start[1:])
+    ]
     # Freeze both the pool and the victims against demand recalibration:
     # their demands are structural to the interference mechanism.
     return within, conflicts, noisy | victim
+
+
+def _with_edges(n: int, keys: np.ndarray, rows: list, cols: list) -> np.ndarray:
+    """``keys`` plus both directions of the edges ``rows[j] -- cols[j]``
+    (lists of arrays of ``keys``' dtype), in one ascending array."""
+    rows, cols = np.concatenate([keys[:0], *rows]), np.concatenate([keys[:0], *cols])
+    keys = np.concatenate((keys, rows * n + cols, cols * n + rows))
+    keys.sort()
+    return keys
+
+
+def _row_starts(keys: np.ndarray, n: int) -> list[int]:
+    """Where each application's row of the sorted ``keys`` starts, and
+    the end of the last row."""
+    return np.searchsorted(keys, np.arange(0, n * n + 1, n, dtype=keys.dtype)).tolist()
 
 
 def _add_big_conflictors(
@@ -408,11 +457,10 @@ def _add_big_conflictors(
     config: TraceConfig,
     sizes: np.ndarray,
     priorities: np.ndarray,
-    conflicts: list[set[int]],
+    keys: np.ndarray,
     constrained: set[int],
     within: np.ndarray,
-    ids: list[int],
-) -> None:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Make a few high-priority LLAs conflict with >= the coverage target.
 
     Section V.A: "several LLAs cannot be co-located with at least other
@@ -421,7 +469,11 @@ def _add_big_conflictors(
     requirements".  Partners are drawn from the *packable* (non-within)
     constrained apps first, so the workload stays schedulable for a
     scheduler that confines those partners to few machines.
+
+    Returns the new edges as (heavy app, partner) columns; the pools hold
+    no heavy app, so no heavy app's row of ``keys`` changes meanwhile.
     """
+    n = len(sizes)
     coverage_target = config.big_conflict_coverage * config.heavy_coverage_multiplier
     n_heavy = max(3, round(config.frac_heavy_conflictors * config.n_apps))
     elevated = np.flatnonzero(priorities > 0)
@@ -435,16 +487,20 @@ def _add_big_conflictors(
     spread = np.array(
         sorted(i for i in constrained if within[i] and i not in heavy_set)
     )
-    for a in map(ids.__getitem__, heavy):
-        covered = int(sizes[list(conflicts[a])].sum()) if conflicts[a] else 0
+    rows, cols = [], []
+    for a in heavy.tolist():
+        lo, hi = np.searchsorted(keys, np.array([a * n, a * n + n], dtype=keys.dtype))
+        partners = keys[lo:hi] - a * n
+        covered = int(sizes[partners].sum())
         for pool in (packable, spread):
             if covered >= coverage_target or pool.size == 0:
                 break
-            for b in map(ids.__getitem__, rng.permutation(pool)):
-                if covered >= coverage_target:
-                    break
-                if b in conflicts[a]:
-                    continue
-                conflicts[a].add(b)
-                conflicts[b].add(a)
-                covered += int(sizes[b])
+            fresh = rng.permutation(pool)
+            fresh = fresh[~np.isin(fresh, partners)]
+            # partners are taken in draw order while coverage falls short
+            short = np.cumsum(sizes[fresh]) - sizes[fresh] < coverage_target - covered
+            taken = fresh[short].astype(keys.dtype)
+            covered += int(sizes[taken].sum())
+            rows.append(np.full(taken.size, a, keys.dtype))
+            cols.append(taken)
+    return rows, cols

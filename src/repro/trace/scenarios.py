@@ -53,13 +53,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.container import Application
 from repro.trace.azure import MINUTES_PER_DAY, AzureDataset, azure_dataset
-from repro.trace.generator import generate_applications
+from repro.trace.generator import _applications
 from repro.trace.schema import Trace, TraceConfig, collector_paused
 
 #: machine CPU capacity (32 CPU / 64 GB machines, Section V.A)
@@ -258,21 +258,19 @@ def _bin_day(invocations: np.ndarray, ticks: int) -> np.ndarray:
 def _lla_base(config: ScenarioConfig) -> list[Application]:
     """The constrained LLA base, arrival/lifetime encoded in names."""
     base_scale = max(0.002, config.scale * config.lla_share)
-    base = generate_applications(TraceConfig(scale=base_scale, seed=config.seed))
+    base = TraceConfig(scale=base_scale, seed=config.seed)
     rng = np.random.default_rng((config.seed << 1) ^ 0x11A)
     span = max(1, round(config.lla_arrival_span * config.ticks))
-    ticks = rng.integers(0, span, len(base))
+    ticks = rng.integers(0, span, base.n_apps).tolist()
     lo, hi = config.lla_lifetime
     lives = np.exp(
-        rng.uniform(np.log(lo), np.log(hi + 1), len(base))
-    ).astype(np.int64)
-    return [
-        replace(
-            app,
-            name=_encode(f"lla-{app.app_id:05d}", int(ticks[i]), int(lives[i])),
-        )
-        for i, app in enumerate(base)
+        rng.uniform(np.log(lo), np.log(hi + 1), base.n_apps)
+    ).astype(np.int64).tolist()
+    names = [
+        _encode(f"lla-{i:05d}", tick, life)
+        for i, (tick, life) in enumerate(zip(ticks, lives))
     ]
+    return _applications(base, names)
 
 
 @collector_paused()
