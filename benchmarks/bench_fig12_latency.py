@@ -29,6 +29,7 @@ from repro import (
 from repro.report import format_series
 
 from benchmarks.conftest import once
+from tests.core.walk_oracle import walk_blocks
 
 POLICIES = {
     "Go-Kube": lambda: GoKubeScheduler(),
@@ -37,12 +38,11 @@ POLICIES = {
     "Aladdin": lambda: AladdinScheduler(
         AladdinConfig(enable_il=False, enable_dl=False)
     ),
-    # The batch kernel is held off here so the curve isolates the
-    # paper's IL/DL prunings; the ablation below measures it on its own.
     "Aladdin+IL": lambda: AladdinScheduler(AladdinConfig(enable_dl=False)),
-    "Aladdin+IL+DL": lambda: AladdinScheduler(
-        AladdinConfig(enable_batch_kernel=False)
-    ),
+    # IL+DL on is the production engine, batch kernel included (the
+    # kernel is the two prunings vectorised); the ablation below
+    # measures the kernel against the per-container walk on its own.
+    "Aladdin+IL+DL": lambda: AladdinScheduler(),
 }
 
 
@@ -132,9 +132,7 @@ def test_fig12_batch_kernel_ablation(trace, benchmark, capsys):
         return sim.run(AladdinScheduler())
 
     def loop_run():
-        return sim.run(
-            AladdinScheduler(AladdinConfig(enable_batch_kernel=False))
-        )
+        return sim.run(walk_blocks(AladdinScheduler()))
 
     def measure():
         # One discarded warm-up (page cache, frequency scaling), then

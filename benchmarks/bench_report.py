@@ -41,6 +41,7 @@ from repro import AladdinConfig, AladdinScheduler, generate_trace
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.sim import OnlineConfig, OnlineSimulator
+from tests.core.walk_oracle import walk_blocks
 
 def host_info() -> dict:
     """Provenance header stamped into every ``BENCH_*.json`` setup.
@@ -66,23 +67,23 @@ def host_info() -> dict:
     }
 
 
-#: The cumulative ablation trajectory, in presentation order.  Each
-#: stage adds one optimisation on top of the previous stage.
-VARIANTS: dict[str, AladdinConfig] = {
-    "plain": AladdinConfig(
-        enable_il=False, enable_dl=False, enable_batch_kernel=False,
+#: The cumulative ablation trajectory, in presentation order: name ->
+#: scheduler factory.  Each stage adds one optimisation on top of the
+#: previous stage; ``+IL+DL`` is the per-container walk of the walk
+#: oracle, whose kernel places nothing.
+VARIANTS = {
+    "plain": lambda: AladdinScheduler(
+        AladdinConfig(enable_il=False, enable_dl=False)
     ),
-    "+IL+DL": AladdinConfig(enable_batch_kernel=False),
-    "+batch": AladdinConfig(),  # everything on: the production default
+    "+IL+DL": lambda: walk_blocks(AladdinScheduler()),
+    "+batch": AladdinScheduler,  # everything on: the production default
 }
 
 
-def measure(
-    trace, cfg: OnlineConfig, variant: AladdinConfig, repeats: int
-) -> dict:
+def measure(trace, cfg: OnlineConfig, make_scheduler, repeats: int) -> dict:
     """Best-of-``repeats`` churn run of one scheduler variant."""
     sim = OnlineSimulator(trace, cfg)
-    runs = [sim.run(AladdinScheduler(variant)) for _ in range(repeats)]
+    runs = [sim.run(make_scheduler()) for _ in range(repeats)]
     best = min(runs, key=lambda r: r.total_elapsed_s)
     tele = best.telemetry
     return {

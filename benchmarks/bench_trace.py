@@ -23,14 +23,16 @@ still measures.
 
 from __future__ import annotations
 
-from repro import AladdinConfig, AladdinScheduler, generate_trace
+from repro import AladdinScheduler, generate_trace
 from repro.sim import OnlineConfig, OnlineSimulator
 from repro.trace import SCENARIOS, build_scenario
+from tests.core.walk_oracle import walk_blocks
 
-#: optimisation axes swept per scenario
-TRACE_VARIANTS: dict[str, AladdinConfig] = {
-    "full": AladdinConfig(),
-    "no-batch": AladdinConfig(enable_batch_kernel=False),
+#: optimisation axes swept per scenario: name -> scheduler factory
+#: (``no-batch`` is the walk oracle, whose kernel places nothing)
+TRACE_VARIANTS = {
+    "full": AladdinScheduler,
+    "no-batch": lambda: walk_blocks(AladdinScheduler()),
 }
 
 
@@ -58,7 +60,7 @@ def decision_signature(result) -> tuple:
 
 
 def _measure_interleaved(
-    trace, cfg: OnlineConfig, variants: dict[str, AladdinConfig], repeats: int
+    trace, cfg: OnlineConfig, variants: dict, repeats: int
 ) -> dict[str, dict]:
     """Best-of-``repeats`` rows for every variant, repeats interleaved.
 
@@ -71,8 +73,8 @@ def _measure_interleaved(
     sims = {name: OnlineSimulator(trace, cfg) for name in variants}
     runs: dict[str, list] = {name: [] for name in variants}
     for _ in range(repeats):
-        for name, variant in variants.items():
-            runs[name].append(sims[name].run(AladdinScheduler(variant)))
+        for name, make_scheduler in variants.items():
+            runs[name].append(sims[name].run(make_scheduler()))
     return {
         name: _row(min(results, key=lambda r: r.total_elapsed_s))
         for name, results in runs.items()

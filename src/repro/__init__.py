@@ -40,7 +40,6 @@ from repro.core import (
     PlacementInvalidError,
     QualityMetrics,
     ValidationReport,
-    engine_for,
     measure_quality,
     quality_gaps,
     validate_state,
@@ -96,7 +95,6 @@ __all__ = [
     "PlacementInvalidError",
     "QualityMetrics",
     "ValidationReport",
-    "engine_for",
     "measure_quality",
     "quality_gaps",
     "validate_state",

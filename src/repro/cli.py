@@ -23,7 +23,7 @@ import argparse
 import sys
 
 from repro.baselines import SCHEDULERS
-from repro.core import AladdinConfig, AladdinScheduler
+from repro.core import AladdinConfig, AladdinScheduler, FlowPathSearch
 from repro.report import format_series, format_table, metrics_table
 from repro.sim import Simulator, minimum_cluster_size
 from repro.trace import (
@@ -281,17 +281,8 @@ def _write_profile(path: str, result) -> None:
 
 def _aladdin_variant(args, factories):
     """The scheduler an ``online``/``serve`` invocation asked for."""
-    if args.scheduler == "Aladdin" and (
-        args.no_batch or args.engine != "batch"
-    ):
-        from repro.core import engine_for
-
-        return engine_for(
-            AladdinConfig(
-                enable_batch_kernel=not args.no_batch,
-                engine=args.engine,
-            )
-        )
+    if args.scheduler == "Aladdin" and args.engine == "flow":
+        return FlowPathSearch()
     return factories[args.scheduler]()
 
 
@@ -405,10 +396,8 @@ def cmd_faults(args) -> int:
 
 # ----------------------------------------------------------------------
 def _add_variant_args(parser: argparse.ArgumentParser) -> None:
-    """The Aladdin ablation axes shared by ``online`` and ``serve``."""
-    parser.add_argument("--no-batch", action="store_true",
-                        help="disable the batched block placement kernel "
-                             "(Aladdin only; batched-vs-loop ablation)")
+    """The Aladdin engine and run options shared by ``online`` and
+    ``serve``."""
     parser.add_argument("--engine", default="batch",
                         choices=["batch", "flow"],
                         help="placement engine (Aladdin only): the "

@@ -19,8 +19,7 @@
 * :mod:`~repro.core.validate` — the shared Equation 7–9 placement
   validator and the Fig. 9 quality metrics both engines are held to;
 * :mod:`~repro.core.scheduler` — :class:`AladdinScheduler`, the
-  end-to-end scheduler; :func:`engine_for` picks the engine a config
-  names.
+  end-to-end scheduler, and the lifecycle both engines share.
 """
 
 from repro.core.config import AladdinConfig
@@ -42,18 +41,6 @@ from repro.core.validate import (
 )
 
 
-def engine_for(config: AladdinConfig | None = None):
-    """Build the placement engine ``config.engine`` names.
-
-    ``"batch"`` → :class:`AladdinScheduler`, ``"flow"`` →
-    :class:`FlowPathSearch`.
-    """
-    config = config if config is not None else AladdinConfig()
-    if config.engine == "flow":
-        return FlowPathSearch(config)
-    return AladdinScheduler(config)
-
-
 __all__ = [
     "AladdinConfig",
     "derive_priority_weights",
@@ -65,7 +52,6 @@ __all__ = [
     "build_layered_network",
     "AladdinScheduler",
     "FlowPathSearch",
-    "engine_for",
     "QUALITY_TOLERANCE",
     "PlacementInvalidError",
     "QualityMetrics",

@@ -7,7 +7,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class AladdinConfig:
-    """Tunables of :class:`~repro.core.scheduler.AladdinScheduler`.
+    """The paper's knobs, read by both placement engines
+    (:class:`~repro.core.scheduler.AladdinScheduler` and
+    :class:`~repro.core.search.FlowPathSearch`): the Equation 3–5
+    weighting, the Section IV.A prunings of the Fig. 12 ablation, the
+    Section III.B rescue mechanisms, and the placement policy.  Which
+    engine runs is chosen by the class constructed, not here.
 
     Parameters
     ----------
@@ -21,22 +26,12 @@ class AladdinConfig:
         per *application* instead of per container.
     enable_dl:
         Depth limiting (Section IV.A): stop searching for more paths the
-        moment a container has a valid placement.
+        moment a container has a valid placement.  With both prunings
+        on, ``AladdinScheduler`` places each application block with the
+        batched kernel (:mod:`repro.core.batchkernel`), which is IL ∧ DL
+        vectorised over the packed-first machine index.
     enable_migration / enable_preemption:
         The two flow-increasing mechanisms of Section III.B.
-    enable_batch_kernel:
-        Place each application block in one vectorized sweep
-        (:mod:`repro.core.batchkernel`) over the incrementally
-        maintained packed-first machine index
-        (:mod:`repro.core.machindex`) instead of one machine scan per
-        container, evaluating Equations 6–8 on a window of that order
-        sized from the block.  Only active together with ``enable_il``
-        *and* ``enable_dl`` — the kernel is the vectorized composition
-        of the two prunings, so disabling either falls back to the
-        per-container loop (and keeps the Fig. 12 IL/DL ablation
-        honest).  Placements are provably identical with the kernel on
-        or off; the differential harness replays randomized churn
-        across the batched×loop axis to enforce that.
     window_apps:
         Scheduling-window width in applications.  Containers inside one
         window are re-ordered by weighted flow (priority); windows model
@@ -59,21 +54,6 @@ class AladdinConfig:
         LLA cannot be deployed, the whole application is rolled back
         and reported undeployed.  Off by default (the paper deploys
         partially); useful for LLAs that need full replica quorums.
-    engine:
-        Which placement engine :func:`repro.core.engine_for` builds:
-        ``"batch"`` (the vectorised incremental scheduler,
-        :class:`~repro.core.scheduler.AladdinScheduler`), ``"flow"``
-        (the flow-network reference engine,
-        :class:`~repro.core.search.FlowPathSearch`).  The field is
-        advisory for the concrete classes (constructing
-        ``AladdinScheduler`` directly always builds the batch engine) —
-        the factory is the switch.
-    validate_placements:
-        Run the shared Equation 7–9 validator
-        (:func:`repro.core.validate.validate_state`) after every
-        ``schedule()`` call and raise on any violation.  Off by default
-        (it is a full-state audit); the differential and parity
-        harnesses switch it on.
     """
 
     priority_weight_base: float = 16.0
@@ -81,14 +61,11 @@ class AladdinConfig:
     enable_dl: bool = True
     enable_migration: bool = True
     enable_preemption: bool = True
-    enable_batch_kernel: bool = True
     window_apps: int = 64
     migration_candidates: int = 16
     max_migrations_per_container: int = 16
     final_repair: bool = True
     gang_scheduling: bool = False
-    engine: str = "batch"
-    validate_placements: bool = False
 
     def __post_init__(self) -> None:
         if self.priority_weight_base < 1:
@@ -99,10 +76,6 @@ class AladdinConfig:
             raise ValueError("migration_candidates must be >= 0")
         if self.max_migrations_per_container < 0:
             raise ValueError("max_migrations_per_container must be >= 0")
-        if self.engine not in ("batch", "flow"):
-            raise ValueError(
-                f"unknown engine {self.engine!r} (choose batch or flow)"
-            )
 
     def variant_name(self) -> str:
         """Human-readable policy name as used in Fig. 12 legends."""

@@ -28,17 +28,18 @@ from the first k admitting candidates, so the kernel is handed a raw
 window of the order sized from k — O(k) per block, not O(m) — checks
 Equation 6 on it in one vectorised step and Equations 7–8 only up to
 the machine that takes the k-th container, and no cluster-wide admit
-mask is built.  ``enable_batch_kernel`` (on by default) gates it;
-overflow and rescue still run the per-container path over a full mask,
-and so does an affinity-tiered block, whose tier reorders the whole
-order.
+mask is built.  An affinity-tiered block, whose tier reorders the whole
+order, hands the kernel the full order over a cluster-wide mask.  What
+the kernel cannot place — a block's overflow once every quota is
+drained — walks the per-container path (:class:`_CandidateWalk`) into
+rescue, and so does every block of the IL-only ablation.
 
 Every cluster-wide admit mask either engine builds is read live from
 the state by :func:`feasible_mask` — Equation 6 ∧ ¬(Equations 7–8), one
 vectorised pass — and charged one unit per machine to ``explored``.
 Nothing about feasibility is carried from one round to the next.
 
-Disabling either flag performs the exact extra work the pruning avoids —
+Disabling either pruning performs the exact extra work it avoids —
 per-container feasibility recomputation without IL, a full candidate
 ordering per container without DL — while provably producing identical
 placements (the tie-breaking score is total), which is how the Fig. 12
@@ -47,10 +48,17 @@ latency ablation measures their cost honestly.
 Machine preference is most-packed-first (minimum remaining CPU, machine
 id as tie-break), which directly serves the paper's resource-efficiency
 objective of minimising the number of used machines.
+
+Both engines — this one and the flow-network reference
+:class:`~repro.core.search.FlowPathSearch` — share one lifecycle,
+:class:`AladdinEngine`: the cross-round ledgers and their checkpoint,
+the round's weights and rescue planner, the window loop and the final
+repair.  An engine supplies only how it places one window.
 """
 
 from __future__ import annotations
 
+import abc
 import itertools
 import time
 from operator import attrgetter
@@ -66,12 +74,19 @@ from repro.core.config import AladdinConfig
 from repro.core.machindex import MachineIndex, affinity_tier, packing_keys
 from repro.core.migration import RescuePlanner
 from repro.core.rescuekernel import RescueKernel
-from repro.core.validate import validate_state
 from repro.core.weights import derive_priority_weights
 
 
-class AladdinScheduler(Scheduler):
-    """The paper's scheduler; see the module docstring for semantics."""
+class AladdinEngine(Scheduler):
+    """The lifecycle both placement engines share.
+
+    A round groups the stream into application blocks, derives the
+    Equation 3–5 weights, places the blocks window by window in
+    weighted-flow order (:meth:`_place_window`, the one thing an engine
+    supplies), and ends with the exhaustive repair pass.  The ledgers
+    that outlive a round — the machine index and the rescue kernel —
+    live here, and so does their checkpoint.
+    """
 
     def __init__(self, config: AladdinConfig | None = None) -> None:
         self.config = config if config is not None else AladdinConfig()
@@ -80,22 +95,47 @@ class AladdinScheduler(Scheduler):
         self.last_weights: dict[int, float] = {}
         #: incrementally maintained packed-first machine ordering
         self.machine_index = MachineIndex()
-        #: lifetime count of containers placed by the batch kernel
-        self.batch_placed = 0
         #: rescue planning (migration, consolidation, preemption) on
         #: the machine index and a resident ledger
         self.rescue_kernel = RescueKernel()
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:
-        """Serialisable image of every cross-round ledger; see
-        :func:`engine_checkpoint`."""
-        return engine_checkpoint(self)
+        """Image of the cross-round ledgers, for a snapshot payload.
+
+        The ledgers are the warm state a restart would otherwise rebuild
+        cold, and a cold rebuild is not only slower but *observably
+        different* — the machine index reports ``index_resyncs``
+        telemetry on incremental resyncs and none on rebuilds, and the
+        rescue memos replay stored ``explored`` charges — so
+        bit-identical resumption requires persisting them.  Anything an
+        engine rebuilds per window (the flow engine's ``last_network``)
+        carries no cross-round charges and is not persisted.
+        """
+        return {
+            "machine_index": self.machine_index.checkpoint(),
+            "rescue_kernel": self.rescue_kernel.checkpoint(),
+        }
 
     def restore_checkpoint(self, payload: dict, state: ClusterState) -> None:
-        """Adopt a :meth:`checkpoint` image against a restored ``state``;
-        see :func:`engine_restore`."""
-        engine_restore(self, payload, state)
+        """Adopt a :meth:`checkpoint` image against a restored ``state``.
+
+        Every ledger is rebound to the restored state's fresh uid; the
+        persisted sync versions stay valid because the state checkpoint
+        carries the dirty log verbatim.  A component the image lacks
+        starts cold — a full resync on first use, never silent
+        corruption.  An engine that could still plan rescues with the
+        per-machine loop wrote ``"rescue_kernel": None`` in that mode:
+        the kernel then starts cold, and the resumed run makes the
+        decisions the uninterrupted one makes (its memos replay only
+        cost charges).  Older images may also carry a ``batch_placed``
+        count, a rack-sharded sweep's ``parallel`` entry or a
+        feasibility cache's image; all three are ignored.
+        """
+        self.machine_index.restore(payload["machine_index"], state.state_uid)
+        kernel_image = payload.get("rescue_kernel")
+        if kernel_image is not None:
+            self.rescue_kernel.restore(kernel_image, state)
 
     @classmethod
     def from_checkpoint(
@@ -103,13 +143,11 @@ class AladdinScheduler(Scheduler):
         payload: dict,
         state: ClusterState,
         config: AladdinConfig | None = None,
-    ) -> "AladdinScheduler":
-        """Build a scheduler whose ledgers resume from ``payload``.
+    ) -> "AladdinEngine":
+        """Build an engine whose ledgers resume from ``payload``.
 
         ``config`` must match the configuration the checkpoint was
-        taken under for the resumed run to be bit-identical (a
-        mismatched kernel layout degrades that component to a cold
-        start instead of corrupting).
+        taken under for the resumed run to be bit-identical.
         """
         engine = cls(config)
         engine.restore_checkpoint(payload, state)
@@ -124,8 +162,6 @@ class AladdinScheduler(Scheduler):
         result.telemetry = telemetry.SchedulerTelemetry()
         with telemetry.collect(result.telemetry):
             self._schedule(containers, state, result)
-        if self.config.validate_placements:
-            validate_state(state).raise_if_invalid(self.name)
         result.elapsed_s = time.perf_counter() - t0
         return result
 
@@ -135,7 +171,6 @@ class AladdinScheduler(Scheduler):
         state: ClusterState,
         result: ScheduleResult,
     ) -> None:
-        tele = result.telemetry
         blocks = _group_blocks(containers)
         self.last_weights = _derive_weights_for(blocks, self.config)
         # The preemption guard uses the *minimal* compliant weights
@@ -154,25 +189,90 @@ class AladdinScheduler(Scheduler):
 
         window = self.config.window_apps
         for start in range(0, len(blocks), window):
-            window_blocks = blocks[start : start + window]
             # Weighted-flow order: highest priority class first; stable
             # within a class, preserving the arrival characteristic.
             window_blocks = sorted(
-                window_blocks, key=lambda b: -self.last_weights[b[0].priority]
+                blocks[start : start + window],
+                key=lambda b: -self.last_weights[b[0].priority],
             )
-            requeue: list[Container] = []
-            with tele.phase("search"):
-                for block in window_blocks:
-                    self._place_block(block, state, planner, result, requeue)
-            with tele.phase("requeue"):
-                drain_requeue(requeue, state, planner, result)
+            self._place_window(window_blocks, state, planner, result)
         if self.config.final_repair and result.undeployed:
-            with tele.phase("repair"):
-                final_repair(containers, state, planner, result)
+            self._repair(containers, state, planner, result)
         # Rescue migrations move already-placed containers; re-read their
         # final machine from the authoritative state.
         for cid in result.placements:
             result.placements[cid] = state.assignment[cid]
+
+    @abc.abstractmethod
+    def _place_window(
+        self,
+        window_blocks: list[list[Container]],
+        state: ClusterState,
+        planner: RescuePlanner,
+        result: ScheduleResult,
+    ) -> None:
+        """Place one window's blocks, already in weighted-flow order,
+        and re-place the window's preemption victims."""
+
+    def _repair(
+        self,
+        containers: list[Container],
+        state: ClusterState,
+        planner: RescuePlanner,
+        result: ScheduleResult,
+    ) -> None:
+        """The round's exhaustive repair pass (:func:`final_repair`)."""
+        with result.telemetry.phase("repair"):
+            final_repair(containers, state, planner, result)
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _roll_back_block(
+        block: list[Container], state: ClusterState, result: ScheduleResult
+    ) -> None:
+        """Gang semantics: a partially placed application is retracted.
+
+        If any container of the block went undeployed, its
+        already-placed siblings are evicted and every container of the
+        block is reported undeployed with the reason that stopped the
+        gang.  Rescue side effects (migrations of *other* containers)
+        stay — those containers remain validly deployed elsewhere.
+        """
+        reason = next(
+            (
+                result.undeployed[c.container_id]
+                for c in block
+                if c.container_id in result.undeployed
+            ),
+            None,
+        )
+        if reason is None:
+            return
+        for container in block:
+            cid = container.container_id
+            if cid in result.placements:
+                state.evict(cid)
+                del result.placements[cid]
+            result.undeployed[cid] = reason
+
+
+class AladdinScheduler(AladdinEngine):
+    """The paper's scheduler; see the module docstring for semantics."""
+
+    def _place_window(
+        self,
+        window_blocks: list[list[Container]],
+        state: ClusterState,
+        planner: RescuePlanner,
+        result: ScheduleResult,
+    ) -> None:
+        tele = result.telemetry
+        requeue: list[Container] = []
+        with tele.phase("search"):
+            for block in window_blocks:
+                self._place_block(block, state, planner, result, requeue)
+        with tele.phase("requeue"):
+            drain_requeue(requeue, state, planner, result)
 
     # ------------------------------------------------------------------
     def _batch_place(
@@ -228,7 +328,6 @@ class AladdinScheduler(Scheduler):
         result.placements.update(
             zip([c.container_id for c in block[:placed]], targets.tolist())
         )
-        self.batch_placed += placed
         # One examined machine per placement, mirroring the DL walk's
         # per-container O(1) charge.
         result.explored += placed
@@ -258,16 +357,15 @@ class AladdinScheduler(Scheduler):
         candidates: _CandidateWalk | None = None
         pending = block
         if cfg.enable_il:
-            batch = cfg.enable_dl and cfg.enable_batch_kernel
             # The batch kernel evaluates its own window; a full mask
             # is built only for what reads the whole cluster — an
-            # affinity-tiered block and the non-batched walk.
+            # affinity-tiered block and the IL-only walk.
             mask = (
                 feasible_mask(state, demand, app_id, result)
-                if affinity is not None or not batch
+                if affinity is not None or not cfg.enable_dl
                 else None
             )
-            if batch:
+            if cfg.enable_dl:
                 placed = self._batch_place(
                     block, state, demand, mask, affinity, result
                 )
@@ -350,82 +448,8 @@ class AladdinScheduler(Scheduler):
             state.deploy(container, machine, demand)
             result.placements[container.container_id] = machine
 
-        if cfg.gang_scheduling and any(
-            c.container_id in result.undeployed for c in block
-        ):
+        if cfg.gang_scheduling:
             self._roll_back_block(block, state, result)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _roll_back_block(
-        block: list[Container], state: ClusterState, result: ScheduleResult
-    ) -> None:
-        """Gang semantics: a partially placed application is retracted.
-
-        Already-placed siblings are evicted and every container of the
-        block is reported undeployed with the reason that stopped the
-        gang.  Rescue side effects (migrations of *other* containers)
-        stay — those containers remain validly deployed elsewhere.
-        """
-        reason = next(
-            result.undeployed[c.container_id]
-            for c in block
-            if c.container_id in result.undeployed
-        )
-        for container in block:
-            cid = container.container_id
-            if cid in result.placements:
-                state.evict(cid)
-                del result.placements[cid]
-            result.undeployed[cid] = reason
-
-
-# ----------------------------------------------------------------------
-# engine-shared checkpoint/restore
-# ----------------------------------------------------------------------
-def engine_checkpoint(engine) -> dict:
-    """Image of an engine's cross-round ledgers, for a snapshot payload.
-
-    Shared by both engines (``engine`` exposes ``machine_index`` and
-    ``rescue_kernel``): the ledgers
-    are the warm state a restart would otherwise rebuild cold, and a
-    cold rebuild is not only slower but *observably different* — the
-    machine index reports ``index_resyncs`` telemetry on incremental
-    resyncs and none on rebuilds, and the rescue memos replay stored
-    ``explored`` charges — so bit-identical resumption requires
-    persisting them.  The flow engine's ``last_network`` is *not*
-    persisted: it is rebuilt per scheduling window and carries no
-    cross-round charges.
-    """
-    return {
-        "machine_index": engine.machine_index.checkpoint(),
-        "batch_placed": getattr(engine, "batch_placed", 0),
-        "rescue_kernel": engine.rescue_kernel.checkpoint(),
-    }
-
-
-def engine_restore(engine, payload: dict, state: ClusterState) -> None:
-    """Adopt an :func:`engine_checkpoint` image against a restored state.
-
-    Every ledger is rebound to the restored state's fresh uid; the
-    persisted sync versions stay valid because the state checkpoint
-    carries the dirty log verbatim.  A component the image lacks starts
-    cold — a full resync on first use, never silent corruption.  An
-    engine that could still be configured to plan rescues with the
-    per-machine loop wrote ``"rescue_kernel": None`` in that mode: the
-    kernel then starts cold, and the resumed run makes the decisions
-    the uninterrupted one makes (its memos replay only cost charges).
-    An image written while the engine could still run a rack-sharded
-    parallel sweep may carry a ``parallel`` entry, and one written while
-    it kept a cross-round feasibility cache carries that cache's image;
-    both are ignored.
-    """
-    engine.machine_index.restore(payload["machine_index"], state.state_uid)
-    if hasattr(engine, "batch_placed"):
-        engine.batch_placed = payload.get("batch_placed", 0)
-    kernel_image = payload.get("rescue_kernel")
-    if kernel_image is not None:
-        engine.rescue_kernel.restore(kernel_image, state)
 
 
 # ----------------------------------------------------------------------

@@ -20,126 +20,61 @@ experiments use the vectorised engine.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro import telemetry
-from repro.base import FailureReason, ScheduleResult, Scheduler
+from repro.base import FailureReason, ScheduleResult
 from repro.cluster.container import Container
 from repro.cluster.state import ClusterState, StateCursor
 from repro.core.blacklist import BlacklistFunction
 from repro.core.config import AladdinConfig
-from repro.core.machindex import MachineIndex
 from repro.core.migration import RescuePlanner
 from repro.core.network_builder import LayeredNetwork, build_layered_network
-from repro.core.rescuekernel import RescueKernel
 from repro.core.scheduler import (
-    _derive_weights_for,
-    _group_blocks,
+    AladdinEngine,
+    _scores,
     drain_requeue,
-    engine_checkpoint,
-    engine_restore,
     feasible_mask,
-    final_repair,
 )
-from repro.core.validate import validate_state
 from repro.flownet.capacity import VectorCapacity
 from repro.flownet.validation import validate_flow
 
 
-class FlowPathSearch(Scheduler):
+class FlowPathSearch(AladdinEngine):
     """Reference flow-network engine for Aladdin (small instances)."""
 
     def __init__(self, config: AladdinConfig | None = None) -> None:
-        self.config = config if config is not None else AladdinConfig()
-        self.name = self.config.variant_name() + "[flow]"
+        super().__init__(config)
+        # Checkpoint fingerprints embed the name, so a flow engine's
+        # snapshot never resumes on the batch engine.
+        self.name += "[flow]"
+        #: the last window's flow network, rebuilt per window
         self.last_network: LayeredNetwork | None = None
-        self.last_weights: dict[int, float] = {}
-        #: incrementally maintained packed-first ordering; replaces the
-        #: per-container full argsort whenever isomorphism limiting
-        #: yields an admit mask to restrict it to
-        self.machine_index = MachineIndex()
-        #: rescue planning, shared semantics with the vectorised engine
-        self.rescue_kernel = RescueKernel()
 
     # ------------------------------------------------------------------
-    def checkpoint(self) -> dict:
-        """Serialisable image of the cross-round ledgers (shared layout
-        with the vectorised engine).  ``last_network`` is rebuilt per
-        window and deliberately not persisted."""
-        return engine_checkpoint(self)
-
-    def restore_checkpoint(self, payload: dict, state: ClusterState) -> None:
-        """Adopt a :meth:`checkpoint` image against a restored state."""
-        engine_restore(self, payload, state)
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        payload: dict,
+    def _place_window(
+        self,
+        window_blocks: list[list[Container]],
         state: ClusterState,
-        config: AladdinConfig | None = None,
-    ) -> "FlowPathSearch":
-        """Build a flow engine whose ledgers resume from ``payload``."""
-        engine = cls(config)
-        engine.restore_checkpoint(payload, state)
-        return engine
+        planner: RescuePlanner,
+        result: ScheduleResult,
+    ) -> None:
+        with result.telemetry.phase("search"):
+            self._search_window(window_blocks, state, planner, result)
 
-    # ------------------------------------------------------------------
-    def schedule(
-        self, containers: list[Container], state: ClusterState
-    ) -> ScheduleResult:
-        t0 = time.perf_counter()
-        result = ScheduleResult()
-        result.telemetry = telemetry.SchedulerTelemetry()
-        with telemetry.collect(result.telemetry):
-            self._schedule(containers, state, result)
-        if self.config.validate_placements:
-            validate_state(state).raise_if_invalid(self.name)
-        result.elapsed_s = time.perf_counter() - t0
-        return result
-
-    def _schedule(
+    def _repair(
         self,
         containers: list[Container],
         state: ClusterState,
+        planner: RescuePlanner,
         result: ScheduleResult,
     ) -> None:
-        blocks = _group_blocks(containers)
-        self.last_weights = _derive_weights_for(blocks, self.config)
-        guard_weights = _derive_weights_for(blocks, self.config, base=1.0)
-        planner = RescuePlanner(
-            state,
-            self.config,
-            guard_weights,
-            machine_index=self.machine_index,
-            kernel=self.rescue_kernel,
-        )
-        window = self.config.window_apps
-        for start in range(0, len(blocks), window):
-            window_blocks = sorted(
-                blocks[start : start + window],
-                key=lambda b: -self.last_weights[b[0].priority],
-            )
-            with result.telemetry.phase("search"):
-                self._schedule_window(window_blocks, state, planner, result)
-        if self.config.final_repair and result.undeployed:
-            # The same exhaustive repair pass the vectorised engine
-            # runs; skipping it here made the engines diverge on
-            # workloads where only an unbounded rescue scan succeeds.
-            since = state.cursor()
-            with result.telemetry.phase("repair"):
-                final_repair(containers, state, planner, result)
-            if self.last_network is not None:
-                _patch_residuals(self.last_network, state, since)
-        # Rescue migrations move already-placed containers; re-read their
-        # final machine from the authoritative state.
-        for cid in result.placements:
-            result.placements[cid] = state.assignment[cid]
+        # The repair moves machine loads outside the network; re-truthify
+        # the touched sink residuals of the last window's network.
+        since = state.cursor()
+        super()._repair(containers, state, planner, result)
+        _patch_residuals(self.last_network, state, since)
 
-    # ------------------------------------------------------------------
-    def _schedule_window(
+    def _search_window(
         self,
         window_blocks: list[list[Container]],
         state: ClusterState,
@@ -201,6 +136,13 @@ class FlowPathSearch(Scheduler):
                 self._augment(container, demand, machine, network)
                 state.deploy(container, machine, demand)
                 result.placements[container.container_id] = machine
+            if self.config.gang_scheduling:
+                # The same retraction as the vectorised engine's; the
+                # evicted siblings' flow stays pushed, so re-truthify
+                # the sink residuals of the machines they left.
+                since = state.cursor()
+                self._roll_back_block(block, state, result)
+                _patch_residuals(network, state, since)
 
         if requeue:
             # Same victim re-placement pass as the vectorised engine —
@@ -240,8 +182,6 @@ class FlowPathSearch(Scheduler):
         and the first candidate *is* the answer, since every entry of
         the restricted order is admitted by construction.
         """
-        from repro.core.scheduler import _scores
-
         cfg = self.config
         tele = result.telemetry
         if cfg.enable_il:

@@ -14,11 +14,11 @@ same legality contract from Section III of the paper:
 
 This module is the single source of truth for those checks.
 :func:`validate_state` audits a *live* state's resident population:
-capacity bookkeeping (Equation 9) and the full Equation 7–8 rule set.
-Both engines run it post-round when
-``AladdinConfig(validate_placements=True)``.  The audit of a *proposed*
-window plan against the pre-window state is a test oracle and lives in
-``tests/core/window_oracle.py``.
+capacity bookkeeping (Equation 9) and the full Equation 7–8 rule set;
+to audit a round, run it on the state after ``schedule()``
+(``validate_state(state).raise_if_invalid(name)``).  The audit of a
+*proposed* window plan against the pre-window state is a test oracle
+and lives in ``tests/core/window_oracle.py``.
 
 The module also defines the Fig. 9-style placement-quality metrics and
 the documented tolerances (:data:`QUALITY_TOLERANCE`) within which a

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
-from repro.core import AladdinConfig, engine_for
+from repro.core import AladdinScheduler, FlowPathSearch
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace.scenarios import build_scenario
 
@@ -58,7 +58,11 @@ def test_the_builds_are_the_same_rows(indexes):
         assert np.array_equal(cs._offsets, first._offsets)
 
 
-@pytest.mark.parametrize("engine", ["batch", "flow"])
+#: the ``--engine`` names of the CLI -> the engine they build
+ENGINES = {"batch": AladdinScheduler, "flow": FlowPathSearch}
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
 def test_decisions_do_not_depend_on_the_index_order(indexes, engine):
     projections = {}
     for name, cs in indexes.items():
@@ -66,7 +70,7 @@ def test_decisions_do_not_depend_on_the_index_order(indexes, engine):
         trace.constraints = cs
         result = OnlineSimulator(
             trace, OnlineConfig(scenario="mixed-lla", ticks=TICKS, seed=0)
-        ).run(engine_for(AladdinConfig(engine=engine)))
+        ).run(ENGINES[engine]())
         assert result.samples and sum(s.arrived_containers for s in result.samples)
         projections[name] = decision_projection(result.canonical_json())
     assert len(set(projections.values())) == 1

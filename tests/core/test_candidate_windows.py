@@ -23,9 +23,10 @@ from repro.cluster.constraints import ConstraintSet
 from repro.cluster.container import Application, containers_of
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
-from repro.core import AladdinConfig, AladdinScheduler
+from repro.core import AladdinScheduler
 from repro.core.batchkernel import block_plan
 from repro.core.machindex import MachineIndex, packing_keys
+from tests.core.walk_oracle import walk_blocks
 
 N_MACHINES = 400
 PER_RACK = 40
@@ -207,11 +208,10 @@ def test_overflow_reaches_the_walk_and_rescue_at_the_same_point():
     the block outgrows its candidates: same placements, same verdicts,
     same rescue migrations for the ten containers left over."""
     results = []
-    for config in (AladdinConfig(), AladdinConfig(enable_batch_kernel=False)):
+    for engine in (AladdinScheduler(), walk_blocks(AladdinScheduler())):
         state, block = packed_front(
             370, 2.0, 4.0, (40, 24.0, 4.0, None, (0,)),
         )
-        engine = AladdinScheduler(config)
         result = engine.schedule(block, state)
         results.append(
             (result.placements, result.undeployed, result.migrations)

@@ -13,7 +13,6 @@ class TestValidation:
             dict(window_apps=0),
             dict(migration_candidates=-1),
             dict(max_migrations_per_container=-1),
-            dict(engine="solver"),
         ],
     )
     def test_rejects_invalid(self, kw):

@@ -21,7 +21,7 @@ from repro.cluster.constraints import ConstraintSet
 from repro.cluster.container import Application, containers_of
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
-from repro.core import AladdinConfig, AladdinScheduler, FlowPathSearch
+from repro.core import AladdinScheduler, FlowPathSearch
 from repro.core.validate import (
     KIND_BOOKKEEPING,
     KIND_CAPACITY,
@@ -97,8 +97,9 @@ def test_validator_accepts_flow_engine_and_faulted_rounds(seed):
         build_cluster(16, machines_per_rack=4), constraints
     )
     containers = containers_of(apps)
-    engine = FlowPathSearch(AladdinConfig(validate_placements=True))
-    engine.schedule(containers, state)  # hook raises on violation
+    engine = FlowPathSearch()
+    engine.schedule(containers, state)
+    validate_state(state).raise_if_invalid(engine.name)
     # A second round against the churned state (partial departures).
     rng = np.random.default_rng(seed)
     for cid in list(state.assignment):

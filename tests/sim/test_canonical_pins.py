@@ -48,6 +48,13 @@ When the LP window engine was deleted, its two always-zero counters
 and every digest here, :data:`DECISIONS` included, was re-recorded the
 same way: the sha256 of the canonical JSON (or of its projection) of
 the commit before the deletion (3b2fc78), with those two keys removed.
+
+Until the config's advisory ``engine`` field was deleted,
+``"aladdin-flow"`` ran ``AladdinScheduler(AladdinConfig(engine="flow"))``
+— the batch engine, whose digests it duplicated.  It now runs
+:class:`~repro.core.search.FlowPathSearch`, and both of its digests are
+the flow engine's canonical JSON on the commit before that deletion
+(d1f435f); the flow engine's run was never pinned before.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from repro.baselines import (
     MedeaScheduler,
     MedeaWeights,
 )
-from repro.core import AladdinConfig, AladdinScheduler
+from repro.core import AladdinScheduler, FlowPathSearch
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import generate_trace
 from repro.trace.scenarios import build_scenario
@@ -93,8 +100,8 @@ CHURN = OnlineConfig(ticks=12, seed=0)
 RUNS = {
     "aladdin-flow": (
         churn_trace, CHURN,
-        lambda: AladdinScheduler(AladdinConfig(engine="flow")),
-        "609c8d806b29c7e5608ab952c9688f5af276b758a230ff378aeebb995f7e0823", 0,
+        FlowPathSearch,
+        "df1d59e0c178601a7fed84ef37c700a85332b21756fe5c4816570c0c7d8b7690", 0,
     ),
     "aladdin-default": (
         churn_trace, CHURN, AladdinScheduler,
@@ -123,7 +130,7 @@ RUNS = {
 #: JSON
 DECISIONS = {
     "aladdin-flow":
-        "d795bb2ec9b66d7c50ee243f1ac825a6a4d1f0bcca7c06670cb3e373f864fb80",
+        "4c25100ad12754da9227d361e0e29f2a0906b20b6c59c2fd996b1d348c6a6e13",
     "aladdin-default":
         "d795bb2ec9b66d7c50ee243f1ac825a6a4d1f0bcca7c06670cb3e373f864fb80",
     "autoscale":

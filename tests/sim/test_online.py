@@ -3,13 +3,13 @@
 import pytest
 
 from repro import (
-    AladdinConfig,
     AladdinScheduler,
     GoKubeScheduler,
     generate_trace,
 )
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace.arrival import ArrivalOrder
+from tests.core.walk_oracle import walk_blocks
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +72,11 @@ class TestLifecycle:
         byte-identical metrics — including the telemetry counters (SPFA
         relaxations, IL/DL prunes, index resyncs, rescue accounting),
         which must therefore be free of wall-clock or iteration-order
-        nondeterminism.  Wall times are excluded by design.  Batch-off,
-        so every block walks a cluster-wide admit mask."""
+        nondeterminism.  Wall times are excluded by design.  Every block
+        takes the per-container walk over a cluster-wide admit mask."""
         cfg = OnlineConfig(ticks=12, seed=7)
-        engine = AladdinConfig(enable_batch_kernel=False)
-        a = OnlineSimulator(trace, cfg).run(AladdinScheduler(engine))
-        b = OnlineSimulator(trace, cfg).run(AladdinScheduler(engine))
+        a = OnlineSimulator(trace, cfg).run(walk_blocks(AladdinScheduler()))
+        b = OnlineSimulator(trace, cfg).run(walk_blocks(AladdinScheduler()))
         assert a.canonical_json() == b.canonical_json()
         assert a.canonical_json().encode() == b.canonical_json().encode()
         # The serialisation must actually cover the telemetry.

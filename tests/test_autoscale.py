@@ -34,11 +34,12 @@ from repro.cluster.power import (
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.cluster.warmpool import WarmPool
-from repro.core import AladdinConfig, AladdinScheduler
+from repro.core import AladdinScheduler
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.sim.metrics import power_metrics
 from repro.trace import build_scenario
 from tests.core.rescue_loop import loop_rescue
+from tests.core.walk_oracle import walk_blocks
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +305,7 @@ def test_autoscale_run_is_deterministic():
 
 
 _ABLATIONS = [
-    lambda: AladdinScheduler(AladdinConfig(enable_batch_kernel=False)),
+    lambda: walk_blocks(AladdinScheduler()),
     lambda: loop_rescue(AladdinScheduler()),
 ]
 _POLICIES = ["fixed", "ttl", "lru", "none"]

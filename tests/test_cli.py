@@ -66,6 +66,23 @@ class TestOnline:
         rc = main(["online", *SCALE, "--scheduler", "nope"])
         assert rc == 2
 
+    def test_online_flow_engine(self, tmp_path):
+        """``--engine flow`` runs the flow-network engine; the snapshot
+        fingerprint names the scheduler that ran."""
+        from repro.cluster.snapshot import read_snapshot
+
+        path = str(tmp_path / "flow.ckpt")
+        rc = main(["online", *SCALE, "--ticks", "5", "--engine", "flow",
+                   "--checkpoint", path, "--checkpoint-every", "2"])
+        assert rc == 0
+        fingerprint = read_snapshot(path, kind="online-sim")["fingerprint"]
+        assert fingerprint["scheduler"].endswith("[flow]")
+
+    def test_online_rejects_no_batch(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["online", *SCALE, "--no-batch"])
+        assert "--no-batch" in capsys.readouterr().err
+
 
 class TestFaults:
     def test_faults_runs(self, capsys):

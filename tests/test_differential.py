@@ -46,6 +46,7 @@ from repro.core.rescuekernel import RescueKernel
 from repro.sim.faults import fail_machines, repair_machines
 from repro.telemetry import SchedulerTelemetry
 from tests.core.rescue_loop import RescueLoop, loop_rescue
+from tests.core.walk_oracle import walk_blocks
 from tests.sim.test_parent_checkpoints import decisions
 
 DATA = pathlib.Path(__file__).parent / "sim" / "data"
@@ -240,14 +241,12 @@ class ColdEngine:
         self.last = make()
         self.rounds = 0
         self.rebuilds = 0
-        self.batch_placed = 0
 
     def schedule(self, batch, state):
         self.last = self.make()
         result = self.last.schedule(batch, state)
         self.rounds += 1
         self.rebuilds += self.last.machine_index.rebuilds
-        self.batch_placed += getattr(self.last, "batch_placed", 0)
         return result
 
     @property
@@ -262,9 +261,11 @@ def aladdin_pair():
 
 
 def aladdin_batch_pair():
+    """Batched vs loop: the default engine and its twin whose blocks all
+    take the per-container walk (``walk_blocks``)."""
     return [
-        AladdinScheduler(),  # batch kernel on by default
-        AladdinScheduler(AladdinConfig(enable_batch_kernel=False)),
+        track_telemetry(AladdinScheduler()),
+        track_telemetry(walk_blocks(AladdinScheduler())),
     ]
 
 
@@ -273,13 +274,16 @@ def aladdin_grid(wrap=lambda engine: engine):
     engine passed through ``wrap`` (``loop_rescue`` for the rescue
     axis)."""
     engines = []
-    for batch in (True, False):
-        def make(batch=batch):
-            return wrap(AladdinScheduler(
-                AladdinConfig(enable_batch_kernel=batch)
-            ))
-        engines += [make(), ColdEngine(make)]
+    for oracle in (lambda engine: engine, walk_blocks):
+        def make(oracle=oracle):
+            return oracle(wrap(AladdinScheduler()))
+        engines += [track_telemetry(make()), track_telemetry(ColdEngine(make))]
     return engines
+
+
+def kernel_blocks(engine) -> int:
+    """Blocks the batch kernel placed over a tracked engine's replay."""
+    return engine.total_telemetry.batch_kernel_invocations
 
 
 def flowpath_pair():
@@ -320,8 +324,8 @@ def test_aladdin_batched_matches_loop(seed):
     agree on every placement at every tick, and the kernel is
     demonstrably in play on the batched side only."""
     batched, loop = churn_replay(seed, aladdin_batch_pair)
-    assert batched.batch_placed > 0, "replay never exercised the kernel"
-    assert loop.batch_placed == 0, "loop engine must not batch"
+    assert kernel_blocks(batched) > 0, "replay never exercised the kernel"
+    assert kernel_blocks(loop) == 0, "loop engine must not batch"
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -334,8 +338,10 @@ def test_aladdin_batched_matches_loop_on_a_wide_cluster(seed):
     batched, loop = churn_replay(
         seed, aladdin_batch_pair, n_machines=2000, n_apps=320, max_block=60
     )
-    assert batched.batch_placed > 5000
-    assert loop.batch_placed == 0
+    # the kernel placed 333 / 336 blocks (~9,500 / 10,000 containers)
+    # on seeds 0 / 1
+    assert kernel_blocks(batched) > 300
+    assert kernel_blocks(loop) == 0
 
 
 @pytest.mark.parametrize("seed", [3, 11, 17])
@@ -350,8 +356,8 @@ def test_engine_grid_agrees_under_churn(seed):
         lambda: aladdin_grid() + flowpath_pair()
         + [FlowPathSearch(AladdinConfig(enable_il=False))],
     )
-    assert engines[0].batch_placed > 0
-    assert all(e.batch_placed == 0 for e in engines[2:4])
+    assert kernel_blocks(engines[0]) > 0
+    assert all(kernel_blocks(e) == 0 for e in engines[2:4])
 
 
 @pytest.mark.parametrize("seed", [2, 9, 14])
@@ -360,8 +366,8 @@ def test_aladdin_grid_agrees_under_churn(seed):
     own — four variants — replays one churn stream with identical
     placements throughout."""
     engines = churn_replay(seed, aladdin_grid)
-    assert engines[0].batch_placed > 0 and engines[1].batch_placed > 0
-    assert all(e.batch_placed == 0 for e in engines[2:])
+    assert kernel_blocks(engines[0]) > 0 and kernel_blocks(engines[1]) > 0
+    assert all(kernel_blocks(e) == 0 for e in engines[2:])
     assert_warm_and_cold(engines[0], engines[1])
 
 
@@ -832,10 +838,11 @@ def test_checkpoint_resume_bit_identical(seed, tmp_path):
 @pytest.mark.parametrize("variant", ["no-batch"])
 def test_checkpoint_resume_across_ablation_grid(seed, variant, tmp_path):
     """The checkpoint axis composes with the batched ablation: the
-    degraded engine restores bit-identically too."""
-    cfg = AladdinConfig(enable_batch_kernel="no-batch" not in variant)
+    engine whose blocks all take the per-container walk restores
+    bit-identically too."""
     full, resumed = checkpoint_resume_canonical(
-        seed, lambda: AladdinScheduler(cfg), tmp_path, every=20 + 13 * seed
+        seed, lambda: walk_blocks(AladdinScheduler()), tmp_path,
+        every=20 + 13 * seed,
     )
     assert resumed == full
 
@@ -1034,8 +1041,8 @@ def test_replay_exercises_mixed_churn():
 # batched axis.
 # ----------------------------------------------------------------------
 SERVE_VARIANTS = {
-    "default": AladdinConfig(),
-    "no-batch": AladdinConfig(enable_batch_kernel=False),
+    "default": AladdinScheduler,
+    "no-batch": lambda: walk_blocks(AladdinScheduler()),
 }
 
 
@@ -1077,17 +1084,13 @@ def test_served_decisions_match_simulated(variant):
     for the default engine and its batched ablation."""
     from repro.sim.online import OnlineConfig, OnlineSimulator
 
-    sched_cfg = SERVE_VARIANTS[variant]
+    make_scheduler = SERVE_VARIANTS[variant]
     trace = _online_trace()
     cfg = OnlineConfig(ticks=20, seed=3)
     simulated = (
-        OnlineSimulator(trace, cfg)
-        .run(AladdinScheduler(sched_cfg))
-        .canonical_json()
+        OnlineSimulator(trace, cfg).run(make_scheduler()).canonical_json()
     )
-    served = _served_canonical(
-        lambda: AladdinScheduler(sched_cfg), trace, cfg
-    )
+    served = _served_canonical(make_scheduler, trace, cfg)
     assert served == simulated
 
 
@@ -1202,8 +1205,8 @@ def test_azure_scenario_cached_matches_cold(seed):
 def test_azure_scenario_batched_matches_loop(seed):
     """The batched×loop axis holds on every scenario family too."""
     batched, loop = scenario_churn_replay(seed, aladdin_batch_pair)
-    assert batched.batch_placed > 0
-    assert loop.batch_placed == 0
+    assert kernel_blocks(batched) > 0
+    assert kernel_blocks(loop) == 0
 
 
 #: scenario seed -> decision digest of the ``workers=2`` sweep at 4fe1a11

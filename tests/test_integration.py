@@ -17,6 +17,7 @@ from repro import (
     relative_efficiency,
     run_experiment,
 )
+from tests.core.walk_oracle import walk_blocks
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ class TestLatencyShape:
         n = trace.config.n_machines
         walk = latency_sweep(
             trace,
-            lambda: AladdinScheduler(AladdinConfig(enable_batch_kernel=False)),
+            lambda: walk_blocks(AladdinScheduler()),
             [n, 4 * n],
         )
         assert walk[1].schedule.explored > walk[0].schedule.explored

@@ -146,25 +146,31 @@ def test_engines_place_alike(data):
     twice, each round against a fresh state: round two exercises the
     rebind path of the cross-round ledgers (machine index, rescue
     kernel) — a new ``state_uid`` must drop everything learnt about the
-    old state.
+    old state.  The three place alike under gang semantics too, where
+    each engine retracts a partially placed application after its
+    block.
     """
     apps, n_machines = data
-    engines = [
-        AladdinScheduler(),
-        FlowPathSearch(),
-        FlowPathSearch(AladdinConfig(enable_il=False)),
-    ]
-    for round_no in range(2):
-        outcomes = []
-        for engine in engines:
-            state = ClusterState(
-                build_cluster(n_machines), ConstraintSet.from_applications(apps)
-            )
-            result = engine.schedule(containers_of(apps), state)
-            outcomes.append((result.placements, dict(result.undeployed)))
-        first = outcomes[0]
-        for other in outcomes[1:]:
-            assert other == first
+    for gang in (False, True):
+        engines = [
+            AladdinScheduler(AladdinConfig(gang_scheduling=gang)),
+            FlowPathSearch(AladdinConfig(gang_scheduling=gang)),
+            FlowPathSearch(
+                AladdinConfig(enable_il=False, gang_scheduling=gang)
+            ),
+        ]
+        for round_no in range(2):
+            outcomes = []
+            for engine in engines:
+                state = ClusterState(
+                    build_cluster(n_machines),
+                    ConstraintSet.from_applications(apps),
+                )
+                result = engine.schedule(containers_of(apps), state)
+                outcomes.append((result.placements, dict(result.undeployed)))
+            first = outcomes[0]
+            for other in outcomes[1:]:
+                assert other == first
 
 
 @settings(max_examples=25, deadline=None)
