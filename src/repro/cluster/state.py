@@ -633,15 +633,11 @@ class ClusterState:
         """Number of machines hosting at least one container."""
         return int((self.container_count > 0).sum())
 
-    def utilization(self, dim: int = 0) -> np.ndarray:
-        """Per-machine utilisation fraction along resource ``dim``."""
-        cap = self.topology.capacity[:, dim]
-        return (cap - self.available[:, dim]) / cap
-
     def used_utilization(self, dim: int = 0) -> np.ndarray:
         """Utilisation of only the machines that host containers."""
-        util = self.utilization(dim)
-        return util[self.container_count > 0]
+        used = np.flatnonzero(self.container_count > 0)
+        cap = self.topology.capacity[:, dim][used]
+        return (cap - self.available[:, dim][used]) / cap
 
     def anti_affinity_violations(self) -> int:
         """Count deployed containers whose placement breaks a rule.

@@ -746,24 +746,8 @@ def _derive_weights_for(
     ``base`` overrides the config's weight-ratio floor (used by the
     preemption guard, which wants the minimal compliant weights).
     """
-    # Weight derivation needs per-class demand ranges; containers carry
-    # them directly.
-    from repro.cluster.container import Application
-
-    seen: dict[tuple[int, float], Application] = {}
-    for block in blocks:
-        c = block[0]
-        key = (c.priority, c.cpu)
-        if key not in seen:
-            seen[key] = Application(
-                app_id=len(seen),
-                n_containers=1,
-                cpu=c.cpu,
-                mem_gb=c.mem_gb,
-                priority=c.priority,
-            )
     weights = derive_priority_weights(
-        list(seen.values()),
+        [block[0] for block in blocks],
         base=config.priority_weight_base if base is None else base,
     )
     return weights or {0: 1.0}

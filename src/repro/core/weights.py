@@ -36,7 +36,7 @@ def classify_by_priority(
 
 
 def derive_priority_weights(
-    apps: list[Application],
+    apps,
     base: float = 16.0,
     dim: str = "cpu",
 ) -> dict[int, float]:
@@ -45,7 +45,9 @@ def derive_priority_weights(
     Parameters
     ----------
     apps:
-        The workload; demands along ``dim`` bound the required ratios.
+        The workload: anything with a ``priority`` and a ``dim`` demand
+        (applications, or the scheduler's block-head containers); the
+        demands along ``dim`` bound the required ratios.
     base:
         Floor on the class-to-class weight ratio (the paper's 16/32/64/128
         sweep).  Any value satisfying Equation 5 avoids priority
@@ -59,16 +61,24 @@ def derive_priority_weights(
     """
     if base < 1.0:
         raise ValueError(f"base must be >= 1, got {base}")
-    classes = classify_by_priority(apps)
-    if not classes:
+    # Equation 3 in one pass: each class's (min, max) demand.
+    low: dict[int, float] = {}
+    high: dict[int, float] = {}
+    for app in apps:
+        demand, level = getattr(app, dim), app.priority
+        if level not in low:
+            low[level] = high[level] = demand
+        elif demand < low[level]:
+            low[level] = demand
+        elif demand > high[level]:
+            high[level] = demand
+    if not low:
         return {}
-    levels = sorted(classes)
+    levels = sorted(low)
     weights: dict[int, float] = {levels[0]: 1.0}
     for prev, cur in zip(levels, levels[1:]):
-        prev_max = max(getattr(a, dim) for a in classes[prev])
-        cur_min = min(getattr(a, dim) for a in classes[cur])
         # Equation 5 with a strict-inequality nudge, floored at ``base``.
-        ratio = max(base, math.ceil(prev_max / cur_min) + 1)
+        ratio = max(base, math.ceil(high[prev] / low[cur]) + 1)
         weights[cur] = weights[prev] * ratio
     return weights
 

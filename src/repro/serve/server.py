@@ -35,7 +35,10 @@ Life of a request
    windows — writes a crash-consistent snapshot (PR 5's envelope).  A
    server SIGKILLed after the commit restarts warm via
    :meth:`PlacementServer.restore`; the lost replies are recoverable
-   through the ``decisions`` control request.
+   through the ``decisions`` control request.  The log holds a window's
+   placements (warm-pool claims included) as two id arrays, container
+   and machine, ~16 B a placement; the ``{str(container_id): machine}``
+   reply is rendered only when a client asks.
 4. **Reply.**  Replies are serialised and written by an asyncio task
    that runs before the *next* window starts; a slow client's unsent
    bytes wait in its transport, never in front of scheduling.
@@ -52,6 +55,9 @@ import asyncio
 import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.base import ScheduleResult, Scheduler
 from repro.cluster.snapshot import SnapshotError, read_snapshot, write_snapshot
@@ -139,7 +145,8 @@ class PlacementServer:
         self.result = OnlineResult()
         #: committed windows; doubles as the next window's tick id
         self.windows = 0
-        #: tick -> decisions of that committed window (bounded log)
+        #: tick -> decisions of that committed window (bounded log;
+        #: ``placements`` as a (container ids, machine ids) array pair)
         self.decisions: dict[int, dict] = {}
         self._queue: deque = deque()
         self._wakeup = asyncio.Event()
@@ -219,6 +226,12 @@ class PlacementServer:
         server.windows = int(payload["windows"])
         server.result = payload["result"]
         server.decisions = {int(t): d for t, d in payload["decisions"].items()}
+        for entry in server.decisions.values():
+            placed = entry["placements"]
+            if isinstance(placed, dict):  # an older snapshot's str keys
+                entry["placements"] = _id_arrays(
+                    {int(cid): mid for cid, mid in placed.items()}
+                )
         adopt = getattr(scheduler, "restore_checkpoint", None)
         if payload["engine"] is not None and callable(adopt):
             adopt(payload["engine"], state)
@@ -347,15 +360,18 @@ class PlacementServer:
         }
 
     def _decisions_reply(self, tick: int) -> dict:
-        decisions = self.decisions.get(tick)
-        if decisions is None:
+        entry = self.decisions.get(tick)
+        if entry is None:
             return {
                 "status": "error",
                 "error": f"window {tick} is not in the decision log "
                 f"(committed: {self.windows}, log keeps "
                 f"{self.config.decision_log})",
             }
-        return {"status": "ok", "tick": tick, **decisions}
+        containers, machines = entry["placements"]
+        placements = zip(map(str, containers.tolist()), machines.tolist())
+        return {"status": "ok", "tick": tick, **entry,
+                "placements": dict(placements)}
 
     async def _write(self, writer, obj: dict) -> bool:
         try:
@@ -608,15 +624,11 @@ class PlacementServer:
         warm=(),
         penalties=(),
     ):
-        placements = {
-            str(cid): mid for cid, mid in schedule.placements.items()
-        } if schedule is not None else {}
+        placed = schedule.placements if schedule is not None else {}
         # Warm-pool claims are placements too — they just never reached
         # the scheduler.  Replay clients must see them to book departures.
-        for cid, mid in dict(warm).items():
-            placements[str(cid)] = mid
         entry = {
-            "placements": placements,
+            "placements": _id_arrays(placed, dict(warm)),
             "undeployed": {
                 str(cid): reason.value
                 for cid, reason in schedule.undeployed.items()
@@ -694,6 +706,18 @@ class PlacementServer:
                 reply["running"] = sample.running_containers
             out.append((writer, reply))
         return out
+
+
+def _id_arrays(*placed: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The ``{container: machine}`` maps ``placed``, chained, as container
+    and machine id arrays: int64, or objects for container ids past it
+    (the protocol bounds them below only)."""
+    n = sum(map(len, placed))
+    machines = np.fromiter(chain(*(p.values() for p in placed)), np.int64, n)
+    try:
+        return np.fromiter(chain(*placed), np.int64, n), machines
+    except OverflowError:
+        return np.array([*chain(*placed)], dtype=object), machines
 
 
 # ----------------------------------------------------------------------

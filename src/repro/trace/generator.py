@@ -363,7 +363,7 @@ def _assign_anti_affinity(
     lo_cov, hi_cov = config.victim_noise_coverage
     covered = 0
     key_type = np.int32 if n * n < 2**31 else np.int64
-    rows, cols = [], []
+    victims, degrees, cols = [], [], []
     for i in victim_candidates:
         if covered >= victim_target or noisy_list.size == 0:
             break
@@ -373,7 +373,8 @@ def _assign_anti_affinity(
         k = max(1, round(share * noisy_list.size))
         # noisy partners are distinct and never victims: fresh edges
         cols.append(rng.choice(noisy_list, size=k, replace=False).astype(key_type))
-        rows.append(np.full(k, i, key_type))
+        victims.append(i)
+        degrees.append(k)
         if cpus[i] < 8.0:
             cpus[i] = 8.0
         # Victims are pinned by their interference constraints, not by
@@ -385,7 +386,9 @@ def _assign_anti_affinity(
         within[i] = False
         victim[i] = True
         covered += int(sizes[i])
-    keys = _with_edges(n, np.empty(0, key_type), rows, cols)
+    rows = np.repeat(np.array(victims, key_type), degrees)
+    cols = np.concatenate([rows[:0], *cols])
+    keys = _with_edges(n, rows[:0], rows, cols)
     del rows, cols
 
     # --- layer 3: background texture ----------------------------------
@@ -437,10 +440,9 @@ def _assign_anti_affinity(
     return within, conflicts, noisy | victim
 
 
-def _with_edges(n: int, keys: np.ndarray, rows: list, cols: list) -> np.ndarray:
+def _with_edges(n: int, keys: np.ndarray, rows, cols) -> np.ndarray:
     """``keys`` plus both directions of the edges ``rows[j] -- cols[j]``
-    (lists of arrays of ``keys``' dtype), in one ascending array."""
-    rows, cols = np.concatenate([keys[:0], *rows]), np.concatenate([keys[:0], *cols])
+    (arrays of ``keys``' dtype), in one ascending array."""
     keys = np.concatenate((keys, rows * n + cols, cols * n + rows))
     keys.sort()
     return keys
@@ -460,7 +462,7 @@ def _add_big_conflictors(
     keys: np.ndarray,
     constrained: set[int],
     within: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Make a few high-priority LLAs conflict with >= the coverage target.
 
     Section V.A: "several LLAs cannot be co-located with at least other
@@ -503,4 +505,4 @@ def _add_big_conflictors(
             covered += int(sizes[taken].sum())
             rows.append(np.full(taken.size, a, keys.dtype))
             cols.append(taken)
-    return rows, cols
+    return np.concatenate([keys[:0], *rows]), np.concatenate([keys[:0], *cols])

@@ -1,10 +1,14 @@
 """Priority weight (Equations 3–5) tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.container import Application
+from repro.cluster.container import Application, Container
+from repro.core.config import AladdinConfig
+from repro.core.scheduler import _derive_weights_for
 from repro.core.weights import (
     classify_by_priority,
     derive_priority_weights,
@@ -88,3 +92,58 @@ def test_no_inversion_for_any_workload_and_base(specs, base):
     apps = [app(i, cpu, prio) for i, (cpu, prio) in enumerate(specs)]
     weights = derive_priority_weights(apps, base=base)
     assert verify_no_inversion(weights, apps)
+
+
+def head_applications(blocks):
+    """One :class:`Application` per distinct (priority, cpu) block head,
+    as the scheduler built them per round before deriving weights."""
+    seen = {}
+    for block in blocks:
+        c = block[0]
+        seen.setdefault((c.priority, c.cpu), Application(
+            app_id=len(seen), n_containers=1, cpu=c.cpu, mem_gb=c.mem_gb,
+            priority=c.priority,
+        ))
+    return list(seen.values())
+
+
+def oracle_weights(apps, base):
+    """Equations 3-5 as they were derived: classify, then the max and
+    min of each adjacent pair of classes."""
+    classes = classify_by_priority(apps)
+    levels = sorted(classes)
+    weights = {levels[0]: 1.0} if levels else {0: 1.0}
+    for prev, cur in zip(levels, levels[1:]):
+        prev_max = max(a.cpu for a in classes[prev])
+        cur_min = min(a.cpu for a in classes[cur])
+        ratio = max(base, math.ceil(prev_max / cur_min) + 1)
+        weights[cur] = weights[prev] * ratio
+    return weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0]),
+            st.integers(0, 4),
+            st.integers(1, 3),
+        ),
+        max_size=16,
+    ),
+    st.sampled_from([1.0, 16.0, 32.0, 64.0, 128.0]),
+)
+def test_round_weights_match_the_application_oracle(specs, base):
+    """The scheduler's weights, read from block heads in one pass, are
+    what the per-round Application objects gave, value for value, type
+    for type and in key order."""
+    blocks = [
+        [Container(10 * a + i, a, i, cpu, 2 * cpu, prio) for i in range(n)]
+        for a, (cpu, prio, n) in enumerate(specs)
+    ]
+    got = _derive_weights_for(blocks, AladdinConfig(), base=base)
+    apps = head_applications(blocks)
+    want = oracle_weights(apps, base)
+    assert got == want == (derive_priority_weights(apps, base=base) or {0: 1.0})
+    assert [type(w) for w in got.values()] == [type(w) for w in want.values()]
+    assert list(got) == list(want)

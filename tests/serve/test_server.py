@@ -8,9 +8,13 @@ subprocess boundary (the fault tests cover that).
 
 from __future__ import annotations
 
+import gzip
+import hashlib
 import os
+import pathlib
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
@@ -26,6 +30,17 @@ from repro.serve import (
 )
 from repro.serve.protocol import container_to_wire, encode_frame, recv_frame
 from tests.serve.conftest import HookedScheduler
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+#: tick -> sha256 of the ``decisions`` reply frame commit 4ec3275 sent
+#: for the windows of ``data/serve-4ec3275.ckpt.gz`` (see the test)
+PARENT_DECISION_FRAMES = {
+    0: "15630568b040e029be4ca62f69ae11d8c5fb8cbf1682de2c6c15774b68e68229",
+    1: "1de9228e4605311d5b988ca59adb5bec79cc61bc9b882bb1a65bea588c2c3c38",
+    2: "0171fab5e23bd4fb1190898cf90a042c2c4c5c5fdba33970f2527bd849438c7a",
+    3: "d440ef419595093fb470775bc4fb039e198148906c215cf4d7d31c9ea6a2878d",
+}
 
 
 class TestEventLoopWindows:
@@ -421,12 +436,50 @@ class TestControlPlane:
                     client.decisions(0)
 
     def test_decisions_match_place_reply(self, served, serve_trace):
+        server, client = served
+        replies = [client.place(serve_trace.containers[:5])]
+        # three machines left for 300 containers: most go undeployed
+        client.fault(list(range(server.state.n_machines - 3)))
+        replies.append(client.place(serve_trace.containers[5:305]))
+        assert [bool(r["undeployed"]) for r in replies] == [False, True]
+        for reply in replies:
+            logged = client.decisions(reply["tick"])
+            assert logged["placements"] == reply["placements"]
+            assert logged["undeployed"] == reply["undeployed"]
+
+    def test_decisions_keep_ids_past_int64(self, served, serve_trace):
         _server, client = served
-        batch = serve_trace.containers[:5]
-        reply = client.place(batch)
-        logged = client.decisions(0)
-        assert logged["placements"] == reply["placements"]
-        assert logged["undeployed"] == reply["undeployed"]
+        huge = serve_trace.containers[0]._replace(container_id=2**64 + 1)
+        reply = client.place([huge])
+        assert reply["placements"].keys() == {str(2**64 + 1)}
+        assert client.decisions(0)["placements"] == reply["placements"]
+
+    def test_decision_log_bytes_per_placement(self, make_server, serve_trace):
+        """The log keeps a placement as two integers: <= 24 B each over
+        committed windows (a ``{str(id): machine}`` dict holds ~80-113)."""
+        server = make_server()
+        log, held, logged = server._log_decisions, [0], [0]
+
+        def measured(tick, *args):
+            before = tracemalloc.get_traced_memory()[0]
+            log(tick, *args)
+            held[0] += tracemalloc.get_traced_memory()[0] - before
+            logged[0] += len(server._decisions_reply(tick)["placements"])
+
+        server._log_decisions = measured
+        containers = serve_trace.containers
+        tracemalloc.start()
+        try:
+            for i in range(0, len(containers), 250):
+                batch = containers[i:i + 250]
+                server._apply_window(
+                    [({"type": "place", "_containers": batch}, None)]
+                )
+        finally:
+            tracemalloc.stop()
+        assert server.windows == len(server.decisions) >= 8
+        assert logged[0] >= 0.9 * len(containers)
+        assert held[0] <= 24 * logged[0]
 
     def test_invalid_request_raises_serve_error(self, served):
         _server, client = served
@@ -479,6 +532,36 @@ class TestCheckpointRestore:
         assert restored.result.canonical_json() == live
         assert restored.state.assignment == server.state.assignment
         assert sorted(restored.decisions) == [0, 1]
+
+    def test_restores_a_string_keyed_decision_log(
+        self, tmp_path, serve_trace, serve_topology
+    ):
+        """``data/serve-4ec3275.ckpt.gz`` is a serve snapshot commit
+        4ec3275 wrote, whose log held each window's placements and
+        undeployed containers as ``{str(container_id): ...}`` dicts.  Its
+        four windows: 6 containers placed; a fault of all but three
+        machines that requeues them; 300 containers placed onto the three
+        (75 placed, 225 undeployed); a departure of 3 plus 4 placed.
+        Restored here, and again after re-writing it in the compact
+        form, every window's ``decisions`` frame is byte for byte the one
+        that commit sent."""
+        path = tmp_path / "serve.ckpt"
+        path.write_bytes(
+            gzip.decompress((DATA / "serve-4ec3275.ckpt.gz").read_bytes())
+        )
+        for _ in range(2):
+            restored = PlacementServer.restore(
+                str(path), AladdinScheduler(), serve_topology,
+                serve_trace.constraints,
+            )
+            frames = {
+                tick: hashlib.sha256(
+                    encode_frame(restored._decisions_reply(tick))
+                ).hexdigest()
+                for tick in restored.decisions
+            }
+            assert frames == PARENT_DECISION_FRAMES
+            restored.write_checkpoint(str(path))
 
     def test_restored_server_keeps_serving(self, make_server, sock_dir,
                                            serve_trace, serve_topology):

@@ -359,11 +359,17 @@ def test_autoscale_served_matches_simulated(keep_alive):
     try:
         with ServerThread(server, os.path.join(d, "s.sock")):
             with ServeClient(os.path.join(d, "s.sock")) as client:
-                replay_online_schedule(client, trace, cfg)
+                replies = replay_online_schedule(client, trace, cfg)
                 served = client.result()
     finally:
         shutil.rmtree(d, ignore_errors=True)
     assert served == simulated
+    # one place request a window: the decision log answers what its
+    # reply said, warm-pool claims, penalties and pool size included
+    for tick, reply in replies.items():
+        logged = server._decisions_reply(tick)
+        for key in ("placements", "undeployed", "penalties", "pool"):
+            assert logged[key] == reply[key]
 
 
 class _Interrupt(Exception):
