@@ -25,11 +25,12 @@ the first :meth:`ClusterState.anti_affinity_violations` call).
 
 Containers of one application are identical (the IL premise), so the
 block mutators book per application rather than per container:
-``deploy_block`` commits one *placement run* (a stretch of equal machine
-ids) at a time and ``evict_block`` settles each (application, machine)
-pair once.  All hot paths are NumPy operations over dense machine ids;
-Python-level dictionaries only appear per run or pair, never per
-machine scan.
+``deploy_block`` takes a block as *placement runs* (a machine and how
+many of the block's containers it takes), the form the batch kernel
+plans in, and commits each run once; ``evict_block`` settles each
+(application, machine) pair once.  All hot paths are NumPy operations
+over dense machine ids; Python-level dictionaries only appear per run
+or pair, never per machine scan.
 """
 
 from __future__ import annotations
@@ -434,17 +435,7 @@ class ClusterState:
                 f"(app {container.app_id}) on machine {machine_id} violates "
                 "an anti-affinity constraint (pass force=True to override)"
             )
-        self.available[machine_id] -= demand
-        self.container_count[machine_id] += 1
-        self.assignment[container.container_id] = machine_id
-        self._containers[container.container_id] = container
-        self.machine_containers.setdefault(machine_id, {})[
-            container.container_id
-        ] = None
-        _book(self.app_machines, container.app_id, machine_id, 1)
-        _book(self.machine_apps, machine_id, container.app_id, 1)
-        self.touch(machine_id)
-        self._record(EventKind.DEPLOY, container.container_id, machine_id)
+        self.deploy_block([container], [machine_id], [1], demand)
 
     def evict(self, container_id: int) -> Container:
         """Remove a deployed container, returning it for re-queueing."""
@@ -500,14 +491,15 @@ class ClusterState:
             _release(self.app_machines, app_id, machine_id, n)
             _release(self.machine_apps, machine_id, app_id, n)
         # All containers of an application are identical (the IL
-        # premise), so the demand vector is derived once per app.
+        # premise): one demand row per application, from its first
+        # departing container, gathered per container by an inverse index.
+        first = dict(zip(apps[::-1], gone[::-1]))
+        slot = dict(zip(first, itertools.count()))
         resources = self.topology.resources
-        demand_of: dict[int, np.ndarray] = {}
-        for container in gone:
-            if container.app_id not in demand_of:
-                demand_of[container.app_id] = container.demand_vector(resources)
+        table = np.array([c.demand_vector(resources) for c in first.values()])
         idx = np.asarray(machines, dtype=np.int64)
-        np.add.at(self.available, idx, np.asarray([demand_of[a] for a in apps]))
+        rows = table[list(map(slot.__getitem__, apps))]
+        np.add.at(self.available, idx, rows)
         # an int32 operand keeps ``ufunc.at`` on its fast path
         np.subtract.at(self.container_count, idx, np.int32(1))
         self.touch_block(idx)
@@ -516,43 +508,45 @@ class ClusterState:
                 self._record(EventKind.EVICT, cid, machine_id)
         return len(present)
 
-    def deploy_block(self, containers, machine_ids, demand: np.ndarray) -> None:
-        """Deploy ``containers[i]`` on ``machine_ids[i]`` in one pass.
+    def deploy_block(
+        self, containers, machines, counts, demand: np.ndarray
+    ) -> None:
+        """Deploy ``containers`` along the placement runs ``machines`` /
+        ``counts``: the first ``counts[0]`` on ``machines[0]``, the next
+        ``counts[1]`` on ``machines[1]``, and so on.
 
-        The fast path behind the batch kernel's commit: the containers
-        are one application block sharing a single ``demand`` vector,
-        and the caller has already established per-placement feasibility
-        (the kernel plans within per-machine fit quotas over the admit
-        mask, which excludes blacklisted machines), so the per-container
-        capacity and anti-affinity prechecks of :meth:`deploy` are
-        replaced by one vectorised capacity guard over the touched
-        machines.  Bit-identical to calling :meth:`deploy` per pair in
-        order; :meth:`deploy` remains the scalar fallback used by the
-        overflow/rescue paths.
+        The one ledger commit: the batch kernel hands its plan here
+        unexpanded, and :meth:`deploy` commits through it as one run of
+        one.  The containers are one application block sharing a single
+        ``demand`` vector, and the caller has already established
+        feasibility (the kernel plans within per-machine fit quotas over
+        admitting machines), so :meth:`deploy`'s capacity and
+        anti-affinity prechecks are replaced by one vectorised capacity
+        guard over the run machines.  The maps and ``container_count``
+        move once per run; ``available`` still takes one ``demand`` per
+        container, in order (unbuffered :func:`np.subtract.at` over the
+        expanded ids — ``n * demand`` would round differently), and the
+        dirty log gets one entry per container: bit-identical to
+        deploying the containers one by one.
 
-        The ledger is committed per *placement run* — a stretch of
-        consecutive equal machine ids: the residents of a run join their
-        machine's resident dict in one update, and the per-application
-        counts and ``container_count`` move once per run.
-
-        Raises ``ValueError`` before mutating anything when a container
-        is already deployed, an id repeats within the block, or the
-        block mixes applications.  Raises ``ValueError`` with the
-        block's resource updates rolled back if any touched machine
-        would go negative — a planner that trips this guard has a bug
-        (the guard is exact: ``available`` only decreases within the
-        block, so a non-negative end state implies every intermediate
-        state was feasible too).
+        Raises ``ValueError`` before mutating anything when the runs do
+        not cover the containers, a container is already deployed, an
+        id repeats within the block, or the block mixes applications.
+        Raises ``ValueError`` with the block's resource updates rolled
+        back if any run machine would go negative — a planner that trips
+        this guard has a bug (the guard is exact: ``available`` only
+        decreases within the block, so a non-negative end state implies
+        every intermediate state was feasible too).
         """
-        idx = np.asarray(machine_ids, dtype=np.int64)
-        k = int(idx.size)
+        k = len(containers)
+        if len(machines) != len(counts) or sum(counts) != k or (
+            k and min(counts) < 1
+        ):
+            raise ValueError(
+                f"deploy_block got {k} containers for runs of {list(counts)}"
+            )
         if k == 0:
             return
-        if len(containers) != k:
-            raise ValueError(
-                f"deploy_block got {len(containers)} containers for "
-                f"{k} machines"
-            )
         assignment = self.assignment
         app_id = containers[0].app_id
         cids = [c.container_id for c in containers if c.app_id == app_id]
@@ -569,41 +563,43 @@ class ClusterState:
                 f"container {cid} is already deployed on machine "
                 f"{assignment[cid]}"
             )
-        # Snapshot the touched rows before mutating (fancy indexing
-        # copies; a machine listed twice is restored to the same row):
-        # rolling back by re-adding the demand is not bit-exact in
-        # floating point (a - b + b need not equal a), restoring is.
-        before = self.available[idx]
-        np.subtract.at(self.available, idx, demand)
-        after = self.available[idx]
-        if (after < 0.0).any():
-            bad = sorted(set(idx[(after < 0.0).any(axis=1)].tolist()))
-            self.available[idx] = before
+        rows = np.array(machines, dtype=np.int64)
+        idx = rows if rows.size == k else rows.repeat(counts)
+        # Snapshot the run rows before mutating (a machine in two runs
+        # is restored to the same row): rolling back by re-adding the
+        # demand is not bit-exact in floating point (a - b + b need not
+        # equal a), restoring is.
+        available = self.available
+        before = available.take(rows, axis=0)
+        np.subtract.at(available, idx, demand)
+        after = available.take(rows, axis=0)
+        if min(after.ravel().tolist()) < 0.0:
+            bad = sorted(set(rows[(after < 0.0).any(axis=1)].tolist()))
+            available[rows] = before
             raise ValueError(
                 f"deploy_block plan overcommits machines {bad}: the "
                 "caller must establish feasibility before the block "
                 "commit"
             )
-        mlist = idx.tolist()
-        assignment.update(zip(cids, mlist))
+        mlist, nlist = rows.tolist(), list(map(int, counts))
+        runs = map(itertools.repeat, mlist, nlist)
+        assignment.update(zip(cids, itertools.chain(*runs)))
         self._containers.update(zip(cids, containers))
         machine_containers = self.machine_containers
         per_machine = self.app_machines.setdefault(app_id, {})
-        count = self.container_count
         end = 0
-        for machine_id, run in itertools.groupby(mlist):
-            start, end = end, end + len(list(run))
-            n = end - start
+        for machine_id, n in zip(mlist, nlist):
+            start, end = end, end + n
             machine_containers.setdefault(machine_id, {}).update(
                 dict.fromkeys(cids[start:end])
             )
             per_machine[machine_id] = per_machine.get(machine_id, 0) + n
             _book(self.machine_apps, machine_id, app_id, n)
-            count[machine_id] += n
+        np.add.at(self.container_count, rows, np.array(nlist, dtype=np.int32))
         self.touch_block(idx)
         if self.events is not None:
-            for container, machine_id in zip(containers, mlist):
-                self._record(EventKind.DEPLOY, container.container_id, machine_id)
+            for cid, machine_id in zip(cids, idx.tolist()):
+                self._record(EventKind.DEPLOY, cid, machine_id)
 
     def migrate(self, container_id: int, target_machine: int) -> None:
         """Move a deployed container to ``target_machine`` atomically.

@@ -43,9 +43,6 @@ import numpy as np
 
 from repro.cluster.state import ClusterState, dominates
 
-_NO_RUNS = np.empty(0, dtype=np.int64)
-_NO_RUNS.flags.writeable = False
-
 
 def block_plan(
     state: ClusterState,
@@ -54,24 +51,26 @@ def block_plan(
     candidates: np.ndarray,
     k: int,
     within_scope: str | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[int]]:
     """Placement runs for the next ``k`` identical containers.
 
     ``candidates`` are machine ids in preference order (a raw window of
     :meth:`~repro.core.machindex.MachineIndex.candidates`, filtered or
     not); ``within_scope`` is ``None`` without a within-anti-affinity
     rule, else ``"machine"`` or ``"rack"``.  Returns ``(machines,
-    counts)``: distinct machines in deployment order and the containers
-    each takes (``np.repeat(machines, counts)`` is the machine per
-    container); ``counts`` summing to less than ``k`` means the
-    candidates ran dry.
+    counts)``, two lists of ints: distinct machines in deployment order
+    and the containers each takes, the runs
+    :meth:`~repro.cluster.state.ClusterState.deploy_block` commits;
+    ``counts`` summing to less than ``k`` means the candidates ran dry.
     """
+    machines: list[int] = []
+    counts: list[int] = []
     if candidates.size == 0 or k <= 0:
-        return _NO_RUNS, _NO_RUNS
-    rows = state.available[candidates]
-    survivors = np.flatnonzero(dominates(rows, demand))
+        return machines, counts
+    rows = state.available.take(candidates, axis=0)
+    survivors = dominates(rows, demand).nonzero()[0]
     if survivors.size == 0:
-        return _NO_RUNS, _NO_RUNS
+        return machines, counts
     # ``None`` is never a hosted application id: without a within-rule
     # the application's own hosts stay admissible.
     own = app_id if within_scope is not None else None
@@ -82,7 +81,7 @@ def block_plan(
         blocked = state.constraints.blacklist(app_id).__getitem__
         named, rest = pos.keys(), repeat(-1)
     hosted_by = state.machine_apps.get
-    ids = candidates[survivors].tolist()
+    ids = candidates.take(survivors).tolist()
     racks: list[int] = []
     taken: set[int] = set()
     if within_scope == "rack":
@@ -94,8 +93,6 @@ def block_plan(
     # Equation 6 holds on every survivor, so every quota is at least 1;
     # a zero-demand dimension never binds.
     dims = [(j, d) for j, d in enumerate(demand.tolist()) if d > 0.0]
-    machines: list[int] = []
-    counts: list[int] = []
     left = k
     for i, m in enumerate(ids):
         if racks and racks[i] in taken:
@@ -119,6 +116,4 @@ def block_plan(
         left -= n
         if left == 0:
             break
-    if not machines:
-        return _NO_RUNS, _NO_RUNS
-    return np.array(machines, dtype=np.int64), np.array(counts, dtype=np.int64)
+    return machines, counts

@@ -25,10 +25,13 @@ The slice is sorted but for the d moved machines, so a stable
 run-detecting sort repairs it in O(s + d log d) for a span of s
 positions; a block that packs one or two machines a little tighter
 moves them a handful of positions, whatever the size of the cluster.
-The widest span is a round's first resync after its departures (every
-used machine moved); nothing is special-cased for it.  When the feed
-answers "rebuild" (a compacted log, an unfamiliar state instance) the
-index re-sorts from scratch, never keeping a stale order.
+Such a short feed (at most :data:`SHORT_FEED` moved machines) skips the
+sort: each machine slides from its old position to its new one, two
+bisections and one slice shift, keyed in Python floats.  The widest
+span is a round's first resync after its departures (every used machine
+moved), which sorts.  When the feed answers "rebuild" (a compacted log,
+an unfamiliar state instance) the index re-sorts from scratch, never
+keeping a stale order.
 
 The affinity tier is application-specific, so it is applied per query
 as a stable partition of the maintained order (affine hosts first).
@@ -77,6 +80,12 @@ import numpy as np
 
 from repro import telemetry
 from repro.cluster.state import ClusterState, StateCursor
+
+#: a resync that moves at most this many machines (from a feed of at most
+#: four times as many log entries) slides each into place: two bisections
+#: and one slice shift per machine.  A wider one, such as a round's first
+#: resync after its departures, re-sorts its span.
+SHORT_FEED = 4
 
 
 def packing_keys(state: ClusterState, ids: np.ndarray) -> np.ndarray:
@@ -213,7 +222,10 @@ class MachineIndex:
         of the moved machines' old and new keys is rewritten, in place:
         every machine outside it keeps a key strictly below or above
         all of them, so its position cannot change.  A machine the raw
-        ``dirty`` slice lists twice gets the same key twice.
+        ``dirty`` slice lists twice gets the same key twice.  A short
+        feed moving at most :data:`SHORT_FEED` machines slides each into
+        place (:meth:`_shift`); a wider one, or one that meets an exact
+        key collision, re-sorts the span.
         """
         self.resyncs += 1
         self.last_resynced = int(dirty.size)
@@ -221,26 +233,54 @@ class MachineIndex:
         if tele is not None:
             tele.index_resyncs += 1
         keys = self._keys
-        old_keys = keys[dirty]
-        new_keys = packing_keys(state, dirty)
-        moved = new_keys != old_keys
-        n_moved = np.count_nonzero(moved)
-        if n_moved == 0:
-            return
-        if n_moved < dirty.size:
-            # A machine whose key did not change stays put, and must
-            # not widen the span.
-            old_keys, new_keys = old_keys[moved], new_keys[moved]
-            dirty = dirty[moved]
+        moves: dict[int, tuple[float, float]] = {}
+        if dirty.size > 4 * SHORT_FEED:
+            old_keys = keys[dirty]
+            new_keys = packing_keys(state, dirty)
+            moved = new_keys != old_keys
+            n_moved = np.count_nonzero(moved)
+            if n_moved == 0:
+                return
+            if n_moved < dirty.size:
+                # A machine whose key did not change stays put, and must
+                # not widen the span.
+                old_keys, new_keys = old_keys[moved], new_keys[moved]
+                dirty = dirty[moved]
+            ends = np.concatenate((old_keys, new_keys))
+            low, high = ends.min(), ends.max()
+            keys[dirty] = new_keys
+        else:
+            # ``packing_keys`` in Python floats: the same IEEE product
+            # and sum, without a dozen NumPy calls on a handful of ids.
+            spread = state.n_machines + 1
+            moves = {
+                m: (old, cpu * spread + m)
+                for m, cpu, old in zip(
+                    dirty.tolist(),
+                    state.available[:, 0][dirty].tolist(),
+                    keys[dirty].tolist(),
+                )
+                if cpu * spread + m != old
+            }
+            if not moves:
+                return
+            ends = [key for pair in moves.values() for key in pair]
+            low, high = min(ends), max(ends)
+            for m, (_, new) in moves.items():
+                keys[m] = new
         sorted_keys = self._sorted_keys
-        ends = np.concatenate((old_keys, new_keys))
-        lo = int(sorted_keys.searchsorted(ends.min()))
-        hi = int(sorted_keys.searchsorted(ends.max(), side="right"))
-        keys[dirty] = new_keys
+        lo = int(sorted_keys.searchsorted(low))
+        hi = int(sorted_keys.searchsorted(high, side="right"))
+        self.positions_rewritten += hi - lo
+        if 0 < len(moves) <= SHORT_FEED and all(
+            self._shift(m, old, new) for m, (old, new) in moves.items()
+        ):
+            return
+        # Every shift stays inside the span, so it still holds the same
+        # machines: sorted but for the ones not yet moved, which a stable
+        # (run-detecting) sort repairs in near-linear time.
         span = self._order[lo:hi]
         span_keys = keys[span]
-        # The span is sorted but for the moved machines, which a stable
-        # (run-detecting) sort repairs in near-linear time.
         by_key = span_keys.argsort(kind="stable")
         span_sorted = span_keys[by_key]
         if (span_sorted[1:] == span_sorted[:-1]).any():
@@ -250,7 +290,27 @@ class MachineIndex:
             by_key = np.lexsort((span, span_keys))
         span[:] = span[by_key]
         sorted_keys[lo:hi] = span_sorted
-        self.positions_rewritten += hi - lo
+
+    def _shift(self, m: int, old: float, new: float) -> bool:
+        """Slide machine ``m`` from its place under key ``old`` to key
+        ``new``'s, moving the positions between by one; False, touching
+        nothing, when another machine holds ``new`` exactly or ``old``
+        ahead of ``m`` (equal keys order by machine id)."""
+        order, sorted_keys = self._order, self._sorted_keys
+        p = int(sorted_keys.searchsorted(old))
+        q = int(sorted_keys.searchsorted(new))
+        if order[p] != m or q < order.size and sorted_keys[q] == new:
+            return False
+        if q > p:  # towards the tail: the machines it passes move up
+            q -= 1
+            order[p:q] = order[p + 1 : q + 1]
+            sorted_keys[p:q] = sorted_keys[p + 1 : q + 1]
+        else:
+            order[q + 1 : p + 1] = order[q:p]
+            sorted_keys[q + 1 : p + 1] = sorted_keys[q:p]
+        order[q] = m
+        sorted_keys[q] = new
+        return True
 
     # ------------------------------------------------------------------
     def candidates(

@@ -199,9 +199,12 @@ class AladdinEngine(Scheduler):
         if self.config.final_repair and result.undeployed:
             self._repair(containers, state, planner, result)
         # Rescue migrations move already-placed containers; re-read their
-        # final machine from the authoritative state.
-        for cid in result.placements:
-            result.placements[cid] = state.assignment[cid]
+        # final machine from the authoritative state.  Telemetry counts
+        # every migration a rescue made, whether its own container was
+        # placed or not.
+        if result.telemetry.rescue_migrations:
+            for cid in result.placements:
+                result.placements[cid] = state.assignment[cid]
 
     @abc.abstractmethod
     def _place_window(
@@ -316,18 +319,18 @@ class AladdinScheduler(AladdinEngine):
                 machines, counts = block_plan(
                     state, demand, app_id, window, k, scope
                 )
-                if counts.sum() == k or index.last_complete:
+                if sum(counts) == k or index.last_complete:
                     break
                 limit *= 4
-        targets = np.repeat(machines, counts)
-        placed = int(targets.size)
-        # Commit the planned prefix in one batched mutation — the kernel
-        # established feasibility, so the block path skips the scalar
-        # per-container prechecks.
-        state.deploy_block(block[:placed], targets, demand)
-        result.placements.update(
-            zip([c.container_id for c in block[:placed]], targets.tolist())
-        )
+        placed = sum(counts)
+        committed = block[:placed]
+        # Commit the planned runs in one batched mutation, unexpanded —
+        # the kernel established feasibility, so the block path skips
+        # the scalar per-container prechecks.
+        state.deploy_block(committed, machines, counts, demand)
+        cids = [c.container_id for c in committed]
+        runs = map(itertools.repeat, machines, counts)
+        result.placements.update(zip(cids, itertools.chain(*runs)))
         # One examined machine per placement, mirroring the DL walk's
         # per-container O(1) charge.
         result.explored += placed
@@ -335,7 +338,7 @@ class AladdinScheduler(AladdinEngine):
         if tele is not None:
             tele.batch_kernel_invocations += 1
             tele.dl_prune_hits += placed
-            tele.machines_skipped += state.n_machines - machines.size
+            tele.machines_skipped += state.n_machines - len(machines)
         return placed
 
     # ------------------------------------------------------------------

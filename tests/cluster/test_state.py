@@ -182,7 +182,7 @@ class TestAppMachinesIndex:
                 machines = rng.integers(0, 6, k)
                 next_cid += k
                 try:
-                    state.deploy_block(block, machines, np.array([1.0, 2.0]))
+                    state.deploy_block(block, machines, [1] * k, np.array([1.0, 2.0]))
                 except ValueError:
                     pass  # a full machine: the block was rolled back
             elif op < 0.6:

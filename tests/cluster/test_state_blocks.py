@@ -10,6 +10,9 @@ cases — absent ids, empty blocks, overcommitted plans — degrade the way
 the shared window logic relies on.
 """
 
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,11 @@ from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
 from repro.cluster.container import Container
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
+from tests.cluster.test_violation_tally import (
+    PerContainerState,
+    assert_ledgers_identical,
+    recount_machine_apps,
+)
 
 
 def container(cid, app=0, cpu=4.0, prio=0):
@@ -101,25 +109,39 @@ class TestEvictBlock:
 class TestDeployBlock:
     def test_bit_identical_to_scalar_loop(self, topo, constraints):
         batched, scalar = fresh_pair(topo, constraints)
-        block = [container(10 + i, app=5, cpu=3.0) for i in range(4)]
-        machines = np.array([0, 3, 0, 5], dtype=np.int64)
+        block = [container(10 + i, app=5, cpu=3.0) for i in range(6)]
         demand = block[0].demand_vector(topo.resources)
-        batched.deploy_block(block, machines, demand)
-        for c, m in zip(block, machines.tolist()):
+        batched.deploy_block(block, [0, 3, 0, 5], [2, 1, 2, 1], demand)
+        for c, m in zip(block, [0, 0, 3, 0, 0, 5]):
             scalar.deploy(c, m)
         assert_states_identical(batched, scalar)
 
     def test_empty_block_is_a_no_op(self, topo, constraints):
         state, _ = fresh_pair(topo, constraints)
         before = state.version
-        state.deploy_block([], np.array([], dtype=np.int64), np.zeros(2))
+        state.deploy_block([], [], [], np.zeros(2))
         assert state.version == before
 
     def test_length_mismatch_rejected(self, topo, constraints):
         state, _ = fresh_pair(topo, constraints)
         demand = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="containers for"):
-            state.deploy_block([container(10)], np.array([0, 1]), demand)
+            state.deploy_block([container(10)], [0, 1], [1, 1], demand)
+
+    @pytest.mark.parametrize(
+        "machines, counts",
+        [([0], [2]), ([0, 1], [1]), ([0, 1], [2, -1]), ([0, 1], [1, 0])],
+    )
+    def test_runs_that_miss_the_containers_rejected(
+        self, topo, constraints, machines, counts
+    ):
+        """Runs must cover the block exactly, each with a count of at
+        least one: a zero run would book an empty resident entry."""
+        state, untouched = fresh_pair(topo, constraints)
+        demand = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="containers for"):
+            state.deploy_block([container(10)], machines, counts, demand)
+        assert_states_identical(state, untouched)
 
     def test_duplicate_assignment_rejected(self, topo, constraints):
         state, _ = fresh_pair(topo, constraints)
@@ -127,7 +149,8 @@ class TestDeployBlock:
         with pytest.raises(ValueError, match="already"):
             state.deploy_block(
                 [container(0, app=9, cpu=1.0)],  # id 0 is deployed
-                np.array([3], dtype=np.int64),
+                [3],
+                [1],
                 demand,
             )
 
@@ -139,7 +162,7 @@ class TestDeployBlock:
         c = container(10, app=5, cpu=4.0)
         demand = c.demand_vector(topo.resources)
         with pytest.raises(ValueError, match="twice"):
-            state.deploy_block([c, c], np.array([1, 2]), demand)
+            state.deploy_block([c, c], [1, 2], [1, 1], demand)
         assert_states_identical(state, untouched)
         assert state.machine_apps == untouched.machine_apps
 
@@ -152,7 +175,7 @@ class TestDeployBlock:
         block = [container(10, app=5, cpu=4.0), container(11, app=6, cpu=4.0)]
         demand = block[0].demand_vector(topo.resources)
         with pytest.raises(ValueError, match="more than one application"):
-            state.deploy_block(block, np.array([3, 5]), demand)
+            state.deploy_block(block, [3, 5], [1, 1], demand)
         assert_states_identical(state, untouched)
         assert state.machine_apps == untouched.machine_apps
 
@@ -163,7 +186,7 @@ class TestDeployBlock:
         block = [container(20, app=7, cpu=big)]
         demand = block[0].demand_vector(topo.resources)
         with pytest.raises(ValueError, match="overcommit"):
-            state.deploy_block(block, np.array([3], dtype=np.int64), demand)
+            state.deploy_block(block, [3], [1], demand)
         assert (state.available == before).all()
         assert 20 not in state.assignment
 
@@ -195,9 +218,8 @@ class TestDeployBlock:
             container(13, app=5, cpu=cpu),
         ]
         demand = block[0].demand_vector(topo.resources)
-        machines = np.array([4, 2, 2, 2], dtype=np.int64)  # 2 overcommits
-        with pytest.raises(ValueError, match="overcommit"):
-            state.deploy_block(block, machines, demand)
+        with pytest.raises(ValueError, match="overcommit"):  # 2 overcommits
+            state.deploy_block(block, [4, 2], [1, 3], demand)
         assert state.available.tobytes() == before.tobytes()
         assert not any(c.container_id in state.assignment for c in block)
 
@@ -213,8 +235,135 @@ class TestDeployBlock:
         block = [container(30, app=8, cpu=cpu), container(31, app=8, cpu=cpu)]
         demand = block[0].demand_vector(topo.resources)
         with pytest.raises(ValueError, match="overcommit"):
-            state.deploy_block(block, np.array([5, 5], dtype=np.int64), demand)
+            state.deploy_block(block, [5], [2], demand)
         assert 30 not in state.assignment and 31 not in state.assignment
+
+
+class TestRunLedgerTwin:
+    """Run-form commits held, in lockstep, to the per-container ledger.
+
+    :class:`PerContainerState` books every container on its own (its
+    ``deploy_block`` expands the runs first), so each step must leave
+    both ledgers bitwise equal — ``available``, ``container_count``,
+    every map in the order its readers see — and both change feeds with
+    the same slice: one entry per container, in order.
+    """
+
+    SHAPES = (0.1, 0.3, 0.7, 1.5, 4.0)  # fractional: rounding shows
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_replay_matches_the_per_container_twin(self, seed):
+        r = random.Random(seed)
+        topo = build_cluster(6, machines_per_rack=3)
+        state = ClusterState(topo, track_events=True)
+        twin = PerContainerState(topo, track_events=True)
+        reached: Counter[str] = Counter()
+        next_cid = 0
+        for _ in range(400):
+            cursors = (state.cursor(), twin.cursor())
+            op = r.random()
+            expected: list[int] = []
+            if op < 0.5:
+                cpu, app = r.choice(self.SHAPES), r.randrange(1, 9)
+                machines = [r.randrange(6) for _ in range(r.randint(1, 3))]
+                if len(machines) > 1 and r.random() < 0.3:
+                    machines[-1] = machines[0]
+                counts = [r.randint(1, 6) for _ in machines]
+                block = [
+                    container(next_cid + i, app=app, cpu=cpu)
+                    for i in range(sum(counts))
+                ]
+                next_cid += len(block)
+                demand = block[0].demand_vector(topo.resources)
+                outcome = self.both(
+                    state, twin,
+                    lambda s: s.deploy_block(block, machines, counts, demand),
+                )
+                if outcome is None:
+                    expected = np.repeat(machines, counts).tolist()
+                    reached["run of several"] += max(counts) > 1
+                    reached["a machine in two runs"] += (
+                        len(set(machines)) < len(machines)
+                    )
+                else:
+                    reached["rolled back"] += 1
+            elif op < 0.75:
+                c = container(next_cid, app=r.randrange(1, 9),
+                              cpu=r.choice(self.SHAPES))
+                next_cid += 1
+                m = r.randrange(6)
+                outcome = self.both(state, twin, lambda s: s.deploy(c, m))
+                if outcome is None:
+                    expected = [m]
+                    reached["deploy as a run of one"] += 1
+                else:
+                    reached["deploy refused"] += 1
+            else:
+                cids = list(state.assignment)
+                picked = r.sample(cids, min(len(cids), r.randint(1, 12)))
+                expected = [state.assignment[cid] for cid in picked]
+                self.both(state, twin, lambda s: s.evict_block(picked))
+            assert_ledgers_identical(state, twin)
+            assert state.machine_apps == recount_machine_apps(state)
+            assert [
+                (e.kind, e.time, e.container_id, e.machine_id) for e in state.events
+            ] == [(e.kind, e.time, e.container_id, e.machine_id) for e in twin.events]
+            feeds = [s.advance(c).tolist() for s, c in zip((state, twin), cursors)]
+            assert feeds[0] == feeds[1] == expected
+        missing = [
+            situation
+            for situation in (
+                "run of several", "a machine in two runs", "rolled back",
+                "deploy as a run of one", "deploy refused",
+            )
+            if not reached[situation]
+        ]
+        assert not missing, f"seed {seed} never reached: {missing}"
+
+    @staticmethod
+    def both(state, twin, act):
+        """``act`` on both ledgers: None, or the refusal both raised."""
+        outcomes = []
+        for s in (state, twin):
+            try:
+                act(s)
+                outcomes.append(None)
+            except ValueError as error:
+                outcomes.append(type(error))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def test_deploy_commits_one_run_of_one(self, topo, constraints, monkeypatch):
+        state = ClusterState(topo, constraints)
+        calls = []
+        commit = ClusterState.deploy_block
+
+        def recording(self, containers, machines, counts, demand):
+            calls.append((list(containers), list(machines), list(counts)))
+            return commit(self, containers, machines, counts, demand)
+
+        monkeypatch.setattr(ClusterState, "deploy_block", recording)
+        c = container(40, app=3, cpu=2.0)
+        state.deploy(c, 4)
+        assert calls == [([c], [4], [1])]
+        assert state.assignment == {40: 4}
+
+    def test_a_run_takes_its_demand_once_per_container(self, topo, constraints):
+        """Four 0.1-CPU containers on one machine leave what four
+        subtractions leave, not ``capacity - 4 * demand`` (which rounds
+        differently in the last bit)."""
+        state = ClusterState(topo, constraints)
+        block = [container(50 + i, app=6, cpu=0.1) for i in range(4)]
+        demand = block[0].demand_vector(topo.resources)
+        state.deploy_block(block, [6], [4], demand)
+        row = topo.capacity[6].copy()
+        for _ in block:
+            row = row - demand
+        assert state.available[6].tobytes() == row.tobytes()
+        assert (topo.capacity[6] - 4 * demand).tobytes() != row.tobytes()
+        assert state.container_count[6] == 4
+        assert state.app_machines[6] == {6: 4}
+        assert list(state.machine_containers[6]) == [50, 51, 52, 53]
 
 
 class TestTouchBlock:

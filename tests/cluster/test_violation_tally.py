@@ -104,9 +104,10 @@ class PerContainerState(ClusterState):
 
     ``deploy`` / ``evict`` / ``deploy_block`` / ``evict_block`` /
     ``would_violate`` / ``_machine_offenders`` are the bodies that
-    preceded the per-run and per-pair forms, kept verbatim: the
-    reference the block mutators are held to.  None of them reads or
-    writes ``machine_apps``.
+    preceded the per-run and per-pair forms, kept verbatim (but for
+    ``deploy_block`` expanding its runs to one machine per container
+    first): the reference the block mutators are held to.  None of them
+    reads or writes ``machine_apps``.
     """
 
     def snapshot(self) -> "PerContainerState":
@@ -217,8 +218,8 @@ class PerContainerState(ClusterState):
                 self._record(EventKind.EVICT, cid, machine_id)
         return len(present)
 
-    def deploy_block(self, containers, machine_ids, demand):
-        idx = np.asarray(machine_ids, dtype=np.int64)
+    def deploy_block(self, containers, machines, counts, demand):
+        idx = np.repeat(np.asarray(machines, dtype=np.int64), counts)
         k = int(idx.size)
         if k == 0:
             return
@@ -414,21 +415,23 @@ class World:
 
     def deploy_block(self, r: random.Random) -> None:
         app = r.randrange(N_APPS)
-        machines = [r.randrange(N_MACHINES) for _ in range(r.randint(1, 5))]
-        if len(machines) > 2 and r.random() < 0.5:
+        machines = [r.randrange(N_MACHINES) for _ in range(r.randint(1, 4))]
+        if len(machines) > 1 and r.random() < 0.5:
             machines[-1] = machines[0]  # a machine in two runs, mostly
-        containers = [self.new_container(app) for _ in machines]
+        counts = [r.randint(1, 3) for _ in machines]
+        containers = [self.new_container(app) for _ in range(sum(counts))]
         demand = containers[0].demand_vector(self.topology.resources)
         error, _ = self.both(
-            lambda s: s.deploy_block(containers, machines, demand), ValueError
+            lambda s: s.deploy_block(containers, machines, counts, demand),
+            ValueError,
         )
         if error is ValueError:
             self.reached["deploy_block rolled back"] += 1
-        elif any(
-            machines[i] in machines[: i - 1] and machines[i] != machines[i - 1]
-            for i in range(2, len(machines))
-        ):
-            self.reached["deploy_block placed a machine in two runs"] += 1
+        else:
+            if len(set(machines)) < len(machines):
+                self.reached["deploy_block placed a machine in two runs"] += 1
+            if max(counts) > 1:
+                self.reached["deploy_block committed a run of several"] += 1
 
     def evict(self, r: random.Random) -> None:
         cid = self.resident(r)
@@ -597,6 +600,7 @@ REQUIRED = (
     "restored from a payload without machine_apps",
     "snapshot",
     "deploy_block placed a machine in two runs",
+    "deploy_block committed a run of several",
     "evict_block with repeated and absent ids",
     "late rule changed the count",
     "migrate failed and restored",

@@ -77,7 +77,10 @@ def build_world(seed, probes):
             if (room[m] >= demand).all():
                 room[m] -= demand
                 machines.append(m)
-        state.deploy_block(by_app[app.app_id][: len(machines)], machines, demand)
+        state.deploy_block(
+            by_app[app.app_id][: len(machines)], machines, [1] * len(machines),
+            demand,
+        )
     return state, apps[N_FILL:], by_app
 
 
@@ -168,7 +171,7 @@ def packed_front(n_hosts, cpu, mem, probe):
     )
     containers = containers_of(apps)
     state.deploy_block(
-        containers[:n_hosts], list(range(n_hosts)),
+        containers[:n_hosts], list(range(n_hosts)), [1] * n_hosts,
         apps[0].demand_vector(state.topology.resources),
     )
     return state, containers[n_hosts:]
@@ -250,7 +253,7 @@ def test_affinity_keeps_the_unlimited_path(candidate_calls):
     )
     containers = containers_of(apps)
     demand = apps[0].demand_vector(state.topology.resources)
-    state.deploy_block(containers[:100], list(range(100)), demand)
+    state.deploy_block(containers[:100], list(range(100)), [1] * 100, demand)
     state.deploy(containers[100], 333)  # the affine host, deep in the tail
     engine = AladdinScheduler()
     got, expected = batch_place(engine, state, containers[101:])

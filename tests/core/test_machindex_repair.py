@@ -7,8 +7,13 @@ largest old and new keys.  The oracle is ``ground_truth`` from
 and the worlds below are built to reach what that module's randomized
 test (16 machines, integer CPUs, one mutation per sync) cannot:
 
-* several machines dirtied between two syncs, by ``deploy_block``,
-  ``evict_block``, ``migrate``, faults, power drains and bare touches;
+* several machines dirtied between two syncs, by ``deploy_block`` (runs
+  of several containers), ``evict_block``, ``migrate``, faults, power
+  drains and bare touches;
+* both regimes of the repair: short feeds (one to ``SHORT_FEED``
+  moved machines, slid into place one by one, falling back to the span
+  sort on an exact key collision) and feeds past that threshold (the
+  span sort), each rewriting exactly the span its moved machines cross;
 * machines emptied back into the tail of untouched machines;
 * heterogeneous capacities;
 * **exact float key collisions** — on 9 machines with half-CPU shapes
@@ -30,7 +35,7 @@ from repro.cluster.topology import (
     build_cluster,
     build_heterogeneous_cluster,
 )
-from repro.core.machindex import MachineIndex, packing_keys
+from repro.core.machindex import SHORT_FEED, MachineIndex, packing_keys
 from repro.sim.faults import fail_machines, machine_is_down, repair_machines
 from tests.core.test_machindex import deploy, ground_truth
 
@@ -88,19 +93,24 @@ class World:
         demand = np.array([cpu, mem])
         room = self.state.available.copy()
         machines: list[int] = []
+        counts: list[int] = []
         up = self.up_machines()
         for m in self.r.sample(up, min(len(up), self.r.randint(1, 4))):
+            n = 0
             for _ in range(self.r.randint(1, 3)):
                 if (room[m] >= demand).all():
                     room[m] -= demand
-                    machines.append(m)
+                    n += 1
+            if n:
+                machines.append(m)
+                counts.append(n)
         block = [
             Container(container_id=self.next_cid + i, app_id=self.next_cid,
                       instance=i, cpu=cpu, mem_gb=mem)
-            for i in range(len(machines))
+            for i in range(sum(counts))
         ]
-        self.next_cid += len(machines) + 1
-        self.state.deploy_block(block, machines, demand)
+        self.next_cid += len(block) + 1
+        self.state.deploy_block(block, machines, counts, demand)
 
     def evict_block(self) -> None:
         cids = list(self.state.assignment)
@@ -170,6 +180,7 @@ class World:
         dirty = None if raw is None else np.unique(raw)
         before = (index.resyncs, index.rebuilds, index.positions_rewritten)
         old_keys = None if index._keys is None else index._keys.copy()
+        old_sorted = None if index._keys is None else index._sorted_keys.copy()
 
         got = index.candidates(state)
         assert got.tolist() == ground_truth(state).tolist()
@@ -180,8 +191,31 @@ class World:
         if index.resyncs > before[0] and index.rebuilds == before[1]:
             moved = dirty[keys[dirty] != old_keys[dirty]]
             rewritten = index.positions_rewritten - before[2]
-            assert (rewritten == 0) == (moved.size == 0)
+            # the span between the moved machines' extreme old and new
+            # keys, bisected on the order as it was: both regimes rewrite
+            # exactly that many positions
+            span = 0
+            if moved.size:
+                ends = np.concatenate((old_keys[moved], keys[moved]))
+                span = int(old_sorted.searchsorted(ends.max(), side="right")) - int(
+                    old_sorted.searchsorted(ends.min())
+                )
+            assert rewritten == span
             assert rewritten <= state.n_machines
+            short = 0 < moved.size <= SHORT_FEED and raw.size <= 4 * SHORT_FEED
+            collided = any(
+                (old_keys == old_keys[m]).sum() > 1 or (keys == keys[m]).sum() > 1
+                for m in moved.tolist()
+            )
+            if short:
+                self.reached[
+                    "short feed, one machine moved" if moved.size == 1
+                    else "short feed, several machines moved"
+                ] += 1
+                if collided:
+                    self.reached["short feed met a key collision"] += 1
+            elif moved.size:
+                self.reached["feed past the threshold"] += 1
             if moved.size > 1:
                 self.reached["several machines moved in one resync"] += 1
             if moved.size < dirty.size:
@@ -199,7 +233,14 @@ class World:
             self.sync_and_check()
 
 
-COLLISION_REQUIRED = (
+#: both regimes of the repair, on every world
+REGIMES = (
+    "short feed, one machine moved",
+    "short feed, several machines moved",
+    "feed past the threshold",
+)
+COLLISION_REQUIRED = REGIMES + (
+    "short feed met a key collision",
     "a moved machine collided on its key",
     "several machines moved in one resync",
     "a dirty machine kept its key",
@@ -207,7 +248,7 @@ COLLISION_REQUIRED = (
     "fault zeroed a machine",
     "power drained a machine",
 )
-MIXED_REQUIRED = (
+MIXED_REQUIRED = REGIMES + (
     "span narrower than the order",
     "several machines moved in one resync",
     "machines emptied back into the tail",

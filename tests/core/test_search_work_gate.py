@@ -296,7 +296,7 @@ def test_equations_7_8_stop_at_the_blocks_last_planned_machine(monkeypatch):
             in_window_path[0] = False
             state.machine_apps = real
 
-    def checking_deploy_block(self, containers, machine_ids, demand):
+    def checking_deploy_block(self, containers, machines, runs, demand):
         spy = self.machine_apps
         if isinstance(spy, ReadRecorder):
             # the plan is made: the real map takes the commit
@@ -308,11 +308,11 @@ def test_equations_7_8_stop_at_the_blocks_last_planned_machine(monkeypatch):
                 order = engine.machine_index._order
                 position = np.empty(order.size, dtype=np.int64)
                 position[order] = np.arange(order.size)
-                last = position[int(np.asarray(machine_ids)[-1])]
+                last = position[machines[-1]]
                 counts["blocks"] += 1
                 counts["asked"] += len(spy.asked)
                 counts["late"] += int((position[spy.asked] > last).sum())
-        return deploy_block(self, containers, machine_ids, demand)
+        return deploy_block(self, containers, machines, runs, demand)
 
     monkeypatch.setattr(ClusterState, "forbidden_mask", counting_forbidden)
     monkeypatch.setattr(ClusterState, "feasible_mask", counting_mask)

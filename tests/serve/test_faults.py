@@ -163,38 +163,39 @@ def test_sigkill_between_commit_and_reply_resumes_exactly(
 
     ckpt = os.path.join(sock_dir, "c.ckpt")
     sock1 = os.path.join(sock_dir, "a.sock")
-    proc = _spawn_server(
+    transcript: dict = {}
+    # ``with`` closes each server's stdout pipe on every path
+    with _spawn_server(
         sock1, stem, "--checkpoint", ckpt, "--checkpoint-every", "1",
         "--crash-after-window", str(CRASH_WINDOW),
-    )
-    transcript: dict = {}
-    try:
-        with ServeClient(sock1) as client:
-            with pytest.raises(ConnectionError):
-                replay_online_schedule(
-                    client, trace, cfg, decisions=transcript
-                )
-    finally:
-        assert proc.wait(timeout=60) == -signal.SIGKILL
+    ) as proc:
+        try:
+            with ServeClient(sock1) as client:
+                with pytest.raises(ConnectionError):
+                    replay_online_schedule(
+                        client, trace, cfg, decisions=transcript
+                    )
+        finally:
+            assert proc.wait(timeout=60) == -signal.SIGKILL
     # replies for windows 0..K-1 landed; window K's was lost to the kill
     assert sorted(transcript) == list(range(CRASH_WINDOW))
 
     sock2 = os.path.join(sock_dir, "b.sock")
-    proc2 = _spawn_server(sock2, stem, "--restore", ckpt)
-    try:
-        with ServeClient(sock2) as client:
-            stats = client.stats()
-            # the crashed window committed before the kill
-            assert stats["windows"] == CRASH_WINDOW + 1
-            replay_online_schedule(
-                client, trace, cfg,
-                decisions=transcript, start_tick=stats["windows"],
-            )
-            # the lost window was recovered from the log, not re-sent
-            assert transcript[CRASH_WINDOW]["tick"] == CRASH_WINDOW
-            served = client.result()
-            client.shutdown()
-    finally:
-        assert proc2.wait(timeout=60) == 0, proc2.stdout.read()
+    with _spawn_server(sock2, stem, "--restore", ckpt) as proc2:
+        try:
+            with ServeClient(sock2) as client:
+                stats = client.stats()
+                # the crashed window committed before the kill
+                assert stats["windows"] == CRASH_WINDOW + 1
+                replay_online_schedule(
+                    client, trace, cfg,
+                    decisions=transcript, start_tick=stats["windows"],
+                )
+                # the lost window was recovered from the log, not re-sent
+                assert transcript[CRASH_WINDOW]["tick"] == CRASH_WINDOW
+                served = client.result()
+                client.shutdown()
+        finally:
+            assert proc2.wait(timeout=60) == 0, proc2.stdout.read()
     assert served == expected
 
