@@ -103,5 +103,13 @@ class Scheduler(abc.ABC):
         vice versa.
         """
 
+    def checkpoint(self) -> dict | None:
+        """Image of the ledgers that outlive a round, for a run snapshot;
+        ``None`` for a scheduler that keeps none."""
+        return None
+
+    def restore_checkpoint(self, payload: dict, state: ClusterState) -> None:
+        """Adopt a :meth:`checkpoint` image against a restored ``state``."""
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

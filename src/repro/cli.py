@@ -186,7 +186,7 @@ def cmd_online(args) -> int:
             arrival_order=_order_from(args),
             seed=args.seed,
             scenario=scenario,
-            **_autoscale_kwargs(args),
+            autoscale=_lifecycle_config(args),
         ),
     )
     scheduler = _aladdin_variant(args, factories)
@@ -291,7 +291,7 @@ def cmd_serve(args) -> int:
 
     from repro.cluster.state import ClusterState
     from repro.serve import PlacementServer, ServeConfig
-    from repro.sim.lifecycle import lifecycle_from_config
+    from repro.sim.lifecycle import LifecycleRuntime
     from repro.sim.online import OnlineConfig, pool_topology
 
     trace, scenario = _workload_trace(args)
@@ -306,10 +306,14 @@ def cmd_serve(args) -> int:
         seed=args.seed,
         machine_pool_factor=args.pool_factor,
         scenario=scenario,
-        **_autoscale_kwargs(args),
+        autoscale=_lifecycle_config(args),
     )
     topology = pool_topology(trace, online_cfg)
-    lifecycle = lifecycle_from_config(trace, online_cfg, topology.n_machines)
+    lifecycle = (
+        LifecycleRuntime(trace, online_cfg.autoscale, topology.n_machines)
+        if online_cfg.autoscale is not None
+        else None
+    )
     serve_cfg = ServeConfig(
         max_queue=args.max_queue,
         window_max=args.window_max,
@@ -412,61 +416,68 @@ def _add_variant_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_autoscale_args(parser: argparse.ArgumentParser) -> None:
     """Warm-pool / power-lifecycle knobs shared by ``online`` and
-    ``serve``.  All of them are inert without ``--autoscale`` — the
-    default-off run stays bit-identical to a build without the feature.
+    ``serve``.  Each flag stores to its
+    :class:`~repro.sim.lifecycle.LifecycleConfig` field and defaults to
+    that field's default; all of them are ignored without
+    ``--autoscale``, and the default-off run stays bit-identical to a
+    build without the feature.
     """
-    from repro.sim.lifecycle import KEEP_ALIVE_CHOICES
+    from repro.sim.lifecycle import KEEP_ALIVE_CHOICES, LifecycleConfig
 
+    knobs = LifecycleConfig()
     parser.add_argument("--autoscale", action="store_true",
                         help="enable the machine power lifecycle (drain "
                              "idle machines to off, wake on demand) and "
                              "the warm container pool; off by default "
                              "and bit-identical to today's runs when "
                              "off")
-    parser.add_argument("--keep-alive", default="fixed",
+    parser.add_argument("--keep-alive", default=knobs.keep_alive,
                         choices=list(KEEP_ALIVE_CHOICES),
                         help="warm-pool keep-alive policy (with "
                              "--autoscale): fixed window, ttl "
                              "(refresh-on-hit), lru (evict-oldest on "
                              "overflow), or none (no pool — every "
                              "function placement cold-starts)")
-    parser.add_argument("--keep-alive-ticks", type=int, default=4,
-                        metavar="N",
+    parser.add_argument("--keep-alive-ticks", type=int,
+                        default=knobs.keep_alive_ticks, metavar="N",
                         help="ticks a pooled container stays warm "
-                             "(default 4)")
-    parser.add_argument("--pool-capacity", type=int, default=256,
-                        metavar="N",
+                             "(default %(default)s)")
+    parser.add_argument("--pool-capacity", type=int,
+                        default=knobs.pool_capacity, metavar="N",
                         help="most containers the warm pool parks at "
-                             "once (default 256)")
-    parser.add_argument("--cold-start-ticks", type=int, default=2,
-                        metavar="N",
+                             "once (default %(default)s)")
+    parser.add_argument("--cold-start-ticks", type=int,
+                        default=knobs.cold_start_ticks, metavar="N",
                         help="extra lifetime ticks a cold-started "
-                             "function container occupies (default 2)")
-    parser.add_argument("--drain-ticks", type=int, default=1, metavar="N",
+                             "function container occupies (default "
+                             "%(default)s)")
+    parser.add_argument("--drain-ticks", type=int,
+                        default=knobs.drain_ticks, metavar="N",
                         help="ticks a draining machine lingers before "
-                             "powering off (default 1)")
-    parser.add_argument("--min-on", type=int, default=1, metavar="N",
+                             "powering off (default %(default)s)")
+    parser.add_argument("--min-on", type=int, default=knobs.min_on,
+                        metavar="N",
                         help="machines the drain planner always keeps "
-                             "powered (default 1)")
-    parser.add_argument("--power-headroom", type=float, default=1.0,
-                        metavar="X",
+                             "powered (default %(default)s)")
+    parser.add_argument("--power-headroom", dest="headroom", type=float,
+                        default=knobs.headroom, metavar="X",
                         help="spare capacity the planner keeps, in "
-                             "mean-machine-CPU units (default 1.0)")
+                             "mean-machine-CPU units (default "
+                             "%(default)s)")
 
 
-def _autoscale_kwargs(args) -> dict:
-    """The :class:`~repro.sim.online.OnlineConfig` kwargs carried by
-    the ``--autoscale`` flag family."""
-    return {
-        "autoscale": args.autoscale,
-        "keep_alive": args.keep_alive,
-        "keep_alive_ticks": args.keep_alive_ticks,
-        "pool_capacity": args.pool_capacity,
-        "cold_start_ticks": args.cold_start_ticks,
-        "drain_ticks": args.drain_ticks,
-        "min_on": args.min_on,
-        "power_headroom": args.power_headroom,
-    }
+def _lifecycle_config(args):
+    """The run's :class:`~repro.sim.lifecycle.LifecycleConfig` under
+    ``--autoscale``, ``None`` without it."""
+    from dataclasses import fields
+
+    from repro.sim.lifecycle import LifecycleConfig
+
+    if not args.autoscale:
+        return None
+    return LifecycleConfig(
+        **{f.name: getattr(args, f.name) for f in fields(LifecycleConfig)}
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ tests in ``tests/cluster/test_snapshot.py`` pin:
 
 The payload itself is a pickle of plain dicts/arrays assembled by the
 checkpointing callers (:meth:`~repro.cluster.state.ClusterState.save`,
-``OnlineSimulator._write_checkpoint``); each caller tags its payload
+:func:`~repro.sim.online.write_run_snapshot`); each caller tags its payload
 with a ``kind`` string so a cluster-state snapshot cannot be fed to the
 online-simulation restore path by mistake.
 """

@@ -156,7 +156,7 @@ def replay_online_schedule(
 ) -> dict:
     """Drive the simulator's seeded schedule through a live server.
 
-    Mirrors :meth:`repro.sim.online.OnlineSimulator._run` request for
+    Mirrors :meth:`repro.sim.online.OnlineSimulator.run` request for
     request: every simulated tick becomes exactly one ``place`` request
     carrying that tick's departures and arrivals (idle ticks included,
     so server windows stay tick-aligned), and future departures are
@@ -181,7 +181,7 @@ def replay_online_schedule(
     # Autoscale runs outlive the nominal horizon: cold-start penalties
     # push departures later and pooled containers drain one keep-alive
     # after the last departure — the same stretch the simulator applies.
-    horizon = sched.horizon + lifecycle_horizon_tail(config)
+    horizon = sched.horizon + lifecycle_horizon_tail(config.autoscale)
     for tick in range(horizon):
         deps = departures.pop(tick, ())
         batch = []

@@ -54,13 +54,12 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
 
 from repro.base import ScheduleResult, Scheduler
-from repro.cluster.snapshot import SnapshotError, read_snapshot, write_snapshot
 from repro.cluster.state import ClusterState
 from repro.serve.protocol import (
     ProtocolError,
@@ -69,7 +68,13 @@ from repro.serve.protocol import (
     validate_request,
 )
 from repro.sim.faults import fail_machines, repair_machines
-from repro.sim.online import OnlineResult, apply_window, record_window
+from repro.sim.online import (
+    OnlineResult,
+    apply_window,
+    read_run_snapshot,
+    record_window,
+    write_run_snapshot,
+)
 from repro.telemetry import ServiceTelemetry
 
 #: snapshot ``kind`` tag of a serve checkpoint
@@ -161,34 +166,14 @@ class PlacementServer:
     # ------------------------------------------------------------------
     # checkpoint / restore
     # ------------------------------------------------------------------
-    def _fingerprint(self) -> dict:
-        return {
-            "n_machines": self.state.n_machines,
-            "scheduler": self.scheduler.name,
-            "lifecycle": (
-                self.lifecycle.fingerprint()
-                if self.lifecycle is not None
-                else None
-            ),
-        }
-
     def write_checkpoint(self, path: str) -> None:
         """Crash-consistent snapshot of the served run (atomic rename)."""
-        take = getattr(self.scheduler, "checkpoint", None)
-        payload = {
-            "fingerprint": self._fingerprint(),
-            "windows": self.windows,
-            "state": self.state.checkpoint_payload(),
-            "engine": take() if callable(take) else None,
-            "result": self.result,
-            "decisions": dict(self.decisions),
-            "lifecycle": (
-                self.lifecycle.checkpoint()
-                if self.lifecycle is not None
-                else None
-            ),
-        }
-        write_snapshot(path, payload, kind=SNAPSHOT_KIND)
+        write_run_snapshot(
+            path, SNAPSHOT_KIND,
+            _fingerprint(self.state.n_machines, self.scheduler, self.lifecycle),
+            self.scheduler, self.state, self.result, self.lifecycle,
+            windows=self.windows, decisions=dict(self.decisions),
+        )
 
     @classmethod
     def restore(
@@ -212,17 +197,14 @@ class PlacementServer:
         ``lifecycle`` (same knobs — enforced by the fingerprint); its
         power states and pool heap restore with it.
         """
-        payload = read_snapshot(path, kind=SNAPSHOT_KIND)
-        state = ClusterState.from_payload(payload["state"], topology, constraints)
+        payload, state = read_run_snapshot(
+            path, SNAPSHOT_KIND,
+            _fingerprint(topology.n_machines, scheduler, lifecycle),
+            scheduler, topology, constraints, lifecycle,
+        )
         server = cls(
             scheduler, state, config, on_window=on_window, lifecycle=lifecycle
         )
-        expected = server._fingerprint()
-        if payload["fingerprint"] != expected:
-            raise SnapshotError(
-                "serve snapshot fingerprint mismatch: snapshot was taken "
-                f"under {payload['fingerprint']}, restoring under {expected}"
-            )
         server.windows = int(payload["windows"])
         server.result = payload["result"]
         server.decisions = {int(t): d for t, d in payload["decisions"].items()}
@@ -232,11 +214,6 @@ class PlacementServer:
                 entry["placements"] = _id_arrays(
                     {int(cid): mid for cid, mid in placed.items()}
                 )
-        adopt = getattr(scheduler, "restore_checkpoint", None)
-        if payload["engine"] is not None and callable(adopt):
-            adopt(payload["engine"], state)
-        if payload.get("lifecycle") is not None:
-            lifecycle.restore(payload["lifecycle"])
         return server
 
     # ------------------------------------------------------------------
@@ -706,6 +683,17 @@ class PlacementServer:
                 reply["running"] = sample.running_containers
             out.append((writer, reply))
         return out
+
+
+def _fingerprint(n_machines: int, scheduler: Scheduler, lifecycle) -> dict:
+    """What a serve snapshot must match to be restorable."""
+    return {
+        "n_machines": n_machines,
+        "scheduler": scheduler.name,
+        "lifecycle": (
+            asdict(lifecycle.config) if lifecycle is not None else None
+        ),
+    }
 
 
 def _id_arrays(*placed: dict) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,20 @@ KEEP_ALIVE_CHOICES = ("none",) + POLICIES
 
 @dataclass(frozen=True)
 class LifecycleConfig:
-    """Knobs of the autoscaling runtime (pool + power planner)."""
+    """Knobs of the autoscaling runtime (pool + power planner).
+
+    The one declaration of the lifecycle's knobs and their defaults: an
+    autoscale run carries one as ``OnlineConfig.autoscale``, the CLI's
+    ``--autoscale`` flags default to these fields, and a run snapshot's
+    fingerprint records them as ``dataclasses.asdict``.
+
+    keep_alive / keep_alive_ticks / pool_capacity:
+        Warm-pool policy (``none``/``fixed``/``ttl``/``lru``), its
+        keep-alive horizon in ticks, and the pool's entry cap.
+    cold_start_ticks / drain_ticks / min_on / headroom:
+        Power-planner knobs — see
+        :class:`repro.cluster.power.PowerConfig`.
+    """
 
     keep_alive: str = "fixed"
     keep_alive_ticks: int = 4
@@ -231,18 +244,6 @@ class LifecycleRuntime:
         return pen
 
     # ------------------------------------------------------------------
-    def fingerprint(self) -> dict:
-        cfg = self.config
-        return {
-            "keep_alive": cfg.keep_alive,
-            "keep_alive_ticks": cfg.keep_alive_ticks,
-            "pool_capacity": cfg.pool_capacity,
-            "cold_start_ticks": cfg.cold_start_ticks,
-            "drain_ticks": cfg.drain_ticks,
-            "min_on": cfg.min_on,
-            "headroom": cfg.headroom,
-        }
-
     def checkpoint(self) -> dict:
         return {
             "pool": self.pool.checkpoint() if self.pool is not None else None,
@@ -260,21 +261,3 @@ class LifecycleRuntime:
         self.power.restore(payload["power"])
         self.cold_starts = int(payload["cold_starts"])
 
-
-def lifecycle_from_config(trace, config, n_machines: int):
-    """Build the run's :class:`LifecycleRuntime` from an
-    :class:`~repro.sim.online.OnlineConfig` — ``None`` unless
-    ``config.autoscale`` is set (the default-off bit-identity contract:
-    no runtime, no behaviour change)."""
-    if not getattr(config, "autoscale", False):
-        return None
-    lc = LifecycleConfig(
-        keep_alive=config.keep_alive,
-        keep_alive_ticks=config.keep_alive_ticks,
-        pool_capacity=config.pool_capacity,
-        cold_start_ticks=config.cold_start_ticks,
-        drain_ticks=config.drain_ticks,
-        min_on=config.min_on,
-        headroom=config.power_headroom,
-    )
-    return LifecycleRuntime(trace, lc, n_machines)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.base import ScheduleResult, Scheduler
 from repro.cluster.snapshot import SnapshotError, read_snapshot, write_snapshot
 from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
-from repro.sim.lifecycle import KEEP_ALIVE_CHOICES, lifecycle_from_config
+from repro.sim.lifecycle import LifecycleConfig, LifecycleRuntime
 from repro.telemetry import SchedulerTelemetry
 from repro.trace.arrival import ArrivalOrder, order_applications
 from repro.trace.schema import Trace
@@ -76,17 +76,11 @@ class OnlineConfig:
         ``lifetime_ticks`` and ``arrival_order`` are ignored in that
         mode (the scenario trace pins all three).
     autoscale:
-        Enables the power/warm-pool lifecycle
-        (:mod:`repro.sim.lifecycle`).  Off by default, and **off means
-        absent**: a default-off run is bit-identical to one built
-        before the knob existed — the autoscale knobs below are
-        ignored entirely unless this is set.
-    keep_alive / keep_alive_ticks / pool_capacity:
-        Warm-pool policy (``none``/``fixed``/``ttl``/``lru``), its
-        keep-alive horizon in ticks, and the pool's entry cap.
-    cold_start_ticks / drain_ticks / min_on / power_headroom:
-        Power-planner knobs — see
-        :class:`repro.cluster.power.PowerConfig`.
+        The power/warm-pool lifecycle's knobs
+        (:class:`~repro.sim.lifecycle.LifecycleConfig`), or ``None``
+        (the default) for no lifecycle.  **Off means absent**: a run
+        without one is bit-identical to one built before the lifecycle
+        existed.
     """
 
     ticks: int = 50
@@ -95,14 +89,7 @@ class OnlineConfig:
     seed: int = 0
     machine_pool_factor: float = 1.2
     scenario: str | None = None
-    autoscale: bool = False
-    keep_alive: str = "fixed"
-    keep_alive_ticks: int = 4
-    pool_capacity: int = 256
-    cold_start_ticks: int = 2
-    drain_ticks: int = 1
-    min_on: int = 1
-    power_headroom: float = 1.0
+    autoscale: LifecycleConfig | None = None
 
     def __post_init__(self) -> None:
         if self.ticks < 1:
@@ -112,27 +99,6 @@ class OnlineConfig:
             raise ValueError(f"bad lifetime range {self.lifetime_ticks}")
         if self.machine_pool_factor < 1.0:
             raise ValueError("machine_pool_factor must be >= 1")
-        if self.keep_alive not in KEEP_ALIVE_CHOICES:
-            raise ValueError(
-                f"unknown keep-alive policy {self.keep_alive!r}; "
-                f"pick from {KEEP_ALIVE_CHOICES}"
-            )
-
-    def lifecycle_fingerprint(self) -> dict | None:
-        """The autoscale knobs a snapshot must match (``None`` when
-        the lifecycle is off — so pre-autoscale fingerprints of
-        default-off runs stay comparable)."""
-        if not self.autoscale:
-            return None
-        return {
-            "keep_alive": self.keep_alive,
-            "keep_alive_ticks": self.keep_alive_ticks,
-            "pool_capacity": self.pool_capacity,
-            "cold_start_ticks": self.cold_start_ticks,
-            "drain_ticks": self.drain_ticks,
-            "min_on": self.min_on,
-            "headroom": self.power_headroom,
-        }
 
 
 @dataclass
@@ -275,21 +241,21 @@ def pool_topology(trace: Trace, config: OnlineConfig):
     return build_cluster(n)
 
 
-def lifecycle_horizon_tail(config: OnlineConfig) -> int:
+def lifecycle_horizon_tail(autoscale: LifecycleConfig | None) -> int:
     """Extra ticks an autoscale run needs past the nominal horizon.
 
     Cold-start penalties (function miss + machine spin-up, each at most
     ``cold_start_ticks``) defer departures, and pooled containers then
-    linger one keep-alive before expiring.  Zero when autoscale is off
-    — the loop bound stays exactly what it was.  Shared by the
+    linger one keep-alive before expiring.  Zero without a lifecycle —
+    the loop bound stays exactly what it was.  Shared by the
     simulator's tick loop and the serving replay client so both drive
     the same number of windows.
     """
-    if not config.autoscale:
+    if autoscale is None:
         return 0
-    tail = 2 * config.cold_start_ticks + 2
-    if config.keep_alive != "none":
-        tail += config.keep_alive_ticks + 1
+    tail = 2 * autoscale.cold_start_ticks + 2
+    if autoscale.keep_alive != "none":
+        tail += autoscale.keep_alive_ticks + 1
     return tail
 
 
@@ -477,6 +443,69 @@ def record_window(
             result.telemetry.add_phase_time(name, dt)
 
 
+# ----------------------------------------------------------------------
+# the run snapshot
+#
+# Both front-ends snapshot a run the same way: the cluster state with
+# its dirty log, the scheduler's cross-round ledgers, the partial result
+# and the lifecycle's pool and power states, under a fingerprint that a
+# restore must match.  Each adds only its own cursors: the simulator its
+# tick, arrival index and booked departures, the server its window count
+# and decision log.
+# ----------------------------------------------------------------------
+def write_run_snapshot(
+    path: str,
+    kind: str,
+    fingerprint: dict,
+    scheduler: Scheduler,
+    state: ClusterState,
+    result: OnlineResult,
+    lifecycle: LifecycleRuntime | None,
+    **own,
+) -> None:
+    """Atomically write a run snapshot: the shared part plus ``own``."""
+    payload = {
+        "fingerprint": fingerprint,
+        **own,
+        "state": state.checkpoint_payload(),
+        "engine": scheduler.checkpoint(),
+        "result": result,
+        "lifecycle": lifecycle.checkpoint() if lifecycle is not None else None,
+    }
+    write_snapshot(path, payload, kind=kind)
+
+
+def read_run_snapshot(
+    path: str,
+    kind: str,
+    fingerprint: dict,
+    scheduler: Scheduler,
+    topology,
+    constraints,
+    lifecycle: LifecycleRuntime | None,
+) -> tuple[dict, ClusterState]:
+    """Restore the shared part of a :func:`write_run_snapshot` file.
+
+    Raises :class:`SnapshotError` unless the snapshot was taken under
+    ``fingerprint``.  Rebuilds the cluster state on ``topology``, hands
+    ``scheduler`` its ledgers and ``lifecycle`` its pool and power
+    states, and returns the payload (for the caller's own keys) with
+    the restored state.
+    """
+    payload = read_snapshot(path, kind=kind)
+    if payload["fingerprint"] != fingerprint:
+        raise SnapshotError(
+            f"{kind} snapshot fingerprint mismatch: snapshot was taken "
+            f"under {payload['fingerprint']}, restoring under {fingerprint}"
+        )
+    state = ClusterState.from_payload(payload["state"], topology, constraints)
+    if payload["engine"] is not None:
+        scheduler.restore_checkpoint(payload["engine"], state)
+    if payload.get("lifecycle") is not None:
+        lifecycle.restore(payload["lifecycle"])
+    return payload, state
+
+
 class OnlineSimulator:
     """Drives a scheduler through an arriving-and-departing workload."""
 
@@ -484,6 +513,25 @@ class OnlineSimulator:
         self.trace = trace
         self.config = config if config is not None else OnlineConfig()
         self._topology = pool_topology(trace, self.config)
+
+    def _fingerprint(self, scheduler: Scheduler) -> dict:
+        """What a snapshot must match to be restorable into this run."""
+        cfg = self.config
+        return {
+            "n_apps": self.trace.n_apps,
+            "n_containers": self.trace.n_containers,
+            "n_machines": self._topology.n_machines,
+            "ticks": cfg.ticks,
+            "lifetime_ticks": list(cfg.lifetime_ticks),
+            "arrival_order": cfg.arrival_order.value,
+            "seed": cfg.seed,
+            "machine_pool_factor": cfg.machine_pool_factor,
+            "scenario": cfg.scenario,
+            "scheduler": scheduler.name,
+            "lifecycle": (
+                asdict(cfg.autoscale) if cfg.autoscale is not None else None
+            ),
+        }
 
     def run(
         self,
@@ -511,87 +559,24 @@ class OnlineSimulator:
             ``callback(tick, path)`` invoked after each snapshot is
             durably on disk (crash-injection hook for tests/CI).
         """
-        return self._run(
-            scheduler,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            restore_from=restore_from,
-            on_checkpoint=on_checkpoint,
-        )
-
-    # ------------------------------------------------------------------
-    def _fingerprint(self, scheduler: Scheduler) -> dict:
-        """What a snapshot must match to be restorable into this run."""
-        cfg = self.config
-        return {
-            "n_apps": self.trace.n_apps,
-            "n_containers": self.trace.n_containers,
-            "n_machines": self._topology.n_machines,
-            "ticks": cfg.ticks,
-            "lifetime_ticks": list(cfg.lifetime_ticks),
-            "arrival_order": cfg.arrival_order.value,
-            "seed": cfg.seed,
-            "machine_pool_factor": cfg.machine_pool_factor,
-            "scenario": cfg.scenario,
-            "scheduler": scheduler.name,
-            "lifecycle": cfg.lifecycle_fingerprint(),
-        }
-
-    def _write_checkpoint(
-        self,
-        path: str,
-        scheduler: Scheduler,
-        state: ClusterState,
-        result: OnlineResult,
-        departures: dict[int, list[int]],
-        idx: int,
-        tick: int,
-        lifecycle=None,
-    ) -> None:
-        take = getattr(scheduler, "checkpoint", None)
-        payload = {
-            "fingerprint": self._fingerprint(scheduler),
-            "tick": tick,
-            "idx": idx,
-            "departures": {t: list(c) for t, c in departures.items()},
-            "result": result,
-            "state": state.checkpoint_payload(),
-            "engine": take() if callable(take) else None,
-            "lifecycle": lifecycle.checkpoint() if lifecycle is not None else None,
-        }
-        write_snapshot(path, payload, kind="online-sim")
-
-    def _run(
-        self,
-        scheduler: Scheduler,
-        checkpoint_every: int | None = None,
-        checkpoint_path: str | None = None,
-        restore_from: str | None = None,
-        on_checkpoint=None,
-    ) -> OnlineResult:
         cfg = self.config
         sched = arrival_schedule(self.trace, cfg)
         apps = sched.apps
         arrival_tick = sched.arrival_tick
         life_of = sched.life_of
         by_app = sched.by_app
-        horizon = sched.horizon
-        lifecycle = lifecycle_from_config(
-            self.trace, cfg, self._topology.n_machines
+        horizon = sched.horizon + lifecycle_horizon_tail(cfg.autoscale)
+        n_machines = self._topology.n_machines
+        lifecycle = (
+            LifecycleRuntime(self.trace, cfg.autoscale, n_machines)
+            if cfg.autoscale is not None
+            else None
         )
-        horizon += lifecycle_horizon_tail(cfg)
 
         if restore_from is not None:
-            payload = read_snapshot(restore_from, kind="online-sim")
-            expected = self._fingerprint(scheduler)
-            if payload["fingerprint"] != expected:
-                raise SnapshotError(
-                    "snapshot fingerprint mismatch: snapshot was taken "
-                    f"under {payload['fingerprint']}, resuming under "
-                    f"{expected}"
-                )
-            state = ClusterState.from_payload(
-                payload["state"], self._topology, self.trace.constraints
+            payload, state = read_run_snapshot(
+                restore_from, "online-sim", self._fingerprint(scheduler),
+                scheduler, self._topology, self.trace.constraints, lifecycle,
             )
             result: OnlineResult = payload["result"]
             departures = {
@@ -599,11 +584,6 @@ class OnlineSimulator:
             }
             idx = int(payload["idx"])
             start_tick = int(payload["tick"]) + 1
-            restore = getattr(scheduler, "restore_checkpoint", None)
-            if payload["engine"] is not None and callable(restore):
-                restore(payload["engine"], state)
-            if payload.get("lifecycle") is not None:
-                lifecycle.restore(payload["lifecycle"])
         else:
             state = ClusterState(self._topology, self.trace.constraints)
             #: departure tick -> container ids to evict
@@ -649,9 +629,12 @@ class OnlineSimulator:
                 and checkpoint_path
                 and (tick + 1) % checkpoint_every == 0
             ):
-                self._write_checkpoint(
-                    checkpoint_path, scheduler, state, result,
-                    departures, idx, tick, lifecycle,
+                write_run_snapshot(
+                    checkpoint_path, "online-sim",
+                    self._fingerprint(scheduler),
+                    scheduler, state, result, lifecycle,
+                    tick=tick, idx=idx,
+                    departures={t: list(c) for t, c in departures.items()},
                 )
                 if on_checkpoint is not None:
                     on_checkpoint(tick, checkpoint_path)

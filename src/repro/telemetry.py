@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator
 
 
@@ -71,18 +72,7 @@ class SchedulerTelemetry:
         Two runs with identical seeds produce identical dicts — the
         determinism test serialises this (phase wall times excluded).
         """
-        return {
-            "spfa_relaxations": self.spfa_relaxations,
-            "il_prune_hits": self.il_prune_hits,
-            "dl_prune_hits": self.dl_prune_hits,
-            "batch_kernel_invocations": self.batch_kernel_invocations,
-            "index_resyncs": self.index_resyncs,
-            "machines_skipped": self.machines_skipped,
-            "rescue_attempts": self.rescue_attempts,
-            "rescue_migrations": self.rescue_migrations,
-            "rescue_preemptions": self.rescue_preemptions,
-            "rescue_machines_scanned": self.rescue_machines_scanned,
-        }
+        return dict(zip(_SCHEDULER_COUNTERS, _read_scheduler(self)))
 
     def add_phase_time(self, phase: str, seconds: float) -> None:
         self.phase_time_s[phase] = self.phase_time_s.get(phase, 0.0) + seconds
@@ -98,16 +88,10 @@ class SchedulerTelemetry:
 
     def merge(self, other: "SchedulerTelemetry") -> None:
         """Fold another run's telemetry into this one."""
-        self.spfa_relaxations += other.spfa_relaxations
-        self.il_prune_hits += other.il_prune_hits
-        self.dl_prune_hits += other.dl_prune_hits
-        self.batch_kernel_invocations += other.batch_kernel_invocations
-        self.index_resyncs += other.index_resyncs
-        self.machines_skipped += other.machines_skipped
-        self.rescue_attempts += other.rescue_attempts
-        self.rescue_migrations += other.rescue_migrations
-        self.rescue_preemptions += other.rescue_preemptions
-        self.rescue_machines_scanned += other.rescue_machines_scanned
+        for name, mine, theirs in zip(
+            _SCHEDULER_COUNTERS, _read_scheduler(self), _read_scheduler(other)
+        ):
+            setattr(self, name, mine + theirs)
         for phase, dt in other.phase_time_s.items():
             self.add_phase_time(phase, dt)
 
@@ -197,15 +181,7 @@ class ServiceTelemetry:
 
     def counters(self) -> dict[str, int]:
         """Stable-ordered dict for the ``stats`` protocol reply."""
-        return {
-            "requests_admitted": self.requests_admitted,
-            "requests_rejected": self.requests_rejected,
-            "replies_failed": self.replies_failed,
-            "windows_committed": self.windows_committed,
-            "window_requests": self.window_requests,
-            "peak_window_size": self.peak_window_size,
-            "peak_queue_depth": self.peak_queue_depth,
-        }
+        return dict(zip(_SERVICE_COUNTERS, _read_service(self)))
 
     def summary(self) -> str:
         """One-line human rendering for the serve CLI shutdown report."""
@@ -216,6 +192,18 @@ class ServiceTelemetry:
             f"{self.peak_window_size}), peak queue {self.peak_queue_depth}, "
             f"undeliverable replies {self.replies_failed}"
         )
+
+
+def _int_fields(cls) -> tuple[str, ...]:
+    """The names of ``cls``'s integer counter fields, in declaration
+    order: the key order of its ``counters()``."""
+    return tuple(f.name for f in fields(cls) if f.type in (int, "int"))
+
+
+_SCHEDULER_COUNTERS = _int_fields(SchedulerTelemetry)
+_read_scheduler = attrgetter(*_SCHEDULER_COUNTERS)
+_SERVICE_COUNTERS = _int_fields(ServiceTelemetry)
+_read_service = attrgetter(*_SERVICE_COUNTERS)
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,7 @@ from repro.baselines import (
     MedeaWeights,
 )
 from repro.core import AladdinScheduler, FlowPathSearch
+from repro.sim.lifecycle import LifecycleConfig
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import generate_trace
 from repro.trace.scenarios import build_scenario
@@ -119,7 +120,9 @@ RUNS = {
     ),
     "autoscale": (
         lambda: build_scenario("autoscale", scale=0.01, ticks=16),
-        OnlineConfig(scenario="autoscale", autoscale=True, keep_alive="ttl"),
+        OnlineConfig(
+            scenario="autoscale", autoscale=LifecycleConfig(keep_alive="ttl")
+        ),
         AladdinScheduler,
         "7c54018b9853b1c34a731e02d316fb6202b9bf917920a3f48ebba89966537740", 0,
     ),

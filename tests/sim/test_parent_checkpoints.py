@@ -41,6 +41,15 @@ all three and resumes the run to the serial run's decisions; the cost
 counters (``explored``, cache hits) of the ticks the sweep planned are
 its own and are not compared.
 
+``data/autoscale-683be26.ckpt.gz`` is the tick-5 snapshot that commit
+683be26 wrote for the canonical pins' ``autoscale`` run (scale 0.01,
+16 ticks, keep-alive ``ttl``), the last commit whose ``OnlineConfig``
+held the seven lifecycle knobs as its own fields.  Its fingerprint's
+``lifecycle`` entry is the one ``dataclasses.asdict`` of today's
+``LifecycleConfig`` gives, and its warm pool and power states resume
+the run to the byte: the digest is the canonical pin's, which that
+commit's uninterrupted run produced too.
+
 Regenerate only if the snapshot format itself changes: run each case
 to its first ``checkpoint_every=5`` snapshot on the commit whose
 images should be read, and gzip the file.
@@ -57,6 +66,7 @@ import pytest
 
 from repro.cluster.snapshot import read_snapshot
 from repro.core import AladdinScheduler
+from repro.sim.lifecycle import LifecycleConfig
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.trace import build_scenario, generate_trace
 
@@ -84,6 +94,14 @@ CASES = {
     ),
     # the sweep's cost counters up to the snapshot are its own
     "lla-workers2": (lla_trace, LLA, LLA_DIGEST, False),
+    "autoscale-683be26": (
+        lambda: build_scenario("autoscale", scale=0.01, ticks=16),
+        OnlineConfig(
+            scenario="autoscale", autoscale=LifecycleConfig(keep_alive="ttl")
+        ),
+        "7c54018b9853b1c34a731e02d316fb6202b9bf917920a3f48ebba89966537740",
+        True,
+    ),
 }
 
 #: the per-sample fields that are decisions, not search cost
@@ -117,6 +135,9 @@ def test_snapshot_of_the_earlier_commit_resumes_its_run(name, tmp_path):
     snapshot = read_snapshot(str(path), kind="online-sim")
     image = snapshot["engine"]["machine_index"]
     assert sorted(image) == sorted(AladdinScheduler().machine_index.checkpoint())
+    if config.autoscale is not None:  # a warm pool to restore, mid-drain
+        assert snapshot["lifecycle"]["pool"]["entries"]
+        assert snapshot["lifecycle"]["power"]["drains"]
 
     trace = make_trace()
     resumed = OnlineSimulator(trace, config).run(

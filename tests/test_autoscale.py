@@ -35,6 +35,7 @@ from repro.cluster.state import ClusterState
 from repro.cluster.topology import build_cluster
 from repro.cluster.warmpool import WarmPool
 from repro.core import AladdinScheduler
+from repro.sim.lifecycle import LifecycleConfig, LifecycleRuntime
 from repro.sim.online import OnlineConfig, OnlineSimulator
 from repro.sim.metrics import power_metrics
 from repro.trace import build_scenario
@@ -247,15 +248,16 @@ _TRACE_CACHE: dict = {}
 
 
 def _autoscale_workload(seed, **over):
-    """(trace, OnlineConfig) for one tiny ``autoscale`` scenario run."""
+    """(trace, OnlineConfig) for one tiny ``autoscale`` scenario run;
+    ``over`` overrides :class:`LifecycleConfig` knobs."""
     if seed not in _TRACE_CACHE:
         _TRACE_CACHE[seed] = build_scenario(
             "autoscale", scale=0.005, seed=seed, ticks=10, n_functions=40,
             lla_lifetime=(6, 16),
         )
-    kwargs = dict(seed=seed, scenario="autoscale", autoscale=True)
-    kwargs.update(over)
-    return _TRACE_CACHE[seed], OnlineConfig(**kwargs)
+    return _TRACE_CACHE[seed], OnlineConfig(
+        seed=seed, scenario="autoscale", autoscale=LifecycleConfig(**over)
+    )
 
 
 def _run(trace, cfg, scheduler=None):
@@ -281,19 +283,10 @@ def _decisions(canonical: str) -> dict:
 
 
 def test_default_off_is_bit_identical():
-    """Autoscale knobs without ``autoscale=True`` are inert: the run's
-    canonical JSON is byte-identical to a plain config's, and carries
-    no power telemetry at all."""
+    """A run without a lifecycle carries no power telemetry at all."""
     trace, _ = _autoscale_workload(0)
     plain = OnlineConfig(seed=0, scenario="autoscale")
-    knobbed = OnlineConfig(
-        seed=0, scenario="autoscale", autoscale=False, keep_alive="ttl",
-        keep_alive_ticks=9, cold_start_ticks=7, drain_ticks=3, min_on=5,
-    )
-    a = _run(trace, plain).canonical_json()
-    b = _run(trace, knobbed).canonical_json()
-    assert a == b
-    assert '"power"' not in a
+    assert '"power"' not in _run(trace, plain).canonical_json()
 
 
 def test_autoscale_run_is_deterministic():
@@ -343,7 +336,6 @@ def test_autoscale_served_matches_simulated(keep_alive):
         ServerThread,
         replay_online_schedule,
     )
-    from repro.sim.lifecycle import lifecycle_from_config
     from repro.sim.online import pool_topology
 
     trace, cfg = _autoscale_workload(2, keep_alive=keep_alive)
@@ -353,7 +345,7 @@ def test_autoscale_served_matches_simulated(keep_alive):
     server = PlacementServer(
         AladdinScheduler(),
         ClusterState(topology, trace.constraints),
-        lifecycle=lifecycle_from_config(trace, cfg, topology.n_machines),
+        lifecycle=LifecycleRuntime(trace, cfg.autoscale, topology.n_machines),
     )
     d = tempfile.mkdtemp(prefix="ald", dir="/tmp")
     try:
