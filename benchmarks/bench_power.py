@@ -40,8 +40,7 @@ def _policy_row(result, n_machines: int, always_on: int) -> dict:
     """One row, its savings measured against ``always_on`` machine-ticks
     (the always-on run's), not against the row's own run length, which
     the lifecycle's horizon tail stretches."""
-    pm = power_metrics(result, n_machines)
-    savings = 100.0 * (1.0 - pm.machine_ticks / always_on)
+    pm = power_metrics(result, n_machines, always_on)
     return {
         "wall_time_ms": round(result.total_elapsed_s * 1000, 2),
         "arrived": result.total_arrived,
@@ -49,7 +48,7 @@ def _policy_row(result, n_machines: int, always_on: int) -> dict:
         "failed": result.total_failed,
         "machine_ticks": pm.machine_ticks,
         "always_on_machine_ticks": always_on,
-        "savings_pct": round(savings, 2),
+        "savings_pct": round(pm.savings_pct, 2),
         "peak_powered": pm.peak_powered,
         "warm_hits": pm.warm_hits,
         "cold_starts": pm.cold_starts,

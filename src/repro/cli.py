@@ -224,9 +224,14 @@ def cmd_online(args) -> int:
           f"({result.failure_rate:.1%}), peak machines "
           f"{result.peak_used_machines}, migrations {result.total_migrations}")
     if args.autoscale:
+        from dataclasses import replace
+
         from repro.sim.metrics import power_metrics
 
-        pm = power_metrics(result, sim._topology.n_machines)
+        n = sim._topology.n_machines
+        base = OnlineSimulator(trace, replace(sim.config, autoscale=None))
+        always_on = power_metrics(base.run(_aladdin_variant(args, factories)), n)
+        pm = power_metrics(result, n, always_on.machine_ticks)
         print(f"power: {pm.machine_ticks} machine-ticks "
               f"(always-on {pm.always_on_machine_ticks}, "
               f"{pm.savings_pct:.1f}% saved), peak powered "

@@ -94,7 +94,8 @@ class ConstraintSet:
         self._pos: dict[int, int] = {}
         self._keys = np.empty(0, dtype=np.int32)
         self._offsets = np.zeros(1, dtype=np.int64)
-        self._mask: tuple[int | None, bytes] = (None, b"")
+        self._mask: np.ndarray | None = None  # see :meth:`blacklist`
+        self._masked: tuple[int | None, np.ndarray] = (None, np.empty(0, np.intp))
         for rule in rules or []:
             self.add_rule(rule)
 
@@ -156,7 +157,7 @@ class ConstraintSet:
         self._keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         self._offsets = np.searchsorted(self._keys, np.arange(n + 1) * n)
         self._ids, self._pos = ids, dict(zip(ids.tolist(), range(n)))
-        self._mask = (None, b"")
+        self._mask = None
 
     @property
     def pos(self) -> dict[int, int]:
@@ -202,6 +203,10 @@ class ConstraintSet:
         """Spread domain of ``app_id``'s within-rule: machine or rack."""
         return self._within_scope.get(app_id, "machine")
 
+    def constrained(self, app_id: int) -> bool:
+        """True when any anti-affinity rule names ``app_id``."""
+        return app_id in self._within_scope or app_id in self.pos
+
     def has_conflicts(self, app_id: int) -> bool:
         """True when any cross-application rule names ``app_id``."""
         return app_id in self.pos
@@ -224,19 +229,34 @@ class ConstraintSet:
         """Applications that must not share a machine with ``app_id``."""
         return frozenset(self.partners(app_id))
 
-    def blacklist(self, app_id: int) -> bytes:
+    def blacklist(self, app_id: int) -> memoryview:
         """A byte per row of :attr:`pos`, set where that application
         conflicts with ``app_id``, and a last byte never set:
-        ``mask[pos.get(other, -1)]`` asks about any ``other``.  The last
-        mask is kept; none is to be held across an :meth:`add_rule`."""
-        pos = self.pos  # a merge drops the kept mask
-        last, mask = self._mask
+        ``mask[pos.get(other, -1)]`` asks about any ``other``.
+
+        There is one mask, switched between applications in O(row) —
+        the previous application's row cleared, the new one set — so a
+        mask is read at once and never held across another call (nor
+        across an :meth:`add_rule`), and the set is queried from one
+        thread: the one that mutates the states using it."""
+        pos = self.pos  # a merge drops the mask
+        if self._mask is None:
+            self._mask = np.zeros(len(pos) + 1, dtype=np.uint8)
+            self._masked = (None, np.empty(0, dtype=np.intp))
+        mask = self._mask
+        last, rows = self._masked
         if last != app_id:
-            flags = np.zeros(len(pos) + 1, dtype=np.uint8)
-            flags[self.row(app_id)] = 1
-            mask = flags.tobytes()
-            self._mask = (app_id, mask)
-        return mask
+            mask[rows] = 0
+            r = pos.get(app_id)
+            if r is None:
+                rows = rows[:0]
+            else:  # intp rows keep the scatters on numpy's fast path
+                lo, hi = self._offsets[r : r + 2].tolist()
+                rows = self._keys[lo:hi].astype(np.intp)
+                rows -= r * self._ids.size
+                mask[rows] = 1
+            self._masked = (app_id, rows)
+        return mask.data
 
     def clashes(self, app_id: int, apps) -> bool:
         """True when ``app_id`` conflicts with an application of ``apps``."""
@@ -245,13 +265,25 @@ class ConstraintSet:
             map(mask.__getitem__, map(pos.get, apps, repeat(-1)))
         )
 
+    def conflicting(self, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """Whether each ``rows[i]`` conflicts with ``others[i]`` (rows of
+        :attr:`pos`, int64 arrays): every pair looked up in one
+        ``searchsorted``, its needles sorted since a random probe of a
+        large index misses the cache at every step."""
+        keys = self._keys
+        query = (rows * self._ids.size + others).astype(keys.dtype)
+        order = np.argsort(query)
+        query = query[order]
+        hit = np.empty(query.size, dtype=bool)
+        hit[order] = keys[np.searchsorted(keys, query).clip(max=keys.size - 1)] == query
+        return hit
+
     def clashing(self, groups: list[int], rows: list[int]) -> list[bool]:
         """Whether each ``rows[i]`` conflicts with another row of its
         group (``groups`` non-decreasing).  Many entries are paired in
-        numpy and asked in one ``searchsorted``, its needles sorted since
-        a random probe of a large index misses the cache at every step;
-        a handful is paired in Python and bisected one by one, where
-        numpy's per-call cost would outweigh the work."""
+        numpy and asked through :meth:`conflicting`; a handful is paired
+        in Python and bisected one by one, where numpy's per-call cost
+        would outweigh the work."""
         keys, n = self._keys, self._ids.size
         out = [False] * len(rows)
         if len(rows) > 16:
@@ -260,10 +292,7 @@ class ConstraintSet:
             asker = np.repeat(np.arange(g.size), later)
             other = asker + 1 + np.arange(asker.size)
             other -= np.repeat(np.cumsum(later) - later, later)
-            query = (r[asker] * n + r[other]).astype(keys.dtype)
-            order = np.argsort(query)
-            query, asker, other = query[order], asker[order], other[order]
-            found = keys[np.searchsorted(keys, query).clip(max=keys.size - 1)] == query
+            found = self.conflicting(r[asker], r[other])
             for i, j in zip(compress(asker, found), compress(other, found)):
                 out[i] = out[j] = True
             return out

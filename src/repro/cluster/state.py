@@ -21,7 +21,10 @@ Those are what :meth:`ClusterState.checkpoint_payload` persists.
 Two more are *derived* and never persisted: ``machine_apps`` (machine →
 {application → residents}, the transpose of ``app_machines``, rebuilt by
 :meth:`ClusterState.from_payload`) and the violation tally (rebuilt by
-the first :meth:`ClusterState.anti_affinity_violations` call).
+the first :meth:`ClusterState.anti_affinity_violations` call).  Once a
+tally exists, ``deploy_block`` also notes for it each block of an
+application a rule names: the tally recounts only the machines such
+arrivals now offend on and those already holding an offender.
 
 Containers of one application are identical (the IL premise), so the
 block mutators book per application rather than per container:
@@ -115,6 +118,9 @@ class _ViolationTally:
     per_machine: dict[int, int] = field(default_factory=dict)
     #: rack-scoped app id -> its containers sharing a rack with a sibling
     per_rack_app: dict[int, int] = field(default_factory=dict)
+    #: (app id, run machines) of every block of a constrained application
+    #: committed since the counts were exact, noted by ``deploy_block``
+    arrivals: list[tuple[int, list[int]]] = field(default_factory=list)
 
     def store(self, counts: dict[int, int], key: int, count: int) -> None:
         """Replace ``counts[key]`` (one of the two maps) by ``count``."""
@@ -201,7 +207,7 @@ class ClusterState:
         self._log_base = 0
         self._log_limit = max(4096, 16 * n)
         #: built by the first :meth:`anti_affinity_violations` call and
-        #: repaired from the dirty log by every later one
+        #: repaired from the dirty log and its arrivals by every later one
         self._violations: _ViolationTally | None = None
 
     # ------------------------------------------------------------------
@@ -259,6 +265,11 @@ class ClusterState:
         self._log_buf[:keep] = self._log_buf[drop : self._log_len]
         self._log_len = keep
         self._log_base += drop
+        tally = self._violations
+        if tally is not None and tally.cursor.version < self._log_base:
+            # its next query recounts anyway; dropping it now bounds the
+            # arrivals it notes by the log
+            self._violations = None
 
     def cursor(self) -> StateCursor:
         """A cursor at this state's current version."""
@@ -554,34 +565,49 @@ class ClusterState:
             raise ValueError(
                 "deploy_block got containers of more than one application"
             )
-        fresh = set(cids)
-        if len(fresh) != k:
+        if k > 1 and len(set(cids)) != k:
             raise ValueError("deploy_block got a container id twice")
-        if not assignment.keys().isdisjoint(fresh):
+        if not assignment.keys().isdisjoint(cids):
             cid = next(cid for cid in cids if cid in assignment)
             raise ValueError(
                 f"container {cid} is already deployed on machine "
                 f"{assignment[cid]}"
             )
-        rows = np.array(machines, dtype=np.int64)
-        idx = rows if rows.size == k else rows.repeat(counts)
-        # Snapshot the run rows before mutating (a machine in two runs
-        # is restored to the same row): rolling back by re-adding the
-        # demand is not bit-exact in floating point (a - b + b need not
-        # equal a), restoring is.
         available = self.available
-        before = available.take(rows, axis=0)
-        np.subtract.at(available, idx, demand)
-        after = available.take(rows, axis=0)
-        if min(after.ravel().tolist()) < 0.0:
-            bad = sorted(set(rows[(after < 0.0).any(axis=1)].tolist()))
-            available[rows] = before
+        if k == 1:
+            # A run of one (every :meth:`deploy`): one row subtraction
+            # leaves the bits the unbuffered ufunc leaves.
+            mlist, nlist = [int(machines[0])], [1]
+            left = available[mlist[0]] - demand
+            bad = mlist if min(left.tolist()) < 0.0 else []
+            if not bad:
+                available[mlist[0]] = left
+                self.container_count[mlist[0]] += 1
+        else:
+            rows = np.array(machines, dtype=np.int64)
+            idx = rows if rows.size == k else rows.repeat(counts)
+            # Snapshot the run rows before mutating (a machine in two
+            # runs is restored to the same row): rolling back by
+            # re-adding the demand is not bit-exact in floating point
+            # (a - b + b need not equal a), restoring is.
+            before = available.take(rows, axis=0)
+            np.subtract.at(available, idx, demand)
+            after = available.take(rows, axis=0)
+            bad = []
+            if min(after.ravel().tolist()) < 0.0:
+                bad = rows[(after < 0.0).any(axis=1)].tolist()
+                available[rows] = before
+            else:
+                np.add.at(
+                    self.container_count, rows, np.array(counts, dtype=np.int32)
+                )
+            mlist, nlist = rows.tolist(), list(map(int, counts))
+        if bad:
             raise ValueError(
-                f"deploy_block plan overcommits machines {bad}: the "
-                "caller must establish feasibility before the block "
+                f"deploy_block plan overcommits machines {sorted(set(bad))}: "
+                "the caller must establish feasibility before the block "
                 "commit"
             )
-        mlist, nlist = rows.tolist(), list(map(int, counts))
         runs = map(itertools.repeat, mlist, nlist)
         assignment.update(zip(cids, itertools.chain(*runs)))
         self._containers.update(zip(cids, containers))
@@ -595,11 +621,22 @@ class ClusterState:
             )
             per_machine[machine_id] = per_machine.get(machine_id, 0) + n
             _book(self.machine_apps, machine_id, app_id, n)
-        np.add.at(self.container_count, rows, np.array(nlist, dtype=np.int32))
-        self.touch_block(idx)
+        if k == 1:
+            self.touch(mlist[0])
+        else:
+            self.touch_block(idx)
+        self.note_arrival(app_id, mlist)
         if self.events is not None:
-            for cid, machine_id in zip(cids, idx.tolist()):
-                self._record(EventKind.DEPLOY, cid, machine_id)
+            for cid in cids:
+                self._record(EventKind.DEPLOY, cid, assignment[cid])
+
+    def note_arrival(self, app_id: int, machines: list[int]) -> None:
+        """Note for the violation tally, while there is one, that a block
+        of ``app_id`` landed on ``machines`` — if a rule names ``app_id``:
+        an unconstrained arrival cannot make an offender."""
+        tally = self._violations
+        if tally is not None and self.constraints.constrained(app_id):
+            tally.arrivals.append((app_id, machines))
 
     def migrate(self, container_id: int, target_machine: int) -> None:
         """Move a deployed container to ``target_machine`` atomically.
@@ -643,13 +680,20 @@ class ClusterState:
         rack-scoped rules the co-location domain is the rack).
 
         The count is kept as a tally per machine and per rack-scoped
-        application, and each call re-examines only what the change feed
-        (:meth:`advance`) reports mutated since the previous call —
-        O(touched machines), not O(resident containers).  Everything is
-        recounted (the same two helpers over every machine) on the first
-        call, after log compaction has passed the tally's cursor, and when
-        :attr:`ConstraintSet.revision` moved; a :meth:`snapshot` or
-        restored state starts without a tally.
+        application, and each call recounts only where the count can
+        have changed since the previous call.  An eviction can only
+        clear offenders, so of the machines the change feed
+        (:meth:`advance`) reports only those holding a stored offender
+        are recounted.  A new offender needs a constrained arrival —
+        the blocks :meth:`deploy_block` notes for the tally — that is
+        still on its machine and there clashes with a resident or
+        doubles a machine-scoped within-application; those machines are
+        recounted too, and a rack-scoped arrival re-asks its racks.
+        Everything is recounted (the same helpers over every machine)
+        on the first call, after log compaction has passed the tally's
+        cursor, and when :attr:`ConstraintSet.revision` moved; a
+        :meth:`snapshot` or restored state starts without a tally, and
+        a state without one notes no arrivals.
 
         Unlike the other queries this one **writes** to the state (the
         tally).  Its callers (``apply_window``, ``core.validate``, the
@@ -666,40 +710,66 @@ class ClusterState:
                 cs.revision, self.cursor()
             )
             machines = list(self.machine_containers)
+            racks = [
+                app_id for app_id in self.app_machines
+                if cs.has_within(app_id) and cs.within_scope(app_id) == "rack"
+            ]
         elif raw.size == 0:
             return tally.total
         else:
-            n = self.topology.n_machines
-            if raw.size > n:
-                # Dense slice: a boolean scatter + flatnonzero dedups in
-                # O(slice + n) — same ascending-unique result as np.unique
-                # without the O(slice log slice) sort.
-                flags = np.zeros(n, dtype=bool)
-                flags[raw] = True
-                machines = np.flatnonzero(flags).tolist()
-            else:
-                machines = np.unique(raw).tolist()
-        # A rack-scoped application's count can only have risen if it
-        # gained a container — on a machine that is then dirty and hosts
-        # it now — and only have fallen if it was non-zero.
-        suspects = set(tally.per_rack_app)
-        offenders = self._machine_offenders(machines, suspects)
+            machines, racks = self._suspects(tally, raw)
+        offenders = self._machine_offenders(machines)
         for machine_id, count in zip(machines, offenders):
             tally.store(tally.per_machine, machine_id, count)
-        for app_id in suspects:
-            if cs.has_within(app_id) and cs.within_scope(app_id) == "rack":
-                tally.store(
-                    tally.per_rack_app, app_id, self._rack_offenders(app_id)
-                )
+        for app_id in racks:
+            tally.store(tally.per_rack_app, app_id, self._rack_offenders(app_id))
         return tally.total
 
-    def _machine_offenders(
-        self, machines: list[int], resident: set[int]
-    ) -> list[int]:
+    def _suspects(
+        self, tally: _ViolationTally, raw: np.ndarray
+    ) -> tuple[list[int], set[int]]:
+        """The machines and rack-scoped applications whose counts can
+        have moved since ``tally`` was exact, ``raw`` the change feed
+        since then; takes the tally's arrivals."""
+        cs = self.constraints
+        machines: set[int] = set()
+        if tally.per_machine:
+            stored = np.fromiter(tally.per_machine, np.int64)
+            machines.update(stored[np.isin(stored, raw)].tolist())
+        racks = set(tally.per_rack_app)
+        # one probe per (arrival still on its machine, constrained
+        # resident), all asked at once
+        probes: list[int] = []  # machine
+        rows: list[int] = []  # the arrival's row of ``pos``
+        others: list[int] = []  # the resident's
+        pos, hosted_on = cs.pos, self.machine_apps.get
+        arrivals, tally.arrivals = tally.arrivals, []
+        for app_id, hosts in arrivals:
+            scope = cs.has_within(app_id) and cs.within_scope(app_id)
+            if scope == "rack":
+                racks.add(app_id)
+            row = pos.get(app_id)
+            for m in hosts:
+                hosted = hosted_on(m)
+                if not hosted or app_id not in hosted:
+                    continue
+                if scope == "machine" and hosted[app_id] > 1:
+                    machines.add(m)
+                elif row is not None:
+                    common = pos.keys() & hosted.keys()
+                    common.discard(app_id)
+                    probes += itertools.repeat(m, len(common))
+                    rows += itertools.repeat(row, len(common))
+                    others += map(pos.__getitem__, common)
+        if probes:
+            hit = cs.conflicting(np.array(rows), np.array(others))
+            machines.update(itertools.compress(probes, hit.tolist()))
+        return list(machines), racks
+
+    def _machine_offenders(self, machines: list[int]) -> list[int]:
         """Containers on each of ``machines`` that break a machine-scoped
         rule: two of one within-anti-affinity application, or any of an
         application sharing the machine with one it conflicts with.
-        The applications the machines host are added to ``resident``.
 
         Only a machine hosting two constrained applications can break a
         cross-application rule; their pairs are asked all at once."""
@@ -711,7 +781,6 @@ class ClusterState:
         found: list[int] = []  # hosting two or more
         for slot, machine_id in enumerate(machines):
             apps = self.machine_apps.get(machine_id, {})
-            resident.update(apps)
             for app, count in apps.items():
                 if (
                     count > 1

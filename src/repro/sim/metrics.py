@@ -176,9 +176,14 @@ class PowerMetrics:
         return dict(self.__dict__)
 
 
-def power_metrics(result, n_machines: int) -> PowerMetrics:
+def power_metrics(
+    result, n_machines: int, always_on: int | None = None
+) -> PowerMetrics:
     """Fold an :class:`~repro.sim.online.OnlineResult`'s per-tick power
-    telemetry into one :class:`PowerMetrics`."""
+    telemetry into one :class:`PowerMetrics`, its savings measured
+    against ``always_on`` machine-ticks — pass the always-on run's: the
+    default, the whole cluster over this run's own ticks, counts the
+    ticks the lifecycle's horizon tail stretched it by."""
     machine_ticks = 0
     peak = 0
     warm_hits = 0
@@ -192,7 +197,8 @@ def power_metrics(result, n_machines: int) -> PowerMetrics:
             cold_starts += s.cold_starts
         machine_ticks += powered
         peak = max(peak, powered)
-    always_on = n_machines * len(result.samples)
+    if always_on is None:
+        always_on = n_machines * len(result.samples)
     savings = (
         100.0 * (1.0 - machine_ticks / always_on) if always_on else 0.0
     )

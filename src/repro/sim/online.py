@@ -372,8 +372,8 @@ def apply_window(
         lifecycle.charge(tick, schedule, batch)
 
     t0 = time.perf_counter()
-    used = state.used_machines()
     util = state.used_utilization(0)
+    used = util.size  # one row per used machine
     sample = TickSample(
         tick=tick,
         arrived_containers=arrived,

@@ -320,9 +320,12 @@ def assert_same(cs: ConstraintSet, ref: ReferenceIndex, asked) -> None:
         assert cs.conflicts_of(a) == peers
         for b in asked:
             assert cs.violates(a, b) == ref.violates(a, b)
-    mask = cs.blacklist(0)
-    assert len(mask) == len(pos) + 1
-    assert {b for b in pos if mask[pos[b]]} == ref.conflicts.get(0, set())
+    # the one mask switched between applications, back and forth
+    for a in [*asked, *sorted(asked, reverse=True), 0]:
+        mask = cs.blacklist(a)
+        assert len(mask) == len(pos) + 1
+        peers = ref.conflicts.get(a, set())
+        assert bytes(mask) == bytes(b in peers for b in [*pos, None])
     for a in asked:
         for b in asked:
             assert cs.clashes(a, {b: 1}) == (a != b and ref.violates(a, b))
@@ -345,6 +348,7 @@ def assert_same(cs: ConstraintSet, ref: ReferenceIndex, asked) -> None:
             st.tuples(st.just("rule"), IDS, IDS),
             st.tuples(st.just("affinity"), IDS, IDS),
             st.tuples(st.just("query"), IDS, IDS),
+            st.tuples(st.just("blacklist"), IDS, IDS),
         ),
         max_size=8,
     ),
@@ -371,4 +375,6 @@ def test_the_rows_answer_what_the_hash_sets_answer(records, steps):
             else:
                 cs.add_affinity(a, b)
                 ref.add_affinity(a, b)
+        elif kind == "blacklist":  # a mask left switched to ``a``
+            cs.blacklist(a)
         assert_same(cs, ref, asked)

@@ -238,6 +238,23 @@ class TestDeployBlock:
             state.deploy_block(block, [5], [2], demand)
         assert 30 not in state.assignment and 31 not in state.assignment
 
+    def test_a_run_of_one_that_overcommits_changes_nothing(
+        self, topo, constraints
+    ):
+        state, _ = fresh_pair(topo, constraints)
+        state.anti_affinity_violations()  # a tally, which notes arrivals
+        before = state.snapshot()
+        version = state.version
+        big = container(40, app=0, cpu=float(state.available[1, 0]) + 1.0)
+        with pytest.raises(ValueError, match=r"overcommits machines \[1\]"):
+            state.deploy_block([big], [1], [1], big.demand_vector(topo.resources))
+        assert state.available.tobytes() == before.available.tobytes()
+        assert state.container_count.tolist() == before.container_count.tolist()
+        assert (state.assignment, state.machine_apps) == (
+            before.assignment, before.machine_apps
+        )
+        assert state.version == version and not state._violations.arrivals
+
 
 class TestRunLedgerTwin:
     """Run-form commits held, in lockstep, to the per-container ledger.

@@ -42,6 +42,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.baselines.firmament import FirmamentScheduler
 from repro.cluster.constraints import AntiAffinityRule, ConstraintSet
 from repro.cluster.container import Container
 from repro.cluster.events import EventKind
@@ -154,6 +155,7 @@ class PerContainerState(ClusterState):
         per_machine = self.app_machines.setdefault(container.app_id, {})
         per_machine[machine_id] = per_machine.get(machine_id, 0) + 1
         self.touch(machine_id)
+        self.note_arrival(container.app_id, [machine_id])
         self._record(EventKind.DEPLOY, container.container_id, machine_id)
 
     def evict(self, container_id):
@@ -248,14 +250,41 @@ class PerContainerState(ClusterState):
             per_machine = app_machines.setdefault(container.app_id, {})
             per_machine[machine_id] = per_machine.get(machine_id, 0) + 1
         self.touch_block(idx)
+        self.note_arrival(containers[0].app_id, list(machines))
         if self.events is not None:
             for container, machine_id in zip(containers, mlist):
                 self._record(EventKind.DEPLOY, container.container_id, machine_id)
 
-    def _machine_offenders(self, machines, resident):
-        return [self._offenders_on(m, resident) for m in machines]
+    def _suspects(self, tally, raw):
+        dirty = set(raw.tolist())
+        machines = {m for m in tally.per_machine if m in dirty}
+        racks = set(tally.per_rack_app)
+        cs = self.constraints
+        for app, hosts in tally.arrivals:
+            if cs.has_within(app) and cs.within_scope(app) == "rack":
+                racks.add(app)
+            for m in hosts:
+                apps = Counter(
+                    self._containers[cid].app_id
+                    for cid in self.machine_containers.get(m, ())
+                )
+                doubled = (
+                    apps[app] > 1
+                    and cs.has_within(app)
+                    and cs.within_scope(app) == "machine"
+                )
+                if apps[app] and (
+                    doubled
+                    or any(cs.violates(app, other) for other in apps if other != app)
+                ):
+                    machines.add(m)
+        tally.arrivals = []
+        return sorted(machines), racks
 
-    def _offenders_on(self, machine_id, resident):
+    def _machine_offenders(self, machines):
+        return [self._offenders_on(m) for m in machines]
+
+    def _offenders_on(self, machine_id):
         cids = self.machine_containers.get(machine_id)
         if not cids:
             return 0
@@ -264,7 +293,6 @@ class PerContainerState(ClusterState):
         for cid in cids:
             app = containers[cid].app_id
             apps[app] = apps.get(app, 0) + 1
-        resident.update(apps)
         if len(cids) < 2:
             return 0
         cs = self.constraints
@@ -349,7 +377,7 @@ class World:
     OPS = (
         "deploy", "deploy", "deploy", "deploy", "deploy_block", "deploy_block",
         "evict", "evict_block", "migrate", "migrate", "fault", "power",
-        "snapshot", "restore", "late_rule", "query", "query", "query",
+        "snapshot", "restore", "late_rule", "firmament", "query", "query",
     )
 
     def __init__(self) -> None:
@@ -370,6 +398,7 @@ class World:
     def adopt(self, state: ClusterState, twin: PerContainerState) -> None:
         state._log_limit = twin._log_limit = LOG_LIMIT
         self.state, self.twin = state, twin
+        self.asked = False  # whether the state's tally was ever built
 
     def both(self, act, refusal=()) -> tuple[type | None, object]:
         """``act(state)`` on the state and on its twin, as ``(error
@@ -432,6 +461,27 @@ class World:
                 self.reached["deploy_block placed a machine in two runs"] += 1
             if max(counts) > 1:
                 self.reached["deploy_block committed a run of several"] += 1
+
+    def firmament(self, r: random.Random) -> None:
+        # a constraint-oblivious flow round forces its placements; the
+        # conflict rounds then evict and requeue some of them
+        apps = r.sample(range(N_APPS), 3)
+        containers = [
+            self.new_container(r.choice(apps)) for _ in range(r.randint(2, 8))
+        ]
+        reschd, seed = r.randint(1, 3), r.randrange(4)
+        _, placements = self.both(
+            lambda s: FirmamentScheduler(
+                reschd=reschd, max_rounds=1, seed=seed
+            ).schedule(list(containers), s).placements
+        )
+        cs, hosted = self.constraints, self.state.machine_apps
+        for c in containers:
+            apps = hosted.get(placements.get(c.container_id), {})
+            if any(cs.violates(c.app_id, other) for other in apps if other != c.app_id) or (
+                apps.get(c.app_id, 0) > 1 and cs.violates(c.app_id, c.app_id)
+            ):
+                self.reached["firmament left a forced violation"] += 1
 
     def evict(self, r: random.Random) -> None:
         cid = self.resident(r)
@@ -525,9 +575,10 @@ class World:
             self.reached["late rule changed the count"] += 1
 
     def query(self, r: random.Random) -> None:
-        tally = self.state._violations
-        if tally is not None and tally.cursor.version < self.state._log_base:
+        if self.asked and self.state._violations is None:
+            # only a compaction past its cursor drops a built tally
             self.reached["queried past a compaction"] += 1
+        self.asked = True
         expected = recount_violations(self.state)
         assert self.state.anti_affinity_violations() == expected
         assert self.twin.anti_affinity_violations() == expected
@@ -604,6 +655,7 @@ REQUIRED = (
     "evict_block with repeated and absent ids",
     "late rule changed the count",
     "migrate failed and restored",
+    "firmament left a forced violation",
     "deploy_block rolled back",
     "fault displaced residents",
     "power touched a machine",
@@ -687,31 +739,107 @@ def test_rule_added_after_placement_is_counted_without_a_touch():
     assert state.anti_affinity_violations() == 2
 
 
-def test_query_with_nothing_dirty_does_no_per_machine_work(monkeypatch):
+def recounted(monkeypatch) -> list[int]:
+    """The machines every later tally query hands ``_machine_offenders``."""
+    calls: list[int] = []
+    real = ClusterState._machine_offenders
+
+    def counting(self, machines):
+        calls.extend(machines)
+        return real(self, machines)
+
+    monkeypatch.setattr(ClusterState, "_machine_offenders", counting)
+    return calls
+
+
+def crowded_world() -> World:
     world = World()
     r = random.Random(5)
     for _ in range(60):
         world.deploy(r)
-    calls: list[int] = []
-    real = ClusterState._machine_offenders
+    return world
 
-    def counting(self, machines, resident):
-        calls.extend(machines)
-        return real(self, machines, resident)
 
-    monkeypatch.setattr(ClusterState, "_machine_offenders", counting)
-    state = world.state
+def test_query_with_nothing_dirty_does_no_per_machine_work(monkeypatch):
+    """Only machines holding a stored offender, and machines where a
+    constrained arrival now offends, are recounted: a touch, an eviction
+    from a clean machine and an arrival that offends no one are not."""
+    world = crowded_world()
+    state, cs = world.state, world.constraints
+    calls = recounted(monkeypatch)
     first = state.anti_affinity_violations()
     assert first == recount_violations(state) > 0
     assert sorted(calls) == sorted(state.machine_containers)  # full count
     calls.clear()
     assert state.anti_affinity_violations() == first
     assert calls == []
-    state.evict(next(iter(state.machine_containers[3])))
-    state.touch(7)
-    state.touch(7)
+    stored = state._violations.per_machine
+    offending = min(stored)
+    clean = [m for m, cids in state.machine_containers.items() if cids and m not in stored]
+    state.evict(next(iter(state.machine_containers[offending])))
+    state.evict(next(iter(state.machine_containers[clean[0]])))
+    state.touch(clean[1])
+    state.touch(clean[1])
+    assert state.anti_affinity_violations() == recount_violations(state)
+    assert calls == [offending]  # the machine that held an offender, once
+    calls.clear()
+    # arrivals on clean machines: an application no rule names, one whose
+    # partner is resident there, and one that meets no partner
+    m, n = clean[2], clean[3]
+    resident = next(iter(state.machine_apps[m]))
+    partner = next(a for a in range(N_APPS) if cs.violates(a, resident) and a != resident)
+    loner = next(
+        a for a in range(N_APPS)
+        if cs.constrained(a) and a not in state.machine_apps[n]
+        and not cs.clashes(a, state.machine_apps[n])
+    )
+    state.deploy(container(1000, app=N_APPS + 1, cpu=0.5), m, force=True)
+    state.deploy(container(1001, app=partner, cpu=0.5), m, force=True)
+    state.deploy(container(1002, app=loner, cpu=0.5), n, force=True)
+    assert state.anti_affinity_violations() == recount_violations(state)
+    assert calls == [m]
+
+
+def test_a_state_never_asked_notes_no_arrivals():
+    state = ClusterState(build_cluster(N_MACHINES, machines_per_rack=4), build_rules())
+    for cid in range(10_000):
+        state.deploy(container(cid, app=cid % N_APPS, cpu=0.01), cid % N_MACHINES, force=True)
+    assert state._violations is None
+    assert state.anti_affinity_violations() == recount_violations(state)
+    assert state._violations.arrivals == []
+
+
+def test_compaction_past_the_tally_drops_its_arrivals_and_recounts(monkeypatch):
+    world = crowded_world()
+    state = world.state
     state.anti_affinity_violations()
-    assert sorted(calls) == [3, 7]  # the dirty machines, once each
+    state.evict(next(iter(state.assignment)))
+    state.deploy(container(1000, app=0, cpu=0.5), 0, force=True)
+    assert state._violations.arrivals  # constrained: app 0 has a rule
+    calls = recounted(monkeypatch)
+    for _ in range(LOG_LIMIT):
+        state.touch(1)
+    assert state._violations is None  # dropped with what it noted
+    assert state.anti_affinity_violations() == recount_violations(state)
+    assert sorted(calls) == sorted(state.machine_containers)
+
+
+@pytest.mark.parametrize("how", ["snapshot", "restore"])
+def test_a_snapshot_or_restored_state_recounts(monkeypatch, how):
+    world = crowded_world()
+    state = world.state
+    state.anti_affinity_violations()
+    state.deploy(container(1000, app=0, cpu=0.5), 0, force=True)
+    copied = (
+        state.snapshot() if how == "snapshot"
+        else ClusterState.from_payload(
+            state.checkpoint_payload(), world.topology, world.constraints
+        )
+    )
+    assert copied._violations is None
+    calls = recounted(monkeypatch)
+    assert copied.anti_affinity_violations() == recount_violations(state)
+    assert sorted(calls) == sorted(copied.machine_containers)
 
 
 def test_failed_migrate_puts_the_container_back():

@@ -497,3 +497,26 @@ def test_cli_online_autoscale_reports_power(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "power:" in out and "machine-ticks" in out
+
+
+def test_cli_power_line_divides_by_the_always_on_run(capsys):
+    """The autoscale run's horizon tail stretches it to 193 ticks; the
+    always-on run of the same workload powers 120 machines for 191."""
+    from repro.cli import main
+
+    rc = main([
+        "online", "--trace", "azure", "--scenario", "autoscale",
+        "--scale", "0.01", "--ticks", "24", "--autoscale", "--keep-alive", "ttl",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "(always-on 22920, 79.0% saved)" in out
+    trace = build_scenario("autoscale", scale=0.01, ticks=24)
+    runs = {
+        name: OnlineSimulator(trace, OnlineConfig(scenario="autoscale", autoscale=cfg))
+        for name, cfg in (("on", None), ("ttl", LifecycleConfig(keep_alive="ttl")))
+    }
+    n = runs["on"]._topology.n_machines
+    always_on = power_metrics(runs["on"].run(AladdinScheduler()), n).machine_ticks
+    pm = power_metrics(runs["ttl"].run(AladdinScheduler()), n, always_on)
+    assert (always_on, round(pm.savings_pct, 2)) == (22920, 78.97)
